@@ -95,18 +95,18 @@ fn bench_graph_algos(c: &mut Criterion) {
 
 fn bench_channel(c: &mut Criterion) {
     use swn_sim::channel::{Channel, DeliveryPolicy};
+    use swn_sim::obs::causal::CauseTag;
     c.bench_function("substrate_channel/push_drain_1000", |b| {
         let mut rng = StdRng::seed_from_u64(2);
         let msg = Message::Lin(NodeId::from_fraction(0.5));
+        let mut out: Vec<Message> = Vec::new();
         b.iter(|| {
             let mut ch = Channel::new();
             for _ in 0..1000 {
-                ch.push(msg, 0);
+                ch.push(msg, 0, CauseTag::ROOT);
             }
-            black_box(
-                ch.take_deliverable(1, DeliveryPolicy::Immediate, &mut rng)
-                    .len(),
-            )
+            ch.take_deliverable_into(1, DeliveryPolicy::Immediate, &mut rng, false, &mut out);
+            black_box(out.len())
         });
     });
 }

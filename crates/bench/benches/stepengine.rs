@@ -16,17 +16,18 @@
 //! what the O(1) routing rewrite bought at each scale.
 //!
 //! Since the observability layer landed (DESIGN.md §9) the whole-step
-//! measurement is a *pair*: the noop path (no sink attached — the
-//! `OBS = false` monomorphization, which must stay the pre-observability
-//! round loop) and the instrumented path (a `JsonlSink` over
+//! measurement is a *pair*: the noop path (no sink attached — the plain
+//! copy of the round loop, which must stay the pre-observability round
+//! loop) and the instrumented path (a `JsonlSink` over
 //! `io::sink()` at `sample_every = 16`). The noop number is guarded
 //! against the previously committed `BENCH_stepengine.json`: the ratio
 //! is always printed, and with `SWN_BENCH_ENFORCE=1` a noop regression
 //! beyond 3% fails the bench.
 //!
 //! Since the causal tracer landed (DESIGN.md §13) the instrumented path
-//! also carries per-delivery cause tagging and cascade bookkeeping, so
-//! the pair's *ratio* is guarded too: the instrumented step must stay
+//! also carries the cause lane on every channel take (the hooked copy of
+//! the round loop has one delivery form, whether or not a cascade window
+//! is open), so the pair's *ratio* is guarded too: the instrumented step must stay
 //! within `INSTRUMENTED_GUARD` (1.5×) of the detached step — printed
 //! always, asserted under `SWN_BENCH_ENFORCE=1`.
 //!
@@ -60,6 +61,7 @@ use swn_core::message::{Message, MessageKind};
 use swn_core::outbox::Outbox;
 use swn_sim::channel::{Channel, DeliveryPolicy};
 use swn_sim::convergence::drain_to_quiescence;
+use swn_sim::obs::causal::CauseTag;
 use swn_sim::obs::JsonlSink;
 use swn_sim::slots::SlotIndex;
 use swn_sim::trace::RoundStats;
@@ -120,7 +122,7 @@ fn probe_sequence(ids: &[NodeId], len: usize, seed: u64) -> Vec<NodeId> {
 struct PhaseEntry {
     n: usize,
     /// One whole `Network::step` on a warmed stable ring, *no sink
-    /// attached* — the `OBS = false` monomorphization the guard pins.
+    /// attached* — the plain copy of the round loop the guard pins.
     step_ns_per_round: f64,
     /// The same step with a `JsonlSink` over `io::sink()` attached at
     /// `sample_every = 16` — the instrumented half of the pair.
@@ -378,10 +380,11 @@ fn measure_channel(iters: usize) -> f64 {
             ch.push(
                 Message::Lin(NodeId::from_fraction((k + 1) as f64 / 8.0)),
                 now,
+                CauseTag::ROOT,
             );
         }
         now += 1;
-        ch.take_deliverable_into(now, DeliveryPolicy::Immediate, &mut rng, &mut out);
+        ch.take_deliverable_into(now, DeliveryPolicy::Immediate, &mut rng, false, &mut out);
         black_box(out.len());
     })
 }
@@ -564,10 +567,11 @@ fn bench_phases(c: &mut Criterion) {
                 ch.push(
                     Message::Lin(NodeId::from_fraction((k + 1) as f64 / 8.0)),
                     now,
+                    CauseTag::ROOT,
                 );
             }
             now += 1;
-            ch.take_deliverable_into(now, DeliveryPolicy::Immediate, &mut rng, &mut out);
+            ch.take_deliverable_into(now, DeliveryPolicy::Immediate, &mut rng, false, &mut out);
             black_box(out.len())
         });
     });

@@ -4,8 +4,9 @@
 //! preserve order. The only liveness guarantee is *fair receipt*: a
 //! message that is in the channel is eventually received. The simulator
 //! enforces fairness with an age cap — a delivery policy may delay a
-//! message for at most [`DeliveryPolicy::max_delay`] rounds, after which
-//! delivery is forced.
+//! message for at most `max_delay` rounds
+//! ([`DeliveryPolicy::RandomDelay`]; none under
+//! [`DeliveryPolicy::Immediate`]), after which delivery is forced.
 //!
 //! Losslessness is a property of *this* layer, not of every run: when a
 //! [`crate::faults`] plan is attached to the network, the fault engine
@@ -48,15 +49,6 @@ pub enum DeliveryPolicy {
 }
 
 impl DeliveryPolicy {
-    /// The fairness bound: the maximal number of rounds a message may sit
-    /// in a channel under this policy.
-    pub fn max_delay(&self) -> u64 {
-        match *self {
-            DeliveryPolicy::Immediate => 0,
-            DeliveryPolicy::RandomDelay { max_delay, .. } => max_delay,
-        }
-    }
-
     /// Validates policy parameters.
     pub fn validate(&self) -> Result<(), String> {
         if let DeliveryPolicy::RandomDelay { p_deliver, .. } = *self {
@@ -78,15 +70,57 @@ impl DeliveryPolicy {
 /// A third, *lazy* lane carries causal provenance for the observability
 /// layer: `causes[i]` tags `msgs[i]`, with the invariant
 /// `causes.len() <= msgs.len()` — any missing tail is implicitly
-/// [`CauseTag::ROOT`]. The detached round loop only ever calls
-/// [`Channel::push`] and the non-causal takes, so `causes` stays an
-/// empty vec (its `clear()` is a no-op on a null pointer) and the
-/// uninstrumented path is byte-identical to the pre-causal code.
+/// [`CauseTag::ROOT`]. Root pushes never touch the lane and an untraced
+/// take clears it, so on a network that never traces `causes` stays an
+/// empty vec.
 #[derive(Clone, Debug, Default)]
 pub struct Channel {
     msgs: Vec<Message>,
     enqueued: Vec<u64>,
     causes: Vec<CauseTag>,
+}
+
+/// What [`Channel::take_deliverable_into`] hands out per message: the
+/// bare [`Message`] (the round loop's plain arm) or the message with its
+/// enqueue round and provenance tag (the hooked arm).
+pub trait Delivery: Copy {
+    /// Whether the form carries the provenance tag at all; when not, the
+    /// take never reads or compacts the `causes` lane.
+    const TAGGED: bool;
+
+    /// The delivered form of one queued message.
+    fn of(msg: Message, enqueued: u64, tag: CauseTag) -> Self;
+
+    /// Moves every message of `ch` to `out` in enqueue order — the
+    /// `Immediate` case with nothing to keep back.
+    fn take_all(ch: &mut Channel, out: &mut Vec<Self>) {
+        let tags = ch.causes.drain(..).chain(std::iter::repeat(CauseTag::ROOT));
+        let lanes = ch.msgs.drain(..).zip(ch.enqueued.drain(..)).zip(tags);
+        out.extend(lanes.map(|((m, e), c)| Self::of(m, e, c)));
+    }
+}
+
+impl Delivery for Message {
+    const TAGGED: bool = false;
+
+    fn of(msg: Message, _enqueued: u64, _tag: CauseTag) -> Self {
+        msg
+    }
+
+    /// Hands the storage over by pointer swap instead of a
+    /// message-by-message copy.
+    fn take_all(ch: &mut Channel, out: &mut Vec<Self>) {
+        std::mem::swap(&mut ch.msgs, out);
+        ch.clear();
+    }
+}
+
+impl Delivery for (Message, u64, CauseTag) {
+    const TAGGED: bool = true;
+
+    fn of(msg: Message, enqueued: u64, tag: CauseTag) -> Self {
+        (msg, enqueued, tag)
+    }
 }
 
 impl Channel {
@@ -95,21 +129,20 @@ impl Channel {
         Channel::default()
     }
 
-    /// Enqueues a message at round `round`.
-    pub fn push(&mut self, msg: Message, round: u64) {
+    /// Enqueues a message at round `round` with its causal provenance
+    /// ([`CauseTag::ROOT`] for anything that is not a traced handler
+    /// emission). Only a non-root tag touches the `causes` lane, padding
+    /// it first so the tag lines up with its message. Inlined so the
+    /// round loop's plain arm, which only ever pushes roots, folds the
+    /// tag away (−4 % `mix-harmonic` node-rounds/s without it).
+    #[inline]
+    pub fn push(&mut self, msg: Message, round: u64, tag: CauseTag) {
+        if !tag.is_root() {
+            self.causes.resize(self.msgs.len(), CauseTag::ROOT);
+            self.causes.push(tag);
+        }
         self.msgs.push(msg);
         self.enqueued.push(round);
-    }
-
-    /// Enqueues a message at round `round` with its causal provenance —
-    /// the observability layer's push. Pads the `causes` lane with
-    /// [`CauseTag::ROOT`] first, so tags enqueued after a stretch of
-    /// untagged pushes still line up with their messages.
-    pub fn push_caused(&mut self, msg: Message, round: u64, tag: CauseTag) {
-        self.causes.resize(self.msgs.len(), CauseTag::ROOT);
-        self.msgs.push(msg);
-        self.enqueued.push(round);
-        self.causes.push(tag);
     }
 
     /// Number of queued messages.
@@ -120,11 +153,6 @@ impl Channel {
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.msgs.is_empty()
-    }
-
-    /// Iterates over the queued messages (for snapshots).
-    pub fn messages(&self) -> impl Iterator<Item = &Message> {
-        self.msgs.iter()
     }
 
     /// The queued messages as a contiguous slice, in enqueue order. This
@@ -141,56 +169,52 @@ impl Channel {
         self.causes.clear();
     }
 
-    /// Takes the messages to deliver in round `now` under `policy`,
-    /// shuffled (channels are unordered). Only messages enqueued *before*
+    /// Clears `out` and fills it with the messages to deliver in round
+    /// `now` under `policy`, shuffled (channels are unordered),
+    /// compacting the channel in place. Only messages enqueued *before*
     /// `now` are eligible, so a message is never received in the same
     /// round it was sent — receipt strictly follows transmission.
-    pub fn take_deliverable<R: Rng + ?Sized>(
+    ///
+    /// Provenance tags survive the take only when `D` carries them and
+    /// `traced` is set (the round loop sets it while a cascade window is
+    /// open); otherwise the lane is voided first, so everything
+    /// delivered *or kept* is an implicit root from here on.
+    ///
+    /// **RNG-stream equality.** The draws depend on neither `D` nor
+    /// `traced`: the per-element `random_bool` draws depend only on
+    /// `enqueued`/`now`/`policy`, and `shuffle` consumes draws as a
+    /// function of slice *length* alone. So delivery order and every
+    /// downstream draw are bit-for-bit the same whatever rides along —
+    /// pinned by `every_delivery_form_takes_the_same_messages` below and
+    /// the golden event-stream fingerprint.
+    pub fn take_deliverable_into<D: Delivery, R: Rng + ?Sized>(
         &mut self,
         now: u64,
         policy: DeliveryPolicy,
         rng: &mut R,
-    ) -> Vec<Message> {
-        let mut out = Vec::new();
-        self.take_deliverable_into(now, policy, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free spelling of [`Channel::take_deliverable`]: clears
-    /// `out` and fills it with the deliverable messages, compacting the
-    /// channel in place. Identical element order and RNG consumption to
-    /// the owning variant, so traces are bit-for-bit unchanged.
-    pub fn take_deliverable_into<R: Rng + ?Sized>(
-        &mut self,
-        now: u64,
-        policy: DeliveryPolicy,
-        rng: &mut R,
-        out: &mut Vec<Message>,
+        traced: bool,
+        out: &mut Vec<D>,
     ) {
         out.clear();
-        // A non-causal take invalidates any provenance tags (messages
-        // move without their lane); kept messages become implicit
-        // roots. Free when no observer ever tagged: clearing an empty
-        // vec is a single length store.
-        self.causes.clear();
+        if !(D::TAGGED && traced) {
+            self.causes.clear();
+        }
         // Fast path for the hot case: `Immediate` policy with every
         // queued message eligible (nobody sent to this node yet in the
-        // current round). The whole storage is handed to `out` by
-        // pointer swap instead of a message-by-message compaction copy.
-        // Element order (enqueue order, like the general path's push
-        // order) and RNG consumption (one shuffle of the same length)
-        // are identical, so traces are bit-for-bit unchanged. The
+        // current round). Element order (enqueue order, like the general
+        // path's push order) and RNG consumption (one shuffle of the
+        // same length) are identical to the general path. The
         // eligibility scan must check *every* element: `preload` and
         // same-round sends make `enqueued` non-monotone.
         if matches!(policy, DeliveryPolicy::Immediate) && self.enqueued.iter().all(|&e| e < now) {
-            std::mem::swap(&mut self.msgs, out);
-            self.enqueued.clear();
+            D::take_all(self, out);
             out.shuffle(rng);
             return;
         }
         let mut kept = 0;
         for i in 0..self.msgs.len() {
             let enqueued_at = self.enqueued[i];
+            let tag = self.causes.get(i).copied().unwrap_or(CauseTag::ROOT);
             let deliver = enqueued_at < now
                 && match policy {
                     DeliveryPolicy::Immediate => true,
@@ -200,121 +224,13 @@ impl Channel {
                     } => now - enqueued_at >= max_delay || rng.random_bool(p_deliver),
                 };
             if deliver {
-                out.push(self.msgs[i]);
+                out.push(D::of(self.msgs[i], enqueued_at, tag));
             } else {
                 self.msgs[kept] = self.msgs[i];
                 self.enqueued[kept] = enqueued_at;
-                kept += 1;
-            }
-        }
-        self.msgs.truncate(kept);
-        self.enqueued.truncate(kept);
-        out.shuffle(rng);
-    }
-
-    /// [`Channel::take_deliverable_into`] with each message tagged by its
-    /// enqueue round — the observability layer's variant, feeding the
-    /// enqueue→deliver latency histogram.
-    ///
-    /// **RNG-stream equality.** Both paths make exactly the RNG calls of
-    /// the untagged variant in the same order: the per-element
-    /// `random_bool` draws depend only on `enqueued`/`now`/`policy`, and
-    /// `shuffle` on a slice consumes draws as a function of length alone,
-    /// not element type. So delivery order and every downstream draw are
-    /// bit-for-bit identical to an untagged run — pinned by the
-    /// `tagged_take_matches_untagged_order` test below and the golden
-    /// event-stream fingerprint.
-    pub fn take_deliverable_tagged<R: Rng + ?Sized>(
-        &mut self,
-        now: u64,
-        policy: DeliveryPolicy,
-        rng: &mut R,
-        out: &mut Vec<(Message, u64)>,
-    ) {
-        out.clear();
-        // Tags are not handed out by this take: invalidate them.
-        self.causes.clear();
-        // Mirror of the untagged fast path: every queued message is
-        // eligible under Immediate, so hand everything over in enqueue
-        // order, then one shuffle.
-        if matches!(policy, DeliveryPolicy::Immediate) && self.enqueued.iter().all(|&e| e < now) {
-            out.extend(self.msgs.drain(..).zip(self.enqueued.drain(..)));
-            out.shuffle(rng);
-            return;
-        }
-        let mut kept = 0;
-        for i in 0..self.msgs.len() {
-            let enqueued_at = self.enqueued[i];
-            let deliver = enqueued_at < now
-                && match policy {
-                    DeliveryPolicy::Immediate => true,
-                    DeliveryPolicy::RandomDelay {
-                        p_deliver,
-                        max_delay,
-                    } => now - enqueued_at >= max_delay || rng.random_bool(p_deliver),
-                };
-            if deliver {
-                out.push((self.msgs[i], enqueued_at));
-            } else {
-                self.msgs[kept] = self.msgs[i];
-                self.enqueued[kept] = enqueued_at;
-                kept += 1;
-            }
-        }
-        self.msgs.truncate(kept);
-        self.enqueued.truncate(kept);
-        out.shuffle(rng);
-    }
-
-    /// [`Channel::take_deliverable_tagged`] with each message's causal
-    /// provenance attached — the `OBS = true` round loop's take. The
-    /// `causes` lane is padded to length with [`CauseTag::ROOT`] first
-    /// (untagged pushes are implicit roots), then mirrors the tagged
-    /// take element for element.
-    ///
-    /// **RNG-stream equality** holds by the same argument as the tagged
-    /// variant: per-element `random_bool` draws depend only on
-    /// `enqueued`/`now`/`policy`, and `shuffle` consumes draws as a
-    /// function of slice *length* alone — tag payloads ride along for
-    /// free. Pinned by `causal_take_matches_tagged_order` below and the
-    /// golden event-stream fingerprint.
-    pub fn take_deliverable_causal<R: Rng + ?Sized>(
-        &mut self,
-        now: u64,
-        policy: DeliveryPolicy,
-        rng: &mut R,
-        out: &mut Vec<(Message, u64, CauseTag)>,
-    ) {
-        out.clear();
-        self.causes.resize(self.msgs.len(), CauseTag::ROOT);
-        if matches!(policy, DeliveryPolicy::Immediate) && self.enqueued.iter().all(|&e| e < now) {
-            out.extend(
-                self.msgs
-                    .drain(..)
-                    .zip(self.enqueued.drain(..))
-                    .zip(self.causes.drain(..))
-                    .map(|((m, e), c)| (m, e, c)),
-            );
-            out.shuffle(rng);
-            return;
-        }
-        let mut kept = 0;
-        for i in 0..self.msgs.len() {
-            let enqueued_at = self.enqueued[i];
-            let deliver = enqueued_at < now
-                && match policy {
-                    DeliveryPolicy::Immediate => true,
-                    DeliveryPolicy::RandomDelay {
-                        p_deliver,
-                        max_delay,
-                    } => now - enqueued_at >= max_delay || rng.random_bool(p_deliver),
-                };
-            if deliver {
-                out.push((self.msgs[i], enqueued_at, self.causes[i]));
-            } else {
-                self.msgs[kept] = self.msgs[i];
-                self.enqueued[kept] = enqueued_at;
-                self.causes[kept] = self.causes[i];
+                if let Some(c) = self.causes.get_mut(kept).filter(|_| D::TAGGED) {
+                    *c = tag;
+                }
                 kept += 1;
             }
         }
@@ -328,6 +244,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::causal::CauseId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use swn_core::id::NodeId;
@@ -336,14 +253,20 @@ mod tests {
         Message::Lin(NodeId::from_fraction(f))
     }
 
+    fn take(ch: &mut Channel, now: u64, policy: DeliveryPolicy, rng: &mut StdRng) -> Vec<Message> {
+        let mut out = Vec::new();
+        ch.take_deliverable_into(now, policy, rng, false, &mut out);
+        out
+    }
+
     #[test]
     fn immediate_policy_delivers_everything_older_than_now() {
         let mut ch = Channel::new();
-        ch.push(lin(0.1), 0);
-        ch.push(lin(0.2), 0);
-        ch.push(lin(0.3), 1); // sent in the current round: not yet eligible
+        ch.push(lin(0.1), 0, CauseTag::ROOT);
+        ch.push(lin(0.2), 0, CauseTag::ROOT);
+        ch.push(lin(0.3), 1, CauseTag::ROOT); // sent in the current round: not yet eligible
         let mut rng = StdRng::seed_from_u64(1);
-        let got = ch.take_deliverable(1, DeliveryPolicy::Immediate, &mut rng);
+        let got = take(&mut ch, 1, DeliveryPolicy::Immediate, &mut rng);
         assert_eq!(got.len(), 2);
         assert_eq!(ch.len(), 1);
     }
@@ -351,14 +274,11 @@ mod tests {
     #[test]
     fn same_round_send_not_delivered() {
         let mut ch = Channel::new();
-        ch.push(lin(0.1), 5);
+        ch.push(lin(0.1), 5, CauseTag::ROOT);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(ch
-            .take_deliverable(5, DeliveryPolicy::Immediate, &mut rng)
-            .is_empty());
+        assert!(take(&mut ch, 5, DeliveryPolicy::Immediate, &mut rng).is_empty());
         assert_eq!(
-            ch.take_deliverable(6, DeliveryPolicy::Immediate, &mut rng)
-                .len(),
+            take(&mut ch, 6, DeliveryPolicy::Immediate, &mut rng).len(),
             1
         );
     }
@@ -370,11 +290,11 @@ mod tests {
             max_delay: 3,
         };
         let mut ch = Channel::new();
-        ch.push(lin(0.1), 0);
+        ch.push(lin(0.1), 0, CauseTag::ROOT);
         let mut rng = StdRng::seed_from_u64(99);
         let mut delivered_at = None;
         for now in 1..=10 {
-            if !ch.take_deliverable(now, policy, &mut rng).is_empty() {
+            if !take(&mut ch, now, policy, &mut rng).is_empty() {
                 delivered_at = Some(now);
                 break;
             }
@@ -385,27 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn take_deliverable_into_reuses_buffer_and_matches_owning_variant() {
-        let policy = DeliveryPolicy::RandomDelay {
-            p_deliver: 0.5,
-            max_delay: 10,
-        };
-        let mut a = Channel::new();
-        let mut b = Channel::new();
-        for i in 1..=30 {
-            a.push(lin(i as f64 / 100.0), i % 4);
-            b.push(lin(i as f64 / 100.0), i % 4);
-        }
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let mut buf = vec![lin(0.99)]; // stale content must be cleared
-        a.take_deliverable_into(5, policy, &mut rng_a, &mut buf);
-        let owned = b.take_deliverable(5, policy, &mut rng_b);
-        assert_eq!(buf, owned);
-        assert_eq!(a.as_slice(), b.as_slice(), "identical compaction");
-    }
-
-    #[test]
     fn immediate_fast_path_matches_general_compaction_path() {
         // Same eligible set, same seed: the swap fast path (all messages
         // eligible) and the general compaction path (one ineligible
@@ -413,29 +312,29 @@ mod tests {
         let mut fast = Channel::new();
         let mut slow = Channel::new();
         for i in 1..=12 {
-            fast.push(lin(i as f64 / 100.0), 0);
-            slow.push(lin(i as f64 / 100.0), 0);
+            fast.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
+            slow.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
         }
-        slow.push(lin(0.99), 5); // enqueued "now": ineligible, general path
+        slow.push(lin(0.99), 5, CauseTag::ROOT); // enqueued "now": ineligible, general path
         let mut rng_f = StdRng::seed_from_u64(3);
         let mut rng_s = StdRng::seed_from_u64(3);
         let mut out_f = vec![lin(0.5)]; // stale content must be cleared
         let mut out_s = Vec::new();
-        fast.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng_f, &mut out_f);
-        slow.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng_s, &mut out_s);
+        fast.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng_f, false, &mut out_f);
+        slow.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng_s, false, &mut out_s);
         assert_eq!(out_f, out_s);
         assert!(fast.is_empty());
         assert_eq!(slow.len(), 1, "the straggler stays queued");
     }
 
     #[test]
-    fn tagged_take_matches_untagged_order() {
-        // Same seed, same channel content: the tagged variant must
-        // deliver the same messages in the same order and consume the
-        // same RNG stream (checked via a post-take draw) as the untagged
-        // one — on the Immediate fast path, the Immediate general path
-        // (straggler) and under RandomDelay.
-        use rand::RngExt as _;
+    fn every_delivery_form_takes_the_same_messages() {
+        // Same seed, same channel content: the bare untraced take and
+        // the full traced one must deliver the same messages in the same
+        // order, keep the same channel content and consume the same RNG
+        // stream (checked via a post-take draw) — on the Immediate fast
+        // path, the Immediate general path (straggler) and under
+        // RandomDelay.
         let scenarios: [(DeliveryPolicy, Option<u64>); 3] = [
             (DeliveryPolicy::Immediate, None),
             (DeliveryPolicy::Immediate, Some(5)), // straggler: general path
@@ -448,114 +347,61 @@ mod tests {
             ),
         ];
         for (policy, straggler) in scenarios {
-            let mut plain = Channel::new();
-            let mut tagged = Channel::new();
-            for i in 1..=25 {
-                plain.push(lin(i as f64 / 100.0), i % 4);
-                tagged.push(lin(i as f64 / 100.0), i % 4);
-            }
-            if let Some(r) = straggler {
-                plain.push(lin(0.99), r);
-                tagged.push(lin(0.99), r);
-            }
-            let mut rng_p = StdRng::seed_from_u64(7);
-            let mut rng_t = StdRng::seed_from_u64(7);
-            let mut out_p = Vec::new();
-            let mut out_t = vec![(lin(0.5), 9)]; // stale content must clear
-            plain.take_deliverable_into(5, policy, &mut rng_p, &mut out_p);
-            tagged.take_deliverable_tagged(5, policy, &mut rng_t, &mut out_t);
-            let untag: Vec<Message> = out_t.iter().map(|&(m, _)| m).collect();
-            assert_eq!(untag, out_p, "{policy:?} delivery order diverged");
-            assert!(
-                out_t.iter().all(|&(_, e)| e < 5),
-                "only eligible messages delivered"
-            );
-            assert_eq!(plain.as_slice(), tagged.as_slice(), "same compaction");
-            assert_eq!(
-                rng_p.random_range(0u64..1_000_000),
-                rng_t.random_range(0u64..1_000_000),
-                "{policy:?} RNG streams diverged after take"
-            );
-        }
-    }
-
-    #[test]
-    fn causal_take_matches_tagged_order() {
-        // Same seed, same content: the causal take must deliver the same
-        // (message, enqueue-round) stream and consume the same RNG as
-        // the tagged take, with tags riding along — across the Immediate
-        // fast path, the general path, and RandomDelay.
-        use crate::obs::causal::{CauseId, CauseTag};
-        let scenarios: [(DeliveryPolicy, Option<u64>); 3] = [
-            (DeliveryPolicy::Immediate, None),
-            (DeliveryPolicy::Immediate, Some(5)), // straggler: general path
-            (
-                DeliveryPolicy::RandomDelay {
-                    p_deliver: 0.5,
-                    max_delay: 10,
-                },
-                None,
-            ),
-        ];
-        for (policy, straggler) in scenarios {
-            let mut tagged = Channel::new();
-            let mut causal = Channel::new();
+            let mut ch = Channel::new();
             for i in 1..=25u64 {
-                tagged.push(lin(i as f64 / 100.0), i % 4);
-                // Mixed provenance: odd pushes tagged, even untagged
-                // (implicitly ROOT after padding).
-                if i % 2 == 1 {
-                    let tag = CauseTag {
+                // Mixed provenance: odd pushes tagged, even ones roots.
+                let tag = if i % 2 == 1 {
+                    CauseTag {
                         parent: CauseId {
                             round: i % 4,
                             slot: 0,
                             seq: i,
                         },
                         depth: 1,
-                    };
-                    causal.push_caused(lin(i as f64 / 100.0), i % 4, tag);
+                    }
                 } else {
-                    causal.push(lin(i as f64 / 100.0), i % 4);
-                }
+                    CauseTag::ROOT
+                };
+                ch.push(lin(i as f64 / 100.0), i % 4, tag);
             }
             if let Some(r) = straggler {
-                tagged.push(lin(0.99), r);
-                causal.push(lin(0.99), r);
+                ch.push(lin(0.99), r, CauseTag::ROOT);
             }
-            let mut rng_t = StdRng::seed_from_u64(7);
-            let mut rng_c = StdRng::seed_from_u64(7);
-            let mut out_t = Vec::new();
-            let mut out_c = vec![(lin(0.5), 9, CauseTag::ROOT)]; // stale
-            tagged.take_deliverable_tagged(5, policy, &mut rng_t, &mut out_t);
-            causal.take_deliverable_causal(5, policy, &mut rng_c, &mut out_c);
-            let untag: Vec<(Message, u64)> = out_c.iter().map(|&(m, e, _)| (m, e)).collect();
-            assert_eq!(untag, out_t, "{policy:?} delivery stream diverged");
-            assert_eq!(tagged.as_slice(), causal.as_slice(), "same compaction");
-            // Tags followed their messages through the shuffle: the
-            // i-th push was tagged with parent seq = i iff i is odd.
-            for i in 1..=25u64 {
-                let Some(&(_, _, tag)) =
-                    out_c.iter().find(|&&(m, _, _)| m == lin(i as f64 / 100.0))
-                else {
-                    continue; // not delivered in this scenario
+            let (mut bare, mut full) = (ch.clone(), ch);
+            let mut rng_b = StdRng::seed_from_u64(7);
+            let mut rng_f = StdRng::seed_from_u64(7);
+            let mut out_b = vec![lin(0.5)]; // stale content must clear
+            let mut out_f = vec![(lin(0.5), 9, CauseTag::ROOT)];
+            bare.take_deliverable_into(5, policy, &mut rng_b, false, &mut out_b);
+            full.take_deliverable_into(5, policy, &mut rng_f, true, &mut out_f);
+            let untag: Vec<Message> = out_f.iter().map(|&(m, _, _)| m).collect();
+            assert_eq!(untag, out_b, "{policy:?} delivery order diverged");
+            assert_eq!(bare.as_slice(), full.as_slice(), "same compaction");
+            assert_eq!(bare.enqueued, full.enqueued, "same kept enqueue rounds");
+            assert_eq!(
+                rng_b.random_range(0u64..1_000_000),
+                rng_f.random_range(0u64..1_000_000),
+                "{policy:?} RNG streams diverged after take"
+            );
+            // Enqueue rounds and tags followed their messages through
+            // the shuffle: push i was enqueued at i % 4 and tagged with
+            // parent seq = i iff i is odd.
+            for &(m, enqueued, tag) in &out_f {
+                let Some(i) = (1..=25u64).find(|&i| m == lin(i as f64 / 100.0)) else {
+                    panic!("the ineligible straggler was delivered");
                 };
+                assert_eq!(enqueued, i % 4, "enqueue round stuck to its message");
                 if i % 2 == 1 {
                     assert_eq!(tag.parent.seq, i, "tag stuck to its message");
                 } else {
-                    assert!(tag.is_root(), "untagged push is an implicit root");
+                    assert!(tag.is_root(), "root push stays a root");
                 }
             }
-            assert_eq!(
-                rng_t.random_range(0u64..1_000_000),
-                rng_c.random_range(0u64..1_000_000),
-                "{policy:?} RNG streams diverged after take"
-            );
         }
     }
 
     #[test]
-    fn nontagged_take_invalidates_stale_causes() {
-        use crate::obs::causal::{CauseId, CauseTag};
+    fn untraced_take_invalidates_stale_causes() {
         let tag = CauseTag {
             parent: CauseId {
                 round: 0,
@@ -565,29 +411,30 @@ mod tests {
             depth: 2,
         };
         let mut ch = Channel::new();
-        ch.push_caused(lin(0.1), 0, tag);
-        ch.push(lin(0.2), 5); // straggler keeps the channel non-empty
+        ch.push(lin(0.1), 0, CauseTag::ROOT);
+        ch.push(lin(0.2), 5, tag); // straggler keeps the channel non-empty
         let mut rng = StdRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        ch.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng, &mut out);
+        assert_eq!(
+            take(&mut ch, 5, DeliveryPolicy::Immediate, &mut rng).len(),
+            1
+        );
+        // The straggler's tag was invalidated: a later traced take sees
+        // it as a root.
+        let mut out: Vec<(Message, u64, CauseTag)> = Vec::new();
+        ch.take_deliverable_into(6, DeliveryPolicy::Immediate, &mut rng, true, &mut out);
         assert_eq!(out.len(), 1);
-        // The straggler's tag lane was invalidated: a later causal take
-        // sees it as a root, not as the departed message's tag.
-        let mut causal_out = Vec::new();
-        ch.take_deliverable_causal(6, DeliveryPolicy::Immediate, &mut rng, &mut causal_out);
-        assert_eq!(causal_out.len(), 1);
-        assert!(causal_out[0].2.is_root());
+        assert!(out[0].2.is_root());
     }
 
     #[test]
     fn clear_empties_but_keeps_capacity() {
         let mut ch = Channel::new();
         for i in 1..=8 {
-            ch.push(lin(i as f64 / 100.0), 0);
+            ch.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
         }
         ch.clear();
         assert!(ch.is_empty());
-        ch.push(lin(0.42), 3);
+        ch.push(lin(0.42), 3, CauseTag::ROOT);
         assert_eq!(ch.as_slice(), &[lin(0.42)]);
     }
 
@@ -602,8 +449,8 @@ mod tests {
         const TRIALS: usize = 2000;
         for _ in 0..TRIALS {
             let mut ch = Channel::new();
-            ch.push(lin(0.1), 0);
-            if !ch.take_deliverable(1, policy, &mut rng).is_empty() {
+            ch.push(lin(0.1), 0, CauseTag::ROOT);
+            if !take(&mut ch, 1, policy, &mut rng).is_empty() {
                 delivered_round_1 += 1;
             }
         }
@@ -615,10 +462,10 @@ mod tests {
     fn shuffle_changes_order_but_not_content() {
         let mut ch = Channel::new();
         for i in 1..=20 {
-            ch.push(lin(i as f64 / 100.0), 0);
+            ch.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let got = ch.take_deliverable(1, DeliveryPolicy::Immediate, &mut rng);
+        let got = take(&mut ch, 1, DeliveryPolicy::Immediate, &mut rng);
         assert_eq!(got.len(), 20);
         let sorted_in: Vec<_> = (1..=20).map(|i| lin(i as f64 / 100.0)).collect();
         assert_ne!(got, sorted_in, "delivery order should be shuffled");

@@ -14,8 +14,10 @@
 //!   with its **own RNG stream** seeded from the plan, so the protocol
 //!   computation's RNG draws are untouched: a network with an *empty*
 //!   plan attached replays the fault-free run bit-for-bit, and the
-//!   detached path stays byte-identical via a `FAULTS` const-generic
-//!   arm of the round loop (see `Network::step`);
+//!   detached path stays byte-identical — `Network::step` runs the
+//!   plain copy of the round loop, without a single injector branch;
+//!   the round-start half of the plan (crashes, restarts, sybil joins,
+//!   perturbations) is applied by `Network::apply_round_faults` below;
 //! * a convergence **watchdog** ([`watch_recovery`]) over the union
 //!   knowledge graph (the CC view: stored links ∪ in-flight payloads).
 //!   Linearize *forwards without storing*, so a dropped `lin` message
@@ -32,6 +34,7 @@
 use crate::network::Network;
 use crate::obs::causal::CascadeReport;
 use crate::obs::Event;
+use crate::trace::RoundStats;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom as _;
 use rand::{Rng, RngExt as _, SeedableRng};
@@ -633,7 +636,7 @@ impl FaultInjector {
     }
 
     /// Records a destroyed message in the bounded log.
-    pub(crate) fn note_drop(&mut self, round: u64, src: NodeId, dest: NodeId, msg: Message) {
+    fn note_drop(&mut self, round: u64, src: NodeId, dest: NodeId, msg: Message) {
         if self.drop_log.len() >= DROP_LOG_CAP {
             self.drop_log.drain(..DROP_LOG_CAP / 2);
         }
@@ -646,13 +649,13 @@ impl FaultInjector {
     }
 
     /// Marks `node` down until `restart_round`.
-    pub(crate) fn mark_down(&mut self, node: NodeId, restart_round: u64) {
+    fn mark_down(&mut self, node: NodeId, restart_round: u64) {
         self.down.insert(node, restart_round);
     }
 
     /// Removes and returns the nodes whose downtime ends at or before
     /// `round`.
-    pub(crate) fn take_restarts(&mut self, round: u64) -> Vec<NodeId> {
+    fn take_restarts(&mut self, round: u64) -> Vec<NodeId> {
         let due: Vec<NodeId> = self
             .down
             .iter()
@@ -666,7 +669,7 @@ impl FaultInjector {
     }
 
     /// The crashes scheduled for `round`.
-    pub(crate) fn crashes_at(&self, round: u64) -> Vec<Crash> {
+    fn crashes_at(&self, round: u64) -> Vec<Crash> {
         self.plan
             .crashes
             .iter()
@@ -678,7 +681,7 @@ impl FaultInjector {
     /// Timeline markers for windows opening at `round` (drop and
     /// duplication rates, partitions) — rendered as `Fault` events so
     /// reports show when loss regimes begin.
-    pub(crate) fn windows_opening_at(&self, round: u64) -> Vec<(&'static str, String)> {
+    fn windows_opening_at(&self, round: u64) -> Vec<(&'static str, String)> {
         let mut out = Vec::new();
         for w in &self.plan.drop {
             if w.start == round && w.p > 0.0 {
@@ -721,7 +724,7 @@ impl FaultInjector {
     }
 
     /// The perturbations scheduled for `round`.
-    pub(crate) fn perturbations_at(&self, round: u64) -> Vec<Perturbation> {
+    fn perturbations_at(&self, round: u64) -> Vec<Perturbation> {
         self.plan
             .perturbations
             .iter()
@@ -732,7 +735,7 @@ impl FaultInjector {
 
     /// Nodes whose durable crash wants a state capture at the start of
     /// `round` (i.e. `snapshot_round == round`).
-    pub(crate) fn snapshots_due_at(&self, round: u64) -> Vec<NodeId> {
+    fn snapshots_due_at(&self, round: u64) -> Vec<NodeId> {
         self.plan
             .crashes
             .iter()
@@ -744,12 +747,12 @@ impl FaultInjector {
     }
 
     /// Stores a captured pre-crash node state for a durable restart.
-    pub(crate) fn save_node(&mut self, state: Node) {
+    fn save_node(&mut self, state: Node) {
         self.saved.insert(state.id(), state);
     }
 
     /// Removes and returns the captured state for `node`, if any.
-    pub(crate) fn take_saved(&mut self, node: NodeId) -> Option<Node> {
+    fn take_saved(&mut self, node: NodeId) -> Option<Node> {
         self.saved.remove(&node)
     }
 
@@ -761,7 +764,7 @@ impl FaultInjector {
 
     /// Sybil clusters whose window opens at `round`, as
     /// `(contact, center, k)` triples.
-    pub(crate) fn sybils_at(&self, round: u64) -> Vec<(NodeId, NodeId, usize)> {
+    fn sybils_at(&self, round: u64) -> Vec<(NodeId, NodeId, usize)> {
         self.plan
             .behaviors
             .iter()
@@ -782,7 +785,7 @@ impl FaultInjector {
     /// — diverging from the full-scan semantics where every node acts
     /// each round. Sybil contacts are excluded: the cluster join wakes
     /// them through normal mail delivery.
-    pub(crate) fn behavior_nodes_active_at(&self, round: u64) -> Vec<NodeId> {
+    fn behavior_nodes_active_at(&self, round: u64) -> Vec<NodeId> {
         self.plan
             .behaviors
             .iter()
@@ -793,7 +796,7 @@ impl FaultInjector {
 
     /// True when a scramble-lying window is active at `round`, so the
     /// round loop knows to refresh the lie pool.
-    pub(crate) fn needs_lie_pool(&self, round: u64) -> bool {
+    fn needs_lie_pool(&self, round: u64) -> bool {
         self.plan.behaviors.iter().any(|b| {
             b.active(round)
                 && matches!(
@@ -806,7 +809,7 @@ impl FaultInjector {
     }
 
     /// Replaces the pool of live ids scramble forgeries draw from.
-    pub(crate) fn set_lie_pool(&mut self, pool: Vec<NodeId>) {
+    fn set_lie_pool(&mut self, pool: Vec<NodeId>) {
         self.lie_pool = pool;
     }
 
@@ -852,7 +855,7 @@ impl FaultInjector {
     }
 
     /// Draws `k` distinct victims from `pool` (injector RNG).
-    pub(crate) fn pick_distinct(&mut self, k: usize, pool: &[NodeId]) -> Vec<NodeId> {
+    fn pick_distinct(&mut self, k: usize, pool: &[NodeId]) -> Vec<NodeId> {
         let mut v = pool.to_vec();
         v.shuffle(&mut self.rng);
         v.truncate(k.min(v.len()));
@@ -863,7 +866,7 @@ impl FaultInjector {
     ///
     /// # Panics
     /// Panics on an empty pool.
-    pub(crate) fn pick_one(&mut self, pool: &[NodeId]) -> NodeId {
+    fn pick_one(&mut self, pool: &[NodeId]) -> NodeId {
         pool[self.rng.random_range(0..pool.len())]
     }
 
@@ -921,6 +924,225 @@ impl FaultInjector {
             }
         }
         Fate::Deliver
+    }
+}
+
+impl Network {
+    /// Applies the attached plan's round-start faults for round `now`:
+    /// restarts first (downtime over ⇒ the node rejoins the loop, blank
+    /// or from its durable checkpoint), then durable-crash state
+    /// captures, then crashes (state reset + channel loss + downtime),
+    /// then sybil-cluster joins, then neighbour-state perturbations,
+    /// then adversarial-window wakeups. Called by the hooked round loop
+    /// at most once per round, so it stays out of the hot path entirely.
+    pub(crate) fn apply_round_faults(&mut self, now: u64, stats: &mut RoundStats) {
+        // Take the injector out to split its borrow from the node table;
+        // a `Box` move, no allocation.
+        let Some(mut inj) = self.faults.take() else {
+            return;
+        };
+        for id in inj.take_restarts(now) {
+            stats.links_changed = true;
+            let restored = inj.take_saved(id);
+            let how = if restored.is_some() {
+                "from its durable checkpoint"
+            } else {
+                "with blank state"
+            };
+            if let Some(slot) = self.index.get(id) {
+                // Durable restart: the checkpointed state is adopted
+                // verbatim — a stale but *valid* protocol view whose
+                // pointers re-validate instead of rebuilding from
+                // scratch. Neighbours whose settlement certificates
+                // assumed the blank crash state are re-verified against
+                // the resurrected pointers. Either way the node rejoins
+                // the loop this round, unsettled: blank or stale, its
+                // state needs re-validation.
+                let mut targets = [None; 3];
+                if let Some(saved) = restored {
+                    targets = [saved.left().fin(), saved.right().fin(), saved.ring()];
+                    self.nodes[slot] = Some(saved);
+                }
+                self.unsettle(slot, true, targets);
+            }
+            self.fault_event(now, "restart", format!("{id:?} back up {how}"));
+        }
+        for (kind, detail) in inj.windows_opening_at(now) {
+            self.fault_event(now, kind, detail);
+        }
+        // Durable-crash checkpoints: capture the start-of-round state of
+        // every node whose durable crash snapshots at this round, before
+        // any crash below can blank it (`snapshot_round == round`
+        // captures the immediately-pre-crash state). A node already down
+        // has no live state to capture — its restart degrades to
+        // amnesia, as documented on `Restart::Durable`.
+        for id in inj.snapshots_due_at(now) {
+            if inj.is_down(id) {
+                continue;
+            }
+            if let Some(node) = self.node(id) {
+                inj.save_node(node.clone());
+            }
+        }
+        for c in inj.crashes_at(now) {
+            let Some(slot) = self.index.get(c.node) else {
+                continue; // departed before its crash was due
+            };
+            let Some(victim) = self.nodes[slot].as_ref() else {
+                continue;
+            };
+            // The settled neighbours' certificates reference the victim's
+            // pre-crash pointers (reciprocity, ring pairing); capture the
+            // targets before blanking so they can be re-verified.
+            let old_targets = [victim.left().fin(), victim.right().fin(), victim.ring()];
+            let blank = Node::new(c.node, *victim.config());
+            // Channel loss: in-flight mail addressed to the victim dies
+            // with it. Logged for the watchdog's culprit analysis (with
+            // the victim as both endpoints — the true senders are gone
+            // from the queue's bookkeeping).
+            let mut lost = 0u64;
+            for &m in self.channels[slot].as_slice() {
+                inj.note_drop(now, c.node, c.node, m);
+                lost += 1;
+            }
+            self.nodes[slot] = Some(blank);
+            self.channels[slot].clear();
+            inj.mark_down(c.node, now.saturating_add(c.down_for));
+            stats.dropped_fault += lost;
+            stats.links_changed = true;
+            // Down nodes sit the round out, so the victim is not woken.
+            self.unsettle(slot, false, old_targets);
+            let (node, down_for) = (c.node, c.down_for);
+            self.fault_event(
+                now,
+                "crash",
+                format!("{node:?} down for {down_for} rounds, {lost} queued messages lost"),
+            );
+        }
+        for (contact, center, k) in inj.sybils_at(now) {
+            // The cluster joins through its contact: each sybil adopts
+            // the contact as its one-sided neighbour (the regular join
+            // bootstrap) and announces itself with a `lin`, exactly like
+            // an honest joiner — the attack is the ε-interval id
+            // placement, not the join mechanics.
+            let Some(cfg) = self.node(contact).map(|n| *n.config()) else {
+                continue; // contact departed before the window opened
+            };
+            if inj.is_down(contact) {
+                let detail = format!("contact {contact:?} is down, cluster skipped");
+                self.fault_event(now, "sybil_cluster", detail);
+                continue;
+            }
+            let mut joined = 0usize;
+            for sid in sybil_ids(center, k) {
+                if self.index.contains(sid) {
+                    continue; // id collision: that spot is already taken
+                }
+                let (l, r) = if contact < sid {
+                    (Extended::Fin(contact), Extended::PosInf)
+                } else {
+                    (Extended::NegInf, Extended::Fin(contact))
+                };
+                let inserted = self.insert_node(Node::with_state(sid, l, r, sid, None, cfg));
+                debug_assert!(inserted, "collision checked above");
+                self.send_external(contact, Message::Lin(sid));
+                joined += 1;
+            }
+            if joined > 0 {
+                stats.links_changed = true;
+            }
+            let detail = format!("{joined} sybils joined via {contact:?} right of {center:?}");
+            self.fault_event(now, "sybil_cluster", detail);
+        }
+        for p in inj.perturbations_at(now) {
+            let live: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
+            if live.len() < 2 {
+                continue;
+            }
+            let victims = inj.pick_distinct(p.k, &live);
+            let hit = victims.len();
+            for v in victims {
+                let Some(slot) = self.index.get(v) else {
+                    continue;
+                };
+                let Some(node) = self.nodes[slot].as_ref() else {
+                    continue;
+                };
+                let cfg = *node.config();
+                // Keep `l`: the stored left-pointer chain keeps the
+                // knowledge graph weakly connected, so the damage is
+                // recoverable by Theorem 4.3 (see the module docs). Its
+                // target's certificate still holds; the rewritten
+                // pointers' old reciprocal holders need theirs
+                // re-verified.
+                let l = node.left();
+                let old_targets = [node.right().fin(), node.ring(), None];
+                // Log every overwritten pointer value as a state
+                // erasure: on an unconverged start the old target can be
+                // the knowledge graph's only edge into its component, so
+                // a perturbation can sever connectivity with no message
+                // ever dropped — the watchdog attributes it from these
+                // records exactly like a sole-carrier drop.
+                for t in [node.right().fin(), Some(node.lrl()), node.ring()]
+                    .into_iter()
+                    .flatten()
+                {
+                    if t != v {
+                        inj.note_drop(now, v, v, Message::Lin(t));
+                        stats.erased_fault += 1;
+                    }
+                }
+                let r = Extended::Fin(inj.pick_one(&live));
+                let lrl = inj.pick_one(&live);
+                let ring = Some(inj.pick_one(&live));
+                self.nodes[slot] = Some(Node::with_state(v, l, r, lrl, ring, cfg));
+                stats.links_changed = true;
+                self.unsettle(slot, true, old_targets);
+            }
+            self.fault_event(
+                now,
+                "perturb",
+                format!("{hit} nodes' r/lrl/ring randomized"),
+            );
+        }
+        // Misbehaving nodes act every round of their window (see
+        // `FaultInjector::behavior_nodes_active_at`); scramble forgeries
+        // draw from a pool refreshed after all of this round's
+        // structural changes, so lies only ever name live nodes and the
+        // knowledge closure cannot be violated by an invented id.
+        for id in inj.behavior_nodes_active_at(now) {
+            if let Some(slot) = self.index.get(id).filter(|_| !inj.is_down(id)) {
+                self.unsettle(slot, true, [None; 3]);
+            }
+        }
+        if inj.needs_lie_pool(now) {
+            let pool: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
+            inj.set_lie_pool(pool);
+        }
+        self.faults = Some(inj);
+    }
+
+    /// Voids `slot`'s settlement certificate after a fault rewrote its
+    /// state — waking it with `wake` — and re-verifies the certificates
+    /// that referenced the overwritten pointers `old_targets`. No-op
+    /// under full scan.
+    fn unsettle(&mut self, slot: usize, wake: bool, old_targets: [Option<NodeId>; 3]) {
+        let Some(sched) = self.sched.as_mut() else {
+            return;
+        };
+        sched.unsettle(slot, wake);
+        for t in old_targets.into_iter().flatten() {
+            sched.recheck(&self.nodes, &self.index, t);
+        }
+    }
+
+    /// Emits a `Fault` timeline event to the attached sink, if any.
+    fn fault_event(&mut self, round: u64, kind: &str, detail: String) {
+        self.emit(Event::Fault {
+            round,
+            kind: kind.to_string(),
+            detail,
+        });
     }
 }
 

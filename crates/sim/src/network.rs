@@ -19,7 +19,7 @@
 //! state and policy replay the exact same computation.
 
 use crate::channel::{Channel, DeliveryPolicy};
-use crate::faults::{sybil_ids, Fate, FaultInjector, FaultPlan};
+use crate::faults::{Fate, FaultInjector, FaultPlan};
 use crate::metrics::NetMetrics;
 use crate::obs::causal::{CascadeReport, CauseTag};
 use crate::obs::{Event, ObsState, Sink};
@@ -29,18 +29,20 @@ use crate::trace::{RoundStats, Trace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use swn_core::id::{Extended, NodeId};
+use swn_core::id::NodeId;
 use swn_core::message::Message;
 use swn_core::node::Node;
-use swn_core::outbox::Outbox;
+use swn_core::outbox::{Outbox, ProtocolEvent};
 use swn_core::views::{NetView, Snapshot};
 
 /// A simulated asynchronous message-passing network.
 #[derive(Debug)]
 pub struct Network {
-    nodes: Vec<Option<Node>>,
-    channels: Vec<Channel>,
-    index: SlotIndex,
+    // The node table, channels and index are crate-visible for the fault
+    // applier (`faults.rs`), which rewrites them at round start.
+    pub(crate) nodes: Vec<Option<Node>>,
+    pub(crate) channels: Vec<Channel>,
+    pub(crate) index: SlotIndex,
     free: Vec<usize>,
     policy: DeliveryPolicy,
     rng: StdRng,
@@ -54,25 +56,28 @@ pub struct Network {
     // while in use and put back afterwards.
     order_buf: Vec<usize>,
     inbox_buf: Vec<Message>,
+    // The three round hooks. `step` runs the *plain* copy of the round
+    // loop when none is present — every hook branch constant-folded
+    // away, so the bare network pays one pointer of space each and one
+    // well-predicted branch per round — and the *hooked* copy, which
+    // tests each `Option` at run time, otherwise.
+    //
     // Observability: present iff a sink is attached (`attach_sink`).
-    // `step` dispatches on presence to a separate monomorphization of the
-    // round loop, so the unobserved network pays one pointer of space and
-    // one well-predicted branch per round — nothing in the loop body.
     obs: Option<Box<ObsState>>,
     // Fault injection: present iff a plan is attached (`attach_faults`).
-    // Same dispatch scheme as `obs` — a second const-generic arm keeps
-    // the fault-free round loop byte-identical.
-    faults: Option<Box<FaultInjector>>,
+    pub(crate) faults: Option<Box<FaultInjector>>,
     // Active-set scheduler: present iff `ScheduleMode::ActiveSet` is
-    // selected (`set_schedule_mode`). Third const-generic arm, same
-    // zero-cost dispatch scheme as `obs` and `faults`.
-    sched: Option<Box<SchedState>>,
-    // Live metrics: present iff attached (`attach_metrics`). Unlike the
-    // const-generic observers this is a plain runtime branch, taken
-    // once per round after the loop body — invisible next to the
-    // round's O(n) work on every engine arm.
+    // selected (`set_schedule_mode`).
+    pub(crate) sched: Option<Box<SchedState>>,
+    // Live metrics: present iff attached (`attach_metrics`). Not a round
+    // hook: one runtime branch per round after the loop body, on both
+    // copies of the loop.
     metrics: Option<Box<NetMetrics>>,
     seed: u64,
+    // Test-only: makes the round flush the outbox after every handled
+    // message (`step_reference`, the flush-equivalence oracle).
+    #[cfg(test)]
+    flush_per_message: bool,
 }
 
 impl Network {
@@ -119,6 +124,8 @@ impl Network {
             sched: None,
             metrics: None,
             seed,
+            #[cfg(test)]
+            flush_per_message: false,
         }
     }
 
@@ -164,10 +171,10 @@ impl Network {
         self.obs.is_some()
     }
 
-    /// Attaches a fault plan: subsequent rounds run the fault-injecting
-    /// monomorphization of the round loop, which applies the plan's
-    /// crashes/restarts/perturbations at round start and consults the
-    /// injector for every send's fate. Replaces any previous injector.
+    /// Attaches a fault plan: subsequent rounds run the hooked round
+    /// loop, which applies the plan's crashes/restarts/perturbations at
+    /// round start and consults the injector for every send's fate.
+    /// Replaces any previous injector.
     ///
     /// The injector draws from its **own** RNG stream (seeded from
     /// `plan.seed`), and only inside active windows — attaching an
@@ -382,7 +389,7 @@ impl Network {
         if let Some(i) = self.index.get(dest) {
             // Enqueue as "already in flight" so it is deliverable in the
             // very next round.
-            self.channels[i].push(msg, self.round.saturating_sub(1));
+            self.channels[i].push(msg, self.round.saturating_sub(1), CauseTag::ROOT);
             if let Some(sched) = self.sched.as_mut() {
                 sched.schedule(i);
             }
@@ -391,25 +398,14 @@ impl Network {
 
     /// Executes one round; returns its stats (also appended to the trace).
     pub fn step(&mut self) -> RoundStats {
-        // Dispatch to one of eight monomorphizations: with no sink, no
-        // fault plan and no scheduler attached the all-false copy runs,
-        // in which every observer/injector/scheduler branch below is
-        // constant-folded away — it compiles to exactly the
-        // pre-observability round loop (guarded by the stepengine bench's
-        // instrumented-vs-noop pair).
-        match (
-            self.obs.is_some(),
-            self.faults.is_some(),
-            self.sched.is_some(),
-        ) {
-            (false, false, false) => self.step_impl::<false, false, false>(false),
-            (true, false, false) => self.step_impl::<true, false, false>(false),
-            (false, true, false) => self.step_impl::<false, true, false>(false),
-            (true, true, false) => self.step_impl::<true, true, false>(false),
-            (false, false, true) => self.step_impl::<false, false, true>(false),
-            (true, false, true) => self.step_impl::<true, false, true>(false),
-            (false, true, true) => self.step_impl::<false, true, true>(false),
-            (true, true, true) => self.step_impl::<true, true, true>(false),
+        // With no sink, no fault plan and no scheduler attached the plain
+        // copy runs, in which every hook branch below is constant-folded
+        // away — it compiles to exactly the pre-observability round loop
+        // (guarded by the stepengine bench's instrumented-vs-noop pair).
+        if self.obs.is_none() && self.faults.is_none() && self.sched.is_none() {
+            self.step_impl::<false>()
+        } else {
+            self.step_impl::<true>()
         }
     }
 
@@ -418,25 +414,25 @@ impl Network {
     /// proptest (see the `tests` module and DESIGN.md §8).
     #[cfg(test)]
     fn step_reference(&mut self) -> RoundStats {
-        self.step_impl::<false, false, false>(true)
+        self.flush_per_message = true;
+        let stats = self.step_impl::<false>();
+        self.flush_per_message = false;
+        stats
     }
 
-    fn step_impl<const OBS: bool, const FAULTS: bool, const ACTIVE: bool>(
-        &mut self,
-        flush_per_message: bool,
-    ) -> RoundStats {
+    fn step_impl<const HOOKED: bool>(&mut self) -> RoundStats {
         self.round += 1;
         let now = self.round;
         let mut stats = RoundStats::default();
 
-        if FAULTS {
+        if HOOKED && self.faults.is_some() {
             self.apply_round_faults(now, &mut stats);
         }
 
         // Phase timers run only on sampled rounds of an observed network;
-        // with OBS = false `sample` is constant false and every `timed`
+        // on the plain copy `sample` is constant false and every `timed`
         // call folds to a plain call.
-        let sample = OBS
+        let sample = HOOKED
             && self
                 .obs
                 .as_ref()
@@ -448,49 +444,40 @@ impl Network {
         let mut order = std::mem::take(&mut self.order_buf);
         timed(sample, &mut ph[0], || {
             order.clear();
-            if ACTIVE {
+            match self.sched.as_mut() {
                 // Drain the agenda, drop slots that died since they were
                 // scheduled, and canonicalize to ascending id order so
                 // the shuffle below is a pure function of the RNG stream
                 // and the *set* of active nodes — never of the order in
                 // which scheduling happened to discover them. An empty
                 // agenda (quiescence) draws nothing from the RNG.
-                let sched = self.sched.as_mut().expect("ACTIVE implies scheduler");
-                sched.begin_round(&mut order);
-                order.retain(|&s| self.nodes[s].is_some());
-                order.sort_unstable_by_key(|&s| self.nodes[s].as_ref().expect("retained").id());
-                order.shuffle(&mut self.rng);
-            } else {
+                Some(sched) if HOOKED => {
+                    sched.begin_round(&mut order);
+                    order.retain(|&s| self.nodes[s].is_some());
+                    order.sort_unstable_by_key(|&s| self.nodes[s].as_ref().map(Node::id));
+                }
                 // Full scan: every live slot, memcpy'd off the index's
                 // incrementally maintained sorted lane.
-                order.extend_from_slice(self.index.sorted_slots());
-                order.shuffle(&mut self.rng);
+                _ => order.extend_from_slice(self.index.sorted_slots()),
             }
+            order.shuffle(&mut self.rng);
         });
 
         let mut inbox = std::mem::take(&mut self.inbox_buf);
         for &i in &order {
-            if self.nodes[i].is_none() {
+            let Some(node) = self.nodes[i].as_ref() else {
                 continue; // removed earlier in this round by churn callers
-            }
-            if FAULTS {
-                // Crashed nodes sit out entirely: no deliveries, no
-                // regular action (sends *to* them die in `flush_outbox`).
-                let nid = self.nodes[i].as_ref().expect("checked above").id();
-                if self.faults.as_ref().is_some_and(|f| f.is_down(nid)) {
-                    continue;
-                }
+            };
+            // Crashed nodes sit out entirely: no deliveries, no regular
+            // action (sends *to* them die in `flush_outbox`).
+            if HOOKED && self.faults.as_ref().is_some_and(|f| f.is_down(node.id())) {
+                continue;
             }
             // The settlement machinery diffs the whole turn (deliveries
             // *and* regular action) against this tuple — reciprocity is
             // mutual, so the far end of every certificate this turn can
             // break is a target in the before- or after-tuple.
-            let turn_before = if ACTIVE {
-                let n = self.nodes[i].as_ref().expect("checked above");
-                Some((n.left(), n.right(), n.ring()))
-            } else {
-                None
-            };
+            let turn_before = (node.left(), node.right(), node.ring());
             // Receive actions: all eligible messages, shuffled. The
             // outbox is flushed once per action *batch*, not per message.
             // Flushing consumes no RNG and channel pushes keep their
@@ -502,65 +489,11 @@ impl Network {
             // in churn rounds and is itself a valid atomic-action
             // schedule; `flush_equivalence` in the tests below pins both
             // halves of this claim against the per-message reference.
-            if OBS {
-                // Both instrumented takes keep the delivery order and
-                // RNG stream identical to the detached one (see
-                // `take_deliverable_tagged` / `take_deliverable_causal`)
-                // and surface each message's enqueue round for the
-                // latency histograms; the channel-depth high-water mark
-                // is read before draining either way. Only an open
-                // cascade window pays for provenance: the causal take
-                // drags the `causes` lane along and feeds every delivery
-                // to the DAG accounting, while the steady-state path
-                // sticks to the cheap (message, enqueued) pairs.
-                let obs = self.obs.as_mut().expect("OBS implies observer state");
-                let depth = u64::try_from(self.channels[i].len()).unwrap_or(u64::MAX);
-                obs.depth_round_max = obs.depth_round_max.max(depth);
-                if obs.causal.active {
-                    let mut tagged = std::mem::take(&mut obs.tagged);
-                    timed(sample, &mut ph[1], || {
-                        self.channels[i].take_deliverable_causal(
-                            now,
-                            self.policy,
-                            &mut self.rng,
-                            &mut tagged,
-                        );
-                    });
-                    inbox.clear();
-                    let obs = self.obs.as_mut().expect("OBS implies observer state");
-                    let slot = u32::try_from(i).unwrap_or(u32::MAX);
-                    for &(m, enqueued, tag) in &tagged {
-                        let lat = now.saturating_sub(enqueued);
-                        obs.latency.record(lat);
-                        obs.latency_by_kind[m.kind().index()].record(lat);
-                        obs.causal.on_delivery(now, slot, tag, m.kind());
-                        inbox.push(m);
-                    }
-                    tagged.clear();
-                    obs.tagged = tagged;
-                } else {
-                    let mut pairs = std::mem::take(&mut obs.pairs);
-                    timed(sample, &mut ph[1], || {
-                        self.channels[i].take_deliverable_tagged(
-                            now,
-                            self.policy,
-                            &mut self.rng,
-                            &mut pairs,
-                        );
-                    });
-                    inbox.clear();
-                    let obs = self.obs.as_mut().expect("OBS implies observer state");
-                    for &(m, enqueued) in &pairs {
-                        let lat = now.saturating_sub(enqueued);
-                        obs.latency.record(lat);
-                        obs.latency_by_kind[m.kind().index()].record(lat);
-                        inbox.push(m);
-                    }
-                    pairs.clear();
-                    obs.pairs = pairs;
-                }
+            if HOOKED {
+                self.take_hooked(i, now, sample, &mut ph[1], &mut inbox);
             } else {
-                self.channels[i].take_deliverable_into(now, self.policy, &mut self.rng, &mut inbox);
+                let (channel, rng) = (&mut self.channels[i], &mut self.rng);
+                channel.take_deliverable_into(now, self.policy, rng, false, &mut inbox);
             }
             if !inbox.is_empty() {
                 stats.links_changed = true;
@@ -570,24 +503,24 @@ impl Network {
                     stats.count_delivered(m.kind());
                     let node = self.nodes[i].as_mut().expect("checked above");
                     node.on_message(m, &mut self.rng, &mut self.outbox);
-                    if OBS && !flush_per_message {
+                    if HOOKED {
                         // Cumulative send-count boundary: outbox sends
                         // up to here were emitted by the messages
                         // handled so far; `flush_outbox` resolves send
                         // index → handled message from these markers.
                         // Only worth keeping while a window collects.
-                        let obs = self.obs.as_mut().expect("OBS implies observer state");
-                        if obs.causal.active {
+                        if let Some(obs) = self.obs.as_mut().filter(|o| o.causal.active) {
                             obs.causal.bounds.push(self.outbox.sends().len());
                         }
                     }
-                    if flush_per_message {
-                        self.flush_outbox::<OBS, FAULTS, ACTIVE>(i, now, &mut stats);
+                    #[cfg(test)]
+                    if self.flush_per_message {
+                        self.flush_outbox::<HOOKED>(i, now, &mut stats);
                     }
                 }
             });
             timed(sample, &mut ph[3], || {
-                self.flush_outbox::<OBS, FAULTS, ACTIVE>(i, now, &mut stats);
+                self.flush_outbox::<HOOKED>(i, now, &mut stats);
             });
             // Regular action — skipped for settled nodes under ActiveSet:
             // the verified certificate says it could only re-send
@@ -595,29 +528,22 @@ impl Network {
             // `crate::sched`). The handler can silently rewrite link
             // state (sanitation normalizes without emitting events), so
             // compare the link tuple around the call for the dirty flag.
-            let run_regular = !ACTIVE
-                || !self
-                    .sched
-                    .as_ref()
-                    .expect("ACTIVE implies scheduler")
-                    .is_settled(i);
-            if run_regular {
-                let node = self.nodes[i].as_ref().expect("checked above");
+            if !(HOOKED && self.sched.as_ref().is_some_and(|s| s.is_settled(i))) {
+                let node = self.nodes[i].as_mut().expect("checked above");
                 let links_before = (node.left(), node.right(), node.lrl(), node.ring());
-                timed(sample, &mut ph[2], || {
-                    let node = self.nodes[i].as_mut().expect("checked above");
-                    node.on_regular(&mut self.outbox);
-                });
-                let node = self.nodes[i].as_ref().expect("checked above");
+                timed(sample, &mut ph[2], || node.on_regular(&mut self.outbox));
                 if (node.left(), node.right(), node.lrl(), node.ring()) != links_before {
                     stats.links_changed = true;
                 }
                 timed(sample, &mut ph[3], || {
-                    self.flush_outbox::<OBS, FAULTS, ACTIVE>(i, now, &mut stats);
+                    self.flush_outbox::<HOOKED>(i, now, &mut stats);
                 });
             }
-            if ACTIVE {
-                self.finish_turn(i, turn_before.expect("set above"));
+            if HOOKED {
+                if let Some(sched) = self.sched.as_mut() {
+                    let mail = !self.channels[i].is_empty();
+                    sched.finish_turn(&self.nodes, &self.index, i, turn_before, mail);
+                }
             }
         }
         inbox.clear();
@@ -631,12 +557,12 @@ impl Network {
             None
         };
         self.trace.push(stats);
-        if OBS {
+        if HOOKED {
             self.observe_round_end(now, sample, &stats);
         }
-        // Live metrics: one well-predicted runtime branch per round (not
-        // a const-generic arm), so `attach_metrics` composes with every
-        // engine monomorphization and costs nothing detached.
+        // Live metrics: one well-predicted runtime branch per round, so
+        // `attach_metrics` composes with both copies of the loop and
+        // costs nothing detached.
         if self.metrics.is_some() {
             self.publish_round_metrics(&stats);
         }
@@ -652,6 +578,45 @@ impl Network {
             });
         }
         stats
+    }
+
+    /// The hooked round's channel take. Unobserved, it is the plain take.
+    /// Observed, it hands out the same messages in the same order off
+    /// the same RNG draws (see [`Channel::take_deliverable_into`]), with
+    /// each message's enqueue round feeding the latency histograms and —
+    /// while a cascade window is open — its provenance tag feeding the
+    /// DAG accounting; the channel-depth high-water mark is read before
+    /// draining. Outside a window the take voids the channel's tags, so
+    /// a later window sees whatever stayed queued as roots.
+    fn take_hooked(
+        &mut self,
+        i: usize,
+        now: u64,
+        sample: bool,
+        channel_ns: &mut u64,
+        inbox: &mut Vec<Message>,
+    ) {
+        let (channel, policy, rng) = (&mut self.channels[i], self.policy, &mut self.rng);
+        let Some(obs) = self.obs.as_mut() else {
+            return channel.take_deliverable_into(now, policy, rng, false, inbox);
+        };
+        let depth = u64::try_from(channel.len()).unwrap_or(u64::MAX);
+        obs.depth_round_max = obs.depth_round_max.max(depth);
+        let (tracing, tagged) = (obs.causal.active, &mut obs.tagged);
+        timed(sample, channel_ns, || {
+            channel.take_deliverable_into(now, policy, rng, tracing, tagged);
+        });
+        let slot = u32::try_from(i).unwrap_or(u32::MAX);
+        inbox.clear();
+        for &(m, enqueued, tag) in &obs.tagged {
+            let lat = now.saturating_sub(enqueued);
+            obs.latency.record(lat);
+            obs.latency_by_kind[m.kind().index()].record(lat);
+            if tracing {
+                obs.causal.on_delivery(now, slot, tag, m.kind());
+            }
+            inbox.push(m);
+        }
     }
 
     /// End-of-round publish into the attached live-metrics bundle:
@@ -764,7 +729,7 @@ impl Network {
         for i in self.index.slots_by_id() {
             if let Some(n) = &self.nodes[i] {
                 nodes.push(n.clone());
-                channels.push(self.channels[i].messages().copied().collect());
+                channels.push(self.channels[i].as_slice().to_vec());
             }
         }
         Snapshot::new(nodes, channels)
@@ -814,8 +779,8 @@ impl Network {
             }
         };
         self.index.insert(id, slot);
-        if self.sched.is_some() {
-            self.on_insert_sched(id, slot);
+        if let Some(sched) = self.sched.as_mut() {
+            sched.on_insert(&self.nodes, &self.index, id, slot);
         }
         true
     }
@@ -837,8 +802,8 @@ impl Network {
         self.free.push(slot);
         self.channels[slot].clear();
         let node = self.nodes[slot].take();
-        if self.sched.is_some() {
-            self.on_remove_sched(id, slot);
+        if let Some(sched) = self.sched.as_mut() {
+            sched.on_remove(&self.nodes, &self.index, id, slot);
         }
         node
     }
@@ -847,7 +812,7 @@ impl Network {
     /// first announcement).
     pub fn send_external(&mut self, dest: NodeId, msg: Message) -> bool {
         if let Some(i) = self.index.get(dest) {
-            self.channels[i].push(msg, self.round);
+            self.channels[i].push(msg, self.round, CauseTag::ROOT);
             if let Some(sched) = self.sched.as_mut() {
                 sched.schedule(i);
             }
@@ -857,7 +822,7 @@ impl Network {
         }
     }
 
-    fn flush_outbox<const OBS: bool, const FAULTS: bool, const ACTIVE: bool>(
+    fn flush_outbox<const HOOKED: bool>(
         &mut self,
         sender: usize,
         now: u64,
@@ -878,30 +843,26 @@ impl Network {
             sched,
             ..
         } = self;
-        let sender_id = if FAULTS {
-            nodes[sender].as_ref().map(Node::id)
-        } else {
-            None
-        };
+        // On the plain copy the three hooks are constant `None`.
+        let mut obs = obs.as_deref_mut().filter(|_| HOOKED);
+        let mut faults = faults.as_deref_mut().filter(|_| HOOKED);
+        let mut sched = sched.as_deref_mut().filter(|_| HOOKED);
+        let sender_id = nodes[sender].as_ref().map(Node::id);
         for ev in outbox.drain_events() {
             stats.count_event(&ev);
-            if OBS {
-                if let swn_core::outbox::ProtocolEvent::LrlForgotten { age } = ev {
-                    if let Some(o) = obs.as_mut() {
-                        o.forget_age.record(age);
-                    }
-                }
+            if let (Some(o), ProtocolEvent::LrlForgotten { age }) = (obs.as_mut(), ev) {
+                o.forget_age.record(age);
             }
         }
-        // Causal attribution (OBS with an open cascade window only):
-        // send `k` of this flush belongs to the handled message whose
-        // cumulative-send boundary covers it
+        // Causal attribution (observed with an open cascade window
+        // only): send `k` of this flush belongs to the handled message
+        // whose cumulative-send boundary covers it
         // (`CausalState::tag_for_send`); flushes with no boundaries
         // (regular actions, external inputs) tag everything as cascade
         // roots. Attribution is pure bookkeeping — no RNG, no effect on
-        // routing — and outside a window sends take the untagged push,
+        // routing — and outside a window every send is pushed as a root,
         // leaving the `causes` lane untouched.
-        let causal_active = OBS && obs.as_ref().is_some_and(|o| o.causal.active);
+        let mut causal = obs.map(|o| &mut o.causal).filter(|c| c.active);
         let mut cause_cursor = 0usize;
         for (k, &(dest, sent_msg)) in outbox.sends().iter().enumerate() {
             let mut msg = sent_msg;
@@ -911,69 +872,50 @@ impl Network {
                     stats.tracked_sent += 1;
                 }
                 if msg == Message::Lin(t) {
-                    if let Some(n) = nodes[sender].as_ref() {
-                        if n.id() != t {
-                            tracked_forwarders.insert(n.id());
-                        }
+                    if let Some(id) = sender_id.filter(|&id| id != t) {
+                        tracked_forwarders.insert(id);
                     }
                 }
             }
-            let mut duplicate = false;
-            if FAULTS {
-                // The injector decides each send's fate with its own RNG
-                // stream (consumed only inside active windows), so the
-                // protocol RNG draws are untouched by any plan. A lying
-                // sender forges the payload *before* the fate decision,
-                // so the drop log and delivery path both see what was
-                // actually put on the wire (the destroyed original is
-                // logged inside `rewrite`).
-                if let (Some(inj), Some(src)) = (faults.as_deref_mut(), sender_id) {
-                    let forged = inj.rewrite(now, src, dest, msg);
-                    if forged != msg {
-                        stats.forged_fault += 1;
-                        msg = forged;
+            let mut copies = 1;
+            // The injector decides each send's fate with its own RNG
+            // stream (consumed only inside active windows), so the
+            // protocol RNG draws are untouched by any plan. A lying
+            // sender forges the payload *before* the fate decision, so
+            // the drop log and delivery path both see what was actually
+            // put on the wire (the destroyed original is logged inside
+            // `rewrite`).
+            if let (Some(inj), Some(src)) = (faults.as_mut(), sender_id) {
+                let forged = inj.rewrite(now, src, dest, msg);
+                if forged != msg {
+                    stats.forged_fault += 1;
+                    msg = forged;
+                }
+                match inj.fate(now, src, dest, msg) {
+                    Fate::Deliver => {}
+                    Fate::Drop => {
+                        stats.dropped_fault += 1;
+                        continue;
                     }
-                    match inj.fate(now, src, dest, msg) {
-                        Fate::Deliver => {}
-                        Fate::Drop => {
-                            stats.dropped_fault += 1;
-                            continue;
-                        }
-                        Fate::Duplicate => {
-                            stats.duplicated_fault += 1;
-                            duplicate = true;
-                        }
+                    Fate::Duplicate => {
+                        stats.duplicated_fault += 1;
+                        copies = 2;
                     }
                 }
             }
-            let tag = if causal_active {
-                match obs.as_mut() {
-                    Some(o) => o.causal.tag_for_send(k, &mut cause_cursor),
-                    None => CauseTag::ROOT,
-                }
-            } else {
-                CauseTag::ROOT
+            let tag = match causal.as_mut() {
+                Some(c) => c.tag_for_send(k, &mut cause_cursor),
+                None => CauseTag::ROOT,
             };
             match index.get(dest) {
                 Some(j) => {
-                    if causal_active {
-                        channels[j].push_caused(msg, now, tag);
-                        if FAULTS && duplicate {
-                            channels[j].push_caused(msg, now, tag);
-                        }
-                    } else {
-                        channels[j].push(msg, now);
-                        if FAULTS && duplicate {
-                            channels[j].push(msg, now);
-                        }
+                    for _ in 0..copies {
+                        channels[j].push(msg, now, tag);
                     }
-                    if ACTIVE {
-                        // Mail wakes its recipient: settled or not, the
-                        // destination must run its receive action next
-                        // round.
-                        if let Some(s) = sched.as_mut() {
-                            s.schedule(j);
-                        }
+                    // Mail wakes its recipient: settled or not, the
+                    // destination must run its receive action next round.
+                    if let Some(s) = sched.as_mut() {
+                        s.schedule(j);
                     }
                 }
                 None => {
@@ -994,21 +936,15 @@ impl Network {
                                 // The bounce keeps its provenance: the
                                 // reprocessed copy is the same causal
                                 // node, not a fresh root.
-                                if causal_active {
-                                    channels[sender].push_caused(msg, now, tag);
-                                } else {
-                                    channels[sender].push(msg, now);
-                                }
+                                channels[sender].push(msg, now, tag);
                                 bounced = true;
                             }
                         }
-                        if ACTIVE {
-                            // The bounce (and the dangling-pointer clear,
-                            // caught by the caller's turn diff) keeps the
-                            // sender active until reprocessed.
-                            if let Some(s) = sched.as_mut() {
-                                s.schedule(sender);
-                            }
+                        // The bounce (and the dangling-pointer clear,
+                        // caught by the caller's turn diff) keeps the
+                        // sender active until reprocessed.
+                        if let Some(s) = sched.as_mut() {
+                            s.schedule(sender);
                         }
                     }
                     if bounced {
@@ -1019,464 +955,18 @@ impl Network {
                 }
             }
         }
-        if OBS {
-            // The batch's attribution scratch is spent; the next flush
-            // (the regular action's) starts clean, so its sends are
-            // roots.
-            if let Some(o) = obs.as_mut() {
-                o.causal.end_batch();
-            }
+        // The batch's attribution scratch is spent; the next flush (the
+        // regular action's) starts clean, so its sends are roots.
+        if let Some(c) = causal {
+            c.end_batch();
         }
         outbox.clear();
-    }
-
-    /// Applies the attached plan's round-start faults for round `now`:
-    /// restarts first (downtime over ⇒ the node rejoins the loop, blank
-    /// or from its durable checkpoint), then durable-crash state
-    /// captures, then crashes (state reset + channel loss + downtime),
-    /// then sybil-cluster joins, then neighbour-state perturbations,
-    /// then adversarial-window wakeups. Only called from the `FAULTS`
-    /// monomorphizations, at most once per round, so it stays out of the
-    /// hot path entirely.
-    fn apply_round_faults(&mut self, now: u64, stats: &mut RoundStats) {
-        // Take the injector out to split its borrow from the node table;
-        // a `Box` move, no allocation.
-        let Some(mut inj) = self.faults.take() else {
-            return;
-        };
-        for id in inj.take_restarts(now) {
-            stats.links_changed = true;
-            let restored = inj.take_saved(id);
-            let durable = restored.is_some();
-            if let Some(slot) = self.index.get(id) {
-                if let Some(saved) = restored {
-                    // Durable restart: the checkpointed state is adopted
-                    // verbatim — a stale but *valid* protocol view whose
-                    // pointers re-validate instead of rebuilding from
-                    // scratch. Neighbours whose settlement certificates
-                    // assumed the blank crash state must be re-verified
-                    // against the resurrected pointers.
-                    let targets = [saved.left().fin(), saved.right().fin(), saved.ring()];
-                    self.nodes[slot] = Some(saved);
-                    if self.sched.is_some() {
-                        for t in targets.into_iter().flatten() {
-                            self.recheck_settled(t);
-                        }
-                    }
-                }
-                if let Some(sched) = self.sched.as_mut() {
-                    // The node rejoins the loop this round: unsettled
-                    // (blank or stale state either way needs
-                    // re-validation) and scheduled.
-                    sched.set_settled(slot, false);
-                    sched.schedule(slot);
-                }
-            }
-            self.emit(Event::Fault {
-                round: now,
-                kind: "restart".to_string(),
-                detail: if durable {
-                    format!("{id:?} back up from its durable checkpoint")
-                } else {
-                    format!("{id:?} back up with blank state")
-                },
-            });
-        }
-        for (kind, detail) in inj.windows_opening_at(now) {
-            self.emit(Event::Fault {
-                round: now,
-                kind: kind.to_string(),
-                detail,
-            });
-        }
-        // Durable-crash checkpoints: capture the start-of-round state of
-        // every node whose durable crash snapshots at this round, before
-        // any crash below can blank it (`snapshot_round == round`
-        // captures the immediately-pre-crash state). A node already down
-        // has no live state to capture — its restart degrades to
-        // amnesia, as documented on `Restart::Durable`.
-        for id in inj.snapshots_due_at(now) {
-            if inj.is_down(id) {
-                continue;
-            }
-            if let Some(slot) = self.index.get(id) {
-                if let Some(node) = self.nodes[slot].as_ref() {
-                    inj.save_node(node.clone());
-                }
-            }
-        }
-        for c in inj.crashes_at(now) {
-            let Some(slot) = self.index.get(c.node) else {
-                continue; // departed before its crash was due
-            };
-            // Channel loss: in-flight mail addressed to the victim dies
-            // with it. Logged for the watchdog's culprit analysis (with
-            // the victim as both endpoints — the true senders are gone
-            // from the queue's bookkeeping).
-            let mut lost = 0u64;
-            for &m in self.channels[slot].messages() {
-                inj.note_drop(now, c.node, c.node, m);
-                lost += 1;
-            }
-            let victim = self.nodes[slot].as_ref().expect("indexed slot is live");
-            let cfg = *victim.config();
-            // The settled neighbours' certificates reference the victim's
-            // pre-crash pointers (reciprocity, ring pairing); capture the
-            // targets before blanking so they can be re-verified.
-            let old_targets = [victim.left().fin(), victim.right().fin(), victim.ring()];
-            self.nodes[slot] = Some(Node::new(c.node, cfg));
-            self.channels[slot].clear();
-            inj.mark_down(c.node, now.saturating_add(c.down_for));
-            stats.dropped_fault += lost;
-            stats.links_changed = true;
-            if self.sched.is_some() {
-                self.sched
-                    .as_mut()
-                    .expect("checked above")
-                    .set_settled(slot, false);
-                for t in old_targets.into_iter().flatten() {
-                    self.recheck_settled(t);
-                }
-            }
-            self.emit(Event::Fault {
-                round: now,
-                kind: "crash".to_string(),
-                detail: format!(
-                    "{:?} down for {} rounds, {lost} queued messages lost",
-                    c.node, c.down_for
-                ),
-            });
-        }
-        for (contact, center, k) in inj.sybils_at(now) {
-            // The cluster joins through its contact: each sybil adopts
-            // the contact as its one-sided neighbour (the regular join
-            // bootstrap) and announces itself with a `lin`, exactly like
-            // an honest joiner — the attack is the ε-interval id
-            // placement, not the join mechanics.
-            let Some(contact_slot) = self.index.get(contact) else {
-                continue; // contact departed before the window opened
-            };
-            if inj.is_down(contact) {
-                self.emit(Event::Fault {
-                    round: now,
-                    kind: "sybil_cluster".to_string(),
-                    detail: format!("contact {contact:?} is down, cluster skipped"),
-                });
-                continue;
-            }
-            let cfg = *self.nodes[contact_slot]
-                .as_ref()
-                .expect("indexed slot is live")
-                .config();
-            let mut joined = 0usize;
-            for sid in sybil_ids(center, k) {
-                if self.index.contains(sid) {
-                    continue; // id collision: that spot is already taken
-                }
-                let (l, r) = if contact < sid {
-                    (Extended::Fin(contact), Extended::PosInf)
-                } else {
-                    (Extended::NegInf, Extended::Fin(contact))
-                };
-                let inserted = self.insert_node(Node::with_state(sid, l, r, sid, None, cfg));
-                debug_assert!(inserted, "collision checked above");
-                self.send_external(contact, Message::Lin(sid));
-                joined += 1;
-            }
-            if joined > 0 {
-                stats.links_changed = true;
-            }
-            self.emit(Event::Fault {
-                round: now,
-                kind: "sybil_cluster".to_string(),
-                detail: format!("{joined} sybils joined via {contact:?} right of {center:?}"),
-            });
-        }
-        for p in inj.perturbations_at(now) {
-            let live: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
-            if live.len() < 2 {
-                continue;
-            }
-            let victims = inj.pick_distinct(p.k, &live);
-            let hit = victims.len();
-            for v in victims {
-                let slot = self.index.get(v).expect("picked from live ids");
-                let node = self.nodes[slot].as_ref().expect("live slot");
-                let cfg = *node.config();
-                // Keep `l`: the stored left-pointer chain keeps the
-                // knowledge graph weakly connected, so the damage is
-                // recoverable by Theorem 4.3 (see faults.rs docs).
-                let l = node.left();
-                // The rewritten pointers' old reciprocal holders need
-                // their certificates re-verified (`l` is kept, so its
-                // target's certificate still holds).
-                let old_targets = [node.right().fin(), node.ring()];
-                // Log every overwritten pointer value as a state
-                // erasure: on an unconverged start the old target can be
-                // the knowledge graph's only edge into its component, so
-                // a perturbation can sever connectivity with no message
-                // ever dropped — the watchdog attributes it from these
-                // records exactly like a sole-carrier drop.
-                for t in [node.right().fin(), Some(node.lrl()), node.ring()]
-                    .into_iter()
-                    .flatten()
-                {
-                    if t != v {
-                        inj.note_drop(now, v, v, Message::Lin(t));
-                        stats.erased_fault += 1;
-                    }
-                }
-                let r = Extended::Fin(inj.pick_one(&live));
-                let lrl = inj.pick_one(&live);
-                let ring = Some(inj.pick_one(&live));
-                self.nodes[slot] = Some(Node::with_state(v, l, r, lrl, ring, cfg));
-                stats.links_changed = true;
-                if let Some(sched) = self.sched.as_mut() {
-                    sched.set_settled(slot, false);
-                    sched.schedule(slot);
-                    for t in old_targets.into_iter().flatten() {
-                        self.recheck_settled(t);
-                    }
-                }
-            }
-            self.emit(Event::Fault {
-                round: now,
-                kind: "perturb".to_string(),
-                detail: format!("{hit} nodes' r/lrl/ring randomized"),
-            });
-        }
-        // Misbehaving nodes act every round of their window (see
-        // `FaultInjector::behavior_nodes_active_at`); scramble forgeries
-        // draw from a pool refreshed after all of this round's
-        // structural changes, so lies only ever name live nodes and the
-        // knowledge closure cannot be violated by an invented id.
-        if let Some(sched) = self.sched.as_mut() {
-            for id in inj.behavior_nodes_active_at(now) {
-                if inj.is_down(id) {
-                    continue;
-                }
-                if let Some(slot) = self.index.get(id) {
-                    sched.set_settled(slot, false);
-                    sched.schedule(slot);
-                }
-            }
-        }
-        if inj.needs_lie_pool(now) {
-            let pool: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
-            inj.set_lie_pool(pool);
-        }
-        self.faults = Some(inj);
-    }
-
-    /// End-of-turn settlement bookkeeping (ActiveSet only): diff the
-    /// turn's `(l, r, ring)` tuple to re-verify the certificates this
-    /// turn can have invalidated, verify the node's own certificate, and
-    /// reschedule it while it is unsettled or holds queued mail.
-    ///
-    /// The diff is complete for *other* nodes' certificates because
-    /// reciprocity is mutual: a certificate of `q` references `p`'s
-    /// state only when `p` is a list/ring target of `q` and vice versa,
-    /// so whichever edge this turn broke or created has its far end in
-    /// the before- or after-tuple.
-    fn finish_turn(&mut self, i: usize, before: (Extended, Extended, Option<NodeId>)) {
-        let Some(n) = self.nodes[i].as_ref() else {
-            return;
-        };
-        let after = (n.left(), n.right(), n.ring());
-        if after != before {
-            let targets = [
-                before.0.fin(),
-                before.1.fin(),
-                before.2,
-                after.0.fin(),
-                after.1.fin(),
-                after.2,
-            ];
-            for t in targets.into_iter().flatten() {
-                self.recheck_settled(t);
-            }
-        }
-        let ok = self.node_settled(i);
-        let mail = !self.channels[i].is_empty();
-        let sched = self.sched.as_mut().expect("ACTIVE implies scheduler");
-        sched.set_settled(i, ok);
-        if !ok || mail {
-            sched.schedule(i);
-        }
-    }
-
-    /// Re-verifies a *settled* node's certificate after someone else's
-    /// state changed; unsettles and schedules it when the certificate no
-    /// longer holds. No-op for unsettled or absent ids (unsettled nodes
-    /// re-verify at the end of their own next turn).
-    fn recheck_settled(&mut self, id: NodeId) {
-        let Some(sched) = self.sched.as_ref() else {
-            return;
-        };
-        let Some(slot) = self.index.get(id) else {
-            return;
-        };
-        if !sched.is_settled(slot) {
-            return;
-        }
-        if !self.node_settled(slot) {
-            let sched = self.sched.as_mut().expect("present above");
-            sched.set_settled(slot, false);
-            sched.schedule(slot);
-        }
-    }
-
-    /// The settlement certificate (see `crate::sched`): true exactly
-    /// when the node's regular action is a verified fixpoint no-op —
-    /// every finite list pointer properly sided and reciprocated by a
-    /// live neighbour, `±∞` sides only at the global extremes with the
-    /// cross-ring edges mutually paired, no leftover interior ring edge,
-    /// and a live (or self) lrl endpoint.
-    fn node_settled(&self, slot: usize) -> bool {
-        let Some(n) = self.nodes[slot].as_ref() else {
-            return false;
-        };
-        let id = n.id();
-        // A dangling token endpoint would make the next inc_lrl bounce
-        // and rewrite state.
-        if n.lrl() != id && !self.index.contains(n.lrl()) {
-            return false;
-        }
-        let min = self.index.min_id().expect("slot is live");
-        let max = self.index.max_id().expect("slot is live");
-        let seam_l = match n.left() {
-            Extended::NegInf => {
-                if id != min {
-                    return false;
-                }
-                true
-            }
-            Extended::Fin(a) => {
-                if a >= id {
-                    return false;
-                }
-                let Some(an) = self.index.get(a).and_then(|s| self.nodes[s].as_ref()) else {
-                    return false;
-                };
-                if an.right() != Extended::Fin(id) {
-                    return false;
-                }
-                false
-            }
-            Extended::PosInf => return false,
-        };
-        let seam_r = match n.right() {
-            Extended::PosInf => {
-                if id != max {
-                    return false;
-                }
-                true
-            }
-            Extended::Fin(b) => {
-                if b <= id {
-                    return false;
-                }
-                let Some(bn) = self.index.get(b).and_then(|s| self.nodes[s].as_ref()) else {
-                    return false;
-                };
-                if bn.left() != Extended::Fin(id) {
-                    return false;
-                }
-                false
-            }
-            Extended::NegInf => return false,
-        };
-        match (seam_l, seam_r) {
-            // The sole node: nothing to link; its ring edge (self or
-            // absent after sanitation) is inert.
-            (true, true) => true,
-            // Interior node: a leftover ring edge would be sanitized
-            // away on its next action — a state change.
-            (false, false) => n.ring().is_none(),
-            // Seam nodes must hold the *global* opposite extreme as a
-            // mutually paired ring edge — deliberately stronger than the
-            // protocol's per-node ring validity (any correctly sided
-            // value), because only the global pairing is a fixpoint of
-            // ring-edge improvement.
-            (true, false) => self.ring_paired(n, max),
-            (false, true) => self.ring_paired(n, min),
-        }
-    }
-
-    /// True when `n` and the opposite extreme `partner` hold each
-    /// other's ids as ring edges — the converged ring closure.
-    fn ring_paired(&self, n: &Node, partner: NodeId) -> bool {
-        if partner == n.id() || n.ring() != Some(partner) {
-            return false;
-        }
-        self.index
-            .get(partner)
-            .and_then(|s| self.nodes[s].as_ref())
-            .is_some_and(|p| p.ring() == Some(n.id()))
-    }
-
-    /// Scheduler bookkeeping for a join: the newcomer starts unsettled
-    /// and scheduled, and the certificates the join can invalidate
-    /// *without any mail arriving* are re-verified — the sorted
-    /// neighbours and both global extremes, because seam certificates
-    /// reference the min/max identity and the cross-ring pairing (a new
-    /// global extreme must dethrone the settled old one eagerly, or it
-    /// would freeze as falsely settled).
-    fn on_insert_sched(&mut self, id: NodeId, slot: usize) {
-        {
-            let sched = self.sched.as_mut().expect("caller checked");
-            sched.ensure_slot(slot);
-            sched.set_settled(slot, false);
-            sched.schedule(slot);
-        }
-        let rank = self.index.rank_of(id).expect("just inserted");
-        let lane = self.index.sorted_ids();
-        let candidates = [
-            (rank > 0).then(|| lane[rank - 1]),
-            lane.get(rank + 1).copied(),
-            self.index.min_id(),
-            self.index.max_id(),
-        ];
-        for c in candidates.into_iter().flatten() {
-            if c != id {
-                self.recheck_settled(c);
-            }
-        }
-    }
-
-    /// Scheduler bookkeeping for a leave: every node that stores the
-    /// departed id (list pointer, lrl endpoint or ring edge) has a dead
-    /// certificate and must act again to detect the departure (bounce →
-    /// `clear_dangling`). An O(n) scan — churn-rate cost, not per-round
-    /// cost, and the same order the full-scan engine pays every round.
-    fn on_remove_sched(&mut self, id: NodeId, slot: usize) {
-        {
-            let sched = self.sched.as_mut().expect("caller checked");
-            sched.ensure_slot(slot);
-            // The freed slot's flag is reset; a stale agenda entry for it
-            // is filtered at round start (or covers the slot's next
-            // occupant, which must run anyway).
-            sched.set_settled(slot, false);
-        }
-        let mut stale: Vec<usize> = Vec::new();
-        for &s in self.index.sorted_slots() {
-            if let Some(n) = self.nodes[s].as_ref() {
-                if n.stored_ids().any(|x| x == id) {
-                    stale.push(s);
-                }
-            }
-        }
-        let sched = self.sched.as_mut().expect("caller checked");
-        for s in stale {
-            sched.set_settled(s, false);
-            sched.schedule(s);
-        }
     }
 }
 
 /// Runs `f`, adding its wall-clock duration (nanoseconds, saturating) to
 /// `acc` when `on` — the sampled phase timer of `step_impl`. With `on`
-/// constant false (the `OBS = false` monomorphization) this inlines to a
+/// constant false (the plain copy of the round loop) this inlines to a
 /// plain call.
 #[inline]
 fn timed<T>(on: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
@@ -1844,33 +1334,43 @@ mod tests {
         }
     }
 
+    /// The run the hook-neutrality tests replay: a random sparse start,
+    /// 40 rounds, a leave (churn keeps the general channel path and the
+    /// bounce/drop routing in play), 40 more rounds — with any subset of
+    /// the three round hooks attached.
+    fn hooked_run(sink: Option<Box<dyn Sink>>, empty_plan: bool, mode: ScheduleMode) -> String {
+        let ids = evenly_spaced_ids(12);
+        let mut net = generate(
+            InitialTopology::RandomSparse { extra: 2 },
+            &ids,
+            ProtocolConfig::default(),
+            9,
+        )
+        .into_network(9);
+        net.set_schedule_mode(mode);
+        if let Some(sink) = sink {
+            net.attach_sink(sink, 1);
+        }
+        if empty_plan {
+            net.attach_faults(crate::faults::FaultPlan::new(123));
+        }
+        net.run(40);
+        let victim = net.ids()[5];
+        net.remove_node(victim);
+        net.run(40);
+        fingerprint(&net)
+    }
+
     #[test]
     fn attached_sink_never_perturbs_the_computation() {
         // The determinism contract of the observability layer: a network
         // observed at the maximal sampling rate computes bit-for-bit the
         // same states, trace and RNG stream as an unobserved one.
-        let run = |observe: bool| {
-            let ids = evenly_spaced_ids(12);
-            let mut net = generate(
-                InitialTopology::RandomSparse { extra: 2 },
-                &ids,
-                ProtocolConfig::default(),
-                9,
-            )
-            .into_network(9);
-            if observe {
-                let (sink, _records) = crate::obs::MemorySink::new();
-                net.attach_sink(Box::new(sink), 1);
-            }
-            net.run(40);
-            // Churn keeps the general (non-fast-path) channel code and
-            // the bounce/drop routing in play.
-            let victim = net.ids()[5];
-            net.remove_node(victim);
-            net.run(40);
-            fingerprint(&net)
-        };
-        assert_eq!(run(false), run(true));
+        let (sink, _records) = crate::obs::MemorySink::new();
+        assert_eq!(
+            hooked_run(None, false, ScheduleMode::FullScan),
+            hooked_run(Some(Box::new(sink)), false, ScheduleMode::FullScan)
+        );
     }
 
     #[test]
@@ -1879,25 +1379,20 @@ mod tests {
         // empty plan consumes no injector RNG and touches no state, so
         // the computation (including churn rounds) is bit-for-bit the
         // fault-free one.
-        let run = |attach: bool| {
-            let ids = evenly_spaced_ids(12);
-            let mut net = generate(
-                InitialTopology::RandomSparse { extra: 2 },
-                &ids,
-                ProtocolConfig::default(),
-                9,
+        assert_eq!(
+            hooked_run(None, false, ScheduleMode::FullScan),
+            hooked_run(None, true, ScheduleMode::FullScan)
+        );
+        // All three hooks share one copy of the round loop: a sink and an
+        // empty plan on top of the scheduler change nothing either.
+        assert_eq!(
+            hooked_run(None, false, ScheduleMode::ActiveSet),
+            hooked_run(
+                Some(Box::new(crate::obs::NoopSink)),
+                true,
+                ScheduleMode::ActiveSet
             )
-            .into_network(9);
-            if attach {
-                net.attach_faults(crate::faults::FaultPlan::new(123));
-            }
-            net.run(40);
-            let victim = net.ids()[5];
-            net.remove_node(victim);
-            net.run(40);
-            fingerprint(&net)
-        };
-        assert_eq!(run(false), run(true));
+        );
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //! * sampled phase timers inside `Network::step` (activation shuffle,
 //!   channel cycle, handler execution, outbox flush, stats accounting).
 //!
-//! **The disabled path is free.** `Network::step` is monomorphized over
-//! a `const OBS: bool`: with no sink attached the `OBS = false` copy
-//! runs, in which every observer branch is constant-folded away — it
-//! compiles to exactly the pre-observability round loop (the stepengine
-//! bench's instrumented-vs-noop pair guards this).
+//! **The disabled path is free.** `Network::step` has two copies of the
+//! round loop: with no sink (and no fault plan or scheduler) attached
+//! the *plain* copy runs, in which every observer branch is
+//! constant-folded away — it compiles to exactly the pre-observability
+//! round loop (the stepengine bench's instrumented-vs-noop pair guards
+//! this). The *hooked* copy tests for the observer at run time.
 //!
 //! **Observers read, never mutate, and consume no RNG.** Events are
-//! derived from state the loop already computes; the causal channel
-//! take ([`Channel::take_deliverable_causal`]) consumes the identical
-//! RNG stream as the untagged one; wall-clock readings appear only in
-//! timing payloads. The golden-trace suite pins both halves: state
+//! derived from state the loop already computes; the channel take
+//! ([`Channel::take_deliverable_into`]) consumes the identical RNG
+//! stream whether or not enqueue rounds and cause tags ride along;
+//! wall-clock readings appear only in timing payloads. The golden-trace suite pins both halves: state
 //! digests are bit-for-bit identical with a sink attached, and the
 //! structural event stream itself is fingerprinted.
 //!
@@ -36,7 +37,7 @@
 //! and [`flight`] bounds trace memory with a ring buffer that dumps a
 //! JSONL post-mortem on anomalous watchdog verdicts.
 //!
-//! [`Channel::take_deliverable_causal`]: crate::channel::Channel::take_deliverable_causal
+//! [`Channel::take_deliverable_into`]: crate::channel::Channel::take_deliverable_into
 
 pub mod causal;
 pub mod flight;
@@ -408,10 +409,10 @@ pub trait Sink: Send {
 }
 
 /// The do-nothing sink. Attaching it still routes `step` through the
-/// instrumented monomorphization (events are built, then discarded
+/// hooked copy of the round loop (events are built, then discarded
 /// here); the *guaranteed-free* spelling is attaching no sink at all,
-/// which selects the `OBS = false` copy of the round loop that
-/// compiles to the pre-observability code. `NoopSink` exists for
+/// which selects the plain copy that compiles to the pre-observability
+/// code. `NoopSink` exists for
 /// generic call sites that must hand over *some* sink.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;
@@ -516,12 +517,9 @@ pub(crate) struct ObsState {
     pub(crate) causal: CausalState,
     /// High-water channel depth seen so far in the current round.
     pub(crate) depth_round_max: u64,
-    /// Scratch for the causal channel take: (message, enqueue round,
-    /// provenance tag). Used only while a cascade window is open.
+    /// Scratch for the observed channel take: (message, enqueue round,
+    /// provenance tag).
     pub(crate) tagged: Vec<(swn_core::message::Message, u64, CauseTag)>,
-    /// Scratch for the cheap tagged take outside cascade windows:
-    /// (message, enqueue round).
-    pub(crate) pairs: Vec<(swn_core::message::Message, u64)>,
     /// Scratch for the sampled lrl-length scan: (id, lrl) ascending.
     pub(crate) lrl_scratch: Vec<(swn_core::id::NodeId, swn_core::id::NodeId)>,
 }
@@ -548,7 +546,6 @@ impl ObsState {
             causal: CausalState::new(),
             depth_round_max: 0,
             tagged: Vec::new(),
-            pairs: Vec::new(),
             lrl_scratch: Vec::new(),
         }
     }

@@ -18,10 +18,10 @@
 //! monotone over deliveries, so `parent.seq < child.seq` too. The
 //! `causal_prop` suite pins both orderings over random fault scenarios.
 //!
-//! Tagging lives entirely inside the `OBS = true` monomorphization of
-//! the round loop: the detached path never touches the `causes` lane
-//! (see [`crate::channel::Channel::push_caused`]) and stays
-//! byte-identical, and tagging itself consumes no RNG.
+//! Tagging lives entirely inside the hooked copy of the round loop: the
+//! plain copy only ever pushes [`CauseTag::ROOT`], which never touches
+//! the channels' `causes` lane (see [`crate::channel::Channel::push`]),
+//! so it stays byte-identical, and tagging itself consumes no RNG.
 
 use serde::{Deserialize, Serialize};
 use swn_core::message::MessageKind;
@@ -174,14 +174,16 @@ impl CascadeReport {
 }
 
 /// Live causal-tracing state owned by an attached observer. Crate-
-/// private: `Network`'s `OBS = true` round loop is the only driver.
+/// private: `Network`'s hooked round loop is the only driver.
 ///
 /// Tracing is *window-gated*: the per-message work (id assignment,
-/// boundary bookkeeping, the channels' `causes` lane) runs only while a
-/// cascade window is open (`begin_window` … `take_window`). Outside a
-/// window the instrumented loop takes the cheap tagged path — steady-
-/// state runs pay for latency accounting only, which is what keeps the
-/// instrumented/noop ratio inside the bench guard.
+/// boundary bookkeeping, non-root pushes into the channels' `causes`
+/// lane) runs only while a cascade window is open (`begin_window` …
+/// `take_window`). Outside a window the observed take still hands out
+/// the one `(message, enqueue round, tag)` form, but every tag is a root
+/// and the lane stays empty — steady-state runs pay for latency
+/// accounting only, which is what keeps the instrumented/noop ratio
+/// inside the bench guard.
 #[derive(Debug)]
 pub(crate) struct CausalState {
     /// True while a cascade window is open — the round loop's gate for
@@ -269,7 +271,8 @@ impl CausalState {
     /// Closes the current window at `round`, returning its report and
     /// switching per-message tracing back off (until the next
     /// `begin_window`). Tags still in flight are invalidated by the
-    /// next untraced channel take — a later window sees them as roots.
+    /// next untraced take of their channel — a later window sees them
+    /// as roots.
     pub(crate) fn take_window(&mut self, round: u64) -> CascadeReport {
         self.active = false;
         let stats = std::mem::replace(&mut self.window, CascadeStats::new());

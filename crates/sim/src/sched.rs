@@ -15,7 +15,7 @@
 //!
 //! A node is **settled** when the engine has verified a local
 //! certificate that its regular action cannot change any node's link
-//! state (`network.rs::node_settled`):
+//! state ([`node_settled`]):
 //!
 //! * each finite list pointer is properly sided *and reciprocated* by a
 //!   live neighbour (`a < id`, `a.r == id`; symmetric on the right), so
@@ -53,6 +53,14 @@
 //! pins the whole construction against the full-scan engine, and the
 //! quiescence proptest (`tests/quiescence_prop.rs`) pins the no-op
 //! guarantee.
+
+use crate::slots::SlotIndex;
+use swn_core::id::{Extended, NodeId};
+use swn_core::node::Node;
+
+/// The `(l, r, ring)` tuple a turn is diffed over (see
+/// [`SchedState::finish_turn`]).
+pub(crate) type TurnLinks = (Extended, Extended, Option<NodeId>);
 
 /// How the round loop picks the nodes that act (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -148,6 +156,187 @@ impl SchedState {
     /// filtered at round start).
     pub(crate) fn active_len(&self) -> usize {
         self.agenda.len()
+    }
+
+    /// Voids `slot`'s certificate and, with `wake`, puts it on the
+    /// agenda.
+    pub(crate) fn unsettle(&mut self, slot: usize, wake: bool) {
+        self.set_settled(slot, false);
+        if wake {
+            self.schedule(slot);
+        }
+    }
+
+    /// Re-verifies a *settled* node's certificate after someone else's
+    /// state changed; unsettles and schedules it when the certificate no
+    /// longer holds. No-op for unsettled or absent ids (unsettled nodes
+    /// re-verify at the end of their own next turn).
+    pub(crate) fn recheck(&mut self, nodes: &[Option<Node>], index: &SlotIndex, id: NodeId) {
+        let Some(slot) = index.get(id) else {
+            return;
+        };
+        if self.is_settled(slot) && !node_settled(nodes, index, slot) {
+            self.unsettle(slot, true);
+        }
+    }
+
+    /// End-of-turn settlement bookkeeping: diff the turn's `(l, r, ring)`
+    /// tuple to re-verify the certificates this turn can have
+    /// invalidated, verify the node's own certificate, and reschedule it
+    /// while it is unsettled or holds queued mail (`mail`).
+    ///
+    /// The diff is complete for *other* nodes' certificates because
+    /// reciprocity is mutual: a certificate of `q` references `p`'s
+    /// state only when `p` is a list/ring target of `q` and vice versa,
+    /// so whichever edge this turn broke or created has its far end in
+    /// the before- or after-tuple.
+    pub(crate) fn finish_turn(
+        &mut self,
+        nodes: &[Option<Node>],
+        index: &SlotIndex,
+        slot: usize,
+        before: TurnLinks,
+        mail: bool,
+    ) {
+        let Some(n) = nodes[slot].as_ref() else {
+            return;
+        };
+        let after = (n.left(), n.right(), n.ring());
+        if after != before {
+            let (b, a) = (before, after);
+            let targets = [b.0.fin(), b.1.fin(), b.2, a.0.fin(), a.1.fin(), a.2];
+            for t in targets.into_iter().flatten() {
+                self.recheck(nodes, index, t);
+            }
+        }
+        let ok = node_settled(nodes, index, slot);
+        self.set_settled(slot, ok);
+        if !ok || mail {
+            self.schedule(slot);
+        }
+    }
+
+    /// Scheduler bookkeeping for a join: the newcomer starts unsettled
+    /// and scheduled, and the certificates the join can invalidate
+    /// *without any mail arriving* are re-verified — the sorted
+    /// neighbours and both global extremes, because seam certificates
+    /// reference the min/max identity and the cross-ring pairing (a new
+    /// global extreme must dethrone the settled old one eagerly, or it
+    /// would freeze as falsely settled).
+    pub(crate) fn on_insert(
+        &mut self,
+        nodes: &[Option<Node>],
+        index: &SlotIndex,
+        id: NodeId,
+        slot: usize,
+    ) {
+        self.unsettle(slot, true);
+        let rank = index.rank_of(id).expect("just inserted");
+        let lane = index.sorted_ids();
+        let candidates = [
+            (rank > 0).then(|| lane[rank - 1]),
+            lane.get(rank + 1).copied(),
+            index.min_id(),
+            index.max_id(),
+        ];
+        for c in candidates.into_iter().flatten() {
+            if c != id {
+                self.recheck(nodes, index, c);
+            }
+        }
+    }
+
+    /// Scheduler bookkeeping for a leave: every node that stores the
+    /// departed id (list pointer, lrl endpoint or ring edge) has a dead
+    /// certificate and must act again to detect the departure (bounce →
+    /// `clear_dangling`). An O(n) scan — churn-rate cost, not per-round
+    /// cost, and the same order the full-scan engine pays every round.
+    pub(crate) fn on_remove(
+        &mut self,
+        nodes: &[Option<Node>],
+        index: &SlotIndex,
+        id: NodeId,
+        slot: usize,
+    ) {
+        // The freed slot's flag is reset; a stale agenda entry for it is
+        // filtered at round start (or covers the slot's next occupant,
+        // which must run anyway).
+        self.unsettle(slot, false);
+        for &s in index.sorted_slots() {
+            if nodes[s]
+                .as_ref()
+                .is_some_and(|n| n.stored_ids().any(|x| x == id))
+            {
+                self.unsettle(s, true);
+            }
+        }
+    }
+}
+
+/// The settlement certificate (see the module docs): true exactly when
+/// the node's regular action is a verified fixpoint no-op — every finite
+/// list pointer properly sided and reciprocated by a live neighbour,
+/// `±∞` sides only at the global extremes with the cross-ring edges
+/// mutually paired, no leftover interior ring edge, and a live (or self)
+/// lrl endpoint.
+pub(crate) fn node_settled(nodes: &[Option<Node>], index: &SlotIndex, slot: usize) -> bool {
+    let Some(n) = nodes[slot].as_ref() else {
+        return false;
+    };
+    let id = n.id();
+    let live = |x: NodeId| index.get(x).and_then(|s| nodes[s].as_ref());
+    // A dangling token endpoint would make the next inc_lrl bounce and
+    // rewrite state.
+    if n.lrl() != id && !index.contains(n.lrl()) {
+        return false;
+    }
+    let (min, max) = (index.min_id(), index.max_id());
+    // One side of the certificate: `Some(true)` for the side's own `∞`
+    // held by the global `extreme` (a seam), `Some(false)` for a finite
+    // pointer that is properly sided and reciprocated (`back` reads the
+    // neighbour's pointer towards this node), `None` when the side fails.
+    let side =
+        |ptr: Extended, inf: Extended, extreme: Option<NodeId>, back: fn(&Node) -> Extended| {
+            match ptr {
+                Extended::Fin(a) => {
+                    let sided = if inf == Extended::NegInf {
+                        a < id
+                    } else {
+                        a > id
+                    };
+                    (sided && live(a).is_some_and(|an| back(an) == Extended::Fin(id)))
+                        .then_some(false)
+                }
+                p => (p == inf && extreme == Some(id)).then_some(true),
+            }
+        };
+    let Some(seam_l) = side(n.left(), Extended::NegInf, min, Node::right) else {
+        return false;
+    };
+    let Some(seam_r) = side(n.right(), Extended::PosInf, max, Node::left) else {
+        return false;
+    };
+    // True when `n` and the opposite extreme hold each other's ids as
+    // ring edges — the converged ring closure.
+    let ring_paired = |partner: Option<NodeId>| {
+        partner.is_some_and(|p| {
+            p != id && n.ring() == Some(p) && live(p).is_some_and(|pn| pn.ring() == Some(id))
+        })
+    };
+    match (seam_l, seam_r) {
+        // The sole node: nothing to link; its ring edge (self or absent
+        // after sanitation) is inert.
+        (true, true) => true,
+        // Interior node: a leftover ring edge would be sanitized away on
+        // its next action — a state change.
+        (false, false) => n.ring().is_none(),
+        // Seam nodes must hold the *global* opposite extreme as a
+        // mutually paired ring edge — deliberately stronger than the
+        // protocol's per-node ring validity (any correctly sided value),
+        // because only the global pairing is a fixpoint of ring-edge
+        // improvement.
+        (true, false) => ring_paired(max),
+        (false, true) => ring_paired(min),
     }
 }
 
