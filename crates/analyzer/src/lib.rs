@@ -48,7 +48,7 @@
 //!
 //! A violation comes back as a transition trace from the initial state;
 //! [`minimize`](minimize::minimize) shrinks it greedily (delta debugging
-//! with chunk size 1) and [`format_trace`](minimize::format_trace) prints
+//! with chunk size 1) and [`format_trace`] prints
 //! the replay step by step.
 
 #![forbid(unsafe_code)]

@@ -53,7 +53,7 @@
 //!
 //! **Ranking** (`--mode ranking`) checks the certificate of
 //! [`crate::ranking`]: the potential is non-increasing on every edge,
-//! goal states sit at [`GOAL_RANK`](crate::ranking::GOAL_RANK), and the
+//! goal states sit at [`GOAL_RANK`], and the
 //! equal-rank (stutter) subgraph supports no fair cycle through a
 //! non-goal state. Since a cycle of a non-increasing potential is
 //! rank-constant, those three local checks are exactly what a ranking

@@ -244,7 +244,7 @@ pub struct State {
     /// Remaining regular actions per node.
     pub budgets: Vec<u32>,
     /// Maximum copies of one identical message a channel holds; further
-    /// copies are coalesced (see [`State::with_channel_bound`]).
+    /// copies are coalesced (see [`State::initial_bounded`]).
     pub channel_bound: u32,
 }
 

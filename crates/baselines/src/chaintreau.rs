@@ -1,5 +1,5 @@
 //! The pure move-and-forget process of Chaintreau, Fraigniaud and Lebhar
-//! (ICALP 2008) on an already-formed ring — the paper's reference [4] and
+//! (ICALP 2008) on an already-formed ring — the paper's reference \[4\] and
 //! the non-self-stabilizing baseline for experiment E2.
 //!
 //! On the 1-D ring the process is a lazy walk: each node owns a token

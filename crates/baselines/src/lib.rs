@@ -12,7 +12,7 @@
 //!   small worlds against;
 //! * [`random_graph`] — Erdős–Rényi G(n,m)/G(n,p);
 //! * [`chaintreau`] — the pure (non-self-stabilizing) move-and-forget
-//!   process of the paper's reference [4], the ground truth for the
+//!   process of the paper's reference \[4\], the ground truth for the
 //!   long-range-link length distribution.
 
 #![forbid(unsafe_code)]

@@ -3,7 +3,7 @@
 //! The IPPS 2012 paper self-stabilizes the 1-D case and names
 //! multidimensional small worlds as the direct extension. The two
 //! ingredients it would build on are already dimension-generic in
-//! Chaintreau et al. [4], and both are implemented here:
+//! Chaintreau et al. \[4\], and both are implemented here:
 //!
 //! * the **static k-harmonic construction** on the torus `Z_m^k`
 //!   (`P(link u→v) ∝ 1/dist(u,v)^k`, Kleinberg's exponent), and
@@ -208,7 +208,7 @@ impl Torus {
 }
 
 /// The k-dimensional move-and-forget process on a torus (Chaintreau et
-/// al. [4], Section III.D of the paper): every node owns a token walking
+/// al. \[4\], Section III.D of the paper): every node owns a token walking
 /// the torus; each step alters **every** coordinate by ±1; forgetting
 /// follows the dimension-independent φ(α).
 #[derive(Debug)]

@@ -1,6 +1,6 @@
 //! The forget probability φ(α) of the move-and-forget process.
 //!
-//! Chaintreau, Fraigniaud and Lebhar (ICALP 2008, paper's reference [4])
+//! Chaintreau, Fraigniaud and Lebhar (ICALP 2008, paper's reference \[4\])
 //! let every long-range token perform a random walk and *forget* (reset to
 //! its origin) with an age-dependent probability. Section III.D of the
 //! IPPS 2012 paper adopts it verbatim:

@@ -19,7 +19,7 @@
 
 //! Every predicate exists in two spellings: the historical one over a
 //! cloned [`Snapshot`] and a `_view` one over a borrowing
-//! [`NetView`](crate::views::NetView). The snapshot spellings delegate to
+//! [`NetView`]. The snapshot spellings delegate to
 //! the view spellings through [`Snapshot::as_view`], so there is exactly
 //! one implementation of each phase property and the measurement loop can
 //! run it without cloning the network.

@@ -9,7 +9,7 @@
 //!   the probing procedure (Algorithm 10).
 //!
 //! Handlers never perform I/O: they emit sends/events into an
-//! [`Outbox`](crate::outbox::Outbox), which the simulator or the threaded
+//! [`Outbox`], which the simulator or the threaded
 //! runtime then delivers. This keeps the protocol logic deterministic,
 //! single-threaded and directly unit-testable.
 

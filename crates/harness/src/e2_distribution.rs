@@ -1,5 +1,5 @@
 //! **E2 — The long-range-link length distribution converges to the
-//! (log-corrected) harmonic law** (Theorem 4.22, Fact 4.21, reference [4]).
+//! (log-corrected) harmonic law** (Theorem 4.22, Fact 4.21, reference \[4\]).
 //!
 //! Two systems are measured side by side:
 //!

@@ -1,5 +1,5 @@
 //! **E3 — Greedy routing takes O(ln^(2+ε) n) hops on the stabilized
-//! network** (Theorem 4.22, Lemma 4.23, Kleinberg [14]).
+//! network** (Theorem 4.22, Lemma 4.23, Kleinberg \[14\]).
 //!
 //! Mean greedy-routing hops vs n for six systems:
 //!

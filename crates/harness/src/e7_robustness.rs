@@ -1,5 +1,5 @@
 //! **E7 — Robustness under failures and attacks** (Section I / IV.G,
-//! reference [25]).
+//! reference \[25\]).
 //!
 //! The stabilized small world vs the structured Chord overlay, the static
 //! Kleinberg graph, and an Erdős–Rényi graph of matching mean degree.

@@ -1,5 +1,5 @@
 //! **E8 — The Watts–Strogatz interpolation figure** (Section I.A,
-//! reference [24]).
+//! reference \[24\]).
 //!
 //! The paper's whole motivation rests on the classic result that a few
 //! random shortcuts collapse path lengths while leaving clustering

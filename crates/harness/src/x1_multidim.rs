@@ -1,6 +1,6 @@
 //! **X1 — Extension: multidimensional move-and-forget navigability**
 //! (the paper's Conclusion names k-D small worlds as the direct future
-//! work; its substrate [4] is already dimension-generic).
+//! work; its substrate \[4\] is already dimension-generic).
 //!
 //! For k ∈ {1, 2, 3} tori of comparable size, run the k-dimensional
 //! move-and-forget process and compare greedy routing against the bare

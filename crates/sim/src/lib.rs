@@ -26,8 +26,6 @@
 //! * [`obs`] — zero-overhead observability: pluggable sinks, sampled
 //!   phase timers, online histograms, causal repair tracing and the
 //!   anomaly-triggered flight recorder;
-//! * [`metrics`] — the live metrics plane: sharded lock-free counters,
-//!   gauges and histograms with Prometheus-style exposition;
 //! * [`faults`] — deterministic fault injection (loss/duplication
 //!   windows, partitions, crash+restart, state perturbation) and the
 //!   sole-carrier recovery watchdog.
@@ -55,7 +53,6 @@ pub mod churn;
 pub mod convergence;
 pub mod faults;
 pub mod init;
-pub mod metrics;
 pub mod network;
 pub mod obs;
 pub mod parallel;

@@ -20,7 +20,6 @@
 
 use crate::channel::{Channel, DeliveryPolicy};
 use crate::faults::{Fate, FaultInjector, FaultPlan};
-use crate::metrics::NetMetrics;
 use crate::obs::causal::{CascadeReport, CauseTag};
 use crate::obs::{Event, ObsState, Sink};
 use crate::sched::{SchedState, ScheduleMode};
@@ -69,10 +68,6 @@ pub struct Network {
     // Active-set scheduler: present iff `ScheduleMode::ActiveSet` is
     // selected (`set_schedule_mode`).
     pub(crate) sched: Option<Box<SchedState>>,
-    // Live metrics: present iff attached (`attach_metrics`). Not a round
-    // hook: one runtime branch per round after the loop body, on both
-    // copies of the loop.
-    metrics: Option<Box<NetMetrics>>,
     seed: u64,
     // Test-only: makes the round flush the outbox after every handled
     // message (`step_reference`, the flush-equivalence oracle).
@@ -122,7 +117,6 @@ impl Network {
             obs: None,
             faults: None,
             sched: None,
-            metrics: None,
             seed,
             #[cfg(test)]
             flush_per_message: false,
@@ -217,28 +211,6 @@ impl Network {
     /// drop log for root-cause analysis.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.faults.as_deref()
-    }
-
-    /// Attaches a live-metrics handle bundle ([`NetMetrics::register`]):
-    /// every subsequent round publishes round/send/delivery totals and —
-    /// under [`ScheduleMode::ActiveSet`] — the agenda size,
-    /// quiescent-round count and scheduler wakeups into the bundle's
-    /// registry series. Metrics are observational: publishing consumes
-    /// no RNG and cannot perturb the computation. Replaces any previous
-    /// bundle.
-    pub fn attach_metrics(&mut self, metrics: NetMetrics) {
-        self.metrics = Some(Box::new(metrics));
-    }
-
-    /// Detaches the live-metrics bundle (subsequent rounds publish
-    /// nothing), returning it. `None` when nothing was attached.
-    pub fn detach_metrics(&mut self) -> Option<NetMetrics> {
-        self.metrics.take().map(|b| *b)
-    }
-
-    /// True when a live-metrics bundle is attached.
-    pub fn has_metrics(&self) -> bool {
-        self.metrics.is_some()
     }
 
     /// Opens a causal cascade window at the current round: subsequent
@@ -560,12 +532,6 @@ impl Network {
         if HOOKED {
             self.observe_round_end(now, sample, &stats);
         }
-        // Live metrics: one well-predicted runtime branch per round, so
-        // `attach_metrics` composes with both copies of the loop and
-        // costs nothing detached.
-        if self.metrics.is_some() {
-            self.publish_round_metrics(&stats);
-        }
         if let Some(t0) = t_stats {
             ph[4] = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.emit(Event::PhaseTimes {
@@ -616,37 +582,6 @@ impl Network {
                 obs.causal.on_delivery(now, slot, tag, m.kind());
             }
             inbox.push(m);
-        }
-    }
-
-    /// End-of-round publish into the attached live-metrics bundle:
-    /// totals from the round's stats, and the scheduler's agenda gauge
-    /// plus wakeup/quiescence counters when active-set mode is on
-    /// (under full scan the agenda gauge reads the live node count).
-    fn publish_round_metrics(&mut self, stats: &RoundStats) {
-        let Network {
-            metrics,
-            sched,
-            index,
-            ..
-        } = self;
-        let Some(m) = metrics.as_deref() else { return };
-        m.rounds.inc();
-        m.sent.add(stats.total_sent());
-        m.delivered.add(stats.total_delivered());
-        match sched.as_deref_mut() {
-            Some(s) => {
-                let active = u64::try_from(s.active_len()).unwrap_or(u64::MAX);
-                m.active_set.set(active);
-                m.sched_wakeups.add(s.take_wakeups());
-                if active == 0 {
-                    m.quiescent_rounds.inc();
-                }
-            }
-            None => {
-                m.active_set
-                    .set(u64::try_from(index.len()).unwrap_or(u64::MAX));
-            }
         }
     }
 
@@ -1366,7 +1301,7 @@ mod tests {
         // The determinism contract of the observability layer: a network
         // observed at the maximal sampling rate computes bit-for-bit the
         // same states, trace and RNG stream as an unobserved one.
-        let (sink, _records) = crate::obs::MemorySink::new();
+        let (sink, _records) = crate::obs::flight::FlightRecorder::new(1 << 20);
         assert_eq!(
             hooked_run(None, false, ScheduleMode::FullScan),
             hooked_run(Some(Box::new(sink)), false, ScheduleMode::FullScan)
@@ -1433,9 +1368,9 @@ mod tests {
 
     #[test]
     fn sink_receives_meta_rounds_phases_and_summary() {
-        use crate::obs::{Event, MemorySink};
+        use crate::obs::{flight::FlightRecorder, Event};
         let mut net = stable_net(8, 4);
-        let (sink, records) = MemorySink::new();
+        let (sink, records) = FlightRecorder::new(1 << 20);
         net.attach_sink(Box::new(sink), 4);
         assert!(net.has_sink());
         net.run(12);
@@ -1500,14 +1435,14 @@ mod tests {
 
     #[test]
     fn forget_ages_reach_the_observer_histogram() {
-        use crate::obs::{Event, MemorySink};
+        use crate::obs::{flight::FlightRecorder, Event};
         // A warmed stable ring keeps moving and forgetting its tokens, so
         // a long observed window must see forget events, and the
         // histogram must agree with the trace counters over that window.
         let mut net = stable_net(16, 11);
         net.run(50);
         let start = net.trace().len();
-        let (sink, records) = MemorySink::new();
+        let (sink, records) = FlightRecorder::new(1 << 20);
         net.attach_sink(Box::new(sink), 64);
         net.run(400);
         net.detach_sink();
@@ -1536,7 +1471,7 @@ mod tests {
     #[test]
     fn cascade_window_reports_repair_shape_after_churn() {
         let mut net = stable_net(10, 6);
-        let (sink, _records) = crate::obs::MemorySink::new();
+        let (sink, _records) = crate::obs::flight::FlightRecorder::new(1 << 20);
         net.attach_sink(Box::new(sink), 8);
         net.run(5);
         net.cascade_begin();
@@ -1565,39 +1500,6 @@ mod tests {
         net.detach_sink();
         assert!(net.cascade_take().is_none());
         net.cascade_begin();
-    }
-
-    #[test]
-    fn metrics_publish_rounds_and_active_set() {
-        let reg = crate::metrics::Registry::new();
-        let mut net = stable_net(8, 2);
-        net.set_schedule_mode(crate::sched::ScheduleMode::ActiveSet);
-        assert!(!net.has_metrics());
-        net.attach_metrics(crate::metrics::NetMetrics::register(&reg));
-        assert!(net.has_metrics());
-        drain(&mut net, 50);
-        net.step(); // one guaranteed quiescent round
-        let m = net.detach_metrics().expect("was attached");
-        assert!(!net.has_metrics());
-        assert_eq!(m.rounds.get(), net.round());
-        assert!(m.sent.get() > 0);
-        assert_eq!(m.sent.get(), net.trace().total_sent());
-        assert_eq!(m.delivered.get(), net.trace().total_delivered());
-        assert!(
-            m.sched_wakeups.get() >= 8,
-            "the initial full agenda counts as wakeups"
-        );
-        assert_eq!(m.active_set.get(), 0, "drained agenda");
-        assert!(m.quiescent_rounds.get() >= 1);
-        // Detached: stepping publishes nothing further.
-        net.step();
-        assert_eq!(m.rounds.get() + 1, net.round());
-        // Full scan publishes the live node count as the active gauge.
-        let mut fs = stable_net(5, 3);
-        fs.attach_metrics(crate::metrics::NetMetrics::register(&reg));
-        fs.step();
-        let m = fs.detach_metrics().expect("attached");
-        assert_eq!(m.active_set.get(), 5);
     }
 
     /// Steps until the agenda is empty (panics after `max` rounds).

@@ -9,8 +9,8 @@
 //! resolves the tension with a strictly read-only observer layer:
 //!
 //! * a [`Sink`] trait receiving schema-versioned [`Record`]s, with a
-//!   [`JsonlSink`] that streams them as JSON lines and a [`MemorySink`]
-//!   for tests;
+//!   [`JsonlSink`] that streams them as JSON lines and the in-memory
+//!   [`flight::FlightRecorder`];
 //! * online, mergeable fixed-bucket [`Histogram`]s (message latency in
 //!   rounds, channel depth high-water marks, lrl age at forget, lrl
 //!   ring length);
@@ -44,10 +44,8 @@ pub mod flight;
 
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
-use std::sync::{Arc, Mutex};
 
 use causal::{CausalState, CauseTag};
-use flight::FlightBuffer;
 use swn_core::message::MessageKind;
 
 /// Version tag stamped on every emitted [`Record`]. Bumped on any
@@ -113,22 +111,6 @@ impl Histogram {
             (1 << (b - 1), u64::MAX)
         } else {
             (1 << (b - 1), (1 << b) - 1)
-        }
-    }
-
-    /// Rebuilds a histogram from raw per-bucket counts plus the sum and
-    /// max side channels — the merge-on-read path of
-    /// [`crate::metrics::AtomicHistogram::snapshot`]. The count is
-    /// derived from the buckets, so the result is well-formed by
-    /// construction.
-    pub(crate) fn from_parts(buckets: Vec<u64>, sum: u64, max: u64) -> Self {
-        assert_eq!(buckets.len(), HIST_BUCKETS, "fixed bucket layout");
-        let count = buckets.iter().sum();
-        Histogram {
-            buckets,
-            count,
-            sum,
-            max,
         }
     }
 
@@ -458,49 +440,6 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Collects records in memory behind a shared handle — the test sink.
-///
-/// Backed by a [`FlightBuffer`] ring, so a forgotten long-soak sink can
-/// no longer grow without bound: past [`MemorySink::DEFAULT_CAPACITY`]
-/// records the oldest are evicted and `dropped_records` counts them.
-/// Use [`MemorySink::with_capacity`] to size the window explicitly.
-#[derive(Debug)]
-pub struct MemorySink {
-    records: Arc<Mutex<FlightBuffer>>,
-}
-
-impl MemorySink {
-    /// Default ring capacity — roomy enough that every test trace fits
-    /// unevicted, bounded enough that a soak cannot exhaust memory.
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// A new sink plus the handle its records stay reachable through
-    /// after the sink is attached (and consumed) by a network.
-    pub fn new() -> (Self, Arc<Mutex<FlightBuffer>>) {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// A sink whose ring keeps at most `capacity` records.
-    pub fn with_capacity(capacity: usize) -> (Self, Arc<Mutex<FlightBuffer>>) {
-        let records = Arc::new(Mutex::new(FlightBuffer::new(capacity)));
-        (
-            MemorySink {
-                records: Arc::clone(&records),
-            },
-            records,
-        )
-    }
-}
-
-impl Sink for MemorySink {
-    fn record(&mut self, rec: &Record) {
-        self.records
-            .lock()
-            .expect("memory sink poisoned")
-            .push(rec.clone());
-    }
-}
-
 /// Live observer state owned by an instrumented network: the sink plus
 /// the four online histograms and per-round scratch. Private to the
 /// crate — `Network` is the only driver.
@@ -698,6 +637,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_one_line_per_record() {
+        use std::sync::{Arc, Mutex};
         // Write through a shared buffer we can inspect afterwards.
         #[derive(Clone)]
         struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -727,38 +667,5 @@ mod tests {
         for line in lines {
             parse_record(line).expect("every line parses");
         }
-    }
-
-    #[test]
-    fn memory_sink_shares_its_records() {
-        let (mut sink, records) = MemorySink::new();
-        sink.record(&Record::new(Event::Span {
-            label: "join".to_string(),
-            start: 5,
-            end: 9,
-        }));
-        assert_eq!(records.lock().expect("records").len(), 1);
-    }
-
-    #[test]
-    fn memory_sink_is_capped_by_its_flight_ring() {
-        let (mut sink, records) = MemorySink::with_capacity(2);
-        for round in 0..5 {
-            sink.record(&Record::new(Event::Transition {
-                round,
-                phase: "lcc".to_string(),
-            }));
-        }
-        let buf = records.lock().expect("records");
-        assert_eq!(buf.len(), 2, "ring keeps only the newest records");
-        assert_eq!(buf.dropped_records(), 3);
-        let newest: Vec<u64> = buf
-            .iter()
-            .filter_map(|r| match &r.event {
-                Event::Transition { round, .. } => Some(*round),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(newest, vec![3, 4]);
     }
 }

@@ -1,15 +1,16 @@
 //! The flight recorder: a bounded ring of recent observation records
 //! that survives long soaks and dumps itself on anomalies.
 //!
-//! Long fault soaks cannot afford an unbounded in-memory trace (the
-//! pre-PR-9 `MemorySink` grew without limit) and rarely need one: when
-//! something goes wrong, the *recent* history is what explains it. A
-//! [`FlightBuffer`] keeps the last `capacity` records and counts what
-//! it evicted; a [`FlightRecorder`] sink feeds one and — when the
+//! Long fault soaks cannot afford an unbounded in-memory trace and
+//! rarely need one: when something goes wrong, the *recent* history is
+//! what explains it. A [`FlightBuffer`] keeps the last `capacity`
+//! records and counts what it evicted; a [`FlightRecorder`] sink feeds
+//! one — it is the in-memory sink, tests included — and, once armed
+//! with a dump path, writes the buffered records out as JSONL for a
+//! post-mortem (`experiments report <dump>` renders it) when the
 //! watchdog's verdict is `disconnected` or `budget_exhausted`, or when
 //! [`FlightRecorder::dump_now`] is called from a tripped debug
-//! invariant — writes the buffered records out as JSONL for a
-//! post-mortem (`experiments report <dump>` renders it).
+//! invariant.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -284,6 +285,42 @@ mod tests {
         assert_eq!(dumped.lines().count(), 3, "whole buffer dumped");
         assert!(dumped.contains("sole carrier"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn recorder_shares_its_records() {
+        let (mut sink, records) = FlightRecorder::new(8);
+        sink.record(&Record::new(Event::Span {
+            label: "join".to_string(),
+            start: 5,
+            end: 9,
+        }));
+        assert_eq!(records.lock().expect("records").len(), 1);
+    }
+
+    #[test]
+    fn recorder_is_capped_by_its_ring() {
+        let (mut sink, records) = FlightRecorder::new(2);
+        for round in 0..5 {
+            sink.record(&rec(round));
+        }
+        let buf = records.lock().expect("records");
+        assert_eq!(buf.len(), 2, "ring keeps only the newest records");
+        assert_eq!(buf.dropped_records(), 3);
+        assert_eq!(buf.snapshot(), vec![rec(3), rec(4)]);
+    }
+
+    #[test]
+    fn disconnected_verdict_without_a_dump_path_is_only_buffered() {
+        let (mut sink, buf) = FlightRecorder::new(4);
+        let verdict = Record::new(Event::Verdict {
+            round: 9,
+            outcome: "disconnected".to_string(),
+            detail: "sole carrier".to_string(),
+        });
+        sink.record(&verdict);
+        assert_eq!(sink.dumps(), 0, "nothing to write to");
+        assert_eq!(buf.lock().expect("buffer").last(), Some(&verdict));
     }
 
     #[test]

@@ -6,11 +6,7 @@
 //! thread-local vector and the chunks are concatenated in worker order.
 //! Workers never contend on shared state — no mutex, no atomic cursor
 //! — and the output is in index order by construction, with no
-//! dependency beyond the standard library. The only cross-worker touch
-//! is observational: each finished trial bumps the sharded
-//! `swn_trials_completed_total` counter in the global metrics registry
-//! (one relaxed per-lane add; see [`crate::metrics`]), so long
-//! experiment batteries expose live progress.
+//! dependency beyond the standard library.
 //!
 //! Because every trial derives its seed from its *index* (not from which
 //! worker ran it or when), results are independent of the worker count:
@@ -45,17 +41,6 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let completed = crate::metrics::global().counter(
-        "swn_trials_completed_total",
-        "Simulation trials completed by run_trials workers",
-    );
-    // Wrap, don't instrument call sites: every trial bumps the live
-    // counter on its own worker's lane, whatever path runs it.
-    let f = move |i: usize| {
-        let r = f(i);
-        completed.inc();
-        r
-    };
     let workers = workers.min(trials);
     if workers <= 1 {
         return (0..trials).map(f).collect();
@@ -155,17 +140,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 257);
         let distinct: HashSet<_> = out.iter().collect();
         assert_eq!(distinct.len(), 257);
-    }
-
-    #[test]
-    fn trials_bump_the_global_completed_counter() {
-        let c = crate::metrics::global().counter(
-            "swn_trials_completed_total",
-            "Simulation trials completed by run_trials workers",
-        );
-        let before = c.get();
-        let _ = run_trials_on(3, 10, |i| i);
-        assert!(c.get() >= before + 10, "10 trials completed");
     }
 
     #[test]

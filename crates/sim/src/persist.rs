@@ -1,18 +1,24 @@
 //! Snapshot persistence: save and restore global states as JSON.
 //!
-//! Long experiments become checkpointable and failures replayable. Two
-//! document versions exist:
+//! Long experiments become checkpointable and failures replayable.
+//! There is one writer and one document, the versioned [`Checkpoint`]
+//! layout (**v2**): the round counter, the [`Snapshot`] (node states
+//! plus channel contents), and — when a fault plan is attached — the
+//! complete [`InjectorState`]: plan, RNG cursor, down map, drop log and
+//! captured durable-crash states. A bare snapshot is the `round: 0`,
+//! `injector: null` case of it ([`snapshot_to_json`]). The legacy
+//! **v1** layout (a bare snapshot without those two fields) is
+//! read-only: nothing writes it any more, every reader still loads it.
 //!
-//! * **v1** — a bare [`Snapshot`](swn_core::views::Snapshot): node
-//!   states plus channel contents. Still produced by
-//!   [`snapshot_to_json`] and still loaded by every reader.
-//! * **v2** — a full [`Checkpoint`]: the round counter, the snapshot,
-//!   and (when a fault plan is attached) the complete
-//!   [`InjectorState`] — plan, RNG cursor, down map, drop log and
-//!   captured durable-crash states. Restoring a v2 checkpoint resumes
-//!   the faulted computation exactly: plan windows stay aligned (the
-//!   round counter is restored) and the injector's RNG continues from
-//!   its persisted cursor.
+//! A restore is a *deterministic continuation*, not a replay of the
+//! uninterrupted run: two networks restored from one document with one
+//! seed compute bit-identical futures, fault fates included (plan
+//! windows stay aligned because the round counter is restored, and the
+//! injector's RNG continues from its persisted cursor). They need not
+//! match what the checkpointed process itself would have computed next,
+//! because the scheduler RNG cursor, message enqueue rounds, the
+//! schedule mode and the settled flags are not captured — ROADMAP 5(a)
+//! tracks that stronger property.
 //!
 //! All readers reject malformed input with a named [`PersistError`]
 //! instead of panicking.
@@ -75,15 +81,15 @@ pub struct Checkpoint {
     pub injector: Option<InjectorState>,
 }
 
-/// The serializable v1 form: a bare snapshot.
-#[derive(Serialize, Deserialize)]
+/// The legacy v1 layout, a bare snapshot. Read-only: the writer emits
+/// [`DocV2`] for snapshots and checkpoints alike.
+#[derive(Deserialize)]
 struct DocV1 {
-    version: u32,
     nodes: Vec<Node>,
     channels: Vec<Vec<Message>>,
 }
 
-/// The serializable v2 form: a checkpoint.
+/// The current layout: a checkpoint.
 #[derive(Serialize, Deserialize)]
 struct DocV2 {
     version: u32,
@@ -93,22 +99,24 @@ struct DocV2 {
     injector: Option<InjectorState>,
 }
 
-/// Serializes a bare snapshot to a v1 JSON document.
+/// Serializes a bare snapshot: the round-0, no-injector checkpoint
+/// document.
 pub fn snapshot_to_json(s: &Snapshot) -> String {
-    let doc = DocV1 {
-        version: V1_VERSION,
-        nodes: s.nodes().to_vec(),
-        channels: s.channels().to_vec(),
-    };
-    // Rendering an in-memory Value tree to text cannot fail; there is
-    // no I/O and no non-string map key.
-    // lint: allow(unwrap-in-lib)
-    serde_json::to_string(&doc).expect("snapshot serialization cannot fail")
+    checkpoint_to_json(&bare(s))
 }
 
-/// Deserializes a bare snapshot from JSON (either version; v2 documents
-/// lose their round counter and injector — use [`checkpoint_from_json`]
-/// to keep them).
+/// A snapshot as the checkpoint it is: round 0, no injector.
+fn bare(s: &Snapshot) -> Checkpoint {
+    Checkpoint {
+        round: 0,
+        snapshot: s.clone(),
+        injector: None,
+    }
+}
+
+/// Deserializes a bare snapshot from JSON (either version; a checkpoint
+/// document loses its round counter and injector — use
+/// [`checkpoint_from_json`] to keep them).
 pub fn snapshot_from_json(json: &str) -> Result<Snapshot, PersistError> {
     checkpoint_from_json(json).map(|cp| cp.snapshot)
 }
@@ -132,7 +140,9 @@ pub fn checkpoint_to_json(cp: &Checkpoint) -> String {
         channels: cp.snapshot.channels().to_vec(),
         injector: cp.injector.clone(),
     };
-    // lint: allow(unwrap-in-lib) — same argument as `snapshot_to_json`.
+    // Rendering an in-memory Value tree to text cannot fail; there is
+    // no I/O and no non-string map key.
+    // lint: allow(unwrap-in-lib)
     serde_json::to_string(&doc).expect("checkpoint serialization cannot fail")
 }
 
@@ -181,26 +191,22 @@ pub fn checkpoint_from_json(json: &str) -> Result<Checkpoint, PersistError> {
     })
 }
 
-/// Rebuilds a runnable network from a snapshot: node states are adopted
-/// verbatim and persisted channel contents are preloaded, so the restored
-/// computation continues from the same CC state (scheduler randomness is
-/// freshly seeded — the model guarantees stabilization under *any*
-/// fair schedule, so checkpoints never need to capture the RNG).
+/// Rebuilds a runnable network from a bare snapshot: the round-0,
+/// no-injector case of [`network_from_checkpoint`].
 pub fn network_from_snapshot(s: &Snapshot, seed: u64) -> Network {
-    let mut net = Network::new(s.nodes().to_vec(), seed);
-    for (idx, msgs) in s.channels().iter().enumerate() {
-        let dest = s.nodes()[idx].id();
-        for &m in msgs {
-            net.preload(dest, m);
-        }
-    }
-    net
+    // Only a captured injector can make a restore fail.
+    // lint: allow(unwrap-in-lib)
+    network_from_checkpoint(&bare(s), seed).expect("no injector to reject")
 }
 
-/// Rebuilds a runnable network from a checkpoint: like
-/// [`network_from_snapshot`], plus the round counter is restored (plan
-/// windows stay aligned) and the injector — when one was captured — is
-/// rebuilt at its persisted RNG cursor and reattached.
+/// Rebuilds a runnable network from a checkpoint: node states are
+/// adopted verbatim and persisted channel contents are preloaded, so
+/// the restored computation continues from the same CC state (scheduler
+/// randomness is freshly seeded — the model guarantees stabilization
+/// under *any* fair schedule, so checkpoints never need to capture the
+/// RNG); the round counter is restored (plan windows stay aligned) and
+/// the injector — when one was captured — is rebuilt at its persisted
+/// RNG cursor and reattached.
 pub fn network_from_checkpoint(cp: &Checkpoint, seed: u64) -> Result<Network, PersistError> {
     let mut net = Network::new(cp.snapshot.nodes().to_vec(), seed);
     net.set_round(cp.round);
@@ -261,6 +267,8 @@ mod tests {
         let back = snapshot_from_json(&json).expect("round trip");
         assert_eq!(back.nodes(), s.nodes());
         assert_eq!(back.channels(), s.channels());
+        let cp = checkpoint_from_json(&json).expect("a snapshot is a checkpoint");
+        assert!(cp.round == 0 && cp.injector.is_none());
     }
 
     #[test]
@@ -274,17 +282,24 @@ mod tests {
         assert_eq!(classify(&net2.snapshot()), Phase::SortedRing);
     }
 
+    /// A v1 document exactly as the pre-PR-14 writer produced it: a
+    /// two-node sorted ring, one message in flight each way, and no
+    /// `round` or `injector` field.
+    const V1_DOC: &str = r#"{"version":1,"nodes":[{"id":0,"l":"NegInf","r":{"Fin":9223372036854775807},"lrl":0,"ring":9223372036854775807,"age":1,"tick":1,"cfg":{"epsilon":0.1,"lrl_shortcut":true,"probe_period":1}},{"id":9223372036854775807,"l":{"Fin":0},"r":"PosInf","lrl":9223372036854775807,"ring":0,"age":1,"tick":1,"cfg":{"epsilon":0.1,"lrl_shortcut":true,"probe_period":1}}],"channels":[[{"Lin":9223372036854775807}],[{"ProbR":9223372036854775807}]]}"#;
+
     #[test]
     fn v1_documents_still_load() {
         // A v1 document (bare snapshot) loads through the v2 reader as
         // a round-0 checkpoint with no injector.
-        let net = sample_network();
-        let json = snapshot_to_json(&net.snapshot());
-        assert!(json.contains("\"version\":1"), "writer must emit v1");
-        let cp = checkpoint_from_json(&json).expect("v1 back-compat");
+        let cp = checkpoint_from_json(V1_DOC).expect("v1 back-compat");
         assert_eq!(cp.round, 0);
         assert!(cp.injector.is_none());
-        assert_eq!(cp.snapshot.nodes(), net.snapshot().nodes());
+        let ids: Vec<_> = cp.snapshot.nodes().iter().map(Node::id).collect();
+        assert_eq!(ids, evenly_spaced_ids(2));
+        assert_eq!(classify(&cp.snapshot), Phase::SortedRing);
+        assert!(cp.snapshot.channels().iter().all(|c| c.len() == 1));
+        // Writing it back upgrades the layout.
+        assert!(snapshot_to_json(&cp.snapshot).contains("\"version\":2"));
     }
 
     #[test]
@@ -346,8 +361,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        let net = sample_network();
-        let json = snapshot_to_json(&net.snapshot()).replace("\"version\":1", "\"version\":999");
+        let json = V1_DOC.replace("\"version\":1", "\"version\":999");
         assert_eq!(
             snapshot_from_json(&json).unwrap_err(),
             PersistError::UnsupportedVersion(999)
@@ -390,10 +404,12 @@ mod tests {
         // Channel list shorter than the node list.
         let net = sample_network();
         let s = net.snapshot();
-        let doc = DocV1 {
-            version: V1_VERSION,
+        let doc = DocV2 {
+            version: FORMAT_VERSION,
+            round: 0,
             nodes: s.nodes().to_vec(),
             channels: vec![Vec::new(); s.nodes().len() - 1],
+            injector: None,
         };
         let json = serde_json::to_string(&doc).expect("serialize");
         assert!(matches!(

@@ -15,7 +15,7 @@
 //!
 //! A node is **settled** when the engine has verified a local
 //! certificate that its regular action cannot change any node's link
-//! state ([`node_settled`]):
+//! state (`node_settled`):
 //!
 //! * each finite list pointer is properly sided *and reciprocated* by a
 //!   live neighbour (`a < id`, `a.r == id`; symmetric on the right), so
@@ -87,10 +87,6 @@ pub(crate) struct SchedState {
     /// The slots that act next round, in scheduling order (canonicalized
     /// by the round loop before use).
     agenda: Vec<usize>,
-    /// Agenda insertions since the last [`SchedState::take_wakeups`] —
-    /// deduplicated `schedule` calls, i.e. how much waking actually
-    /// happened. Feeds the live metrics plane only.
-    wakeups: u64,
 }
 
 impl SchedState {
@@ -101,7 +97,6 @@ impl SchedState {
             scheduled: vec![false; slots],
             settled: vec![false; slots],
             agenda: Vec::new(),
-            wakeups: 0,
         }
     }
 
@@ -120,15 +115,7 @@ impl SchedState {
         if !self.scheduled[slot] {
             self.scheduled[slot] = true;
             self.agenda.push(slot);
-            self.wakeups += 1;
         }
-    }
-
-    /// Agenda insertions since the last call, resetting the counter —
-    /// drained once per round into the `swn_sched_wakeups_total`
-    /// metric.
-    pub(crate) fn take_wakeups(&mut self) -> u64 {
-        std::mem::take(&mut self.wakeups)
     }
 
     /// Moves the agenda into `out` (appending) and clears the flags, so
@@ -379,20 +366,6 @@ mod tests {
         let mut out = vec![7usize];
         s.begin_round(&mut out);
         assert_eq!(out, vec![7, 3]);
-    }
-
-    #[test]
-    fn wakeups_count_deduplicated_inserts_and_drain() {
-        let mut s = SchedState::new(4);
-        s.schedule(1);
-        s.schedule(1); // deduplicated: no second wakeup
-        s.schedule(2);
-        assert_eq!(s.take_wakeups(), 2);
-        assert_eq!(s.take_wakeups(), 0, "drained");
-        let mut out = Vec::new();
-        s.begin_round(&mut out);
-        s.schedule(1); // re-schedulable after the round began
-        assert_eq!(s.take_wakeups(), 1);
     }
 
     #[test]

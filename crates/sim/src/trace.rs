@@ -170,12 +170,6 @@ impl Trace {
         self.rounds.iter().map(RoundStats::dropped).sum()
     }
 
-    /// Total churn-induced drops (message to a departed destination
-    /// whose payload is safely stored elsewhere).
-    pub fn total_dropped_churn(&self) -> u64 {
-        self.rounds.iter().map(|r| r.dropped_churn).sum()
-    }
-
     /// Total fault-injected drops (loss rate, partition cut, crashed
     /// destination — see `swn_sim::faults`).
     pub fn total_dropped_fault(&self) -> u64 {
@@ -193,39 +187,9 @@ impl Trace {
         self.rounds.iter().map(|r| r.forged_fault).sum()
     }
 
-    /// Total perturbation-erased pointer values over the whole run (see
-    /// `RoundStats::erased_fault`).
-    pub fn total_erased_fault(&self) -> u64 {
-        self.rounds.iter().map(|r| r.erased_fault).sum()
-    }
-
     /// Total probe repairs over the whole run.
     pub fn total_probe_repairs(&self) -> u64 {
         self.rounds.iter().map(|r| r.probe_repairs).sum()
-    }
-
-    /// Total forget events.
-    pub fn total_forgets(&self) -> u64 {
-        self.rounds.iter().map(|r| r.lrl_forgets).sum()
-    }
-
-    /// Largest link age seen at any forget event.
-    pub fn max_forget_age(&self) -> u64 {
-        self.rounds
-            .iter()
-            .map(|r| r.forget_age_max)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The last round in which a probe repair happened, if any.
-    pub fn last_probe_repair_round(&self) -> Option<usize> {
-        self.rounds.iter().rposition(|r| r.probe_repairs > 0)
-    }
-
-    /// Total tracked-id messages (see `Network::track_id`).
-    pub fn total_tracked(&self) -> u64 {
-        self.rounds.iter().map(|r| r.tracked_sent).sum()
     }
 
     /// Messages sent summed over a suffix window (for stable-state
@@ -265,22 +229,6 @@ impl Trace {
             }
         }
         out
-    }
-
-    /// The cumulative sent series for one kind: element `r` is the total
-    /// number of `kind` messages sent in rounds `0..=r`. Cumulative
-    /// series from consecutive runs merge by offsetting with the last
-    /// element — the report's message-mix-over-time view is built from
-    /// these.
-    pub fn cumulative_sent_of(&self, kind: MessageKind) -> Vec<u64> {
-        let mut acc = 0;
-        self.rounds
-            .iter()
-            .map(|r| {
-                acc += r.sent[kind.index()];
-                acc
-            })
-            .collect()
     }
 
     /// Mean and max lrl age at forget over the round-index window
@@ -350,8 +298,6 @@ mod tests {
         let mut r1 = RoundStats::default();
         r1.count_sent(MessageKind::Lin);
         r1.probe_repairs = 2;
-        r1.lrl_forgets = 1;
-        r1.forget_age_max = 8;
         t.push(r1);
         let mut r2 = RoundStats::default();
         r2.count_sent(MessageKind::Ring);
@@ -361,9 +307,6 @@ mod tests {
         assert_eq!(t.total_sent(), 3);
         assert_eq!(t.total_sent_of(MessageKind::Lin), 2);
         assert_eq!(t.total_probe_repairs(), 2);
-        assert_eq!(t.total_forgets(), 1);
-        assert_eq!(t.max_forget_age(), 8);
-        assert_eq!(t.last_probe_repair_round(), Some(0));
         assert_eq!(t.sent_in_last(1), 2);
         assert_eq!(t.sent_in_last(10), 3);
     }
@@ -394,10 +337,6 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         let reversed = 5..2;
         assert_eq!(t.sent_by_kind_in(reversed), [0; MessageKind::COUNT]);
-        // Cumulative series is a running sum ending at the kind total.
-        let cum = t.cumulative_sent_of(MessageKind::Lin);
-        assert_eq!(cum, vec![1, 3, 6, 10]);
-        assert_eq!(*cum.last().unwrap(), t.total_sent_of(MessageKind::Lin));
         // Forget-age stats over windows with and without events.
         assert_eq!(t.forget_age_stats_in(0..2), None);
         let (mean, max) = t.forget_age_stats_in(0..4).unwrap();
@@ -412,7 +351,5 @@ mod tests {
         let t = Trace::new();
         assert!(t.is_empty());
         assert_eq!(t.total_sent(), 0);
-        assert_eq!(t.max_forget_age(), 0);
-        assert_eq!(t.last_probe_repair_round(), None);
     }
 }

@@ -19,7 +19,7 @@ use swn_core::id::evenly_spaced_ids;
 use swn_core::invariants::make_sorted_ring;
 use swn_sim::channel::DeliveryPolicy;
 use swn_sim::faults::FaultPlan;
-use swn_sim::obs::MemorySink;
+use swn_sim::obs::flight::FlightRecorder;
 use swn_sim::Network;
 
 proptest! {
@@ -45,7 +45,7 @@ proptest! {
             seed,
             policy,
         );
-        let (sink, _records) = MemorySink::new();
+        let (sink, _records) = FlightRecorder::new(1 << 20);
         net.attach_sink(Box::new(sink), 16);
         net.run(warmup);
         net.cascade_begin();

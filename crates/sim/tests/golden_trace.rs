@@ -27,7 +27,8 @@ use swn_core::config::ProtocolConfig;
 use swn_core::id::{evenly_spaced_ids, Extended};
 use swn_sim::convergence::run_to_ring;
 use swn_sim::init::{generate, InitialTopology};
-use swn_sim::obs::{Event, MemorySink, Record};
+use swn_sim::obs::flight::FlightRecorder;
+use swn_sim::obs::{Event, Record};
 use swn_sim::Network;
 
 /// How many leading rounds get their (sent, delivered) pair recorded.
@@ -350,7 +351,8 @@ fn observed_scenario() -> (ScenarioSig, ObsSig) {
     let (n, seed) = (24, 4);
     let ids = evenly_spaced_ids(n);
     let mut net = generate(family, &ids, ProtocolConfig::default(), seed).into_network(seed);
-    let (sink, records) = MemorySink::new();
+    // Roomy ring: the event digest needs every record, none evicted.
+    let (sink, records) = FlightRecorder::new(1 << 20);
     net.attach_sink(Box::new(sink), 8);
     let rep = run_to_ring(&mut net, 100_000);
     net.detach_sink();

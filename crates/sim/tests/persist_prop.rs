@@ -1,4 +1,4 @@
-//! Properties of the persistence layer (DESIGN.md §7/§14): the JSON
+//! Properties of the persistence layer (DESIGN.md §14.2): the JSON
 //! forms are lossless fixpoints of the live state, and a network
 //! restored from a checkpoint is a deterministic continuation.
 //!
@@ -7,8 +7,14 @@
 //! * the same holds for v2 checkpoints carrying a live fault injector
 //!   mid-window: round cursor, downed nodes, durable saves and the
 //!   injector RNG cursor all survive the round trip;
-//! * two networks restored from the same checkpoint document replay the
-//!   same computation bit for bit — state, channels and fault fates.
+//! * two networks restored from the same checkpoint document with the
+//!   same seed replay the same computation as *each other* bit for bit
+//!   — state, channels and fault fates.
+//!
+//! Nothing here compares a restored run with the uninterrupted one, and
+//! they may differ: the scheduler RNG cursor, message enqueue rounds,
+//! the schedule mode and the settled flags are not in the document.
+//! ROADMAP 5(a) tracks that stronger property.
 
 use proptest::prelude::*;
 use swn_core::config::ProtocolConfig;

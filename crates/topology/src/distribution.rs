@@ -57,7 +57,7 @@ pub fn harmonic_cdf(max_d: usize) -> Vec<f64> {
 
 /// The *log-corrected* harmonic CDF: weights `1/(d·(1+ln d)^(1+ε))`.
 /// This is the exact stationary law of the move-and-forget token's
-/// displacement (Chaintreau et al. [4]): the renewal age distribution
+/// displacement (Chaintreau et al. \[4\]): the renewal age distribution
 /// `π(α) ∝ 1/(α ln^(1+ε) α)` pushed through the diffusive walk yields
 /// `P(D = d) ∝ 1/(d ln^(1+ε) d)` — harmonic up to the slowly varying
 /// factor that vanishes as d → ∞.

@@ -1,4 +1,4 @@
-//! Failure and attack robustness (Section I / IV.G, reference [25]).
+//! Failure and attack robustness (Section I / IV.G, reference \[25\]).
 //!
 //! The paper motivates small-world overlays over uniformly structured
 //! ones (CAN/Pastry/Chord) partly by robustness. These sweeps remove a
