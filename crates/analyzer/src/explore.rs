@@ -32,7 +32,10 @@
 
 use crate::state::{Key, PredVector, State, Transition, Violation};
 use crate::stepper::{Policy, Stepper};
-// lint: allow(determinism) — fingerprint-keyed tables; iteration order is never observed.
+#[expect(
+    clippy::disallowed_types,
+    reason = "fingerprint-keyed tables; iteration order is never observed"
+)]
 use std::collections::HashMap;
 use swn_core::id::NodeId;
 use swn_core::message::Message;
@@ -170,6 +173,7 @@ fn independent(s: &State, t: &Transition, t_sends: &[(NodeId, Message)], u: &Sle
 
 /// The search driver. Create one per (stepper, config) pair and call
 /// [`run`](Explorer::run).
+#[expect(clippy::disallowed_types, reason = "keyed lookup only")]
 pub struct Explorer<'a> {
     stepper: &'a dyn Stepper,
     cfg: ExploreConfig,
@@ -177,11 +181,11 @@ pub struct Explorer<'a> {
     /// explored under. An entry that is a subset of the current sleep set
     /// means a strictly larger set of transitions was already explored
     /// from here.
-    visited: HashMap<u128, Vec<Vec<Transition>>>, // lint: allow(determinism) — keyed lookup only.
+    visited: HashMap<u128, Vec<Vec<Transition>>>,
     /// Predicate vectors are pure functions of the configuration; cache
     /// them by fingerprint so converging schedules evaluate each state
     /// once.
-    pred_cache: HashMap<u128, PredVector>, // lint: allow(determinism) — keyed lookup only.
+    pred_cache: HashMap<u128, PredVector>,
     transitions_executed: usize,
     coalesced_sends: usize,
     quiescent_states: usize,
@@ -191,12 +195,13 @@ pub struct Explorer<'a> {
 
 impl<'a> Explorer<'a> {
     /// A fresh explorer over `stepper` with parameters `cfg`.
+    #[expect(clippy::disallowed_types, reason = "keyed lookup only")]
     pub fn new(stepper: &'a dyn Stepper, cfg: ExploreConfig) -> Self {
         Explorer {
             stepper,
             cfg,
-            visited: HashMap::new(), // lint: allow(determinism) — keyed lookup only.
-            pred_cache: HashMap::new(), // lint: allow(determinism) — keyed lookup only.
+            visited: HashMap::new(),
+            pred_cache: HashMap::new(),
             transitions_executed: 0,
             coalesced_sends: 0,
             quiescent_states: 0,

@@ -52,6 +52,8 @@
 //! the replay step by step.
 
 #![forbid(unsafe_code)]
+// Libraries return strings or take writers; only binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod explore;
 pub mod families;

@@ -73,7 +73,10 @@ use crate::ranking::{rank_of, Rank, GOAL_RANK};
 use crate::state::{decode_msg, msg_code, State, Transition};
 use crate::stepper::{Policy, Stepper};
 use crate::symmetry::canonical_key;
-// lint: allow(determinism) — fingerprint-keyed lookup tables; iteration order is never observed.
+#[expect(
+    clippy::disallowed_types,
+    reason = "fingerprint-keyed lookup tables; iteration order is never observed"
+)]
 use std::collections::{HashMap, VecDeque};
 use swn_core::invariants::{is_ring_stable_config, is_sorted_ring};
 use swn_core::views::Snapshot;
@@ -165,7 +168,7 @@ impl FairGraph {
             expanded: Vec::new(),
             truncated: false,
         };
-        // lint: allow(determinism) — lookup-only fingerprint table.
+        #[expect(clippy::disallowed_types, reason = "lookup-only fingerprint table")]
         let mut index: HashMap<u128, u32> = HashMap::new();
         let mut queue: VecDeque<(u32, State)> = VecDeque::new();
         index.insert(graph_fp(initial), 0);
@@ -433,7 +436,10 @@ fn path_within(
     if from == to {
         return Vec::new();
     }
-    // lint: allow(determinism) — membership + BFS parent lookups only.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership + BFS parent lookups only"
+    )]
     let mut parent: HashMap<u32, (u32, u64)> = HashMap::new();
     let member = |v: u32| members.binary_search(&v).is_ok();
     let mut queue = VecDeque::new();

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use swn_topology::distribution::sample_harmonic;
+use swn_topology::distribution::{harmonic_cdf, sample_harmonic};
 use swn_topology::Graph;
 
 /// The cycle on `n` ranks plus one directed harmonic long-range link per
@@ -20,9 +20,10 @@ pub fn kleinberg_ring(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = crate::ring_lattice::cycle(n);
     let max_d = n / 2;
+    let cdf = harmonic_cdf(max_d);
     for i in 0..n {
         let target = loop {
-            let d = sample_harmonic(max_d, &mut rng);
+            let d = sample_harmonic(&cdf, &mut rng);
             let right = rng.random_bool(0.5);
             // For even n the two directions at d = n/2 name the same
             // (antipodal) node; accepting both would give it twice the

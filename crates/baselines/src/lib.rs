@@ -16,6 +16,8 @@
 //!   long-range-link length distribution.
 
 #![forbid(unsafe_code)]
+// Libraries return strings or take writers; only binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod chaintreau;

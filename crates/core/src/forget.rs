@@ -14,6 +14,9 @@
 //! resulting age distribution makes the token's position converge to the
 //! k-harmonic distribution, independent of the lattice dimension k.
 
+// A malformed peer message must never be able to panic a node.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Computes the forget probability `φ(α)` for a link of age `alpha` with
 /// protocol parameter `epsilon`.
 ///

@@ -48,6 +48,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Libraries return strings or take writers; only binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod config;

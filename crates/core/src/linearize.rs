@@ -11,6 +11,9 @@
 //! forwarded onward) or **forwarded** — never dropped — so linearization
 //! only ever shortens links in LCC and never disconnects it (Lemma 4.10).
 
+// A malformed peer message must never be able to panic a node.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::id::{Extended, NodeId};
 use crate::message::Message;
 use crate::node::Node;

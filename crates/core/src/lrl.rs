@@ -11,6 +11,9 @@
 //! k-harmonic distribution — exactly the Kleinberg link distribution that
 //! makes greedy routing polylogarithmic.
 
+// A malformed peer message must never be able to panic a node.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::forget::phi;
 use crate::id::{Extended, NodeId};
 use crate::message::Message;

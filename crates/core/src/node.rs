@@ -13,6 +13,9 @@
 //! runtime then delivers. This keeps the protocol logic deterministic,
 //! single-threaded and directly unit-testable.
 
+// A malformed peer message must never be able to panic a node.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::config::ProtocolConfig;
 use crate::id::{Extended, NodeId};
 use crate::message::Message;

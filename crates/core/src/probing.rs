@@ -11,6 +11,9 @@
 //! probe ever gets stuck, and each takes only O(ln^(2+ε) d) hops
 //! (Lemma 4.23).
 
+// A malformed peer message must never be able to panic a node.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::id::{Extended, NodeId};
 use crate::message::Message;
 use crate::node::Node;

@@ -9,6 +9,9 @@
 //! sender is not really extremal) or answers with a *better* ring-edge
 //! candidate (`resring`), walking the ring edge toward the true extremum.
 
+// A malformed peer message must never be able to panic a node.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::id::{Extended, NodeId};
 use crate::message::Message;
 use crate::node::Node;

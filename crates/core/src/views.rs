@@ -400,7 +400,7 @@ mod tests {
     #[test]
     fn cc_is_a_superset_of_every_other_view() {
         let s = sample();
-        let cc: std::collections::HashSet<_> = s.edges(View::Cc).into_iter().collect();
+        let cc: std::collections::BTreeSet<_> = s.edges(View::Cc).into_iter().collect();
         for v in [View::Cp, View::Lcp, View::Lcc, View::Rcp, View::Rcc] {
             for e in s.edges(v) {
                 assert!(cc.contains(&e), "{v:?} edge {e:?} missing from CC");

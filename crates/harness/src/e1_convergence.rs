@@ -46,7 +46,7 @@ impl Params {
         }
     }
 
-    /// Reduced scale for benches and smoke tests.
+    /// Reduced scale for smoke tests.
     pub fn quick() -> Self {
         Params {
             sizes: vec![16, 32, 64],
@@ -84,7 +84,7 @@ impl Cell {
     }
 }
 
-/// Runs the sweep and returns the raw cells (for tests/benches) — the
+/// Runs the sweep and returns the raw cells (for tests) — the
 /// trials inside each cell run in parallel.
 pub fn run_cells(p: &Params) -> Vec<Cell> {
     let mut cells = Vec::new();

@@ -2,9 +2,9 @@
 //!
 //! One module per experiment of DESIGN.md §4; each exposes `Params`
 //! (`full()` / `quick()` presets), a `measure`/`run_cells` layer returning
-//! raw data (used by the tests and the criterion benches) and a `run`
-//! layer rendering the printable [`table::Table`] the paper-style report
-//! is built from. The `experiments` binary drives them:
+//! raw data (used by the tests) and a `run` layer rendering the printable
+//! [`table::Table`] the paper-style report is built from. The
+//! `experiments` binary drives them:
 //!
 //! ```text
 //! cargo run -p swn-harness --release --bin experiments -- all --quick
@@ -12,6 +12,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Libraries return strings or take writers; only binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod ablations;

@@ -73,8 +73,11 @@ impl Table {
     }
 
     /// Prints the rendered table to stdout.
+    #[expect(
+        clippy::print_stdout,
+        reason = "Table is the experiments' console surface"
+    )]
     pub fn print(&self) {
-        // lint: allow(println-in-lib) — Table is the experiments' console surface.
         println!("{}", self.render());
     }
 }

@@ -44,15 +44,16 @@ pub fn default_warmup(n: usize) -> u64 {
 pub fn harmonic_network(n: usize, cfg: ProtocolConfig, seed: u64) -> Network {
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
     use swn_core::node::Node;
-    use swn_topology::distribution::sample_harmonic;
+    use swn_topology::distribution::{harmonic_cdf, sample_harmonic};
 
     let ids = evenly_spaced_ids(n);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4a12_77b3);
+    let cdf = harmonic_cdf(n / 2);
     let nodes: Vec<Node> = make_sorted_ring(&ids, cfg)
         .into_iter()
         .enumerate()
         .map(|(rank, node)| {
-            let d = sample_harmonic(n / 2, &mut rng);
+            let d = sample_harmonic(&cdf, &mut rng);
             let target = if rng.random_bool(0.5) {
                 (rank + d) % n
             } else {
@@ -113,6 +114,22 @@ mod tests {
         assert!(lengths.len() > 450, "most nodes must have a live lrl");
         let ks = swn_topology::distribution::ks_to_harmonic(&lengths, 256);
         assert!(ks < 0.12, "seeded lengths must be harmonic: KS = {ks}");
+    }
+
+    #[test]
+    fn harmonic_network_lrls_are_pinned() {
+        // FNV-1a over the lrl lane: a sampler change that alters any
+        // seeded network (and with it every fixture-based experiment
+        // and benchmark digest) fails here first.
+        let net = harmonic_network(512, ProtocolConfig::default(), 9);
+        let digest = net
+            .view()
+            .nodes()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, n| {
+                (h ^ n.lrl().bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x69f4_8b20_8427_3c47, "{digest:#018x}");
     }
 
     #[test]

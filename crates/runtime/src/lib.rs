@@ -26,6 +26,8 @@
 //!   happens-before edge for the final states).
 
 #![forbid(unsafe_code)]
+// Libraries return strings or take writers; only binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;

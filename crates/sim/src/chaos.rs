@@ -21,6 +21,10 @@
 //! all RNG streams are derived from its seeds), so a shrunk reproducer
 //! checked into a bug report is a deterministic regression test.
 
+// Runs while faults are live, where a panic is indistinguishable from
+// the protocol bug being hunted: errors are `Result`s or named outcomes.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::faults::{
     find_culprit, watch_recovery, Behavior, Crash, FaultPlan, LieMode, Misbehavior, Partition,
     Perturbation, RateWindow, Restart, Verdict,
@@ -71,9 +75,11 @@ pub struct Scenario {
 
 impl Scenario {
     /// Serializes the scenario to its replayable JSON form.
+    #[expect(
+        clippy::expect_used,
+        reason = "rendering an in-memory Value tree to text cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // Rendering an in-memory Value tree to text cannot fail.
-        // lint: allow(unwrap-in-lib)
         serde_json::to_string(self).expect("scenario serialization cannot fail")
     }
 

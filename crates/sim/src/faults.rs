@@ -31,6 +31,10 @@
 //!
 //! [`Channel`]: crate::channel::Channel
 
+// Runs while faults are live, where a panic is indistinguishable from
+// the protocol bug being hunted: errors are `Result`s or named outcomes.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::network::Network;
 use crate::obs::causal::CascadeReport;
 use crate::obs::Event;
@@ -561,10 +565,11 @@ impl FaultInjector {
     ///
     /// # Panics
     /// Panics when [`FaultPlan::validate`] rejects the plan.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic on invalid plans; fallible callers use `try_new`"
+    )]
     pub fn new(plan: FaultPlan) -> Self {
-        // Documented panic on invalid plans; fallible callers use
-        // `try_new`.
-        // lint: allow(unwrap-in-lib)
         Self::try_new(plan).expect("invalid fault plan")
     }
 
@@ -1035,18 +1040,10 @@ impl Network {
             }
             let mut joined = 0usize;
             for sid in sybil_ids(center, k) {
-                if self.index.contains(sid) {
-                    continue; // id collision: that spot is already taken
+                // `false` is an id collision: that spot is already taken.
+                if crate::churn::bootstrap_join(self, sid, contact, cfg) {
+                    joined += 1;
                 }
-                let (l, r) = if contact < sid {
-                    (Extended::Fin(contact), Extended::PosInf)
-                } else {
-                    (Extended::NegInf, Extended::Fin(contact))
-                };
-                let inserted = self.insert_node(Node::with_state(sid, l, r, sid, None, cfg));
-                debug_assert!(inserted, "collision checked above");
-                self.send_external(contact, Message::Lin(sid));
-                joined += 1;
             }
             if joined > 0 {
                 stats.links_changed = true;

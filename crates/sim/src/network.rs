@@ -373,7 +373,7 @@ impl Network {
         // With no sink, no fault plan and no scheduler attached the plain
         // copy runs, in which every hook branch below is constant-folded
         // away — it compiles to exactly the pre-observability round loop
-        // (guarded by the stepengine bench's instrumented-vs-noop pair).
+        // (`tests/perf_guards.rs` holds the hooked copy to 1.5x this one).
         if self.obs.is_none() && self.faults.is_none() && self.sched.is_none() {
             self.step_impl::<false>()
         } else {
@@ -522,8 +522,11 @@ impl Network {
         self.inbox_buf = inbox;
         self.order_buf = order;
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase-timer sampling; feeds observability only"
+        )]
         let t_stats = if sample {
-            // lint: allow(determinism) — phase-timer sampling; feeds observability only.
             Some(std::time::Instant::now())
         } else {
             None
@@ -906,7 +909,10 @@ impl Network {
 #[inline]
 fn timed<T>(on: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
     if on {
-        // lint: allow(determinism) — phase-timer sampling; feeds observability only.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase-timer sampling; feeds observability only"
+        )]
         let t0 = std::time::Instant::now();
         let r = f();
         *acc = acc.saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));

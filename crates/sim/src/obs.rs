@@ -21,8 +21,8 @@
 //! round loop: with no sink (and no fault plan or scheduler) attached
 //! the *plain* copy runs, in which every observer branch is
 //! constant-folded away — it compiles to exactly the pre-observability
-//! round loop (the stepengine bench's instrumented-vs-noop pair guards
-//! this). The *hooked* copy tests for the observer at run time.
+//! round loop. The *hooked* copy tests for the observer at run time
+//! (`tests/perf_guards.rs` holds it to 1.5× the plain copy).
 //!
 //! **Observers read, never mutate, and consume no RNG.** Events are
 //! derived from state the loop already computes; the channel take

@@ -78,7 +78,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
             i
         });
         assert_eq!(calls.load(Ordering::Relaxed), 257);
-        let distinct: HashSet<_> = out.iter().collect();
+        let distinct: BTreeSet<_> = out.iter().collect();
         assert_eq!(distinct.len(), 257);
     }
 

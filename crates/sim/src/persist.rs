@@ -23,6 +23,10 @@
 //! All readers reject malformed input with a named [`PersistError`]
 //! instead of panicking.
 
+// Runs while faults are live, where a panic is indistinguishable from
+// the protocol bug being hunted: errors are `Result`s or named outcomes.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use swn_core::message::Message;
@@ -132,6 +136,10 @@ pub fn checkpoint(net: &Network) -> Checkpoint {
 }
 
 /// Serializes a checkpoint to a v2 JSON document.
+#[expect(
+    clippy::expect_used,
+    reason = "rendering an in-memory Value tree to text cannot fail: no I/O, no non-string map key"
+)]
 pub fn checkpoint_to_json(cp: &Checkpoint) -> String {
     let doc = DocV2 {
         version: FORMAT_VERSION,
@@ -140,9 +148,6 @@ pub fn checkpoint_to_json(cp: &Checkpoint) -> String {
         channels: cp.snapshot.channels().to_vec(),
         injector: cp.injector.clone(),
     };
-    // Rendering an in-memory Value tree to text cannot fail; there is
-    // no I/O and no non-string map key.
-    // lint: allow(unwrap-in-lib)
     serde_json::to_string(&doc).expect("checkpoint serialization cannot fail")
 }
 
@@ -193,9 +198,11 @@ pub fn checkpoint_from_json(json: &str) -> Result<Checkpoint, PersistError> {
 
 /// Rebuilds a runnable network from a bare snapshot: the round-0,
 /// no-injector case of [`network_from_checkpoint`].
+#[expect(
+    clippy::expect_used,
+    reason = "only a captured injector can make a restore fail"
+)]
 pub fn network_from_snapshot(s: &Snapshot, seed: u64) -> Network {
-    // Only a captured injector can make a restore fail.
-    // lint: allow(unwrap-in-lib)
     network_from_checkpoint(&bare(s), seed).expect("no injector to reject")
 }
 

@@ -24,8 +24,8 @@
 //! simulation: determinism rests on the sorted lanes, whose content is a
 //! pure function of the live id set. Splicing a `Vec` is O(n) per
 //! mutation in the worst case, but churn is rare relative to routing and
-//! the memmove is a flat `u64`/`usize` shift — measured faster than
-//! BTreeMap maintenance well past n = 10⁶ (`BENCH_scale.json`). Bulk
+//! the memmove is a flat `u64`/`usize` shift (`sim.churn.insert_node_ns`
+//! / `remove_node_ns` in `benchmark/` time it at each workload's n). Bulk
 //! construction ([`SlotIndex::from_pairs`]) sorts once instead of
 //! splicing n times, keeping million-node network builds O(n log n) and,
 //! for pre-sorted input, effectively linear. Slot churn is the dangerous

@@ -1,0 +1,126 @@
+//! Perf guards: the two same-process timing ratios the docs cite.
+//!
+//! Absolute times belong to `benchmark/` (see `benchmark/README.md`);
+//! these tests pin only *ratios* between two arms measured in one
+//! process on one machine, so they need no committed baseline. Each arm
+//! pair is measured interleaved three times and each arm keeps its
+//! minimum: a burst of machine contention then penalizes both arms
+//! instead of skewing the ratio.
+//!
+//! `#[ignore]`d because wall-clock assertions have no place in the
+//! default suite; CI runs them with
+//! `cargo test --release -p swn-sim --test perf_guards -- --ignored`.
+
+use std::hint::black_box;
+use std::sync::Mutex;
+use swn_core::config::ProtocolConfig;
+use swn_core::id::evenly_spaced_ids;
+use swn_core::invariants::make_sorted_ring;
+use swn_sim::convergence::drain_to_quiescence;
+use swn_sim::obs::JsonlSink;
+use swn_sim::{Network, ScheduleMode};
+
+/// Full observation — histograms, causal tagging, cascade bookkeeping,
+/// JSONL sampling — may cost at most this factor over the detached step.
+const INSTRUMENTED_LIMIT: f64 = 1.5;
+
+/// A quiescent round is O(1) — an empty agenda and a default stats row —
+/// so 32× more nodes may cost at most this factor (the full-scan round
+/// is ~linear, i.e. ~32× over the same span).
+const QUIESCENT_SCALE_LIMIT: f64 = 4.0;
+
+/// Interleaved repetitions per arm pair; each arm keeps its minimum.
+const PAIRS: usize = 3;
+
+/// Held by each test for its whole body: the harness runs tests on
+/// parallel threads, and one test's set-up must not run inside the
+/// other's timed loops.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Nanoseconds per call of `f` over `iters` calls.
+#[allow(clippy::disallowed_methods)] // wall clock is the measured quantity
+fn ns_per<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
+}
+
+fn stable_ring(n: usize) -> Network {
+    let ids = evenly_spaced_ids(n);
+    Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 7)
+}
+
+/// One full-scan round on a warmed stable ring of `n` nodes, optionally
+/// with a `JsonlSink` over `io::sink()` attached at `sample_every = 16`.
+fn step_ns(n: usize, instrumented: bool) -> f64 {
+    let mut net = stable_ring(n);
+    net.run(20);
+    if instrumented {
+        net.attach_sink(Box::new(JsonlSink::new(Box::new(std::io::sink()))), 16);
+    }
+    ns_per(200, || net.step())
+}
+
+/// A stable ring under the active-set scheduler, stepped until its
+/// agenda is empty. The ring-validation probe walks traverse the whole
+/// ring one hop per round, so draining takes ~n (cheap) rounds.
+fn drained_ring(n: usize) -> Network {
+    let mut net = stable_ring(n);
+    net.set_schedule_mode(ScheduleMode::ActiveSet);
+    drain_to_quiescence(&mut net, 4 * n as u64 + 1000).expect("ring must drain");
+    net
+}
+
+/// One quiescent round. The trace is shed first so the timed loop does
+/// identical stats-row work whatever came before it.
+fn quiescent_ns(net: &mut Network) -> f64 {
+    drop(net.take_trace());
+    ns_per(50_000, || net.step())
+}
+
+#[test]
+#[ignore = "wall-clock ratio; run with --release -- --ignored"]
+fn instrumented_step_within_limit_of_detached() {
+    const N: usize = 2048;
+    let _turn = ONE_AT_A_TIME.lock();
+    let (mut detached, mut instrumented) = (f64::MAX, f64::MAX);
+    for _ in 0..PAIRS {
+        detached = detached.min(step_ns(N, false));
+        instrumented = instrumented.min(step_ns(N, true));
+    }
+    let ratio = instrumented / detached;
+    println!(
+        "n={N}: instrumented step {instrumented:.0} ns vs detached {detached:.0} ns \
+         ({ratio:.3}x, limit {INSTRUMENTED_LIMIT}x)"
+    );
+    assert!(
+        ratio <= INSTRUMENTED_LIMIT,
+        "instrumented step too expensive: {ratio:.3}x > {INSTRUMENTED_LIMIT}x the detached step"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock ratio; run with --release -- --ignored"]
+fn quiescent_round_is_flat_in_n() {
+    const SMALL: usize = 2048;
+    const BIG: usize = 65_536;
+    let _turn = ONE_AT_A_TIME.lock();
+    let mut small_net = drained_ring(SMALL);
+    let mut big_net = drained_ring(BIG);
+    let (mut small, mut big) = (f64::MAX, f64::MAX);
+    for _ in 0..PAIRS {
+        small = small.min(quiescent_ns(&mut small_net));
+        big = big.min(quiescent_ns(&mut big_net));
+    }
+    let ratio = big / small;
+    println!(
+        "quiescent round {big:.0} ns @ n={BIG} vs {small:.0} ns @ n={SMALL} \
+         ({ratio:.3}x, limit {QUIESCENT_SCALE_LIMIT}x)"
+    );
+    assert!(
+        ratio <= QUIESCENT_SCALE_LIMIT,
+        "quiescent round cost is not flat in n: {ratio:.3}x > {QUIESCENT_SCALE_LIMIT}x"
+    );
+}

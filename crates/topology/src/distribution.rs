@@ -161,14 +161,14 @@ pub fn log_log_slope(lengths: &[usize], max_d: usize) -> Option<f64> {
     Some((n * sxy - sx * sy) / denom)
 }
 
-/// Draws one harmonic sample in `1..=max_d` by CDF inversion (used by the
-/// static Kleinberg baseline and by tests).
-pub fn sample_harmonic<R: rand::Rng + ?Sized>(max_d: usize, rng: &mut R) -> usize {
+/// Draws one sample in `1..=cdf.len()` by inverting `cdf` (build it once
+/// with [`harmonic_cdf`] and reuse it across draws; used by the static
+/// Kleinberg baseline and the harmonic fixture).
+pub fn sample_harmonic<R: rand::Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> usize {
     use rand::RngExt as _;
-    let cdf = harmonic_cdf(max_d);
     let u: f64 = rng.random();
     match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("no NaN in CDF")) {
-        Ok(i) | Err(i) => (i + 1).min(max_d),
+        Ok(i) | Err(i) => (i + 1).min(cdf.len()),
     }
 }
 
@@ -297,18 +297,44 @@ mod tests {
     #[test]
     fn sampled_harmonic_passes_its_own_ks() {
         let mut rng = StdRng::seed_from_u64(1);
+        let cdf = harmonic_cdf(512);
         let lengths: Vec<usize> = (0..20_000)
-            .map(|_| sample_harmonic(512, &mut rng))
+            .map(|_| sample_harmonic(&cdf, &mut rng))
             .collect();
         let ks = ks_to_harmonic(&lengths, 512);
         assert!(ks < 0.02, "self-KS too large: {ks}");
     }
 
     #[test]
+    fn sampler_matches_longhand_cdf_inversion() {
+        use rand::RngExt as _;
+        let max_d = 300;
+        let cdf = harmonic_cdf(max_d);
+        let total: f64 = (1..=max_d).map(|d| 1.0 / d as f64).sum();
+        let mut sampled = StdRng::seed_from_u64(5);
+        let mut longhand = StdRng::seed_from_u64(5);
+        for draw in 0..1_000 {
+            // Smallest d with F(d) = H_d / H_max >= u, by linear scan.
+            let u: f64 = longhand.random();
+            let mut h = 0.0;
+            let mut expected = max_d;
+            for d in 1..=max_d {
+                h += 1.0 / d as f64;
+                if h / total >= u {
+                    expected = d;
+                    break;
+                }
+            }
+            assert_eq!(sample_harmonic(&cdf, &mut sampled), expected, "draw {draw}");
+        }
+    }
+
+    #[test]
     fn log_log_slope_of_harmonic_is_minus_one() {
         let mut rng = StdRng::seed_from_u64(2);
+        let cdf = harmonic_cdf(1024);
         let lengths: Vec<usize> = (0..50_000)
-            .map(|_| sample_harmonic(1024, &mut rng))
+            .map(|_| sample_harmonic(&cdf, &mut rng))
             .collect();
         let slope = log_log_slope(&lengths, 1024).expect("enough bins");
         assert!(

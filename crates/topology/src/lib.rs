@@ -17,6 +17,8 @@
 //! * [`export`] — Graphviz DOT rendering of graphs and snapshots.
 
 #![forbid(unsafe_code)]
+// Libraries return strings or take writers; only binaries print.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub mod clustering;

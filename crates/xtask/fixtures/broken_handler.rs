@@ -17,25 +17,7 @@ pub fn dispatch(m: Message, q: &mut Vec<Message>) {
     }
 }
 
-pub fn lookup(x: Option<u32>) -> u32 {
-    // Violation: a malformed peer message could panic the node.
-    x.unwrap()
-}
-
-pub fn measure(events: &std::collections::HashMap<u64, u64>) -> std::time::Duration {
-    // Violations: randomized-iteration map and a wall-clock read in a
-    // deterministic crate.
-    let t0 = std::time::Instant::now();
-    for (_k, _v) in events {}
-    t0.elapsed()
-}
-
 pub fn route(table: &std::collections::BTreeMap<u64, usize>, id: u64) -> Option<usize> {
     // Violation: ordered-map lookup on the simulator's hot path.
     table.get(&id).copied()
-}
-
-pub fn report(hops: usize) {
-    // Violation: console output from library code.
-    println!("routed in {hops} hops");
 }
