@@ -29,7 +29,10 @@
 //! The crate is deliberately transport-free: handlers are pure state
 //! transitions emitting sends into an [`outbox::Outbox`]. Drive them with
 //! `swn-sim` (the discrete-event simulator used for every experiment) or
-//! `swn-runtime` (a genuinely concurrent threaded runtime).
+//! the umbrella crate's `runtime` module (one thread per node). The one
+//! piece of transport policy that is protocol semantics — what a sender
+//! does when its destination is gone — is [`node::Node::undeliverable`],
+//! which both call.
 //!
 //! ## Example
 //!

@@ -272,35 +272,47 @@ impl Node {
         self.ring
     }
 
-    /// Departure detection: clears every variable that stores `dead`
-    /// (a dangling left/right neighbour becomes `±∞`, a dangling
-    /// long-range link returns to its origin, a dangling ring edge is
-    /// unset). Returns true if anything changed.
+    /// The failure-detector rule for a send that found no recipient
+    /// (DESIGN.md §2 deviation #7) — the one executor policy that is
+    /// protocol semantics, so every transport calls it: the simulator's
+    /// `flush_outbox` and the threaded driver's dispatch.
     ///
-    /// The transport calls this when a send to `dead` bounces — the
-    /// simulator's model of the paper's remark that corrupt neighbour
-    /// variables are recovered "by detecting them like wrong left or
-    /// right neighbors".
-    pub fn clear_dangling(&mut self, dead: NodeId) -> bool {
-        let mut changed = false;
+    /// `self` sent `msg` to `dest`, which is not in the membership.
+    /// Every variable equal to `dest` is cleared — the paper's remark
+    /// that corrupt neighbour variables are recovered "by detecting them
+    /// like wrong left or right neighbors". Returns `Some(msg)` when the
+    /// transport must hand the message back to `self` for reprocessing:
+    /// exactly a `lin(x)` naming a live `x ≠ dest`, since linearize
+    /// *moves* identifiers and the message may be the sole carrier of
+    /// `x`. Every other payload is still stored at its sender and is
+    /// dropped (`None`).
+    pub fn undeliverable(
+        &mut self,
+        dest: NodeId,
+        msg: Message,
+        is_live: impl Fn(NodeId) -> bool,
+    ) -> Option<Message> {
+        self.clear_dangling(dest);
+        matches!(msg, Message::Lin(x) if x != dest && is_live(x)).then_some(msg)
+    }
+
+    /// Clears every variable that stores `dead`: a dangling left/right
+    /// neighbour becomes `±∞`, a dangling long-range link returns to its
+    /// origin (and its age restarts), a dangling ring edge is unset.
+    fn clear_dangling(&mut self, dead: NodeId) {
         if self.l == Extended::Fin(dead) {
             self.l = Extended::NegInf;
-            changed = true;
         }
         if self.r == Extended::Fin(dead) {
             self.r = Extended::PosInf;
-            changed = true;
         }
         if self.lrl == dead {
             self.lrl = self.id;
             self.age = 0;
-            changed = true;
         }
         if self.ring == Some(dead) {
             self.ring = None;
-            changed = true;
         }
-        changed
     }
 
     /// Read-only variant of the ring validity check, used when *answering*
@@ -514,5 +526,52 @@ mod tests {
         assert!(out.sends().is_empty());
         assert_eq!(n.left(), Extended::NegInf);
         assert_eq!(n.right(), Extended::PosInf);
+    }
+
+    /// Deviation #7, case by case: whatever was sent, every variable equal
+    /// to `dest` is cleared (`age` restarting with `lrl`); only a `lin`
+    /// naming a live node other than `dest` comes back.
+    #[test]
+    fn undeliverable_clears_every_pointer_and_bounces_only_a_live_lin() {
+        let (dest, x) = (id(0.7), id(0.2));
+        let (l, r) = (Extended::Fin(x), Extended::PosInf);
+        let cases = [
+            (Message::Lin(x), true, true),
+            (Message::Lin(x), false, false),
+            (Message::Lin(dest), true, false),
+            (Message::IncLrl(x), true, false),
+            (Message::ResLrl(l, r), true, false),
+            (Message::Ring(x), true, false),
+            (Message::ResRing(x), true, false),
+            (Message::ProbR(x), true, false),
+            (Message::ProbL(x), true, false),
+        ];
+        for (msg, live, bounces) in cases {
+            // All four variables hold `dest` (ill-typed on one side, as a
+            // corrupted state may be) and the token has aged.
+            let at_dest = Extended::Fin(dest);
+            let mut n = Node::with_state(id(0.5), at_dest, at_dest, dest, Some(dest), cfg());
+            n.age = 9;
+            let back = n.undeliverable(dest, msg, |_| live);
+            assert_eq!(back, bounces.then_some(msg), "{msg:?} live={live}");
+            assert_eq!(n, Node::new(id(0.5), cfg()), "{msg:?} live={live}");
+        }
+    }
+
+    #[test]
+    fn undeliverable_leaves_unrelated_state_untouched() {
+        let mut n = Node::with_state(
+            id(0.5),
+            Extended::Fin(id(0.3)),
+            Extended::PosInf,
+            id(0.9),
+            Some(id(0.1)),
+            cfg(),
+        );
+        n.age = 9;
+        let before = n.clone();
+        let back = n.undeliverable(id(0.7), Message::Lin(id(0.3)), |_| true);
+        assert_eq!(back, Some(Message::Lin(id(0.3))));
+        assert_eq!(n, before);
     }
 }

@@ -857,26 +857,21 @@ impl Network {
                     }
                 }
                 None => {
-                    // The destination left the network. The sender detects
-                    // the departure and clears its dangling pointers. A
-                    // `lin` payload naming a *live* node is the potential
-                    // sole carrier of that link (linearize moves
-                    // identifiers), so it is *bounced* — handed back to
-                    // the sender for reprocessing; every other payload is
-                    // still stored at its responder and may be dropped
-                    // safely. Only the latter counts as a drop.
+                    // The destination left the network: the sender applies
+                    // the failure-detector rule (`Node::undeliverable`,
+                    // DESIGN.md deviation #7) — dangling pointers cleared,
+                    // a `lin` naming a *live* node handed back for
+                    // reprocessing, anything else dropped. Only the latter
+                    // counts as a drop.
                     stats.links_changed = true;
                     let mut bounced = false;
                     if let Some(node) = nodes[sender].as_mut() {
-                        node.clear_dangling(dest);
-                        if let Message::Lin(x) = msg {
-                            if x != dest && index.contains(x) {
-                                // The bounce keeps its provenance: the
-                                // reprocessed copy is the same causal
-                                // node, not a fresh root.
-                                channels[sender].push(msg, now, tag);
-                                bounced = true;
-                            }
+                        if let Some(back) = node.undeliverable(dest, msg, |x| index.contains(x)) {
+                            // The bounce keeps its provenance: the
+                            // reprocessed copy is the same causal
+                            // node, not a fresh root.
+                            channels[sender].push(back, now, tag);
+                            bounced = true;
                         }
                         // The bounce (and the dangling-pointer clear,
                         // caught by the caller's turn diff) keeps the

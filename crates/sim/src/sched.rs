@@ -236,7 +236,7 @@ impl SchedState {
     /// Scheduler bookkeeping for a leave: every node that stores the
     /// departed id (list pointer, lrl endpoint or ring edge) has a dead
     /// certificate and must act again to detect the departure (bounce →
-    /// `clear_dangling`). An O(n) scan — churn-rate cost, not per-round
+    /// `Node::undeliverable`). An O(n) scan — churn-rate cost, not per-round
     /// cost, and the same order the full-scan engine pays every round.
     pub(crate) fn on_remove(
         &mut self,

@@ -1,5 +1,5 @@
 //! Real concurrency: run the protocol on one OS thread per node with
-//! crossbeam channels — no simulated rounds, no global scheduler — and
+//! `std::sync::mpsc` channels — no simulated rounds, no global scheduler — and
 //! watch it stabilize from a scrambled chain.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 
 use self_stabilizing_smallworld::prelude::*;
-use self_stabilizing_smallworld::runtime::{Runtime, RuntimeConfig};
+use self_stabilizing_smallworld::runtime::Runtime;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -16,30 +16,12 @@ fn main() {
 
     println!("== threaded runtime: {n} nodes, one thread each ==\n");
 
-    // A scrambled chain: node i points at a pseudo-random successor, so
-    // the id order must be rebuilt from scratch.
+    // A scrambled chain: a directed path over a random permutation of the
+    // ids, so the id order must be rebuilt from scratch.
     let ids = evenly_spaced_ids(n);
-    let mut order: Vec<_> = ids.clone();
-    // Deterministic interleave scramble.
-    order.sort_by_key(|id| id.bits().wrapping_mul(0x9e3779b97f4a7c15));
-    let nodes: Vec<Node> = order.windows(2).map(|w| (w[0], w[1])).fold(
-        order
-            .iter()
-            .map(|&id| Node::new(id, cfg))
-            .collect::<Vec<_>>(),
-        |mut nodes, (u, v)| {
-            let node = nodes.iter_mut().find(|n| n.id() == u).expect("present");
-            let (l, r) = if v < u {
-                (Extended::Fin(v), node.right())
-            } else {
-                (node.left(), Extended::Fin(v))
-            };
-            *node = Node::with_state(u, l, r, u, None, cfg);
-            nodes
-        },
-    );
-
-    let rt = Runtime::spawn(nodes, RuntimeConfig::default());
+    let seed = 7;
+    let init = generate(InitialTopology::RandomChain, &ids, cfg, seed);
+    let rt = Runtime::spawn(init.nodes, seed);
     let start = Instant::now();
 
     // Poll snapshots while the threads race.

@@ -17,7 +17,7 @@
 //! | [`sim`] | `swn-sim` | discrete-event simulator for the paper's asynchronous model: channels, adversarial initial states, convergence & churn measurement, parallel trials |
 //! | [`topology`] | `swn-topology` | analysis: connectivity, paths, clustering, harmonic-law fits, greedy routing, robustness sweeps |
 //! | [`baselines`] | `swn-baselines` | Kleinberg, Watts–Strogatz, Chord, Erdős–Rényi, ring lattices, and the pure move-and-forget process |
-//! | [`runtime`] | `swn-runtime` | a genuinely concurrent threaded execution over crossbeam channels |
+//! | [`runtime`] | this crate | a genuinely concurrent execution: one thread per node over `std::sync::mpsc` channels |
 //!
 //! ## Quickstart
 //!
@@ -48,9 +48,10 @@
 
 pub use swn_baselines as baselines;
 pub use swn_core as core;
-pub use swn_runtime as runtime;
 pub use swn_sim as sim;
 pub use swn_topology as topology;
+
+pub mod runtime;
 
 /// Everything a typical application needs, in one import.
 pub mod prelude {

@@ -3,7 +3,7 @@
 //! interleavings.
 
 use self_stabilizing_smallworld::prelude::*;
-use self_stabilizing_smallworld::runtime::{Runtime, RuntimeConfig};
+use self_stabilizing_smallworld::runtime::Runtime;
 use std::time::Duration;
 use swn_core::views::Snapshot;
 use swn_sim::init::generate;
@@ -15,13 +15,7 @@ fn spawn_family(family: InitialTopology, n: usize, seed: u64) -> Runtime {
         init.preloads.is_empty(),
         "concurrency tests need preload-free families"
     );
-    Runtime::spawn(
-        init.nodes,
-        RuntimeConfig {
-            seed,
-            ..Default::default()
-        },
-    )
+    Runtime::spawn(init.nodes, seed)
 }
 
 fn assert_stabilizes(family: InitialTopology, n: usize, seed: u64) {
