@@ -9,10 +9,10 @@
 //!   fault-repair latency.
 
 use crate::table::{f2, f3, mean, Table};
-use crate::testbed::stabilized_network;
 use swn_baselines::chaintreau::MoveForgetRing;
 use swn_core::config::ProtocolConfig;
 use swn_core::id::evenly_spaced_ids;
+use swn_sim::churn::stable_network;
 use swn_sim::convergence::run_to_ring;
 use swn_sim::init::{generate, InitialTopology};
 use swn_sim::parallel::run_trials;
@@ -249,7 +249,7 @@ pub fn measure_a3(p: &Params, periods: &[u64]) -> Vec<A3Point> {
                 ..Default::default()
             };
             // Standing cost.
-            let mut net = stabilized_network(p.n, cfg, 70, p.warmup.min(2000));
+            let mut net = stable_network(p.n, cfg, 70, p.warmup.min(2000));
             let start = net.trace().len();
             net.run(100);
             let sent = net.trace().sent_since(start);

@@ -34,160 +34,93 @@ use std::time::Instant;
 use swn_harness::table::Table;
 use swn_harness::*;
 
-const ALL_IDS: [&str; 15] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "a1", "a2", "a3", "x1",
-];
-
-fn describe(id: &str) -> &'static str {
-    match id {
-        "e1" => "convergence from adversarial initial states (Thms 4.3/4.9/4.18)",
-        "e2" => "long-range link length distribution (Thm 4.22 / Fact 4.21)",
-        "e3" => "greedy routing hops vs n (Thm 4.22 / Lemma 4.23)",
-        "e4" => "probing hops vs distance (Thm 4.3 / Lemma 4.23)",
-        "e5" => "join integration cost (Thm 4.24)",
-        "e6" => "leave recovery cost (Thm 4.24)",
-        "e7" => "robustness: failures and attacks (Sec I / IV.G)",
-        "e8" => "Watts-Strogatz interpolation figure ([24])",
-        "e9" => "stable-state overhead and forget horizon (Sec IV.F)",
-        "e10" => "self-stabilization under sustained faults (fault engine + watchdog)",
-        "e12" => "adversarial behaviors, restart disciplines and the chaos campaign",
-        "a1" => "ablation: lrl shortcuts in linearization",
-        "a2" => "ablation: forget exponent eps",
-        "a3" => "ablation: probing cadence",
-        "x1" => "extension: multidimensional move-and-forget",
-        _ => "unknown",
-    }
+/// `$m::Params` at the requested scale.
+macro_rules! preset {
+    ($m:ident, $quick:expr) => {
+        if $quick {
+            $m::Params::quick()
+        } else {
+            $m::Params::full()
+        }
+    };
 }
 
-fn run_one(id: &str, quick: bool) -> Vec<Table> {
-    match id {
-        "e1" => {
-            let p = if quick {
-                e1_convergence::Params::quick()
-            } else {
-                e1_convergence::Params::full()
-            };
-            vec![e1_convergence::run(&p)]
-        }
-        "e2" => {
-            let p = if quick {
-                e2_distribution::Params::quick()
-            } else {
-                e2_distribution::Params::full()
-            };
-            vec![e2_distribution::run(&p)]
-        }
-        "e3" => {
-            let p = if quick {
-                e3_routing::Params::quick()
-            } else {
-                e3_routing::Params::full()
-            };
-            vec![e3_routing::run(&p)]
-        }
-        "e4" => {
-            let p = if quick {
-                e4_probing::Params::quick()
-            } else {
-                e4_probing::Params::full()
-            };
-            vec![e4_probing::run(&p)]
-        }
-        "e5" => {
-            let p = if quick {
-                e5_join_leave::Params::quick()
-            } else {
-                e5_join_leave::Params::full()
-            };
-            vec![e5_join_leave::run_join(&p)]
-        }
-        "e6" => {
-            let p = if quick {
-                e5_join_leave::Params::quick()
-            } else {
-                e5_join_leave::Params::full()
-            };
-            vec![e5_join_leave::run_leave(&p)]
-        }
-        "e7" => {
-            let p = if quick {
-                e7_robustness::Params::quick()
-            } else {
-                e7_robustness::Params::full()
-            };
-            vec![e7_robustness::run(&p)]
-        }
-        "e8" => {
-            let p = if quick {
-                e8_watts_strogatz::Params::quick()
-            } else {
-                e8_watts_strogatz::Params::full()
-            };
-            vec![e8_watts_strogatz::run(&p)]
-        }
-        "e9" => {
-            let p = if quick {
-                e9_overhead::Params::quick()
-            } else {
-                e9_overhead::Params::full()
-            };
-            vec![e9_overhead::run(&p)]
-        }
-        "e10" => {
-            let p = if quick {
-                e10_faults::Params::quick()
-            } else {
-                e10_faults::Params::full()
-            };
-            vec![e10_faults::run(&p), e10_faults::run_disconnect_demo()]
-        }
-        "e12" => {
-            let p = if quick {
-                e12_chaos::Params::quick()
-            } else {
-                e12_chaos::Params::full()
-            };
+/// Runs one experiment; `true` selects the reduced-scale preset.
+type Runner = fn(bool) -> Vec<Table>;
+
+/// Every experiment: id, one-line description, runner.
+const EXPERIMENTS: [(&str, &str, Runner); 15] = [
+    (
+        "e1",
+        "convergence from adversarial initial states (Thms 4.3/4.9/4.18)",
+        |q| vec![e1_convergence::run(&preset!(e1_convergence, q))],
+    ),
+    (
+        "e2",
+        "long-range link length distribution (Thm 4.22 / Fact 4.21)",
+        |q| vec![e2_distribution::run(&preset!(e2_distribution, q))],
+    ),
+    (
+        "e3",
+        "greedy routing hops vs n (Thm 4.22 / Lemma 4.23)",
+        |q| vec![e3_routing::run(&preset!(e3_routing, q))],
+    ),
+    (
+        "e4",
+        "probing hops vs distance (Thm 4.3 / Lemma 4.23)",
+        |q| vec![e4_probing::run(&preset!(e4_probing, q))],
+    ),
+    ("e5", "join integration cost (Thm 4.24)", |q| {
+        vec![e5_join_leave::run_join(&preset!(e5_join_leave, q))]
+    }),
+    ("e6", "leave recovery cost (Thm 4.24)", |q| {
+        vec![e5_join_leave::run_leave(&preset!(e5_join_leave, q))]
+    }),
+    (
+        "e7",
+        "robustness: failures and attacks (Sec I / IV.G)",
+        |q| vec![e7_robustness::run(&preset!(e7_robustness, q))],
+    ),
+    ("e8", "Watts-Strogatz interpolation figure ([24])", |q| {
+        vec![e8_watts_strogatz::run(&preset!(e8_watts_strogatz, q))]
+    }),
+    (
+        "e9",
+        "stable-state overhead and forget horizon (Sec IV.F)",
+        |q| vec![e9_overhead::run(&preset!(e9_overhead, q))],
+    ),
+    (
+        "e10",
+        "self-stabilization under sustained faults (fault engine + watchdog)",
+        |q| {
+            vec![
+                e10_faults::run(&preset!(e10_faults, q)),
+                e10_faults::run_disconnect_demo(),
+            ]
+        },
+    ),
+    (
+        "e12",
+        "adversarial behaviors, restart disciplines and the chaos campaign",
+        |q| {
+            let p = preset!(e12_chaos, q);
             let report = e12_chaos::run_campaign_report(&p);
             vec![e12_chaos::run(&p), e12_chaos::campaign_table(&p, &report)]
-        }
-        "a1" => {
-            let p = if quick {
-                ablations::Params::quick()
-            } else {
-                ablations::Params::full()
-            };
-            vec![ablations::run_a1(&p)]
-        }
-        "a2" => {
-            let p = if quick {
-                ablations::Params::quick()
-            } else {
-                ablations::Params::full()
-            };
-            vec![ablations::run_a2(&p)]
-        }
-        "a3" => {
-            let p = if quick {
-                ablations::Params::quick()
-            } else {
-                ablations::Params::full()
-            };
-            vec![ablations::run_a3(&p)]
-        }
-        "x1" => {
-            let p = if quick {
-                x1_multidim::Params::quick()
-            } else {
-                x1_multidim::Params::full()
-            };
-            vec![x1_multidim::run(&p)]
-        }
-        other => {
-            eprintln!("unknown experiment id: {other}");
-            std::process::exit(2);
-        }
-    }
-}
+        },
+    ),
+    ("a1", "ablation: lrl shortcuts in linearization", |q| {
+        vec![ablations::run_a1(&preset!(ablations, q))]
+    }),
+    ("a2", "ablation: forget exponent eps", |q| {
+        vec![ablations::run_a2(&preset!(ablations, q))]
+    }),
+    ("a3", "ablation: probing cadence", |q| {
+        vec![ablations::run_a3(&preset!(ablations, q))]
+    }),
+    ("x1", "extension: multidimensional move-and-forget", |q| {
+        vec![x1_multidim::run(&preset!(x1_multidim, q))]
+    }),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -270,11 +203,7 @@ fn main() {
             eprintln!("usage: experiments chaos [--quick] [--reproducers DIR]");
             std::process::exit(2);
         }
-        let p = if quick {
-            e12_chaos::Params::quick()
-        } else {
-            e12_chaos::Params::full()
-        };
+        let p = preset!(e12_chaos, quick);
         eprintln!(
             ">>> chaos campaign: {} scenarios (seed {:#x})",
             p.scenarios, p.campaign_seed
@@ -340,14 +269,14 @@ fn main() {
         println!(
             "usage: experiments <id>... [--quick] [--trace-out FILE] | all [--quick] | report FILE | postmortem FILE | chaos [--quick] [--reproducers DIR] | replay FILE... | list\n"
         );
-        for id in ALL_IDS {
-            println!("  {id}  {}", describe(id));
+        for (id, describe, _) in EXPERIMENTS {
+            println!("  {id}  {describe}");
         }
         return;
     }
 
     let ids: Vec<&str> = if ids == ["all"] {
-        ALL_IDS.to_vec()
+        EXPERIMENTS.iter().map(|e| e.0).collect()
     } else {
         ids
     };
@@ -355,12 +284,17 @@ fn main() {
     let multi = ids.len() > 1;
     for id in &ids {
         let start = Instant::now();
+        let found = EXPERIMENTS.iter().find(|e| e.0 == *id);
         eprintln!(
             ">>> {id} ({}) — {}",
             if quick { "quick" } else { "full" },
-            describe(id)
+            found.map_or("unknown", |e| e.1)
         );
-        for table in run_one(id, quick) {
+        let Some((_, _, run)) = found else {
+            eprintln!("unknown experiment id: {id}");
+            std::process::exit(2);
+        };
+        for table in run(quick) {
             table.print();
         }
         if let Some(base) = &trace_out {

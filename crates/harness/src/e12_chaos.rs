@@ -29,7 +29,7 @@ use swn_sim::chaos::{
     default_failure, run_campaign, run_scenario, CampaignConfig, CampaignReport, RunResult,
     Scenario,
 };
-use swn_sim::faults::{watch_recovery, FaultPlan, LieMode, Misbehavior, Verdict, WatchReport};
+use swn_sim::faults::{watch_recovery, FaultPlan, LieMode, Misbehavior, WatchReport};
 use swn_sim::obs::{Histogram, NoopSink};
 use swn_sim::parallel::run_trials;
 use swn_sim::Network;
@@ -149,22 +149,17 @@ fn run_class_trial(
 
     let start = net.round() + 1;
     net.attach_faults(mk_plan(&net, start));
-    let mut dropped = 0;
-    let mut forged = 0;
-    let drive_to = |net: &mut Network, target: u64, dropped: &mut u64, forged: &mut u64| {
-        while net.round() < target {
-            let stats = net.step();
-            *dropped += stats.dropped_fault;
-            *forged += stats.forged_fault;
-        }
-    };
     // Probe the degraded service mid-window: the adversary is active,
     // crashes are down, sybils are joined.
-    drive_to(&mut net, start + p.window / 2, &mut dropped, &mut forged);
+    net.run(start + p.window / 2 - net.round());
     let mid_g = Graph::from_view(&net.view(), View::Cp);
     let mid = evaluate_routing(&mid_g, p.routing_pairs, hop_budget, seed ^ 0x51d, None);
-    // Close the window (and let every crash restart), then watch.
-    drive_to(&mut net, start + p.window, &mut dropped, &mut forged);
+    // Close the window (and let every crash restart), then watch. The
+    // plan attached at `start`, so the trace's fault totals up to here
+    // are the window's.
+    net.run(start + p.window - net.round());
+    let dropped = net.trace().total_dropped_fault();
+    let forged = net.trace().total_forged_fault();
     let rep = watch_recovery(&mut net, p.budget);
     net.detach_faults();
     ClassTrial {
@@ -328,10 +323,7 @@ pub fn measure_restart_pairs(p: &Params) -> Vec<RestartPair> {
                 }
                 plan
             });
-            match trial.rep.verdict {
-                Verdict::Recovered { rounds } => rounds,
-                _ => p.budget,
-            }
+            trial.rep.verdict.recovered_rounds().unwrap_or(p.budget)
         };
         RestartPair {
             seed,
@@ -591,6 +583,7 @@ mod tests {
         // Build a synthetic failed campaign (a scenario whose budget is
         // too small to finish) and check the artifact + replay plumbing.
         use swn_sim::chaos::{shrink, FailureCase, Outcome, Start};
+        use swn_sim::faults::Verdict;
         let scenario = Scenario {
             n: 16,
             net_seed: 3,
@@ -598,7 +591,8 @@ mod tests {
             budget: 1,
             plan: FaultPlan::new(7).with_drop(1, 3, 0.9),
         };
-        let strict = |r: &RunResult| !matches!(r.outcome, Outcome::Recovered { .. });
+        let strict =
+            |r: &RunResult| !matches!(r.outcome, Outcome::Verdict(Verdict::Recovered { .. }));
         let result = run_scenario(&scenario);
         assert!(strict(&result), "starved budget must fail: {result:?}");
         let shrunk = shrink(&scenario, &|c| strict(&run_scenario(c)));

@@ -15,9 +15,9 @@
 //! harmonic-family power law).
 
 use crate::table::{f3, Table};
-use crate::testbed::stabilized_network;
 use swn_baselines::chaintreau::MoveForgetRing;
 use swn_core::config::ProtocolConfig;
+use swn_sim::churn::stable_network;
 use swn_sim::parallel::run_trials;
 use swn_topology::distribution::{
     ks_to_cdf, ks_to_harmonic, log_corrected_harmonic_cdf, log_log_slope, lrl_lengths_view,
@@ -87,7 +87,7 @@ fn fit(lengths: &[usize], max_d: usize, epsilon: f64) -> FitStats {
 /// Measures the protocol's stable-state link lengths at size `n`.
 pub fn protocol_fit(n: usize, p: &Params, seed: u64) -> FitStats {
     let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = stabilized_network(n, cfg, seed, p.warmup);
+    let mut net = stable_network(n, cfg, seed, p.warmup);
     let mut lengths = Vec::new();
     for _ in 0..p.epochs {
         net.run(p.epoch_gap);

@@ -12,10 +12,10 @@
 //!   since the w.h.p. bound has a polynomial tail).
 
 use crate::table::{f2, Table};
-use crate::testbed::stabilized_network;
 use swn_baselines::chaintreau::MoveForgetRing;
 use swn_core::config::ProtocolConfig;
 use swn_core::message::MessageKind;
+use swn_sim::churn::stable_network;
 use swn_sim::parallel::run_trials;
 
 /// Parameters for E9.
@@ -71,7 +71,7 @@ pub struct Census {
 /// Runs the stable-state message census.
 pub fn census(n: usize, p: &Params, seed: u64) -> Census {
     let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = stabilized_network(n, cfg, seed, p.warmup);
+    let mut net = stable_network(n, cfg, seed, p.warmup);
     let start = net.trace().len();
     net.run(p.window);
     let sent = net.trace().sent_by_kind_in(start..net.trace().len());

@@ -16,8 +16,6 @@ use swn_sim::init::{generate, InitialTopology};
 use swn_sim::obs::JsonlSink;
 use swn_sim::{churn, convergence::run_to_ring};
 
-use crate::testbed::stabilized_network;
-
 /// Scale knobs for a traced scenario.
 #[derive(Clone, Debug)]
 pub struct TraceCfg {
@@ -90,7 +88,7 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
         // Join recovery: a newcomer in an interior gap, with the `join`
         // span bracketing its integration.
         "e5" => {
-            let mut net = stabilized_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
+            let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
             let ids = net.ids();
             let new_id = NodeId::from_bits(ids[3].bits() / 2 + ids[4].bits() / 2);
@@ -100,7 +98,7 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
         // Leave recovery (e7 additionally removes a second victim — a
         // small storm with two spans).
         "e6" | "e7" => {
-            let mut net = stabilized_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
+            let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
             let victim = net.ids()[cfg.n / 2];
             let _ = churn::leave(&mut net, victim, cfg.budget);
@@ -115,7 +113,7 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
         // carries the `Fault` events (crashes, restarts, the loss window
         // opening), the `recovery` span and the watchdog's `Verdict`.
         "e10" => {
-            let mut net = stabilized_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
+            let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
             let fault_round = net.round() + 1;
             let ids = net.ids();
@@ -138,7 +136,7 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
         // to re-stabilization — the trace carries the behavior's drops,
         // the snapshot restore and the watchdog's `Verdict`.
         "e12" => {
-            let mut net = stabilized_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
+            let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
             let fault_round = net.round() + 1;
             let ids = net.ids();
@@ -163,7 +161,7 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
         // ablations, extension): an observed window on a warmed network —
         // the fixture their measurements run on.
         _ => {
-            let mut net = stabilized_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
+            let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
             net.run(cfg.window);
             net.detach_sink();

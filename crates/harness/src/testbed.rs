@@ -3,24 +3,16 @@
 use swn_core::config::ProtocolConfig;
 use swn_core::id::evenly_spaced_ids;
 use swn_core::invariants::make_sorted_ring;
+use swn_sim::churn::stable_network;
 use swn_sim::Network;
 use swn_topology::Graph;
 
-/// A protocol network of `n` evenly spaced nodes started from the sorted
-/// ring and warmed up for `warmup` rounds so the move-and-forget tokens
-/// approach their stationary distribution. This is the "stable state"
-/// fixture of experiments E2–E7.
-pub fn stabilized_network(n: usize, cfg: ProtocolConfig, seed: u64, warmup: u64) -> Network {
-    let ids = evenly_spaced_ids(n);
-    let mut net = Network::new(make_sorted_ring(&ids, cfg), seed);
-    net.run(warmup);
-    net
-}
-
-/// The routing graph of a stabilized network: stored links only (CP view),
-/// indexed by ring rank.
+/// The routing graph of a [`stable_network`] — the sorted ring warmed up
+/// for `warmup` rounds so the move-and-forget tokens approach their
+/// stationary distribution: stored links only (CP view), indexed by ring
+/// rank.
 pub fn stabilized_graph(n: usize, cfg: ProtocolConfig, seed: u64, warmup: u64) -> Graph {
-    let net = stabilized_network(n, cfg, seed, warmup);
+    let net = stable_network(n, cfg, seed, warmup);
     Graph::from_view(&net.view(), swn_core::views::View::Cp)
 }
 
@@ -81,16 +73,6 @@ mod tests {
     use super::*;
     use swn_core::invariants::is_sorted_ring;
     use swn_topology::connectivity::is_weakly_connected;
-
-    #[test]
-    fn stabilized_network_is_a_sorted_ring_with_spread_tokens() {
-        let net = stabilized_network(64, ProtocolConfig::default(), 1, 500);
-        let s = net.snapshot();
-        assert!(is_sorted_ring(&s));
-        // After 500 rounds a fair share of tokens are away from origin.
-        let away = s.nodes().iter().filter(|n| n.lrl() != n.id()).count();
-        assert!(away > 16, "only {away}/64 tokens moved");
-    }
 
     #[test]
     fn stabilized_graph_is_connected_and_ring_backed() {

@@ -26,8 +26,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::faults::{
-    find_culprit, watch_recovery, Behavior, Crash, FaultPlan, LieMode, Misbehavior, Partition,
-    Perturbation, RateWindow, Restart, Verdict,
+    watch, Behavior, Crash, FaultPlan, LieMode, Misbehavior, Partition, Perturbation, RateWindow,
+    Restart, Verdict,
 };
 use crate::init::{generate, InitialTopology};
 use crate::network::Network;
@@ -36,9 +36,8 @@ use rand::{Rng as _, RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 use swn_core::config::ProtocolConfig;
 use swn_core::id::evenly_spaced_ids;
-use swn_core::invariants::{make_sorted_ring, weakly_connected_view};
+use swn_core::invariants::make_sorted_ring;
 use swn_core::message::MessageKind;
-use swn_core::views::View;
 
 /// The start topology a scenario runs from.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -135,30 +134,15 @@ impl Scenario {
     }
 }
 
-/// The classified outcome of one scenario run.
+/// The classified outcome of one scenario run: the watchdog's
+/// [`Verdict`], or the one thing only a campaign can observe.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Outcome {
-    /// The sorted ring held again `mttr` rounds after the fault horizon
-    /// (0 when the plan never broke it).
-    Recovered {
-        /// Rounds from the fault horizon to re-stabilization.
-        mttr: u64,
-    },
-    /// The knowledge graph disconnected — permanent by the closure
-    /// argument. `attributed` is true when the culprit sole-carrier
-    /// drop was identified in the drop log.
-    Disconnected {
-        /// The absolute round disconnection was detected at.
-        round: u64,
-        /// Whether a culprit drop record was identified.
-        attributed: bool,
-    },
-    /// The recovery watch ran out of rounds with the graph still
-    /// connected.
-    BudgetExhausted {
-        /// The exhausted watch budget.
-        budget: u64,
-    },
+    /// The run reached a verdict. `Recovered { rounds }` counts from the
+    /// fault horizon (0 when the plan never broke the ring); a
+    /// disconnection carries its culprit record, so a shrunk reproducer
+    /// names the drop that severed it.
+    Verdict(Verdict),
     /// The run panicked — always a bug, never a valid classification.
     Panicked {
         /// The panic payload, when printable.
@@ -167,12 +151,11 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// Stable label for per-class tallies.
+    /// Stable label for per-class tallies: [`Verdict::outcome`], or
+    /// `"panicked"`.
     pub fn label(&self) -> &'static str {
         match self {
-            Outcome::Recovered { .. } => "recovered",
-            Outcome::Disconnected { .. } => "disconnected",
-            Outcome::BudgetExhausted { .. } => "budget_exhausted",
+            Outcome::Verdict(v) => v.outcome(),
             Outcome::Panicked { .. } => "panicked",
         }
     }
@@ -183,11 +166,13 @@ impl Outcome {
     pub fn classified(&self) -> bool {
         matches!(
             self,
-            Outcome::Recovered { .. }
-                | Outcome::Disconnected {
-                    attributed: true,
-                    ..
-                }
+            Outcome::Verdict(
+                Verdict::Recovered { .. }
+                    | Verdict::PermanentlyDisconnected {
+                        culprit: Some(_),
+                        ..
+                    }
+            )
         )
     }
 }
@@ -230,49 +215,23 @@ fn run_scenario_inner(s: &Scenario) -> RunResult {
     let mut net = s.build();
     net.attach_faults(s.plan.clone());
     let horizon = s.horizon();
-    let mut result = RunResult {
-        outcome: Outcome::BudgetExhausted { budget: s.budget },
+    let (mut messages, mut dropped_fault, mut forged_fault) = (0, 0, 0);
+    // One watch from the first round: through the horizon only a
+    // severance can end it (windows are still open, crashes still
+    // down); past it what remains is pure recovery, so `Recovered`
+    // measures MTTR directly.
+    let verdict = watch(&mut net, horizon, s.budget, |stats| {
+        messages += stats.total_sent();
+        dropped_fault += stats.dropped_fault;
+        forged_fault += stats.forged_fault;
+    });
+    RunResult {
+        outcome: Outcome::Verdict(verdict),
         horizon,
-        messages: 0,
-        dropped_fault: 0,
-        forged_fault: 0,
-    };
-    // Drive through the fault horizon, watching for disconnection the
-    // same way `watch_recovery` does: a drop, forgery or perturbation
-    // erasure can sever a sole carrier, and once the CC view
-    // disconnects no later round can reconnect it — so detection inside
-    // the injection window is final.
-    while net.round() < horizon {
-        let stats = net.step();
-        result.messages += stats.total_sent();
-        result.dropped_fault += stats.dropped_fault;
-        result.forged_fault += stats.forged_fault;
-        if (stats.dropped_fault > 0 || stats.forged_fault > 0 || stats.erased_fault > 0)
-            && !weakly_connected_view(&net.view(), View::Cc)
-        {
-            result.outcome = Outcome::Disconnected {
-                round: net.round(),
-                attributed: find_culprit(&net).is_some(),
-            };
-            return result;
-        }
+        messages,
+        dropped_fault,
+        forged_fault,
     }
-    // Past the horizon every window is closed and every crash has
-    // restarted: what remains is pure recovery, so the watch measures
-    // MTTR directly.
-    let report = watch_recovery(&mut net, s.budget);
-    result.messages += report.messages;
-    result.dropped_fault += report.dropped_fault;
-    result.forged_fault += report.forged_fault;
-    result.outcome = match report.verdict {
-        Verdict::Recovered { rounds } => Outcome::Recovered { mttr: rounds },
-        Verdict::PermanentlyDisconnected { round, culprit } => Outcome::Disconnected {
-            round,
-            attributed: culprit.is_some(),
-        },
-        Verdict::BudgetExhausted { budget } => Outcome::BudgetExhausted { budget },
-    };
-    result
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -501,14 +460,15 @@ pub fn run_campaign(
         let result = run_scenario(&scenario);
         report.total += 1;
         match &result.outcome {
-            Outcome::Recovered { .. } => report.recovered += 1,
-            Outcome::Disconnected {
-                attributed: true, ..
-            } => report.disconnected += 1,
-            Outcome::Disconnected {
-                attributed: false, ..
-            } => report.unattributed += 1,
-            Outcome::BudgetExhausted { .. } => report.budget_exhausted += 1,
+            Outcome::Verdict(Verdict::Recovered { .. }) => report.recovered += 1,
+            Outcome::Verdict(Verdict::PermanentlyDisconnected { culprit, .. }) => {
+                if culprit.is_some() {
+                    report.disconnected += 1;
+                } else {
+                    report.unattributed += 1;
+                }
+            }
+            Outcome::Verdict(Verdict::BudgetExhausted { .. }) => report.budget_exhausted += 1,
             Outcome::Panicked { .. } => report.panicked += 1,
         }
         if is_failure(&result) {
@@ -852,7 +812,8 @@ mod tests {
                     },
                 ),
         };
-        let strict = |r: &RunResult| !matches!(r.outcome, Outcome::Recovered { .. });
+        let strict =
+            |r: &RunResult| !matches!(r.outcome, Outcome::Verdict(Verdict::Recovered { .. }));
         let result = run_scenario(&scenario);
         assert!(
             strict(&result),

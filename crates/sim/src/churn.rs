@@ -18,7 +18,6 @@ use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 use swn_core::config::ProtocolConfig;
 use swn_core::id::{Extended, NodeId};
-use swn_core::invariants::is_sorted_ring_view;
 use swn_core::message::Message;
 use swn_core::node::Node;
 
@@ -50,7 +49,9 @@ impl RecoveryReport {
         self.rounds.is_some()
     }
 
-    /// True when the watch ran its full budget without recovering.
+    /// True when the watch ended without recovering: the budget ran out
+    /// (or, with a fault plan attached, the knowledge graph was severed
+    /// and the watch stopped early).
     pub fn budget_exhausted(&self) -> bool {
         self.rounds.is_none()
     }
@@ -176,28 +177,18 @@ pub fn measure_recovery(net: &mut Network, max_rounds: u64) -> RecoveryReport {
         budget: max_rounds,
         ..RecoveryReport::default()
     };
-    let mut sorted = is_sorted_ring_view(&net.view());
-    if sorted {
-        report.rounds = Some(0);
-        return report;
-    }
-    for k in 1..=max_rounds {
-        let stats = net.step();
+    let verdict = crate::faults::watch(net, 0, max_rounds, |stats| {
         report.messages += stats.total_sent();
         report.tracked_messages += stats.tracked_sent;
-        if stats.links_changed {
-            sorted = is_sorted_ring_view(&net.view());
-        }
-        if sorted {
-            report.rounds = Some(k);
-            return report;
-        }
-    }
+    });
+    report.rounds = verdict.recovered_rounds();
     report
 }
 
-/// Convenience: a fresh stable network of `n` evenly spaced nodes that has
-/// additionally run `warmup` rounds so the long-range links have spread.
+/// A fresh stable network of `n` evenly spaced nodes that has additionally
+/// run `warmup` rounds so the move-and-forget tokens have spread towards
+/// their stationary distribution — the "stable state" fixture of the
+/// experiments that earn it from the protocol (E2, E3, E9, the ablations).
 pub fn stable_network(n: usize, cfg: ProtocolConfig, seed: u64, warmup: u64) -> Network {
     let ids = swn_core::id::evenly_spaced_ids(n);
     let mut net = Network::new(swn_core::invariants::make_sorted_ring(&ids, cfg), seed);
@@ -211,6 +202,16 @@ mod tests {
 
     fn fid(f: f64) -> NodeId {
         NodeId::from_fraction(f)
+    }
+
+    #[test]
+    fn stable_network_is_a_sorted_ring_with_spread_tokens() {
+        let net = stable_network(64, ProtocolConfig::default(), 1, 500);
+        assert!(net.is_sorted_ring());
+        // After 500 rounds a fair share of tokens are away from origin.
+        let v = net.view();
+        let away = v.nodes().iter().filter(|n| n.lrl() != n.id()).count();
+        assert!(away > 16, "only {away}/64 tokens moved");
     }
 
     #[test]

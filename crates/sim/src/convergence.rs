@@ -4,7 +4,7 @@
 use crate::network::Network;
 use crate::obs::Event;
 use serde::{Deserialize, Serialize};
-use swn_core::invariants::{classify_view, is_sorted_list_view, is_sorted_ring_view, Phase};
+use swn_core::invariants::{classify_view, Phase};
 
 /// When each phase milestone was first reached (in rounds from the start
 /// of measurement), plus run-wide accounting.
@@ -43,21 +43,21 @@ impl ConvergenceReport {
 /// Runs `net` until RCP solves the sorted-ring problem (or `max_rounds`
 /// pass), recording phase milestones after every round.
 ///
-/// Snapshot-free: each observation classifies a borrowed
-/// [`Network::view`] instead of cloning the state, and rounds whose
+/// Snapshot-free, and a clean round (one whose
 /// [`links_changed`](crate::trace::RoundStats::links_changed) flag is
-/// clear are not reclassified at all — a clean round provably preserves
-/// the phase (see DESIGN.md on dirty-tracking soundness).
+/// clear) is not reclassified at all — it provably preserves the phase
+/// (see DESIGN.md §8.2 on dirty-tracking soundness).
 ///
 /// Observation is additionally *leveled*: once the LCC milestone is
 /// recorded, the remaining questions (did the sorted list form? did the
-/// ring close? did a formed list regress?) are all decided by the O(n)
-/// allocation-free sorted-list scan — a sorted list implies LCC weak
-/// connectivity, and every sub-list phase is interchangeable for the
-/// report once `rounds_to_lcc` is set — so the per-round union-find over
-/// all stored links and channel contents disappears from the hot loop.
-/// The produced report is field-for-field identical to classifying from
-/// scratch every round (the golden-trace test pins this).
+/// ring close? did a formed list regress?) are all decided by
+/// [`Network::is_sorted_list`]/[`Network::is_sorted_ring`] — a sorted
+/// list implies LCC weak connectivity, and every sub-list phase is
+/// interchangeable for the report once `rounds_to_lcc` is set — so the
+/// per-round union-find over all stored links and channel contents
+/// disappears from the hot loop. The produced report is field-for-field
+/// identical to classifying from scratch every round (the golden-trace
+/// test pins this).
 pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
     let mut report = ConvergenceReport {
         monotone: true,
@@ -90,27 +90,21 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
         if stats.probe_repairs > 0 {
             report.last_probe_repair = Some(round);
         }
-        if stats.links_changed {
-            let v = net.view();
-            phase = if report.rounds_to_lcc.is_some() {
-                // Leveled observation: the sorted-list scan alone decides
-                // every phase distinction the report still cares about.
-                // `LccConnected` stands in for all sub-list phases — the
-                // LCC milestone is already recorded, `best` is already at
-                // least `LccConnected`, and the monotonicity check only
-                // compares against `best >= SortedList`.
-                if is_sorted_list_view(&v) {
-                    if is_sorted_ring_view(&v) {
-                        Phase::SortedRing
-                    } else {
-                        Phase::SortedList
-                    }
-                } else {
-                    Phase::LccConnected
-                }
+        if report.rounds_to_lcc.is_some() {
+            // Leveled observation: `LccConnected` stands in for all
+            // sub-list phases — the LCC milestone is already recorded,
+            // `best` is already at least `LccConnected`, and the
+            // monotonicity check only compares against
+            // `best >= SortedList`.
+            phase = if net.is_sorted_ring() {
+                Phase::SortedRing
+            } else if net.is_sorted_list() {
+                Phase::SortedList
             } else {
-                classify_view(&v)
+                Phase::LccConnected
             };
+        } else if stats.links_changed {
+            phase = classify_view(&net.view());
         }
         if best >= Phase::SortedList && phase < best {
             report.monotone = false;

@@ -45,7 +45,7 @@ use rand::{Rng, RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use swn_core::id::{Extended, NodeId};
-use swn_core::invariants::{component_labels_view, is_sorted_ring_view, weakly_connected_view};
+use swn_core::invariants::{component_labels_view, weakly_connected_view};
 use swn_core::message::{Message, MessageKind};
 use swn_core::node::Node;
 use swn_core::views::View;
@@ -653,6 +653,21 @@ impl FaultInjector {
         });
     }
 
+    /// Records every stored pointer value a fault is about to overwrite
+    /// in `victim` as a state erasure (`victim → victim`, `Lin(target)`),
+    /// returning how many were logged. The old target can be the
+    /// knowledge graph's only edge into its component, so an erasure can
+    /// sever connectivity with no message ever dropped — the watchdog
+    /// attributes it from these records exactly like a sole-carrier drop.
+    fn note_erasures(&mut self, round: u64, victim: NodeId, erased: &[Option<NodeId>]) -> u64 {
+        let mut logged = 0;
+        for t in erased.iter().flatten().copied().filter(|&t| t != victim) {
+            self.note_drop(round, victim, victim, Message::Lin(t));
+            logged += 1;
+        }
+        logged
+    }
+
     /// Marks `node` down until `restart_round`.
     fn mark_down(&mut self, node: NodeId, restart_round: u64) {
         self.down.insert(node, restart_round);
@@ -1000,6 +1015,12 @@ impl Network {
             // pre-crash pointers (reciprocity, ring pairing); capture the
             // targets before blanking so they can be re-verified.
             let old_targets = [victim.left().fin(), victim.right().fin(), victim.ring()];
+            // The blanked pointers are erased knowledge under either
+            // restart discipline: a durable checkpoint only comes back
+            // when the downtime ends.
+            let [l, r, ring] = old_targets;
+            let erased = [l, r, Some(victim.lrl()), ring];
+            stats.erased_fault += inj.note_erasures(now, c.node, &erased);
             let blank = Node::new(c.node, *victim.config());
             // Channel loss: in-flight mail addressed to the victim dies
             // with it. Logged for the watchdog's culprit analysis (with
@@ -1074,21 +1095,8 @@ impl Network {
                 // re-verified.
                 let l = node.left();
                 let old_targets = [node.right().fin(), node.ring(), None];
-                // Log every overwritten pointer value as a state
-                // erasure: on an unconverged start the old target can be
-                // the knowledge graph's only edge into its component, so
-                // a perturbation can sever connectivity with no message
-                // ever dropped — the watchdog attributes it from these
-                // records exactly like a sole-carrier drop.
-                for t in [node.right().fin(), Some(node.lrl()), node.ring()]
-                    .into_iter()
-                    .flatten()
-                {
-                    if t != v {
-                        inj.note_drop(now, v, v, Message::Lin(t));
-                        stats.erased_fault += 1;
-                    }
-                }
+                let erased = [node.right().fin(), Some(node.lrl()), node.ring()];
+                stats.erased_fault += inj.note_erasures(now, v, &erased);
                 let r = Extended::Fin(inj.pick_one(&live));
                 let lrl = inj.pick_one(&live);
                 let ring = Some(inj.pick_one(&live));
@@ -1235,17 +1243,58 @@ pub struct WatchReport {
     pub cascade: Option<CascadeReport>,
 }
 
+/// The one "step until it is the sorted ring again" loop:
+/// `measure_recovery`, [`watch_recovery`] and the chaos scenario run are
+/// this function with their own `on_round` accumulators.
+///
+/// Rounds up to `horizon` (an absolute round; one already reached, such
+/// as 0, means none) are driven regardless — scheduled faults are still
+/// landing, so a ring that holds mid-window is not recovery. From there
+/// on the watch ends as soon as [`Network::is_sorted_ring`] holds, or
+/// after `budget` rounds. In either stretch, a round that destroyed
+/// knowledge — a drop (crash channel loss counts), a forgery (the
+/// delivered message carries the lie, not the original) or a state
+/// erasure (a perturbed or crashed node's overwritten pointers) — may
+/// have removed the only edge into a component, and a disconnected CC
+/// view is final (see [`watch_recovery`]).
+pub(crate) fn watch(
+    net: &mut Network,
+    horizon: u64,
+    budget: u64,
+    mut on_round: impl FnMut(&RoundStats),
+) -> Verdict {
+    let start = horizon.max(net.round());
+    loop {
+        if let Some(rounds) = net.round().checked_sub(start) {
+            if net.is_sorted_ring() {
+                return Verdict::Recovered { rounds };
+            }
+            if rounds == budget {
+                return Verdict::BudgetExhausted { budget };
+            }
+        }
+        let stats = net.step();
+        on_round(&stats);
+        if (stats.dropped_fault > 0 || stats.forged_fault > 0 || stats.erased_fault > 0)
+            && !weakly_connected_view(&net.view(), View::Cc)
+        {
+            return Verdict::PermanentlyDisconnected {
+                round: net.round(),
+                culprit: find_culprit(net),
+            };
+        }
+    }
+}
+
 /// Runs the network for up to `budget` rounds from the fault instant
 /// (the call time), classifying the outcome:
 ///
-/// * **recovered** — `is_sorted_ring_view` holds again (checked only on
-///   rounds whose `links_changed` flag is set, like `run_until`);
+/// * **recovered** — [`Network::is_sorted_ring`] holds again;
 /// * **permanently disconnected** — the CC view (node states ∪
 ///   in-flight payloads) is no longer weakly connected. Checked on
-///   rounds with injector drops (channel loss from a crash counts);
-///   once disconnected, the knowledge closure argument makes recovery
-///   impossible, so the watch stops immediately and names the culprit
-///   drop when one is identifiable;
+///   rounds that destroyed knowledge; once disconnected, the knowledge
+///   closure argument makes recovery impossible, so the watch stops
+///   immediately and names the culprit drop when one is identifiable;
 /// * **budget exhausted** — neither of the above within `budget`.
 ///
 /// Emits a `"recovery"` [`Event::Span`] plus an [`Event::Verdict`] to
@@ -1256,48 +1305,21 @@ pub fn watch_recovery(net: &mut Network, budget: u64) -> WatchReport {
     // is accounted separately from whatever ran before (no-op without a
     // sink).
     net.cascade_begin();
-    let mut report = WatchReport {
-        verdict: Verdict::BudgetExhausted { budget },
-        messages: 0,
-        dropped_fault: 0,
-        forged_fault: 0,
-        budget,
-        cascade: None,
-    };
-    let mut sorted = is_sorted_ring_view(&net.view());
-    if sorted {
-        report.verdict = Verdict::Recovered { rounds: 0 };
-    } else {
-        for k in 1..=budget {
-            let stats = net.step();
-            report.messages += stats.total_sent();
-            report.dropped_fault += stats.dropped_fault;
-            report.forged_fault += stats.forged_fault;
-            if stats.links_changed {
-                sorted = is_sorted_ring_view(&net.view());
-            }
-            if sorted {
-                report.verdict = Verdict::Recovered { rounds: k };
-                break;
-            }
-            // A forgery destroys its true payload just like a drop does
-            // (the delivered message carries the lie, not the original),
-            // so forged rounds are disconnection candidates too — as are
-            // perturbation rounds, whose erased pointers can have been
-            // the only edges into a component.
-            if (stats.dropped_fault > 0 || stats.forged_fault > 0 || stats.erased_fault > 0)
-                && !weakly_connected_view(&net.view(), View::Cc)
-            {
-                report.verdict = Verdict::PermanentlyDisconnected {
-                    round: net.round(),
-                    culprit: find_culprit(net),
-                };
-                break;
-            }
-        }
-    }
+    let (mut messages, mut dropped_fault, mut forged_fault) = (0, 0, 0);
+    let verdict = watch(net, start, budget, |stats| {
+        messages += stats.total_sent();
+        dropped_fault += stats.dropped_fault;
+        forged_fault += stats.forged_fault;
+    });
     let end = net.round();
-    report.cascade = net.cascade_take();
+    let report = WatchReport {
+        verdict,
+        messages,
+        dropped_fault,
+        forged_fault,
+        budget,
+        cascade: net.cascade_take(),
+    };
     net.emit(Event::Span {
         label: "recovery".to_string(),
         start,
@@ -1332,7 +1354,7 @@ pub fn watch_recovery(net: &mut Network, budget: u64) -> WatchReport {
 /// Scans the injector's drop log (most recent first) for a destroyed
 /// message whose payload now sits in a different weak component of the
 /// CC view than its sender — the signature of a sole-carrier drop.
-pub(crate) fn find_culprit(net: &Network) -> Option<DropRecord> {
+fn find_culprit(net: &Network) -> Option<DropRecord> {
     let inj = net.fault_injector()?;
     let v = net.view();
     let labels = component_labels_view(&v, View::Cc);
@@ -1499,6 +1521,35 @@ mod tests {
     }
 
     #[test]
+    fn crash_that_erases_a_sole_edge_is_attributed() {
+        // a ↔ b → c: b's `r` is the only edge into c anywhere (c knows
+        // nobody, nobody else knows c). The amnesiac crash blanks
+        // it with no message ever dropped; the erased pointer must be in
+        // the drop log so the disconnection names its cause.
+        let cfg = ProtocolConfig::default();
+        let (a, b, c) = (fid(0.2), fid(0.5), fid(0.8));
+        let na = Node::with_state(a, Extended::NegInf, Extended::Fin(b), a, None, cfg);
+        let nb = Node::with_state(b, Extended::Fin(a), Extended::Fin(c), b, None, cfg);
+        let mut net = Network::new(vec![na, nb, Node::new(c, cfg)], 3);
+        net.attach_faults(FaultPlan::new(1).with_crash(1, b, 3));
+        let report = watch_recovery(&mut net, 500);
+        let erased_edge = DropRecord {
+            round: 1,
+            src: b,
+            dest: b,
+            msg: Message::Lin(c),
+        };
+        assert_eq!(
+            report.verdict,
+            Verdict::PermanentlyDisconnected {
+                round: 1,
+                culprit: Some(erased_edge),
+            }
+        );
+        assert_eq!(net.trace().rounds()[0].erased_fault, 2, "b's l and r");
+    }
+
+    #[test]
     fn perturbation_is_recoverable_damage() {
         let ids = evenly_spaced_ids(16);
         let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 4);
@@ -1506,7 +1557,7 @@ mod tests {
         net.attach_faults(FaultPlan::new(2).with_perturbation(net.round() + 1, 5));
         net.step(); // perturbation lands
         assert!(
-            !is_sorted_ring_view(&net.view()),
+            !net.is_sorted_ring(),
             "5 corrupted nodes must break the ring"
         );
         let report = watch_recovery(&mut net, 5000);

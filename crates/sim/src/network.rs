@@ -28,11 +28,26 @@ use crate::trace::{RoundStats, Trace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cell::Cell;
 use swn_core::id::NodeId;
+use swn_core::invariants::{is_sorted_list_view, is_sorted_ring_view};
 use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_core::outbox::{Outbox, ProtocolEvent};
 use swn_core::views::{NetView, Snapshot};
+
+/// How far the stored links are along Definitions 4.8/4.17, as last
+/// evaluated — the cache behind [`Network::is_sorted_list`] and
+/// [`Network::is_sorted_ring`]. Ordered: each level implies the ones
+/// before it (`Stale` aside, which is "not evaluated since the links
+/// last changed").
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum SortedLevel {
+    Stale,
+    Unsorted,
+    List,
+    Ring,
+}
 
 /// A simulated asynchronous message-passing network.
 #[derive(Debug)]
@@ -69,6 +84,10 @@ pub struct Network {
     // selected (`set_schedule_mode`).
     pub(crate) sched: Option<Box<SchedState>>,
     seed: u64,
+    // The dirty-tracking rule (DESIGN.md §8.2), owned here: the level is
+    // evaluated on demand and stays valid until a round reports
+    // `links_changed` or a node is inserted or removed.
+    sorted: Cell<SortedLevel>,
     // Test-only: makes the round flush the outbox after every handled
     // message (`step_reference`, the flush-equivalence oracle).
     #[cfg(test)]
@@ -118,6 +137,7 @@ impl Network {
             faults: None,
             sched: None,
             seed,
+            sorted: Cell::new(SortedLevel::Stale),
             #[cfg(test)]
             flush_per_message: false,
         }
@@ -532,6 +552,11 @@ impl Network {
             None
         };
         self.trace.push(stats);
+        // Covers every write of the round, the round-start fault applier
+        // included: whatever rewrites `l`/`r`/`ring` sets the flag.
+        if stats.links_changed {
+            self.sorted.set(SortedLevel::Stale);
+        }
         if HOOKED {
             self.observe_round_end(now, sample, &stats);
         }
@@ -632,25 +657,40 @@ impl Network {
         });
     }
 
-    /// Runs rounds until `pred` holds on a borrowed view of the state or
-    /// `max_rounds` is hit. Returns the number of the first satisfying
-    /// round (counting from the call), or `None` on timeout. The
-    /// predicate is evaluated before the first step, so an
-    /// already-satisfying state returns `Some(0)`.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut pred: F) -> Option<u64>
-    where
-        F: FnMut(&NetView<'_>) -> bool,
-    {
-        if pred(&self.view()) {
-            return Some(0);
+    /// The sorted level of the current state, re-evaluated only when a
+    /// dirty round or a membership change voided the last answer: one
+    /// [`view`](Self::view) and one O(n) scan decide both definitions.
+    fn sorted_level(&self) -> SortedLevel {
+        if self.sorted.get() == SortedLevel::Stale {
+            let v = self.view();
+            self.sorted.set(if !is_sorted_list_view(&v) {
+                SortedLevel::Unsorted
+            } else if is_sorted_ring_view(&v) {
+                SortedLevel::Ring
+            } else {
+                SortedLevel::List
+            });
         }
-        for k in 1..=max_rounds {
-            self.step();
-            if pred(&self.view()) {
-                return Some(k);
-            }
-        }
-        None
+        self.sorted.get()
+    }
+
+    /// Definition 4.8 on the current state: LCP is the sorted list.
+    /// Cached like [`is_sorted_ring`](Self::is_sorted_ring).
+    pub fn is_sorted_list(&self) -> bool {
+        self.sorted_level() >= SortedLevel::List
+    }
+
+    /// Definition 4.17 on the current state: RCP is the sorted ring —
+    /// the legitimacy predicate every driver steps towards. The answer is
+    /// cached: a round whose
+    /// [`links_changed`](RoundStats::links_changed) flag is clear
+    /// provably preserves it, so only dirty rounds, [`insert_node`] and
+    /// [`remove_node`] make the next call pay the O(n) scan.
+    ///
+    /// [`insert_node`]: Self::insert_node
+    /// [`remove_node`]: Self::remove_node
+    pub fn is_sorted_ring(&self) -> bool {
+        self.sorted_level() == SortedLevel::Ring
     }
 
     /// Runs exactly `rounds` rounds.
@@ -717,6 +757,7 @@ impl Network {
             }
         };
         self.index.insert(id, slot);
+        self.sorted.set(SortedLevel::Stale);
         if let Some(sched) = self.sched.as_mut() {
             sched.on_insert(&self.nodes, &self.index, id, slot);
         }
@@ -733,6 +774,7 @@ impl Network {
     /// step count only ever counts live nodes.
     pub fn remove_node(&mut self, id: NodeId) -> Option<Node> {
         let slot = self.index.remove(id)?;
+        self.sorted.set(SortedLevel::Stale);
         if self.tracked == Some(id) {
             self.track_id(None);
         }
@@ -920,13 +962,12 @@ fn timed<T>(on: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::run_to_ring;
     use crate::init::{generate, InitialTopology};
     use proptest::prelude::*;
     use swn_core::config::ProtocolConfig;
     use swn_core::id::evenly_spaced_ids;
-    use swn_core::invariants::{
-        classify_view, is_sorted_ring, is_sorted_ring_view, make_sorted_ring, Phase,
-    };
+    use swn_core::invariants::{classify_view, is_sorted_ring, make_sorted_ring};
 
     fn id(f: f64) -> NodeId {
         NodeId::from_fraction(f)
@@ -955,8 +996,8 @@ mod tests {
         let mut net = Network::new(vec![a, b], 7);
         // One temporary link: a learns about b.
         net.preload(id(0.2), Message::Lin(id(0.8)));
-        let done = net.run_until(50, |v| classify_view(v) == Phase::SortedRing);
-        assert!(done.is_some(), "2-node network failed to stabilize");
+        let done = run_to_ring(&mut net, 50);
+        assert!(done.stabilized(), "2-node network failed to stabilize");
         let s = net.snapshot();
         let na = s.nodes()[s.index_of(id(0.2)).unwrap()].clone();
         let nb = s.nodes()[s.index_of(id(0.8)).unwrap()].clone();
@@ -982,12 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_detects_immediately_satisfied_predicate() {
-        let mut net = stable_net(4, 1);
-        assert_eq!(net.run_until(10, is_sorted_ring_view), Some(0));
-    }
-
-    #[test]
     fn view_matches_snapshot() {
         let mut net = stable_net(8, 2);
         net.run(3);
@@ -1000,13 +1035,6 @@ mod tests {
             assert_eq!(v.channel(rank), &s.channels()[si][..]);
         }
         assert_eq!(classify_view(&v), swn_core::invariants::classify(&s));
-    }
-
-    #[test]
-    fn run_until_times_out() {
-        let mut net = stable_net(4, 1);
-        assert_eq!(net.run_until(5, |_| false), None);
-        assert_eq!(net.round(), 5);
     }
 
     #[test]
@@ -1084,8 +1112,8 @@ mod tests {
         );
         net.preload(id(0.2), Message::Lin(id(0.5)));
         net.preload(id(0.5), Message::Lin(id(0.8)));
-        let done = net.run_until(300, |v| classify_view(v) == Phase::SortedRing);
-        assert!(done.is_some(), "failed to stabilize under random delay");
+        let done = run_to_ring(&mut net, 300);
+        assert!(done.stabilized(), "failed to stabilize under random delay");
     }
 
     #[test]
@@ -1543,8 +1571,8 @@ mod tests {
         let contact = net.ids()[0];
         net.send_external(contact, Message::Lin(joiner));
         assert!(!net.is_quiescent(), "the join must wake the network");
-        let done = net.run_until(3000, is_sorted_ring_view);
-        assert!(done.is_some(), "new maximum failed to integrate");
+        let done = run_to_ring(&mut net, 3000);
+        assert!(done.stabilized(), "new maximum failed to integrate");
         drain(&mut net, 200);
         let max = *net.ids().last().unwrap();
         assert_eq!(max, joiner);
@@ -1564,8 +1592,8 @@ mod tests {
             !net.is_quiescent(),
             "the victim's reciprocal neighbours must wake"
         );
-        let done = net.run_until(3000, is_sorted_ring_view);
-        assert!(done.is_some(), "ring failed to close over the gap");
+        let done = run_to_ring(&mut net, 3000);
+        assert!(done.stabilized(), "ring failed to close over the gap");
         drain(&mut net, 200);
         assert_eq!(net.len(), 9);
     }
@@ -1579,8 +1607,8 @@ mod tests {
         drain(&mut net, 50);
         let max = *net.ids().last().unwrap();
         assert!(net.remove_node(max).is_some());
-        let done = net.run_until(3000, is_sorted_ring_view);
-        assert!(done.is_some(), "seam failed to re-close");
+        let done = run_to_ring(&mut net, 3000);
+        assert!(done.stabilized(), "seam failed to re-close");
         drain(&mut net, 200);
         let min = net.ids()[0];
         let new_max = *net.ids().last().unwrap();

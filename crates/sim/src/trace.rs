@@ -36,11 +36,13 @@ pub struct RoundStats {
     /// *a* message is still delivered, so a forgery can sever a sole
     /// carrier exactly like a fault drop can.
     pub forged_fault: u64,
-    /// Stored pointer values a state perturbation overwrote. The old
-    /// target may have been the knowledge graph's only edge into its
-    /// component, so an erasure can sever connectivity exactly like a
-    /// sole-carrier drop; each erased value is logged in the injector's
-    /// drop log so the watchdog can attribute the disconnection.
+    /// Stored pointer values a fault overwrote: a perturbation's
+    /// randomized `r`/`lrl`/`ring`, a crash's blanked `l`/`r`/`lrl`/`ring`
+    /// (either restart discipline). The old target may have been the
+    /// knowledge graph's only edge into its component, so an erasure can
+    /// sever connectivity exactly like a sole-carrier drop; each erased
+    /// value is logged in the injector's drop log so the watchdog can
+    /// attribute the disconnection.
     pub erased_fault: u64,
     /// `lin` messages to a departed destination that were handed back to
     /// their sender for reprocessing (the payload named a live node, so

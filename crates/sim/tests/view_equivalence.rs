@@ -6,21 +6,32 @@
 //! family, several sizes and seeds, and at many points along a run. The
 //! dirty-tracking flag ([`RoundStats::links_changed`]) is additionally
 //! checked for soundness: a round reported clean must leave the
-//! classification unchanged.
+//! classification unchanged, and [`Network`]'s cached sorted level —
+//! the one place that rule is applied — must agree with a recomputation
+//! after every kind of operation that can touch the state.
 //!
 //! [`Network::view`]: swn_sim::Network::view
 //! [`Network::snapshot`]: swn_sim::Network::snapshot
 //! [`RoundStats::links_changed`]: swn_sim::trace::RoundStats::links_changed
 
+use proptest::collection::vec;
+use proptest::prelude::*;
 use swn_core::config::ProtocolConfig;
-use swn_core::id::evenly_spaced_ids;
+use swn_core::id::{evenly_spaced_ids, NodeId};
 use swn_core::invariants::{
     classify, classify_view, is_small_world_structure, is_small_world_structure_view,
     is_sorted_list, is_sorted_list_view, is_sorted_ring, is_sorted_ring_view,
 };
+use swn_core::message::Message;
+use swn_core::node::Node;
 use swn_sim::channel::DeliveryPolicy;
+use swn_sim::churn::{self, stable_network};
+use swn_sim::faults::FaultPlan;
 use swn_sim::init::{generate, InitialTopology};
-use swn_sim::Network;
+use swn_sim::persist::{
+    checkpoint, checkpoint_from_json, checkpoint_to_json, network_from_checkpoint,
+};
+use swn_sim::{Network, ScheduleMode};
 
 fn assert_view_matches_snapshot(net: &Network, ctx: &str) {
     let s = net.snapshot();
@@ -28,6 +39,16 @@ fn assert_view_matches_snapshot(net: &Network, ctx: &str) {
     assert_eq!(classify_view(&v), classify(&s), "classify: {ctx}");
     assert_eq!(is_sorted_list_view(&v), is_sorted_list(&s), "list: {ctx}");
     assert_eq!(is_sorted_ring_view(&v), is_sorted_ring(&s), "ring: {ctx}");
+    assert_eq!(
+        net.is_sorted_list(),
+        is_sorted_list_view(&v),
+        "cache: {ctx}"
+    );
+    assert_eq!(
+        net.is_sorted_ring(),
+        is_sorted_ring_view(&v),
+        "cache: {ctx}"
+    );
     assert_eq!(
         is_small_world_structure_view(&v),
         is_small_world_structure(&s),
@@ -114,4 +135,100 @@ fn clean_rounds_never_change_the_classification() {
         clean_rounds > 0,
         "no clean rounds observed — the skip never exercises"
     );
+}
+
+/// Applies one coded operation, asking the cached and the recomputed
+/// sorted level after every state change inside it. Asking is what
+/// arms the cache, so an operation that forgot to invalidate it would
+/// answer from before the change.
+fn apply_and_check(net: &mut Network, active: &mut bool, (kind, x): (u8, u64), ctx: &str) {
+    let check = |net: &Network| assert_view_matches_snapshot(net, ctx);
+    let ids = net.ids();
+    let pick = |salt: u64| ids[usize::try_from((x ^ salt) % ids.len() as u64).expect("small")];
+    // Odd bits never collide with `evenly_spaced_ids`.
+    let fresh = NodeId::from_bits(x | 1);
+    match kind % 8 {
+        0 => {
+            for _ in 0..1 + x % 4 {
+                net.step();
+                check(net);
+            }
+        }
+        1 => {
+            let joined = net.insert_node(Node::new(fresh, ProtocolConfig::default()));
+            check(net);
+            if joined {
+                net.send_external(pick(1), Message::Lin(fresh));
+            }
+        }
+        2 if ids.len() > 3 => {
+            net.remove_node(pick(2));
+        }
+        3 if net.node(fresh).is_none() => {
+            churn::join(net, fresh, pick(3), 200);
+        }
+        4 if ids.len() > 3 => {
+            churn::leave(net, pick(4), 200);
+        }
+        5 => net.preload(pick(5), Message::Lin(pick(6))),
+        6 => {
+            *active = !*active;
+            net.set_schedule_mode(if *active {
+                ScheduleMode::ActiveSet
+            } else {
+                ScheduleMode::FullScan
+            });
+        }
+        7 => {
+            // A crash under each restart discipline plus a perturbation,
+            // stepped through every landing and both restarts.
+            let r = net.round();
+            let (a, b) = (pick(7), pick(8));
+            let mut plan = FaultPlan::new(x)
+                .with_crash(r + 1, a, 2)
+                .with_perturbation(r + 2, 2);
+            if b != a {
+                plan = plan.with_durable_crash(r + 2, b, 2, r + 1);
+            }
+            net.attach_faults(plan);
+            for _ in 0..6 {
+                net.step();
+                check(net);
+            }
+            net.detach_faults();
+        }
+        _ => {}
+    }
+    check(net);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn cached_sorted_level_matches_recomputation_after_every_operation(
+        n in 5usize..10,
+        seed in 0u64..1000,
+        start_active in 0u8..2,
+        ops in vec((0u8..8, 0u64..u64::MAX), 1..14),
+    ) {
+        let mut net = stable_network(n, ProtocolConfig::default(), seed, 3);
+        let mut active = start_active == 1;
+        if active {
+            net.set_schedule_mode(ScheduleMode::ActiveSet);
+        }
+        assert_view_matches_snapshot(&net, "start");
+        for (k, &op) in ops.iter().enumerate() {
+            apply_and_check(&mut net, &mut active, op, &format!("op {k} = {op:?}"));
+            // A checkpoint restore builds a new network: its cache must
+            // start stale, not copy an answer.
+            if k % 4 == 3 {
+                let doc = checkpoint_to_json(&checkpoint(&net));
+                let cp = checkpoint_from_json(&doc).expect("own document parses");
+                net = network_from_checkpoint(&cp, seed).expect("own document restores");
+                active = false;
+                assert_view_matches_snapshot(&net, &format!("restored after op {k}"));
+            }
+        }
+    }
 }
