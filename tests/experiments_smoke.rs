@@ -68,6 +68,16 @@ fn e4_smoke() {
     check(&e4_probing::run(&p), 2);
 }
 
+/// Lemma 4.23's table at quick scale, byte for byte. The golden was
+/// rendered by the hand-written Algorithm 5/6/10 walk that preceded the
+/// handler replay in `probe_walk`, so it pins that both walk the same
+/// paths on the stationary fixture.
+#[test]
+fn e4_quick_table_matches_the_pinned_golden() {
+    let rendered = e4_probing::run(&e4_probing::Params::quick()).render();
+    assert_eq!(rendered, include_str!("golden/e4_quick.txt"));
+}
+
 #[test]
 fn e5_e6_smoke() {
     let p = e5_join_leave::Params {
