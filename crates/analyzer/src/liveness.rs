@@ -78,8 +78,7 @@ use crate::symmetry::canonical_key;
     reason = "fingerprint-keyed lookup tables; iteration order is never observed"
 )]
 use std::collections::{HashMap, VecDeque};
-use swn_core::invariants::{is_ring_stable_config, is_sorted_ring};
-use swn_core::views::Snapshot;
+use swn_core::invariants::{is_ring_stable_config_view, is_sorted_ring_view};
 
 /// Packs a transition into a `u64` edge label. Labels are stable across
 /// the whole graph (the node vector's order never changes), so equal
@@ -216,10 +215,10 @@ impl FairGraph {
     }
 
     fn push_state(&mut self, s: &State) {
-        let snap = Snapshot::new(s.nodes.clone(), s.channels.clone());
-        self.goal.push(is_sorted_ring(&snap));
-        self.stable.push(is_ring_stable_config(&snap));
-        self.rank.push(rank_of(&snap));
+        let v = s.view();
+        self.goal.push(is_sorted_ring_view(&v));
+        self.stable.push(is_ring_stable_config_view(&v));
+        self.rank.push(rank_of(&v));
         self.expanded.push(false);
         self.edges.push(Vec::new());
     }
@@ -573,9 +572,7 @@ pub fn validate_lasso(
         return false;
     }
     let on_cycle = &cycle_states[..cycle_states.len() - 1];
-    let some_non_goal = on_cycle
-        .iter()
-        .any(|s| !is_sorted_ring(&Snapshot::new(s.nodes.clone(), s.channels.clone())));
+    let some_non_goal = on_cycle.iter().any(|s| !is_sorted_ring_view(&s.view()));
     if !some_non_goal {
         return false;
     }
@@ -732,8 +729,7 @@ pub fn check_closure(g: &FairGraph, stepper: &dyn Stepper) -> ClosureReport {
         let stem = g.stem_to(bad as u32);
         let escapes = |trace: &[Transition]| {
             replay_states(&g.initial, stepper, g.policy, trace).is_some_and(|states| {
-                let last = states.last().expect("nonempty");
-                !is_sorted_ring(&Snapshot::new(last.nodes.clone(), last.channels.clone()))
+                !is_sorted_ring_view(&states.last().expect("nonempty").view())
             })
         };
         minimize_with(&stem, &escapes)

@@ -38,7 +38,7 @@
 
 use swn_core::id::Extended;
 use swn_core::invariants::component_labels_view;
-use swn_core::views::{Snapshot, View};
+use swn_core::views::{NetView, View};
 
 /// Lexicographic potential ⟨components, list deficit, ring deficit⟩;
 /// arrays of `u64` compare lexicographically, so `next <= cur` is the
@@ -50,9 +50,8 @@ pub type Rank = [u64; 3];
 pub const GOAL_RANK: Rank = [1, 0, 0];
 
 /// Evaluates the potential on one configuration.
-pub fn rank_of(snap: &Snapshot) -> Rank {
-    let v = snap.as_view();
-    let mut labels = component_labels_view(&v, View::Cc);
+pub fn rank_of(v: &NetView<'_>) -> Rank {
+    let mut labels = component_labels_view(v, View::Cc);
     labels.sort_unstable();
     labels.dedup();
     let components = labels.len() as u64;
@@ -100,8 +99,8 @@ mod tests {
     fn sorted_ring_sits_at_goal_rank() {
         let ids = evenly_spaced_ids(4);
         let nodes = make_sorted_ring(&ids, ProtocolConfig::default());
-        let snap = Snapshot::new(nodes, vec![Vec::new(); 4]);
-        assert_eq!(rank_of(&snap), GOAL_RANK);
+        let channels = vec![Vec::new(); 4];
+        assert_eq!(rank_of(&NetView::from_slices(&nodes, &channels)), GOAL_RANK);
     }
 
     #[test]
@@ -111,8 +110,8 @@ mod tests {
             .iter()
             .map(|&id| Node::new(id, ProtocolConfig::default()))
             .collect();
-        let snap = Snapshot::new(nodes, vec![Vec::new(); 3]);
-        let r = rank_of(&snap);
+        let channels = vec![Vec::new(); 3];
+        let r = rank_of(&NetView::from_slices(&nodes, &channels));
         assert!(r > GOAL_RANK, "{r:?}");
         assert_eq!(r[0], 3, "three isolated components");
     }

@@ -13,11 +13,11 @@
 use crate::stepper::{Policy, PolicyRng, Stepper};
 use std::fmt;
 use swn_core::id::{Extended, NodeId};
-use swn_core::invariants::{is_sorted_list, is_sorted_ring, weakly_connected};
+use swn_core::invariants::{is_sorted_list_view, is_sorted_ring_view, weakly_connected_view};
 use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_core::outbox::Outbox;
-use swn_core::views::{Snapshot, View};
+use swn_core::views::{NetView, View};
 use swn_sim::trace::RoundStats;
 
 /// One scheduler choice: deliver a specific in-flight message, or run a
@@ -67,7 +67,7 @@ impl fmt::Display for Transition {
 /// `false` after = violation) with no history carried in the state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PredVector {
-    /// `weakly_connected(s, View::Cc)` — the paper's core safety lemma:
+    /// `weakly_connected_view(v, View::Cc)` — the paper's core safety lemma:
     /// no protocol action loses the last connection between components.
     pub connected: bool,
     /// `is_sorted_list` — once the `l`/`r` pointers form the sorted list
@@ -344,13 +344,19 @@ impl State {
         k
     }
 
+    /// The borrowed view of this configuration — what every predicate
+    /// is evaluated on; no node or message is cloned.
+    pub fn view(&self) -> NetView<'_> {
+        NetView::from_slices(&self.nodes, &self.channels)
+    }
+
     /// Evaluates the monitored predicates on this configuration.
     pub fn eval(&self) -> PredVector {
-        let snap = Snapshot::new(self.nodes.clone(), self.channels.clone());
+        let v = self.view();
         PredVector {
-            connected: weakly_connected(&snap, View::Cc),
-            sorted_list: is_sorted_list(&snap),
-            sorted_ring: is_sorted_ring(&snap),
+            connected: weakly_connected_view(&v, View::Cc),
+            sorted_list: is_sorted_list_view(&v),
+            sorted_ring: is_sorted_ring_view(&v),
         }
     }
 

@@ -12,21 +12,17 @@
 //! 4. **Small world** (Theorem 4.22): CP is the ring plus one long-range
 //!    link per node whose lengths follow the 1-harmonic distribution.
 //!
-//! Phases 1–3 are decidable predicates on a snapshot, implemented here.
-//! Phase 4 is a distributional statement; its *structural* part (every
-//! long-range link live on the ring) is checked here, the distributional
-//! part is measured by `swn-topology`'s harmonic-fit statistics.
-
-//! Every predicate exists in two spellings: the historical one over a
-//! cloned [`Snapshot`] and a `_view` one over a borrowing
-//! [`NetView`]. The snapshot spellings delegate to
-//! the view spellings through [`Snapshot::as_view`], so there is exactly
-//! one implementation of each phase property and the measurement loop can
-//! run it without cloning the network.
+//! Phases 1–3 are decidable predicates on a global state, implemented
+//! here over the borrowing [`NetView`] — the one read path, so the
+//! measurement loop and the model checker evaluate them without cloning
+//! a node. Phase 4 is a distributional statement; its *structural* part
+//! (every long-range link live on the ring) is checked here, the
+//! distributional part is measured by `swn-topology`'s harmonic-fit
+//! statistics.
 
 use crate::id::Extended;
 use crate::node::Node;
-use crate::views::{NetView, Snapshot, View};
+use crate::views::{NetView, View};
 
 /// Simple union-find over `0..n`, used for weak-connectivity checks.
 #[derive(Clone, Debug)]
@@ -103,11 +99,6 @@ pub fn weakly_connected_view(v: &NetView<'_>, view: View) -> bool {
     uf.all_connected()
 }
 
-/// Snapshot spelling of [`weakly_connected_view`].
-pub fn weakly_connected(s: &Snapshot, view: View) -> bool {
-    weakly_connected_view(&s.as_view(), view)
-}
-
 /// A weak-component label for every node rank under `view` (edge
 /// directions ignored): two ranks share a label iff they are weakly
 /// connected. Labels are union-find roots — stable within one call,
@@ -149,11 +140,6 @@ pub fn is_sorted_list_view(v: &NetView<'_>) -> bool {
     true
 }
 
-/// Snapshot spelling of [`is_sorted_list_view`].
-pub fn is_sorted_list(s: &Snapshot) -> bool {
-    is_sorted_list_view(&s.as_view())
-}
-
 /// Definition 4.17: RCP solves the **sorted-ring problem** — the sorted
 /// list plus mutually closing ring edges at the extremes. A single node
 /// trivially satisfies it; two or more nodes need `min.ring = max` and
@@ -169,11 +155,6 @@ pub fn is_sorted_ring_view(v: &NetView<'_>) -> bool {
     let min = nodes[0];
     let max = nodes[nodes.len() - 1];
     min.ring() == Some(max.id()) && max.ring() == Some(min.id())
-}
-
-/// Snapshot spelling of [`is_sorted_ring_view`].
-pub fn is_sorted_ring(s: &Snapshot) -> bool {
-    is_sorted_ring_view(&s.as_view())
 }
 
 /// The sorted ring **modulo its declared flicker**: the `l`/`r`/`ring`
@@ -223,11 +204,6 @@ pub fn is_ring_stable_config_view(v: &NetView<'_>) -> bool {
     true
 }
 
-/// Snapshot spelling of [`is_ring_stable_config_view`].
-pub fn is_ring_stable_config(s: &Snapshot) -> bool {
-    is_ring_stable_config_view(&s.as_view())
-}
-
 /// Structural part of the small-world state (Theorem 4.22): the sorted
 /// ring holds and every long-range link points at an existing node
 /// (the distributional part is measured separately).
@@ -235,12 +211,7 @@ pub fn is_small_world_structure_view(v: &NetView<'_>) -> bool {
     is_sorted_ring_view(v) && v.nodes().iter().all(|n| v.index_of(n.lrl()).is_some())
 }
 
-/// Snapshot spelling of [`is_small_world_structure_view`].
-pub fn is_small_world_structure(s: &Snapshot) -> bool {
-    is_small_world_structure_view(&s.as_view())
-}
-
-/// The stabilization phase a snapshot has reached (each phase implies the
+/// The stabilization phase a global state has reached (each phase implies the
 /// previous ones; phase 4's distributional part is not checked here).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Phase {
@@ -280,11 +251,6 @@ pub fn classify_view(v: &NetView<'_>) -> Phase {
         return Phase::Connected;
     }
     Phase::LccConnected
-}
-
-/// Classifies a snapshot into the highest phase it satisfies.
-pub fn classify(s: &Snapshot) -> Phase {
-    classify_view(&s.as_view())
 }
 
 /// Builds the canonical stable state for a set of nodes: the sorted ring
@@ -329,6 +295,7 @@ mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
     use crate::id::{evenly_spaced_ids, NodeId};
+    use crate::views::Snapshot;
 
     fn id(f: f64) -> NodeId {
         NodeId::from_fraction(f)
@@ -358,10 +325,13 @@ mod tests {
     fn canonical_ring_satisfies_all_phases() {
         for n in [1usize, 2, 3, 10, 64] {
             let s = ring_snapshot(n);
-            assert!(is_sorted_list(&s), "n={n} sorted list");
-            assert!(is_sorted_ring(&s), "n={n} sorted ring");
-            assert!(is_small_world_structure(&s), "n={n} small world");
-            assert_eq!(classify(&s), Phase::SortedRing, "n={n}");
+            assert!(is_sorted_list_view(&s.as_view()), "n={n} sorted list");
+            assert!(is_sorted_ring_view(&s.as_view()), "n={n} sorted ring");
+            assert!(
+                is_small_world_structure_view(&s.as_view()),
+                "n={n} small world"
+            );
+            assert_eq!(classify_view(&s.as_view()), Phase::SortedRing, "n={n}");
         }
     }
 
@@ -380,9 +350,9 @@ mod tests {
             ProtocolConfig::default(),
         );
         let s = Snapshot::from_nodes(nodes);
-        assert!(!is_sorted_list(&s));
-        assert!(!is_sorted_ring(&s));
-        assert!(classify(&s) < Phase::SortedList);
+        assert!(!is_sorted_list_view(&s.as_view()));
+        assert!(!is_sorted_ring_view(&s.as_view()));
+        assert!(classify_view(&s.as_view()) < Phase::SortedList);
     }
 
     #[test]
@@ -399,9 +369,9 @@ mod tests {
             ProtocolConfig::default(),
         );
         let s = Snapshot::from_nodes(nodes);
-        assert!(is_sorted_list(&s));
-        assert!(!is_sorted_ring(&s));
-        assert_eq!(classify(&s), Phase::SortedList);
+        assert!(is_sorted_list_view(&s.as_view()));
+        assert!(!is_sorted_ring_view(&s.as_view()));
+        assert_eq!(classify_view(&s.as_view()), Phase::SortedList);
     }
 
     #[test]
@@ -418,8 +388,8 @@ mod tests {
             ProtocolConfig::default(),
         );
         let s = Snapshot::from_nodes(nodes);
-        assert!(is_sorted_ring(&s));
-        assert!(!is_small_world_structure(&s));
+        assert!(is_sorted_ring_view(&s.as_view()));
+        assert!(!is_small_world_structure_view(&s.as_view()));
     }
 
     #[test]
@@ -428,9 +398,12 @@ mod tests {
         let mut nodes = make_sorted_ring(&[id(0.1), id(0.2)], cfg);
         nodes.extend(make_sorted_ring(&[id(0.7), id(0.8)], cfg));
         let s = Snapshot::from_nodes(nodes);
-        assert!(!weakly_connected(&s, View::Cc));
-        assert_eq!(classify(&s), Phase::Disconnected);
-        assert!(!is_sorted_list(&s), "l/r pointers skip across components");
+        assert!(!weakly_connected_view(&s.as_view(), View::Cc));
+        assert_eq!(classify_view(&s.as_view()), Phase::Disconnected);
+        assert!(
+            !is_sorted_list_view(&s.as_view()),
+            "l/r pointers skip across components"
+        );
     }
 
     #[test]
@@ -448,17 +421,17 @@ mod tests {
             cfg,
         );
         let s = Snapshot::from_nodes(nodes);
-        assert!(weakly_connected(&s, View::Cc));
-        assert!(!weakly_connected(&s, View::Lcc));
-        assert_eq!(classify(&s), Phase::Connected);
+        assert!(weakly_connected_view(&s.as_view(), View::Cc));
+        assert!(!weakly_connected_view(&s.as_view(), View::Lcc));
+        assert_eq!(classify_view(&s.as_view()), Phase::Connected);
     }
 
     #[test]
     fn empty_and_singleton_networks_are_stable() {
         let s = Snapshot::from_nodes(vec![]);
-        assert_eq!(classify(&s), Phase::SortedRing);
+        assert_eq!(classify_view(&s.as_view()), Phase::SortedRing);
         let s = ring_snapshot(1);
-        assert_eq!(classify(&s), Phase::SortedRing);
+        assert_eq!(classify_view(&s.as_view()), Phase::SortedRing);
     }
 
     #[test]
@@ -527,22 +500,24 @@ mod tests {
         );
         states.push(Snapshot::from_nodes(split));
         for s in &states {
-            assert_eq!(classify(s), classify_slow(s));
             assert_eq!(classify_view(&s.as_view()), classify_slow(s));
         }
     }
 
     #[test]
     fn view_predicates_agree_with_snapshot_predicates() {
+        // A snapshot is storage in any order: the predicates read the
+        // same ring from nodes stored back to front as from references
+        // handed over in id order.
         for n in [1usize, 2, 5, 33] {
-            let s = ring_snapshot(n);
-            let v = s.as_view();
-            assert_eq!(is_sorted_list_view(&v), is_sorted_list(&s));
-            assert_eq!(is_sorted_ring_view(&v), is_sorted_ring(&s));
-            assert_eq!(
-                is_small_world_structure_view(&v),
-                is_small_world_structure(&s)
-            );
+            let nodes = make_sorted_ring(&evenly_spaced_ids(n), ProtocolConfig::default());
+            let direct = NetView::new(nodes.iter().collect(), vec![&[]; n]);
+            let stored = Snapshot::from_nodes(nodes.iter().rev().cloned().collect());
+            let v = stored.as_view();
+            assert!(is_sorted_list_view(&direct) && is_sorted_list_view(&v));
+            assert!(is_sorted_ring_view(&direct) && is_sorted_ring_view(&v));
+            assert!(is_small_world_structure_view(&direct) && is_small_world_structure_view(&v));
+            assert!(is_ring_stable_config_view(&direct) && is_ring_stable_config_view(&v));
             assert!(weakly_connected_view(&v, View::Cc), "n={n}");
         }
     }

@@ -22,7 +22,7 @@
 //! * [`outbox`] — the effect buffer decoupling protocol logic from
 //!   transport (simulator, threaded runtime, tests);
 //! * [`views`] — the connectivity graphs CC/CP/LCC/LCP/RCC/RCP of
-//!   Definition 4.2, extracted from global snapshots;
+//!   Definition 4.2, extracted from a borrowed view of the global state;
 //! * [`invariants`] — the phase predicates of the convergence proof
 //!   (sorted list, sorted ring, classification).
 //!
@@ -74,11 +74,11 @@ pub mod prelude {
     pub use crate::forget::phi;
     pub use crate::id::{evenly_spaced_ids, random_ids, Extended, NodeId};
     pub use crate::invariants::{
-        classify, is_small_world_structure, is_sorted_list, is_sorted_ring, make_sorted_ring,
-        weakly_connected, Phase,
+        classify_view, is_small_world_structure_view, is_sorted_list_view, is_sorted_ring_view,
+        make_sorted_ring, weakly_connected_view, Phase,
     };
     pub use crate::message::{Message, MessageKind};
     pub use crate::node::Node;
     pub use crate::outbox::{Outbox, ProtocolEvent, Side};
-    pub use crate::views::{Snapshot, View};
+    pub use crate::views::{NetView, Snapshot, View};
 }

@@ -11,33 +11,33 @@
 //! * **RCP / RCC** — LCP/LCC plus the ring edges (stored, and for RCC the
 //!   in-flight `ring` messages).
 //!
-//! A [`Snapshot`] is a frozen global state (taken by the simulator or the
-//! threaded runtime); the view extractors return edge lists over node
-//! *indices* in the snapshot, ready for the analysis crate.
+//! There is one numbering and one edge extractor. A [`NetView`] is a
+//! global state seen through references — one `&Node` and one channel
+//! slice per node, in ascending identifier order, so an index *is* the
+//! node's rank on the id line — and [`NetView::for_each_edge`] is the
+//! only implementation of the edge rule above. Every predicate and every
+//! analysis pass takes a view; nothing is cloned to evaluate one.
 //!
-//! A [`NetView`] is the *borrowing* counterpart: references into a live
-//! network's nodes and channels, ordered by ascending identifier. The
-//! phase predicates evaluate against it without cloning a single node or
-//! message, which turns the measurement loop's per-round cost from
-//! O(state) copies into O(pointers). [`Snapshot::as_view`] bridges the
-//! two worlds, so every predicate has exactly one implementation.
+//! A [`Snapshot`] is storage, not a second read path: the owned
+//! `{nodes, channels}` that persistence writes, the threaded driver
+//! collects and the examples hold on to. Its one way out is
+//! [`Snapshot::as_view`], which — like anything else holding nodes and
+//! channels in its own order — goes through [`NetView::from_slices`].
 
 use crate::id::NodeId;
 use crate::message::Message;
 use crate::node::Node;
-use std::collections::BTreeMap;
 
-/// A frozen global state: every node's variables plus every channel's
-/// contents. `channels[i]` holds the messages waiting in `nodes[i]`'s
-/// channel.
+/// An owned global state: every node's variables plus every channel's
+/// contents, in whatever order the producer collected them.
+/// `channels[i]` holds the messages waiting in `nodes[i]`'s channel.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     nodes: Vec<Node>,
     channels: Vec<Vec<Message>>,
-    index: BTreeMap<NodeId, usize>,
 }
 
-/// Which connectivity view to extract from a snapshot.
+/// Which connectivity view to extract from a global state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum View {
     /// All stored links.
@@ -58,19 +58,10 @@ impl Snapshot {
     /// Builds a snapshot from node clones and their channel contents.
     ///
     /// # Panics
-    /// Panics if `channels.len() != nodes.len()` or node ids collide.
+    /// Panics if `channels.len() != nodes.len()`.
     pub fn new(nodes: Vec<Node>, channels: Vec<Vec<Message>>) -> Self {
         assert_eq!(nodes.len(), channels.len(), "one channel per node required");
-        let mut index = BTreeMap::new();
-        for (i, n) in nodes.iter().enumerate() {
-            let prev = index.insert(n.id(), i);
-            assert!(prev.is_none(), "duplicate node id {:?}", n.id());
-        }
-        Snapshot {
-            nodes,
-            channels,
-            index,
-        }
+        Snapshot { nodes, channels }
     }
 
     /// Snapshot with empty channels (pure node-state view).
@@ -89,7 +80,7 @@ impl Snapshot {
         self.nodes.is_empty()
     }
 
-    /// The nodes, in snapshot order.
+    /// The nodes, in storage order.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
@@ -99,99 +90,24 @@ impl Snapshot {
         &self.channels
     }
 
-    /// Index of the node with identifier `id`, if present.
-    pub fn index_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).copied()
-    }
-
-    /// Node indices in ascending id order.
-    pub fn sorted_indices(&self) -> Vec<usize> {
-        self.index.values().copied().collect()
-    }
-
-    /// Total number of messages in flight.
-    pub fn messages_in_flight(&self) -> usize {
-        self.channels.iter().map(Vec::len).sum()
-    }
-
-    /// A borrowing view of this snapshot (nodes in ascending id order).
-    /// Predicates evaluated through the view agree with the snapshot
-    /// implementations; only the node numbering differs (id rank instead
-    /// of snapshot position).
+    /// The view of this snapshot: the input of every predicate and
+    /// analysis pass.
+    ///
+    /// # Panics
+    /// Panics if two nodes share an identifier.
     pub fn as_view(&self) -> NetView<'_> {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        let mut channels = Vec::with_capacity(self.nodes.len());
-        for &i in self.index.values() {
-            nodes.push(&self.nodes[i]);
-            channels.push(self.channels[i].as_slice());
-        }
-        NetView { nodes, channels }
-    }
-
-    /// Extracts the directed edge list of a connectivity view. Edges point
-    /// from the node *storing/receiving* an identifier to that identifier's
-    /// node; identifiers of absent nodes (possible during churn) are
-    /// skipped.
-    pub fn edges(&self, view: View) -> Vec<(usize, usize)> {
-        let mut edges = Vec::new();
-        let push = |edges: &mut Vec<(usize, usize)>, from: usize, to: NodeId| {
-            if let Some(j) = self.index_of(to) {
-                if j != from {
-                    edges.push((from, j));
-                }
-            }
-        };
-        for (i, n) in self.nodes.iter().enumerate() {
-            // Stored l/r links: in every view.
-            if let Some(l) = n.left().fin() {
-                push(&mut edges, i, l);
-            }
-            if let Some(r) = n.right().fin() {
-                push(&mut edges, i, r);
-            }
-            // Stored lrl: CP/CC only.
-            if matches!(view, View::Cp | View::Cc) {
-                push(&mut edges, i, n.lrl());
-            }
-            // Stored ring edge: CP/CC/RCP/RCC.
-            if matches!(view, View::Cp | View::Cc | View::Rcp | View::Rcc) {
-                if let Some(x) = n.ring() {
-                    push(&mut edges, i, x);
-                }
-            }
-        }
-        // Channel-implied temporary links.
-        if matches!(view, View::Cc | View::Lcc | View::Rcc) {
-            for (i, ch) in self.channels.iter().enumerate() {
-                for m in ch {
-                    let include = match view {
-                        View::Cc => true,
-                        View::Lcc => m.in_lcc(),
-                        View::Rcc => m.in_lcc() || matches!(m, Message::Ring(_)),
-                        _ => unreachable!(),
-                    };
-                    if include {
-                        for id in m.carried_ids() {
-                            push(&mut edges, i, id);
-                        }
-                    }
-                }
-            }
-        }
-        edges
+        NetView::from_slices(&self.nodes, &self.channels)
     }
 }
 
 /// A borrowing view of a global state: one `&Node` and one `&[Message]`
 /// channel slice per live node, in **ascending identifier order** (so
-/// index `i` is the node's ring rank). Built in O(n) pointer copies by
-/// `Snapshot::as_view` or the simulator's `Network::view`; nothing is
-/// cloned.
-///
-/// This is the state handed to the snapshot-free phase predicates
-/// (`classify_view` and friends in `invariants`): the convergence loop
-/// evaluates them every round, and cloning the whole network per round
-/// was the measurement bottleneck the view removes.
+/// index `i` is the node's rank on the id line). Built in O(n) pointer
+/// copies by the simulator's `Network::view`, or by
+/// [`from_slices`](Self::from_slices) from storage held in any order;
+/// nothing is cloned. The convergence loop evaluates the phase
+/// predicates on one every dirty round, the model checker on every
+/// explored state.
 #[derive(Debug)]
 pub struct NetView<'a> {
     nodes: Vec<&'a Node>,
@@ -208,9 +124,27 @@ impl<'a> NetView<'a> {
         assert_eq!(nodes.len(), channels.len(), "one channel per node required");
         assert!(
             nodes.windows(2).all(|w| w[0].id() < w[1].id()),
-            "view nodes must be in strictly ascending id order"
+            "view nodes must be in strictly ascending id order: unsorted or duplicate node id"
         );
         NetView { nodes, channels }
+    }
+
+    /// The view of parallel node/channel storage held in any order
+    /// (`channels[i]` is `nodes[i]`'s channel): sorts references by
+    /// identifier, clones nothing.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length or two nodes share an
+    /// identifier.
+    pub fn from_slices(nodes: &'a [Node], channels: &'a [Vec<Message>]) -> Self {
+        assert_eq!(nodes.len(), channels.len(), "one channel per node required");
+        let mut pairs: Vec<(&Node, &[Message])> = nodes
+            .iter()
+            .zip(channels.iter().map(Vec::as_slice))
+            .collect();
+        pairs.sort_by_key(|(n, _)| n.id());
+        let (nodes, channels) = pairs.into_iter().unzip();
+        NetView::new(nodes, channels)
     }
 
     /// Number of nodes.
@@ -250,10 +184,11 @@ impl<'a> NetView<'a> {
     }
 
     /// Streams the directed edges of a connectivity view into `f` without
-    /// materializing an edge list. Same edge semantics as
-    /// [`Snapshot::edges`]: edges point from the node storing/receiving an
-    /// identifier to that identifier's node, absent identifiers and
-    /// self-loops are skipped; indices are id ranks.
+    /// materializing an edge list — the one implementation of
+    /// Definition 4.2. Edges point from the node *storing/receiving* an
+    /// identifier to that identifier's node; identifiers of absent nodes
+    /// (possible during churn) and self-loops are skipped; indices are id
+    /// ranks.
     pub fn for_each_edge<F: FnMut(usize, usize)>(&self, view: View, mut f: F) {
         let mut push = |from: usize, to: NodeId| {
             if let Some(j) = self.index_of(to) {
@@ -263,21 +198,25 @@ impl<'a> NetView<'a> {
             }
         };
         for (i, n) in self.nodes.iter().enumerate() {
+            // Stored l/r links: in every view.
             if let Some(l) = n.left().fin() {
                 push(i, l);
             }
             if let Some(r) = n.right().fin() {
                 push(i, r);
             }
+            // Stored lrl: CP/CC only.
             if matches!(view, View::Cp | View::Cc) {
                 push(i, n.lrl());
             }
+            // Stored ring edge: CP/CC/RCP/RCC.
             if matches!(view, View::Cp | View::Cc | View::Rcp | View::Rcc) {
                 if let Some(x) = n.ring() {
                     push(i, x);
                 }
             }
         }
+        // Channel-implied temporary links.
         if matches!(view, View::Cc | View::Lcc | View::Rcc) {
             for (i, ch) in self.channels.iter().enumerate() {
                 for m in *ch {
@@ -353,7 +292,7 @@ mod tests {
     #[test]
     fn lcp_contains_only_list_links() {
         let s = sample();
-        let mut e = s.edges(View::Lcp);
+        let mut e = s.as_view().edges(View::Lcp);
         e.sort_unstable();
         assert_eq!(e, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
     }
@@ -361,7 +300,7 @@ mod tests {
     #[test]
     fn rcp_adds_ring_edges() {
         let s = sample();
-        let e = s.edges(View::Rcp);
+        let e = s.as_view().edges(View::Rcp);
         assert!(e.contains(&(0, 2)), "min.ring = max");
         assert!(e.contains(&(2, 0)), "max.ring = min");
         assert_eq!(e.len(), 6);
@@ -370,7 +309,7 @@ mod tests {
     #[test]
     fn cp_adds_lrl_edges() {
         let s = sample();
-        let e = s.edges(View::Cp);
+        let e = s.as_view().edges(View::Cp);
         assert!(e.contains(&(0, 2)), "a.lrl = c");
         assert!(e.contains(&(2, 0)), "c.lrl = a");
         // b.lrl = self: skipped.
@@ -380,30 +319,33 @@ mod tests {
     #[test]
     fn lcc_includes_lin_but_not_other_messages() {
         let s = sample();
-        let e = s.edges(View::Lcc);
+        let v = s.as_view();
+        let e = v.edges(View::Lcc);
         // Channel of node 0 has Lin(0.8): edge (0, 2).
         assert!(e.contains(&(0, 2)));
         // Ring / ProbR messages must not contribute to LCC.
-        assert_eq!(e.len(), s.edges(View::Lcp).len() + 1);
+        assert_eq!(e.len(), v.edges(View::Lcp).len() + 1);
     }
 
     #[test]
     fn rcc_includes_ring_messages() {
         let s = sample();
-        let e = s.edges(View::Rcc);
+        let v = s.as_view();
+        let e = v.edges(View::Rcc);
         // node 1's channel has Ring(0.2): edge (1, 0) — already in LCP,
         // plus node 0's Lin(0.8) and both stored ring edges.
         assert!(e.contains(&(1, 0)));
-        assert_eq!(e.len(), s.edges(View::Lcc).len() + 2 + 1);
+        assert_eq!(e.len(), v.edges(View::Lcc).len() + 2 + 1);
     }
 
     #[test]
     fn cc_is_a_superset_of_every_other_view() {
         let s = sample();
-        let cc: std::collections::BTreeSet<_> = s.edges(View::Cc).into_iter().collect();
-        for v in [View::Cp, View::Lcp, View::Lcc, View::Rcp, View::Rcc] {
-            for e in s.edges(v) {
-                assert!(cc.contains(&e), "{v:?} edge {e:?} missing from CC");
+        let v = s.as_view();
+        let cc: std::collections::BTreeSet<_> = v.edges(View::Cc).into_iter().collect();
+        for view in [View::Cp, View::Lcp, View::Lcc, View::Rcp, View::Rcc] {
+            for e in v.edges(view) {
+                assert!(cc.contains(&e), "{view:?} edge {e:?} missing from CC");
             }
         }
     }
@@ -421,16 +363,17 @@ mod tests {
             cfg,
         );
         let s = Snapshot::from_nodes(vec![a]);
-        assert!(s.edges(View::Cc).is_empty());
+        assert!(s.as_view().edges(View::Cc).is_empty());
     }
 
     #[test]
     fn index_lookup() {
         let s = sample();
-        assert_eq!(s.index_of(id(0.5)), Some(1));
-        assert_eq!(s.index_of(id(0.9)), None);
-        assert_eq!(s.sorted_indices(), vec![0, 1, 2]);
-        assert_eq!(s.messages_in_flight(), 3);
+        let v = s.as_view();
+        assert_eq!((s.len(), v.len()), (3, 3));
+        assert_eq!(v.index_of(id(0.5)), Some(1));
+        assert_eq!(v.index_of(id(0.9)), None);
+        assert_eq!(v.messages_in_flight(), 3);
     }
 
     #[test]
@@ -439,18 +382,25 @@ mod tests {
         let cfg = ProtocolConfig::default();
         let a = Node::new(id(0.5), cfg);
         let b = Node::new(id(0.5), cfg);
-        let _ = Snapshot::from_nodes(vec![a, b]);
+        let _ = Snapshot::from_nodes(vec![a, b]).as_view();
     }
 
     #[test]
-    fn as_view_edges_match_snapshot_edges_for_every_view() {
-        // The sample snapshot is already in ascending id order, so ranks
-        // and snapshot indices coincide and edge lists must be equal as
-        // sets.
+    fn storage_order_does_not_show_in_the_view() {
+        // The same three nodes and channels stored c, a, b: the view
+        // ranks by id and keeps each channel with its node, so every
+        // edge list equals the one built from id-ordered storage.
         let s = sample();
-        let v = s.as_view();
-        assert_eq!(v.len(), s.len());
-        assert_eq!(v.messages_in_flight(), s.messages_in_flight());
+        let perm = [2, 0, 1];
+        let shuffled = Snapshot::new(
+            perm.iter().map(|&i| s.nodes()[i].clone()).collect(),
+            perm.iter().map(|&i| s.channels()[i].clone()).collect(),
+        );
+        let (v, w) = (s.as_view(), shuffled.as_view());
+        for rank in 0..3 {
+            assert_eq!(w.node(rank), v.node(rank));
+            assert_eq!(w.channel(rank), v.channel(rank));
+        }
         for view in [
             View::Cp,
             View::Cc,
@@ -459,11 +409,7 @@ mod tests {
             View::Rcp,
             View::Rcc,
         ] {
-            let mut a = s.edges(view);
-            let mut b = v.edges(view);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "{view:?} edges diverge between view and snapshot");
+            assert_eq!(w.edges(view), v.edges(view), "{view:?}");
         }
     }
 

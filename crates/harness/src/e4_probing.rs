@@ -4,9 +4,11 @@
 //! Lemma 4.23 is a statement about the *stable state* (stationary
 //! harmonic links), so the fixture is the harmonic-seeded network of
 //! [`crate::testbed::harmonic_network`], kept running so tokens continue
-//! to walk between sampling epochs. Probe paths are replayed
-//! deterministically on snapshots (see [`crate::probe_walk`]), bucketed
-//! by the distance d between the prober and its long-range endpoint.
+//! to walk between sampling epochs. Probe paths are replayed through
+//! `Node::on_message` on the live network's borrowed view (see
+//! [`crate::probe_walk`]) — the shipped handlers, nothing cloned but the
+//! node a hop runs on — and bucketed by the distance d between the
+//! prober and its long-range endpoint.
 //!
 //! Distance is measured along the **id line**, not the ring: probes walk
 //! monotonically by identifier (Algorithms 5/6 never cross the seam), so
@@ -30,9 +32,9 @@ pub struct Params {
     /// so this only lets reslrl traffic settle — it is not a mixing
     /// warmup).
     pub warmup: u64,
-    /// Snapshots sampled (probe populations accumulate across them).
+    /// Sampling epochs (probe populations accumulate across them).
     pub epochs: usize,
-    /// Rounds between snapshots.
+    /// Rounds between sampling epochs.
     pub epoch_gap: u64,
     /// Protocol ε.
     pub epsilon: f64,
@@ -84,23 +86,19 @@ pub fn measure(p: &Params, seed: u64) -> ProbeMeasurement {
     let mut m = ProbeMeasurement::default();
     for _ in 0..p.epochs {
         net.run(p.epoch_gap);
-        let s = net.snapshot();
-        let order = s.sorted_indices();
-        let mut rank_of = vec![0usize; s.len()];
-        for (rank, &idx) in order.iter().enumerate() {
-            rank_of[idx] = rank;
-        }
-        // Probe replays are independent deterministic walks on the
-        // frozen snapshot, so fan them out and fold in index order —
+        let v = net.view();
+        // Probe replays are independent deterministic walks over the
+        // borrowed view, so fan them out and fold in rank order —
         // results do not depend on the worker count.
-        let outcomes = run_trials(s.len(), |idx| replay_lrl_probe(&s, idx));
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
+        let outcomes = run_trials(v.len(), |rank| replay_lrl_probe(&v, rank));
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 Some(ProbeOutcome::Arrived { hops }) => {
-                    let node = &s.nodes()[idx];
-                    let tidx = s.index_of(node.lrl()).expect("arrived ⇒ target exists");
+                    let target = v
+                        .index_of(v.node(rank).lrl())
+                        .expect("arrived ⇒ target exists");
                     // Line (rank) distance: the metric the probe walks.
-                    let d = rank_of[idx].abs_diff(rank_of[tidx]);
+                    let d = rank.abs_diff(target);
                     if d > 0 {
                         samples.push((d, hops));
                     }

@@ -71,7 +71,6 @@ pub fn harmonic_network(n: usize, cfg: ProtocolConfig, seed: u64) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swn_core::invariants::is_sorted_ring;
     use swn_topology::connectivity::is_weakly_connected;
 
     #[test]
@@ -90,9 +89,8 @@ mod tests {
     #[test]
     fn harmonic_network_is_stable_with_harmonic_lengths() {
         let net = harmonic_network(512, ProtocolConfig::default(), 9);
-        let s = net.snapshot();
-        assert!(is_sorted_ring(&s));
-        let lengths = swn_topology::distribution::lrl_lengths(&s);
+        assert!(net.is_sorted_ring());
+        let lengths = swn_topology::distribution::lrl_lengths_view(&net.view());
         assert!(lengths.len() > 450, "most nodes must have a live lrl");
         let ks = swn_topology::distribution::ks_to_harmonic(&lengths, 256);
         assert!(ks < 0.12, "seeded lengths must be harmonic: KS = {ks}");

@@ -224,9 +224,7 @@ mod tests {
         let report = join(&mut net, new_id, contact, 2000);
         assert!(report.recovered(), "join did not re-stabilize: {report:?}");
         assert_eq!(net.len(), 17);
-        let s = net.snapshot();
-        let i = s.index_of(new_id).expect("newcomer present");
-        let node = &s.nodes()[i];
+        let node = net.node(new_id).expect("newcomer present");
         assert_eq!(node.left().fin(), Some(ids[3]));
         assert_eq!(node.right().fin(), Some(ids[4]));
     }
@@ -239,8 +237,7 @@ mod tests {
         let new_id = NodeId::from_bits(ids.last().unwrap().bits() + 1000);
         let report = join(&mut net, new_id, ids[0], 2000);
         assert!(report.recovered(), "{report:?}");
-        let s = net.snapshot();
-        let node = &s.nodes()[s.index_of(new_id).unwrap()];
+        let node = net.node(new_id).unwrap();
         assert!(node.right().is_pos_inf());
         assert_eq!(node.ring(), Some(ids[0]), "new max must ring back to min");
     }
@@ -253,8 +250,7 @@ mod tests {
         let report = leave(&mut net, victim, 4000);
         assert!(report.recovered(), "leave did not heal: {report:?}");
         assert_eq!(net.len(), 15);
-        let s = net.snapshot();
-        let left = &s.nodes()[s.index_of(ids[6]).unwrap()];
+        let left = net.node(ids[6]).unwrap();
         assert_eq!(left.right().fin(), Some(ids[8]), "gap not closed");
     }
 
@@ -264,9 +260,8 @@ mod tests {
         let ids = net.ids();
         let report = leave(&mut net, ids[0], 4000);
         assert!(report.recovered(), "{report:?}");
-        let s = net.snapshot();
-        let new_min = &s.nodes()[s.index_of(ids[1]).unwrap()];
-        let max = &s.nodes()[s.index_of(*ids.last().unwrap()).unwrap()];
+        let new_min = net.node(ids[1]).unwrap();
+        let max = net.node(*ids.last().unwrap()).unwrap();
         assert_eq!(new_min.ring(), Some(max.id()));
         assert_eq!(max.ring(), Some(new_min.id()));
     }

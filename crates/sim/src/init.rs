@@ -371,7 +371,7 @@ pub fn generate(
 mod tests {
     use super::*;
     use swn_core::id::evenly_spaced_ids;
-    use swn_core::invariants::{classify, weakly_connected, Phase};
+    use swn_core::invariants::{classify_view, weakly_connected_view, Phase};
     use swn_core::views::View;
 
     fn check_connected(kind: InitialTopology, n: usize, seed: u64) {
@@ -379,9 +379,8 @@ mod tests {
         let st = generate(kind, &ids, ProtocolConfig::default(), seed);
         assert_eq!(st.nodes.len(), n);
         let net = st.into_network(seed);
-        let s = net.snapshot();
         assert!(
-            weakly_connected(&s, View::Cc),
+            weakly_connected_view(&net.view(), View::Cc),
             "{} (n={n}, seed={seed}) not weakly connected",
             kind.label()
         );
@@ -417,7 +416,7 @@ mod tests {
             3,
         );
         let net = st.into_network(3);
-        assert_eq!(classify(&net.snapshot()), Phase::SortedRing);
+        assert_eq!(classify_view(&net.view()), Phase::SortedRing);
     }
 
     #[test]
@@ -430,7 +429,7 @@ mod tests {
             3,
         );
         let net = st.into_network(3);
-        assert_eq!(classify(&net.snapshot()), Phase::SortedList);
+        assert_eq!(classify_view(&net.view()), Phase::SortedList);
     }
 
     #[test]
@@ -438,7 +437,7 @@ mod tests {
         let ids = evenly_spaced_ids(10);
         let st = generate(InitialTopology::Star, &ids, ProtocolConfig::default(), 3);
         let net = st.into_network(3);
-        let phase = classify(&net.snapshot());
+        let phase = classify_view(&net.view());
         assert!(phase < Phase::SortedList, "star must start unsorted");
     }
 

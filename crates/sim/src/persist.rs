@@ -6,9 +6,9 @@
 //! plus channel contents), and — when a fault plan is attached — the
 //! complete [`InjectorState`]: plan, RNG cursor, down map, drop log and
 //! captured durable-crash states. A bare snapshot is the `round: 0`,
-//! `injector: null` case of it ([`snapshot_to_json`]). The legacy
-//! **v1** layout (a bare snapshot without those two fields) is
-//! read-only: nothing writes it any more, every reader still loads it.
+//! `injector: null` case of it ([`snapshot_to_json`]). No other layout
+//! is read: a document declaring any other version — the retired v1
+//! bare-snapshot layout included — is refused by name.
 //!
 //! A restore is a *deterministic continuation*, not a replay of the
 //! uninterrupted run: two networks restored from one document with one
@@ -17,7 +17,7 @@
 //! injector's RNG continues from its persisted cursor). They need not
 //! match what the checkpointed process itself would have computed next,
 //! because the scheduler RNG cursor, message enqueue rounds, the
-//! schedule mode and the settled flags are not captured — ROADMAP 5(a)
+//! schedule mode and the settled flags are not captured — ROADMAP 5(b)
 //! tracks that stronger property.
 //!
 //! All readers reject malformed input with a named [`PersistError`]
@@ -39,9 +39,6 @@ use crate::network::Network;
 /// Current document version (bumped on breaking layout changes).
 pub const FORMAT_VERSION: u32 = 2;
 
-/// The legacy bare-snapshot document version.
-pub const V1_VERSION: u32 = 1;
-
 /// A failure to parse or validate a persisted document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PersistError {
@@ -51,7 +48,8 @@ pub enum PersistError {
     /// The document declares a version this reader does not support.
     UnsupportedVersion(u32),
     /// The document parsed but violates a structural invariant
-    /// (mismatched node/channel counts, duplicate ids, invalid plan).
+    /// (mismatched node/channel counts, duplicate ids, an invalid node
+    /// config or fault plan).
     Malformed(String),
 }
 
@@ -62,7 +60,7 @@ impl fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (expected {V1_VERSION} or {FORMAT_VERSION})"
+                    "unsupported snapshot version {v} (expected {FORMAT_VERSION})"
                 )
             }
             PersistError::Malformed(e) => write!(f, "malformed snapshot document: {e}"),
@@ -85,15 +83,14 @@ pub struct Checkpoint {
     pub injector: Option<InjectorState>,
 }
 
-/// The legacy v1 layout, a bare snapshot. Read-only: the writer emits
-/// [`DocV2`] for snapshots and checkpoints alike.
+/// The one field read before committing to the layout, so a foreign
+/// version is refused by name instead of as a parse error.
 #[derive(Deserialize)]
-struct DocV1 {
-    nodes: Vec<Node>,
-    channels: Vec<Vec<Message>>,
+struct Versioned {
+    version: u32,
 }
 
-/// The current layout: a checkpoint.
+/// The document layout: a checkpoint.
 #[derive(Serialize, Deserialize)]
 struct DocV2 {
     version: u32,
@@ -118,9 +115,9 @@ fn bare(s: &Snapshot) -> Checkpoint {
     }
 }
 
-/// Deserializes a bare snapshot from JSON (either version; a checkpoint
-/// document loses its round counter and injector — use
-/// [`checkpoint_from_json`] to keep them).
+/// Deserializes a bare snapshot from JSON (a checkpoint document loses
+/// its round counter and injector — use [`checkpoint_from_json`] to keep
+/// them).
 pub fn snapshot_from_json(json: &str) -> Result<Snapshot, PersistError> {
     checkpoint_from_json(json).map(|cp| cp.snapshot)
 }
@@ -151,48 +148,47 @@ pub fn checkpoint_to_json(cp: &Checkpoint) -> String {
     serde_json::to_string(&doc).expect("checkpoint serialization cannot fail")
 }
 
-/// Deserializes a checkpoint from JSON, dispatching on the declared
-/// document version: v1 documents load as a round-0 checkpoint with no
-/// injector; v2 documents restore everything. Truncated or garbage
-/// input yields [`PersistError::Json`], unknown versions
-/// [`PersistError::UnsupportedVersion`], and structurally inconsistent
-/// documents [`PersistError::Malformed`] — never a panic.
+/// Deserializes a checkpoint from JSON. Truncated or garbage input
+/// yields [`PersistError::Json`], a declared version other than
+/// [`FORMAT_VERSION`] yields [`PersistError::UnsupportedVersion`], and
+/// structurally inconsistent documents — a node whose protocol config
+/// [`Network::new`] would refuse included — yield
+/// [`PersistError::Malformed`]; never a panic.
 pub fn checkpoint_from_json(json: &str) -> Result<Checkpoint, PersistError> {
     let value: Value = serde_json::from_str(json).map_err(|e| PersistError::Json(e.to_string()))?;
-    let version = declared_version(&value)?;
-    let (round, nodes, channels, injector) = match version {
-        V1_VERSION => {
-            let doc = DocV1::from_value(&value).map_err(|e| PersistError::Json(e.to_string()))?;
-            (0, doc.nodes, doc.channels, None)
-        }
-        FORMAT_VERSION => {
-            let doc = DocV2::from_value(&value).map_err(|e| PersistError::Json(e.to_string()))?;
-            (doc.round, doc.nodes, doc.channels, doc.injector)
-        }
-        other => return Err(PersistError::UnsupportedVersion(other)),
-    };
-    if nodes.len() != channels.len() {
+    let Versioned { version } =
+        Versioned::from_value(&value).map_err(|e| PersistError::Json(e.to_string()))?;
+    if version != FORMAT_VERSION {
+        return Err(PersistError::UnsupportedVersion(version));
+    }
+    let doc = DocV2::from_value(&value).map_err(|e| PersistError::Json(e.to_string()))?;
+    if doc.nodes.len() != doc.channels.len() {
         return Err(PersistError::Malformed(
             "node/channel count mismatch".to_string(),
         ));
     }
-    let mut ids: Vec<_> = nodes.iter().map(Node::id).collect();
+    let mut ids: Vec<_> = doc.nodes.iter().map(Node::id).collect();
     ids.sort_unstable();
     if ids.windows(2).any(|w| w[0] == w[1]) {
         return Err(PersistError::Malformed(
             "duplicate node ids in snapshot".to_string(),
         ));
     }
-    if let Some(state) = &injector {
+    for node in &doc.nodes {
+        node.config().validate().map_err(|e| {
+            PersistError::Malformed(format!("invalid config at node {}: {e}", node.id()))
+        })?;
+    }
+    if let Some(state) = &doc.injector {
         state
             .plan
             .validate()
             .map_err(|e| PersistError::Malformed(format!("invalid fault plan: {e}")))?;
     }
     Ok(Checkpoint {
-        round,
-        snapshot: Snapshot::new(nodes, channels),
-        injector,
+        round: doc.round,
+        snapshot: Snapshot::new(doc.nodes, doc.channels),
+        injector: doc.injector,
     })
 }
 
@@ -208,12 +204,13 @@ pub fn network_from_snapshot(s: &Snapshot, seed: u64) -> Network {
 
 /// Rebuilds a runnable network from a checkpoint: node states are
 /// adopted verbatim and persisted channel contents are preloaded, so
-/// the restored computation continues from the same CC state (scheduler
-/// randomness is freshly seeded — the model guarantees stabilization
-/// under *any* fair schedule, so checkpoints never need to capture the
-/// RNG); the round counter is restored (plan windows stay aligned) and
-/// the injector — when one was captured — is rebuilt at its persisted
-/// RNG cursor and reattached.
+/// the restored computation continues from the same CC state. Scheduler
+/// randomness is freshly seeded from `seed` — the scheduler's RNG cursor
+/// is not captured, which is why a restore is a deterministic
+/// continuation rather than a replay (module docs; ROADMAP 5(b) tracks
+/// bit-for-bit resume). The round counter is restored (plan windows stay
+/// aligned) and the injector — when one was captured — is rebuilt at its
+/// persisted RNG cursor and reattached.
 pub fn network_from_checkpoint(cp: &Checkpoint, seed: u64) -> Result<Network, PersistError> {
     let mut net = Network::new(cp.snapshot.nodes().to_vec(), seed);
     net.set_round(cp.round);
@@ -231,18 +228,6 @@ pub fn network_from_checkpoint(cp: &Checkpoint, seed: u64) -> Result<Network, Pe
     Ok(net)
 }
 
-/// Reads the `version` field of a document without committing to a
-/// layout — the dispatch key for multi-version loading.
-fn declared_version(value: &Value) -> Result<u32, PersistError> {
-    let Value::Map(entries) = value else {
-        return Err(PersistError::Json("expected a JSON object".to_string()));
-    };
-    let Some((_, v)) = entries.iter().find(|(k, _)| k == "version") else {
-        return Err(PersistError::Json("missing `version` field".to_string()));
-    };
-    u32::from_value(v).map_err(|e| PersistError::Json(format!("bad `version` field: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +236,7 @@ mod tests {
     use crate::init::{generate, InitialTopology};
     use swn_core::config::ProtocolConfig;
     use swn_core::id::evenly_spaced_ids;
-    use swn_core::invariants::{classify, Phase};
+    use swn_core::invariants::{classify_view, Phase};
 
     fn sample_network() -> Network {
         let ids = evenly_spaced_ids(12);
@@ -286,27 +271,38 @@ mod tests {
         let mut net2 = network_from_snapshot(&restored, 99);
         let rep = run_to_ring(&mut net2, 100_000);
         assert!(rep.stabilized(), "restored computation must stabilize");
-        assert_eq!(classify(&net2.snapshot()), Phase::SortedRing);
+        assert_eq!(classify_view(&net2.view()), Phase::SortedRing);
     }
 
-    /// A v1 document exactly as the pre-PR-14 writer produced it: a
-    /// two-node sorted ring, one message in flight each way, and no
-    /// `round` or `injector` field.
+    /// A document in the retired v1 layout, exactly as the pre-PR-14
+    /// writer produced it: a two-node sorted ring, one message in flight
+    /// each way, and no `round` or `injector` field.
     const V1_DOC: &str = r#"{"version":1,"nodes":[{"id":0,"l":"NegInf","r":{"Fin":9223372036854775807},"lrl":0,"ring":9223372036854775807,"age":1,"tick":1,"cfg":{"epsilon":0.1,"lrl_shortcut":true,"probe_period":1}},{"id":9223372036854775807,"l":{"Fin":0},"r":"PosInf","lrl":9223372036854775807,"ring":0,"age":1,"tick":1,"cfg":{"epsilon":0.1,"lrl_shortcut":true,"probe_period":1}}],"channels":[[{"Lin":9223372036854775807}],[{"ProbR":9223372036854775807}]]}"#;
 
     #[test]
-    fn v1_documents_still_load() {
-        // A v1 document (bare snapshot) loads through the v2 reader as
-        // a round-0 checkpoint with no injector.
-        let cp = checkpoint_from_json(V1_DOC).expect("v1 back-compat");
-        assert_eq!(cp.round, 0);
-        assert!(cp.injector.is_none());
-        let ids: Vec<_> = cp.snapshot.nodes().iter().map(Node::id).collect();
-        assert_eq!(ids, evenly_spaced_ids(2));
-        assert_eq!(classify(&cp.snapshot), Phase::SortedRing);
-        assert!(cp.snapshot.channels().iter().all(|c| c.len() == 1));
-        // Writing it back upgrades the layout.
-        assert!(snapshot_to_json(&cp.snapshot).contains("\"version\":2"));
+    fn version_1_is_rejected_by_name() {
+        assert_eq!(
+            checkpoint_from_json(V1_DOC).unwrap_err(),
+            PersistError::UnsupportedVersion(1)
+        );
+    }
+
+    #[test]
+    fn invalid_node_configs_rejected_as_malformed() {
+        // A config `Network::new` would panic on must be refused by the
+        // reader, not discovered by the restore.
+        let json = snapshot_to_json(&sample_network().snapshot());
+        for (good, bad) in [
+            ("\"probe_period\":1", "\"probe_period\":0"),
+            ("\"epsilon\":0.1", "\"epsilon\":0.0"),
+        ] {
+            assert!(json.contains(good), "fixture drifted: no {good}");
+            let err = checkpoint_from_json(&json.replacen(good, bad, 1)).unwrap_err();
+            assert!(
+                matches!(&err, PersistError::Malformed(e) if e.contains("invalid config")),
+                "{bad}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -431,6 +427,6 @@ mod tests {
         let nodes = swn_core::invariants::make_sorted_ring(&ids, ProtocolConfig::default());
         let s = swn_core::views::Snapshot::from_nodes(nodes);
         let back = snapshot_from_json(&snapshot_to_json(&s)).expect("round trip");
-        assert_eq!(classify(&back), Phase::SortedRing);
+        assert_eq!(classify_view(&back.as_view()), Phase::SortedRing);
     }
 }

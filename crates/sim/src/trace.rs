@@ -53,7 +53,7 @@ pub struct RoundStats {
     /// message was delivered, some node's link state (`l`/`r`/`lrl`/ring)
     /// changed, or a message bounced/dropped. Conservative — a round with
     /// `links_changed == false` provably preserves the
-    /// [`classify`](swn_core::invariants::classify) result, so observers
+    /// [`classify_view`](swn_core::invariants::classify_view) result, so observers
     /// may skip reclassification (see DESIGN.md).
     pub links_changed: bool,
     /// Probe-repair events: a probe got stuck and created an edge.

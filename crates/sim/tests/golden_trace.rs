@@ -75,11 +75,9 @@ fn encode_extended(e: Extended) -> u64 {
 /// Order-stable digest of the full global state: every node's variables
 /// (ascending id order) plus its channel contents in queue order.
 fn state_digest(net: &Network) -> u64 {
-    let s = net.snapshot();
+    let v = net.view();
     let mut d = Digest::new();
-    let order = s.sorted_indices();
-    for &i in &order {
-        let n = &s.nodes()[i];
+    for (i, n) in v.nodes().iter().enumerate() {
         d.push(n.id().bits());
         d.push(encode_extended(n.left()));
         d.push(encode_extended(n.right()));
@@ -87,7 +85,7 @@ fn state_digest(net: &Network) -> u64 {
         d.push(n.ring().map_or(0, |r| r.bits().wrapping_add(1)));
         d.push(n.age());
         d.push(n.probe_tick());
-        let ch = &s.channels()[i];
+        let ch = v.channel(i);
         d.push(ch.len() as u64);
         for m in ch {
             d.push(m.kind().index() as u64 + 1);

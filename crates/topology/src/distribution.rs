@@ -3,13 +3,13 @@
 //! Fact 4.21: the stabilized network is a small world because each node's
 //! long-range link length follows the k-harmonic distribution (k = 1
 //! here): `P(length = d) ∝ 1/d` over `d ∈ {1, …, ⌊n/2⌋}` ring positions.
-//! These helpers extract empirical length samples from snapshots and
+//! These helpers extract empirical length samples from a borrowed view and
 //! quantify how close they are to the harmonic law — by the
 //! Kolmogorov–Smirnov distance to the exact harmonic CDF and by the
 //! log–log slope of the binned density (which must be ≈ −1).
 
 use crate::paths::ring_distance;
-use swn_core::views::{NetView, Snapshot};
+use swn_core::views::NetView;
 
 /// Ring-rank lengths of all long-range links in a borrowed view. Tokens
 /// sitting at their origin (`lrl == id`, length 0) are excluded — they
@@ -31,11 +31,6 @@ pub fn lrl_lengths_view(v: &NetView<'_>) -> Vec<usize> {
         }
     }
     lengths
-}
-
-/// Snapshot spelling of [`lrl_lengths_view`].
-pub fn lrl_lengths(s: &Snapshot) -> Vec<usize> {
-    lrl_lengths_view(&s.as_view())
 }
 
 /// The harmonic CDF over lengths `1..=max_d`: `F(d) = H_d / H_max`.
@@ -177,6 +172,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use swn_core::views::Snapshot;
 
     #[test]
     fn harmonic_cdf_shape() {
@@ -251,9 +247,12 @@ mod tests {
             None,
             cfg,
         );
-        let s = Snapshot::from_nodes(nodes);
-        assert_eq!(lrl_lengths_view(&s.as_view()), lrl_lengths(&s));
-        assert!(!lrl_lengths(&s).is_empty());
+        // Ranks 1→8 (ring distance 3) and 4→5, whatever order the
+        // snapshot stores the nodes in.
+        let stored = Snapshot::from_nodes(nodes.iter().rev().cloned().collect());
+        let direct = NetView::new(nodes.iter().collect(), vec![&[]; 10]);
+        assert_eq!(lrl_lengths_view(&direct), vec![3, 1]);
+        assert_eq!(lrl_lengths_view(&stored.as_view()), vec![3, 1]);
     }
 
     #[test]
@@ -361,7 +360,7 @@ mod tests {
         let nodes = make_sorted_ring(&ids, ProtocolConfig::default());
         let s = Snapshot::from_nodes(nodes);
         // All tokens at origin: no lengths.
-        assert!(lrl_lengths(&s).is_empty());
+        assert!(lrl_lengths_view(&s.as_view()).is_empty());
     }
 
     #[test]
@@ -391,7 +390,7 @@ mod tests {
             cfg,
         );
         let s = Snapshot::from_nodes(nodes);
-        let mut lengths = lrl_lengths(&s);
+        let mut lengths = lrl_lengths_view(&s.as_view());
         lengths.sort_unstable();
         assert_eq!(lengths, vec![1, 4]);
     }

@@ -3,12 +3,12 @@
 //! Small-world structure is easiest to *see*: the ring as a circle, the
 //! long-range links as chords. `to_dot` renders any [`Graph`] (circular
 //! layout hints included for ring-ranked graphs), and
-//! `snapshot_to_dot` renders a protocol snapshot with the link roles
+//! `snapshot_to_dot` renders a protocol state with the link roles
 //! (list / ring / long-range) distinguished by style.
 
 use crate::graph::Graph;
 use std::fmt::Write as _;
-use swn_core::views::Snapshot;
+use swn_core::views::NetView;
 
 /// Renders a directed graph as Graphviz DOT (`circo`-friendly: nodes are
 /// pinned on a circle when `circular` is set, which is the right layout
@@ -33,35 +33,28 @@ pub fn to_dot(g: &Graph, name: &str, circular: bool) -> String {
     out
 }
 
-/// Renders a protocol snapshot as DOT with link roles styled: list links
+/// Renders a protocol state as DOT with link roles styled: list links
 /// solid, ring edges dashed, long-range links bold red. Node labels are
-/// the id ranks.
-pub fn snapshot_to_dot(s: &Snapshot, name: &str) -> String {
-    let order = s.sorted_indices();
-    let n = order.len();
-    let mut rank_of = vec![0usize; s.len()];
-    for (rank, &idx) in order.iter().enumerate() {
-        rank_of[idx] = rank;
-    }
+/// the id ranks, which are the view's indices.
+pub fn snapshot_to_dot(v: &NetView<'_>, name: &str) -> String {
+    let n = v.len();
     let mut out = String::new();
     let _ = writeln!(out, "digraph {name} {{");
     let _ = writeln!(out, "  node [shape=circle, fontsize=8, width=0.25];");
     let radius = (n.max(1) as f64) / std::f64::consts::TAU * 0.5 + 1.0;
-    for (rank, &idx) in order.iter().enumerate() {
+    for (rank, node) in v.nodes().iter().enumerate() {
         let angle = std::f64::consts::TAU * (rank as f64) / (n as f64);
         let (x, y) = (radius * angle.cos(), radius * angle.sin());
         let _ = writeln!(
             out,
             "  {rank} [pos=\"{x:.3},{y:.3}!\", tooltip=\"{}\"];",
-            s.nodes()[idx].id()
+            node.id()
         );
     }
-    for &idx in &order {
-        let node = &s.nodes()[idx];
-        let me = rank_of[idx];
+    for (me, node) in v.nodes().iter().enumerate() {
         let mut emit = |to: swn_core::id::NodeId, style: &str| {
-            if let Some(t) = s.index_of(to) {
-                let _ = writeln!(out, "  {me} -> {} [{style}];", rank_of[t]);
+            if let Some(t) = v.index_of(to) {
+                let _ = writeln!(out, "  {me} -> {t} [{style}];");
             }
         };
         if let Some(l) = node.left().fin() {
@@ -120,8 +113,8 @@ mod tests {
             None,
             ProtocolConfig::default(),
         );
-        let s = Snapshot::from_nodes(nodes);
-        let dot = snapshot_to_dot(&s, "net");
+        let s = swn_core::views::Snapshot::from_nodes(nodes);
+        let dot = snapshot_to_dot(&s.as_view(), "net");
         assert!(dot.contains("color=gray40"), "list links styled");
         assert!(
             dot.contains("style=dashed, color=blue"),

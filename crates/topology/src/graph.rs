@@ -1,10 +1,10 @@
 //! A compact adjacency-list graph used by all analysis passes.
 //!
-//! Nodes are dense indices `0..n` (for protocol snapshots: the rank of the
+//! Nodes are dense indices `0..n` (for protocol states: the rank of the
 //! node's identifier). The graph is directed; most metrics work on the
 //! symmetrized [`undirected_view`](Graph::undirected_view).
 
-use swn_core::views::{NetView, Snapshot, View};
+use swn_core::views::{NetView, View};
 
 /// A directed graph over `0..n` with adjacency lists.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,27 +32,11 @@ impl Graph {
         g
     }
 
-    /// Extracts the given connectivity view of a protocol snapshot as a
-    /// graph over **id ranks** (node 0 = smallest identifier), so ring
-    /// distances are directly meaningful.
-    pub fn from_snapshot(s: &Snapshot, view: View) -> Self {
-        let order = s.sorted_indices();
-        let mut rank_of = vec![0u32; s.len()];
-        for (rank, &idx) in order.iter().enumerate() {
-            rank_of[idx] = u32::try_from(rank).expect("graph rank fits u32");
-        }
-        let mut g = Graph::new(s.len());
-        for (u, v) in s.edges(view) {
-            g.add_edge(rank_of[u] as usize, rank_of[v] as usize);
-        }
-        g
-    }
-
     /// Extracts the given connectivity view of a borrowed [`NetView`] as
-    /// a graph over id ranks. The view is already in ascending id order,
-    /// so its indices *are* ranks and the edges stream in with no rank
-    /// table and no state clone — this is the zero-copy analogue of
-    /// [`Graph::from_snapshot`].
+    /// a graph over **id ranks** (node 0 = smallest identifier), so ring
+    /// distances are directly meaningful. The view is already in
+    /// ascending id order, so its indices *are* ranks and the edges
+    /// stream in with no rank table and no state clone.
     pub fn from_view(v: &NetView<'_>, view: View) -> Self {
         let mut g = Graph::new(v.len());
         v.for_each_edge(view, |u, w| {
@@ -167,11 +151,11 @@ mod tests {
     }
 
     #[test]
-    fn from_snapshot_ranks_by_id() {
+    fn from_view_ranks_by_id() {
         let ids = evenly_spaced_ids(5);
         let nodes = make_sorted_ring(&ids, ProtocolConfig::default());
         let s = swn_core::views::Snapshot::from_nodes(nodes);
-        let g = Graph::from_snapshot(&s, View::Lcp);
+        let g = Graph::from_view(&s.as_view(), View::Lcp);
         // Sorted list: rank i ↔ rank i+1.
         for i in 0..4 {
             assert!(
@@ -184,16 +168,20 @@ mod tests {
                 .neighbors(i + 1)
                 .contains(&u32::try_from(i).expect("fits u32")));
         }
-        let r = Graph::from_snapshot(&s, View::Rcp);
+        let r = Graph::from_view(&s.as_view(), View::Rcp);
         assert!(r.neighbors(0).contains(&4), "ring edge min→max");
         assert!(r.neighbors(4).contains(&0));
     }
 
     #[test]
     fn from_view_matches_from_snapshot() {
+        // Storage order is not graph order: a snapshot holding the ring
+        // back to front yields the same rank graph as the nodes handed
+        // over in id order.
         let ids = evenly_spaced_ids(9);
         let nodes = make_sorted_ring(&ids, ProtocolConfig::default());
-        let s = swn_core::views::Snapshot::from_nodes(nodes);
+        let direct = NetView::new(nodes.iter().collect(), vec![&[]; 9]);
+        let stored = swn_core::views::Snapshot::from_nodes(nodes.iter().rev().cloned().collect());
         for view in [
             View::Cp,
             View::Cc,
@@ -202,14 +190,11 @@ mod tests {
             View::Rcp,
             View::Rcc,
         ] {
-            let a = Graph::from_snapshot(&s, view);
-            let b = Graph::from_view(&s.as_view(), view);
-            assert_eq!(a.n(), b.n(), "{view:?}");
-            let mut ea: Vec<_> = a.edges().collect();
-            let mut eb: Vec<_> = b.edges().collect();
-            ea.sort_unstable();
-            eb.sort_unstable();
-            assert_eq!(ea, eb, "{view:?}");
+            assert_eq!(
+                Graph::from_view(&stored.as_view(), view),
+                Graph::from_view(&direct, view),
+                "{view:?}"
+            );
         }
     }
 

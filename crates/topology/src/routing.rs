@@ -8,7 +8,7 @@
 //! says polynomial — the routing-hops experiment separates the three.
 //!
 //! Routing operates on a [`Graph`] whose node indices are *ring ranks*
-//! (as produced by [`Graph::from_snapshot`] or the baseline generators),
+//! (as produced by [`Graph::from_view`] or the baseline generators),
 //! so the ring metric is `ring_distance(u, t, n)`.
 
 use crate::graph::Graph;

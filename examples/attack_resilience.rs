@@ -22,7 +22,7 @@ fn main() {
     // long-range links — what the protocol maintains long-term; a short
     // warmup would under-represent the link spread, see EXPERIMENTS.md E7).
     let net = harmonic_network(n, cfg, 3);
-    let small_world = Graph::from_snapshot(&net.snapshot(), View::Cp);
+    let small_world = Graph::from_view(&net.view(), View::Cp);
 
     // The structured comparator.
     let chord_graph = chord(n);

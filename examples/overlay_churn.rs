@@ -25,7 +25,7 @@ fn main() {
     println!(
         "bootstrapped {} peers, phase {:?}",
         net.len(),
-        classify(&net.snapshot())
+        classify_view(&net.view())
     );
 
     // Churn storm: alternate joins and leaves, measuring each recovery.
@@ -61,7 +61,7 @@ fn main() {
                 rep.messages,
             );
         }
-        assert!(is_sorted_ring(&net.snapshot()), "overlay must be healed");
+        assert!(is_sorted_ring_view(&net.view()), "overlay must be healed");
     }
 
     println!(
@@ -69,11 +69,11 @@ fn main() {
         net.len(),
         joins,
         leaves,
-        classify(&net.snapshot())
+        classify_view(&net.view())
     );
 
     // Routing still works over the churned overlay.
-    let g = Graph::from_snapshot(&net.snapshot(), View::Cp);
+    let g = Graph::from_view(&net.view(), View::Cp);
     let stats = evaluate_routing(&g, 300, 10_000, 5, None);
     println!(
         "greedy routing after churn: success {:.0}%, mean {:.1} hops",

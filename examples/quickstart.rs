@@ -19,7 +19,7 @@ fn main() {
     let ids = evenly_spaced_ids(n);
     let init = generate(InitialTopology::RandomSparse { extra: 3 }, &ids, cfg, seed);
     let mut net = init.into_network(seed);
-    println!("initial phase: {:?}", classify(&net.snapshot()));
+    println!("initial phase: {:?}", classify_view(&net.view()));
 
     // 2. Run the protocol; the network must pass through the proof's
     //    phases in order and never regress.
@@ -44,8 +44,8 @@ fn main() {
 
     // 3. Keep running: move-and-forget spreads the long-range links.
     net.run(4000);
-    let snap = net.snapshot();
-    let lengths = lrl_lengths(&snap);
+    let view = net.view();
+    let lengths = lrl_lengths_view(&view);
     println!(
         "long-range links live: {}/{n}   log-log slope: {:.2} (harmonic ≈ -1)",
         lengths.len(),
@@ -53,7 +53,7 @@ fn main() {
     );
 
     // 4. The overlay is navigable: greedy routing succeeds on every pair.
-    let g = Graph::from_snapshot(&snap, View::Cp);
+    let g = Graph::from_view(&view, View::Cp);
     let stats = evaluate_routing(&g, 500, 10_000, 1, None);
     println!(
         "greedy routing: success {:.0}%  mean {:.1} hops  p99 {} hops (ring would need ≈ {})",

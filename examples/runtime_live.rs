@@ -27,7 +27,7 @@ fn main() {
     // Poll snapshots while the threads race.
     let mut last_phase = None;
     let stabilized = rt.wait_until(Duration::from_secs(60), Duration::from_millis(10), |s| {
-        let phase = classify(s);
+        let phase = classify_view(&s.as_view());
         if last_phase != Some(phase) {
             println!("t = {:>6.1?}  phase {:?}", start.elapsed(), phase);
             last_phase = Some(phase);

@@ -24,13 +24,12 @@ fn main() -> std::io::Result<()> {
     let out_dir = std::env::temp_dir().join("smallworld-visualize");
     std::fs::create_dir_all(&out_dir)?;
 
-    // Initial (scrambled) state.
-    let initial = net.snapshot();
+    // Initial (scrambled) state, rendered straight from the live network.
     std::fs::write(
         out_dir.join("smallworld_initial.dot"),
-        snapshot_to_dot(&initial, "initial"),
+        snapshot_to_dot(&net.view(), "initial"),
     )?;
-    println!("initial phase: {:?}", classify(&initial));
+    println!("initial phase: {:?}", classify_view(&net.view()));
 
     // Stabilize and let the tokens spread.
     let report = run_to_ring(&mut net, 1_000_000);
@@ -45,7 +44,7 @@ fn main() -> std::io::Result<()> {
     let fin = net.snapshot();
     let dot_path = out_dir.join("smallworld_final.dot");
     let json_path = out_dir.join("smallworld_final.json");
-    std::fs::write(&dot_path, snapshot_to_dot(&fin, "stable"))?;
+    std::fs::write(&dot_path, snapshot_to_dot(&fin.as_view(), "stable"))?;
     std::fs::write(&json_path, snapshot_to_json(&fin))?;
     println!("wrote {}", dot_path.display());
     println!("wrote {}", json_path.display());
@@ -60,7 +59,7 @@ fn main() -> std::io::Result<()> {
     let mut net2 = network_from_snapshot(&restored, 999);
     net2.run(100);
     assert!(
-        is_sorted_ring(&net2.snapshot()),
+        is_sorted_ring_view(&net2.view()),
         "restored network stays stable"
     );
     println!("checkpoint restored and verified: still a sorted ring after 100 more rounds");

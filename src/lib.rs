@@ -35,7 +35,7 @@
 //! assert!(report.stabilized());
 //!
 //! // The stabilized overlay is a small world: greedy routing works.
-//! let g = Graph::from_snapshot(&net.snapshot(), View::Cp);
+//! let g = Graph::from_view(&net.view(), View::Cp);
 //! let stats = evaluate_routing(&g, 100, 1_000, 1, None);
 //! assert_eq!(stats.success_rate(), 1.0);
 //! ```
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use swn_sim::convergence::{run_to_ring, ConvergenceReport};
     pub use swn_sim::init::{generate, InitialState, InitialTopology};
     pub use swn_sim::{DeliveryPolicy, Network};
-    pub use swn_topology::distribution::{ks_to_harmonic, log_log_slope, lrl_lengths};
+    pub use swn_topology::distribution::{ks_to_harmonic, log_log_slope, lrl_lengths_view};
     pub use swn_topology::routing::{evaluate_routing, greedy_route, RouteResult, RoutingStats};
     pub use swn_topology::Graph;
 }

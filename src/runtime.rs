@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use swn_core::config::ProtocolConfig;
     use swn_core::id::{evenly_spaced_ids, Extended};
-    use swn_core::invariants::{is_sorted_list, is_sorted_ring, make_sorted_ring};
+    use swn_core::invariants::{is_sorted_list_view, is_sorted_ring_view, make_sorted_ring};
     use swn_sim::init::{generate, InitialTopology};
 
     #[test]
@@ -162,9 +162,9 @@ mod tests {
         let nodes = make_sorted_ring(&ids, ProtocolConfig::default());
         let rt = Runtime::spawn(nodes, 0);
         std::thread::sleep(Duration::from_millis(200));
-        assert!(is_sorted_ring(&rt.snapshot()));
+        assert!(is_sorted_ring_view(&rt.snapshot().as_view()));
         let finals = rt.shutdown();
-        assert!(is_sorted_ring(&Snapshot::from_nodes(finals)));
+        assert!(is_sorted_ring_view(&Snapshot::from_nodes(finals).as_view()));
     }
 
     #[test]
@@ -177,15 +177,13 @@ mod tests {
             0,
         );
         let rt = Runtime::spawn(init.nodes, 0);
-        let ok = rt.wait_until(
-            Duration::from_secs(30),
-            Duration::from_millis(20),
-            is_sorted_ring,
-        );
+        let ok = rt.wait_until(Duration::from_secs(30), Duration::from_millis(20), |s| {
+            is_sorted_ring_view(&s.as_view())
+        });
         let sent = rt.messages_sent();
         let finals = rt.shutdown();
         assert!(ok, "threaded run failed to stabilize (sent {sent} msgs)");
-        assert!(is_sorted_list(&Snapshot::from_nodes(finals)));
+        assert!(is_sorted_list_view(&Snapshot::from_nodes(finals).as_view()));
         assert!(sent > 0);
     }
 

@@ -87,9 +87,9 @@ proptest! {
             "fuzzed state failed to stabilize: {report:?}"
         );
         // And the stable state is the genuine article.
-        let s = net.snapshot();
-        prop_assert!(is_sorted_ring(&s));
-        prop_assert!(is_small_world_structure(&s));
+        let v = net.view();
+        prop_assert!(is_sorted_ring_view(&v));
+        prop_assert!(is_small_world_structure_view(&v));
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn join_at_every_contact_position() {
             rep.recovered(),
             "join via rank {contact_rank} failed: {rep:?}"
         );
-        assert!(is_sorted_ring(&net.snapshot()));
+        assert!(is_sorted_ring_view(&net.view()));
     }
 }
 
@@ -46,9 +46,8 @@ fn join_new_global_extremes() {
     let rep = join(&mut net, new_max, ids[3], 100_000);
     assert!(rep.recovered(), "new-max join failed: {rep:?}");
     // Ring edges wrap through the new extremes.
-    let s = net.snapshot();
-    let min_node = &s.nodes()[s.index_of(new_min).unwrap()];
-    let max_node = &s.nodes()[s.index_of(new_max).unwrap()];
+    let min_node = net.node(new_min).unwrap();
+    let max_node = net.node(new_max).unwrap();
     assert_eq!(min_node.ring(), Some(new_max));
     assert_eq!(max_node.ring(), Some(new_min));
 }
@@ -62,8 +61,7 @@ fn consecutive_leaves_heal() {
     assert!(rep.recovered(), "first leave: {rep:?}");
     let rep = leave(&mut net, ids[10], 200_000);
     assert!(rep.recovered(), "second leave: {rep:?}");
-    let s = net.snapshot();
-    let left = &s.nodes()[s.index_of(ids[8]).unwrap()];
+    let left = net.node(ids[8]).unwrap();
     assert_eq!(left.right().fin(), Some(ids[11]));
 }
 
@@ -75,9 +73,8 @@ fn leave_both_extremes() {
     assert!(rep.recovered(), "min leave: {rep:?}");
     let rep = leave(&mut net, *ids.last().unwrap(), 200_000);
     assert!(rep.recovered(), "max leave: {rep:?}");
-    let s = net.snapshot();
-    assert!(is_sorted_ring(&s));
-    assert_eq!(s.len(), 14);
+    assert!(is_sorted_ring_view(&net.view()));
+    assert_eq!(net.len(), 14);
 }
 
 #[test]
@@ -98,12 +95,14 @@ fn mixed_churn_storm_keeps_invariants() {
             let rep = join(&mut net, new_id, contact, 200_000);
             assert!(rep.recovered(), "join at step {step}");
         }
-        let s = net.snapshot();
-        assert!(is_sorted_ring(&s), "invariant broken at step {step}");
+        assert!(
+            is_sorted_ring_view(&net.view()),
+            "invariant broken at step {step}"
+        );
     }
     // The overlay is still navigable after the storm.
     net.run(500);
-    let g = Graph::from_snapshot(&net.snapshot(), View::Cp);
+    let g = Graph::from_view(&net.view(), View::Cp);
     let stats = evaluate_routing(&g, 150, 2_000, 1, None);
     assert_eq!(stats.success_rate(), 1.0);
 }
@@ -135,7 +134,7 @@ fn network_shrinks_to_two_and_grows_back() {
         let rep = leave(&mut net, ids[1], 200_000);
         assert!(rep.recovered(), "shrink leave failed at len {}", net.len());
     }
-    assert!(is_sorted_ring(&net.snapshot()));
+    assert!(is_sorted_ring_view(&net.view()));
     // Grow back to 6.
     let mut bits: u64 = 1 << 61;
     while net.len() < 6 {
@@ -148,5 +147,5 @@ fn network_shrinks_to_two_and_grows_back() {
         let rep = join(&mut net, new_id, ids[0], 200_000);
         assert!(rep.recovered(), "grow join failed at len {}", net.len());
     }
-    assert!(is_sorted_ring(&net.snapshot()));
+    assert!(is_sorted_ring_view(&net.view()));
 }

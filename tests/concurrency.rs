@@ -8,6 +8,11 @@ use std::time::Duration;
 use swn_core::views::Snapshot;
 use swn_sim::init::generate;
 
+/// The legitimacy predicate on what the runtime hands out.
+fn is_sorted_ring(s: &Snapshot) -> bool {
+    is_sorted_ring_view(&s.as_view())
+}
+
 fn spawn_family(family: InitialTopology, n: usize, seed: u64) -> Runtime {
     let ids = evenly_spaced_ids(n);
     let init = generate(family, &ids, ProtocolConfig::default(), seed);
@@ -62,7 +67,6 @@ fn concurrent_run_matches_simulator_outcome() {
     let mut net = generate(family, &ids, ProtocolConfig::default(), 5).into_network(5);
     let rep = run_to_ring(&mut net, 100_000);
     assert!(rep.stabilized());
-    let sim_snapshot = net.snapshot();
 
     // Threaded runtime.
     let rt = spawn_family(family, n, 5);
@@ -76,8 +80,7 @@ fn concurrent_run_matches_simulator_outcome() {
 
     // The l/r/ring structure is identical (the lrl tokens differ — they
     // are random walks).
-    for (sim_idx, rt_node) in sim_snapshot.sorted_indices().into_iter().zip(&rt_finals) {
-        let sim_node = &sim_snapshot.nodes()[sim_idx];
+    for (sim_node, rt_node) in net.view().nodes().iter().zip(&rt_finals) {
         assert_eq!(sim_node.id(), rt_node.id());
         assert_eq!(sim_node.left(), rt_node.left());
         assert_eq!(sim_node.right(), rt_node.right());

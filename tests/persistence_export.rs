@@ -24,9 +24,9 @@ fn checkpoint_mid_stabilization_and_resume() {
     // Both runs converge to the same unique list/ring structure.
     let rep1 = run_to_ring(&mut net, 100_000);
     assert!(rep1.stabilized());
-    let (s1, s2) = (net.snapshot(), net2.snapshot());
-    for (i1, i2) in s1.sorted_indices().into_iter().zip(s2.sorted_indices()) {
-        let (a, b) = (&s1.nodes()[i1], &s2.nodes()[i2]);
+    let (v1, v2) = (net.view(), net2.view());
+    assert_eq!(v1.len(), v2.len());
+    for (a, b) in v1.nodes().iter().zip(v2.nodes()) {
         assert_eq!(a.id(), b.id());
         assert_eq!(a.left(), b.left());
         assert_eq!(a.right(), b.right());
@@ -46,10 +46,10 @@ fn checkpoint_preserves_in_flight_messages() {
     .into_network(9);
     net.run(2);
     let s = net.snapshot();
-    let in_flight = s.messages_in_flight();
+    let in_flight = net.view().messages_in_flight();
     assert!(in_flight > 0, "fixture needs traffic");
     let back = snapshot_from_json(&snapshot_to_json(&s)).expect("round trip");
-    assert_eq!(back.messages_in_flight(), in_flight);
+    assert_eq!(back.as_view().messages_in_flight(), in_flight);
 }
 
 #[test]
@@ -61,8 +61,8 @@ fn dot_export_of_stabilized_network() {
     assert!(rep.stabilized());
     net.run(500); // let some tokens wander
 
-    let s = net.snapshot();
-    let dot = snapshot_to_dot(&s, "stable");
+    let v = net.view();
+    let dot = snapshot_to_dot(&v, "stable");
     // Every rank appears as a node and the seam ring edges are rendered.
     for rank in 0..16 {
         assert!(
@@ -77,7 +77,7 @@ fn dot_export_of_stabilized_network() {
     assert!(dot.contains("color=gray40"), "list links missing");
 
     // The plain-graph exporter agrees on edge count with the CP view.
-    let g = Graph::from_snapshot(&s, View::Cp);
+    let g = Graph::from_view(&v, View::Cp);
     let plain = to_dot(&g, "cp", true);
     assert_eq!(plain.matches(" -> ").count(), g.m());
 }

@@ -200,7 +200,7 @@ proptest! {
         let family = InitialTopology::ALL[family_idx];
         let ids = evenly_spaced_ids(n);
         let net = generate(family, &ids, ProtocolConfig::default(), seed).into_network(seed);
-        prop_assert!(weakly_connected(&net.snapshot(), View::Cc));
+        prop_assert!(weakly_connected_view(&net.view(), View::Cc));
     }
 
     #[test]
@@ -247,11 +247,11 @@ proptest! {
         let names = ["weakly_connected(Cc)", "is_sorted_list", "is_sorted_ring"];
         let mut seen = [false; 3];
         for round in 0..400u32 {
-            let s = net.snapshot();
+            let v = net.view();
             let now = [
-                weakly_connected(&s, View::Cc),
-                is_sorted_list(&s),
-                is_sorted_ring(&s),
+                weakly_connected_view(&v, View::Cc),
+                is_sorted_list_view(&v),
+                is_sorted_ring_view(&v),
             ];
             for k in 0..3 {
                 prop_assert!(
@@ -289,8 +289,9 @@ proptest! {
             })
             .collect();
         let s = Snapshot::from_nodes(nodes);
+        let v = s.as_view();
         for i in 0..n {
-            if let Some(outcome) = replay_lrl_probe(&s, i) {
+            if let Some(outcome) = replay_lrl_probe(&v, i) {
                 prop_assert!(
                     matches!(outcome, ProbeOutcome::Arrived { .. }),
                     "probe from {i}: {outcome:?}"

@@ -28,7 +28,7 @@ fn every_family_stabilizes_with_random_ids() {
             family.label()
         );
         assert!(report.monotone, "{} regressed a phase", family.label());
-        assert_eq!(classify(&net.snapshot()), Phase::SortedRing);
+        assert_eq!(classify_view(&net.view()), Phase::SortedRing);
     }
 }
 
@@ -37,7 +37,7 @@ fn stabilized_network_has_strongly_connected_list() {
     let ids = evenly_spaced_ids(32);
     let (net, report) = stabilize(InitialTopology::Clique, &ids, 3);
     assert!(report.stabilized());
-    let g = Graph::from_snapshot(&net.snapshot(), View::Lcp);
+    let g = Graph::from_view(&net.view(), View::Lcp);
     // The sorted list's l/r pointers are mutual: strong connectivity.
     assert!(is_strongly_connected(&g));
 }
@@ -51,7 +51,7 @@ fn stability_is_preserved_indefinitely() {
     assert!(report.stabilized());
     for _ in 0..50 {
         net.run(20);
-        assert_eq!(classify(&net.snapshot()), Phase::SortedRing);
+        assert_eq!(classify_view(&net.view()), Phase::SortedRing);
     }
     // No probe ever repaired anything after stabilization.
     let after = usize::try_from(report.rounds_run).expect("rounds fit usize");
@@ -72,7 +72,7 @@ fn two_node_and_three_node_networks_stabilize() {
         ] {
             let (net, report) = stabilize(family, &ids, 11);
             assert!(report.stabilized(), "n={n} {} failed", family.label());
-            assert!(is_sorted_ring(&net.snapshot()));
+            assert!(is_sorted_ring_view(&net.view()));
         }
     }
 }
@@ -108,7 +108,7 @@ fn long_range_links_spread_after_stabilization() {
     let ids = evenly_spaced_ids(64);
     let (mut net, _) = stabilize(InitialTopology::RandomSparse { extra: 2 }, &ids, 21);
     net.run(3000);
-    let lengths = lrl_lengths(&net.snapshot());
+    let lengths = lrl_lengths_view(&net.view());
     assert!(
         lengths.len() > 32,
         "tokens failed to spread: {}",
@@ -119,7 +119,7 @@ fn long_range_links_spread_after_stabilization() {
         "no long link ever formed: {lengths:?}"
     );
     // And the CP graph (ring + links) is weakly connected throughout.
-    let g = Graph::from_snapshot(&net.snapshot(), View::Cp);
+    let g = Graph::from_view(&net.view(), View::Cp);
     assert!(is_weakly_connected(&g));
 }
 
@@ -134,7 +134,7 @@ fn greedy_routing_works_on_every_stabilized_family() {
         let (mut net, report) = stabilize(family, &ids, 33);
         assert!(report.stabilized());
         net.run(1500);
-        let g = Graph::from_snapshot(&net.snapshot(), View::Cp);
+        let g = Graph::from_view(&net.view(), View::Cp);
         let stats = evaluate_routing(&g, 200, 2_000, 3, None);
         assert_eq!(
             stats.success_rate(),
@@ -158,11 +158,11 @@ fn messages_only_reference_existing_nodes_after_start() {
     let ids = evenly_spaced_ids(16);
     let (mut net, _) = stabilize(InitialTopology::RandomChain, &ids, 2);
     net.run(100);
-    let s = net.snapshot();
-    for ch in s.channels() {
-        for m in ch {
+    let v = net.view();
+    for rank in 0..v.len() {
+        for m in v.channel(rank) {
             for id in m.carried_ids() {
-                assert!(s.index_of(id).is_some(), "message names unknown id {id}");
+                assert!(v.index_of(id).is_some(), "message names unknown id {id}");
             }
         }
     }
