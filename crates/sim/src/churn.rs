@@ -109,38 +109,38 @@ pub fn join(net: &mut Network, new_id: NodeId, contact: NodeId, max_rounds: u64)
 /// victim's id has that variable reset (dangling `l`/`r` become `±∞`,
 /// dangling `lrl` returns to origin, dangling `ring` is cleared), then
 /// runs until the sorted ring holds again.
+///
+/// A holder is reset by removing it and inserting a fresh node with the
+/// corrected links under the same id, so the reset also **discards the
+/// holder's queued mail and zeroes its `age` and probe `tick`** — the
+/// detector restarts the holder's protocol instance rather than patching
+/// three variables (DESIGN.md deviation #7). `benchmark/`'s traced pass
+/// replays exactly this through `remove_node`/`insert_node` and pins it.
 pub fn leave(net: &mut Network, victim: NodeId, max_rounds: u64) -> RecoveryReport {
     let removed = net.remove_node(victim);
     assert!(removed.is_some(), "victim {victim:?} not in network");
-    let ids = net.ids();
-    for id in ids {
-        let Some(node) = net.node(id) else { continue };
-        let mut l = node.left();
-        let mut r = node.right();
-        let mut lrl = node.lrl();
-        let mut ring = node.ring();
-        let mut dirty = false;
-        if l == Extended::Fin(victim) {
-            l = Extended::NegInf;
-            dirty = true;
+    let gone = Extended::Fin(victim);
+    // One walk of the sorted lanes, by rank: re-inserting a holder under
+    // its own id pops the slot its removal just freed and splices it back
+    // at the same rank, so the lanes read the same after every rewrite.
+    for rank in 0..net.index.len() {
+        let Some(node) = net.nodes[net.index.sorted_slots()[rank]].as_ref() else {
+            continue;
+        };
+        let (l, r, lrl, ring) = (node.left(), node.right(), node.lrl(), node.ring());
+        if l != gone && r != gone && lrl != victim && ring != Some(victim) {
+            continue;
         }
-        if r == Extended::Fin(victim) {
-            r = Extended::PosInf;
-            dirty = true;
-        }
-        if lrl == victim {
-            lrl = id;
-            dirty = true;
-        }
-        if ring == Some(victim) {
-            ring = None;
-            dirty = true;
-        }
-        if dirty {
-            let cfg = *node.config();
-            net.remove_node(id);
-            net.insert_node(Node::with_state(id, l, r, lrl, ring, cfg));
-        }
+        let (id, cfg) = (node.id(), *node.config());
+        net.remove_node(id);
+        net.insert_node(Node::with_state(
+            id,
+            if l == gone { Extended::NegInf } else { l },
+            if r == gone { Extended::PosInf } else { r },
+            if lrl == victim { id } else { lrl },
+            ring.filter(|&t| t != victim),
+            cfg,
+        ));
     }
     let start = net.round();
     let report = measure_recovery(net, max_rounds);
@@ -156,7 +156,7 @@ pub fn leave(net: &mut Network, victim: NodeId, max_rounds: u64) -> RecoveryRepo
 /// analysis closes an interior gap; removing an extremum is the easier
 /// case) and removes it.
 pub fn leave_random(net: &mut Network, seed: u64, max_rounds: u64) -> (NodeId, RecoveryReport) {
-    let ids = net.ids();
+    let ids = net.index.sorted_ids();
     assert!(
         ids.len() >= 4,
         "need at least 4 nodes to remove an interior one"

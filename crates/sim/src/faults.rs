@@ -1128,14 +1128,15 @@ impl Network {
     }
 
     /// Voids `slot`'s settlement certificate after a fault rewrote its
-    /// state — waking it with `wake` — and re-verifies the certificates
-    /// that referenced the overwritten pointers `old_targets`. No-op
-    /// under full scan.
+    /// state — waking it with `wake` — re-evaluates its placement in the
+    /// sorted list, and re-verifies the certificates that referenced the
+    /// overwritten pointers `old_targets`. No-op under full scan.
     fn unsettle(&mut self, slot: usize, wake: bool, old_targets: [Option<NodeId>; 3]) {
         let Some(sched) = self.sched.as_mut() else {
             return;
         };
         sched.unsettle(slot, wake);
+        sched.refresh_placement(&self.nodes, &self.index, slot);
         for t in old_targets.into_iter().flatten() {
             sched.recheck(&self.nodes, &self.index, t);
         }

@@ -22,7 +22,7 @@ use crate::channel::{Channel, DeliveryPolicy};
 use crate::faults::{Fate, FaultInjector, FaultPlan};
 use crate::obs::causal::{CascadeReport, CauseTag};
 use crate::obs::{Event, ObsState, Sink};
-use crate::sched::{SchedState, ScheduleMode};
+use crate::sched::{self, SchedState, ScheduleMode};
 use crate::slots::SlotIndex;
 use crate::trace::{RoundStats, Trace};
 use rand::rngs::StdRng;
@@ -47,6 +47,20 @@ enum SortedLevel {
     Unsorted,
     List,
     Ring,
+}
+
+impl SortedLevel {
+    /// The level of a state given its sorted-list verdict and, asked only
+    /// when that holds, whether the ring edges close it.
+    fn of(sorted_list: bool, ring_closed: impl FnOnce() -> bool) -> Self {
+        if !sorted_list {
+            SortedLevel::Unsorted
+        } else if ring_closed() {
+            SortedLevel::Ring
+        } else {
+            SortedLevel::List
+        }
+    }
 }
 
 /// A simulated asynchronous message-passing network.
@@ -86,7 +100,8 @@ pub struct Network {
     seed: u64,
     // The dirty-tracking rule (DESIGN.md §8.2), owned here: the level is
     // evaluated on demand and stays valid until a round reports
-    // `links_changed` or a node is inserted or removed.
+    // `links_changed` or a node is inserted or removed. Read under full
+    // scan only; the active set asks the scheduler's counter instead.
     sorted: Cell<SortedLevel>,
     // Test-only: makes the round flush the outbox after every handled
     // message (`step_reference`, the flush-equivalence oracle).
@@ -258,7 +273,9 @@ impl Network {
     /// any scheduler state. [`ScheduleMode::ActiveSet`] starts the
     /// active-set engine with every live node on the agenda, unsettled —
     /// the scheduler earns its certificates from scratch, so switching
-    /// is always safe, at the cost of one full round of verification.
+    /// is always safe, at the cost of one full round of verification
+    /// (plus one pass over the nodes here, counting the misplaced ones
+    /// for [`is_sorted_ring`](Self::is_sorted_ring)).
     ///
     /// The two modes are *semantically* equivalent (both converge to the
     /// same sorted ring — pinned by `tests/active_set_prop.rs`) but not
@@ -271,7 +288,7 @@ impl Network {
                 self.sched = None;
             }
             ScheduleMode::ActiveSet => {
-                let mut st = Box::new(SchedState::new(self.nodes.len()));
+                let mut st = Box::new(SchedState::new(&self.nodes, &self.index));
                 for &slot in self.index.sorted_slots() {
                     st.schedule(slot);
                 }
@@ -657,35 +674,70 @@ impl Network {
         });
     }
 
-    /// The sorted level of the current state, re-evaluated only when a
-    /// dirty round or a membership change voided the last answer: one
-    /// [`view`](Self::view) and one O(n) scan decide both definitions.
-    fn sorted_level(&self) -> SortedLevel {
-        if self.sorted.get() == SortedLevel::Stale {
-            let v = self.view();
-            self.sorted.set(if !is_sorted_list_view(&v) {
-                SortedLevel::Unsorted
-            } else if is_sorted_ring_view(&v) {
-                SortedLevel::Ring
-            } else {
-                SortedLevel::List
-            });
+    /// The part of Definition 4.17 beyond the sorted list, an O(1) read:
+    /// the global extremes hold each other as ring edges (trivially so
+    /// for fewer than two nodes).
+    fn ring_closed(&self) -> bool {
+        let [first, .., last] = self.index.sorted_slots() else {
+            return true;
+        };
+        match (&self.nodes[*first], &self.nodes[*last]) {
+            (Some(min), Some(max)) => min.ring() == Some(max.id()) && max.ring() == Some(min.id()),
+            _ => false,
         }
-        self.sorted.get()
+    }
+
+    /// The sorted level of the current state. Under full scan the cached
+    /// level is re-evaluated only when a dirty round or a membership
+    /// change voided it: the per-rank term of Definition 4.8
+    /// ([`sched::misplaced`]) over the index's sorted lanes, stopping at
+    /// the first misplaced node. Under [`ScheduleMode::ActiveSet`] the
+    /// scheduler's running count of the same term answers in O(1).
+    fn sorted_level(&self) -> SortedLevel {
+        let Some(sched) = self.sched.as_ref() else {
+            if self.sorted.get() == SortedLevel::Stale {
+                let list = !(0..self.index.len())
+                    .any(|rank| sched::misplaced(&self.nodes, &self.index, rank));
+                self.sorted
+                    .set(SortedLevel::of(list, || self.ring_closed()));
+            }
+            return self.sorted.get();
+        };
+        let level = SortedLevel::of(sched.is_sorted_list(), || self.ring_closed());
+        // Tests build with debug assertions, so every sim test that asks
+        // is a differential test of the counter's seams against the
+        // definitions in `swn-core`.
+        debug_assert_eq!(
+            level,
+            {
+                let v = self.view();
+                SortedLevel::of(is_sorted_list_view(&v), || is_sorted_ring_view(&v))
+            },
+            "misplaced-node counter disagrees with the definitions"
+        );
+        level
     }
 
     /// Definition 4.8 on the current state: LCP is the sorted list.
-    /// Cached like [`is_sorted_ring`](Self::is_sorted_ring).
+    /// Costs what [`is_sorted_ring`](Self::is_sorted_ring) costs.
     pub fn is_sorted_list(&self) -> bool {
         self.sorted_level() >= SortedLevel::List
     }
 
     /// Definition 4.17 on the current state: RCP is the sorted ring —
-    /// the legitimacy predicate every driver steps towards. The answer is
-    /// cached: a round whose
-    /// [`links_changed`](RoundStats::links_changed) flag is clear
+    /// the legitimacy predicate every driver steps towards.
+    ///
+    /// Under [`ScheduleMode::FullScan`] the answer is cached: a round
+    /// whose [`links_changed`](RoundStats::links_changed) flag is clear
     /// provably preserves it, so only dirty rounds, [`insert_node`] and
-    /// [`remove_node`] make the next call pay the O(n) scan.
+    /// [`remove_node`] make the next call pay one O(n) walk of the sorted
+    /// lanes (no allocation; it stops at the first misplaced node).
+    ///
+    /// Under [`ScheduleMode::ActiveSet`] every call is O(1): the
+    /// scheduler counts the misplaced nodes at the seams that already
+    /// re-verify settlement certificates (see [`crate::sched`]), and the
+    /// ring closure is a read of the two extremes. Both modes are exact —
+    /// they agree with `is_sorted_ring_view(&net.view())` on every state.
     ///
     /// [`insert_node`]: Self::insert_node
     /// [`remove_node`]: Self::remove_node

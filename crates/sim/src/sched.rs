@@ -53,6 +53,19 @@
 //! pins the whole construction against the full-scan engine, and the
 //! quiescence proptest (`tests/quiescence_prop.rs`) pins the no-op
 //! guarantee.
+//!
+//! The same seams feed the **misplaced-node counter** behind
+//! [`Network::is_sorted_ring`](crate::Network::is_sorted_ring). The
+//! sorted list (Definition 4.8) is a sum of per-node terms — node at
+//! rank `k` stores exactly the ids at ranks `k - 1` and `k + 1`
+//! (`misplaced`) — and a term can only move when the node's own
+//! `(l, r)` moved (its turn diff, or a fault rewrite) or the id next to
+//! it in the sorted order changed (a join or leave, which refreshes the
+//! ranks around the splice). One flag per slot and their running count
+//! therefore answer the predicate exactly in O(1). "Every node settled"
+//! would not: it is only *sufficient* — a sorted ring still digesting a
+//! dangling lrl token or a leftover ring edge has unsettled nodes — so
+//! watching it instead would report recovery rounds late.
 
 use crate::slots::SlotIndex;
 use swn_core::id::{Extended, NodeId};
@@ -87,17 +100,29 @@ pub(crate) struct SchedState {
     /// The slots that act next round, in scheduling order (canonicalized
     /// by the round loop before use).
     agenda: Vec<usize>,
+    /// `misplaced[slot]`: the live node in `slot` fails its term of the
+    /// sorted list ([`misplaced`]); false for free slots.
+    misplaced: Vec<bool>,
+    /// Number of set `misplaced` flags: zero exactly on the sorted list.
+    misplaced_count: usize,
 }
 
 impl SchedState {
-    /// A scheduler over `slots` slots, everything unscheduled and
-    /// unsettled.
-    pub(crate) fn new(slots: usize) -> Self {
-        SchedState {
-            scheduled: vec![false; slots],
-            settled: vec![false; slots],
+    /// A scheduler over the current node table: everything unscheduled
+    /// and unsettled, the misplaced flags evaluated in one pass over the
+    /// sorted lanes.
+    pub(crate) fn new(nodes: &[Option<Node>], index: &SlotIndex) -> Self {
+        let mut st = SchedState {
+            scheduled: vec![false; nodes.len()],
+            settled: vec![false; nodes.len()],
             agenda: Vec::new(),
+            misplaced: vec![false; nodes.len()],
+            misplaced_count: 0,
+        };
+        for rank in 0..index.len() {
+            st.refresh_rank(nodes, index, rank);
         }
+        st
     }
 
     /// Grows the flag vectors to cover `slot` (new arena slots from
@@ -106,6 +131,7 @@ impl SchedState {
         if slot >= self.scheduled.len() {
             self.scheduled.resize(slot + 1, false);
             self.settled.resize(slot + 1, false);
+            self.misplaced.resize(slot + 1, false);
         }
     }
 
@@ -145,6 +171,39 @@ impl SchedState {
         self.agenda.len()
     }
 
+    /// True exactly when the stored `(l, r)` pairs are the sorted list
+    /// (Definition 4.8): no live node is misplaced.
+    pub(crate) fn is_sorted_list(&self) -> bool {
+        self.misplaced_count == 0
+    }
+
+    /// Re-evaluates the misplaced flag of the node at `rank` of the
+    /// sorted lanes (no-op past their end).
+    fn refresh_rank(&mut self, nodes: &[Option<Node>], index: &SlotIndex, rank: usize) {
+        if let Some(&slot) = index.sorted_slots().get(rank) {
+            self.set_misplaced(slot, misplaced(nodes, index, rank));
+        }
+    }
+
+    /// Re-evaluates the misplaced flag of the node in `slot` after its
+    /// `(l, r)` may have been rewritten (its own turn, or a fault).
+    pub(crate) fn refresh_placement(
+        &mut self,
+        nodes: &[Option<Node>],
+        index: &SlotIndex,
+        slot: usize,
+    ) {
+        if let Some(rank) = nodes[slot].as_ref().and_then(|n| index.rank_of(n.id())) {
+            self.refresh_rank(nodes, index, rank);
+        }
+    }
+
+    fn set_misplaced(&mut self, slot: usize, now: bool) {
+        self.ensure_slot(slot);
+        let was = std::mem::replace(&mut self.misplaced[slot], now);
+        self.misplaced_count = self.misplaced_count + usize::from(now) - usize::from(was);
+    }
+
     /// Voids `slot`'s certificate and, with `wake`, puts it on the
     /// agenda.
     pub(crate) fn unsettle(&mut self, slot: usize, wake: bool) {
@@ -168,9 +227,10 @@ impl SchedState {
     }
 
     /// End-of-turn settlement bookkeeping: diff the turn's `(l, r, ring)`
-    /// tuple to re-verify the certificates this turn can have
-    /// invalidated, verify the node's own certificate, and reschedule it
-    /// while it is unsettled or holds queued mail (`mail`).
+    /// tuple to re-evaluate the node's own placement and re-verify the
+    /// certificates this turn can have invalidated, verify the node's
+    /// own certificate, and reschedule it while it is unsettled or holds
+    /// queued mail (`mail`).
     ///
     /// The diff is complete for *other* nodes' certificates because
     /// reciprocity is mutual: a certificate of `q` references `p`'s
@@ -190,6 +250,7 @@ impl SchedState {
         };
         let after = (n.left(), n.right(), n.ring());
         if after != before {
+            self.refresh_placement(nodes, index, slot);
             let (b, a) = (before, after);
             let targets = [b.0.fin(), b.1.fin(), b.2, a.0.fin(), a.1.fin(), a.2];
             for t in targets.into_iter().flatten() {
@@ -209,7 +270,9 @@ impl SchedState {
     /// neighbours and both global extremes, because seam certificates
     /// reference the min/max identity and the cross-ring pairing (a new
     /// global extreme must dethrone the settled old one eagerly, or it
-    /// would freeze as falsely settled).
+    /// would freeze as falsely settled). The newcomer and its two sorted
+    /// neighbours, whose wanted `(l, r)` now name it, have their
+    /// placement re-evaluated.
     pub(crate) fn on_insert(
         &mut self,
         nodes: &[Option<Node>],
@@ -219,6 +282,9 @@ impl SchedState {
     ) {
         self.unsettle(slot, true);
         let rank = index.rank_of(id).expect("just inserted");
+        for k in rank.saturating_sub(1)..=rank + 1 {
+            self.refresh_rank(nodes, index, k);
+        }
         let lane = index.sorted_ids();
         let candidates = [
             (rank > 0).then(|| lane[rank - 1]),
@@ -237,7 +303,13 @@ impl SchedState {
     /// departed id (list pointer, lrl endpoint or ring edge) has a dead
     /// certificate and must act again to detect the departure (bounce →
     /// `Node::undeliverable`). An O(n) scan — churn-rate cost, not per-round
-    /// cost, and the same order the full-scan engine pays every round.
+    /// cost, and the same order the full-scan engine pays every round. It
+    /// stays a scan of the whole table because the set it wakes is part of
+    /// the simulated execution: the woken nodes act, draw from the RNG and
+    /// send, so waking any other set changes every later round.
+    ///
+    /// The freed slot stops counting as misplaced, and the two nodes the
+    /// departure made adjacent have their placement re-evaluated.
     pub(crate) fn on_remove(
         &mut self,
         nodes: &[Option<Node>],
@@ -249,6 +321,12 @@ impl SchedState {
         // filtered at round start (or covers the slot's next occupant,
         // which must run anyway).
         self.unsettle(slot, false);
+        self.set_misplaced(slot, false);
+        // `id` is gone from the lanes: its old rank is where it would go.
+        let rank = index.sorted_ids().partition_point(|&x| x < id);
+        for k in rank.saturating_sub(1)..=rank {
+            self.refresh_rank(nodes, index, k);
+        }
         for &s in index.sorted_slots() {
             if nodes[s]
                 .as_ref()
@@ -258,6 +336,26 @@ impl SchedState {
             }
         }
     }
+}
+
+/// One node's term of the sorted list (Definition 4.8): true when the
+/// node at `rank` of the sorted lanes does *not* store exactly its sorted
+/// predecessor and successor (`-∞`/`+∞` at the ends) as `(l, r)`. The one
+/// definition both schedules evaluate — the active set keeps a flag per
+/// slot, the full scan walks the ranks when its cached answer is stale.
+pub(crate) fn misplaced(nodes: &[Option<Node>], index: &SlotIndex, rank: usize) -> bool {
+    let ids = index.sorted_ids();
+    let n = nodes[index.sorted_slots()[rank]]
+        .as_ref()
+        .expect("indexed slots hold live nodes");
+    let want_l = match rank.checked_sub(1) {
+        Some(k) => Extended::Fin(ids[k]),
+        None => Extended::NegInf,
+    };
+    let want_r = ids
+        .get(rank + 1)
+        .map_or(Extended::PosInf, |&x| Extended::Fin(x));
+    (n.left(), n.right()) != (want_l, want_r)
 }
 
 /// The settlement certificate (see the module docs): true exactly when
@@ -333,7 +431,7 @@ mod tests {
 
     #[test]
     fn schedule_is_idempotent_per_round() {
-        let mut s = SchedState::new(4);
+        let mut s = SchedState::default();
         s.schedule(2);
         s.schedule(2);
         s.schedule(0);
@@ -350,7 +448,7 @@ mod tests {
 
     #[test]
     fn ensure_slot_grows_on_demand() {
-        let mut s = SchedState::new(1);
+        let mut s = SchedState::default();
         assert!(!s.is_settled(9));
         s.set_settled(9, true);
         assert!(s.is_settled(9));
@@ -361,7 +459,7 @@ mod tests {
 
     #[test]
     fn begin_round_appends_without_clobbering() {
-        let mut s = SchedState::new(4);
+        let mut s = SchedState::default();
         s.schedule(3);
         let mut out = vec![7usize];
         s.begin_round(&mut out);

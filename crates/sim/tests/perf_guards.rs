@@ -1,9 +1,9 @@
-//! Perf guards: the two same-process timing ratios the docs cite.
+//! Perf guards: the three same-process timing ratios the docs cite.
 //!
 //! Absolute times belong to `benchmark/` (see `benchmark/README.md`);
 //! these tests pin only *ratios* between two arms measured in one
-//! process on one machine, so they need no committed baseline. The two
-//! arms are measured as interleaved pairs and the guard judges the
+//! process on one machine, so they need no committed baseline. A
+//! guard's two arms are measured as interleaved pairs and it judges the
 //! *smallest* per-pair ratio: a burst of machine contention inflates the
 //! pairs it lands in, a real regression inflates all of them, so a guard
 //! fails only when every pair reads over its limit. The price is power:
@@ -17,9 +17,12 @@
 
 use std::hint::black_box;
 use std::sync::Mutex;
+use std::time::Duration;
 use swn_core::config::ProtocolConfig;
-use swn_core::id::evenly_spaced_ids;
+use swn_core::id::{evenly_spaced_ids, Extended, NodeId};
 use swn_core::invariants::make_sorted_ring;
+use swn_core::message::Message;
+use swn_core::node::Node;
 use swn_sim::convergence::drain_to_quiescence;
 use swn_sim::obs::JsonlSink;
 use swn_sim::{Network, ScheduleMode};
@@ -33,8 +36,18 @@ const INSTRUMENTED_LIMIT: f64 = 1.5;
 /// is ~linear, i.e. ~32× over the same span).
 const QUIESCENT_SCALE_LIMIT: f64 = 4.0;
 
+/// A recovery round under the active set is O(active nodes): the step
+/// runs the few nodes the join woke and `is_sorted_ring` reads the
+/// scheduler's misplaced-node counter, so 32× more nodes may cost at most
+/// this factor (a watcher that rebuilds a view every dirty round is
+/// ~linear, i.e. ~32× over the same span).
+const RECOVERY_SCALE_LIMIT: f64 = 4.0;
+
 /// Interleaved pairs per guard.
 const PAIRS: usize = 7;
+
+/// Joins whose recoveries make up one timing of a recovery round.
+const JOINS: usize = 64;
 
 /// Held by each test for its whole body: the harness runs tests on
 /// parallel threads, and one test's set-up must not run inside the
@@ -97,6 +110,37 @@ fn quiescent_ns(net: &mut Network) -> f64 {
     ns_per(50_000, || net.step())
 }
 
+/// Host nanoseconds per recovery round — `step` plus the
+/// `is_sorted_ring` that decides whether to take another — over `JOINS`
+/// joins. Each newcomer enters at the midpoint of a gap of `ids` no
+/// earlier join used, through the gap's left end, so it is a few rounds
+/// from its place whatever `n` is; the gaps are spread over the whole
+/// ring, so the woken nodes are cold in cache at large `n`. Only the
+/// recovery loops are timed, not the joins (`insert_node` splices the
+/// index, which is O(n) by design).
+#[allow(clippy::disallowed_methods)] // wall clock is the measured quantity
+fn recovery_round_ns(net: &mut Network, ids: &[NodeId], next_gap: &mut usize) -> f64 {
+    drop(net.take_trace());
+    let stride = ids.len() / (PAIRS * JOINS + 1);
+    let (mut spent, mut rounds) = (Duration::ZERO, 0u32);
+    for _ in 0..JOINS {
+        let (a, b) = (ids[*next_gap], ids[*next_gap + 1]);
+        *next_gap += stride;
+        let new_id = NodeId::from_bits(a.bits() + (b.bits() - a.bits()) / 2);
+        let (l, r) = (Extended::Fin(a), Extended::PosInf);
+        let cfg = ProtocolConfig::default();
+        assert!(net.insert_node(Node::with_state(new_id, l, r, new_id, None, cfg)));
+        net.send_external(a, Message::Lin(new_id));
+        let start = std::time::Instant::now();
+        while !black_box(net.is_sorted_ring()) {
+            net.step();
+            rounds += 1;
+        }
+        spent += start.elapsed();
+    }
+    spent.as_secs_f64() * 1e9 / f64::from(rounds)
+}
+
 #[test]
 #[ignore = "wall-clock ratio; run with --release -- --ignored"]
 fn instrumented_step_within_limit_of_detached() {
@@ -128,5 +172,26 @@ fn quiescent_round_is_flat_in_n() {
     assert!(
         ratio <= QUIESCENT_SCALE_LIMIT,
         "quiescent round cost is not flat in n: {ratio:.3}x > {QUIESCENT_SCALE_LIMIT}x"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock ratio; run with --release -- --ignored"]
+fn recovery_round_is_flat_in_n() {
+    const SMALL: usize = 2048;
+    const BIG: usize = 65_536;
+    let _turn = ONE_AT_A_TIME.lock();
+    let (small_ids, big_ids) = (evenly_spaced_ids(SMALL), evenly_spaced_ids(BIG));
+    let (mut small_net, mut small_gap) = (drained_ring(SMALL), 0);
+    let (mut big_net, mut big_gap) = (drained_ring(BIG), 0);
+    println!("recovery round after a join @ n={BIG} vs @ n={SMALL}");
+    let ratio = min_pair_ratio(
+        || recovery_round_ns(&mut small_net, &small_ids, &mut small_gap),
+        || recovery_round_ns(&mut big_net, &big_ids, &mut big_gap),
+    );
+    println!("smallest pair ratio {ratio:.3}x, limit {RECOVERY_SCALE_LIMIT}x");
+    assert!(
+        ratio <= RECOVERY_SCALE_LIMIT,
+        "recovery round cost is not flat in n: {ratio:.3}x > {RECOVERY_SCALE_LIMIT}x"
     );
 }

@@ -19,7 +19,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use swn_core::config::ProtocolConfig;
-use swn_core::id::{evenly_spaced_ids, NodeId};
+use swn_core::id::{evenly_spaced_ids, Extended, NodeId};
 use swn_core::invariants::{classify_view, is_sorted_list_view, is_sorted_ring_view};
 use swn_core::message::Message;
 use swn_core::node::Node;
@@ -138,7 +138,8 @@ fn apply_and_check(net: &mut Network, active: &mut bool, (kind, x): (u8, u64), c
     let pick = |salt: u64| ids[usize::try_from((x ^ salt) % ids.len() as u64).expect("small")];
     // Odd bits never collide with `evenly_spaced_ids`.
     let fresh = NodeId::from_bits(x | 1);
-    match kind % 8 {
+    let other = NodeId::from_bits((x | 1) ^ 2);
+    match kind % 11 {
         0 => {
             for _ in 0..1 + x % 4 {
                 net.step();
@@ -188,6 +189,42 @@ fn apply_and_check(net: &mut Network, active: &mut bool, (kind, x): (u8, u64), c
             }
             net.detach_faults();
         }
+        // The ring-closure read names the global extremes: a join that
+        // becomes one (below the minimum once id 0 has left, else above
+        // the maximum) and a leave of one.
+        8 => {
+            let (min, max) = (ids[0].bits(), ids[ids.len() - 1].bits());
+            let extreme = if x % 2 == 0 && min > 0 {
+                Some(x % min)
+            } else {
+                max.checked_add(1 + x % 1000)
+            };
+            if let Some(bits) = extreme {
+                churn::join(net, NodeId::from_bits(bits), pick(9), 200);
+            }
+        }
+        9 if ids.len() > 3 => {
+            let at = if x % 2 == 0 { 0 } else { ids.len() - 1 };
+            churn::leave(net, ids[at], 200);
+        }
+        // A slot's flags follow its occupant: a blank (hence misplaced)
+        // newcomer leaves again, and the slot it frees goes to a
+        // different id that arrives already holding its sorted neighbours.
+        10 if net.node(fresh).is_none() && net.node(other).is_none() => {
+            let cfg = ProtocolConfig::default();
+            net.insert_node(Node::new(fresh, cfg));
+            check(net);
+            net.remove_node(fresh);
+            check(net);
+            let at = ids.partition_point(|&id| id < other);
+            let l = at
+                .checked_sub(1)
+                .map_or(Extended::NegInf, |k| Extended::Fin(ids[k]));
+            let r = ids
+                .get(at)
+                .map_or(Extended::PosInf, |&id| Extended::Fin(id));
+            net.insert_node(Node::with_state(other, l, r, other, None, cfg));
+        }
         _ => {}
     }
     check(net);
@@ -201,7 +238,7 @@ proptest! {
         n in 5usize..10,
         seed in 0u64..1000,
         start_active in 0u8..2,
-        ops in vec((0u8..8, 0u64..u64::MAX), 1..14),
+        ops in vec((0u8..11, 0u64..u64::MAX), 1..14),
     ) {
         let mut net = stable_network(n, ProtocolConfig::default(), seed, 3);
         let mut active = start_active == 1;

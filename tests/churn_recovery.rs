@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use self_stabilizing_smallworld::prelude::*;
 use swn_harness::testbed::harmonic_network;
+use swn_sim::ScheduleMode;
 
 fn fresh_gap_id(ids: &[NodeId], rng: &mut StdRng) -> NodeId {
     let slot = rng.random_range(0..ids.len() - 1);
@@ -148,4 +149,78 @@ fn network_shrinks_to_two_and_grows_back() {
         assert!(rep.recovered(), "grow join failed at len {}", net.len());
     }
     assert!(is_sorted_ring_view(&net.view()));
+}
+
+/// What `benchmark/`'s `churn-activeset` digests, pinned in-repo: under
+/// the active-set scheduler `join` and `leave_random` report exactly the
+/// rounds and messages of a loop that makes the same event through the
+/// public node-table API, steps, and asks the definition on a fresh view
+/// after every round.
+#[test]
+fn active_set_churn_reports_match_a_view_per_round_oracle() {
+    const BUDGET: u64 = 100_000;
+    fn recover(net: &mut Network) -> (Option<u64>, u64) {
+        let mut messages = 0;
+        for rounds in 0..=BUDGET {
+            if is_sorted_ring_view(&net.view()) {
+                return (Some(rounds), messages);
+            }
+            messages += net.step().total_sent();
+        }
+        (None, messages)
+    }
+    let settled = || {
+        let mut net = harmonic_network(256, ProtocolConfig::default(), 21);
+        net.set_schedule_mode(ScheduleMode::ActiveSet);
+        net.run(600);
+        net
+    };
+    let (mut net, mut oracle) = (settled(), settled());
+    let mut rng = StdRng::seed_from_u64(9);
+    for event in 0..16u64 {
+        let ids = oracle.ids();
+        let (rep, want) = if event % 2 == 0 {
+            let new_id = fresh_gap_id(&ids, &mut rng);
+            let contact = ids[rng.random_range(0..ids.len())];
+            let cfg = *oracle.node(contact).unwrap().config();
+            let (l, r) = if contact < new_id {
+                (Extended::Fin(contact), Extended::PosInf)
+            } else {
+                (Extended::NegInf, Extended::Fin(contact))
+            };
+            assert!(oracle.insert_node(Node::with_state(new_id, l, r, new_id, None, cfg)));
+            oracle.send_external(contact, Message::Lin(new_id));
+            (
+                join(&mut net, new_id, contact, BUDGET),
+                recover(&mut oracle),
+            )
+        } else {
+            let victim = ids[StdRng::seed_from_u64(event).random_range(1..ids.len() - 1)];
+            oracle.remove_node(victim).unwrap();
+            let gone = Extended::Fin(victim);
+            for id in oracle.ids() {
+                let node = oracle.node(id).unwrap();
+                let (l, r, lrl, ring) = (node.left(), node.right(), node.lrl(), node.ring());
+                if l != gone && r != gone && lrl != victim && ring != Some(victim) {
+                    continue;
+                }
+                let cfg = *node.config();
+                oracle.remove_node(id);
+                oracle.insert_node(Node::with_state(
+                    id,
+                    if l == gone { Extended::NegInf } else { l },
+                    if r == gone { Extended::PosInf } else { r },
+                    if lrl == victim { id } else { lrl },
+                    ring.filter(|&t| t != victim),
+                    cfg,
+                ));
+            }
+            let (left, rep) = leave_random(&mut net, event, BUDGET);
+            assert_eq!(left, victim, "event {event}");
+            (rep, recover(&mut oracle))
+        };
+        assert_eq!((rep.rounds, rep.messages), want, "event {event}");
+        assert!(want.0.is_some_and(|rounds| rounds > 0), "event {event}");
+    }
+    assert_eq!(net.snapshot().nodes(), oracle.snapshot().nodes());
 }
