@@ -1,4 +1,7 @@
-//! The per-node message channel of the computational model (Section II.B).
+//! The message channel of the computational model (Section II.B): the
+//! delivery policies and the two forms a delivered message takes. The
+//! storage — every node's channel as one range of a flat buffer — is the
+//! crate-private `mailbox` module.
 //!
 //! Channels have unbounded capacity, lose no messages, and do **not**
 //! preserve order. The only liveness guarantee is *fair receipt*: a
@@ -8,20 +11,25 @@
 //! ([`DeliveryPolicy::RandomDelay`]; none under
 //! [`DeliveryPolicy::Immediate`]), after which delivery is forced.
 //!
+//! Receipt strictly follows transmission, and structurally so: a round's
+//! sends sit in the mailbox's send log, which no receive action reads,
+//! until the round boundary commits them behind the mail each node kept
+//! back. Per-node order is therefore enqueue order, every take shuffles
+//! it, and a message is never received in the round it was sent.
+//!
 //! Losslessness is a property of *this* layer, not of every run: when a
 //! [`crate::faults`] plan is attached to the network, the fault engine
 //! may intercept a send before it is enqueued here (drop, duplicate,
-//! partition) or clear a crashed node's queue wholesale. The channel
+//! partition) or clear a crashed node's queue wholesale. The mailbox
 //! itself never loses an enqueued message; all loss is injected above it
 //! and accounted separately (`dropped_fault` in the round stats).
 //!
-//! Channels also feed the active-set scheduler (DESIGN.md §12): enqueueing
-//! into a node's channel is what puts that node back on the round agenda,
-//! so the fair-receipt bound doubles as the scheduler's no-starvation
-//! argument — a non-empty channel keeps its owner scheduled until drained.
+//! Channels also feed the active-set scheduler (DESIGN.md §12): a send
+//! into a node's channel is what puts that node back on the round
+//! agenda, so the fair-receipt bound doubles as the scheduler's
+//! no-starvation argument — a non-empty channel keeps its owner
+//! scheduled until drained.
 
-use rand::seq::SliceRandom;
-use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 use swn_core::message::Message;
 
@@ -60,44 +68,16 @@ impl DeliveryPolicy {
     }
 }
 
-/// An unbounded, unordered, lossless message channel.
-///
-/// Stored struct-of-arrays: the messages and their enqueue rounds live in
-/// two parallel vecs, so the message payloads are contiguous and can be
-/// borrowed as a plain `&[Message]` slice by the measurement views
-/// without cloning the channel.
-///
-/// A third, *lazy* lane carries causal provenance for the observability
-/// layer: `causes[i]` tags `msgs[i]`, with the invariant
-/// `causes.len() <= msgs.len()` — any missing tail is implicitly
-/// [`CauseTag::ROOT`]. Root pushes never touch the lane and an untraced
-/// take clears it, so on a network that never traces `causes` stays an
-/// empty vec.
-#[derive(Clone, Debug, Default)]
-pub struct Channel {
-    msgs: Vec<Message>,
-    enqueued: Vec<u64>,
-    causes: Vec<CauseTag>,
-}
-
-/// What [`Channel::take_deliverable_into`] hands out per message: the
-/// bare [`Message`] (the round loop's plain arm) or the message with its
-/// enqueue round and provenance tag (the hooked arm).
+/// What a receive action is handed per message: the bare [`Message`]
+/// (the round loop's plain arm) or the message with its enqueue round
+/// and provenance tag (the hooked arm).
 pub trait Delivery: Copy {
     /// Whether the form carries the provenance tag at all; when not, the
-    /// take never reads or compacts the `causes` lane.
+    /// take voids the tags instead of handing them out.
     const TAGGED: bool;
 
     /// The delivered form of one queued message.
     fn of(msg: Message, enqueued: u64, tag: CauseTag) -> Self;
-
-    /// Moves every message of `ch` to `out` in enqueue order — the
-    /// `Immediate` case with nothing to keep back.
-    fn take_all(ch: &mut Channel, out: &mut Vec<Self>) {
-        let tags = ch.causes.drain(..).chain(std::iter::repeat(CauseTag::ROOT));
-        let lanes = ch.msgs.drain(..).zip(ch.enqueued.drain(..)).zip(tags);
-        out.extend(lanes.map(|((m, e), c)| Self::of(m, e, c)));
-    }
 }
 
 impl Delivery for Message {
@@ -105,13 +85,6 @@ impl Delivery for Message {
 
     fn of(msg: Message, _enqueued: u64, _tag: CauseTag) -> Self {
         msg
-    }
-
-    /// Hands the storage over by pointer swap instead of a
-    /// message-by-message copy.
-    fn take_all(ch: &mut Channel, out: &mut Vec<Self>) {
-        std::mem::swap(&mut ch.msgs, out);
-        ch.clear();
     }
 }
 
@@ -123,164 +96,74 @@ impl Delivery for (Message, u64, CauseTag) {
     }
 }
 
-impl Channel {
-    /// An empty channel.
-    pub fn new() -> Self {
-        Channel::default()
-    }
-
-    /// Enqueues a message at round `round` with its causal provenance
-    /// ([`CauseTag::ROOT`] for anything that is not a traced handler
-    /// emission). Only a non-root tag touches the `causes` lane, padding
-    /// it first so the tag lines up with its message. Inlined so the
-    /// round loop's plain arm, which only ever pushes roots, folds the
-    /// tag away (−4 % `mix-harmonic` node-rounds/s without it).
-    #[inline]
-    pub fn push(&mut self, msg: Message, round: u64, tag: CauseTag) {
-        if !tag.is_root() {
-            self.causes.resize(self.msgs.len(), CauseTag::ROOT);
-            self.causes.push(tag);
-        }
-        self.msgs.push(msg);
-        self.enqueued.push(round);
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-
-    /// The queued messages as a contiguous slice, in enqueue order. This
-    /// is what [`NetView`](swn_core::views::NetView) borrows.
-    pub fn as_slice(&self) -> &[Message] {
-        &self.msgs
-    }
-
-    /// Empties the channel but keeps its allocation, so churn can recycle
-    /// a departed node's channel storage for the slot's next occupant.
-    pub fn clear(&mut self) {
-        self.msgs.clear();
-        self.enqueued.clear();
-        self.causes.clear();
-    }
-
-    /// Clears `out` and fills it with the messages to deliver in round
-    /// `now` under `policy`, shuffled (channels are unordered),
-    /// compacting the channel in place. Only messages enqueued *before*
-    /// `now` are eligible, so a message is never received in the same
-    /// round it was sent — receipt strictly follows transmission.
-    ///
-    /// Provenance tags survive the take only when `D` carries them and
-    /// `traced` is set (the round loop sets it while a cascade window is
-    /// open); otherwise the lane is voided first, so everything
-    /// delivered *or kept* is an implicit root from here on.
-    ///
-    /// **RNG-stream equality.** The draws depend on neither `D` nor
-    /// `traced`: the per-element `random_bool` draws depend only on
-    /// `enqueued`/`now`/`policy`, and `shuffle` consumes draws as a
-    /// function of slice *length* alone. So delivery order and every
-    /// downstream draw are bit-for-bit the same whatever rides along —
-    /// pinned by `every_delivery_form_takes_the_same_messages` below and
-    /// the golden event-stream fingerprint.
-    pub fn take_deliverable_into<D: Delivery, R: Rng + ?Sized>(
-        &mut self,
-        now: u64,
-        policy: DeliveryPolicy,
-        rng: &mut R,
-        traced: bool,
-        out: &mut Vec<D>,
-    ) {
-        out.clear();
-        if !(D::TAGGED && traced) {
-            self.causes.clear();
-        }
-        // Fast path for the hot case: `Immediate` policy with every
-        // queued message eligible (nobody sent to this node yet in the
-        // current round). Element order (enqueue order, like the general
-        // path's push order) and RNG consumption (one shuffle of the
-        // same length) are identical to the general path. The
-        // eligibility scan must check *every* element: `preload` and
-        // same-round sends make `enqueued` non-monotone.
-        if matches!(policy, DeliveryPolicy::Immediate) && self.enqueued.iter().all(|&e| e < now) {
-            D::take_all(self, out);
-            out.shuffle(rng);
-            return;
-        }
-        let mut kept = 0;
-        for i in 0..self.msgs.len() {
-            let enqueued_at = self.enqueued[i];
-            let tag = self.causes.get(i).copied().unwrap_or(CauseTag::ROOT);
-            let deliver = enqueued_at < now
-                && match policy {
-                    DeliveryPolicy::Immediate => true,
-                    DeliveryPolicy::RandomDelay {
-                        p_deliver,
-                        max_delay,
-                    } => now - enqueued_at >= max_delay || rng.random_bool(p_deliver),
-                };
-            if deliver {
-                out.push(D::of(self.msgs[i], enqueued_at, tag));
-            } else {
-                self.msgs[kept] = self.msgs[i];
-                self.enqueued[kept] = enqueued_at;
-                if let Some(c) = self.causes.get_mut(kept).filter(|_| D::TAGGED) {
-                    *c = tag;
-                }
-                kept += 1;
-            }
-        }
-        self.msgs.truncate(kept);
-        self.enqueued.truncate(kept);
-        self.causes.truncate(kept);
-        out.shuffle(rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The channel semantics, exercised on one slot of the mailbox that
+    //! stores them.
+
     use super::*;
+    use crate::mailbox::Mailbox;
     use crate::obs::causal::CauseId;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt as _, SeedableRng};
     use swn_core::id::NodeId;
 
     fn lin(f: f64) -> Message {
         Message::Lin(NodeId::from_fraction(f))
     }
 
-    fn take(ch: &mut Channel, now: u64, policy: DeliveryPolicy, rng: &mut StdRng) -> Vec<Message> {
-        let mut out = Vec::new();
-        ch.take_deliverable_into(now, policy, rng, false, &mut out);
+    /// One channel holding `mail` (`(message, enqueue round, tag)`),
+    /// committed.
+    fn channel(mail: &[(Message, u64, CauseTag)]) -> Mailbox {
+        let mut ch = Mailbox::with_slots(1);
+        for &(m, round, tag) in mail {
+            ch.push(0, m, round, tag);
+        }
+        ch.commit();
+        ch
+    }
+
+    fn roots(mail: &[(f64, u64)]) -> Mailbox {
+        let mail = mail.iter().map(|&(f, r)| (lin(f), r, CauseTag::ROOT));
+        channel(&mail.collect::<Vec<_>>())
+    }
+
+    fn take(ch: &mut Mailbox, now: u64, policy: DeliveryPolicy, rng: &mut StdRng) -> Vec<Message> {
+        let mut out = vec![lin(0.5)]; // stale content must be cleared
+        ch.take_deliverable_into(0, now, policy, rng, false, &mut out);
         out
     }
 
     #[test]
     fn immediate_policy_delivers_everything_older_than_now() {
-        let mut ch = Channel::new();
-        ch.push(lin(0.1), 0, CauseTag::ROOT);
-        ch.push(lin(0.2), 0, CauseTag::ROOT);
-        ch.push(lin(0.3), 1, CauseTag::ROOT); // sent in the current round: not yet eligible
+        // The third was enqueued in the current round: not yet eligible.
+        let mut ch = roots(&[(0.1, 0), (0.2, 0), (0.3, 1)]);
         let mut rng = StdRng::seed_from_u64(1);
         let got = take(&mut ch, 1, DeliveryPolicy::Immediate, &mut rng);
         assert_eq!(got.len(), 2);
-        assert_eq!(ch.len(), 1);
+        assert_eq!(ch.as_slice(0), &[lin(0.3)]);
     }
 
     #[test]
     fn same_round_send_not_delivered() {
-        let mut ch = Channel::new();
-        ch.push(lin(0.1), 5, CauseTag::ROOT);
+        let mut ch = roots(&[(0.1, 5)]);
         let mut rng = StdRng::seed_from_u64(1);
+        // A send of this round sits in the log, where no take looks —
+        // whatever round the take claims to run in.
+        ch.push(0, lin(0.2), 5, CauseTag::ROOT);
         assert!(take(&mut ch, 5, DeliveryPolicy::Immediate, &mut rng).is_empty());
         assert_eq!(
-            take(&mut ch, 6, DeliveryPolicy::Immediate, &mut rng).len(),
-            1
+            take(&mut ch, 6, DeliveryPolicy::Immediate, &mut rng),
+            [lin(0.1)]
         );
+        assert_eq!(ch.len(0), 1, "the logged send is queued");
+        assert!(ch.as_slice(0).is_empty(), "but not yet in the channel");
+        ch.commit();
+        assert_eq!(
+            take(&mut ch, 6, DeliveryPolicy::Immediate, &mut rng),
+            [lin(0.2)]
+        );
+        assert!(ch.is_empty(0));
     }
 
     #[test]
@@ -289,8 +172,7 @@ mod tests {
             p_deliver: 0.0001, // essentially never deliver voluntarily
             max_delay: 3,
         };
-        let mut ch = Channel::new();
-        ch.push(lin(0.1), 0, CauseTag::ROOT);
+        let mut ch = roots(&[(0.1, 0)]);
         let mut rng = StdRng::seed_from_u64(99);
         let mut delivered_at = None;
         for now in 1..=10 {
@@ -305,39 +187,16 @@ mod tests {
     }
 
     #[test]
-    fn immediate_fast_path_matches_general_compaction_path() {
-        // Same eligible set, same seed: the swap fast path (all messages
-        // eligible) and the general compaction path (one ineligible
-        // straggler forces it) must produce the same delivery order.
-        let mut fast = Channel::new();
-        let mut slow = Channel::new();
-        for i in 1..=12 {
-            fast.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
-            slow.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
-        }
-        slow.push(lin(0.99), 5, CauseTag::ROOT); // enqueued "now": ineligible, general path
-        let mut rng_f = StdRng::seed_from_u64(3);
-        let mut rng_s = StdRng::seed_from_u64(3);
-        let mut out_f = vec![lin(0.5)]; // stale content must be cleared
-        let mut out_s = Vec::new();
-        fast.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng_f, false, &mut out_f);
-        slow.take_deliverable_into(5, DeliveryPolicy::Immediate, &mut rng_s, false, &mut out_s);
-        assert_eq!(out_f, out_s);
-        assert!(fast.is_empty());
-        assert_eq!(slow.len(), 1, "the straggler stays queued");
-    }
-
-    #[test]
     fn every_delivery_form_takes_the_same_messages() {
         // Same seed, same channel content: the bare untraced take and
         // the full traced one must deliver the same messages in the same
         // order, keep the same channel content and consume the same RNG
-        // stream (checked via a post-take draw) — on the Immediate fast
-        // path, the Immediate general path (straggler) and under
-        // RandomDelay.
+        // stream (checked via a post-take draw) — under Immediate with
+        // everything eligible, with an ineligible straggler to keep
+        // back, and under RandomDelay.
         let scenarios: [(DeliveryPolicy, Option<u64>); 3] = [
             (DeliveryPolicy::Immediate, None),
-            (DeliveryPolicy::Immediate, Some(5)), // straggler: general path
+            (DeliveryPolicy::Immediate, Some(5)),
             (
                 DeliveryPolicy::RandomDelay {
                     p_deliver: 0.5,
@@ -347,7 +206,7 @@ mod tests {
             ),
         ];
         for (policy, straggler) in scenarios {
-            let mut ch = Channel::new();
+            let mut mail = Vec::new();
             for i in 1..=25u64 {
                 // Mixed provenance: odd pushes tagged, even ones roots.
                 let tag = if i % 2 == 1 {
@@ -362,22 +221,21 @@ mod tests {
                 } else {
                     CauseTag::ROOT
                 };
-                ch.push(lin(i as f64 / 100.0), i % 4, tag);
+                mail.push((lin(i as f64 / 100.0), i % 4, tag));
             }
             if let Some(r) = straggler {
-                ch.push(lin(0.99), r, CauseTag::ROOT);
+                mail.push((lin(0.99), r, CauseTag::ROOT));
             }
-            let (mut bare, mut full) = (ch.clone(), ch);
+            let (mut bare, mut full) = (channel(&mail), channel(&mail));
             let mut rng_b = StdRng::seed_from_u64(7);
             let mut rng_f = StdRng::seed_from_u64(7);
             let mut out_b = vec![lin(0.5)]; // stale content must clear
             let mut out_f = vec![(lin(0.5), 9, CauseTag::ROOT)];
-            bare.take_deliverable_into(5, policy, &mut rng_b, false, &mut out_b);
-            full.take_deliverable_into(5, policy, &mut rng_f, true, &mut out_f);
+            bare.take_deliverable_into(0, 5, policy, &mut rng_b, false, &mut out_b);
+            full.take_deliverable_into(0, 5, policy, &mut rng_f, true, &mut out_f);
             let untag: Vec<Message> = out_f.iter().map(|&(m, _, _)| m).collect();
             assert_eq!(untag, out_b, "{policy:?} delivery order diverged");
-            assert_eq!(bare.as_slice(), full.as_slice(), "same compaction");
-            assert_eq!(bare.enqueued, full.enqueued, "same kept enqueue rounds");
+            assert_eq!(bare.as_slice(0), full.as_slice(0), "same compaction");
             assert_eq!(
                 rng_b.random_range(0u64..1_000_000),
                 rng_f.random_range(0u64..1_000_000),
@@ -386,17 +244,33 @@ mod tests {
             // Enqueue rounds and tags followed their messages through
             // the shuffle: push i was enqueued at i % 4 and tagged with
             // parent seq = i iff i is odd.
-            for &(m, enqueued, tag) in &out_f {
-                let Some(i) = (1..=25u64).find(|&i| m == lin(i as f64 / 100.0)) else {
-                    panic!("the ineligible straggler was delivered");
-                };
-                assert_eq!(enqueued, i % 4, "enqueue round stuck to its message");
-                if i % 2 == 1 {
-                    assert_eq!(tag.parent.seq, i, "tag stuck to its message");
-                } else {
-                    assert!(tag.is_root(), "root push stays a root");
+            let tagged_right = |out: &[(Message, u64, CauseTag)]| {
+                for &(m, enqueued, tag) in out {
+                    let Some(i) = (1..=25u64).find(|&i| m == lin(i as f64 / 100.0)) else {
+                        panic!("the ineligible straggler was delivered");
+                    };
+                    assert_eq!(enqueued, i % 4, "enqueue round stuck to its message");
+                    if i % 2 == 1 {
+                        assert_eq!(tag.parent.seq, i, "tag stuck to its message");
+                    } else {
+                        assert!(tag.is_root(), "root push stays a root");
+                    }
                 }
-            }
+            };
+            tagged_right(&out_f);
+            // ... and through the compaction: whatever the traced take
+            // kept back comes out of a forced later one intact.
+            full.take_deliverable_into(
+                0,
+                99,
+                DeliveryPolicy::Immediate,
+                &mut rng_f,
+                true,
+                &mut out_f,
+            );
+            out_f.retain(|&(m, _, _)| m != lin(0.99));
+            assert_eq!(out_f.len() + out_b.len(), 25);
+            tagged_right(&out_f);
         }
     }
 
@@ -410,9 +284,8 @@ mod tests {
             },
             depth: 2,
         };
-        let mut ch = Channel::new();
-        ch.push(lin(0.1), 0, CauseTag::ROOT);
-        ch.push(lin(0.2), 5, tag); // straggler keeps the channel non-empty
+        // The straggler keeps the channel non-empty.
+        let mut ch = channel(&[(lin(0.1), 0, CauseTag::ROOT), (lin(0.2), 5, tag)]);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
             take(&mut ch, 5, DeliveryPolicy::Immediate, &mut rng).len(),
@@ -421,21 +294,21 @@ mod tests {
         // The straggler's tag was invalidated: a later traced take sees
         // it as a root.
         let mut out: Vec<(Message, u64, CauseTag)> = Vec::new();
-        ch.take_deliverable_into(6, DeliveryPolicy::Immediate, &mut rng, true, &mut out);
+        ch.take_deliverable_into(0, 6, DeliveryPolicy::Immediate, &mut rng, true, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].2.is_root());
     }
 
     #[test]
     fn clear_empties_but_keeps_capacity() {
-        let mut ch = Channel::new();
-        for i in 1..=8 {
-            ch.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
-        }
-        ch.clear();
-        assert!(ch.is_empty());
-        ch.push(lin(0.42), 3, CauseTag::ROOT);
-        assert_eq!(ch.as_slice(), &[lin(0.42)]);
+        let mail: Vec<_> = (1..=8).map(|i| (i as f64 / 100.0, 0)).collect();
+        let mut ch = roots(&mail);
+        ch.push(0, lin(0.09), 1, CauseTag::ROOT); // logged mail goes too
+        ch.clear(0);
+        assert!(ch.is_empty(0));
+        ch.push(0, lin(0.42), 3, CauseTag::ROOT);
+        ch.commit();
+        assert_eq!(ch.as_slice(0), &[lin(0.42)]);
     }
 
     #[test]
@@ -448,8 +321,7 @@ mod tests {
         let mut delivered_round_1 = 0;
         const TRIALS: usize = 2000;
         for _ in 0..TRIALS {
-            let mut ch = Channel::new();
-            ch.push(lin(0.1), 0, CauseTag::ROOT);
+            let mut ch = roots(&[(0.1, 0)]);
             if !take(&mut ch, 1, policy, &mut rng).is_empty() {
                 delivered_round_1 += 1;
             }
@@ -460,10 +332,8 @@ mod tests {
 
     #[test]
     fn shuffle_changes_order_but_not_content() {
-        let mut ch = Channel::new();
-        for i in 1..=20 {
-            ch.push(lin(i as f64 / 100.0), 0, CauseTag::ROOT);
-        }
+        let mail: Vec<_> = (1..=20).map(|i| (i as f64 / 100.0, 0)).collect();
+        let mut ch = roots(&mail);
         let mut rng = StdRng::seed_from_u64(2);
         let got = take(&mut ch, 1, DeliveryPolicy::Immediate, &mut rng);
         assert_eq!(got.len(), 20);

@@ -2,9 +2,9 @@
 //!
 //! The paper's self-stabilization claim (Theorems 4.3/4.18/4.24) is a
 //! statement about recovery from *transient faults*, yet the base
-//! simulator only perturbs the start state: [`Channel`] is lossless and
-//! nodes never fail mid-run. This module injects faults into the
-//! running protocol, deterministically:
+//! simulator only perturbs the start state: the channels
+//! ([`crate::channel`]) are lossless and nodes never fail mid-run. This
+//! module injects faults into the running protocol, deterministically:
 //!
 //! * a seedable, serde-serializable [`FaultPlan`] — per-round message
 //!   drop/duplication rate windows, transient bidirectional
@@ -28,8 +28,6 @@
 //!   time out silently. (An injected [`Perturbation`] *can* re-link
 //!   components by oracle, so E10 schedules perturbations before, not
 //!   after, its loss windows.)
-//!
-//! [`Channel`]: crate::channel::Channel
 
 // Runs while faults are live, where a panic is indistinguishable from
 // the protocol bug being hunted: errors are `Result`s or named outcomes.
@@ -1027,12 +1025,12 @@ impl Network {
             // the victim as both endpoints — the true senders are gone
             // from the queue's bookkeeping).
             let mut lost = 0u64;
-            for &m in self.channels[slot].as_slice() {
+            for &m in self.mail.as_slice(slot) {
                 inj.note_drop(now, c.node, c.node, m);
                 lost += 1;
             }
             self.nodes[slot] = Some(blank);
-            self.channels[slot].clear();
+            self.mail.clear(slot);
             inj.mark_down(c.node, now.saturating_add(c.down_for));
             stats.dropped_fault += lost;
             stats.links_changed = true;

@@ -100,9 +100,7 @@ impl InitialState {
     /// asynchrony for fairness-sensitive property tests).
     pub fn into_network_with_policy(self, seed: u64, policy: crate::DeliveryPolicy) -> Network {
         let mut net = Network::with_policy(self.nodes, seed, policy);
-        for (dest, msg) in self.preloads {
-            net.preload(dest, msg);
-        }
+        net.preload_all(self.preloads);
         net
     }
 }

@@ -55,6 +55,7 @@ pub mod churn;
 pub mod convergence;
 pub mod faults;
 pub mod init;
+mod mailbox;
 pub mod network;
 pub mod obs;
 pub mod parallel;

@@ -1,4 +1,4 @@
-//! The simulated network: node table, channels and the round loop.
+//! The simulated network: node table, mailbox and the round loop.
 //!
 //! A **round** delivers every eligible message (per the delivery policy)
 //! and runs every node's regular action once, in a random node order.
@@ -18,8 +18,9 @@
 //! The whole run is deterministic in the seed: the same seed, initial
 //! state and policy replay the exact same computation.
 
-use crate::channel::{Channel, DeliveryPolicy};
+use crate::channel::DeliveryPolicy;
 use crate::faults::{Fate, FaultInjector, FaultPlan};
+use crate::mailbox::Mailbox;
 use crate::obs::causal::{CascadeReport, CauseTag};
 use crate::obs::{Event, ObsState, Sink};
 use crate::sched::{self, SchedState, ScheduleMode};
@@ -66,10 +67,10 @@ impl SortedLevel {
 /// A simulated asynchronous message-passing network.
 #[derive(Debug)]
 pub struct Network {
-    // The node table, channels and index are crate-visible for the fault
+    // The node table, mailbox and index are crate-visible for the fault
     // applier (`faults.rs`), which rewrites them at round start.
     pub(crate) nodes: Vec<Option<Node>>,
-    pub(crate) channels: Vec<Channel>,
+    pub(crate) mail: Mailbox,
     pub(crate) index: SlotIndex,
     free: Vec<usize>,
     policy: DeliveryPolicy,
@@ -133,10 +134,9 @@ impl Network {
             Ok(idx) => idx,
             Err(dup) => panic!("duplicate node id {dup:?}"),
         };
-        let channels = vec![Channel::new(); nodes.len()];
         Network {
+            mail: Mailbox::with_slots(nodes.len()),
             nodes: nodes.into_iter().map(Some).collect(),
-            channels,
             index,
             free: Vec::new(),
             policy,
@@ -394,15 +394,28 @@ impl Network {
 
     /// Preloads a message into a node's channel (for adversarial initial
     /// states with in-flight garbage). No-op if the destination is absent.
+    ///
+    /// Each call commits the mailbox so [`view`](Self::view) sees the
+    /// message at once, which costs O(messages in flight) whenever some
+    /// are; bulk loaders go through the crate's `preload_all`.
     pub fn preload(&mut self, dest: NodeId, msg: Message) {
-        if let Some(i) = self.index.get(dest) {
-            // Enqueue as "already in flight" so it is deliverable in the
-            // very next round.
-            self.channels[i].push(msg, self.round.saturating_sub(1), CauseTag::ROOT);
-            if let Some(sched) = self.sched.as_mut() {
-                sched.schedule(i);
+        self.preload_all([(dest, msg)]);
+    }
+
+    /// [`preload`](Self::preload) for many messages with one commit.
+    pub(crate) fn preload_all(&mut self, mail: impl IntoIterator<Item = (NodeId, Message)>) {
+        // Enqueued as "already in flight", so deliverable in the very
+        // next round.
+        let enqueued = self.round.saturating_sub(1);
+        for (dest, msg) in mail {
+            if let Some(i) = self.index.get(dest) {
+                self.mail.push(i, msg, enqueued, CauseTag::ROOT);
+                if let Some(sched) = self.sched.as_mut() {
+                    sched.schedule(i);
+                }
             }
         }
+        self.mail.commit();
     }
 
     /// Executes one round; returns its stats (also appended to the trace).
@@ -489,7 +502,7 @@ impl Network {
             let turn_before = (node.left(), node.right(), node.ring());
             // Receive actions: all eligible messages, shuffled. The
             // outbox is flushed once per action *batch*, not per message.
-            // Flushing consumes no RNG and channel pushes keep their
+            // Flushing consumes no RNG and mailbox pushes keep their
             // relative order, so every RNG draw and the per-message
             // delivery order match per-message flushing exactly — except
             // that a send to a *departed* destination now clears the
@@ -501,8 +514,8 @@ impl Network {
             if HOOKED {
                 self.take_hooked(i, now, sample, &mut ph[1], &mut inbox);
             } else {
-                let (channel, rng) = (&mut self.channels[i], &mut self.rng);
-                channel.take_deliverable_into(now, self.policy, rng, false, &mut inbox);
+                let (mail, rng) = (&mut self.mail, &mut self.rng);
+                mail.take_deliverable_into(i, now, self.policy, rng, false, &mut inbox);
             }
             if !inbox.is_empty() {
                 stats.links_changed = true;
@@ -550,7 +563,7 @@ impl Network {
             }
             if HOOKED {
                 if let Some(sched) = self.sched.as_mut() {
-                    let mail = !self.channels[i].is_empty();
+                    let mail = !self.mail.is_empty(i);
                     sched.finish_turn(&self.nodes, &self.index, i, turn_before, mail);
                 }
             }
@@ -558,6 +571,9 @@ impl Network {
         inbox.clear();
         self.inbox_buf = inbox;
         self.order_buf = order;
+        // The round boundary: this round's sends become next round's
+        // mail, behind whatever each node kept back.
+        timed(sample, &mut ph[3], || self.mail.commit());
 
         #[expect(
             clippy::disallowed_methods,
@@ -593,7 +609,7 @@ impl Network {
 
     /// The hooked round's channel take. Unobserved, it is the plain take.
     /// Observed, it hands out the same messages in the same order off
-    /// the same RNG draws (see [`Channel::take_deliverable_into`]), with
+    /// the same RNG draws (see [`Mailbox::take_deliverable_into`]), with
     /// each message's enqueue round feeding the latency histograms and —
     /// while a cascade window is open — its provenance tag feeding the
     /// DAG accounting; the channel-depth high-water mark is read before
@@ -607,15 +623,15 @@ impl Network {
         channel_ns: &mut u64,
         inbox: &mut Vec<Message>,
     ) {
-        let (channel, policy, rng) = (&mut self.channels[i], self.policy, &mut self.rng);
+        let (mail, policy, rng) = (&mut self.mail, self.policy, &mut self.rng);
         let Some(obs) = self.obs.as_mut() else {
-            return channel.take_deliverable_into(now, policy, rng, false, inbox);
+            return mail.take_deliverable_into(i, now, policy, rng, false, inbox);
         };
-        let depth = u64::try_from(channel.len()).unwrap_or(u64::MAX);
+        let depth = u64::try_from(mail.len(i)).unwrap_or(u64::MAX);
         obs.depth_round_max = obs.depth_round_max.max(depth);
         let (tracing, tagged) = (obs.causal.active, &mut obs.tagged);
         timed(sample, channel_ns, || {
-            channel.take_deliverable_into(now, policy, rng, tracing, tagged);
+            mail.take_deliverable_into(i, now, policy, rng, tracing, tagged);
         });
         let slot = u32::try_from(i).unwrap_or(u32::MAX);
         inbox.clear();
@@ -759,7 +775,7 @@ impl Network {
         for i in self.index.slots_by_id() {
             if let Some(n) = &self.nodes[i] {
                 nodes.push(n.clone());
-                channels.push(self.channels[i].as_slice().to_vec());
+                channels.push(self.mail.as_slice(i).to_vec());
             }
         }
         Snapshot::new(nodes, channels)
@@ -776,7 +792,7 @@ impl Network {
         for i in self.index.slots_by_id() {
             if let Some(n) = &self.nodes[i] {
                 nodes.push(n);
-                channels.push(self.channels[i].as_slice());
+                channels.push(self.mail.as_slice(i));
             }
         }
         NetView::new(nodes, channels)
@@ -799,12 +815,12 @@ impl Network {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.nodes[s] = Some(node);
-                self.channels[s].clear();
+                self.mail.clear(s);
                 s
             }
             None => {
                 self.nodes.push(Some(node));
-                self.channels.push(Channel::new());
+                self.mail.add_slot();
                 self.nodes.len() - 1
             }
         };
@@ -832,7 +848,7 @@ impl Network {
         }
         self.tracked_forwarders.remove(&id);
         self.free.push(slot);
-        self.channels[slot].clear();
+        self.mail.clear(slot);
         let node = self.nodes[slot].take();
         if let Some(sched) = self.sched.as_mut() {
             sched.on_remove(&self.nodes, &self.index, id, slot);
@@ -841,10 +857,12 @@ impl Network {
     }
 
     /// Sends `msg` to `dest` as an external input (e.g. a joining node's
-    /// first announcement).
+    /// first announcement). Like [`preload`](Self::preload), each call
+    /// commits the mailbox: O(messages in flight) whenever some are.
     pub fn send_external(&mut self, dest: NodeId, msg: Message) -> bool {
         if let Some(i) = self.index.get(dest) {
-            self.channels[i].push(msg, self.round, CauseTag::ROOT);
+            self.mail.push(i, msg, self.round, CauseTag::ROOT);
+            self.mail.commit();
             if let Some(sched) = self.sched.as_mut() {
                 sched.schedule(i);
             }
@@ -861,11 +879,11 @@ impl Network {
         stats: &mut RoundStats,
     ) {
         // Destructure to split the borrows: the send list stays borrowed
-        // from the outbox while routing mutates channels/nodes — no
+        // from the outbox while routing mutates mailbox/nodes — no
         // buffer swap, no copy of the sends.
         let Network {
             nodes,
-            channels,
+            mail,
             index,
             outbox,
             tracked,
@@ -893,7 +911,7 @@ impl Network {
         // (regular actions, external inputs) tag everything as cascade
         // roots. Attribution is pure bookkeeping — no RNG, no effect on
         // routing — and outside a window every send is pushed as a root,
-        // leaving the `causes` lane untouched.
+        // leaving the mailbox's tag lanes untouched.
         let mut causal = obs.map(|o| &mut o.causal).filter(|c| c.active);
         let mut cause_cursor = 0usize;
         for (k, &(dest, sent_msg)) in outbox.sends().iter().enumerate() {
@@ -942,7 +960,7 @@ impl Network {
             match index.get(dest) {
                 Some(j) => {
                     for _ in 0..copies {
-                        channels[j].push(msg, now, tag);
+                        mail.push(j, msg, now, tag);
                     }
                     // Mail wakes its recipient: settled or not, the
                     // destination must run its receive action next round.
@@ -964,7 +982,7 @@ impl Network {
                             // The bounce keeps its provenance: the
                             // reprocessed copy is the same causal
                             // node, not a fresh root.
-                            channels[sender].push(back, now, tag);
+                            mail.push(sender, back, now, tag);
                             bounced = true;
                         }
                         // The bounce (and the dangling-pointer clear,

@@ -26,8 +26,9 @@
 //!
 //! **Observers read, never mutate, and consume no RNG.** Events are
 //! derived from state the loop already computes; the channel take
-//! ([`Channel::take_deliverable_into`]) consumes the identical RNG
-//! stream whether or not enqueue rounds and cause tags ride along;
+//! (either [`Delivery`](crate::channel::Delivery) form) consumes the
+//! identical RNG stream whether or not enqueue rounds and cause tags
+//! ride along;
 //! wall-clock readings appear only in timing payloads. The golden-trace suite pins both halves: state
 //! digests are bit-for-bit identical with a sink attached, and the
 //! structural event stream itself is fingerprinted.
@@ -36,8 +37,6 @@
 //! delivered message a `CauseId` and reconstructs repair-cascade DAGs,
 //! and [`flight`] bounds trace memory with a ring buffer that dumps a
 //! JSONL post-mortem on anomalous watchdog verdicts.
-//!
-//! [`Channel::take_deliverable_into`]: crate::channel::Channel::take_deliverable_into
 
 pub mod causal;
 pub mod flight;
@@ -242,7 +241,8 @@ pub enum Event {
         channel_ns: u64,
         /// Protocol handler execution (receive + regular actions).
         deliver_ns: u64,
-        /// Outbox flushing (routing, bounce/drop handling).
+        /// Outbox flushing (routing, bounce/drop handling) and the
+        /// mailbox commit at the round boundary.
         flush_ns: u64,
         /// Stats accounting: trace push + observer bookkeeping.
         stats_ns: u64,

@@ -20,8 +20,8 @@
 //!
 //! Tagging lives entirely inside the hooked copy of the round loop: the
 //! plain copy only ever pushes [`CauseTag::ROOT`], which never touches
-//! the channels' `causes` lane (see [`crate::channel::Channel::push`]),
-//! so it stays byte-identical, and tagging itself consumes no RNG.
+//! the mailbox's lazy tag lanes, so it stays byte-identical, and tagging
+//! itself consumes no RNG.
 
 use serde::{Deserialize, Serialize};
 use swn_core::message::MessageKind;
@@ -177,11 +177,11 @@ impl CascadeReport {
 /// private: `Network`'s hooked round loop is the only driver.
 ///
 /// Tracing is *window-gated*: the per-message work (id assignment,
-/// boundary bookkeeping, non-root pushes into the channels' `causes`
-/// lane) runs only while a cascade window is open (`begin_window` …
+/// boundary bookkeeping, non-root pushes into the mailbox's tag
+/// lanes) runs only while a cascade window is open (`begin_window` …
 /// `take_window`). Outside a window the observed take still hands out
 /// the one `(message, enqueue round, tag)` form, but every tag is a root
-/// and the lane stays empty — steady-state runs pay for latency
+/// and the lanes stay empty — steady-state runs pay for latency
 /// accounting only, which is what keeps the instrumented/noop ratio
 /// inside the bench guard.
 #[derive(Debug)]

@@ -17,7 +17,7 @@
 //! injector's RNG continues from its persisted cursor). They need not
 //! match what the checkpointed process itself would have computed next,
 //! because the scheduler RNG cursor, message enqueue rounds, the
-//! schedule mode and the settled flags are not captured — ROADMAP 5(b)
+//! schedule mode and the settled flags are not captured — ROADMAP 7(b)
 //! tracks that stronger property.
 //!
 //! All readers reject malformed input with a named [`PersistError`]
@@ -207,19 +207,16 @@ pub fn network_from_snapshot(s: &Snapshot, seed: u64) -> Network {
 /// the restored computation continues from the same CC state. Scheduler
 /// randomness is freshly seeded from `seed` — the scheduler's RNG cursor
 /// is not captured, which is why a restore is a deterministic
-/// continuation rather than a replay (module docs; ROADMAP 5(b) tracks
+/// continuation rather than a replay (module docs; ROADMAP 7(b) tracks
 /// bit-for-bit resume). The round counter is restored (plan windows stay
 /// aligned) and the injector — when one was captured — is rebuilt at its
 /// persisted RNG cursor and reattached.
 pub fn network_from_checkpoint(cp: &Checkpoint, seed: u64) -> Result<Network, PersistError> {
     let mut net = Network::new(cp.snapshot.nodes().to_vec(), seed);
     net.set_round(cp.round);
-    for (idx, msgs) in cp.snapshot.channels().iter().enumerate() {
-        let dest = cp.snapshot.nodes()[idx].id();
-        for &m in msgs {
-            net.preload(dest, m);
-        }
-    }
+    let nodes = cp.snapshot.nodes().iter();
+    let mail = nodes.zip(cp.snapshot.channels());
+    net.preload_all(mail.flat_map(|(n, msgs)| msgs.iter().map(|&m| (n.id(), m))));
     if let Some(state) = &cp.injector {
         let inj = FaultInjector::from_state(state.clone())
             .map_err(|e| PersistError::Malformed(format!("invalid fault plan: {e}")))?;

@@ -10,7 +10,7 @@
 //! snapshot-per-round implementation: per-scenario phase milestones,
 //! message totals, a per-round sent/delivered prefix, and an order-stable
 //! digest of the final global state (node variables *and* channel
-//! contents). Any refactor of `Network::step`, `Channel` storage or the
+//! contents). Any refactor of `Network::step`, mailbox storage or the
 //! convergence loop that perturbs a single message or RNG draw shows up
 //! as a digest mismatch.
 //!

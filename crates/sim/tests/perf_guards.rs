@@ -1,4 +1,4 @@
-//! Perf guards: the three same-process timing ratios the docs cite.
+//! Perf guards: the four same-process timing ratios the docs cite.
 //!
 //! Absolute times belong to `benchmark/` (see `benchmark/README.md`);
 //! these tests pin only *ratios* between two arms measured in one
@@ -42,6 +42,12 @@ const QUIESCENT_SCALE_LIMIT: f64 = 4.0;
 /// this factor (a watcher that rebuilds a view every dirty round is
 /// ~linear, i.e. ~32× over the same span).
 const RECOVERY_SCALE_LIMIT: f64 = 4.0;
+
+/// A full-scan node-round does O(1) work whatever n is; what grows with
+/// n is the cache misses of the round's random walk over nodes and
+/// mailbox, so 64× more nodes — from a working set that fits the cache
+/// to one far beyond it — may cost at most this factor per node-round.
+const FULL_SCAN_SCALE_LIMIT: f64 = 3.0;
 
 /// Interleaved pairs per guard.
 const PAIRS: usize = 7;
@@ -91,6 +97,15 @@ fn step_ns(n: usize, instrumented: bool) -> f64 {
         net.attach_sink(Box::new(JsonlSink::new(Box::new(std::io::sink()))), 16);
     }
     ns_per(200, || net.step())
+}
+
+/// Nanoseconds per node-round of a fresh stable ring of `n` nodes under
+/// full scan: 4 warm-up rounds, 12 timed. Equal round counts on both
+/// arms, because the traffic per node changes as the lrl walks spread.
+fn node_round_ns(n: usize) -> f64 {
+    let mut net = stable_ring(n);
+    net.run(4);
+    ns_per(12, || net.step()) / n as f64
 }
 
 /// A stable ring under the active-set scheduler, stepped until its
@@ -193,5 +208,20 @@ fn recovery_round_is_flat_in_n() {
     assert!(
         ratio <= RECOVERY_SCALE_LIMIT,
         "recovery round cost is not flat in n: {ratio:.3}x > {RECOVERY_SCALE_LIMIT}x"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock ratio; run with --release -- --ignored"]
+fn full_scan_node_round_out_of_cache_within_limit_of_in_cache() {
+    const SMALL: usize = 2048;
+    const BIG: usize = 131_072;
+    let _turn = ONE_AT_A_TIME.lock();
+    println!("full-scan node-round @ n={BIG} vs @ n={SMALL}");
+    let ratio = min_pair_ratio(|| node_round_ns(SMALL), || node_round_ns(BIG));
+    println!("smallest pair ratio {ratio:.3}x, limit {FULL_SCAN_SCALE_LIMIT}x");
+    assert!(
+        ratio <= FULL_SCAN_SCALE_LIMIT,
+        "per-node round cost grows with n: {ratio:.3}x > {FULL_SCAN_SCALE_LIMIT}x"
     );
 }

@@ -14,7 +14,7 @@
 //! Nothing here compares a restored run with the uninterrupted one, and
 //! they may differ: the scheduler RNG cursor, message enqueue rounds,
 //! the schedule mode and the settled flags are not in the document.
-//! ROADMAP 5(a) tracks that stronger property.
+//! ROADMAP 7(b) tracks that stronger property.
 
 use proptest::prelude::*;
 use swn_core::config::ProtocolConfig;
