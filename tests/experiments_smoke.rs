@@ -137,3 +137,33 @@ fn ablations_smoke() {
     check(&ablations::run_a2(&p), 4);
     check(&ablations::run_a3(&p), 4);
 }
+
+/// What `experiments <id> --quick` prints: every table's rendering, one
+/// `println!` each.
+fn stdout_of(tables: &[Table]) -> String {
+    tables.iter().map(|t| t.render() + "\n").collect()
+}
+
+/// The fault engine's three console surfaces at quick scale, byte for
+/// byte — the E10 fault matrix and disconnect demo, the E12 behavior,
+/// restart-discipline and campaign tables, and `experiments chaos`. The
+/// goldens were written by the per-round plan-scanning injector, so they
+/// pin that the compiled agenda lands every fault in the same round, in
+/// the same order, on the same coin. (The run-for-run fingerprint of the
+/// full campaign is `swn-sim`'s `chaos_pin` test.)
+#[test]
+fn fault_experiment_quick_tables_match_the_pinned_goldens() {
+    let e10 = e10_faults::Params::quick();
+    let tables = [e10_faults::run(&e10), e10_faults::run_disconnect_demo()];
+    assert_eq!(stdout_of(&tables), include_str!("golden/e10_quick.txt"));
+
+    let e12 = e12_chaos::Params::quick();
+    let report = e12_chaos::run_campaign_report(&e12);
+    let campaign = e12_chaos::campaign_table(&e12, &report);
+    assert_eq!(
+        stdout_of(std::slice::from_ref(&campaign)),
+        include_str!("golden/chaos_quick.txt")
+    );
+    let tables = [e12_chaos::run(&e12), campaign];
+    assert_eq!(stdout_of(&tables), include_str!("golden/e12_quick.txt"));
+}
