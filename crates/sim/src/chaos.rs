@@ -26,8 +26,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::faults::{
-    watch, Behavior, Crash, FaultPlan, LieMode, Misbehavior, Partition, Perturbation, RateWindow,
-    Restart, Verdict,
+    watch, Behavior, Crash, Entry, FaultPlan, LieMode, Misbehavior, Partition, Perturbation,
+    RateWindow, Restart, Verdict,
 };
 use crate::init::{generate, InitialTopology};
 use crate::network::Network;
@@ -113,24 +113,12 @@ impl Scenario {
     /// restarts) has landed — the boundary between the injection drive
     /// and the recovery watch.
     pub fn horizon(&self) -> u64 {
-        let p = &self.plan;
-        let mut h = 1;
-        for w in p.drop.iter().chain(&p.duplicate) {
-            h = h.max(w.end);
-        }
-        for pa in &p.partitions {
-            h = h.max(pa.end);
-        }
-        for c in &p.crashes {
-            h = h.max(c.round.saturating_add(c.down_for));
-        }
-        for pe in &p.perturbations {
-            h = h.max(pe.round.saturating_add(1));
-        }
-        for b in &p.behaviors {
-            h = h.max(b.end);
-        }
-        h
+        let landed = |entry: Entry| match entry {
+            Entry::Crash(c) => c.round.saturating_add(c.down_for),
+            Entry::Perturbation(p) => p.round.saturating_add(1),
+            window => window.window().map_or(1, |(_, end)| end),
+        };
+        self.plan.entries().map(landed).fold(1, u64::max)
     }
 }
 
@@ -486,55 +474,15 @@ pub fn run_campaign(
     report
 }
 
-/// One plan entry, the unit of delta debugging.
-#[derive(Clone, Debug, PartialEq)]
-enum Entry {
-    Drop(RateWindow),
-    Duplicate(RateWindow),
-    Partition(Partition),
-    Crash(Crash),
-    Perturbation(Perturbation),
-    Behavior(Behavior),
-}
-
-fn to_entries(plan: &FaultPlan) -> Vec<Entry> {
-    let mut out = Vec::with_capacity(plan.entry_count());
-    out.extend(plan.drop.iter().copied().map(Entry::Drop));
-    out.extend(plan.duplicate.iter().copied().map(Entry::Duplicate));
-    out.extend(plan.partitions.iter().copied().map(Entry::Partition));
-    out.extend(plan.crashes.iter().copied().map(Entry::Crash));
-    out.extend(plan.perturbations.iter().copied().map(Entry::Perturbation));
-    out.extend(plan.behaviors.iter().cloned().map(Entry::Behavior));
-    out
-}
-
-fn from_entries(seed: u64, entries: &[Entry]) -> FaultPlan {
-    let mut plan = FaultPlan::new(seed);
-    for e in entries {
-        match e.clone() {
-            Entry::Drop(w) => plan.drop.push(w),
-            Entry::Duplicate(w) => plan.duplicate.push(w),
-            Entry::Partition(p) => plan.partitions.push(p),
-            Entry::Crash(c) => plan.crashes.push(c),
-            Entry::Perturbation(p) => plan.perturbations.push(p),
-            Entry::Behavior(b) => plan.behaviors.push(b),
-        }
-    }
-    plan
-}
-
-fn with_plan(s: &Scenario, plan: FaultPlan) -> Scenario {
-    Scenario { plan, ..s.clone() }
-}
-
 /// Shrinks a failing scenario to a minimal reproducer. `fails` is the
 /// oracle ("does this candidate still fail?"); the input scenario must
 /// fail it. Two phases:
 ///
-/// 1. **Delta debugging** over the flattened entry list: chunks of
-///    decreasing size are removed while the failure persists, ending
-///    with a single-entry sweep, so the result is 1-minimal — no single
-///    entry can be removed without losing the failure.
+/// 1. **Delta debugging** over the plan's entry list
+///    ([`FaultPlan::entries`]): chunks of decreasing size are removed
+///    while the failure persists, ending with a single-entry sweep, so
+///    the result is 1-minimal — no single entry can be removed without
+///    losing the failure.
 /// 2. **Parameter shrinking** to a fixpoint: each surviving entry's
 ///    windows, downtimes, probabilities-adjacent sizes (victim count,
 ///    kind set, sybil size) are halved while the failure persists.
@@ -543,9 +491,16 @@ fn with_plan(s: &Scenario, plan: FaultPlan) -> Scenario {
 /// since removal and halving preserve validity) are skipped by
 /// re-validation, defensively.
 pub fn shrink(s: &Scenario, fails: &dyn Fn(&Scenario) -> bool) -> Scenario {
-    let mut best = s.clone();
-    let seed = s.plan.seed;
-    let mut entries = to_entries(&best.plan);
+    let with_entries = |entries: &[Entry]| {
+        let mut plan = FaultPlan::new(s.plan.seed);
+        entries.iter().cloned().for_each(|e| plan.push(e));
+        Scenario { plan, ..s.clone() }
+    };
+    let still_fails = |entries: &[Entry]| {
+        let cand = with_entries(entries);
+        cand.plan.validate().is_ok() && fails(&cand)
+    };
+    let mut entries: Vec<Entry> = s.plan.entries().collect();
 
     // Phase 1: ddmin. Try removing complements at increasing
     // granularity; a successful removal restarts at coarse granularity.
@@ -555,12 +510,10 @@ pub fn shrink(s: &Scenario, fails: &dyn Fn(&Scenario) -> bool) -> Scenario {
         let mut i = 0;
         while i < entries.len() {
             let hi = (i + chunk).min(entries.len());
-            let mut candidate: Vec<Entry> = entries.clone();
+            let mut candidate = entries.clone();
             candidate.drain(i..hi);
-            let cand = with_plan(&best, from_entries(seed, &candidate));
-            if cand.plan.validate().is_ok() && fails(&cand) {
+            if still_fails(&candidate) {
                 entries = candidate;
-                best = cand;
                 removed_any = true;
                 // Same index now holds the next chunk.
             } else {
@@ -577,24 +530,18 @@ pub fn shrink(s: &Scenario, fails: &dyn Fn(&Scenario) -> bool) -> Scenario {
     }
 
     // Phase 2: per-entry parameter shrinking to a fixpoint.
-    loop {
-        let entries = to_entries(&best.plan);
-        let mut improved = false;
-        'outer: for (i, e) in entries.iter().enumerate() {
-            for smaller in shrink_entry(e) {
+    'fixpoint: loop {
+        for i in 0..entries.len() {
+            for smaller in shrink_entry(&entries[i]) {
                 let mut candidate = entries.clone();
                 candidate[i] = smaller;
-                let cand = with_plan(&best, from_entries(seed, &candidate));
-                if cand.plan.validate().is_ok() && fails(&cand) {
-                    best = cand;
-                    improved = true;
-                    break 'outer;
+                if still_fails(&candidate) {
+                    entries = candidate;
+                    continue 'fixpoint;
                 }
             }
         }
-        if !improved {
-            return best;
-        }
+        return with_entries(&entries);
     }
 }
 
@@ -603,26 +550,13 @@ pub fn shrink(s: &Scenario, fails: &dyn Fn(&Scenario) -> bool) -> Scenario {
 /// parameter down by halving.
 fn shrink_entry(e: &Entry) -> Vec<Entry> {
     let mut out = Vec::new();
-    let halve_span = |start: u64, end: u64| -> Option<u64> {
-        let len = end.saturating_sub(start);
-        (len >= 2).then(|| start + len / 2)
-    };
+    if let Some((start, end)) = e
+        .window()
+        .filter(|(start, end)| end.saturating_sub(*start) >= 2)
+    {
+        out.push(e.clone().with_end(start + (end - start) / 2));
+    }
     match e {
-        Entry::Drop(w) => {
-            if let Some(end) = halve_span(w.start, w.end) {
-                out.push(Entry::Drop(RateWindow { end, ..*w }));
-            }
-        }
-        Entry::Duplicate(w) => {
-            if let Some(end) = halve_span(w.start, w.end) {
-                out.push(Entry::Duplicate(RateWindow { end, ..*w }));
-            }
-        }
-        Entry::Partition(p) => {
-            if let Some(end) = halve_span(p.start, p.end) {
-                out.push(Entry::Partition(Partition { end, ..*p }));
-            }
-        }
         Entry::Crash(c) => {
             if c.down_for >= 2 {
                 out.push(Entry::Crash(Crash {
@@ -637,37 +571,31 @@ fn shrink_entry(e: &Entry) -> Vec<Entry> {
                 }));
             }
         }
-        Entry::Perturbation(p) => {
-            if p.k >= 2 {
-                out.push(Entry::Perturbation(Perturbation { k: p.k / 2, ..*p }));
-            }
+        Entry::Perturbation(p) if p.k >= 2 => {
+            out.push(Entry::Perturbation(Perturbation { k: p.k / 2, ..*p }));
         }
-        Entry::Behavior(b) => {
-            if let Some(end) = halve_span(b.start, b.end) {
-                out.push(Entry::Behavior(Behavior { end, ..b.clone() }));
+        Entry::Behavior(b) => match &b.kind {
+            Misbehavior::SelectiveForward { kinds, p } if kinds.len() >= 2 => {
+                out.push(Entry::Behavior(Behavior {
+                    kind: Misbehavior::SelectiveForward {
+                        kinds: kinds[..kinds.len() / 2].to_vec(),
+                        p: *p,
+                    },
+                    ..b.clone()
+                }));
             }
-            match &b.kind {
-                Misbehavior::SelectiveForward { kinds, p } if kinds.len() >= 2 => {
-                    out.push(Entry::Behavior(Behavior {
-                        kind: Misbehavior::SelectiveForward {
-                            kinds: kinds[..kinds.len() / 2].to_vec(),
-                            p: *p,
-                        },
-                        ..b.clone()
-                    }));
-                }
-                Misbehavior::SybilCluster { k, center } if *k >= 2 => {
-                    out.push(Entry::Behavior(Behavior {
-                        kind: Misbehavior::SybilCluster {
-                            k: k / 2,
-                            center: *center,
-                        },
-                        ..b.clone()
-                    }));
-                }
-                _ => {}
+            Misbehavior::SybilCluster { k, center } if *k >= 2 => {
+                out.push(Entry::Behavior(Behavior {
+                    kind: Misbehavior::SybilCluster {
+                        k: k / 2,
+                        center: *center,
+                    },
+                    ..b.clone()
+                }));
             }
-        }
+            _ => {}
+        },
+        _ => {}
     }
     out
 }

@@ -15,9 +15,14 @@
 //!   computation's RNG draws are untouched: a network with an *empty*
 //!   plan attached replays the fault-free run bit-for-bit, and the
 //!   detached path stays byte-identical — `Network::step` runs the
-//!   plain copy of the round loop, without a single injector branch;
-//!   the round-start half of the plan (crashes, restarts, sybil joins,
-//!   perturbations) is applied by `Network::apply_round_faults` below;
+//!   plain copy of the round loop, without a single injector branch.
+//!   The injector compiles the plan **once** into a round-ordered
+//!   agenda of typed steps; `Network::apply_round_faults` below pops
+//!   what is due each round (crashes, restarts, sybil joins,
+//!   perturbations, window openings and closings), and the per-send
+//!   decisions read only the short list of windows in force — a plan
+//!   entry that is not due costs a round one comparison and a send
+//!   nothing;
 //! * a convergence **watchdog** ([`watch_recovery`]) over the union
 //!   knowledge graph (the CC view: stored links ∪ in-flight payloads).
 //!   Linearize *forwards without storing*, so a dropped `lin` message
@@ -87,12 +92,7 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// True when the partition is in force at `round`.
-    pub fn active(&self, round: u64) -> bool {
-        round >= self.start && round < self.end
-    }
-
-    /// True when the partition (if active) separates `a` from `b`.
+    /// True when the partition (while in force) separates `a` from `b`.
     pub fn cuts(&self, a: NodeId, b: NodeId) -> bool {
         (a <= self.cut) != (b <= self.cut)
     }
@@ -226,13 +226,6 @@ pub struct Behavior {
     pub kind: Misbehavior,
 }
 
-impl Behavior {
-    /// True while the behavior window covers `round`.
-    pub fn active(&self, round: u64) -> bool {
-        round >= self.start && round < self.end
-    }
-}
-
 /// The deterministic sybil identifier cluster for a
 /// [`Misbehavior::SybilCluster`]: `k` ids packed one ulp apart
 /// immediately right of `center` (wrapping at the id-space top). No RNG
@@ -354,25 +347,47 @@ impl FaultPlan {
         self
     }
 
+    /// Every scheduled fault as a typed [`Entry`], in plan order: drop
+    /// windows, duplication windows, partitions, crashes, perturbations,
+    /// behaviors. The one walk over a plan — validation, the injector's
+    /// agenda compiler, the chaos horizon and the shrinker all use it.
+    pub fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        let drops = self.drop.iter().copied().map(Entry::Drop);
+        let duplicates = self.duplicate.iter().copied().map(Entry::Duplicate);
+        let partitions = self.partitions.iter().copied().map(Entry::Partition);
+        let crashes = self.crashes.iter().copied().map(Entry::Crash);
+        let perturbations = self.perturbations.iter().copied().map(Entry::Perturbation);
+        let behaviors = self.behaviors.iter().cloned().map(Entry::Behavior);
+        drops
+            .chain(duplicates)
+            .chain(partitions)
+            .chain(crashes)
+            .chain(perturbations)
+            .chain(behaviors)
+    }
+
+    /// Appends `entry` to its category — the inverse of
+    /// [`FaultPlan::entries`].
+    pub fn push(&mut self, entry: Entry) {
+        match entry {
+            Entry::Drop(w) => self.drop.push(w),
+            Entry::Duplicate(w) => self.duplicate.push(w),
+            Entry::Partition(p) => self.partitions.push(p),
+            Entry::Crash(c) => self.crashes.push(c),
+            Entry::Perturbation(p) => self.perturbations.push(p),
+            Entry::Behavior(b) => self.behaviors.push(b),
+        }
+    }
+
     /// Total number of scheduled fault entries across all categories —
     /// the unit the chaos shrinker minimizes over.
     pub fn entry_count(&self) -> usize {
-        self.drop.len()
-            + self.duplicate.len()
-            + self.partitions.len()
-            + self.crashes.len()
-            + self.perturbations.len()
-            + self.behaviors.len()
+        self.entries().count()
     }
 
     /// True when the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.drop.is_empty()
-            && self.duplicate.is_empty()
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
-            && self.perturbations.is_empty()
-            && self.behaviors.is_empty()
+        self.entries().next().is_none()
     }
 
     /// Checks structural validity: probabilities in `[0, 1]`, windows
@@ -380,77 +395,118 @@ impl FaultPlan {
     /// per-node crash windows non-overlapping, durable snapshots taken
     /// no later than their crash, and behavior parameters in range.
     pub fn validate(&self) -> Result<(), String> {
-        for w in self.drop.iter().chain(&self.duplicate) {
-            if !(0.0..=1.0).contains(&w.p) {
-                return Err(format!("rate {} outside [0, 1]", w.p));
+        let mut later_crashes = self.crashes.iter();
+        for entry in self.entries() {
+            if let Some((start, end)) = entry.window().filter(|(start, end)| end < start) {
+                return Err(format!("inverted window {start}..{end}"));
             }
-            if w.end < w.start {
-                return Err(format!("inverted window {}..{}", w.start, w.end));
-            }
-        }
-        for p in &self.partitions {
-            if p.end < p.start {
-                return Err(format!("inverted partition {}..{}", p.start, p.end));
-            }
-        }
-        for (i, c) in self.crashes.iter().enumerate() {
-            if c.down_for == 0 {
-                return Err("crash with zero downtime".to_string());
-            }
-            if let Restart::Durable { snapshot_round } = c.restart {
-                if snapshot_round > c.round {
-                    return Err(format!(
-                        "durable crash of {:?} snapshots at round {snapshot_round}, \
-                         after its crash round {}",
-                        c.node, c.round
-                    ));
-                }
-            }
-            // A node can crash repeatedly, but two downtime windows for
-            // the same node must not overlap: the second crash would
-            // land on an already-down node and the restart bookkeeping
-            // (one restart round per node) could not represent both.
-            for other in &self.crashes[i + 1..] {
-                if other.node != c.node {
-                    continue;
-                }
-                let c_end = c.round.saturating_add(c.down_for);
-                let o_end = other.round.saturating_add(other.down_for);
-                if c.round < o_end && other.round < c_end {
-                    return Err(format!(
-                        "overlapping crash windows for {:?}: {}..{c_end} and {}..{o_end}",
-                        c.node, c.round, other.round
-                    ));
-                }
-            }
-        }
-        for p in &self.perturbations {
-            if p.k == 0 {
-                return Err("perturbation of zero nodes".to_string());
-            }
-        }
-        for b in &self.behaviors {
-            if b.end < b.start {
-                return Err(format!("inverted behavior window {}..{}", b.start, b.end));
-            }
-            match &b.kind {
-                Misbehavior::SelectiveForward { kinds, p } => {
-                    if !(0.0..=1.0).contains(p) {
-                        return Err(format!("behavior probability {p} outside [0, 1]"));
-                    }
-                    if kinds.is_empty() {
-                        return Err("selective-forward behavior with no kinds".to_string());
+            match &entry {
+                Entry::Drop(w) | Entry::Duplicate(w) => {
+                    if !(0.0..=1.0).contains(&w.p) {
+                        return Err(format!("rate {} outside [0, 1]", w.p));
                     }
                 }
-                Misbehavior::LyingState { .. } => {}
-                Misbehavior::SybilCluster { k, .. } => {
-                    if *k == 0 {
-                        return Err("sybil cluster of zero joiners".to_string());
+                Entry::Partition(_) => {}
+                Entry::Crash(c) => {
+                    if c.down_for == 0 {
+                        return Err("crash with zero downtime".to_string());
+                    }
+                    if let Restart::Durable { snapshot_round } = c.restart {
+                        if snapshot_round > c.round {
+                            return Err(format!(
+                                "durable crash of {:?} snapshots at round {snapshot_round}, \
+                                 after its crash round {}",
+                                c.node, c.round
+                            ));
+                        }
+                    }
+                    // A node can crash repeatedly, but two downtime windows
+                    // for the same node must not overlap: the agenda holds
+                    // one restart step per crash and the down map one
+                    // restart round per node, so the second crash would land
+                    // on an already-down node.
+                    later_crashes.next();
+                    for other in later_crashes.clone().filter(|o| o.node == c.node) {
+                        let c_end = c.round.saturating_add(c.down_for);
+                        let o_end = other.round.saturating_add(other.down_for);
+                        if c.round < o_end && other.round < c_end {
+                            return Err(format!(
+                                "overlapping crash windows for {:?}: {}..{c_end} and {}..{o_end}",
+                                c.node, c.round, other.round
+                            ));
+                        }
                     }
                 }
+                Entry::Perturbation(p) => {
+                    if p.k == 0 {
+                        return Err("perturbation of zero nodes".to_string());
+                    }
+                }
+                Entry::Behavior(b) => match &b.kind {
+                    Misbehavior::SelectiveForward { kinds, p } => {
+                        if !(0.0..=1.0).contains(p) {
+                            return Err(format!("behavior probability {p} outside [0, 1]"));
+                        }
+                        if kinds.is_empty() {
+                            return Err("selective-forward behavior with no kinds".to_string());
+                        }
+                    }
+                    Misbehavior::LyingState { .. } => {}
+                    Misbehavior::SybilCluster { k, .. } => {
+                        if *k == 0 {
+                            return Err("sybil cluster of zero joiners".to_string());
+                        }
+                    }
+                },
             }
         }
         Ok(())
+    }
+}
+
+/// One scheduled fault of a [`FaultPlan`], whatever its category: what
+/// [`FaultPlan::entries`] yields and [`FaultPlan::push`] takes back —
+/// the unit of validation, of agenda compilation and of chaos shrinking.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Entry {
+    /// A message-loss rate window.
+    Drop(RateWindow),
+    /// A message-duplication rate window.
+    Duplicate(RateWindow),
+    /// A transient partition.
+    Partition(Partition),
+    /// A crash with restart.
+    Crash(Crash),
+    /// A neighbour-state perturbation.
+    Perturbation(Perturbation),
+    /// A windowed adversarial behavior.
+    Behavior(Behavior),
+}
+
+impl Entry {
+    /// The half-open round window `(start, end)` of a windowed entry —
+    /// rates, partitions and behaviors; `None` for the one-shot crashes
+    /// and perturbations.
+    pub fn window(&self) -> Option<(u64, u64)> {
+        match self {
+            Entry::Drop(w) | Entry::Duplicate(w) => Some((w.start, w.end)),
+            Entry::Partition(p) => Some((p.start, p.end)),
+            Entry::Behavior(b) => Some((b.start, b.end)),
+            Entry::Crash(_) | Entry::Perturbation(_) => None,
+        }
+    }
+
+    /// The entry with its window ending at `end` instead (one-shot
+    /// entries are returned unchanged).
+    #[must_use]
+    pub fn with_end(mut self, end: u64) -> Self {
+        match &mut self {
+            Entry::Drop(w) | Entry::Duplicate(w) => w.end = end,
+            Entry::Partition(p) => p.end = end,
+            Entry::Behavior(b) => b.end = end,
+            Entry::Crash(_) | Entry::Perturbation(_) => {}
+        }
+        self
     }
 }
 
@@ -505,11 +561,11 @@ impl CountedRng {
     /// cursor — fine for checkpointed runs, whose draw counts are
     /// bounded by sends inside fault windows.
     fn at_cursor(seed: u64, draws: u64) -> Self {
-        let mut inner = StdRng::seed_from_u64(seed);
+        let mut rng = Self::seeded(seed);
         for _ in 0..draws {
-            inner.next_u64();
+            rng.next_u64();
         }
-        CountedRng { inner, draws }
+        rng
     }
 }
 
@@ -523,9 +579,12 @@ impl Rng for CountedRng {
 /// The serializable checkpoint of a [`FaultInjector`]: everything a
 /// durable restore needs to continue the faulted computation exactly —
 /// the plan, the RNG cursor (draw count), the down map, the drop log
-/// and any captured durable-crash node states. The per-round lying
-/// pool is *not* captured: it is recomputed at every round start, and
-/// checkpoints are taken between rounds.
+/// and any captured durable-crash node states. Neither the agenda
+/// position nor the per-round lying pool is captured: the agenda is a
+/// function of the plan and its cursor a function of the round the
+/// restored network resumes at (see [`FaultInjector::from_state`]); the
+/// pool is recomputed at every round start, and checkpoints are taken
+/// between rounds.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct InjectorState {
     /// The plan being executed.
@@ -540,21 +599,87 @@ pub struct InjectorState {
     pub saved: Vec<(NodeId, Node)>,
 }
 
-/// Live fault-injection state owned by a faulted network: the plan, the
-/// injector's private RNG, the set of currently-down nodes, the recent
-/// drop log, captured durable-crash states and the per-round pool of
-/// live ids that [`LieMode::Scramble`] forgeries draw from.
+/// One step of the compiled agenda: what one plan entry does at the
+/// start of one round. Declared in phase order — the order steps due in
+/// the same round are applied and announced in (see [`Step::phase`]).
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// A crashed node's downtime is over.
+    Restart(NodeId),
+    /// Window `windows[i]` comes into force (and is announced).
+    Open(usize),
+    /// Window `windows[i]` is over.
+    Close(usize),
+    /// Capture the node's start-of-round state for its durable restart.
+    Capture(NodeId),
+    /// The crash lands.
+    Crash(Crash),
+    /// `k` sybils right of `center` join through `contact`.
+    Sybils {
+        contact: NodeId,
+        center: NodeId,
+        k: usize,
+    },
+    /// `k` live nodes' neighbour state is randomized.
+    Perturb(usize),
+}
+
+impl Step {
+    /// Rank of the step within its round. Restarts come first, so a node
+    /// whose downtime ends in the round its next crash lands is up to be
+    /// crashed; a window opens before it closes, so an empty window
+    /// (`start == end`) is announced and never in force; captures precede
+    /// crashes, so `snapshot_round == round` saves the immediately
+    /// pre-crash state; sybil joins and perturbations see the round's
+    /// down set.
+    fn phase(self) -> u8 {
+        match self {
+            Step::Restart(_) => 0,
+            Step::Open(_) => 1,
+            Step::Close(_) => 2,
+            Step::Capture(_) => 3,
+            Step::Crash(_) => 4,
+            Step::Sybils { .. } => 5,
+            Step::Perturb(_) => 6,
+        }
+    }
+}
+
+/// Live fault-injection state owned by a faulted network: the plan
+/// compiled into a round-ordered agenda, the injector's private RNG,
+/// the set of currently-down nodes, the recent drop log, captured
+/// durable-crash states and the per-round pool of live ids that
+/// [`LieMode::Scramble`] forgeries draw from.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    /// Every round-start effect of the plan as `(round, step)`, sorted
+    /// by round, then [`Step::phase`], then plan order. Nothing is ever
+    /// scheduled at run time — a restart round is its crash round plus
+    /// the downtime — so a sorted `Vec` and a cursor are the whole
+    /// mechanism.
+    agenda: Vec<(u64, Step)>,
+    /// The plan's windowed entries (zero-rate windows and sybil
+    /// clusters excepted), in plan order; `Open`/`Close` steps and
+    /// `active` index it.
+    windows: Vec<Entry>,
+    /// First agenda step not yet applied.
+    cursor: usize,
+    /// The round `cursor` and `active` are positioned for. A round that
+    /// finds it elsewhere — the first after an attach or a restore —
+    /// re-seeks.
+    at: u64,
+    /// Indices of the windows in force, ascending: the first match in
+    /// plan order wins, as it did when every send scanned the plan.
+    active: Vec<usize>,
     rng: CountedRng,
     /// Crashed nodes → the round they restart at.
     down: BTreeMap<NodeId, u64>,
     drop_log: Vec<DropRecord>,
     /// Pre-crash states captured for durable restarts.
     saved: BTreeMap<NodeId, Node>,
-    /// Live ids scramble-lies draw replacements from; refreshed by the
-    /// round loop whenever a scramble window is active.
+    /// Live ids scramble-lies draw replacements from; refreshed at the
+    /// start of every round a scramble window is in force.
     lie_pool: Vec<NodeId>,
 }
 
@@ -574,15 +699,12 @@ impl FaultInjector {
     /// Builds an injector for `plan`, rejecting invalid plans as an
     /// error instead of panicking.
     pub fn try_new(plan: FaultPlan) -> Result<Self, String> {
-        plan.validate()?;
-        let rng = CountedRng::seeded(plan.seed);
-        Ok(FaultInjector {
+        Self::from_state(InjectorState {
             plan,
-            rng,
-            down: BTreeMap::new(),
+            rng_draws: 0,
+            down: Vec::new(),
             drop_log: Vec::new(),
-            saved: BTreeMap::new(),
-            lie_pool: Vec::new(),
+            saved: Vec::new(),
         })
     }
 
@@ -601,14 +723,64 @@ impl FaultInjector {
         }
     }
 
-    /// Rebuilds an injector from a checkpoint, re-seeding the RNG and
-    /// fast-forwarding it to the persisted cursor.
+    /// Rebuilds an injector from a checkpoint (a fresh plan is the
+    /// checkpoint with nothing consumed): validates the plan, compiles
+    /// it into the agenda, re-seeds the RNG and fast-forwards it to the
+    /// persisted cursor. The agenda cursor and the active windows are
+    /// not part of the state — the first round the injector is asked to
+    /// apply positions them (`seek`).
     pub fn from_state(state: InjectorState) -> Result<Self, String> {
         state.plan.validate()?;
-        let rng = CountedRng::at_cursor(state.plan.seed, state.rng_draws);
+        let mut agenda = Vec::new();
+        let mut windows = Vec::new();
+        for entry in state.plan.entries() {
+            match entry {
+                Entry::Crash(c) => {
+                    if let Restart::Durable { snapshot_round } = c.restart {
+                        agenda.push((snapshot_round, Step::Capture(c.node)));
+                    }
+                    agenda.push((c.round, Step::Crash(c)));
+                    let back_up = c.round.saturating_add(c.down_for);
+                    agenda.push((back_up, Step::Restart(c.node)));
+                }
+                Entry::Perturbation(p) => agenda.push((p.round, Step::Perturb(p.k))),
+                // A cluster is a one-shot join at its window start.
+                Entry::Behavior(Behavior {
+                    start,
+                    node: contact,
+                    kind: Misbehavior::SybilCluster { k, center },
+                    ..
+                }) => agenda.push((start, Step::Sybils { contact, center, k })),
+                // A zero rate never consumes injector RNG: exactly
+                // equivalent to no window at all.
+                Entry::Drop(w) | Entry::Duplicate(w) if w.p <= 0.0 => {}
+                window => {
+                    if let Some((start, end)) = window.window() {
+                        agenda.push((start, Step::Open(windows.len())));
+                        agenda.push((end, Step::Close(windows.len())));
+                        windows.push(window);
+                    }
+                }
+            }
+        }
+        // Stable, so steps of one round and phase keep plan order —
+        // except restarts, which come back in id order as the down
+        // map's iteration had them.
+        agenda.sort_by_key(|&(round, step)| {
+            let restarting = match step {
+                Step::Restart(id) => Some(id),
+                _ => None,
+            };
+            (round, step.phase(), restarting)
+        });
         Ok(FaultInjector {
+            rng: CountedRng::at_cursor(state.plan.seed, state.rng_draws),
             plan: state.plan,
-            rng,
+            agenda,
+            windows,
+            cursor: 0,
+            at: 0,
+            active: Vec::new(),
             down: state.down.into_iter().collect(),
             drop_log: state.drop_log,
             saved: state.saved.into_iter().collect(),
@@ -616,9 +788,33 @@ impl FaultInjector {
         })
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+    /// Positions the agenda for round `now`: the cursor by binary search,
+    /// the active windows by replaying — side-effect-free, nothing is
+    /// announced and no state is touched — the open/close steps of the
+    /// rounds before it. Steps skipped this way are in the past: a plan
+    /// attached mid-run never applies them late, and a restored
+    /// injector's down map, captures and drop log already hold their
+    /// effects.
+    fn seek(&mut self, now: u64) {
+        self.cursor = self.agenda.partition_point(|&(round, _)| round < now);
+        self.active.clear();
+        for &(_, step) in &self.agenda[..self.cursor] {
+            match step {
+                Step::Open(w) => insert_sorted(&mut self.active, w),
+                Step::Close(w) => self.active.retain(|&a| a != w),
+                _ => {}
+            }
+        }
+        self.at = now;
+    }
+
+    /// Pops the next step due at `now`, if any.
+    fn pop_due(&mut self, now: u64) -> Option<Step> {
+        let &(round, step) = self.agenda.get(self.cursor)?;
+        (round <= now).then(|| {
+            self.cursor += 1;
+            step
+        })
     }
 
     /// True while `id` is crashed (skipped by the round loop; messages
@@ -666,172 +862,18 @@ impl FaultInjector {
         logged
     }
 
-    /// Marks `node` down until `restart_round`.
-    fn mark_down(&mut self, node: NodeId, restart_round: u64) {
-        self.down.insert(node, restart_round);
-    }
-
-    /// Removes and returns the nodes whose downtime ends at or before
-    /// `round`.
-    fn take_restarts(&mut self, round: u64) -> Vec<NodeId> {
-        let due: Vec<NodeId> = self
-            .down
-            .iter()
-            .filter(|&(_, &until)| until <= round)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &due {
-            self.down.remove(id);
-        }
-        due
-    }
-
-    /// The crashes scheduled for `round`.
-    fn crashes_at(&self, round: u64) -> Vec<Crash> {
-        self.plan
-            .crashes
-            .iter()
-            .filter(|c| c.round == round)
-            .copied()
-            .collect()
-    }
-
-    /// Timeline markers for windows opening at `round` (drop and
-    /// duplication rates, partitions) — rendered as `Fault` events so
-    /// reports show when loss regimes begin.
-    fn windows_opening_at(&self, round: u64) -> Vec<(&'static str, String)> {
-        let mut out = Vec::new();
-        for w in &self.plan.drop {
-            if w.start == round && w.p > 0.0 {
-                out.push((
-                    "drop_window",
-                    format!("p={} over rounds {}..{}", w.p, w.start, w.end),
-                ));
-            }
-        }
-        for w in &self.plan.duplicate {
-            if w.start == round && w.p > 0.0 {
-                out.push((
-                    "dup_window",
-                    format!("p={} over rounds {}..{}", w.p, w.start, w.end),
-                ));
-            }
-        }
-        for p in &self.plan.partitions {
-            if p.start == round {
-                out.push((
-                    "partition",
-                    format!("cut at {:?} over rounds {}..{}", p.cut, p.start, p.end),
-                ));
-            }
-        }
-        for b in &self.plan.behaviors {
-            // Sybil clusters are one-shot joins, announced by the round
-            // loop itself with the actual join count.
-            if b.start == round && !matches!(b.kind, Misbehavior::SybilCluster { .. }) {
-                out.push((
-                    b.kind.label(),
-                    format!(
-                        "{:?} misbehaves ({:?}) over rounds {}..{}",
-                        b.node, b.kind, b.start, b.end
-                    ),
-                ));
-            }
-        }
-        out
-    }
-
-    /// The perturbations scheduled for `round`.
-    fn perturbations_at(&self, round: u64) -> Vec<Perturbation> {
-        self.plan
-            .perturbations
-            .iter()
-            .filter(|p| p.round == round)
-            .copied()
-            .collect()
-    }
-
-    /// Nodes whose durable crash wants a state capture at the start of
-    /// `round` (i.e. `snapshot_round == round`).
-    fn snapshots_due_at(&self, round: u64) -> Vec<NodeId> {
-        self.plan
-            .crashes
-            .iter()
-            .filter_map(|c| match c.restart {
-                Restart::Durable { snapshot_round } if snapshot_round == round => Some(c.node),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Stores a captured pre-crash node state for a durable restart.
-    fn save_node(&mut self, state: Node) {
-        self.saved.insert(state.id(), state);
-    }
-
-    /// Removes and returns the captured state for `node`, if any.
-    fn take_saved(&mut self, node: NodeId) -> Option<Node> {
-        self.saved.remove(&node)
-    }
-
     /// The captured pre-crash state for `node`, if any (test/diagnostic
     /// visibility into pending durable restores).
     pub fn saved_state(&self, node: NodeId) -> Option<&Node> {
         self.saved.get(&node)
     }
 
-    /// Sybil clusters whose window opens at `round`, as
-    /// `(contact, center, k)` triples.
-    fn sybils_at(&self, round: u64) -> Vec<(NodeId, NodeId, usize)> {
-        self.plan
-            .behaviors
-            .iter()
-            .filter_map(|b| match b.kind {
-                Misbehavior::SybilCluster { k, center } if b.start == round => {
-                    Some((b.node, center, k))
-                }
-                _ => None,
-            })
-            .collect()
+    /// The windows in force this round, in plan order.
+    fn in_force(&self) -> impl Iterator<Item = &Entry> {
+        self.active.iter().map(|&w| &self.windows[w])
     }
 
-    /// Nodes with a selective-forward or lying-state window covering
-    /// `round`. The round loop wakes (and unsettles) these under the
-    /// active-set scheduler every round the window is active: a settled
-    /// node skips its regular action, so a misbehaving node on a
-    /// quiescent ring would otherwise never send — and never misbehave
-    /// — diverging from the full-scan semantics where every node acts
-    /// each round. Sybil contacts are excluded: the cluster join wakes
-    /// them through normal mail delivery.
-    fn behavior_nodes_active_at(&self, round: u64) -> Vec<NodeId> {
-        self.plan
-            .behaviors
-            .iter()
-            .filter(|b| b.active(round) && !matches!(b.kind, Misbehavior::SybilCluster { .. }))
-            .map(|b| b.node)
-            .collect()
-    }
-
-    /// True when a scramble-lying window is active at `round`, so the
-    /// round loop knows to refresh the lie pool.
-    fn needs_lie_pool(&self, round: u64) -> bool {
-        self.plan.behaviors.iter().any(|b| {
-            b.active(round)
-                && matches!(
-                    b.kind,
-                    Misbehavior::LyingState {
-                        mode: LieMode::Scramble
-                    }
-                )
-        })
-    }
-
-    /// Replaces the pool of live ids scramble forgeries draw from.
-    fn set_lie_pool(&mut self, pool: Vec<NodeId>) {
-        self.lie_pool = pool;
-    }
-
-    /// Applies any active lying-state behavior of `src` to an outgoing
+    /// Applies any lying-state behavior of `src` in force to an outgoing
     /// message: carried identifiers are forged per the behavior's
     /// [`LieMode`]. When the payload actually changes, the *original*
     /// message is recorded in the drop log — the liar destroyed the
@@ -845,11 +887,12 @@ impl FaultInjector {
         dest: NodeId,
         msg: Message,
     ) -> Message {
-        if self.plan.behaviors.is_empty() {
-            return msg;
-        }
-        let mode = self.plan.behaviors.iter().find_map(|b| match b.kind {
-            Misbehavior::LyingState { mode } if b.node == src && b.active(round) => Some(mode),
+        let mode = self.in_force().find_map(|w| match w {
+            Entry::Behavior(Behavior {
+                node,
+                kind: Misbehavior::LyingState { mode },
+                ..
+            }) if *node == src => Some(*mode),
             _ => None,
         });
         let Some(mode) = mode else {
@@ -888,241 +931,281 @@ impl FaultInjector {
         pool[self.rng.random_range(0..pool.len())]
     }
 
-    /// Decides the fate of one send. Fixed decision order (down
-    /// destination, partition, selective-forward refusal, loss rate,
+    /// Decides the fate of one send from the windows in force — the
+    /// first of each kind in plan order. Fixed decision order (down
+    /// endpoint, partition, selective-forward refusal, loss rate,
     /// duplication rate); injector RNG is consumed **only** when a rate
-    /// or behavior window is active, so rounds outside every window
+    /// or behavior window is in force, so rounds outside every window
     /// replay the fault-free computation exactly.
     pub(crate) fn fate(&mut self, round: u64, src: NodeId, dest: NodeId, msg: Message) -> Fate {
-        if self.is_down(dest) || self.is_down(src) {
-            self.note_drop(round, src, dest, msg);
-            return Fate::Drop;
+        let mut cut = self.is_down(dest) || self.is_down(src);
+        let (mut refuse, mut lose, mut duplicate) = (None, None, None);
+        for w in self.in_force() {
+            match w {
+                Entry::Partition(p) => cut |= p.cuts(src, dest),
+                Entry::Behavior(Behavior {
+                    node,
+                    kind: Misbehavior::SelectiveForward { kinds, p },
+                    ..
+                }) if *node == src && kinds.contains(&msg.kind()) => refuse = refuse.or(Some(*p)),
+                Entry::Drop(w) => lose = lose.or(Some(w.p)),
+                Entry::Duplicate(w) => duplicate = duplicate.or(Some(w.p)),
+                _ => {}
+            }
         }
-        if self
-            .plan
-            .partitions
-            .iter()
-            .any(|p| p.active(round) && p.cuts(src, dest))
+        // Short-circuit: each coin is drawn only if every earlier test
+        // let the message through.
+        if cut
+            || refuse.is_some_and(|p| self.rng.random_bool(p))
+            || lose.is_some_and(|p| self.rng.random_bool(p))
         {
             self.note_drop(round, src, dest, msg);
             return Fate::Drop;
         }
-        if !self.plan.behaviors.is_empty() {
-            let refuse_p = self.plan.behaviors.iter().find_map(|b| match &b.kind {
-                Misbehavior::SelectiveForward { kinds, p }
-                    if b.node == src && b.active(round) && kinds.contains(&msg.kind()) =>
-                {
-                    Some(*p)
-                }
-                _ => None,
-            });
-            if let Some(p) = refuse_p {
-                if self.rng.random_bool(p) {
-                    self.note_drop(round, src, dest, msg);
-                    return Fate::Drop;
-                }
-            }
-        }
-        let drop_p = self.plan.drop.iter().find(|w| w.active(round)).map(|w| w.p);
-        if let Some(p) = drop_p {
-            if self.rng.random_bool(p) {
-                self.note_drop(round, src, dest, msg);
-                return Fate::Drop;
-            }
-        }
-        let dup_p = self
-            .plan
-            .duplicate
-            .iter()
-            .find(|w| w.active(round))
-            .map(|w| w.p);
-        if let Some(p) = dup_p {
-            if self.rng.random_bool(p) {
-                return Fate::Duplicate;
-            }
+        if duplicate.is_some_and(|p| self.rng.random_bool(p)) {
+            return Fate::Duplicate;
         }
         Fate::Deliver
     }
 }
 
+/// Inserts `w` into the ascending list `sorted`.
+fn insert_sorted(sorted: &mut Vec<usize>, w: usize) {
+    let at = sorted.partition_point(|&a| a < w);
+    sorted.insert(at, w);
+}
+
 impl Network {
     /// Applies the attached plan's round-start faults for round `now`:
-    /// restarts first (downtime over ⇒ the node rejoins the loop, blank
-    /// or from its durable checkpoint), then durable-crash state
-    /// captures, then crashes (state reset + channel loss + downtime),
-    /// then sybil-cluster joins, then neighbour-state perturbations,
-    /// then adversarial-window wakeups. Called by the hooked round loop
-    /// at most once per round, so it stays out of the hot path entirely.
+    /// pops the agenda steps that are due, in phase order (restarts,
+    /// window openings and closings, durable captures, crashes, sybil
+    /// joins, perturbations — [`Step::phase`] says why), then wakes the
+    /// misbehavers in force. Called by the hooked round loop at most
+    /// once per round; a round with nothing due and no behavior window
+    /// in force costs two comparisons and allocates nothing.
     pub(crate) fn apply_round_faults(&mut self, now: u64, stats: &mut RoundStats) {
         // Take the injector out to split its borrow from the node table;
         // a `Box` move, no allocation.
         let Some(mut inj) = self.faults.take() else {
             return;
         };
-        for id in inj.take_restarts(now) {
-            stats.links_changed = true;
-            let restored = inj.take_saved(id);
-            let how = if restored.is_some() {
-                "from its durable checkpoint"
-            } else {
-                "with blank state"
-            };
-            if let Some(slot) = self.index.get(id) {
-                // Durable restart: the checkpointed state is adopted
-                // verbatim — a stale but *valid* protocol view whose
-                // pointers re-validate instead of rebuilding from
-                // scratch. Neighbours whose settlement certificates
-                // assumed the blank crash state are re-verified against
-                // the resurrected pointers. Either way the node rejoins
-                // the loop this round, unsettled: blank or stale, its
-                // state needs re-validation.
-                let mut targets = [None; 3];
-                if let Some(saved) = restored {
-                    targets = [saved.left().fin(), saved.right().fin(), saved.ring()];
-                    self.nodes[slot] = Some(saved);
-                }
-                self.unsettle(slot, true, targets);
-            }
-            self.fault_event(now, "restart", format!("{id:?} back up {how}"));
+        if inj.at != now {
+            inj.seek(now);
         }
-        for (kind, detail) in inj.windows_opening_at(now) {
-            self.fault_event(now, kind, detail);
+        while let Some(step) = inj.pop_due(now) {
+            self.apply(&mut inj, now, step, stats);
         }
-        // Durable-crash checkpoints: capture the start-of-round state of
-        // every node whose durable crash snapshots at this round, before
-        // any crash below can blank it (`snapshot_round == round`
-        // captures the immediately-pre-crash state). A node already down
-        // has no live state to capture — its restart degrades to
-        // amnesia, as documented on `Restart::Durable`.
-        for id in inj.snapshots_due_at(now) {
-            if inj.is_down(id) {
-                continue;
-            }
-            if let Some(node) = self.node(id) {
-                inj.save_node(node.clone());
-            }
-        }
-        for c in inj.crashes_at(now) {
-            let Some(slot) = self.index.get(c.node) else {
-                continue; // departed before its crash was due
-            };
-            let Some(victim) = self.nodes[slot].as_ref() else {
+        inj.at = now.saturating_add(1);
+        // Misbehaving nodes act every round of their window: under the
+        // active-set scheduler a settled node skips its regular action,
+        // so a misbehaver on a quiescent ring would otherwise never send
+        // — and never misbehave — diverging from full scan, where every
+        // node acts each round. Scramble forgeries draw from a pool
+        // refreshed after all of this round's structural changes, so
+        // lies only ever name live nodes and the knowledge closure
+        // cannot be violated by an invented id.
+        let scrambling = Misbehavior::LyingState {
+            mode: LieMode::Scramble,
+        };
+        let mut scramble = false;
+        for w in inj.in_force() {
+            let Entry::Behavior(b) = w else {
                 continue;
             };
-            // The settled neighbours' certificates reference the victim's
-            // pre-crash pointers (reciprocity, ring pairing); capture the
-            // targets before blanking so they can be re-verified.
-            let old_targets = [victim.left().fin(), victim.right().fin(), victim.ring()];
-            // The blanked pointers are erased knowledge under either
-            // restart discipline: a durable checkpoint only comes back
-            // when the downtime ends.
-            let [l, r, ring] = old_targets;
-            let erased = [l, r, Some(victim.lrl()), ring];
-            stats.erased_fault += inj.note_erasures(now, c.node, &erased);
-            let blank = Node::new(c.node, *victim.config());
-            // Channel loss: in-flight mail addressed to the victim dies
-            // with it. Logged for the watchdog's culprit analysis (with
-            // the victim as both endpoints — the true senders are gone
-            // from the queue's bookkeeping).
-            let mut lost = 0u64;
-            for &m in self.mail.as_slice(slot) {
-                inj.note_drop(now, c.node, c.node, m);
-                lost += 1;
-            }
-            self.nodes[slot] = Some(blank);
-            self.mail.clear(slot);
-            inj.mark_down(c.node, now.saturating_add(c.down_for));
-            stats.dropped_fault += lost;
-            stats.links_changed = true;
-            // Down nodes sit the round out, so the victim is not woken.
-            self.unsettle(slot, false, old_targets);
-            let (node, down_for) = (c.node, c.down_for);
-            self.fault_event(
-                now,
-                "crash",
-                format!("{node:?} down for {down_for} rounds, {lost} queued messages lost"),
-            );
-        }
-        for (contact, center, k) in inj.sybils_at(now) {
-            // The cluster joins through its contact: each sybil adopts
-            // the contact as its one-sided neighbour (the regular join
-            // bootstrap) and announces itself with a `lin`, exactly like
-            // an honest joiner — the attack is the ε-interval id
-            // placement, not the join mechanics.
-            let Some(cfg) = self.node(contact).map(|n| *n.config()) else {
-                continue; // contact departed before the window opened
-            };
-            if inj.is_down(contact) {
-                let detail = format!("contact {contact:?} is down, cluster skipped");
-                self.fault_event(now, "sybil_cluster", detail);
-                continue;
-            }
-            let mut joined = 0usize;
-            for sid in sybil_ids(center, k) {
-                // `false` is an id collision: that spot is already taken.
-                if crate::churn::bootstrap_join(self, sid, contact, cfg) {
-                    joined += 1;
-                }
-            }
-            if joined > 0 {
-                stats.links_changed = true;
-            }
-            let detail = format!("{joined} sybils joined via {contact:?} right of {center:?}");
-            self.fault_event(now, "sybil_cluster", detail);
-        }
-        for p in inj.perturbations_at(now) {
-            let live: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
-            if live.len() < 2 {
-                continue;
-            }
-            let victims = inj.pick_distinct(p.k, &live);
-            let hit = victims.len();
-            for v in victims {
-                let Some(slot) = self.index.get(v) else {
-                    continue;
-                };
-                let Some(node) = self.nodes[slot].as_ref() else {
-                    continue;
-                };
-                let cfg = *node.config();
-                // Keep `l`: the stored left-pointer chain keeps the
-                // knowledge graph weakly connected, so the damage is
-                // recoverable by Theorem 4.3 (see the module docs). Its
-                // target's certificate still holds; the rewritten
-                // pointers' old reciprocal holders need theirs
-                // re-verified.
-                let l = node.left();
-                let old_targets = [node.right().fin(), node.ring(), None];
-                let erased = [node.right().fin(), Some(node.lrl()), node.ring()];
-                stats.erased_fault += inj.note_erasures(now, v, &erased);
-                let r = Extended::Fin(inj.pick_one(&live));
-                let lrl = inj.pick_one(&live);
-                let ring = Some(inj.pick_one(&live));
-                self.nodes[slot] = Some(Node::with_state(v, l, r, lrl, ring, cfg));
-                stats.links_changed = true;
-                self.unsettle(slot, true, old_targets);
-            }
-            self.fault_event(
-                now,
-                "perturb",
-                format!("{hit} nodes' r/lrl/ring randomized"),
-            );
-        }
-        // Misbehaving nodes act every round of their window (see
-        // `FaultInjector::behavior_nodes_active_at`); scramble forgeries
-        // draw from a pool refreshed after all of this round's
-        // structural changes, so lies only ever name live nodes and the
-        // knowledge closure cannot be violated by an invented id.
-        for id in inj.behavior_nodes_active_at(now) {
-            if let Some(slot) = self.index.get(id).filter(|_| !inj.is_down(id)) {
+            if let Some(slot) = self.index.get(b.node).filter(|_| !inj.is_down(b.node)) {
                 self.unsettle(slot, true, [None; 3]);
             }
+            scramble |= b.kind == scrambling;
         }
-        if inj.needs_lie_pool(now) {
-            let pool: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
-            inj.set_lie_pool(pool);
+        if scramble {
+            let down = &inj.down;
+            inj.lie_pool.clear();
+            let live = self.index.ids().filter(|id| !down.contains_key(id));
+            inj.lie_pool.extend(live);
         }
         self.faults = Some(inj);
+    }
+
+    /// Applies one agenda step — the only place a scheduled fault touches
+    /// the network.
+    fn apply(&mut self, inj: &mut FaultInjector, now: u64, step: Step, stats: &mut RoundStats) {
+        match step {
+            Step::Restart(id) => {
+                // No down entry: the crash never landed (its node had
+                // departed, or the plan was attached past it).
+                if inj.down.remove(&id).is_none() {
+                    return;
+                }
+                stats.links_changed = true;
+                let restored = inj.saved.remove(&id);
+                let how = if restored.is_some() {
+                    "from its durable checkpoint"
+                } else {
+                    "with blank state"
+                };
+                if let Some(slot) = self.index.get(id) {
+                    // Durable restart: the checkpointed state is adopted
+                    // verbatim — a stale but *valid* protocol view whose
+                    // pointers re-validate instead of rebuilding from
+                    // scratch. Neighbours whose settlement certificates
+                    // assumed the blank crash state are re-verified
+                    // against the resurrected pointers. Either way the
+                    // node rejoins the loop this round, unsettled: blank
+                    // or stale, its state needs re-validation.
+                    let mut targets = [None; 3];
+                    if let Some(saved) = restored {
+                        targets = [saved.left().fin(), saved.right().fin(), saved.ring()];
+                        self.nodes[slot] = Some(saved);
+                    }
+                    self.unsettle(slot, true, targets);
+                }
+                self.fault_event(now, "restart", format!("{id:?} back up {how}"));
+            }
+            // Announced on the timeline, so reports show when loss regimes
+            // begin.
+            Step::Open(w) => {
+                insert_sorted(&mut inj.active, w);
+                let (kind, detail) = match &inj.windows[w] {
+                    Entry::Drop(r) => (
+                        "drop_window",
+                        format!("p={} over rounds {}..{}", r.p, r.start, r.end),
+                    ),
+                    Entry::Duplicate(r) => (
+                        "dup_window",
+                        format!("p={} over rounds {}..{}", r.p, r.start, r.end),
+                    ),
+                    Entry::Partition(p) => (
+                        "partition",
+                        format!("cut at {:?} over rounds {}..{}", p.cut, p.start, p.end),
+                    ),
+                    Entry::Behavior(b) => (
+                        b.kind.label(),
+                        format!(
+                            "{:?} misbehaves ({:?}) over rounds {}..{}",
+                            b.node, b.kind, b.start, b.end
+                        ),
+                    ),
+                    Entry::Crash(_) | Entry::Perturbation(_) => return, // never windows
+                };
+                self.fault_event(now, kind, detail);
+            }
+            Step::Close(w) => inj.active.retain(|&a| a != w),
+            // A node already down has no live state to capture — its
+            // restart degrades to amnesia, as documented on
+            // `Restart::Durable`.
+            Step::Capture(id) => {
+                if let Some(node) = self.node(id).filter(|_| !inj.is_down(id)) {
+                    inj.saved.insert(id, node.clone());
+                }
+            }
+            Step::Crash(c) => {
+                let Some(slot) = self.index.get(c.node) else {
+                    return; // departed before its crash was due
+                };
+                let Some(victim) = self.nodes[slot].as_ref() else {
+                    return;
+                };
+                // The settled neighbours' certificates reference the
+                // victim's pre-crash pointers (reciprocity, ring pairing);
+                // capture the targets before blanking so they can be
+                // re-verified.
+                let old_targets = [victim.left().fin(), victim.right().fin(), victim.ring()];
+                // The blanked pointers are erased knowledge under either
+                // restart discipline: a durable checkpoint only comes
+                // back when the downtime ends.
+                let [l, r, ring] = old_targets;
+                let erased = [l, r, Some(victim.lrl()), ring];
+                stats.erased_fault += inj.note_erasures(now, c.node, &erased);
+                let blank = Node::new(c.node, *victim.config());
+                // Channel loss: in-flight mail addressed to the victim
+                // dies with it. Logged for the watchdog's culprit analysis
+                // (with the victim as both endpoints — the true senders
+                // are gone from the queue's bookkeeping).
+                let mut lost = 0u64;
+                for &m in self.mail.as_slice(slot) {
+                    inj.note_drop(now, c.node, c.node, m);
+                    lost += 1;
+                }
+                self.nodes[slot] = Some(blank);
+                self.mail.clear(slot);
+                inj.down.insert(c.node, now.saturating_add(c.down_for));
+                stats.dropped_fault += lost;
+                stats.links_changed = true;
+                // Down nodes sit the round out, so the victim is not woken.
+                self.unsettle(slot, false, old_targets);
+                let (node, down_for) = (c.node, c.down_for);
+                self.fault_event(
+                    now,
+                    "crash",
+                    format!("{node:?} down for {down_for} rounds, {lost} queued messages lost"),
+                );
+            }
+            Step::Sybils { contact, center, k } => {
+                // The cluster joins through its contact: each sybil adopts
+                // the contact as its one-sided neighbour (the regular join
+                // bootstrap) and announces itself with a `lin`, exactly
+                // like an honest joiner — the attack is the ε-interval id
+                // placement, not the join mechanics.
+                let Some(cfg) = self.node(contact).map(|n| *n.config()) else {
+                    return; // contact departed before the window opened
+                };
+                if inj.is_down(contact) {
+                    let detail = format!("contact {contact:?} is down, cluster skipped");
+                    self.fault_event(now, "sybil_cluster", detail);
+                    return;
+                }
+                let mut joined = 0usize;
+                for sid in sybil_ids(center, k) {
+                    // `false` is an id collision: that spot is already taken.
+                    if crate::churn::bootstrap_join(self, sid, contact, cfg) {
+                        joined += 1;
+                    }
+                }
+                if joined > 0 {
+                    stats.links_changed = true;
+                }
+                let detail = format!("{joined} sybils joined via {contact:?} right of {center:?}");
+                self.fault_event(now, "sybil_cluster", detail);
+            }
+            Step::Perturb(k) => {
+                let live: Vec<NodeId> = self.index.ids().filter(|id| !inj.is_down(*id)).collect();
+                if live.len() < 2 {
+                    return;
+                }
+                let victims = inj.pick_distinct(k, &live);
+                let hit = victims.len();
+                for v in victims {
+                    let Some(slot) = self.index.get(v) else {
+                        continue;
+                    };
+                    let Some(node) = self.nodes[slot].as_ref() else {
+                        continue;
+                    };
+                    let cfg = *node.config();
+                    // Keep `l`: the stored left-pointer chain keeps the
+                    // knowledge graph weakly connected, so the damage is
+                    // recoverable by Theorem 4.3 (see the module docs).
+                    // Its target's certificate still holds; the rewritten
+                    // pointers' old reciprocal holders need theirs
+                    // re-verified.
+                    let l = node.left();
+                    let old_targets = [node.right().fin(), node.ring(), None];
+                    let erased = [node.right().fin(), Some(node.lrl()), node.ring()];
+                    stats.erased_fault += inj.note_erasures(now, v, &erased);
+                    let r = Extended::Fin(inj.pick_one(&live));
+                    let lrl = inj.pick_one(&live);
+                    let ring = Some(inj.pick_one(&live));
+                    self.nodes[slot] = Some(Node::with_state(v, l, r, lrl, ring, cfg));
+                    stats.links_changed = true;
+                    self.unsettle(slot, true, old_targets);
+                }
+                self.fault_event(
+                    now,
+                    "perturb",
+                    format!("{hit} nodes' r/lrl/ring randomized"),
+                );
+            }
+        }
     }
 
     /// Voids `slot`'s settlement certificate after a fault rewrote its
@@ -1250,7 +1333,9 @@ pub struct WatchReport {
 /// as 0, means none) are driven regardless — scheduled faults are still
 /// landing, so a ring that holds mid-window is not recovery. From there
 /// on the watch ends as soon as [`Network::is_sorted_ring`] holds, or
-/// after `budget` rounds. In either stretch, a round that destroyed
+/// after `budget` rounds — with one last connectivity check, so a network
+/// severed by something no round reported (bare departures) is called
+/// disconnected, not slow. In either stretch, a round that destroyed
 /// knowledge — a drop (crash channel loss counts), a forgery (the
 /// delivered message carries the lie, not the original) or a state
 /// erasure (a perturbed or crashed node's overwritten pointers) — may
@@ -1262,6 +1347,12 @@ pub(crate) fn watch(
     budget: u64,
     mut on_round: impl FnMut(&RoundStats),
 ) -> Verdict {
+    let severed = |net: &Network| {
+        (!weakly_connected_view(&net.view(), View::Cc)).then(|| Verdict::PermanentlyDisconnected {
+            round: net.round(),
+            culprit: find_culprit(net),
+        })
+    };
     let start = horizon.max(net.round());
     loop {
         if let Some(rounds) = net.round().checked_sub(start) {
@@ -1269,18 +1360,19 @@ pub(crate) fn watch(
                 return Verdict::Recovered { rounds };
             }
             if rounds == budget {
-                return Verdict::BudgetExhausted { budget };
+                // Knowledge can also be lost where no watched round shows
+                // it — bare departures, or damage done before the watch
+                // began — so a run that spent its budget is slow only if
+                // it is still connected.
+                return severed(net).unwrap_or(Verdict::BudgetExhausted { budget });
             }
         }
         let stats = net.step();
         on_round(&stats);
-        if (stats.dropped_fault > 0 || stats.forged_fault > 0 || stats.erased_fault > 0)
-            && !weakly_connected_view(&net.view(), View::Cc)
-        {
-            return Verdict::PermanentlyDisconnected {
-                round: net.round(),
-                culprit: find_culprit(net),
-            };
+        if stats.dropped_fault > 0 || stats.forged_fault > 0 || stats.erased_fault > 0 {
+            if let Some(verdict) = severed(net) {
+                return verdict;
+            }
         }
     }
 }
@@ -1291,10 +1383,12 @@ pub(crate) fn watch(
 /// * **recovered** — [`Network::is_sorted_ring`] holds again;
 /// * **permanently disconnected** — the CC view (node states ∪
 ///   in-flight payloads) is no longer weakly connected. Checked on
-///   rounds that destroyed knowledge; once disconnected, the knowledge
-///   closure argument makes recovery impossible, so the watch stops
-///   immediately and names the culprit drop when one is identifiable;
-/// * **budget exhausted** — neither of the above within `budget`.
+///   rounds that destroyed knowledge, and once more when the budget
+///   runs out; once disconnected, the knowledge closure argument makes
+///   recovery impossible, so the watch stops immediately and names the
+///   culprit drop when one is identifiable;
+/// * **budget exhausted** — `budget` rounds on, still connected and
+///   still not the sorted ring.
 ///
 /// Emits a `"recovery"` [`Event::Span`] plus an [`Event::Verdict`] to
 /// the attached sink, if any.
@@ -1994,5 +2088,188 @@ mod tests {
         assert_eq!(back, state);
         let rebuilt = FaultInjector::from_state(back).expect("rebuild");
         assert_eq!(rebuilt.state(), state, "state capture must be a fixpoint");
+    }
+
+    /// The `Fault` events of `round`, as `kind` labels in emission order.
+    fn fault_kinds(records: &crate::obs::flight::FlightBuffer, round: u64) -> Vec<String> {
+        let kinds = records.iter().filter_map(|r| match &r.event {
+            Event::Fault {
+                round: at, kind, ..
+            } if *at == round => Some(kind.clone()),
+            _ => None,
+        });
+        kinds.collect()
+    }
+
+    #[test]
+    fn steps_due_in_one_round_land_in_phase_order() {
+        // Round 4 holds one step of every kind: a restart (crash at 2,
+        // down 2), three windows opening, a durable capture with
+        // `snapshot_round == round`, its crash, a sybil join and a
+        // perturbation — announced restart, windows in plan order, crash,
+        // sybils, perturbation, whatever order the plan lists them in.
+        let ids = evenly_spaced_ids(12);
+        let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 5);
+        let (sink, records) = crate::obs::flight::FlightRecorder::new(1 << 12);
+        net.attach_sink(Box::new(sink), 1);
+        let lie = Misbehavior::LyingState {
+            mode: LieMode::SelfPromote,
+        };
+        let cluster = Misbehavior::SybilCluster {
+            k: 2,
+            center: ids[9],
+        };
+        net.attach_faults(
+            FaultPlan::new(3)
+                .with_perturbation(4, 2)
+                .with_behavior(4, 5, ids[3], cluster)
+                .with_behavior(4, 6, ids[10], lie)
+                .with_durable_crash(4, ids[7], 3, 4)
+                .with_crash(2, ids[1], 2)
+                .with_partition(4, 5, ids[5])
+                .with_drop(4, 6, 0.5),
+        );
+        net.run(3);
+        let before = net.node(ids[7]).expect("live").clone();
+        net.step();
+        let kinds = fault_kinds(&records.lock().expect("records"), 4);
+        let want = [
+            "restart",
+            "drop_window",
+            "partition",
+            "lying_state",
+            "crash",
+            "sybil_cluster",
+            "perturb",
+        ];
+        assert_eq!(kinds, want);
+        // The capture ran before the crash blanked the node.
+        let inj = net.fault_injector().expect("attached");
+        assert_eq!(inj.saved_state(ids[7]), Some(&before));
+        assert!(inj.is_down(ids[7]) && !inj.is_down(ids[1]));
+    }
+
+    #[test]
+    fn empty_window_is_announced_and_never_in_force() {
+        let ids = evenly_spaced_ids(8);
+        let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 2);
+        let (sink, records) = crate::obs::flight::FlightRecorder::new(1 << 12);
+        net.attach_sink(Box::new(sink), 1);
+        net.attach_faults(FaultPlan::new(1).with_drop(3, 3, 1.0));
+        net.run(6);
+        let records = records.lock().expect("records");
+        assert_eq!(fault_kinds(&records, 3), ["drop_window"]);
+        assert_eq!(net.trace().total_dropped_fault(), 0);
+        let state = net.fault_injector().expect("attached").state();
+        assert_eq!((state.rng_draws, state.drop_log.len()), (0, 0));
+    }
+
+    #[test]
+    fn crash_of_a_departed_node_is_skipped_and_so_is_its_restart() {
+        let ids = evenly_spaced_ids(8);
+        let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 2);
+        let (sink, records) = crate::obs::flight::FlightRecorder::new(1 << 12);
+        net.attach_sink(Box::new(sink), 1);
+        net.attach_faults(FaultPlan::new(1).with_crash(3, ids[4], 2));
+        net.run(2);
+        net.remove_node(ids[4]).expect("was live");
+        net.run(4); // past the crash round and the restart round
+        let records = records.lock().expect("records");
+        let faults = records
+            .iter()
+            .filter(|r| matches!(r.event, Event::Fault { .. }));
+        assert_eq!(faults.count(), 0, "nothing landed, nothing announced");
+        let inj = net.fault_injector().expect("attached");
+        assert_eq!((inj.down_count(), inj.drops().len()), (0, 0));
+    }
+
+    #[test]
+    fn plan_attached_mid_run_skips_its_past_and_joins_open_windows() {
+        // Attached after round 5: the round-2 perturbation and crash are
+        // history and must not land late; the 3..9 loss window is in
+        // force from the first faulted round, without an announcement.
+        let ids = evenly_spaced_ids(8);
+        let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 2);
+        net.run(5);
+        let (sink, records) = crate::obs::flight::FlightRecorder::new(1 << 12);
+        net.attach_sink(Box::new(sink), 1);
+        net.attach_faults(
+            FaultPlan::new(1)
+                .with_perturbation(2, 3)
+                .with_crash(2, ids[4], 2)
+                .with_drop(3, 9, 1.0),
+        );
+        let stats = net.step();
+        assert!(stats.dropped_fault > 0, "round 6 is inside the loss window");
+        assert_eq!(stats.erased_fault, 0);
+        net.run(5);
+        let records = records.lock().expect("records");
+        let faults = records
+            .iter()
+            .filter(|r| matches!(r.event, Event::Fault { .. }));
+        assert_eq!(faults.count(), 0);
+        assert_eq!(net.trace().rounds().last().expect("ran").dropped_fault, 0);
+    }
+
+    /// A plan document written by the injector's predecessor (the parent
+    /// of the agenda compile), one entry of every kind.
+    const PARENT_PLAN_JSON: &str = r#"
+        {"seed":13,"drop":[{"start":2,"end":9,"p":0.5}],"duplicate":[{"start":3,"end":5,
+        "p":0.25}],"partitions":[{"start":4,"end":6,"cut":6917529027641081853}],
+        "crashes":[{"round":3,"node":2305843009213693951,"down_for":2,"restart":"Amnesia"},
+        {"round":4,"node":11529215046068469755,"down_for":6,
+        "restart":{"Durable":{"snapshot_round":2}}}],"perturbations":[{"round":7,"k":2}],
+        "behaviors":[{"start":1,"end":8,"node":4611686018427387902,
+        "kind":{"SelectiveForward":{"kinds":["Lin","Ring"],"p":0.5}}},{"start":2,"end":9,
+        "node":9223372036854775804,"kind":{"LyingState":{"mode":"Scramble"}}},{"start":3,
+        "end":4,"node":13835058055282163706,"kind":{"SybilCluster":{"k":2,
+        "center":13835058055282163706}}}]}
+    "#;
+
+    /// An injector checkpoint written by the same predecessor, two rounds
+    /// into a durable crash with a lying window in force.
+    const PARENT_STATE_JSON: &str = r#"
+        {"plan":{"seed":9,"drop":[{"start":3,"end":6,"p":0.2}],"duplicate":[],"partitions":[],
+        "crashes":[{"round":2,"node":6148914691236517205,"down_for":4,
+        "restart":{"Durable":{"snapshot_round":1}}}],"perturbations":[],"behaviors":[{"start":1,
+        "end":7,"node":12297829382473034410,"kind":{"LyingState":{"mode":"SelfPromote"}}}]},
+        "rng_draws":0,"down":[[6148914691236517205,6]],"drop_log":[{"round":1,
+        "src":12297829382473034410,"dest":6148914691236517205,"msg":{"ProbL":0}},{"round":2,
+        "src":6148914691236517205,"dest":6148914691236517205,"msg":{"Lin":0}},{"round":2,
+        "src":6148914691236517205,"dest":6148914691236517205,
+        "msg":{"Lin":12297829382473034410}},{"round":2,"src":6148914691236517205,
+        "dest":6148914691236517205,"msg":{"Lin":12297829382473034410}},{"round":2,
+        "src":6148914691236517205,"dest":6148914691236517205,
+        "msg":{"ProbL":12297829382473034410}},{"round":2,"src":6148914691236517205,
+        "dest":6148914691236517205,"msg":{"IncLrl":6148914691236517205}},{"round":2,
+        "src":6148914691236517205,"dest":6148914691236517205,"msg":{"Lin":0}},{"round":2,
+        "src":6148914691236517205,"dest":6148914691236517205,
+        "msg":{"ProbR":12297829382473034410}},{"round":2,"src":12297829382473034410,
+        "dest":12297829382473034410,"msg":{"ResLrl":[{"Fin":6148914691236517205},{"Fin":0}]}},
+        {"round":2,"src":12297829382473034410,"dest":6148914691236517205,
+        "msg":{"Lin":6148914691236517205}},{"round":2,"src":12297829382473034410,
+        "dest":6148914691236517205,"msg":{"Lin":12297829382473034410}},{"round":2,
+        "src":12297829382473034410,"dest":6148914691236517205,
+        "msg":{"Lin":12297829382473034410}},{"round":2,"src":12297829382473034410,
+        "dest":6148914691236517205,"msg":{"ProbL":0}},{"round":2,"src":12297829382473034410,
+        "dest":6148914691236517205,"msg":{"ProbL":12297829382473034410}},{"round":2,"src":0,
+        "dest":6148914691236517205,"msg":{"Lin":6148914691236517205}},{"round":2,"src":0,
+        "dest":6148914691236517205,"msg":{"Lin":0}},{"round":2,"src":0,
+        "dest":6148914691236517205,"msg":{"ProbR":12297829382473034410}}],
+        "saved":[[6148914691236517205,{"id":6148914691236517205,"l":{"Fin":0},
+        "r":{"Fin":12297829382473034410},"lrl":6148914691236517205,"ring":null,"age":0,"tick":0,
+        "cfg":{"epsilon":0.1,"lrl_shortcut":true,"probe_period":1}}]]}
+    "#;
+
+    #[test]
+    fn documents_written_before_the_agenda_still_load() {
+        let plan: FaultPlan = serde_json::from_str(PARENT_PLAN_JSON).expect("plan parses");
+        assert!(plan.validate().is_ok());
+        assert_eq!(plan.entry_count(), 9);
+        assert_eq!(plan.entries().filter(|e| e.window().is_some()).count(), 6);
+        let state: InjectorState = serde_json::from_str(PARENT_STATE_JSON).expect("state parses");
+        assert_eq!((state.down.len(), state.saved.len()), (1, 1));
+        let rebuilt = FaultInjector::from_state(state.clone()).expect("rebuild");
+        assert_eq!(rebuilt.state(), state);
     }
 }

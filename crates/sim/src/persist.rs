@@ -5,7 +5,9 @@
 //! layout (**v2**): the round counter, the [`Snapshot`] (node states
 //! plus channel contents), and — when a fault plan is attached — the
 //! complete [`InjectorState`]: plan, RNG cursor, down map, drop log and
-//! captured durable-crash states. A bare snapshot is the `round: 0`,
+//! captured durable-crash states. The injector's agenda position is not
+//! stored — it is a function of the plan and of `round`, rebuilt on the
+//! first round after the restore. A bare snapshot is the `round: 0`,
 //! `injector: null` case of it ([`snapshot_to_json`]). No other layout
 //! is read: a document declaring any other version — the retired v1
 //! bare-snapshot layout included — is refused by name.
@@ -208,9 +210,10 @@ pub fn network_from_snapshot(s: &Snapshot, seed: u64) -> Network {
 /// randomness is freshly seeded from `seed` — the scheduler's RNG cursor
 /// is not captured, which is why a restore is a deterministic
 /// continuation rather than a replay (module docs; ROADMAP 7(b) tracks
-/// bit-for-bit resume). The round counter is restored (plan windows stay
-/// aligned) and the injector — when one was captured — is rebuilt at its
-/// persisted RNG cursor and reattached.
+/// bit-for-bit resume). The round counter is restored first, because the
+/// injector — when one was captured — is rebuilt at its persisted RNG
+/// cursor and seeks its agenda to the round it is next asked to apply:
+/// steps before it stay history, windows open across it stay in force.
 pub fn network_from_checkpoint(cp: &Checkpoint, seed: u64) -> Result<Network, PersistError> {
     let mut net = Network::new(cp.snapshot.nodes().to_vec(), seed);
     net.set_round(cp.round);

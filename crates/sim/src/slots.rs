@@ -1,8 +1,9 @@
 //! Dense id→slot index: O(1) message routing plus an incrementally
 //! maintained sorted order for the step engine.
 //!
-//! The simulator stores nodes and channels in slot vectors; every send
-//! must map a destination [`NodeId`] to its slot. A `BTreeMap` lookup
+//! The simulator stores nodes in a slot vector and their mail in one
+//! flat mailbox keyed by slot; every send must map a destination
+//! [`NodeId`] to its slot. A `BTreeMap` lookup
 //! costs O(log n) pointer chases per message, which PR 3's profiling put
 //! squarely on the hot path (several lookups per node per round). This
 //! index keeps **two** synchronized structures:

@@ -1,4 +1,4 @@
-//! Perf guards: the four same-process timing ratios the docs cite.
+//! Perf guards: the five same-process timing ratios the docs cite.
 //!
 //! Absolute times belong to `benchmark/` (see `benchmark/README.md`);
 //! these tests pin only *ratios* between two arms measured in one
@@ -22,8 +22,10 @@ use swn_core::config::ProtocolConfig;
 use swn_core::id::{evenly_spaced_ids, Extended, NodeId};
 use swn_core::invariants::make_sorted_ring;
 use swn_core::message::Message;
+use swn_core::message::MessageKind;
 use swn_core::node::Node;
 use swn_sim::convergence::drain_to_quiescence;
+use swn_sim::faults::{FaultPlan, LieMode, Misbehavior};
 use swn_sim::obs::JsonlSink;
 use swn_sim::{Network, ScheduleMode};
 
@@ -48,6 +50,13 @@ const RECOVERY_SCALE_LIMIT: f64 = 4.0;
 /// mailbox, so 64× more nodes — from a working set that fits the cache
 /// to one far beyond it — may cost at most this factor per node-round.
 const FULL_SCAN_SCALE_LIMIT: f64 = 3.0;
+
+/// The injector compiles its plan into a round-ordered agenda once, so
+/// entries that are not due cost a round one cursor comparison and a
+/// send nothing: a plan of 512 entries lying a million rounds ahead may
+/// cost at most this factor over an empty plan (an injector that scans
+/// its plan per send pays for every window on every message).
+const FAR_PLAN_LIMIT: f64 = 1.15;
 
 /// Interleaved pairs per guard.
 const PAIRS: usize = 7;
@@ -96,6 +105,43 @@ fn step_ns(n: usize, instrumented: bool) -> f64 {
     if instrumented {
         net.attach_sink(Box::new(JsonlSink::new(Box::new(std::io::sink()))), 16);
     }
+    ns_per(200, || net.step())
+}
+
+/// 512 plan entries, 64 of every kind, all a million rounds ahead.
+fn far_plan(n: usize) -> FaultPlan {
+    let ids = evenly_spaced_ids(n);
+    let mut plan = FaultPlan::new(9);
+    for i in 0..64 {
+        let (start, node) = (1_000_000 + 10 * i as u64, ids[i * (n / 64)]);
+        let end = start + 5;
+        let refuse = Misbehavior::SelectiveForward {
+            kinds: vec![MessageKind::Lin],
+            p: 0.5,
+        };
+        let lie = Misbehavior::LyingState {
+            mode: LieMode::Scramble,
+        };
+        let cluster = Misbehavior::SybilCluster { k: 2, center: node };
+        plan = plan
+            .with_drop(start, end, 0.5)
+            .with_duplicate(start, end, 0.5)
+            .with_partition(start, end, node)
+            .with_crash(start, node, 3)
+            .with_perturbation(start, 4)
+            .with_behavior(start, end, node, refuse)
+            .with_behavior(start, end, node, lie)
+            .with_behavior(start, end, node, cluster);
+    }
+    plan
+}
+
+/// One full-scan round on a warmed stable ring of `n` nodes with `plan`
+/// attached.
+fn faulted_step_ns(n: usize, plan: FaultPlan) -> f64 {
+    let mut net = stable_ring(n);
+    net.run(20);
+    net.attach_faults(plan);
     ns_per(200, || net.step())
 }
 
@@ -223,5 +269,23 @@ fn full_scan_node_round_out_of_cache_within_limit_of_in_cache() {
     assert!(
         ratio <= FULL_SCAN_SCALE_LIMIT,
         "per-node round cost grows with n: {ratio:.3}x > {FULL_SCAN_SCALE_LIMIT}x"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock ratio; run with --release -- --ignored"]
+fn plan_entries_not_yet_due_cost_a_round_nothing() {
+    const N: usize = 2048;
+    let _turn = ONE_AT_A_TIME.lock();
+    assert_eq!(far_plan(N).entry_count(), 512);
+    println!("n={N}: step under 512 far-future plan entries vs under an empty plan");
+    let ratio = min_pair_ratio(
+        || faulted_step_ns(N, FaultPlan::new(9)),
+        || faulted_step_ns(N, far_plan(N)),
+    );
+    println!("smallest pair ratio {ratio:.3}x, limit {FAR_PLAN_LIMIT}x");
+    assert!(
+        ratio <= FAR_PLAN_LIMIT,
+        "entries not yet due are paid for: {ratio:.3}x > {FAR_PLAN_LIMIT}x the empty plan"
     );
 }

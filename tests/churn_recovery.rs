@@ -224,3 +224,131 @@ fn active_set_churn_reports_match_a_view_per_round_oracle() {
     }
     assert_eq!(net.snapshot().nodes(), oracle.snapshot().nodes());
 }
+
+// ROADMAP 1(a): the old churn soak's non-recovery, closed with tests. A
+// settled `ActiveSet` ring whose tokens sit at their origins is a
+// near-bare cycle — every id is held by its two neighbours and little
+// else — so it needs Θ(n) rounds to heal one bare departure, and a few
+// more inside that interval cut the knowledge graph into lists that
+// each close a ring of their own. That is a disconnected CC view, which
+// no protocol rule can mend, not a liveness hole in the scheduler.
+
+const SOAK_N: usize = 64;
+const SOAK_DEPARTURES: [usize; 4] = [0, 6, 35, 57];
+
+fn bare_cycle(mode: ScheduleMode, seed: u64, n: usize) -> (Network, Vec<NodeId>) {
+    let ids = evenly_spaced_ids(n);
+    let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), seed);
+    net.set_schedule_mode(mode);
+    (net, ids)
+}
+
+#[test]
+fn bare_departures_faster_than_the_cycle_heals_split_it_for_good() {
+    let (mut net, ids) = bare_cycle(ScheduleMode::ActiveSet, 7, SOAK_N);
+    net.run(8);
+    for rank in SOAK_DEPARTURES {
+        net.remove_node(ids[rank]).unwrap();
+        net.run(16);
+    }
+    // The watchdog says what happened instead of spending its budget and
+    // calling the run slow: nothing was dropped, forged or erased in any
+    // watched round, so only the budget-exhausted exit looks.
+    let report = swn_sim::faults::watch_recovery(&mut net, 5_000);
+    assert!(
+        matches!(
+            report.verdict,
+            swn_sim::faults::Verdict::PermanentlyDisconnected { culprit: None, .. }
+        ),
+        "{:?}",
+        report.verdict
+    );
+    assert!(!net.is_sorted_ring());
+    assert!(!weakly_connected_view(&net.view(), View::Cc));
+    // Two closed rings: the list broke where rank 35 used to be, each
+    // half found its own extremes, and the global extremes ring back to
+    // the break instead of to each other.
+    let live = net.ids();
+    assert_eq!((live[32], live[33]), (ids[34], ids[36]));
+    let (a, b) = (net.node(live[32]).unwrap(), net.node(live[33]).unwrap());
+    let (min, max) = (net.node(live[0]).unwrap(), net.node(live[59]).unwrap());
+    assert_eq!((a.right(), a.ring()), (Extended::PosInf, Some(live[0])));
+    assert_eq!((b.left(), b.ring()), (Extended::NegInf, Some(live[59])));
+    assert_eq!((min.ring(), max.ring()), (Some(live[32]), Some(live[33])));
+}
+
+#[test]
+fn the_same_departures_announced_by_leave_each_recover() {
+    let (mut net, ids) = bare_cycle(ScheduleMode::ActiveSet, 7, SOAK_N);
+    net.run(8);
+    for rank in SOAK_DEPARTURES {
+        let rep = leave(&mut net, ids[rank], 5_000);
+        assert!(rep.recovered(), "leave of rank {rank}: {rep:?}");
+    }
+    assert!(net.is_sorted_ring());
+    assert_eq!(net.len(), SOAK_N - SOAK_DEPARTURES.len());
+}
+
+/// The old benchmark's soak: every 16 rounds a blank joiner (ids 1, 3,
+/// 5 … — clustered at 0) announced to a random live contact, and one
+/// bare departure of a random live node. Returns whether the ring
+/// re-formed within `budget` rounds of the soak's end, and whether the
+/// CC view was still connected when the watch stopped.
+fn soak(mode: ScheduleMode, seed: u64, n: usize, rounds: u64, budget: u64) -> (bool, bool) {
+    let (mut net, _) = bare_cycle(mode, seed, n);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for event in 0..rounds / 16 {
+        let live = net.ids();
+        let contact = live[rng.random_range(0..live.len())];
+        let joiner = NodeId::from_bits(2 * event + 1);
+        assert!(net.insert_node(Node::new(joiner, ProtocolConfig::default())));
+        net.send_external(contact, Message::Lin(joiner));
+        let live = net.ids();
+        net.remove_node(live[rng.random_range(0..live.len())]);
+        net.run(16);
+    }
+    let recovered = swn_sim::faults::watch_recovery(&mut net, budget)
+        .verdict
+        .recovered_rounds()
+        .is_some();
+    (recovered, weakly_connected_view(&net.view(), View::Cc))
+}
+
+/// Runs the soak over `seeds` × both schedule modes; returns
+/// `(recovered, disconnected)` counts after asserting nothing is stuck
+/// while connected.
+fn soak_sweep(seeds: u64, n: usize, rounds: u64, budget: u64) -> (usize, usize) {
+    let (mut recovered, mut disconnected) = (0, 0);
+    for seed in 0..seeds {
+        for mode in [ScheduleMode::FullScan, ScheduleMode::ActiveSet] {
+            let (ok, connected) = soak(mode, seed, n, rounds, budget);
+            assert!(
+                ok || !connected,
+                "seed {seed} {mode:?}: stuck for {budget} rounds on a connected CC view"
+            );
+            recovered += usize::from(ok);
+            disconnected += usize::from(!ok);
+        }
+    }
+    (recovered, disconnected)
+}
+
+#[test]
+fn soak_runs_that_never_recover_are_all_disconnected() {
+    let (recovered, disconnected) = soak_sweep(32, 64, 64, 5_000);
+    // Both happen, so the implication above is not vacuous.
+    assert!(
+        recovered > 0 && disconnected > 0,
+        "{recovered} / {disconnected}"
+    );
+}
+
+#[test]
+#[ignore = "≈ 1.5 min in release: the n = 256 sweep of the same refutation"]
+fn soak_runs_that_never_recover_are_all_disconnected_n256() {
+    let (recovered, disconnected) = soak_sweep(32, 256, 128, 20_000);
+    assert!(
+        recovered > 0 && disconnected > 0,
+        "{recovered} / {disconnected}"
+    );
+}
