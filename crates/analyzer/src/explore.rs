@@ -1,52 +1,43 @@
-//! Depth-first enumeration of schedules, with optional sleep-set
-//! partial-order reduction.
+//! The analyzer's one state-space exploration: the explicit transition
+//! graph of the budgeted [`State`]/[`Stepper`] model, with the safety
+//! monitors checked on every edge as it is built.
 //!
-//! The search is an explicit DFS over [`State`]s. Each visited
-//! configuration is memoized by its exact canonical key: the monitored
-//! predicates are pure functions of the configuration, so once a state's
-//! outgoing transitions have been checked there is nothing new to learn
-//! from reaching it again by a different schedule.
+//! [`FairGraph::build`] walks the reachable configurations breadth
+//! first. Each is stored once, under the fingerprint of its canonical
+//! symmetry key ([`crate::symmetry`]: id-rank renaming, age
+//! saturation), so the graph is the symmetry quotient; a schedule read
+//! off it replays concretely because the BFS tree follows the stored
+//! representatives. Every enabled transition of every state becomes one
+//! labelled edge, and on every edge the monitors run: the
+//! per-activation checks of [`State::apply`] (self-send, duplicate
+//! send, unaccounted event) and monotonicity of the [`PredVector`] —
+//! the predicates are pure functions of the configuration, so "true
+//! before, false after" is a property of the edge alone. The first
+//! violation stops the construction and comes back as the BFS-tree stem
+//! plus the offending transition, a *shortest* violating schedule.
 //!
-//! With [`Reduction::SleepSets`] the search additionally carries a
-//! *sleep set* (Godefroid's algorithm): a set of transitions that are
-//! enabled but provably redundant here, because an already-explored
-//! sibling branch covers every behaviour that starts with them. Two
-//! transitions are independent iff their **actors differ** — a delivery
-//! mutates only the receiving node and appends to channels, a regular
-//! action reads no channel, and no transition with a distinct actor can
-//! disable another (budgets are per-node, message instances are consumed
-//! only by their own delivery) — **and** neither *sends* the exact
-//! `(destination, message)` pair the other *delivers*. The second clause
-//! is forced by the channel-multiplicity bound: when a send of `m` to
-//! node `C` coalesces against the copy a pending `Deliver(C, m)` is
-//! about to consume, send-then-deliver leaves the channel empty while
-//! deliver-then-send leaves one copy — the orders no longer commute.
-//! (Under unbounded multisets the actor test alone would suffice.) A
-//! sleeping transition's send-set is fixed when it first executes and
-//! stays valid while it sleeps: only actor-disjoint transitions run in
-//! between, and sends are a function of the actor's node state plus the
-//! delivered message. Sleep sets prune *transitions*, never *states*:
-//! every reachable configuration is still visited, which the
-//! `sleep_sets_visit_every_state_of_plain_dfs` test cross-checks against
-//! plain DFS.
+//! `--mode safety` reads only that verdict; the liveness, closure and
+//! ranking analyses of [`crate::liveness`] run on the same graph, so no
+//! mode skips a monitor. There is deliberately no partial-order
+//! reduction (DESIGN.md §7.2 has the measurements that retired one).
 
-use crate::state::{Key, PredVector, State, Transition, Violation};
+use crate::ranking::{rank_of, Rank};
+use crate::state::{decode_msg, msg_code, Key, PredVector, State, Transition, Violation};
 use crate::stepper::{Policy, Stepper};
+use crate::symmetry::canonical_key;
 #[expect(
     clippy::disallowed_types,
-    reason = "fingerprint-keyed tables; iteration order is never observed"
+    reason = "fingerprint-keyed lookup table; iteration order is never observed"
 )]
-use std::collections::HashMap;
-use swn_core::id::NodeId;
-use swn_core::message::Message;
+use std::collections::{HashMap, VecDeque};
+use swn_core::invariants::is_ring_stable_config_view;
 
-/// 128-bit FNV-1a fingerprint of a canonical state key. The visited and
-/// predicate tables store fingerprints instead of full keys (hash
-/// compaction): at ~40 words per key and millions of states the exact
-/// keys dominate memory. A collision would silently merge two states;
-/// at 128 bits the probability across 10^7 states is ~10^-25, far below
-/// any hardware error rate, so the search is exhaustive for all
-/// practical purposes.
+/// 128-bit FNV-1a fingerprint of a canonical state key. The state index
+/// stores fingerprints instead of full keys (hash compaction): at ~40
+/// words per key and millions of states the exact keys dominate memory.
+/// A collision would silently merge two states; at 128 bits the
+/// probability across 10^7 states is ~10^-25, far below any hardware
+/// error rate, so the search is exhaustive for all practical purposes.
 pub fn fingerprint(key: &Key) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -60,45 +51,40 @@ pub fn fingerprint(key: &Key) -> u128 {
     h
 }
 
-/// Which pruning the search applies on top of exact-state memoization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reduction {
-    /// Plain DFS with memoization only.
-    None,
-    /// Sleep-set partial-order reduction over commuting transitions.
-    SleepSets,
+/// Fingerprint of the canonical symmetry key, budgets included — the
+/// budget vector is part of the budgeted model's state, and a lasso
+/// cycle closes only when it returns with budgets intact (which forces
+/// cycles to be delivery-only, as they must be).
+pub(crate) fn graph_fp(s: &State) -> u128 {
+    fingerprint(&canonical_key(s, true))
 }
 
-/// Search parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct ExploreConfig {
-    /// Randomness policy handlers run under (see [`Policy`]).
-    pub policy: Policy,
-    /// Pruning strategy.
-    pub reduction: Reduction,
-    /// Abort (mark `truncated`) after visiting this many states.
-    pub max_states: usize,
-    /// Abort a branch (mark `truncated`) beyond this schedule length.
-    pub max_depth: usize,
-    /// Memoize by the canonical symmetry key ([`crate::symmetry`]) instead
-    /// of the raw state key: id-rank renaming plus age saturation. Sound
-    /// for both policies (see the symmetry module docs) and composes with
-    /// the sleep sets and the hash compaction; it merges states that
-    /// differ only in ages past the forget threshold or in node storage
-    /// order.
-    pub symmetry: bool,
+/// Packs a transition into a `u64` edge label. Labels are stable across
+/// the whole graph (the node vector's order never changes), so equal
+/// labels on different states are the *same action* — which is exactly
+/// what the fairness obligations compare.
+pub fn pack_label(s: &State, t: &Transition) -> u64 {
+    match *t {
+        Transition::Regular { node } => node as u64,
+        Transition::Deliver { dest, ref msg } => {
+            let [k, a, b] = msg_code(&s.nodes, msg);
+            (1 << 32) | ((dest as u64) << 24) | (k << 16) | (a << 8) | b
+        }
+    }
 }
 
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            policy: Policy::Zeros,
-            reduction: Reduction::SleepSets,
-            max_states: 2_000_000,
-            // Also bounds recursion depth; small-scope schedules stay far
-            // below this, it only guards against runaway fixtures.
-            max_depth: 2_000,
-            symmetry: false,
+/// Inverse of [`pack_label`].
+pub fn unpack_label(s: &State, label: u64) -> Transition {
+    if label & (1 << 32) == 0 {
+        Transition::Regular {
+            node: usize::try_from(label).expect("packed node index"),
+        }
+    } else {
+        let dest = usize::try_from((label >> 24) & 0xff).expect("packed dest index");
+        let code = [(label >> 16) & 0xff, (label >> 8) & 0xff, label & 0xff];
+        Transition::Deliver {
+            dest,
+            msg: decode_msg(&s.nodes, code),
         }
     }
 }
@@ -117,291 +103,219 @@ pub struct FoundViolation {
     pub pred_after: PredVector,
 }
 
-/// Aggregate outcome of one exhaustive search.
-#[derive(Clone, Debug)]
-pub struct ExploreReport {
-    /// Distinct configurations visited.
-    pub distinct_states: usize,
-    /// Transitions executed (counts re-exploration under sleep sets).
-    pub transitions_executed: usize,
-    /// Distinct quiescent configurations (no message in flight, all
-    /// budgets spent) reached.
-    pub quiescent_states: usize,
-    /// Longest schedule explored.
-    pub max_depth_reached: usize,
-    /// Sends coalesced by the channel-multiplicity bound (see
-    /// [`State::initial_bounded`]). Non-zero means exhaustiveness is
-    /// relative to that bound.
+/// The explicit state graph every analysis runs on: every reachable
+/// canonical state of the budgeted model with every enabled transition
+/// as a labelled, monitored edge.
+pub struct FairGraph {
+    /// The root configuration, budgets included — they bound the scope.
+    pub initial: State,
+    /// Randomness policy the graph was built under.
+    pub policy: Policy,
+    /// `edges[v]` = `(label, target)` for every enabled transition of
+    /// `v`; the out-label set of `v` *is* its enabled set.
+    pub edges: Vec<Vec<(u64, u32)>>,
+    /// BFS tree: `(parent, label)` per state; the root points at itself.
+    pub parent: Vec<(u32, u64)>,
+    /// The monitored predicates per state; `sorted_ring` is the liveness
+    /// goal.
+    pub pred: Vec<PredVector>,
+    /// `is_ring_stable_config` per state — ring plus only declared
+    /// benign chatter (the closure-mode refinement).
+    pub stable: Vec<bool>,
+    /// Ranking potential per state.
+    pub rank: Vec<Rank>,
+    /// True once the state's full out-edge list is in `edges`. An
+    /// unexpanded state (where the construction stopped) has no
+    /// out-edges *in the graph* but is not terminal in the model.
+    pub expanded: Vec<bool>,
+    /// Sends coalesced by the channel-multiplicity bound, summed over
+    /// the edges (see [`State::initial_bounded`]). Non-zero means
+    /// exhaustiveness is relative to that bound.
     pub coalesced_sends: usize,
-    /// True when a cap stopped the search before exhaustion.
+    /// True when the construction stopped before exhausting the
+    /// reachable set — at `max_states`, or at the first monitor
+    /// violation; every analysis on a truncated graph is reported as
+    /// non-exhaustive.
     pub truncated: bool,
-    /// First violation found, if any (the search stops on it).
+    /// The first monitor violation, in BFS order, if any edge raised one.
     pub violation: Option<FoundViolation>,
 }
 
-impl ExploreReport {
-    /// True when the search exhausted the space and found no violation.
-    pub fn clean_and_exhaustive(&self) -> bool {
-        !self.truncated && self.violation.is_none()
-    }
-}
-
-/// A transition in a sleep set, carrying the raw send-set its execution
-/// produced (valid for as long as it sleeps — see the module docs).
-#[derive(Clone, Debug)]
-struct SleepEntry {
-    t: Transition,
-    sends: Vec<(NodeId, Message)>,
-}
-
-/// True when `t` (with raw send-set `t_sends`) and the sleeping `u` are
-/// independent: distinct actors, and neither sends what the other
-/// delivers.
-fn independent(s: &State, t: &Transition, t_sends: &[(NodeId, Message)], u: &SleepEntry) -> bool {
-    if t.actor() == u.t.actor() {
-        return false;
-    }
-    let delivers = |tr: &Transition, sends: &[(NodeId, Message)]| {
-        if let Transition::Deliver { dest, msg } = tr {
-            sends.contains(&(s.nodes[*dest].id(), *msg))
-        } else {
-            false
-        }
-    };
-    !delivers(&u.t, t_sends) && !delivers(t, &u.sends)
-}
-
-/// The search driver. Create one per (stepper, config) pair and call
-/// [`run`](Explorer::run).
-#[expect(clippy::disallowed_types, reason = "keyed lookup only")]
-pub struct Explorer<'a> {
-    stepper: &'a dyn Stepper,
-    cfg: ExploreConfig,
-    /// fingerprint -> sleep sets (transition lists) this state was
-    /// explored under. An entry that is a subset of the current sleep set
-    /// means a strictly larger set of transitions was already explored
-    /// from here.
-    visited: HashMap<u128, Vec<Vec<Transition>>>,
-    /// Predicate vectors are pure functions of the configuration; cache
-    /// them by fingerprint so converging schedules evaluate each state
-    /// once.
-    pred_cache: HashMap<u128, PredVector>,
-    transitions_executed: usize,
-    coalesced_sends: usize,
-    quiescent_states: usize,
-    max_depth_reached: usize,
-    truncated: bool,
-}
-
-impl<'a> Explorer<'a> {
-    /// A fresh explorer over `stepper` with parameters `cfg`.
-    #[expect(clippy::disallowed_types, reason = "keyed lookup only")]
-    pub fn new(stepper: &'a dyn Stepper, cfg: ExploreConfig) -> Self {
-        Explorer {
-            stepper,
-            cfg,
-            visited: HashMap::new(),
-            pred_cache: HashMap::new(),
-            transitions_executed: 0,
+impl FairGraph {
+    /// Breadth-first construction of the reachable quotient of the
+    /// budgeted model under `stepper` and `policy`, monitors running on
+    /// every applied transition.
+    pub fn build(
+        initial: &State,
+        stepper: &dyn Stepper,
+        policy: Policy,
+        max_states: usize,
+    ) -> FairGraph {
+        let mut g = FairGraph {
+            initial: initial.clone(),
+            policy,
+            edges: Vec::new(),
+            parent: Vec::new(),
+            pred: Vec::new(),
+            stable: Vec::new(),
+            rank: Vec::new(),
+            expanded: Vec::new(),
             coalesced_sends: 0,
-            quiescent_states: 0,
-            max_depth_reached: 0,
             truncated: false,
-        }
-    }
-
-    /// Fingerprint under the configured key scheme (raw or canonical).
-    fn fp_of(&self, s: &State) -> u128 {
-        if self.cfg.symmetry {
-            fingerprint(&crate::symmetry::canonical_key(s, true))
-        } else {
-            fingerprint(&s.key())
-        }
-    }
-
-    /// Exhaustively explores every schedule from `initial`.
-    pub fn run(mut self, initial: &State) -> ExploreReport {
-        let fp0 = self.fp_of(initial);
-        let pred0 = self.eval_cached(fp0, initial);
-        let mut path = Vec::new();
-        let violation = self.dfs(initial, fp0, pred0, &[], &mut path, 0);
-        ExploreReport {
-            distinct_states: self.visited.len(),
-            transitions_executed: self.transitions_executed,
-            quiescent_states: self.quiescent_states,
-            max_depth_reached: self.max_depth_reached,
-            coalesced_sends: self.coalesced_sends,
-            truncated: self.truncated,
-            violation,
-        }
-    }
-
-    /// Cached predicate evaluation (see `pred_cache`).
-    fn eval_cached(&mut self, fp: u128, s: &State) -> PredVector {
-        if let Some(p) = self.pred_cache.get(&fp) {
-            return *p;
-        }
-        let p = s.eval();
-        self.pred_cache.insert(fp, p);
-        p
-    }
-
-    /// Returns true when this (state, sleep) pair needs no exploration,
-    /// recording it otherwise. Send-sets are functions of (state,
-    /// transition), so comparing the transition lists alone is exact.
-    fn already_covered(&mut self, fp: u128, sleep: &[SleepEntry]) -> bool {
-        match self.cfg.reduction {
-            Reduction::None => {
-                // Sleep sets are always empty: first visit wins.
-                if self.visited.contains_key(&fp) {
-                    return true;
-                }
-                self.visited.insert(fp, vec![Vec::new()]);
-                false
-            }
-            Reduction::SleepSets => {
-                let entries = self.visited.entry(fp).or_default();
-                // A recorded visit with sleep' ⊆ sleep explored a
-                // superset of the transitions we would explore now.
-                if entries
-                    .iter()
-                    .any(|prev| prev.iter().all(|t| sleep.iter().any(|e| e.t == *t)))
-                {
-                    return true;
-                }
-                entries.push(sleep.iter().map(|e| e.t.clone()).collect());
-                false
-            }
-        }
-    }
-
-    fn dfs(
-        &mut self,
-        s: &State,
-        fp: u128,
-        pred: PredVector,
-        sleep: &[SleepEntry],
-        path: &mut Vec<Transition>,
-        depth: usize,
-    ) -> Option<FoundViolation> {
-        if self.visited.len() >= self.cfg.max_states || depth > self.cfg.max_depth {
-            self.truncated = true;
-            return None;
-        }
-        let first_visit = !self.visited.contains_key(&fp);
-        if self.already_covered(fp, sleep) {
-            return None;
-        }
-        self.max_depth_reached = self.max_depth_reached.max(depth);
-        if s.is_quiescent() {
-            if first_visit {
-                self.quiescent_states += 1;
-            }
-            return None;
-        }
-        let enabled = s.enabled();
-        let mut executed: Vec<SleepEntry> = Vec::new();
-        for t in &enabled {
-            if sleep.iter().any(|e| e.t == *t) {
-                continue;
-            }
-            let applied = s
-                .apply(self.stepper, self.cfg.policy, t)
-                .expect("enabled transitions apply");
-            let next = applied.next;
-            self.transitions_executed += 1;
-            self.coalesced_sends += applied.coalesced_sends as usize;
-            path.push(t.clone());
-            let next_fp = self.fp_of(&next);
-            let pred_next = self.eval_cached(next_fp, &next);
-            let found = self
-                .check_transition(pred, pred_next, &applied.violations, path)
-                .or_else(|| {
-                    let child_sleep = match self.cfg.reduction {
-                        Reduction::None => Vec::new(),
-                        // Keep every sleeping or already-explored
-                        // transition that is independent of t.
-                        Reduction::SleepSets => sleep
-                            .iter()
-                            .chain(executed.iter())
-                            .filter(|u| independent(s, t, &applied.sends, u))
-                            .cloned()
-                            .collect(),
-                    };
-                    self.dfs(&next, next_fp, pred_next, &child_sleep, path, depth + 1)
-                });
-            if found.is_some() {
-                return found;
-            }
-            path.pop();
-            executed.push(SleepEntry {
-                t: t.clone(),
-                sends: applied.sends,
-            });
-        }
-        None
-    }
-
-    /// Monitors evaluated on one executed transition: per-activation
-    /// violations from the outbox, then predicate monotonicity.
-    fn check_transition(
-        &self,
-        pred: PredVector,
-        pred_next: PredVector,
-        violations: &[Violation],
-        path: &[Transition],
-    ) -> Option<FoundViolation> {
-        let make = |violation: Violation| FoundViolation {
-            violation,
-            trace: path.to_vec(),
-            pred_before: pred,
-            pred_after: pred_next,
+            violation: None,
         };
-        if let Some(v) = violations.first() {
-            return Some(make(v.clone()));
-        }
-        for (name, before, after) in pred.diff(pred_next) {
-            if before && !after {
-                return Some(make(Violation::MonotonicityBroken { predicate: name }));
+        #[expect(clippy::disallowed_types, reason = "lookup-only fingerprint table")]
+        let mut index: HashMap<u128, u32> = HashMap::new();
+        let mut queue: VecDeque<(u32, State)> = VecDeque::new();
+        index.insert(graph_fp(initial), 0);
+        g.push_state(initial);
+        g.parent.push((0, u64::MAX));
+        queue.push_back((0, initial.clone()));
+        'bfs: while let Some((v, s)) = queue.pop_front() {
+            for t in s.enabled() {
+                let a = s
+                    .apply(stepper, policy, &t)
+                    .expect("enabled transitions apply");
+                let fp = graph_fp(&a.next);
+                let label = pack_label(&s, &t);
+                let w = match index.get(&fp) {
+                    Some(&w) => w,
+                    None if g.edges.len() >= max_states => {
+                        g.stop_at(v);
+                        break 'bfs;
+                    }
+                    None => {
+                        // max_states bounds the graph well under u32::MAX.
+                        #[allow(clippy::cast_possible_truncation)]
+                        let w = g.edges.len() as u32;
+                        index.insert(fp, w);
+                        g.push_state(&a.next);
+                        g.parent.push((v, label));
+                        queue.push_back((w, a.next));
+                        w
+                    }
+                };
+                let (before, after) = (g.pred[v as usize], g.pred[w as usize]);
+                if let Some(violation) = Violation::on_transition(&a.violations, before, after) {
+                    let mut trace = g.stem_to(v);
+                    trace.push(t);
+                    g.violation = Some(FoundViolation {
+                        violation,
+                        trace,
+                        pred_before: before,
+                        pred_after: after,
+                    });
+                    g.stop_at(v);
+                    break 'bfs;
+                }
+                g.coalesced_sends += a.coalesced_sends as usize;
+                g.edges[v as usize].push((label, w));
             }
+            g.expanded[v as usize] = true;
         }
-        None
+        g
+    }
+
+    fn push_state(&mut self, s: &State) {
+        let v = s.view();
+        self.pred.push(s.eval());
+        self.stable.push(is_ring_stable_config_view(&v));
+        self.rank.push(rank_of(&v));
+        self.expanded.push(false);
+        self.edges.push(Vec::new());
+    }
+
+    /// Ends the construction while expanding `v`, dropping its partial
+    /// expansion: a state with only *some* of its out-edges would
+    /// under-approximate its enabled set, and the fairness obligations
+    /// (= intersection of enabled sets) would be unsound. With the
+    /// partial list cleared, `v` is a dead end and can never join a
+    /// cycle, so every SCC the sweep reports is built purely from
+    /// fully-expanded states — a lasso found in a truncated graph is
+    /// still a real fair lasso.
+    fn stop_at(&mut self, v: u32) {
+        self.truncated = true;
+        self.edges[v as usize].clear();
+    }
+
+    /// True when `v` is quiescent in the *model* — fully expanded with
+    /// no enabled transition (budgets spent, channels drained) — as
+    /// opposed to an unexpanded state the construction stopped at.
+    pub fn is_terminal(&self, v: u32) -> bool {
+        self.expanded[v as usize] && self.edges[v as usize].is_empty()
+    }
+
+    /// The terminal (quiescent) states, in BFS order.
+    pub fn terminals(&self) -> impl Iterator<Item = u32> + '_ {
+        // Vertex ids are u32 by construction (max_states bounds the graph).
+        #[allow(clippy::cast_possible_truncation)]
+        (0..self.len() as u32).filter(|&v| self.is_terminal(v))
+    }
+
+    /// Number of states.
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// True when the graph holds no states (never after `build`).
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// Total number of edges.
+    pub fn edge_count(&self) -> usize {
+        self.edges.iter().map(Vec::len).sum()
+    }
+
+    /// The BFS-tree schedule from the root to `v`.
+    pub fn stem_to(&self, v: u32) -> Vec<Transition> {
+        let mut labels = Vec::new();
+        let mut cur = v;
+        while cur != 0 {
+            let (p, label) = self.parent[cur as usize];
+            labels.push(label);
+            cur = p;
+        }
+        labels.reverse();
+        labels
+            .into_iter()
+            .map(|l| unpack_label(&self.initial, l))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::State;
+    use crate::families::demo_fault_state;
     use crate::stepper::{DropLinStepper, RealStepper, SelfEchoStepper};
-    use swn_core::config::ProtocolConfig;
-    use swn_core::id::evenly_spaced_ids;
-    use swn_core::message::Message;
-    use swn_core::node::Node;
 
-    fn pair_with_lin(budget: u32) -> State {
-        let ids = evenly_spaced_ids(2);
-        let nodes: Vec<Node> = ids
-            .iter()
-            .map(|&id| Node::new(id, ProtocolConfig::default()))
-            .collect();
-        State::initial(nodes, &[(ids[0], Message::Lin(ids[1]))], budget)
+    fn build(stepper: &dyn Stepper, budget: u32, max_states: usize) -> FairGraph {
+        FairGraph::build(
+            &demo_fault_state(budget),
+            stepper,
+            Policy::Zeros,
+            max_states,
+        )
     }
 
     #[test]
     fn real_protocol_clean_on_tiny_pair() {
-        let s = pair_with_lin(2);
-        let report = Explorer::new(&RealStepper, ExploreConfig::default()).run(&s);
-        assert!(report.clean_and_exhaustive(), "{:?}", report.violation);
-        assert!(report.distinct_states > 1);
-        assert!(report.quiescent_states >= 1);
+        let g = build(&RealStepper, 2, 2_000_000);
+        assert!(!g.truncated, "{:?}", g.violation);
+        assert!(g.violation.is_none());
+        assert!(g.len() > 1);
+        assert!(g.terminals().count() >= 1);
     }
 
     #[test]
     fn drop_lin_breaks_connectivity_monotonicity() {
-        let s = pair_with_lin(0);
-        let report = Explorer::new(&DropLinStepper, ExploreConfig::default()).run(&s);
-        let v = report.violation.expect("dropping lin must be caught");
+        let g = build(&DropLinStepper, 0, 2_000_000);
+        assert!(
+            g.truncated,
+            "a graph stopped by a monitor is not exhaustive"
+        );
+        let v = g.violation.expect("dropping lin must be caught");
         assert_eq!(
             v.violation,
             Violation::MonotonicityBroken {
@@ -414,9 +328,8 @@ mod tests {
 
     #[test]
     fn self_echo_flagged_as_self_send() {
-        let s = pair_with_lin(0);
-        let report = Explorer::new(&SelfEchoStepper, ExploreConfig::default()).run(&s);
-        let v = report.violation.expect("echo must be caught");
+        let g = build(&SelfEchoStepper, 0, 2_000_000);
+        let v = g.violation.expect("echo must be caught");
         assert!(
             matches!(v.violation, Violation::SelfSend { .. }),
             "{:?}",
@@ -426,70 +339,9 @@ mod tests {
 
     #[test]
     fn state_cap_marks_truncated() {
-        let s = pair_with_lin(3);
-        let cfg = ExploreConfig {
-            max_states: 5,
-            ..ExploreConfig::default()
-        };
-        let report = Explorer::new(&RealStepper, cfg).run(&s);
-        assert!(report.truncated);
-        assert!(report.distinct_states <= 5);
-    }
-
-    #[test]
-    fn reductions_agree_on_seeded_line_with_coalescing() {
-        // n = 2 seeded line at budget 2: ~41k states with the channel
-        // bound actively coalescing sends — the configuration where a
-        // naive actors-only independence relation diverges from plain
-        // DFS (a coalesced send does not commute with a pending delivery
-        // of the same message).
-        for policy in Policy::ALL {
-            let s = crate::families::Family::Line.initial_state(2, 2, 1);
-            let none = Explorer::new(
-                &RealStepper,
-                ExploreConfig {
-                    policy,
-                    reduction: Reduction::None,
-                    ..ExploreConfig::default()
-                },
-            )
-            .run(&s);
-            let sleep = Explorer::new(
-                &RealStepper,
-                ExploreConfig {
-                    policy,
-                    ..ExploreConfig::default()
-                },
-            )
-            .run(&s);
-            assert!(none.coalesced_sends > 0, "fixture must exercise the bound");
-            assert_eq!(none.distinct_states, sleep.distinct_states);
-            assert_eq!(none.quiescent_states, sleep.quiescent_states);
-            assert_eq!(none.violation.is_none(), sleep.violation.is_none());
-            assert!(!none.truncated && !sleep.truncated);
-        }
-    }
-
-    #[test]
-    fn sleep_sets_visit_every_state_of_plain_dfs() {
-        let s = pair_with_lin(2);
-        let none = Explorer::new(
-            &RealStepper,
-            ExploreConfig {
-                reduction: Reduction::None,
-                ..ExploreConfig::default()
-            },
-        )
-        .run(&s);
-        let sleep = Explorer::new(&RealStepper, ExploreConfig::default()).run(&s);
-        // Sleep sets prune redundant interleavings, not states: both
-        // searches cover the identical reachable set and agree on the
-        // verdict. (Transition counts are incomparable: plain DFS prunes
-        // every revisit, sleep sets re-explore under incomparable sleep
-        // sets but skip sleeping siblings.)
-        assert_eq!(none.distinct_states, sleep.distinct_states);
-        assert_eq!(none.quiescent_states, sleep.quiescent_states);
-        assert_eq!(none.violation.is_none(), sleep.violation.is_none());
-        assert!(!none.truncated && !sleep.truncated);
+        let g = build(&RealStepper, 3, 5);
+        assert!(g.truncated);
+        assert!(g.violation.is_none());
+        assert!(g.len() <= 5);
     }
 }

@@ -1,15 +1,14 @@
 //! Liveness model checking: fair-cycle (livelock) detection, closure and
-//! the ranking certificate, over the budgeted [`State`]/[`Stepper`]
-//! graph.
+//! the ranking certificate, over the [`FairGraph`] of
+//! [`crate::explore`].
 //!
-//! The safety explorer proves *monotonicity*: once a phase predicate
-//! holds it never un-holds. That says nothing about whether executions
-//! ever *reach* the sorted ring — a protocol that loops forever without
-//! making progress passes every safety monitor. This module closes that
-//! gap within the same small scope.
+//! The monitors that run while the graph is built prove *monotonicity*:
+//! once a phase predicate holds it never un-holds. That says nothing
+//! about whether executions ever *reach* the sorted ring — a protocol
+//! that loops forever without making progress passes every safety
+//! monitor. This module closes that gap on the same graph.
 //!
-//! **The graph.** Liveness runs on the very transition system the
-//! safety search explores: per-node regular-action budgets, set-semantics
+//! **The graph.** Per-node regular-action budgets, set-semantics
 //! channels, one graph per randomness [`Policy`]. Budgets are what make
 //! the graph finite, and they interact with fairness exactly right
 //! rather than being an obstacle: a regular action strictly decreases
@@ -60,207 +59,18 @@
 //! argument for convergence owes within the scope — and the per-edge
 //! part is a transition-local property whose validity is independent of
 //! the budget that bounded the search.
-//!
-//! States are identified by the canonical symmetry key of
-//! [`crate::symmetry`] (id-rank renaming, age saturation), so the graph
-//! is the symmetry quotient; a violation found in the quotient replays
-//! concretely because steppers and handlers are order-, not
-//! value-sensitive in identifiers.
 
-use crate::explore::fingerprint;
+use crate::explore::{graph_fp, pack_label, unpack_label, FairGraph};
 use crate::minimize::{minimize_lasso, minimize_with};
-use crate::ranking::{rank_of, Rank, GOAL_RANK};
-use crate::state::{decode_msg, msg_code, State, Transition};
+use crate::ranking::{Rank, GOAL_RANK};
+use crate::state::{PredVector, State, Transition};
 use crate::stepper::{Policy, Stepper};
-use crate::symmetry::canonical_key;
 #[expect(
     clippy::disallowed_types,
-    reason = "fingerprint-keyed lookup tables; iteration order is never observed"
+    reason = "BFS parent lookup; iteration order is never observed"
 )]
 use std::collections::{HashMap, VecDeque};
-use swn_core::invariants::{is_ring_stable_config_view, is_sorted_ring_view};
-
-/// Packs a transition into a `u64` edge label. Labels are stable across
-/// the whole graph (the node vector's order never changes), so equal
-/// labels on different states are the *same action* — which is exactly
-/// what the fairness obligations compare.
-pub fn pack_label(s: &State, t: &Transition) -> u64 {
-    match *t {
-        Transition::Regular { node } => node as u64,
-        Transition::Deliver { dest, ref msg } => {
-            let [k, a, b] = msg_code(&s.nodes, msg);
-            (1 << 32) | ((dest as u64) << 24) | (k << 16) | (a << 8) | b
-        }
-    }
-}
-
-/// Inverse of [`pack_label`].
-pub fn unpack_label(s: &State, label: u64) -> Transition {
-    if label & (1 << 32) == 0 {
-        Transition::Regular {
-            node: usize::try_from(label).expect("packed node index"),
-        }
-    } else {
-        let dest = usize::try_from((label >> 24) & 0xff).expect("packed dest index");
-        let code = [(label >> 16) & 0xff, (label >> 8) & 0xff, label & 0xff];
-        Transition::Deliver {
-            dest,
-            msg: decode_msg(&s.nodes, code),
-        }
-    }
-}
-
-/// Fingerprint of the canonical symmetry key, budgets included — the
-/// budget vector is part of the budgeted model's state, and a lasso
-/// cycle closes only when it returns with budgets intact (which forces
-/// cycles to be delivery-only, as they must be).
-fn graph_fp(s: &State) -> u128 {
-    fingerprint(&canonical_key(s, true))
-}
-
-/// The explicit state graph liveness analyses run on: every reachable
-/// canonical state of the budgeted model with every enabled transition
-/// as a labelled edge.
-pub struct FairGraph {
-    /// The root configuration, budgets included — they bound the scope.
-    pub initial: State,
-    /// Randomness policy the graph was built under.
-    pub policy: Policy,
-    /// `edges[v]` = `(label, target)` for every enabled transition of
-    /// `v`; the out-label set of `v` *is* its enabled set.
-    pub edges: Vec<Vec<(u64, u32)>>,
-    /// BFS tree: `(parent, label)` per state; the root points at itself.
-    pub parent: Vec<(u32, u64)>,
-    /// `is_sorted_ring` per state — the liveness goal.
-    pub goal: Vec<bool>,
-    /// `is_ring_stable_config` per state — ring plus only declared
-    /// benign chatter (the closure-mode refinement).
-    pub stable: Vec<bool>,
-    /// Ranking potential per state.
-    pub rank: Vec<Rank>,
-    /// True once the state's full out-edge list is in `edges`. An
-    /// unexpanded state (truncation frontier) has no out-edges *in the
-    /// graph* but is not terminal in the model.
-    pub expanded: Vec<bool>,
-    /// True when `max_states` stopped the construction; every analysis
-    /// on a truncated graph is reported as non-exhaustive.
-    pub truncated: bool,
-}
-
-impl FairGraph {
-    /// Breadth-first construction of the reachable quotient of the
-    /// budgeted model under `stepper` and `policy`.
-    pub fn build(
-        initial: &State,
-        stepper: &dyn Stepper,
-        policy: Policy,
-        max_states: usize,
-    ) -> FairGraph {
-        let mut g = FairGraph {
-            initial: initial.clone(),
-            policy,
-            edges: Vec::new(),
-            parent: Vec::new(),
-            goal: Vec::new(),
-            stable: Vec::new(),
-            rank: Vec::new(),
-            expanded: Vec::new(),
-            truncated: false,
-        };
-        #[expect(clippy::disallowed_types, reason = "lookup-only fingerprint table")]
-        let mut index: HashMap<u128, u32> = HashMap::new();
-        let mut queue: VecDeque<(u32, State)> = VecDeque::new();
-        index.insert(graph_fp(initial), 0);
-        g.push_state(initial);
-        g.parent.push((0, u64::MAX));
-        queue.push_back((0, initial.clone()));
-        'bfs: while let Some((v, s)) = queue.pop_front() {
-            for t in s.enabled() {
-                let a = s
-                    .apply(stepper, policy, &t)
-                    .expect("enabled transitions apply");
-                let fp = graph_fp(&a.next);
-                let label = pack_label(&s, &t);
-                let w = if let Some(&w) = index.get(&fp) {
-                    w
-                } else {
-                    if g.edges.len() >= max_states {
-                        g.truncated = true;
-                        // Drop the partial expansion: a state with only
-                        // *some* of its out-edges would under-approximate
-                        // its enabled set, and the fairness obligations
-                        // (= intersection of enabled sets) would be
-                        // unsound. With the partial list cleared, `v` is
-                        // a dead end and can never join a cycle, so every
-                        // SCC the sweep reports is built purely from
-                        // fully-expanded states — a violation found in a
-                        // truncated graph is still a real fair lasso.
-                        g.edges[v as usize].clear();
-                        break 'bfs;
-                    }
-                    // max_states bounds the graph well under u32::MAX.
-                    #[allow(clippy::cast_possible_truncation)]
-                    let w = g.edges.len() as u32;
-                    index.insert(fp, w);
-                    g.push_state(&a.next);
-                    g.parent.push((v, label));
-                    queue.push_back((w, a.next));
-                    w
-                };
-                g.edges[v as usize].push((label, w));
-            }
-            g.expanded[v as usize] = true;
-        }
-        g
-    }
-
-    fn push_state(&mut self, s: &State) {
-        let v = s.view();
-        self.goal.push(is_sorted_ring_view(&v));
-        self.stable.push(is_ring_stable_config_view(&v));
-        self.rank.push(rank_of(&v));
-        self.expanded.push(false);
-        self.edges.push(Vec::new());
-    }
-
-    /// True when `v` is quiescent in the *model* — fully expanded with
-    /// no enabled transition (budgets spent, channels drained) — as
-    /// opposed to an unexpanded truncation-frontier state.
-    pub fn is_terminal(&self, v: u32) -> bool {
-        self.expanded[v as usize] && self.edges[v as usize].is_empty()
-    }
-
-    /// Number of states.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True when the graph holds no states (never after `build`).
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
-    /// The BFS-tree schedule from the root to `v`.
-    pub fn stem_to(&self, v: u32) -> Vec<Transition> {
-        let mut labels = Vec::new();
-        let mut cur = v;
-        while cur != 0 {
-            let (p, label) = self.parent[cur as usize];
-            labels.push(label);
-            cur = p;
-        }
-        labels.reverse();
-        labels
-            .into_iter()
-            .map(|l| unpack_label(&self.initial, l))
-            .collect()
-    }
-}
+use swn_core::invariants::is_sorted_ring_view;
 
 /// Iterative Tarjan: strongly connected components of `edges`.
 /// Returns the component id per vertex (ids in reverse topological
@@ -363,7 +173,7 @@ struct SccSweep {
 fn sweep_fair_sccs(
     cycle_edges: &[Vec<(u64, u32)>],
     full_edges: &[Vec<(u64, u32)>],
-    goal: &[bool],
+    pred: &[PredVector],
 ) -> SccSweep {
     let (comp, comp_count) = tarjan(cycle_edges);
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); comp_count as usize];
@@ -410,7 +220,7 @@ fn sweep_fair_sccs(
             continue;
         }
         sweep.fair_nontrivial += 1;
-        if let Some(&bad) = ms.iter().filter(|&&v| !goal[v as usize]).min() {
+        if let Some(&bad) = ms.iter().filter(|&&v| !pred[v as usize].sorted_ring).min() {
             let better = sweep.violation.as_ref().is_none_or(|prev| bad < prev.bad);
             if better {
                 sweep.violation = Some(FairBadScc {
@@ -601,7 +411,8 @@ pub struct ConvergenceReport {
     pub states: usize,
     /// Edges of the graph.
     pub edges: usize,
-    /// True when the state cap stopped construction (no verdict).
+    /// True when the graph is truncated — the state cap or a monitor
+    /// violation stopped its construction (no verdict).
     pub truncated: bool,
     /// States satisfying the goal predicate.
     pub goal_states: usize,
@@ -646,7 +457,7 @@ impl ConvergenceReport {
 /// would mean the detector and the protocol semantics disagree, which is
 /// a checker bug, never a protocol bug.
 pub fn check_convergence(g: &FairGraph, stepper: &dyn Stepper) -> ConvergenceReport {
-    let sweep = sweep_fair_sccs(&g.edges, &g.edges, &g.goal);
+    let sweep = sweep_fair_sccs(&g.edges, &g.edges, &g.pred);
     let counterexample = sweep.violation.as_ref().map(|scc| {
         let lasso = extract_lasso(g, stepper, &g.edges, scc);
         assert!(
@@ -655,16 +466,17 @@ pub fn check_convergence(g: &FairGraph, stepper: &dyn Stepper) -> ConvergenceRep
         );
         lasso
     });
-    // Vertex ids are u32 by construction (max_states bounds the graph).
-    #[allow(clippy::cast_possible_truncation)]
-    let terminal: Vec<u32> = (0..g.len() as u32).filter(|&v| g.is_terminal(v)).collect();
+    let terminal: Vec<u32> = g.terminals().collect();
     ConvergenceReport {
         states: g.len(),
         edges: g.edge_count(),
         truncated: g.truncated,
-        goal_states: g.goal.iter().filter(|&&b| b).count(),
+        goal_states: g.pred.iter().filter(|p| p.sorted_ring).count(),
         terminals: terminal.len(),
-        terminal_nongoal: terminal.iter().filter(|&&v| !g.goal[v as usize]).count(),
+        terminal_nongoal: terminal
+            .iter()
+            .filter(|&&v| !g.pred[v as usize].sorted_ring)
+            .count(),
         scc_count: sweep.comp_count,
         max_scc: sweep.max_size,
         fair_sccs: sweep.fair_nontrivial,
@@ -704,7 +516,8 @@ pub struct ClosureReport {
     pub states: usize,
     /// Edges of the graph.
     pub edges: usize,
-    /// True when the state cap stopped construction (no verdict).
+    /// True when the graph is truncated — the state cap or a monitor
+    /// violation stopped its construction (no verdict).
     pub truncated: bool,
     /// States still satisfying `is_sorted_ring` (closure demands all).
     pub ring_states: usize,
@@ -723,7 +536,7 @@ impl ClosureReport {
 
 /// Checks closure on a graph built from a sorted-ring seed.
 pub fn check_closure(g: &FairGraph, stepper: &dyn Stepper) -> ClosureReport {
-    let escape = g.goal.iter().position(|&ok| !ok).map(|bad| {
+    let escape = g.pred.iter().position(|p| !p.sorted_ring).map(|bad| {
         // Vertex ids are u32 by construction (max_states bounds the graph).
         #[allow(clippy::cast_possible_truncation)]
         let stem = g.stem_to(bad as u32);
@@ -738,7 +551,7 @@ pub fn check_closure(g: &FairGraph, stepper: &dyn Stepper) -> ClosureReport {
         states: g.len(),
         edges: g.edge_count(),
         truncated: g.truncated,
-        ring_states: g.goal.iter().filter(|&&b| b).count(),
+        ring_states: g.pred.iter().filter(|p| p.sorted_ring).count(),
         stable_states: g.stable.iter().filter(|&&b| b).count(),
         escape,
     }
@@ -751,7 +564,8 @@ pub struct RankingReport {
     pub states: usize,
     /// Edges of the graph.
     pub edges: usize,
-    /// True when the state cap stopped construction (no verdict).
+    /// True when the graph is truncated — the state cap or a monitor
+    /// violation stopped its construction (no verdict).
     pub truncated: bool,
     /// True when the potential never increased on any edge.
     pub monotone: bool,
@@ -794,10 +608,10 @@ pub fn check_ranking(g: &FairGraph, stepper: &dyn Stepper) -> RankingReport {
         }
     }
     let goal_at_minimum = g
-        .goal
+        .pred
         .iter()
         .zip(&g.rank)
-        .all(|(&goal, &r)| !goal || r == GOAL_RANK);
+        .all(|(p, &r)| !p.sorted_ring || r == GOAL_RANK);
     // Equal-rank subgraph: the only edges a rank-constant cycle can use.
     let stutter: Vec<Vec<(u64, u32)>> = (0..g.len())
         .map(|v| {
@@ -808,7 +622,7 @@ pub fn check_ranking(g: &FairGraph, stepper: &dyn Stepper) -> RankingReport {
                 .collect()
         })
         .collect();
-    let sweep = sweep_fair_sccs(&stutter, &g.edges, &g.goal);
+    let sweep = sweep_fair_sccs(&stutter, &g.edges, &g.pred);
     let stutter_counterexample = sweep.violation.as_ref().map(|scc| {
         let lasso = extract_lasso(g, stepper, &stutter, scc);
         assert!(
@@ -833,7 +647,8 @@ pub fn check_ranking(g: &FairGraph, stepper: &dyn Stepper) -> RankingReport {
 mod tests {
     use super::*;
     use crate::families::{livelock_demo_state, ring_state};
-    use crate::stepper::{BounceLinStepper, RealStepper};
+    use crate::state::Violation;
+    use crate::stepper::{BounceLinStepper, RealStepper, SelfEchoStepper};
 
     #[test]
     fn tarjan_on_a_known_shape() {
@@ -883,6 +698,20 @@ mod tests {
         let report = check_closure(&g, &RealStepper);
         assert!(report.closed(), "escape: {:?}", report.escape);
         assert_eq!(report.ring_states, report.states);
+    }
+
+    #[test]
+    fn monitors_run_under_closure_too() {
+        // The ring's own chatter delivers messages, so the echo mutant
+        // self-sends on a clean-looking ring; closure must not pass it.
+        let g = FairGraph::build(&ring_state(3, 1), &SelfEchoStepper, Policy::Zeros, 500_000);
+        let report = check_closure(&g, &SelfEchoStepper);
+        assert!(!report.closed());
+        let found = g.violation.expect("the self-send monitor fires");
+        assert!(matches!(found.violation, Violation::SelfSend { .. }));
+        let r = crate::minimize::replay(&g.initial, &SelfEchoStepper, g.policy, &found.trace);
+        assert!(r.complete);
+        assert_eq!(r.first_violation(), Some(found.violation));
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! ```text
 //! analyzer [--mode safety|liveness|closure|ranking]
 //!          [--n N] [--family line|star|clique|all] [--budget K]
-//!          [--policy zeros|ones|all] [--reduction none|sleep] [--symmetry]
-//!          [--seed S] [--max-states M] [--channel-bound B]
+//!          [--policy zeros|ones|all] [--seed S] [--max-states M]
+//!          [--channel-bound B]
 //!          [--mutant drop-lin|self-echo|bounce-lin] [--demo-fault] [--json]
 //! ```
 //!
-//! The default mode, `safety`, exhaustively checks every family at
-//! n = 3 with one regular action per node under both randomness
-//! policies (~1 minute, ~2.8M distinct states) and exits non-zero on
-//! any violation or truncated search. The three liveness modes run the
-//! fair-cycle machinery of `swn_analyzer::liveness` on the same scope:
+//! Every mode builds the same graph (`swn_analyzer::explore`) with the
+//! safety monitors running on every edge, and fails on a monitor
+//! violation or a truncated graph. The default mode, `safety`, asks
+//! nothing more: it exhaustively checks every family at n = 3 with one
+//! regular action per node under both randomness policies (2.96 M
+//! distinct states) and prints the minimized schedule of any violation.
+//! The three liveness modes add the fair-cycle machinery of
+//! `swn_analyzer::liveness`:
 //!
 //! * `liveness` — livelock-freedom: no weakly-fair cycle avoids the
 //!   sorted ring; also accounts terminal states (goal vs. budget-starved);
@@ -36,8 +39,8 @@
 use swn_analyzer::families::{livelock_demo_state, ring_state};
 use swn_analyzer::{
     check_closure, check_convergence, check_ranking, format_trace, minimize, BounceLinStepper,
-    DropLinStepper, ExploreConfig, Explorer, FairGraph, Family, Lasso, Policy, RealStepper,
-    SelfEchoStepper, Stepper, Transition,
+    DropLinStepper, FairGraph, Family, Lasso, Policy, RealStepper, SelfEchoStepper, State, Stepper,
+    Transition,
 };
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -65,8 +68,6 @@ struct Args {
     families: Vec<Family>,
     budget: u32,
     policies: Vec<Policy>,
-    reduction: swn_analyzer::Reduction,
-    symmetry: bool,
     seed: u64,
     max_states: usize,
     channel_bound: u32,
@@ -83,7 +84,7 @@ struct JsonRun {
     family: Option<&'static str>,
     policy: &'static str,
     states: usize,
-    edges: Option<usize>,
+    edges: usize,
     truncated: bool,
     goal_states: Option<usize>,
     terminals: Option<usize>,
@@ -125,9 +126,8 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: analyzer [--mode safety|liveness|closure|ranking] [--n N] \
          [--family line|star|clique|all] [--budget K] [--policy zeros|ones|all] \
-         [--reduction none|sleep] [--symmetry] [--seed S] [--max-states M] \
-         [--channel-bound B] [--mutant drop-lin|self-echo|bounce-lin] \
-         [--demo-fault] [--json]"
+         [--seed S] [--max-states M] [--channel-bound B] \
+         [--mutant drop-lin|self-echo|bounce-lin] [--demo-fault] [--json]"
     );
     std::process::exit(2);
 }
@@ -139,8 +139,6 @@ fn parse_args() -> Args {
         families: Family::ALL.to_vec(),
         budget: 1,
         policies: Policy::ALL.to_vec(),
-        reduction: swn_analyzer::Reduction::SleepSets,
-        symmetry: false,
         seed: 1,
         max_states: 2_000_000,
         channel_bound: 1,
@@ -197,15 +195,6 @@ fn parse_args() -> Args {
                     _ => usage("--policy expects zeros|ones|all"),
                 };
             }
-            "--reduction" => {
-                let v = value(&mut i);
-                args.reduction = match v.as_str() {
-                    "none" => swn_analyzer::Reduction::None,
-                    "sleep" => swn_analyzer::Reduction::SleepSets,
-                    _ => usage("--reduction expects none|sleep"),
-                };
-            }
-            "--symmetry" => args.symmetry = true,
             "--seed" => {
                 args.seed = value(&mut i)
                     .parse()
@@ -240,11 +229,58 @@ fn parse_args() -> Args {
     args
 }
 
+const TRUNCATED: &str = "TRUNCATED (raise --max-states for an exhaustive run)";
+
+impl JsonRun {
+    /// The fields every run reports, read off its graph; the
+    /// mode-specific ones start out `null`.
+    fn new(
+        mode: Mode,
+        stepper: &dyn Stepper,
+        family: Option<Family>,
+        g: &FairGraph,
+        ok: bool,
+        verdict: String,
+    ) -> JsonRun {
+        JsonRun {
+            mode: mode.label(),
+            stepper: stepper.label(),
+            family: family.map(Family::label),
+            policy: g.policy.label(),
+            states: g.len(),
+            edges: g.edge_count(),
+            truncated: g.truncated,
+            goal_states: None,
+            terminals: None,
+            terminal_nongoal: None,
+            scc_count: None,
+            max_scc: None,
+            fair_sccs: None,
+            ring_states: None,
+            stable_states: None,
+            monotone: None,
+            goal_at_minimum: None,
+            stutter_fair_sccs: None,
+            ok,
+            verdict,
+            lasso: None,
+            escape: None,
+        }
+    }
+}
+
 fn fmt_schedule(ts: &[Transition]) -> Vec<String> {
     ts.iter().map(std::string::ToString::to_string).collect()
 }
 
-fn print_lasso(lasso: &Lasso) {
+fn json_lasso(l: &Lasso) -> JsonLasso {
+    JsonLasso {
+        stem: fmt_schedule(&l.stem),
+        cycle: fmt_schedule(&l.cycle),
+    }
+}
+
+fn print_lasso(lasso: &JsonLasso) {
     println!(
         "  minimized lasso (stem {} + cycle {}):",
         lasso.stem.len(),
@@ -258,64 +294,42 @@ fn print_lasso(lasso: &Lasso) {
     }
 }
 
+fn print_doc(doc: &JsonDoc) {
+    println!("{}", serde_json::to_string(doc).expect("serialize"));
+}
+
 /// Runs a safety mutant (drop-lin / self-echo) on the two-node demo
 /// fixture and prints the minimized counterexample; exits non-zero when
 /// the monitors fail to catch it.
 fn run_safety_mutant(args: &Args, stepper: &dyn Stepper) {
-    let initial = swn_analyzer::families::demo_fault_state(args.budget.min(1));
-    let cfg = ExploreConfig {
-        policy: Policy::Zeros,
-        reduction: args.reduction,
-        max_states: args.max_states,
-        ..ExploreConfig::default()
-    };
-    let report = Explorer::new(stepper, cfg).run(&initial);
-    let Some(found) = report.violation else {
+    let budget = args.budget.min(1);
+    let initial = swn_analyzer::families::demo_fault_state(budget);
+    let g = FairGraph::build(&initial, stepper, Policy::Zeros, args.max_states);
+    let Some(found) = &g.violation else {
         eprintln!("mutant fixture unexpectedly clean — the monitors are broken");
         std::process::exit(1);
     };
     let min = minimize(&initial, stepper, Policy::Zeros, &found.trace);
     if args.json {
-        let doc = JsonDoc {
+        let verdict = format!("caught: {}", found.violation);
+        let mut run = JsonRun::new(Mode::Safety, stepper, None, &g, true, verdict);
+        run.escape = Some(fmt_schedule(&min));
+        print_doc(&JsonDoc {
             mode: "safety",
             n: 2,
-            budget: args.budget.min(1),
+            budget,
             seed: args.seed,
             channel_bound: args.channel_bound,
-            symmetry: false,
+            symmetry: true,
             failed: false,
-            runs: vec![JsonRun {
-                mode: "safety",
-                stepper: stepper.label(),
-                family: None,
-                policy: Policy::Zeros.label(),
-                states: report.distinct_states,
-                edges: None,
-                truncated: report.truncated,
-                goal_states: None,
-                terminals: None,
-                terminal_nongoal: None,
-                scc_count: None,
-                max_scc: None,
-                fair_sccs: None,
-                ring_states: None,
-                stable_states: None,
-                monotone: None,
-                goal_at_minimum: None,
-                stutter_fair_sccs: None,
-                ok: true,
-                verdict: format!("caught: {}", found.violation),
-                lasso: None,
-                escape: Some(fmt_schedule(&min)),
-            }],
-        };
-        println!("{}", serde_json::to_string(&doc).expect("serialize"));
+            runs: vec![run],
+        });
         return;
     }
     println!(
         "mutant: injected fault '{}' caught after exploring {} states",
         stepper.label(),
-        report.distinct_states
+        g.len()
     );
     println!("raw trace: {} steps; minimizing...", found.trace.len());
     print!("{}", format_trace(&initial, stepper, Policy::Zeros, &min));
@@ -328,13 +342,15 @@ fn run_bounce_mutant(args: &Args) {
     let stepper = BounceLinStepper;
     let initial = livelock_demo_state();
     let g = FairGraph::build(&initial, &stepper, Policy::Zeros, args.max_states);
-    let report = check_convergence(&g, &stepper);
-    let Some(lasso) = &report.counterexample else {
+    let (mut run, row) = convergence_run(&g, &stepper, None);
+    let Some(lasso) = &run.lasso else {
         eprintln!("bounce-lin fixture has no fair non-goal cycle — the detector is broken");
         std::process::exit(1);
     };
     if args.json {
-        let doc = JsonDoc {
+        // For this mutant a run is "ok" when the livelock IS caught.
+        run.ok = true;
+        print_doc(&JsonDoc {
             mode: "liveness",
             n: initial.nodes.len(),
             budget: 0,
@@ -342,75 +358,192 @@ fn run_bounce_mutant(args: &Args) {
             channel_bound: args.channel_bound,
             symmetry: true,
             failed: false,
-            runs: vec![convergence_run(&stepper, None, Policy::Zeros, &report)],
-        };
-        println!("{}", serde_json::to_string(&doc).expect("serialize"));
+            runs: vec![run],
+        });
         return;
     }
     println!(
-        "mutant: '{}' livelock detected — {} states, {} fair SCC(s), largest SCC {}",
+        "mutant: '{}' livelock detected — states={} edges={} {row}",
         stepper.label(),
-        report.states,
-        report.fair_sccs,
-        report.max_scc
+        run.states,
+        run.edges
     );
     print_lasso(lasso);
     println!("  replays: the cycle is weakly fair and never reaches the sorted ring");
 }
 
+/// `--mode safety`: the graph's own verdict, nothing on top.
+fn safety_run(g: &FairGraph, family: Option<Family>) -> (JsonRun, String) {
+    let (ok, verdict) = if g.truncated {
+        (false, TRUNCATED)
+    } else {
+        (true, "ok (exhaustive)")
+    };
+    let terminals = g.terminals().count();
+    let mut run = JsonRun::new(
+        Mode::Safety,
+        &RealStepper,
+        family,
+        g,
+        ok,
+        verdict.to_owned(),
+    );
+    run.terminals = Some(terminals);
+    (run, format!("quiescent={terminals:>6}"))
+}
+
+/// `--mode liveness`, and the bounce-lin mutant.
 fn convergence_run(
+    g: &FairGraph,
     stepper: &dyn Stepper,
     family: Option<Family>,
-    policy: Policy,
-    r: &swn_analyzer::ConvergenceReport,
-) -> JsonRun {
+) -> (JsonRun, String) {
+    let r = check_convergence(g, stepper);
     let verdict = if let Some(l) = &r.counterexample {
         format!(
             "LIVELOCK: fair cycle of {} steps avoids the sorted ring",
             l.cycle.len()
         )
     } else if r.truncated {
-        "TRUNCATED (raise --max-states for an exhaustive run)".to_owned()
+        TRUNCATED.to_owned()
     } else {
         format!(
             "livelock-free ({} terminal states, {} budget-starved)",
             r.terminals, r.terminal_nongoal
         )
     };
-    JsonRun {
-        mode: "liveness",
-        stepper: stepper.label(),
-        family: family.map(Family::label),
-        policy: policy.label(),
-        states: r.states,
-        edges: Some(r.edges),
-        truncated: r.truncated,
+    let row = format!(
+        "goal={:>7} terminal={:>6} (starved {}) sccs={} fair={}",
+        r.goal_states, r.terminals, r.terminal_nongoal, r.scc_count, r.fair_sccs
+    );
+    let run = JsonRun {
         goal_states: Some(r.goal_states),
         terminals: Some(r.terminals),
         terminal_nongoal: Some(r.terminal_nongoal),
         scc_count: Some(r.scc_count),
         max_scc: Some(r.max_scc),
         fair_sccs: Some(r.fair_sccs),
-        ring_states: None,
-        stable_states: None,
-        monotone: None,
-        goal_at_minimum: None,
-        stutter_fair_sccs: None,
-        // A mutant run is "ok" when the livelock IS caught; the real
-        // protocol is "ok" when it is livelock-free. The caller decides
-        // by stepper; here "ok" means the detector returned a verdict.
-        ok: if stepper.label() == "bounce-lin" {
-            r.counterexample.is_some()
-        } else {
-            r.livelock_free()
-        },
-        verdict,
-        lasso: r.counterexample.as_ref().map(|l| JsonLasso {
-            stem: fmt_schedule(&l.stem),
-            cycle: fmt_schedule(&l.cycle),
-        }),
-        escape: None,
+        lasso: r.counterexample.as_ref().map(json_lasso),
+        ..JsonRun::new(
+            Mode::Liveness,
+            stepper,
+            family,
+            g,
+            r.livelock_free(),
+            verdict,
+        )
+    };
+    (run, row)
+}
+
+/// `--mode closure`.
+fn closure_run(g: &FairGraph) -> (JsonRun, String) {
+    let r = check_closure(g, &RealStepper);
+    let verdict = if let Some(escape) = &r.escape {
+        format!("ESCAPE: ring broken after {} steps", escape.len())
+    } else if r.truncated {
+        TRUNCATED.to_owned()
+    } else {
+        "closed (every reachable state is the sorted ring)".to_owned()
+    };
+    let row = format!("ring={:>8} stable={:>8}", r.ring_states, r.stable_states);
+    let run = JsonRun {
+        ring_states: Some(r.ring_states),
+        stable_states: Some(r.stable_states),
+        escape: r.escape.as_deref().map(fmt_schedule),
+        ..JsonRun::new(Mode::Closure, &RealStepper, None, g, r.closed(), verdict)
+    };
+    (run, row)
+}
+
+/// `--mode ranking`.
+fn ranking_run(g: &FairGraph, family: Option<Family>) -> (JsonRun, String) {
+    let r = check_ranking(g, &RealStepper);
+    let verdict = if let Some((trace, from, to)) = &r.increase {
+        format!(
+            "RANK INCREASE {from:?} -> {to:?} after {} steps",
+            trace.len()
+        )
+    } else if !r.goal_at_minimum {
+        "GOAL STATE ABOVE MINIMUM RANK".to_owned()
+    } else if r.stutter_counterexample.is_some() {
+        "FAIR RANK-CONSTANT CYCLE OUTSIDE GOAL".to_owned()
+    } else if r.truncated {
+        TRUNCATED.to_owned()
+    } else {
+        "certified (monotone, goal at minimum, stutter cycles goal-only)".to_owned()
+    };
+    let row = format!(
+        "monotone={} goal_at_min={} stutter_fair={}",
+        r.monotone, r.goal_at_minimum, r.stutter_fair_sccs
+    );
+    let run = JsonRun {
+        monotone: Some(r.monotone),
+        goal_at_minimum: Some(r.goal_at_minimum),
+        stutter_fair_sccs: Some(r.stutter_fair_sccs),
+        lasso: r.stutter_counterexample.as_ref().map(json_lasso),
+        escape: r.increase.as_ref().map(|(t, _, _)| fmt_schedule(t)),
+        ..JsonRun::new(
+            Mode::Ranking,
+            &RealStepper,
+            family,
+            g,
+            r.certified(),
+            verdict,
+        )
+    };
+    (run, row)
+}
+
+/// Builds the one graph of a scope and lets `args.mode` judge it. A
+/// monitor violation overrides whatever the mode concluded from the part
+/// of the graph built before it.
+fn check_scope(initial: &State, family: Option<Family>, policy: Policy, args: &Args) -> JsonRun {
+    let g = FairGraph::build(initial, &RealStepper, policy, args.max_states);
+    let (mut run, row) = match args.mode {
+        Mode::Safety => safety_run(&g, family),
+        Mode::Liveness => convergence_run(&g, &RealStepper, family),
+        Mode::Closure => closure_run(&g),
+        Mode::Ranking => ranking_run(&g, family),
+    };
+    let minimized = g
+        .violation
+        .as_ref()
+        .map(|found| minimize(initial, &RealStepper, policy, &found.trace));
+    if let Some(found) = &g.violation {
+        run.ok = false;
+        run.verdict = format!("VIOLATION: {}", found.violation);
+        run.lasso = None;
+        run.escape = minimized.as_deref().map(fmt_schedule);
     }
+    if args.json {
+        return run;
+    }
+    println!(
+        "  {:<6} policy={:<5} states={:>8} edges={:>9} {row}  {}",
+        family.map_or("ring", Family::label),
+        policy.label(),
+        run.states,
+        run.edges,
+        run.verdict
+    );
+    if g.coalesced_sends > 0 {
+        println!(
+            "         ({} sends coalesced by channel bound {}; exhaustive relative to it)",
+            g.coalesced_sends, args.channel_bound
+        );
+    }
+    if let Some(min) = &minimized {
+        print!("{}", format_trace(initial, &RealStepper, policy, min));
+    } else {
+        if let Some(l) = &run.lasso {
+            print_lasso(l);
+        }
+        for t in run.escape.iter().flatten() {
+            println!("    escape: {t}");
+        }
+    }
+    run
 }
 
 fn main() {
@@ -422,8 +555,6 @@ fn main() {
         _ => {}
     }
 
-    let mut failed = false;
-    let mut runs: Vec<JsonRun> = Vec::new();
     if !args.json {
         println!(
             "small-scope {} check: n = {}, budget = {}, seed = {}, channel bound = {}",
@@ -434,274 +565,37 @@ fn main() {
             args.channel_bound
         );
     }
-    for &policy in &args.policies {
+    let scopes: Vec<(Option<Family>, State)> = if args.mode == Mode::Closure {
         // Closure has one canonical seed per (n, budget), not one per
         // family: the sorted ring itself.
-        let families: Vec<Option<Family>> = if args.mode == Mode::Closure {
-            vec![None]
-        } else {
-            args.families.iter().copied().map(Some).collect()
+        vec![(None, ring_state(args.n, args.budget))]
+    } else {
+        let seeded = |f: &Family| {
+            f.initial_state_bounded(args.n, args.budget, args.seed, args.channel_bound)
         };
-        for family in families {
-            match args.mode {
-                Mode::Safety => {
-                    let family = family.expect("safety iterates families");
-                    let initial = family.initial_state_bounded(
-                        args.n,
-                        args.budget,
-                        args.seed,
-                        args.channel_bound,
-                    );
-                    let cfg = ExploreConfig {
-                        policy,
-                        reduction: args.reduction,
-                        symmetry: args.symmetry,
-                        max_states: args.max_states,
-                        ..ExploreConfig::default()
-                    };
-                    let report = Explorer::new(&RealStepper, cfg).run(&initial);
-                    let (ok, verdict) = if let Some(found) = &report.violation {
-                        (false, format!("VIOLATION: {}", found.violation))
-                    } else if report.truncated {
-                        (
-                            false,
-                            "TRUNCATED (raise --max-states for an exhaustive run)".to_owned(),
-                        )
-                    } else {
-                        (true, "ok (exhaustive)".to_owned())
-                    };
-                    failed |= !ok;
-                    if args.json {
-                        runs.push(JsonRun {
-                            mode: "safety",
-                            stepper: "real",
-                            family: Some(family.label()),
-                            policy: policy.label(),
-                            states: report.distinct_states,
-                            edges: None,
-                            truncated: report.truncated,
-                            goal_states: None,
-                            terminals: Some(report.quiescent_states),
-                            terminal_nongoal: None,
-                            scc_count: None,
-                            max_scc: None,
-                            fair_sccs: None,
-                            ring_states: None,
-                            stable_states: None,
-                            monotone: None,
-                            goal_at_minimum: None,
-                            stutter_fair_sccs: None,
-                            ok,
-                            verdict,
-                            lasso: None,
-                            escape: report.violation.as_ref().map(|found| {
-                                fmt_schedule(&minimize(
-                                    &initial,
-                                    &RealStepper,
-                                    policy,
-                                    &found.trace,
-                                ))
-                            }),
-                        });
-                    } else {
-                        println!(
-                            "  {:<6} policy={:<5} states={:>8} transitions={:>9} quiescent={:>6} depth={:>4}  {}",
-                            family.label(),
-                            policy.label(),
-                            report.distinct_states,
-                            report.transitions_executed,
-                            report.quiescent_states,
-                            report.max_depth_reached,
-                            verdict
-                        );
-                        if report.coalesced_sends > 0 {
-                            println!(
-                                "         ({} sends coalesced by channel bound {}; exhaustive relative to it)",
-                                report.coalesced_sends, args.channel_bound
-                            );
-                        }
-                        if let Some(found) = report.violation {
-                            let min = minimize(&initial, &RealStepper, policy, &found.trace);
-                            print!("{}", format_trace(&initial, &RealStepper, policy, &min));
-                        }
-                    }
-                }
-                Mode::Liveness => {
-                    let family = family.expect("liveness iterates families");
-                    let initial = family.initial_state_bounded(
-                        args.n,
-                        args.budget,
-                        args.seed,
-                        args.channel_bound,
-                    );
-                    let g = FairGraph::build(&initial, &RealStepper, policy, args.max_states);
-                    let report = check_convergence(&g, &RealStepper);
-                    let run = convergence_run(&RealStepper, Some(family), policy, &report);
-                    failed |= !run.ok;
-                    if args.json {
-                        runs.push(run);
-                    } else {
-                        println!(
-                            "  {:<6} policy={:<5} states={:>8} edges={:>9} goal={:>7} terminal={:>6} (starved {}) sccs={} fair={}  {}",
-                            family.label(),
-                            policy.label(),
-                            report.states,
-                            report.edges,
-                            report.goal_states,
-                            report.terminals,
-                            report.terminal_nongoal,
-                            report.scc_count,
-                            report.fair_sccs,
-                            run.verdict
-                        );
-                        if let Some(l) = &report.counterexample {
-                            print_lasso(l);
-                        }
-                    }
-                }
-                Mode::Closure => {
-                    let initial = ring_state(args.n, args.budget);
-                    let g = FairGraph::build(&initial, &RealStepper, policy, args.max_states);
-                    let report = check_closure(&g, &RealStepper);
-                    let ok = report.closed();
-                    failed |= !ok;
-                    let verdict = if let Some(escape) = &report.escape {
-                        format!("ESCAPE: ring broken after {} steps", escape.len())
-                    } else if report.truncated {
-                        "TRUNCATED (raise --max-states for an exhaustive run)".to_owned()
-                    } else {
-                        "closed (every reachable state is the sorted ring)".to_owned()
-                    };
-                    if args.json {
-                        runs.push(JsonRun {
-                            mode: "closure",
-                            stepper: "real",
-                            family: None,
-                            policy: policy.label(),
-                            states: report.states,
-                            edges: Some(report.edges),
-                            truncated: report.truncated,
-                            goal_states: None,
-                            terminals: None,
-                            terminal_nongoal: None,
-                            scc_count: None,
-                            max_scc: None,
-                            fair_sccs: None,
-                            ring_states: Some(report.ring_states),
-                            stable_states: Some(report.stable_states),
-                            monotone: None,
-                            goal_at_minimum: None,
-                            stutter_fair_sccs: None,
-                            ok,
-                            verdict,
-                            lasso: None,
-                            escape: report.escape.as_ref().map(|e| fmt_schedule(e)),
-                        });
-                    } else {
-                        println!(
-                            "  ring   policy={:<5} states={:>8} edges={:>9} ring={:>8} stable={:>8}  {}",
-                            policy.label(),
-                            report.states,
-                            report.edges,
-                            report.ring_states,
-                            report.stable_states,
-                            verdict
-                        );
-                        if let Some(escape) = &report.escape {
-                            for t in escape {
-                                println!("    escape: {t}");
-                            }
-                        }
-                    }
-                }
-                Mode::Ranking => {
-                    let family = family.expect("ranking iterates families");
-                    let initial = family.initial_state_bounded(
-                        args.n,
-                        args.budget,
-                        args.seed,
-                        args.channel_bound,
-                    );
-                    let g = FairGraph::build(&initial, &RealStepper, policy, args.max_states);
-                    let report = check_ranking(&g, &RealStepper);
-                    let ok = report.certified();
-                    failed |= !ok;
-                    let verdict = if let Some((trace, from, to)) = &report.increase {
-                        format!(
-                            "RANK INCREASE {:?} -> {:?} after {} steps",
-                            from,
-                            to,
-                            trace.len()
-                        )
-                    } else if !report.goal_at_minimum {
-                        "GOAL STATE ABOVE MINIMUM RANK".to_owned()
-                    } else if report.stutter_counterexample.is_some() {
-                        "FAIR RANK-CONSTANT CYCLE OUTSIDE GOAL".to_owned()
-                    } else if report.truncated {
-                        "TRUNCATED (raise --max-states for an exhaustive run)".to_owned()
-                    } else {
-                        "certified (monotone, goal at minimum, stutter cycles goal-only)".to_owned()
-                    };
-                    if args.json {
-                        runs.push(JsonRun {
-                            mode: "ranking",
-                            stepper: "real",
-                            family: Some(family.label()),
-                            policy: policy.label(),
-                            states: report.states,
-                            edges: Some(report.edges),
-                            truncated: report.truncated,
-                            goal_states: None,
-                            terminals: None,
-                            terminal_nongoal: None,
-                            scc_count: None,
-                            max_scc: None,
-                            fair_sccs: None,
-                            ring_states: None,
-                            stable_states: None,
-                            monotone: Some(report.monotone),
-                            goal_at_minimum: Some(report.goal_at_minimum),
-                            stutter_fair_sccs: Some(report.stutter_fair_sccs),
-                            ok,
-                            verdict,
-                            lasso: report.stutter_counterexample.as_ref().map(|l| JsonLasso {
-                                stem: fmt_schedule(&l.stem),
-                                cycle: fmt_schedule(&l.cycle),
-                            }),
-                            escape: report.increase.as_ref().map(|(t, _, _)| fmt_schedule(t)),
-                        });
-                    } else {
-                        println!(
-                            "  {:<6} policy={:<5} states={:>8} edges={:>9} monotone={} goal_at_min={} stutter_fair={}  {}",
-                            family.label(),
-                            policy.label(),
-                            report.states,
-                            report.edges,
-                            report.monotone,
-                            report.goal_at_minimum,
-                            report.stutter_fair_sccs,
-                            verdict
-                        );
-                        if let Some(l) = &report.stutter_counterexample {
-                            print_lasso(l);
-                        }
-                    }
-                }
-            }
+        args.families
+            .iter()
+            .map(|f| (Some(*f), seeded(f)))
+            .collect()
+    };
+    let mut runs: Vec<JsonRun> = Vec::new();
+    for &policy in &args.policies {
+        for (family, initial) in &scopes {
+            runs.push(check_scope(initial, *family, policy, &args));
         }
     }
+    let failed = runs.iter().any(|r| !r.ok);
     if args.json {
-        let doc = JsonDoc {
+        print_doc(&JsonDoc {
             mode: args.mode.label(),
             n: args.n,
             budget: args.budget,
             seed: args.seed,
             channel_bound: args.channel_bound,
-            symmetry: args.symmetry || args.mode != Mode::Safety,
+            symmetry: true,
             failed,
             runs,
-        };
-        println!("{}", serde_json::to_string(&doc).expect("serialize"));
+        });
     }
     if failed {
         std::process::exit(1);

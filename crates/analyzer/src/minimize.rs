@@ -1,8 +1,9 @@
 //! Counterexample replay, minimization and pretty-printing.
 //!
-//! A violation found by the explorer comes with the full DFS schedule
-//! that reached it, which usually contains deliveries irrelevant to the
-//! bug. [`minimize`] shrinks it by greedy delta debugging with chunk
+//! A violation found while the graph is built comes with the BFS-tree
+//! schedule that reached it — shortest in steps, yet it can still hold
+//! transitions irrelevant to the bug (a regular action taken on the way,
+//! say). [`minimize`] shrinks it by greedy delta debugging with chunk
 //! size 1: repeatedly try dropping each transition and keep any shorter
 //! schedule that still (a) replays — every remaining transition is
 //! enabled when its turn comes — and (b) ends in a violation. The result
@@ -52,13 +53,9 @@ impl Replay {
     pub fn first_violation(&self) -> Option<Violation> {
         let mut prev = self.pred_initial;
         for step in &self.steps {
-            if let Some(v) = step.violations.first() {
-                return Some(v.clone());
-            }
-            for (name, before, after) in prev.diff(step.pred_after) {
-                if before && !after {
-                    return Some(Violation::MonotonicityBroken { predicate: name });
-                }
+            let found = Violation::on_transition(&step.violations, prev, step.pred_after);
+            if found.is_some() {
+                return found;
             }
             prev = step.pred_after;
         }
@@ -239,17 +236,23 @@ pub fn format_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{ExploreConfig, Explorer};
+    use crate::explore::FairGraph;
     use crate::families::demo_fault_state;
     use crate::stepper::{DropLinStepper, RealStepper};
 
-    /// A fixture run that pads the violating delivery with irrelevant
-    /// regular actions, so minimization has something to remove.
+    /// The graph's (shortest) violating schedule, padded in front with
+    /// both nodes' irrelevant regular actions so minimization has
+    /// something to remove.
     fn padded_violating_trace() -> (State, Vec<Transition>) {
         let s = demo_fault_state(1);
-        let report = Explorer::new(&DropLinStepper, ExploreConfig::default()).run(&s);
-        let v = report.violation.expect("drop-lin violates");
-        (s, v.trace)
+        let g = FairGraph::build(&s, &DropLinStepper, Policy::Zeros, 2_000_000);
+        let v = g.violation.expect("drop-lin violates");
+        let mut trace = vec![
+            Transition::Regular { node: 0 },
+            Transition::Regular { node: 1 },
+        ];
+        trace.extend(v.trace);
+        (s, trace)
     }
 
     #[test]
@@ -274,7 +277,7 @@ mod tests {
         let (s, trace) = padded_violating_trace();
         let min = minimize(&s, &DropLinStepper, Policy::Zeros, &trace);
         assert!(!min.is_empty());
-        assert!(min.len() <= trace.len());
+        assert!(min.len() < trace.len());
         // 1-minimality: dropping any single transition loses the bug.
         for i in 0..min.len() {
             let mut c = min.clone();

@@ -37,7 +37,7 @@
 //! cycles and break the certificate. See DESIGN.md §11.
 
 use swn_core::id::Extended;
-use swn_core::invariants::component_labels_view;
+use swn_core::invariants::{component_labels_view, sorted_list_links};
 use swn_core::views::{NetView, View};
 
 /// Lexicographic potential ⟨components, list deficit, ring deficit⟩;
@@ -60,16 +60,7 @@ pub fn rank_of(v: &NetView<'_>) -> Rank {
     let n = nodes.len();
     let mut list_deficit = 0u64;
     for (pos, node) in nodes.iter().enumerate() {
-        let want_l = if pos == 0 {
-            Extended::NegInf
-        } else {
-            Extended::Fin(nodes[pos - 1].id())
-        };
-        let want_r = if pos + 1 == n {
-            Extended::PosInf
-        } else {
-            Extended::Fin(nodes[pos + 1].id())
-        };
+        let (want_l, want_r) = sorted_list_links(pos, n, |i| nodes[i].id());
         list_deficit += u64::from(node.left() != want_l);
         list_deficit += u64::from(node.right() != want_r);
     }

@@ -1,4 +1,5 @@
-//! The explorer's global-state model and per-activation monitors.
+//! The global-state model the graph is built over, and the
+//! per-activation monitors.
 //!
 //! A [`State`] is a closed-world configuration: every node's variables,
 //! every channel's contents (as a canonically ordered multiset — channels
@@ -36,19 +37,6 @@ pub enum Transition {
         /// The acting node's index.
         node: usize,
     },
-}
-
-impl Transition {
-    /// The node whose variables this transition touches. Transitions with
-    /// distinct actors commute: a handler mutates only its own node and
-    /// appends to channels (multisets, so append order is invisible), and
-    /// neither delivery consumes the other's message.
-    pub fn actor(&self) -> usize {
-        match *self {
-            Transition::Deliver { dest, .. } => dest,
-            Transition::Regular { node } => node,
-        }
-    }
 }
 
 impl fmt::Display for Transition {
@@ -130,6 +118,25 @@ pub enum Violation {
         /// Debug rendering of the orphaned event.
         event: String,
     },
+}
+
+impl Violation {
+    /// What the monitors report for one executed transition: the first
+    /// per-activation violation it `raised`, else the first monotone
+    /// predicate that was true `before` it and false `after`.
+    pub fn on_transition(
+        raised: &[Violation],
+        before: PredVector,
+        after: PredVector,
+    ) -> Option<Violation> {
+        raised.first().cloned().or_else(|| {
+            before
+                .diff(after)
+                .into_iter()
+                .find(|&(_, was, is)| was && !is)
+                .map(|(predicate, ..)| Violation::MonotonicityBroken { predicate })
+        })
+    }
 }
 
 impl fmt::Display for Violation {
@@ -223,12 +230,6 @@ pub struct Applied {
     pub next: State,
     /// Per-activation monitor violations.
     pub violations: Vec<Violation>,
-    /// The activation's raw outbox sends, *before* channel-bound
-    /// coalescing. The sleep-set reduction needs these: a send that
-    /// coalesces does not commute with a pending delivery of the same
-    /// message at the same destination, so independence is refined by
-    /// send-sets (see `explore`).
-    pub sends: Vec<(NodeId, Message)>,
     /// Sends coalesced by the channel-multiplicity bound.
     pub coalesced_sends: u32,
 }
@@ -315,8 +316,9 @@ impl State {
         self.nodes = nodes;
     }
 
-    /// Semantic canonical encoding of the configuration, used as the
-    /// visited-set key. It covers every variable future behaviour depends
+    /// Semantic encoding of the configuration in node-vector order — the
+    /// raw form that [`crate::symmetry::canonical_key`], the graph's
+    /// state key, renames by id rank. It covers every variable future behaviour depends
     /// on: per node `(l, r, lrl, ring, age, tick mod probe_period)` — the
     /// raw probing tick only acts through its residue — plus the budgets
     /// and the canonically ordered channel multisets. Node ids and the
@@ -417,13 +419,11 @@ impl State {
                 (node, None)
             }
         };
-        let sends = out.sends().to_vec();
         let (violations, coalesced_sends) = next.absorb_outbox(actor, trigger.as_ref(), &out);
         next.canonicalize();
         Some(Applied {
             next,
             violations,
-            sends,
             coalesced_sends,
         })
     }

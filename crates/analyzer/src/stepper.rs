@@ -1,6 +1,6 @@
 //! Deterministic randomness policies and the handler-dispatch seam.
 //!
-//! [`Stepper`] is the one indirection between the explorer and
+//! [`Stepper`] is the one indirection between the graph builder and
 //! `swn_core::node::Node`: the real implementation forwards to the
 //! protocol handlers, and the faulty ones exist solely to prove the
 //! monitors can catch a broken protocol (and to exercise the
@@ -59,7 +59,7 @@ impl rand::Rng for PolicyRng {
     }
 }
 
-/// Dispatch seam between the explorer and the protocol handlers.
+/// Dispatch seam between the graph builder and the protocol handlers.
 pub trait Stepper {
     /// Delivers `msg` to `node` (the receive action).
     fn deliver(&self, node: &mut Node, msg: Message, rng: &mut PolicyRng, out: &mut Outbox);
@@ -91,7 +91,7 @@ impl Stepper for RealStepper {
 
 /// Faulty fixture: silently discards every `lin` message instead of
 /// linearizing it. The identifier the message carried vanishes from the
-/// system, so a CC edge disappears — the explorer must report a
+/// system, so a CC edge disappears — the monitors must report a
 /// `weakly_connected(Cc)` monotonicity violation on any initial state
 /// whose connectivity runs through a `lin` in flight.
 #[derive(Clone, Copy, Debug, Default)]
@@ -145,7 +145,7 @@ impl Stepper for SelfEchoStepper {
 /// in-flight message, no self-sends, no duplicates — but the message
 /// bounces between the two gap endpoints forever and the node it carries
 /// is never linked in: a livelock. Exactly the bug class the fair-cycle
-/// detector exists for; the safety explorer reports this stepper clean.
+/// detector exists for; the safety monitors report this stepper clean.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BounceLinStepper;
 

@@ -1,4 +1,4 @@
-//! Acceptance suite: the checker exhaustively explores every seeded
+//! Acceptance suite: the checker's graph exhaustively covers every seeded
 //! n = 3 topology family to quiescence with zero violations.
 //!
 //! These are the real-protocol runs the paper's safety lemmas predict to
@@ -10,25 +10,20 @@
 //! two-policy sweep is the `analyzer` binary's default mode, which CI
 //! runs in release.
 
-use swn_analyzer::{ExploreConfig, Explorer, Family, Policy, RealStepper};
+use swn_analyzer::{FairGraph, Family, Policy, RealStepper};
 
 fn check(family: Family, policy: Policy) {
     let initial = family.initial_state(3, 1, 1);
-    let cfg = ExploreConfig {
-        policy,
-        ..ExploreConfig::default()
-    };
-    let report = Explorer::new(&RealStepper, cfg).run(&initial);
+    let g = FairGraph::build(&initial, &RealStepper, policy, 2_000_000);
     assert!(
-        report.clean_and_exhaustive(),
-        "{} under {}: truncated={} violation={:?}",
+        !g.truncated,
+        "{} under {}: violation={:?}",
         family.label(),
         policy.label(),
-        report.truncated,
-        report.violation
+        g.violation
     );
-    assert!(report.quiescent_states >= 1, "must reach quiescence");
-    assert!(report.distinct_states > 1_000, "search must be non-trivial");
+    assert!(g.terminals().count() >= 1, "must reach quiescence");
+    assert!(g.len() > 1_000, "search must be non-trivial");
 }
 
 #[test]

@@ -120,7 +120,8 @@ fn cycle_is_fair_nongoal(g: &FairGraph, cycle: &[u32]) -> bool {
             }
         }
     }
-    obligations.iter().all(|l| taken.contains(l)) && cycle.iter().any(|&v| !g.goal[v as usize])
+    obligations.iter().all(|l| taken.contains(l))
+        && cycle.iter().any(|&v| !g.pred[v as usize].sorted_ring)
 }
 
 /// Runs both the production detector and the brute force on one scope

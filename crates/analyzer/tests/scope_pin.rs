@@ -8,8 +8,8 @@
 
 use swn_analyzer::families::{demo_fault_state, livelock_demo_state};
 use swn_analyzer::{
-    BounceLinStepper, DropLinStepper, ExploreConfig, Explorer, Family, Policy, RealStepper,
-    Reduction, SelfEchoStepper, State, Stepper, Violation,
+    BounceLinStepper, DropLinStepper, FairGraph, Family, Policy, RealStepper, SelfEchoStepper,
+    State, Stepper, Violation,
 };
 use swn_core::id::evenly_spaced_ids;
 use swn_core::message::Message;
@@ -24,28 +24,13 @@ struct Explored {
 }
 
 fn explore(initial: &State, stepper: &dyn Stepper, policy: Policy) -> Explored {
-    let run = |reduction| {
-        let cfg = ExploreConfig {
-            policy,
-            reduction,
-            ..ExploreConfig::default()
-        };
-        let report = Explorer::new(stepper, cfg).run(initial);
-        assert!(!report.truncated);
-        report
-    };
-    let plain = run(Reduction::None);
-    let sleep = run(Reduction::SleepSets);
-    assert_eq!(plain.distinct_states, sleep.distinct_states);
-    assert_eq!(plain.quiescent_states, sleep.quiescent_states);
-    let caught =
-        |r: &swn_analyzer::ExploreReport| r.violation.as_ref().map(|f| f.violation.clone());
-    assert_eq!(caught(&plain), caught(&sleep));
+    let g = FairGraph::build(initial, stepper, policy, 2_000_000);
+    assert_eq!(g.truncated, g.violation.is_some(), "state cap hit");
     Explored {
-        states: plain.distinct_states,
-        terminals: plain.quiescent_states,
-        transitions: plain.transitions_executed,
-        violation: caught(&plain),
+        states: g.len(),
+        terminals: g.terminals().count(),
+        transitions: g.edge_count(),
+        violation: g.violation.map(|f| f.violation),
     }
 }
 

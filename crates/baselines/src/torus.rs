@@ -377,6 +377,28 @@ mod tests {
         );
     }
 
+    /// E2's reference (`MoveForgetRing`) and x1's engine are the same
+    /// process at k = 1 and draw the same random sequence, so they must
+    /// agree token for token, not only in distribution.
+    #[test]
+    fn one_dimensional_torus_is_the_ring_reference_draw_for_draw() {
+        for (n, epsilon, seed) in [(16, 0.1, 1), (64, 0.5, 7), (257, 0.1, 42)] {
+            let mut torus = TorusMoveForget::new(Torus::new(n, 1), epsilon, seed);
+            let mut ring = crate::chaintreau::MoveForgetRing::new(n, epsilon, seed);
+            for block in 0..20 {
+                torus.run(37);
+                ring.run(37);
+                assert_eq!(
+                    torus.displacements(),
+                    ring.lengths(),
+                    "n={n} eps={epsilon} seed={seed} block {block}"
+                );
+                assert_eq!(torus.forgets(), ring.forgets());
+            }
+            assert!(ring.forgets() > 0, "the forget branch must be exercised");
+        }
+    }
+
     #[test]
     fn greedy_gets_stuck_only_without_lattice() {
         // A graph with a single directed chord and no lattice edges:

@@ -20,7 +20,7 @@
 //! distributional part is measured by `swn-topology`'s harmonic-fit
 //! statistics.
 
-use crate::id::Extended;
+use crate::id::{Extended, NodeId};
 use crate::node::Node;
 use crate::views::{NetView, View};
 
@@ -112,6 +112,28 @@ pub fn component_labels_view(v: &NetView<'_>, view: View) -> Vec<usize> {
     (0..v.len()).map(|i| uf.find(i)).collect()
 }
 
+/// The `(l, r)` pair the sorted list asks of the node at rank `pos`
+/// among `n` ids in ascending order, `id_at(i)` being the id at rank `i`:
+/// its list neighbours, with the `±∞` sentinels at the two ends.
+#[inline]
+pub fn sorted_list_links(
+    pos: usize,
+    n: usize,
+    id_at: impl Fn(usize) -> NodeId,
+) -> (Extended, Extended) {
+    let l = if pos == 0 {
+        Extended::NegInf
+    } else {
+        Extended::Fin(id_at(pos - 1))
+    };
+    let r = if pos + 1 == n {
+        Extended::PosInf
+    } else {
+        Extended::Fin(id_at(pos + 1))
+    };
+    (l, r)
+}
+
 /// Definition 4.8: LCP solves the **sorted-list problem** — consecutive
 /// nodes (by id) point at each other, extremal nodes carry the `±∞`
 /// sentinels, and no other `l`/`r` links exist. The view is already in
@@ -119,20 +141,8 @@ pub fn component_labels_view(v: &NetView<'_>, view: View) -> Vec<usize> {
 pub fn is_sorted_list_view(v: &NetView<'_>) -> bool {
     let nodes = v.nodes();
     let n = nodes.len();
-    if n == 0 {
-        return true;
-    }
     for (pos, node) in nodes.iter().enumerate() {
-        let want_l = if pos == 0 {
-            Extended::NegInf
-        } else {
-            Extended::Fin(nodes[pos - 1].id())
-        };
-        let want_r = if pos + 1 == n {
-            Extended::PosInf
-        } else {
-            Extended::Fin(nodes[pos + 1].id())
-        };
+        let (want_l, want_r) = sorted_list_links(pos, n, |i| nodes[i].id());
         if node.left() != want_l || node.right() != want_r {
             return false;
         }
@@ -256,10 +266,7 @@ pub fn classify_view(v: &NetView<'_>) -> Phase {
 /// Builds the canonical stable state for a set of nodes: the sorted ring
 /// with every long-range token at its origin. Used as the reference state
 /// in tests, benchmarks and the "start from stable" experiments.
-pub fn make_sorted_ring(
-    ids: &[crate::id::NodeId],
-    cfg: crate::config::ProtocolConfig,
-) -> Vec<Node> {
+pub fn make_sorted_ring(ids: &[NodeId], cfg: crate::config::ProtocolConfig) -> Vec<Node> {
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
@@ -268,16 +275,7 @@ pub fn make_sorted_ring(
         .iter()
         .enumerate()
         .map(|(i, &id)| {
-            let l = if i == 0 {
-                Extended::NegInf
-            } else {
-                Extended::Fin(sorted[i - 1])
-            };
-            let r = if i + 1 == n {
-                Extended::PosInf
-            } else {
-                Extended::Fin(sorted[i + 1])
-            };
+            let (l, r) = sorted_list_links(i, n, |j| sorted[j]);
             let ring = if n >= 2 && i == 0 {
                 Some(sorted[n - 1])
             } else if n >= 2 && i + 1 == n {

@@ -167,3 +167,32 @@ fn fault_experiment_quick_tables_match_the_pinned_goldens() {
     let tables = [e12_chaos::run(&e12), campaign];
     assert_eq!(stdout_of(&tables), include_str!("golden/e12_quick.txt"));
 }
+
+/// `experiments <id> --quick` for the twelve single-table ids, byte for
+/// byte, so a PR that moves a paper quantity has to re-pin it on purpose.
+macro_rules! quick_golden {
+    ($($test:ident: $table:expr => $golden:literal;)*) => {$(
+        #[test]
+        fn $test() {
+            assert_eq!(
+                stdout_of(&[$table]),
+                include_str!(concat!("golden/", $golden))
+            );
+        }
+    )*};
+}
+
+quick_golden! {
+    e1_quick_matches_golden: e1_convergence::run(&e1_convergence::Params::quick()) => "e1_quick.txt";
+    e2_quick_matches_golden: e2_distribution::run(&e2_distribution::Params::quick()) => "e2_quick.txt";
+    e3_quick_matches_golden: e3_routing::run(&e3_routing::Params::quick()) => "e3_quick.txt";
+    e5_quick_matches_golden: e5_join_leave::run_join(&e5_join_leave::Params::quick()) => "e5_quick.txt";
+    e6_quick_matches_golden: e5_join_leave::run_leave(&e5_join_leave::Params::quick()) => "e6_quick.txt";
+    e7_quick_matches_golden: e7_robustness::run(&e7_robustness::Params::quick()) => "e7_quick.txt";
+    e8_quick_matches_golden: e8_watts_strogatz::run(&e8_watts_strogatz::Params::quick()) => "e8_quick.txt";
+    e9_quick_matches_golden: e9_overhead::run(&e9_overhead::Params::quick()) => "e9_quick.txt";
+    a1_quick_matches_golden: ablations::run_a1(&ablations::Params::quick()) => "a1_quick.txt";
+    a2_quick_matches_golden: ablations::run_a2(&ablations::Params::quick()) => "a2_quick.txt";
+    a3_quick_matches_golden: ablations::run_a3(&ablations::Params::quick()) => "a3_quick.txt";
+    x1_quick_matches_golden: x1_multidim::run(&x1_multidim::Params::quick()) => "x1_quick.txt";
+}
