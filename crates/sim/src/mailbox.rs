@@ -21,6 +21,7 @@
 
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt as _};
+use std::ops::Range;
 use swn_core::id::NodeId;
 use swn_core::message::Message;
 
@@ -145,15 +146,26 @@ impl Mailbox {
         self.len(slot) == 0
     }
 
+    /// Where `slot`'s committed messages lie in the buffer.
+    fn range(&self, slot: usize) -> Range<usize> {
+        let rec = self.slots[slot];
+        if rec.len == 0 {
+            return 0..0; // `start` may point past a buffer swapped in since
+        }
+        rec.start as usize..rec.start as usize + rec.len as usize
+    }
+
     /// The committed messages of `slot` as one contiguous slice, in
     /// enqueue order. This is what
     /// [`NetView`](swn_core::views::NetView) borrows.
     pub(crate) fn as_slice(&self, slot: usize) -> &[Message] {
-        let rec = self.slots[slot];
-        if rec.len == 0 {
-            return &[]; // `start` may point past a buffer swapped in since
-        }
-        &self.buf.msgs[rec.start as usize..][..rec.len as usize]
+        &self.buf.msgs[self.range(slot)]
+    }
+
+    /// The enqueue rounds of [`as_slice`](Self::as_slice)'s messages, in
+    /// the same order.
+    pub(crate) fn enqueued(&self, slot: usize) -> &[u64] {
+        &self.buf.enq[self.range(slot)]
     }
 
     /// Empties `slot`'s channel, logged sends included — a departed or

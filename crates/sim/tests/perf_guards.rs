@@ -47,9 +47,11 @@ const RECOVERY_SCALE_LIMIT: f64 = 4.0;
 
 /// A full-scan node-round does O(1) work whatever n is; what grows with
 /// n is the cache misses of the round's random walk over nodes and
-/// mailbox, so 64× more nodes — from a working set that fits the cache
-/// to one far beyond it — may cost at most this factor per node-round.
-const FULL_SCAN_SCALE_LIMIT: f64 = 3.0;
+/// mailbox, which the round's gather pass overlaps instead of taking
+/// one at a time, so 64× more nodes — from a working set that fits the
+/// cache to one far beyond it — may cost at most this factor per
+/// node-round.
+const FULL_SCAN_SCALE_LIMIT: f64 = 2.5;
 
 /// The injector compiles its plan into a round-ordered agenda once, so
 /// entries that are not due cost a round one cursor comparison and a

@@ -225,13 +225,13 @@ fn active_set_churn_reports_match_a_view_per_round_oracle() {
     assert_eq!(net.snapshot().nodes(), oracle.snapshot().nodes());
 }
 
-// ROADMAP 1(a): the old churn soak's non-recovery, closed with tests. A
-// settled `ActiveSet` ring whose tokens sit at their origins is a
-// near-bare cycle — every id is held by its two neighbours and little
-// else — so it needs Θ(n) rounds to heal one bare departure, and a few
-// more inside that interval cut the knowledge graph into lists that
-// each close a ring of their own. That is a disconnected CC view, which
-// no protocol rule can mend, not a liveness hole in the scheduler.
+// A closed finding: the old churn soak's non-recovery was a disconnected
+// CC view, not a liveness hole in the scheduler, and these tests pin it
+// as one. A settled `ActiveSet` ring whose tokens sit at their origins
+// is a near-bare cycle — every id is held by its two neighbours and
+// little else — so it needs Θ(n) rounds to heal one bare departure, and
+// a few more inside that interval cut the knowledge graph into lists
+// that each close a ring of their own, which no protocol rule can mend.
 
 const SOAK_N: usize = 64;
 const SOAK_DEPARTURES: [usize; 4] = [0, 6, 35, 57];
