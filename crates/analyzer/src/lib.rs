@@ -28,8 +28,12 @@
 //!   it into a default `RoundStats` must change some counter.
 //!
 //! Randomness is factored out via [`Policy`]: handlers draw from a
-//! constant word stream, so every branch of `move-forget` is itself
-//! explored by running the search once per policy rather than per seed.
+//! constant word stream, and the search runs once per policy rather than
+//! per seed. That explores two coin sequences of `move-forget`, not all
+//! of them: `Zeros` is "first candidate, always forget" and `Ones` is
+//! "second candidate, never forget". Mixed outcomes ("first, keep",
+//! "second, forget", or two nodes drawing differently in one run) are
+//! never explored (ROADMAP item 6).
 //!
 //! The model is *small-scope* in three bounded dimensions: network size
 //! (n ≤ 5), a per-node budget of regular actions (regular actions are

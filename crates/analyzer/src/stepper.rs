@@ -23,8 +23,10 @@ use swn_core::outbox::Outbox;
 /// * [`Policy::Ones`] — every draw is `u64::MAX`: picks the **second**
 ///   candidate and **never forgets** (for any `φ(age) < 1`).
 ///
-/// Running the search once per policy covers both branches of each draw
-/// at every reachable drawing point.
+/// Running the search once per policy covers these two outcome
+/// combinations only. Mixed outcomes ("first, keep", "second, forget",
+/// or two nodes drawing differently in one run) are never explored
+/// (ROADMAP item 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
     /// All-zero word stream: first candidate, eager forget.

@@ -98,7 +98,7 @@ impl Extended {
     pub fn fin(self) -> Option<NodeId> {
         match self {
             Extended::Fin(id) => Some(id),
-            _ => None,
+            Extended::NegInf | Extended::PosInf => None,
         }
     }
 

@@ -53,6 +53,8 @@
 #![forbid(unsafe_code)]
 // Libraries return strings or take writers; only binaries print.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+// Dispatch must break when a message kind is added, not fall into `_`.
+#![deny(clippy::wildcard_enum_match_arm)]
 #![warn(missing_docs)]
 
 pub mod config;

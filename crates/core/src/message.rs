@@ -59,8 +59,10 @@ pub enum MessageKind {
 impl MessageKind {
     /// Number of message kinds. Every dense per-kind array (trace
     /// counters, tabulation buffers) must be sized with this constant so
-    /// adding a message type is a one-site change caught by the compiler
-    /// (and by `cargo xtask lint`, which flags literal-`7` arrays).
+    /// adding a message type is a one-site change caught by the compiler.
+    /// A table spelled with a literal `7` instead panics on the first
+    /// delivery of an eighth kind, since [`index`](Self::index) would
+    /// return 7 (`kind_indices_are_dense_and_distinct` pins `0..COUNT`).
     pub const COUNT: usize = 7;
 
     /// All kinds, in a fixed order (useful for tabulation).

@@ -227,7 +227,7 @@ impl Node {
     fn send_id(&mut self, out: &mut Outbox) {
         match self.l {
             Extended::Fin(lv) => out.send(lv, Message::Lin(self.id)),
-            _ => {
+            Extended::NegInf | Extended::PosInf => {
                 if let Some(target) = self.ring_target(out) {
                     out.send(target, Message::Ring(self.id));
                 }
@@ -235,7 +235,7 @@ impl Node {
         }
         match self.r {
             Extended::Fin(rv) => out.send(rv, Message::Lin(self.id)),
-            _ => {
+            Extended::NegInf | Extended::PosInf => {
                 if let Some(target) = self.ring_target(out) {
                     out.send(target, Message::Ring(self.id));
                 }

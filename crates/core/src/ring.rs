@@ -39,7 +39,7 @@ impl Node {
                 match self.l {
                     Extended::Fin(lv) => out.send(id, Message::Lin(lv)),
                     // We know nothing smaller: id belongs to our left side.
-                    _ => self.linearize(id, out),
+                    Extended::NegInf | Extended::PosInf => self.linearize(id, out),
                 }
             } else if self.lrl < id {
                 out.send(id, Message::Lin(self.lrl));
@@ -55,7 +55,7 @@ impl Node {
             if self.r > id {
                 match self.r {
                     Extended::Fin(rv) => out.send(id, Message::Lin(rv)),
-                    _ => self.linearize(id, out),
+                    Extended::NegInf | Extended::PosInf => self.linearize(id, out),
                 }
             } else if self.lrl > id {
                 out.send(id, Message::Lin(self.lrl));

@@ -224,7 +224,7 @@ impl<'a> NetView<'a> {
                         View::Cc => true,
                         View::Lcc => m.in_lcc(),
                         View::Rcc => m.in_lcc() || matches!(m, Message::Ring(_)),
-                        _ => unreachable!(),
+                        View::Cp | View::Lcp | View::Rcp => unreachable!(),
                     };
                     if include {
                         for id in m.carried_ids() {

@@ -45,6 +45,9 @@ macro_rules! preset {
     };
 }
 
+/// Printed by `list` and, on stderr, for an unknown `--` flag.
+const USAGE: &str = "usage: experiments <id>... [--quick] [--trace-out FILE] | all [--quick] | report FILE | postmortem FILE | chaos [--quick] [--reproducers DIR] | replay FILE... | list";
+
 /// Runs one experiment; `true` selects the reduced-scale preset.
 type Runner = fn(bool) -> Vec<Table>;
 
@@ -156,6 +159,9 @@ fn main() {
             skip = true;
         } else if !a.starts_with("--") {
             positional.push(a.as_str());
+        } else if a != "--quick" {
+            eprintln!("unknown flag: {a}\n{USAGE}");
+            std::process::exit(2);
         }
     }
     let ids = positional;
@@ -266,9 +272,7 @@ fn main() {
     }
 
     if ids.is_empty() || ids == ["list"] {
-        println!(
-            "usage: experiments <id>... [--quick] [--trace-out FILE] | all [--quick] | report FILE | postmortem FILE | chaos [--quick] [--reproducers DIR] | replay FILE... | list\n"
-        );
+        println!("{USAGE}\n");
         for (id, describe, _) in EXPERIMENTS {
             println!("  {id}  {describe}");
         }

@@ -37,6 +37,10 @@
 // Runs while faults are live, where a panic is indistinguishable from
 // the protocol bug being hunted: errors are `Result`s or named outcomes.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "injector state keyed by id is touched per fault event, never per message"
+)]
 
 use crate::network::Network;
 use crate::obs::causal::CascadeReport;

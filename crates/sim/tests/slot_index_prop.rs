@@ -17,6 +17,11 @@
 //!
 //! [`SlotIndex::get`]: swn_sim::slots::SlotIndex::get
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the BTreeMap is the ordered oracle the index is checked against"
+)]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::btree_map::Entry;
