@@ -7,8 +7,10 @@
 //! symmetry key ([`crate::symmetry`]: id-rank renaming, age
 //! saturation), so the graph is the symmetry quotient; a schedule read
 //! off it replays concretely because the BFS tree follows the stored
-//! representatives. Every enabled transition of every state becomes one
-//! labelled edge, and on every edge the monitors run: the
+//! representatives. Every enabled scheduler action of every state is
+//! applied under every outcome of the coins it draws
+//! ([`State::outcomes`]); each distinct successor becomes one labelled
+//! edge, and on every applied outcome the monitors run: the
 //! per-activation checks of [`State::apply`] (self-send, duplicate
 //! send, unaccounted event) and monotonicity of the [`PredVector`] —
 //! the predicates are pure functions of the configuration, so "true
@@ -23,7 +25,7 @@
 
 use crate::ranking::{rank_of, Rank};
 use crate::state::{decode_msg, msg_code, Key, PredVector, State, Transition, Violation};
-use crate::stepper::{Policy, Stepper};
+use crate::stepper::{Coins, Stepper};
 use crate::symmetry::canonical_key;
 #[expect(
     clippy::disallowed_types,
@@ -59,18 +61,31 @@ pub(crate) fn graph_fp(s: &State) -> u128 {
     fingerprint(&canonical_key(s, true))
 }
 
-/// Packs a transition into a `u64` edge label. Labels are stable across
-/// the whole graph (the node vector's order never changes), so equal
-/// labels on different states are the *same action* — which is exactly
-/// what the fairness obligations compare.
+/// Packs a transition into a `u64` edge label: the scheduler action in
+/// the low 33 bits ([`action_of`]), a delivery's coins above them.
+/// Labels are stable across the whole graph (the node vector's order
+/// never changes), so equal actions on different states are the *same
+/// action* — which is exactly what the fairness obligations compare.
 pub fn pack_label(s: &State, t: &Transition) -> u64 {
     match *t {
         Transition::Regular { node } => node as u64,
-        Transition::Deliver { dest, ref msg } => {
+        Transition::Deliver {
+            dest,
+            ref msg,
+            coins,
+        } => {
             let [k, a, b] = msg_code(&s.nodes, msg);
-            (1 << 32) | ((dest as u64) << 24) | (k << 16) | (a << 8) | b
+            let coins = (u64::from(coins.outcome) << 40) | (u64::from(coins.drawn) << 33);
+            coins | (1 << 32) | ((dest as u64) << 24) | (k << 16) | (a << 8) | b
         }
     }
+}
+
+/// The scheduler action of an edge label, its coin outcome masked off.
+/// Weak fairness constrains the scheduler only; the coins are
+/// adversarial.
+pub fn action_of(label: u64) -> u64 {
+    label & ((1 << 33) - 1)
 }
 
 /// Inverse of [`pack_label`].
@@ -82,9 +97,15 @@ pub fn unpack_label(s: &State, label: u64) -> Transition {
     } else {
         let dest = usize::try_from((label >> 24) & 0xff).expect("packed dest index");
         let code = [(label >> 16) & 0xff, (label >> 8) & 0xff, label & 0xff];
+        #[allow(clippy::cast_possible_truncation)] // packed from u32 fields
+        let coins = Coins {
+            outcome: (label >> 40) as u32,
+            drawn: ((label >> 33) & 0x7f) as u32,
+        };
         Transition::Deliver {
             dest,
             msg: decode_msg(&s.nodes, code),
+            coins,
         }
     }
 }
@@ -109,10 +130,9 @@ pub struct FoundViolation {
 pub struct FairGraph {
     /// The root configuration, budgets included — they bound the scope.
     pub initial: State,
-    /// Randomness policy the graph was built under.
-    pub policy: Policy,
-    /// `edges[v]` = `(label, target)` for every enabled transition of
-    /// `v`; the out-label set of `v` *is* its enabled set.
+    /// `edges[v]` = `(label, target)` for every enabled action of `v`
+    /// and every coin outcome of it that reaches a distinct successor;
+    /// the [`action_of`] set of `v`'s labels *is* its enabled set.
     pub edges: Vec<Vec<(u64, u32)>>,
     /// BFS tree: `(parent, label)` per state; the root points at itself.
     pub parent: Vec<(u32, u64)>,
@@ -129,8 +149,8 @@ pub struct FairGraph {
     /// out-edges *in the graph* but is not terminal in the model.
     pub expanded: Vec<bool>,
     /// Sends coalesced by the channel-multiplicity bound, summed over
-    /// the edges (see [`State::initial_bounded`]). Non-zero means
-    /// exhaustiveness is relative to that bound.
+    /// the applied transitions (see [`State::initial_bounded`]). Non-zero
+    /// means exhaustiveness is relative to that bound.
     pub coalesced_sends: usize,
     /// True when the construction stopped before exhausting the
     /// reachable set — at `max_states`, or at the first monitor
@@ -143,17 +163,11 @@ pub struct FairGraph {
 
 impl FairGraph {
     /// Breadth-first construction of the reachable quotient of the
-    /// budgeted model under `stepper` and `policy`, monitors running on
-    /// every applied transition.
-    pub fn build(
-        initial: &State,
-        stepper: &dyn Stepper,
-        policy: Policy,
-        max_states: usize,
-    ) -> FairGraph {
+    /// budgeted model under `stepper`, over every coin outcome, monitors
+    /// running on every applied transition.
+    pub fn build(initial: &State, stepper: &dyn Stepper, max_states: usize) -> FairGraph {
         let mut g = FairGraph {
             initial: initial.clone(),
-            policy,
             edges: Vec::new(),
             parent: Vec::new(),
             pred: Vec::new(),
@@ -172,44 +186,52 @@ impl FairGraph {
         g.parent.push((0, u64::MAX));
         queue.push_back((0, initial.clone()));
         'bfs: while let Some((v, s)) = queue.pop_front() {
-            for t in s.enabled() {
-                let a = s
-                    .apply(stepper, policy, &t)
-                    .expect("enabled transitions apply");
-                let fp = graph_fp(&a.next);
-                let label = pack_label(&s, &t);
-                let w = match index.get(&fp) {
-                    Some(&w) => w,
-                    None if g.edges.len() >= max_states => {
+            for action in s.enabled() {
+                let first_edge = g.edges[v as usize].len();
+                let outcomes = s.outcomes(stepper, &action);
+                assert!(!outcomes.is_empty(), "enabled transitions apply");
+                for (t, a) in outcomes {
+                    let fp = graph_fp(&a.next);
+                    let label = pack_label(&s, &t);
+                    let w = match index.get(&fp) {
+                        Some(&w) => w,
+                        None if g.edges.len() >= max_states => {
+                            g.stop_at(v);
+                            break 'bfs;
+                        }
+                        None => {
+                            // max_states bounds the graph well under u32::MAX.
+                            #[allow(clippy::cast_possible_truncation)]
+                            let w = g.edges.len() as u32;
+                            index.insert(fp, w);
+                            g.push_state(&a.next);
+                            g.parent.push((v, label));
+                            queue.push_back((w, a.next));
+                            w
+                        }
+                    };
+                    let (before, after) = (g.pred[v as usize], g.pred[w as usize]);
+                    if let Some(violation) = Violation::on_transition(&a.violations, before, after)
+                    {
+                        let mut trace = g.stem_to(v);
+                        trace.push(t);
+                        g.violation = Some(FoundViolation {
+                            violation,
+                            trace,
+                            pred_before: before,
+                            pred_after: after,
+                        });
                         g.stop_at(v);
                         break 'bfs;
                     }
-                    None => {
-                        // max_states bounds the graph well under u32::MAX.
-                        #[allow(clippy::cast_possible_truncation)]
-                        let w = g.edges.len() as u32;
-                        index.insert(fp, w);
-                        g.push_state(&a.next);
-                        g.parent.push((v, label));
-                        queue.push_back((w, a.next));
-                        w
+                    g.coalesced_sends += a.coalesced_sends as usize;
+                    // Outcomes of one action that reach the same successor
+                    // are one edge; the monitors still ran on each.
+                    let out = &mut g.edges[v as usize];
+                    if !out[first_edge..].iter().any(|&(_, x)| x == w) {
+                        out.push((label, w));
                     }
-                };
-                let (before, after) = (g.pred[v as usize], g.pred[w as usize]);
-                if let Some(violation) = Violation::on_transition(&a.violations, before, after) {
-                    let mut trace = g.stem_to(v);
-                    trace.push(t);
-                    g.violation = Some(FoundViolation {
-                        violation,
-                        trace,
-                        pred_before: before,
-                        pred_after: after,
-                    });
-                    g.stop_at(v);
-                    break 'bfs;
                 }
-                g.coalesced_sends += a.coalesced_sends as usize;
-                g.edges[v as usize].push((label, w));
             }
             g.expanded[v as usize] = true;
         }
@@ -291,12 +313,7 @@ mod tests {
     use crate::stepper::{DropLinStepper, RealStepper, SelfEchoStepper};
 
     fn build(stepper: &dyn Stepper, budget: u32, max_states: usize) -> FairGraph {
-        FairGraph::build(
-            &demo_fault_state(budget),
-            stepper,
-            Policy::Zeros,
-            max_states,
-        )
+        FairGraph::build(&demo_fault_state(budget), stepper, max_states)
     }
 
     #[test]

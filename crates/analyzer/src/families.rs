@@ -67,7 +67,7 @@ impl Family {
     }
 }
 
-/// The fixture behind `analyzer --demo-fault`: two fresh nodes whose only
+/// The fixture behind `analyzer --mutant drop-lin`: two fresh nodes whose only
 /// connection is a `lin` message in flight. Under the real protocol the
 /// delivery linearizes the carried identifier; under
 /// [`DropLinStepper`](crate::stepper::DropLinStepper) it vanishes and CC

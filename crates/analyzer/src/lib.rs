@@ -27,13 +27,12 @@
 //!   emits is **accounted for** by `swn_sim::trace::RoundStats` — folding
 //!   it into a default `RoundStats` must change some counter.
 //!
-//! Randomness is factored out via [`Policy`]: handlers draw from a
-//! constant word stream, and the search runs once per policy rather than
-//! per seed. That explores two coin sequences of `move-forget`, not all
-//! of them: `Zeros` is "first candidate, always forget" and `Ones` is
-//! "second candidate, never forget". Mixed outcomes ("first, keep",
-//! "second, forget", or two nodes drawing differently in one run) are
-//! never explored (ROADMAP item 6).
+//! Randomness is branched on, not sampled: `move-forget` is the only
+//! handler that draws, one coin for the candidate and one for the
+//! forget, and handlers draw from [`Coins`] that land on a given
+//! outcome. The graph applies every outcome of every activation, so the
+//! coins are as adversarial as the scheduler and each verdict holds for
+//! every coin sequence.
 //!
 //! The model is *small-scope* in three bounded dimensions: network size
 //! (n ≤ 5), a per-node budget of regular actions (regular actions are
@@ -80,7 +79,5 @@ pub use liveness::{
 pub use minimize::{format_trace, minimize, minimize_lasso, minimize_with, replay};
 pub use ranking::{rank_of, Rank, GOAL_RANK};
 pub use state::{PredVector, State, Transition, Violation};
-pub use stepper::{
-    BounceLinStepper, DropLinStepper, Policy, PolicyRng, RealStepper, SelfEchoStepper, Stepper,
-};
+pub use stepper::{BounceLinStepper, Coins, DropLinStepper, RealStepper, SelfEchoStepper, Stepper};
 pub use symmetry::{canonical_key, AGE_SATURATION};

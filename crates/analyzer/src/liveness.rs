@@ -9,7 +9,7 @@
 //! monitor. This module closes that gap on the same graph.
 //!
 //! **The graph.** Per-node regular-action budgets, set-semantics
-//! channels, one graph per randomness [`Policy`]. Budgets are what make
+//! channels, a branch per coin outcome of `move-forget`. Budgets make
 //! the graph finite, and they interact with fairness exactly right
 //! rather than being an obstacle: a regular action strictly decreases
 //! its node's budget, so **every cycle is delivery-only**, and on any
@@ -27,7 +27,11 @@
 //! every action enabled in *all* states it keeps visiting. Hence the
 //! detector's SCC criterion: an SCC `C` supports a fair cycle iff every
 //! action enabled in **every** state of `C` (the *obligations*) is
-//! taken by some edge internal to `C`. If an obligation has no internal
+//! taken by some edge internal to `C`. Fairness constrains the
+//! scheduler only: obligations compare scheduler actions
+//! ([`action_of`]), and which coin outcome an edge took is the
+//! adversary's choice, so "livelock-free" holds for every coin sequence.
+//! If an obligation has no internal
 //! edge, any run staying inside `C` starves a continuously enabled
 //! action — not fair; conversely a tour of all of `C` taking each
 //! obligation edge is a concrete fair lasso cycle, which
@@ -60,11 +64,11 @@
 //! part is a transition-local property whose validity is independent of
 //! the budget that bounded the search.
 
-use crate::explore::{graph_fp, pack_label, unpack_label, FairGraph};
+use crate::explore::{action_of, graph_fp, pack_label, unpack_label, FairGraph};
 use crate::minimize::{minimize_lasso, minimize_with};
 use crate::ranking::{Rank, GOAL_RANK};
 use crate::state::{PredVector, State, Transition};
-use crate::stepper::{Policy, Stepper};
+use crate::stepper::Stepper;
 #[expect(
     clippy::disallowed_types,
     reason = "BFS parent lookup; iteration order is never observed"
@@ -133,9 +137,10 @@ fn tarjan(edges: &[Vec<(u64, u32)>]) -> (Vec<u32>, u32) {
     (comp, comp_count)
 }
 
-/// Sorted, deduplicated out-label set of `v` — its enabled actions.
+/// Sorted, deduplicated scheduler actions of `v`'s out-edges — its
+/// enabled actions.
 fn out_labels(edges: &[Vec<(u64, u32)>], v: u32) -> Vec<u64> {
-    let mut ls: Vec<u64> = edges[v as usize].iter().map(|e| e.0).collect();
+    let mut ls: Vec<u64> = edges[v as usize].iter().map(|e| action_of(e.0)).collect();
     ls.sort_unstable();
     ls.dedup();
     ls
@@ -207,7 +212,7 @@ fn sweep_fair_sccs(
                 .iter()
                 .flat_map(|&v| cycle_edges[v as usize].iter())
                 .filter(|&&(_, w)| comp[w as usize] as usize == cid)
-                .map(|&(l, _)| l)
+                .map(|&(l, _)| action_of(l))
                 .collect();
             ls.sort_unstable();
             ls.dedup();
@@ -310,21 +315,21 @@ fn build_cycle(cycle_edges: &[Vec<(u64, u32)>], scc: &FairBadScc) -> Vec<(u64, u
         append_hops(&mut seq, &mut cur, hops);
     }
     for &obl in &scc.obligations {
-        if seq.iter().any(|&(l, _)| l == obl) {
+        if seq.iter().any(|&(l, _)| action_of(l) == obl) {
             continue;
         }
-        let (src, tgt) = members
+        let (src, edge) = members
             .iter()
             .find_map(|&v| {
                 cycle_edges[v as usize]
                     .iter()
-                    .find(|&&(l, w)| l == obl && members.binary_search(&w).is_ok())
-                    .map(|&(_, w)| (v, w))
+                    .find(|&&(l, w)| action_of(l) == obl && members.binary_search(&w).is_ok())
+                    .map(|&edge| (v, edge))
             })
             .expect("fair SCC has an internal edge per obligation");
         let hops = path_within(cycle_edges, &members, cur, src);
         append_hops(&mut seq, &mut cur, hops);
-        append_hops(&mut seq, &mut cur, vec![(obl, tgt)]);
+        append_hops(&mut seq, &mut cur, vec![edge]);
     }
     let hops = path_within(cycle_edges, &members, cur, anchor);
     append_hops(&mut seq, &mut cur, hops);
@@ -344,12 +349,11 @@ fn build_cycle(cycle_edges: &[Vec<(u64, u32)>], scc: &FairBadScc) -> Vec<(u64, u
 pub fn replay_states(
     initial: &State,
     stepper: &dyn Stepper,
-    policy: Policy,
     trace: &[Transition],
 ) -> Option<Vec<State>> {
     let mut states = vec![initial.clone()];
     for t in trace {
-        let a = states.last().expect("nonempty").apply(stepper, policy, t)?;
+        let a = states.last().expect("nonempty").apply(stepper, t)?;
         states.push(a.next);
     }
     Some(states)
@@ -358,24 +362,24 @@ pub fn replay_states(
 /// Replay-validates a lasso independently of the graph: the stem
 /// replays, the cycle replays and returns to its anchor (canonical
 /// symmetry key, budgets included), visits a non-goal state, and is
-/// weakly fair — every action enabled in all of its states is taken by
-/// it. Budget equality at the anchor means a valid cycle spends no
-/// budget, i.e. it is delivery-only.
+/// weakly fair — every scheduler action enabled in all of its states is
+/// taken by it, under whatever coin outcome. Budget equality at the
+/// anchor means a valid cycle spends no budget, i.e. it is
+/// delivery-only.
 pub fn validate_lasso(
     initial: &State,
     stepper: &dyn Stepper,
-    policy: Policy,
     stem: &[Transition],
     cycle: &[Transition],
 ) -> bool {
     if cycle.is_empty() {
         return false;
     }
-    let Some(stem_states) = replay_states(initial, stepper, policy, stem) else {
+    let Some(stem_states) = replay_states(initial, stepper, stem) else {
         return false;
     };
     let anchor = stem_states.last().expect("nonempty");
-    let Some(cycle_states) = replay_states(anchor, stepper, policy, cycle) else {
+    let Some(cycle_states) = replay_states(anchor, stepper, cycle) else {
         return false;
     };
     if graph_fp(cycle_states.last().expect("nonempty")) != graph_fp(anchor) {
@@ -391,12 +395,16 @@ pub fn validate_lasso(
         let here = out_label_set_of(initial, s);
         obligations.retain(|l| here.binary_search(l).is_ok());
     }
-    let taken: Vec<u64> = cycle.iter().map(|t| pack_label(initial, t)).collect();
+    let taken: Vec<u64> = cycle
+        .iter()
+        .map(|t| action_of(pack_label(initial, t)))
+        .collect();
     obligations.iter().all(|l| taken.contains(l))
 }
 
 /// Sorted enabled-action labels of `s` (labels are node-vector relative,
-/// so any state of the run can carry the encoding context).
+/// so any state of the run can carry the encoding context). Enabled
+/// actions name no coins, so each label is its own [`action_of`].
 fn out_label_set_of(ctx: &State, s: &State) -> Vec<u64> {
     let mut ls: Vec<u64> = s.enabled().iter().map(|t| pack_label(ctx, t)).collect();
     ls.sort_unstable();
@@ -461,7 +469,7 @@ pub fn check_convergence(g: &FairGraph, stepper: &dyn Stepper) -> ConvergenceRep
     let counterexample = sweep.violation.as_ref().map(|scc| {
         let lasso = extract_lasso(g, stepper, &g.edges, scc);
         assert!(
-            validate_lasso(&g.initial, stepper, g.policy, &lasso.stem, &lasso.cycle),
+            validate_lasso(&g.initial, stepper, &lasso.stem, &lasso.cycle),
             "minimized lasso must replay as a fair non-goal cycle"
         );
         lasso
@@ -498,11 +506,11 @@ fn extract_lasso(
         .map(|(l, _)| unpack_label(&g.initial, l))
         .collect();
     assert!(
-        validate_lasso(&g.initial, stepper, g.policy, &stem, &cycle),
+        validate_lasso(&g.initial, stepper, &stem, &cycle),
         "raw lasso must replay before minimization"
     );
     let valid = |stem: &[Transition], cycle: &[Transition]| {
-        validate_lasso(&g.initial, stepper, g.policy, stem, cycle)
+        validate_lasso(&g.initial, stepper, stem, cycle)
     };
     let (stem, cycle) = minimize_lasso(&stem, &cycle, &valid);
     Lasso { stem, cycle }
@@ -541,7 +549,7 @@ pub fn check_closure(g: &FairGraph, stepper: &dyn Stepper) -> ClosureReport {
         #[allow(clippy::cast_possible_truncation)]
         let stem = g.stem_to(bad as u32);
         let escapes = |trace: &[Transition]| {
-            replay_states(&g.initial, stepper, g.policy, trace).is_some_and(|states| {
+            replay_states(&g.initial, stepper, trace).is_some_and(|states| {
                 !is_sorted_ring_view(&states.last().expect("nonempty").view())
             })
         };
@@ -626,7 +634,7 @@ pub fn check_ranking(g: &FairGraph, stepper: &dyn Stepper) -> RankingReport {
     let stutter_counterexample = sweep.violation.as_ref().map(|scc| {
         let lasso = extract_lasso(g, stepper, &stutter, scc);
         assert!(
-            validate_lasso(&g.initial, stepper, g.policy, &lasso.stem, &lasso.cycle),
+            validate_lasso(&g.initial, stepper, &lasso.stem, &lasso.cycle),
             "minimized stutter lasso must replay"
         );
         lasso
@@ -665,7 +673,7 @@ mod tests {
     #[test]
     fn real_protocol_pair_is_livelock_free() {
         let s = crate::families::Family::Line.initial_state(2, 2, 1);
-        let g = FairGraph::build(&s, &RealStepper, Policy::Zeros, 500_000);
+        let g = FairGraph::build(&s, &RealStepper, 500_000);
         let report = check_convergence(&g, &RealStepper);
         assert!(report.livelock_free(), "fair sccs: {}", report.fair_sccs);
         assert!(report.goal_states > 0, "the pair must reach its ring");
@@ -675,7 +683,7 @@ mod tests {
     #[test]
     fn bounce_mutant_produces_validated_lasso() {
         let s = livelock_demo_state();
-        let g = FairGraph::build(&s, &BounceLinStepper, Policy::Zeros, 500_000);
+        let g = FairGraph::build(&s, &BounceLinStepper, 500_000);
         let report = check_convergence(&g, &BounceLinStepper);
         assert!(!g.truncated);
         let lasso = report.counterexample.expect("livelock must be detected");
@@ -685,7 +693,6 @@ mod tests {
         assert!(validate_lasso(
             &s,
             &BounceLinStepper,
-            Policy::Zeros,
             &lasso.stem,
             &lasso.cycle
         ));
@@ -694,7 +701,7 @@ mod tests {
     #[test]
     fn ring_pair_is_closed() {
         let s = ring_state(2, 2);
-        let g = FairGraph::build(&s, &RealStepper, Policy::Zeros, 500_000);
+        let g = FairGraph::build(&s, &RealStepper, 500_000);
         let report = check_closure(&g, &RealStepper);
         assert!(report.closed(), "escape: {:?}", report.escape);
         assert_eq!(report.ring_states, report.states);
@@ -704,12 +711,12 @@ mod tests {
     fn monitors_run_under_closure_too() {
         // The ring's own chatter delivers messages, so the echo mutant
         // self-sends on a clean-looking ring; closure must not pass it.
-        let g = FairGraph::build(&ring_state(3, 1), &SelfEchoStepper, Policy::Zeros, 500_000);
+        let g = FairGraph::build(&ring_state(3, 1), &SelfEchoStepper, 500_000);
         let report = check_closure(&g, &SelfEchoStepper);
         assert!(!report.closed());
         let found = g.violation.expect("the self-send monitor fires");
         assert!(matches!(found.violation, Violation::SelfSend { .. }));
-        let r = crate::minimize::replay(&g.initial, &SelfEchoStepper, g.policy, &found.trace);
+        let r = crate::minimize::replay(&g.initial, &SelfEchoStepper, &found.trace);
         assert!(r.complete);
         assert_eq!(r.first_violation(), Some(found.violation));
     }

@@ -3,17 +3,17 @@
 //! ```text
 //! analyzer [--mode safety|liveness|closure|ranking]
 //!          [--n N] [--family line|star|clique|all] [--budget K]
-//!          [--policy zeros|ones|all] [--seed S] [--max-states M]
-//!          [--channel-bound B]
-//!          [--mutant drop-lin|self-echo|bounce-lin] [--demo-fault] [--json]
+//!          [--seed S] [--max-states M] [--channel-bound B]
+//!          [--mutant drop-lin|self-echo|bounce-lin] [--json]
 //! ```
 //!
-//! Every mode builds the same graph (`swn_analyzer::explore`) with the
-//! safety monitors running on every edge, and fails on a monitor
-//! violation or a truncated graph. The default mode, `safety`, asks
-//! nothing more: it exhaustively checks every family at n = 3 with one
-//! regular action per node under both randomness policies (2.96 M
-//! distinct states) and prints the minimized schedule of any violation.
+//! Every mode builds one graph per scope (`swn_analyzer::explore`), over
+//! every schedule and every coin outcome, with the safety monitors
+//! running on every edge, and fails on a monitor violation or a
+//! truncated graph. The default mode, `safety`, asks nothing more: it
+//! exhaustively checks every family at n = 3 with one regular action per
+//! node (2.05 M distinct states) and prints the minimized schedule of
+//! any violation.
 //! The three liveness modes add the fair-cycle machinery of
 //! `swn_analyzer::liveness`:
 //!
@@ -29,7 +29,6 @@
 //! expects the checker to catch it (exit 0 when caught): `drop-lin` and
 //! `self-echo` are safety mutants, `bounce-lin` livelocks and is caught
 //! by the fair-cycle detector with a minimized, replayable lasso.
-//! `--demo-fault` is the historical alias for `--mutant drop-lin`.
 //! `--json` emits one machine-readable JSON document on stdout instead
 //! of the human tables (the verdicts, sizes, SCC stats and any
 //! counterexample schedules).
@@ -39,7 +38,7 @@
 use swn_analyzer::families::{livelock_demo_state, ring_state};
 use swn_analyzer::{
     check_closure, check_convergence, check_ranking, format_trace, minimize, BounceLinStepper,
-    DropLinStepper, FairGraph, Family, Lasso, Policy, RealStepper, SelfEchoStepper, State, Stepper,
+    DropLinStepper, FairGraph, Family, Lasso, RealStepper, SelfEchoStepper, State, Stepper,
     Transition,
 };
 
@@ -67,7 +66,6 @@ struct Args {
     n: usize,
     families: Vec<Family>,
     budget: u32,
-    policies: Vec<Policy>,
     seed: u64,
     max_states: usize,
     channel_bound: u32,
@@ -82,7 +80,6 @@ struct JsonRun {
     mode: &'static str,
     stepper: &'static str,
     family: Option<&'static str>,
-    policy: &'static str,
     states: usize,
     edges: usize,
     truncated: bool,
@@ -116,7 +113,6 @@ struct JsonDoc {
     budget: u32,
     seed: u64,
     channel_bound: u32,
-    symmetry: bool,
     failed: bool,
     runs: Vec<JsonRun>,
 }
@@ -125,9 +121,9 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: analyzer [--mode safety|liveness|closure|ranking] [--n N] \
-         [--family line|star|clique|all] [--budget K] [--policy zeros|ones|all] \
+         [--family line|star|clique|all] [--budget K] \
          [--seed S] [--max-states M] [--channel-bound B] \
-         [--mutant drop-lin|self-echo|bounce-lin] [--demo-fault] [--json]"
+         [--mutant drop-lin|self-echo|bounce-lin] [--json]"
     );
     std::process::exit(2);
 }
@@ -138,7 +134,6 @@ fn parse_args() -> Args {
         n: 3,
         families: Family::ALL.to_vec(),
         budget: 1,
-        policies: Policy::ALL.to_vec(),
         seed: 1,
         max_states: 2_000_000,
         channel_bound: 1,
@@ -186,15 +181,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage("--budget expects an integer"));
             }
-            "--policy" => {
-                let v = value(&mut i);
-                args.policies = match v.as_str() {
-                    "zeros" => vec![Policy::Zeros],
-                    "ones" => vec![Policy::Ones],
-                    "all" => Policy::ALL.to_vec(),
-                    _ => usage("--policy expects zeros|ones|all"),
-                };
-            }
             "--seed" => {
                 args.seed = value(&mut i)
                     .parse()
@@ -220,7 +206,6 @@ fn parse_args() -> Args {
                 }
                 args.mutant = Some(v);
             }
-            "--demo-fault" => args.mutant = Some("drop-lin".to_owned()),
             "--json" => args.json = true,
             other => usage(&format!("unknown flag {other}")),
         }
@@ -246,7 +231,6 @@ impl JsonRun {
             mode: mode.label(),
             stepper: stepper.label(),
             family: family.map(Family::label),
-            policy: g.policy.label(),
             states: g.len(),
             edges: g.edge_count(),
             truncated: g.truncated,
@@ -294,8 +278,18 @@ fn print_lasso(lasso: &JsonLasso) {
     }
 }
 
-fn print_doc(doc: &JsonDoc) {
-    println!("{}", serde_json::to_string(doc).expect("serialize"));
+/// Prints the `--json` document; it has `failed` set when a run is not ok.
+fn print_doc(mode: &'static str, n: usize, budget: u32, args: &Args, runs: Vec<JsonRun>) {
+    let doc = JsonDoc {
+        mode,
+        n,
+        budget,
+        seed: args.seed,
+        channel_bound: args.channel_bound,
+        failed: runs.iter().any(|r| !r.ok),
+        runs,
+    };
+    println!("{}", serde_json::to_string(&doc).expect("serialize"));
 }
 
 /// Runs a safety mutant (drop-lin / self-echo) on the two-node demo
@@ -304,26 +298,17 @@ fn print_doc(doc: &JsonDoc) {
 fn run_safety_mutant(args: &Args, stepper: &dyn Stepper) {
     let budget = args.budget.min(1);
     let initial = swn_analyzer::families::demo_fault_state(budget);
-    let g = FairGraph::build(&initial, stepper, Policy::Zeros, args.max_states);
+    let g = FairGraph::build(&initial, stepper, args.max_states);
     let Some(found) = &g.violation else {
         eprintln!("mutant fixture unexpectedly clean — the monitors are broken");
         std::process::exit(1);
     };
-    let min = minimize(&initial, stepper, Policy::Zeros, &found.trace);
+    let min = minimize(&initial, stepper, &found.trace);
     if args.json {
         let verdict = format!("caught: {}", found.violation);
         let mut run = JsonRun::new(Mode::Safety, stepper, None, &g, true, verdict);
         run.escape = Some(fmt_schedule(&min));
-        print_doc(&JsonDoc {
-            mode: "safety",
-            n: 2,
-            budget,
-            seed: args.seed,
-            channel_bound: args.channel_bound,
-            symmetry: true,
-            failed: false,
-            runs: vec![run],
-        });
+        print_doc("safety", 2, budget, args, vec![run]);
         return;
     }
     println!(
@@ -332,7 +317,7 @@ fn run_safety_mutant(args: &Args, stepper: &dyn Stepper) {
         g.len()
     );
     println!("raw trace: {} steps; minimizing...", found.trace.len());
-    print!("{}", format_trace(&initial, stepper, Policy::Zeros, &min));
+    print!("{}", format_trace(&initial, stepper, &min));
 }
 
 /// Runs the bounce-lin mutant through the fair-cycle detector on its
@@ -341,7 +326,7 @@ fn run_safety_mutant(args: &Args, stepper: &dyn Stepper) {
 fn run_bounce_mutant(args: &Args) {
     let stepper = BounceLinStepper;
     let initial = livelock_demo_state();
-    let g = FairGraph::build(&initial, &stepper, Policy::Zeros, args.max_states);
+    let g = FairGraph::build(&initial, &stepper, args.max_states);
     let (mut run, row) = convergence_run(&g, &stepper, None);
     let Some(lasso) = &run.lasso else {
         eprintln!("bounce-lin fixture has no fair non-goal cycle — the detector is broken");
@@ -350,16 +335,7 @@ fn run_bounce_mutant(args: &Args) {
     if args.json {
         // For this mutant a run is "ok" when the livelock IS caught.
         run.ok = true;
-        print_doc(&JsonDoc {
-            mode: "liveness",
-            n: initial.nodes.len(),
-            budget: 0,
-            seed: args.seed,
-            channel_bound: args.channel_bound,
-            symmetry: true,
-            failed: false,
-            runs: vec![run],
-        });
+        print_doc("liveness", initial.nodes.len(), 0, args, vec![run]);
         return;
     }
     println!(
@@ -498,8 +474,8 @@ fn ranking_run(g: &FairGraph, family: Option<Family>) -> (JsonRun, String) {
 /// Builds the one graph of a scope and lets `args.mode` judge it. A
 /// monitor violation overrides whatever the mode concluded from the part
 /// of the graph built before it.
-fn check_scope(initial: &State, family: Option<Family>, policy: Policy, args: &Args) -> JsonRun {
-    let g = FairGraph::build(initial, &RealStepper, policy, args.max_states);
+fn check_scope(initial: &State, family: Option<Family>, args: &Args) -> JsonRun {
+    let g = FairGraph::build(initial, &RealStepper, args.max_states);
     let (mut run, row) = match args.mode {
         Mode::Safety => safety_run(&g, family),
         Mode::Liveness => convergence_run(&g, &RealStepper, family),
@@ -509,7 +485,7 @@ fn check_scope(initial: &State, family: Option<Family>, policy: Policy, args: &A
     let minimized = g
         .violation
         .as_ref()
-        .map(|found| minimize(initial, &RealStepper, policy, &found.trace));
+        .map(|found| minimize(initial, &RealStepper, &found.trace));
     if let Some(found) = &g.violation {
         run.ok = false;
         run.verdict = format!("VIOLATION: {}", found.violation);
@@ -520,9 +496,8 @@ fn check_scope(initial: &State, family: Option<Family>, policy: Policy, args: &A
         return run;
     }
     println!(
-        "  {:<6} policy={:<5} states={:>8} edges={:>9} {row}  {}",
+        "  {:<6} states={:>8} edges={:>9} {row}  {}",
         family.map_or("ring", Family::label),
-        policy.label(),
         run.states,
         run.edges,
         run.verdict
@@ -534,7 +509,7 @@ fn check_scope(initial: &State, family: Option<Family>, policy: Policy, args: &A
         );
     }
     if let Some(min) = &minimized {
-        print!("{}", format_trace(initial, &RealStepper, policy, min));
+        print!("{}", format_trace(initial, &RealStepper, min));
     } else {
         if let Some(l) = &run.lasso {
             print_lasso(l);
@@ -578,24 +553,13 @@ fn main() {
             .map(|f| (Some(*f), seeded(f)))
             .collect()
     };
-    let mut runs: Vec<JsonRun> = Vec::new();
-    for &policy in &args.policies {
-        for (family, initial) in &scopes {
-            runs.push(check_scope(initial, *family, policy, &args));
-        }
-    }
+    let runs: Vec<JsonRun> = scopes
+        .iter()
+        .map(|(family, initial)| check_scope(initial, *family, &args))
+        .collect();
     let failed = runs.iter().any(|r| !r.ok);
     if args.json {
-        print_doc(&JsonDoc {
-            mode: args.mode.label(),
-            n: args.n,
-            budget: args.budget,
-            seed: args.seed,
-            channel_bound: args.channel_bound,
-            symmetry: true,
-            failed,
-            runs,
-        });
+        print_doc(args.mode.label(), args.n, args.budget, &args, runs);
     }
     if failed {
         std::process::exit(1);

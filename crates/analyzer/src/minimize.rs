@@ -21,7 +21,7 @@
 //! deterministically by construction.
 
 use crate::state::{PredVector, State, Transition, Violation};
-use crate::stepper::{Policy, Stepper};
+use crate::stepper::Stepper;
 use std::fmt::Write as _;
 
 /// One replayed transition with the monitors' observations.
@@ -66,17 +66,12 @@ impl Replay {
 /// Replays `trace` from `initial` through `stepper`, recording monitor
 /// output per step. Stops early (with `complete = false`) at the first
 /// transition that is not enabled.
-pub fn replay(
-    initial: &State,
-    stepper: &dyn Stepper,
-    policy: Policy,
-    trace: &[Transition],
-) -> Replay {
+pub fn replay(initial: &State, stepper: &dyn Stepper, trace: &[Transition]) -> Replay {
     let mut cur = initial.clone();
     let mut steps = Vec::new();
     let mut complete = true;
     for t in trace {
-        match cur.apply(stepper, policy, t) {
+        match cur.apply(stepper, t) {
             Some(a) => {
                 steps.push(ReplayStep {
                     transition: t.clone(),
@@ -105,14 +100,9 @@ pub fn replay(
 ///
 /// # Panics
 /// Panics if `trace` does not reproduce a violation in the first place.
-pub fn minimize(
-    initial: &State,
-    stepper: &dyn Stepper,
-    policy: Policy,
-    trace: &[Transition],
-) -> Vec<Transition> {
+pub fn minimize(initial: &State, stepper: &dyn Stepper, trace: &[Transition]) -> Vec<Transition> {
     let reproduces = |candidate: &[Transition]| {
-        let r = replay(initial, stepper, policy, candidate);
+        let r = replay(initial, stepper, candidate);
         r.complete && r.first_violation().is_some()
     };
     assert!(
@@ -184,21 +174,16 @@ pub fn minimize_lasso(
 
 /// Renders a violating schedule as a human-readable listing: the initial
 /// predicates, each step with the predicates after it, and the violation
-/// each monitor raised. This is what `analyzer --demo-fault` prints.
-pub fn format_trace(
-    initial: &State,
-    stepper: &dyn Stepper,
-    policy: Policy,
-    trace: &[Transition],
-) -> String {
-    let r = replay(initial, stepper, policy, trace);
+/// each monitor raised. This is what `analyzer --mutant drop-lin`
+/// prints.
+pub fn format_trace(initial: &State, stepper: &dyn Stepper, trace: &[Transition]) -> String {
+    let r = replay(initial, stepper, trace);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "counterexample ({} steps, stepper: {}, policy: {}):",
+        "counterexample ({} steps, stepper: {}):",
         trace.len(),
-        stepper.label(),
-        policy.label()
+        stepper.label()
     );
     let _ = writeln!(
         out,
@@ -245,7 +230,7 @@ mod tests {
     /// something to remove.
     fn padded_violating_trace() -> (State, Vec<Transition>) {
         let s = demo_fault_state(1);
-        let g = FairGraph::build(&s, &DropLinStepper, Policy::Zeros, 2_000_000);
+        let g = FairGraph::build(&s, &DropLinStepper, 2_000_000);
         let v = g.violation.expect("drop-lin violates");
         let mut trace = vec![
             Transition::Regular { node: 0 },
@@ -258,7 +243,7 @@ mod tests {
     #[test]
     fn replay_reproduces_explorer_violation() {
         let (s, trace) = padded_violating_trace();
-        let r = replay(&s, &DropLinStepper, Policy::Zeros, &trace);
+        let r = replay(&s, &DropLinStepper, &trace);
         assert!(r.complete);
         assert!(r.first_violation().is_some());
     }
@@ -268,21 +253,21 @@ mod tests {
         let (s, trace) = padded_violating_trace();
         // The same schedule under the real protocol is clean (when it
         // replays at all).
-        let r = replay(&s, &RealStepper, Policy::Zeros, &trace);
+        let r = replay(&s, &RealStepper, &trace);
         assert!(r.first_violation().is_none());
     }
 
     #[test]
     fn minimized_trace_is_one_minimal() {
         let (s, trace) = padded_violating_trace();
-        let min = minimize(&s, &DropLinStepper, Policy::Zeros, &trace);
+        let min = minimize(&s, &DropLinStepper, &trace);
         assert!(!min.is_empty());
         assert!(min.len() < trace.len());
         // 1-minimality: dropping any single transition loses the bug.
         for i in 0..min.len() {
             let mut c = min.clone();
             c.remove(i);
-            let r = replay(&s, &DropLinStepper, Policy::Zeros, &c);
+            let r = replay(&s, &DropLinStepper, &c);
             assert!(
                 !(r.complete && r.first_violation().is_some()),
                 "dropping step {i} still violates: not minimal"
@@ -296,8 +281,8 @@ mod tests {
     #[test]
     fn format_trace_names_the_violation() {
         let (s, trace) = padded_violating_trace();
-        let min = minimize(&s, &DropLinStepper, Policy::Zeros, &trace);
-        let text = format_trace(&s, &DropLinStepper, Policy::Zeros, &min);
+        let min = minimize(&s, &DropLinStepper, &trace);
+        let text = format_trace(&s, &DropLinStepper, &min);
         assert!(text.contains("VIOLATION"), "{text}");
         assert!(text.contains("weakly_connected(Cc)"), "{text}");
         assert!(text.contains("deliver"), "{text}");

@@ -11,7 +11,7 @@
 //! regular actions explores every interleaving of `n·k` regular actions
 //! with all the message deliveries they transitively cause.
 
-use crate::stepper::{Policy, PolicyRng, Stepper};
+use crate::stepper::{Coins, Stepper};
 use std::fmt;
 use swn_core::id::{Extended, NodeId};
 use swn_core::invariants::{is_sorted_list_view, is_sorted_ring_view, weakly_connected_view};
@@ -22,7 +22,8 @@ use swn_core::views::{NetView, View};
 use swn_sim::trace::RoundStats;
 
 /// One scheduler choice: deliver a specific in-flight message, or run a
-/// node's regular action.
+/// node's regular action. A delivery also names the outcome of the coins
+/// its activation draws.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Transition {
     /// Deliver one instance of `msg` from node `dest`'s channel.
@@ -31,6 +32,9 @@ pub enum Transition {
         dest: usize,
         /// The message to deliver (identifies the channel entry).
         msg: Message,
+        /// The coin outcome the activation replays, and how many coins
+        /// it draws (see [`State::apply`]).
+        coins: Coins,
     },
     /// Run node `node`'s regular action (consumes one budget unit).
     Regular {
@@ -42,7 +46,18 @@ pub enum Transition {
 impl fmt::Display for Transition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Transition::Deliver { dest, msg } => write!(f, "deliver {msg:?} -> node[{dest}]"),
+            Transition::Deliver { dest, msg, coins } => {
+                write!(f, "deliver {msg:?} -> node[{dest}]")?;
+                for k in 0..coins.drawn {
+                    let word = if coins.outcome >> k & 1 == 0 {
+                        "0"
+                    } else {
+                        "MAX"
+                    };
+                    write!(f, "{} {word}", if k == 0 { ", coins" } else { "," })?;
+                }
+                Ok(())
+            }
             Transition::Regular { node } => write!(f, "regular action at node[{node}]"),
         }
     }
@@ -232,6 +247,8 @@ pub struct Applied {
     pub violations: Vec<Violation>,
     /// Sends coalesced by the channel-multiplicity bound.
     pub coalesced_sends: u32,
+    /// The coins the activation drew (none for a regular action).
+    pub coins: Coins,
 }
 
 /// A closed-world configuration of the small-scope model.
@@ -368,11 +385,12 @@ impl State {
         self.budgets.iter().all(|&b| b == 0) && self.channels.iter().all(Vec::is_empty)
     }
 
-    /// All enabled transitions, in a fixed deterministic order: regular
-    /// actions by node index, then deliveries by node index and canonical
-    /// message order. Identical in-flight messages to the same destination
-    /// are collapsed to one transition — delivering either instance
-    /// produces the same successor.
+    /// All enabled scheduler actions, in a fixed deterministic order:
+    /// regular actions by node index, then deliveries by node index and
+    /// canonical message order. Identical in-flight messages to the same
+    /// destination are collapsed to one transition — delivering either
+    /// instance produces the same successor. Deliveries name no coins;
+    /// [`State::outcomes`] expands each into its coin outcomes.
     pub fn enabled(&self) -> Vec<Transition> {
         let mut ts = Vec::new();
         for (i, &b) in self.budgets.iter().enumerate() {
@@ -390,24 +408,64 @@ impl State {
                 if ch[..k].contains(m) {
                     continue; // duplicate instance: same successor state
                 }
-                ts.push(Transition::Deliver { dest: i, msg: *m });
+                ts.push(Transition::Deliver {
+                    dest: i,
+                    msg: *m,
+                    coins: Coins::default(),
+                });
             }
         }
     }
 
-    /// Executes `t` through `stepper`, returning the successor, any
-    /// per-activation violations and the number of coalesced sends, or
-    /// `None` when `t` is not enabled here (used by trace replay during
-    /// minimization).
-    pub fn apply(&self, stepper: &dyn Stepper, policy: Policy, t: &Transition) -> Option<Applied> {
+    /// Executes `t` through `stepper`, replaying exactly the coin outcome
+    /// it names, and returns the successor, any per-activation
+    /// violations, the number of coalesced sends and the coins drawn.
+    /// `None` when `t` is not enabled here, or when the activation draws
+    /// a different number of coins than `t` names — a replayed step
+    /// (minimization, lasso validation) must mean what it meant in the
+    /// graph.
+    pub fn apply(&self, stepper: &dyn Stepper, t: &Transition) -> Option<Applied> {
+        let named = match *t {
+            Transition::Deliver { coins, .. } => coins,
+            Transition::Regular { .. } => Coins::default(),
+        };
+        self.run(stepper, t, named.outcome)
+            .filter(|a| a.coins.drawn == named.drawn)
+    }
+
+    /// Executes the scheduler action `t` under every outcome of the
+    /// coins it draws: outcome 0 first, then, when that activation drew
+    /// `d > 0` coins, the other `2^d − 1`. Each successor comes with `t`
+    /// naming its outcome, so [`State::apply`] replays it. Empty when `t`
+    /// is not enabled here.
+    pub fn outcomes(&self, stepper: &dyn Stepper, t: &Transition) -> Vec<(Transition, Applied)> {
+        let Some(first) = self.run(stepper, t, 0) else {
+            return Vec::new();
+        };
+        let rest = (1..1u32 << first.coins.drawn).filter_map(|o| self.run(stepper, t, o));
+        std::iter::once(first)
+            .chain(rest)
+            .map(|a| {
+                let mut named = t.clone();
+                if let Transition::Deliver { coins, .. } = &mut named {
+                    *coins = a.coins;
+                }
+                (named, a)
+            })
+            .collect()
+    }
+
+    /// Executes `t` with the coins landing on `outcome`; `None` when `t`
+    /// is not enabled here.
+    fn run(&self, stepper: &dyn Stepper, t: &Transition, outcome: u32) -> Option<Applied> {
         let mut next = self.clone();
         let mut out = Outbox::new();
-        let mut rng = PolicyRng(policy);
+        let mut coins = Coins::new(outcome);
         let (actor, trigger) = match *t {
-            Transition::Deliver { dest, ref msg } => {
+            Transition::Deliver { dest, ref msg, .. } => {
                 let pos = next.channels[dest].iter().position(|m| m == msg)?;
                 let msg = next.channels[dest].remove(pos);
-                stepper.deliver(&mut next.nodes[dest], msg, &mut rng, &mut out);
+                stepper.deliver(&mut next.nodes[dest], msg, &mut coins, &mut out);
                 (dest, Some(msg))
             }
             Transition::Regular { node } => {
@@ -425,6 +483,7 @@ impl State {
             next,
             violations,
             coalesced_sends,
+            coins,
         })
     }
 
@@ -551,8 +610,9 @@ mod tests {
         let t = Transition::Deliver {
             dest: 0,
             msg: Message::Lin(ids[1]),
+            coins: Coins::default(),
         };
-        let a = s.apply(&RealStepper, Policy::Zeros, &t).expect("enabled");
+        let a = s.apply(&RealStepper, &t).expect("enabled");
         assert!(
             a.violations.is_empty(),
             "real protocol is clean: {:?}",
@@ -583,15 +643,24 @@ mod tests {
         let t = Transition::Deliver {
             dest: 0,
             msg: Message::Lin(ids[1]),
+            coins: Coins::default(),
         };
-        assert!(s.apply(&RealStepper, Policy::Zeros, &t).is_none());
+        assert!(s.apply(&RealStepper, &t).is_none());
         assert!(s
-            .apply(
-                &RealStepper,
-                Policy::Zeros,
-                &Transition::Regular { node: 1 }
-            )
+            .apply(&RealStepper, &Transition::Regular { node: 1 })
             .is_none());
+        // A reslrl with two finite candidates draws one coin (age 0, so
+        // φ = 0); replayed as naming none, it is rejected the same way.
+        let (nodes, ids) = two_fresh_nodes();
+        let reslrl = Message::ResLrl(Extended::Fin(ids[0]), Extended::Fin(ids[1]));
+        let s = State::initial(nodes, &[(ids[0], reslrl)], 0);
+        let t = s.enabled().remove(0);
+        assert!(s.apply(&RealStepper, &t).is_none());
+        let outcomes = s.outcomes(&RealStepper, &t);
+        assert_eq!(outcomes.len(), 2, "one successor per candidate");
+        for (t, _) in &outcomes {
+            assert!(s.apply(&RealStepper, t).is_some(), "{t}");
+        }
     }
 
     #[test]
@@ -601,11 +670,7 @@ mod tests {
         // itself — the declared exception.
         let s = State::initial(nodes, &[], 1);
         let a = s
-            .apply(
-                &RealStepper,
-                Policy::Zeros,
-                &Transition::Regular { node: 0 },
-            )
+            .apply(&RealStepper, &Transition::Regular { node: 0 })
             .expect("budget available");
         assert!(
             a.violations.is_empty(),

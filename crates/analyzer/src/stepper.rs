@@ -1,4 +1,4 @@
-//! Deterministic randomness policies and the handler-dispatch seam.
+//! The coins handlers draw, and the handler-dispatch seam.
 //!
 //! [`Stepper`] is the one indirection between the graph builder and
 //! `swn_core::node::Node`: the real implementation forwards to the
@@ -10,61 +10,44 @@ use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_core::outbox::Outbox;
 
-/// Which constant word stream the handlers draw randomness from.
+/// One activation's coin outcome, as a [`rand::Rng`]: draw `k` returns
+/// `0` when bit `k` of `outcome` is clear and `u64::MAX` when it is set.
 ///
-/// The only randomized handler is `move-forget` (Algorithm 4), which
-/// draws one `random_bool(0.5)` for the candidate choice and one
-/// `random::<f64>()` for the forget check. A constant stream makes both
-/// draws deterministic, so the *scheduler* is the only source of
-/// nondeterminism and the search space is exactly the interleavings:
-///
-/// * [`Policy::Zeros`] — every draw is `0`: picks the **first** candidate
-///   and **forgets** whenever `φ(age) > 0`;
-/// * [`Policy::Ones`] — every draw is `u64::MAX`: picks the **second**
-///   candidate and **never forgets** (for any `φ(age) < 1`).
-///
-/// Running the search once per policy covers these two outcome
-/// combinations only. Mixed outcomes ("first, keep", "second, forget",
-/// or two nodes drawing differently in one run) are never explored
-/// (ROADMAP item 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// All-zero word stream: first candidate, eager forget.
-    Zeros,
-    /// All-ones word stream: second candidate, never forget.
-    Ones,
+/// The only randomized handler is `move-forget` (Algorithm 4). It draws
+/// `random_bool(0.5)` for the candidate when both candidates are finite,
+/// then `random::<f64>() < φ(age)` for the forget when `φ(age) > 0`. A
+/// `0` word picks the **first** candidate and **forgets**; a `u64::MAX`
+/// word (the float `1 − 2⁻⁵³`) picks the **second** and **keeps**. So an
+/// activation draws 0, 1 or 2 coins, and [`crate::State::outcomes`] runs
+/// each of their outcomes: the graph branches on every coin, and the
+/// scheduler and the coins are both adversarial.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Coins {
+    /// Bit `k` selects the word draw `k` returns.
+    pub outcome: u32,
+    /// Coins drawn so far.
+    pub drawn: u32,
 }
 
-impl Policy {
-    /// Both policies, for exhaustive sweeps.
-    pub const ALL: [Policy; 2] = [Policy::Zeros, Policy::Ones];
-
-    /// Human-readable policy name (also the CLI spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            Policy::Zeros => "zeros",
-            Policy::Ones => "ones",
-        }
+impl Coins {
+    /// Undrawn coins that will land on `outcome`.
+    pub fn new(outcome: u32) -> Coins {
+        Coins { outcome, drawn: 0 }
     }
 }
 
-/// A [`rand::Rng`] producing the constant stream selected by a [`Policy`].
-#[derive(Clone, Copy, Debug)]
-pub struct PolicyRng(pub Policy);
-
-impl rand::Rng for PolicyRng {
+impl rand::Rng for Coins {
     fn next_u64(&mut self) -> u64 {
-        match self.0 {
-            Policy::Zeros => 0,
-            Policy::Ones => u64::MAX,
-        }
+        let bit = self.outcome.checked_shr(self.drawn).unwrap_or(0) & 1;
+        self.drawn += 1;
+        u64::from(bit).wrapping_neg() // 0 → 0, 1 → u64::MAX
     }
 }
 
 /// Dispatch seam between the graph builder and the protocol handlers.
 pub trait Stepper {
     /// Delivers `msg` to `node` (the receive action).
-    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut PolicyRng, out: &mut Outbox);
+    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox);
 
     /// Runs `node`'s regular action.
     fn regular(&self, node: &mut Node, out: &mut Outbox);
@@ -78,7 +61,7 @@ pub trait Stepper {
 pub struct RealStepper;
 
 impl Stepper for RealStepper {
-    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut PolicyRng, out: &mut Outbox) {
+    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox) {
         node.on_message(msg, rng, out);
     }
 
@@ -100,7 +83,7 @@ impl Stepper for RealStepper {
 pub struct DropLinStepper;
 
 impl Stepper for DropLinStepper {
-    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut PolicyRng, out: &mut Outbox) {
+    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox) {
         if matches!(msg, Message::Lin(_)) {
             return; // the bug: the carried identifier is lost
         }
@@ -123,7 +106,7 @@ impl Stepper for DropLinStepper {
 pub struct SelfEchoStepper;
 
 impl Stepper for SelfEchoStepper {
-    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut PolicyRng, out: &mut Outbox) {
+    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox) {
         node.on_message(msg, rng, out);
         out.send(node.id(), msg); // the bug: undeclared self-send
     }
@@ -152,7 +135,7 @@ impl Stepper for SelfEchoStepper {
 pub struct BounceLinStepper;
 
 impl Stepper for BounceLinStepper {
-    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut PolicyRng, out: &mut Outbox) {
+    fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox) {
         use swn_core::id::Extended;
         if let Message::Lin(x) = msg {
             let me = node.id();
@@ -187,23 +170,41 @@ impl Stepper for BounceLinStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng as _, RngExt as _};
+    use swn_core::config::ProtocolConfig;
+    use swn_core::id::{evenly_spaced_ids, Extended};
 
     #[test]
-    fn zeros_policy_is_all_zero_words() {
-        let mut rng = PolicyRng(Policy::Zeros);
-        assert_eq!(rng.next_u64(), 0);
-        assert!((rng.random::<f64>() - 0.0).abs() < f64::EPSILON);
-        assert!(rng.random_bool(0.5), "0.0 < 0.5 picks the first candidate");
-    }
-
-    #[test]
-    fn ones_policy_never_forgets() {
-        let mut rng = PolicyRng(Policy::Ones);
-        assert_eq!(rng.next_u64(), u64::MAX);
-        let f = rng.random::<f64>();
-        assert!(f < 1.0, "draw stays in [0,1)");
-        assert!(f > 0.999, "draw is maximal");
-        assert!(!rng.random_bool(0.5));
+    fn each_outcome_bit_selects_candidate_and_forget() {
+        let ids = evenly_spaced_ids(4);
+        let (first, second) = (ids[0], ids[3]);
+        let reslrl = Message::ResLrl(Extended::Fin(first), Extended::Fin(second));
+        let node_at_age = |age: u64| {
+            let (l, r) = (Extended::Fin(ids[0]), Extended::Fin(ids[2]));
+            let mut n = Node::with_state(ids[1], l, r, ids[1], None, ProtocolConfig::default());
+            for _ in 0..age {
+                n.on_regular(&mut Outbox::new());
+            }
+            n
+        };
+        for outcome in 0..4 {
+            // Age 3: φ > 0, so the forget coin follows the candidate coin.
+            let mut n = node_at_age(3);
+            let mut coins = Coins::new(outcome);
+            RealStepper.deliver(&mut n, reslrl, &mut coins, &mut Outbox::new());
+            assert_eq!(coins.drawn, 2);
+            let moved_to = if outcome & 1 == 0 { first } else { second };
+            let kept = outcome & 2 != 0;
+            assert_eq!(
+                n.lrl(),
+                if kept { moved_to } else { n.id() },
+                "{outcome:#b}"
+            );
+            assert_eq!(n.age() == 0, !kept, "a forget resets the age");
+            // Age 2: φ = 0, so only the candidate coin is drawn.
+            let mut young = node_at_age(2);
+            let mut coins = Coins::new(outcome);
+            RealStepper.deliver(&mut young, reslrl, &mut coins, &mut Outbox::new());
+            assert_eq!((coins.drawn, young.lrl()), (1, moved_to));
+        }
     }
 }

@@ -15,26 +15,27 @@
 //!   independent of how the initializer happened to arrange that vector.
 //!
 //! * **Age saturation.** `age` enters behaviour only through the forget
-//!   probability `φ(age)` inside `move-forget`: `φ = 0` for `age ≤ 2`,
-//!   and for `age ≥ 3` the two exploration policies are constant —
-//!   [`Policy::Zeros`](crate::stepper::Policy) (draw `0.0`) forgets
-//!   whenever `φ > 0`, [`Policy::Ones`](crate::stepper::Policy) (draw
-//!   `1 − 2⁻⁵³`) never forgets since `max φ = φ(3) ≈ 0.57 < 1 − 2⁻⁵³`.
-//!   Ages `0`, `1` and `2` must stay distinct (they count down to the
-//!   threshold: a successor of `age = 2` is forgettable, a successor of
-//!   `age = 1` is not), but all ages `≥ 3` are bisimilar under either
-//!   policy, so the key stores `min(age, 3)`. Within the budgeted scope
-//!   this is a plain reduction — states whose ages differ only past the
-//!   threshold collapse into one — and it is what would keep `age` from
-//!   blowing up the key space in deeper scopes. The
-//!   `ones_policy_draw_exceeds_every_phi` test pins the policy argument
-//!   to the implemented `φ`.
+//!   coin inside `move-forget`, drawn only when `φ(age) > 0`. For
+//!   `age ≤ 2`, `φ = 0`: no coin is drawn and the token is kept. For
+//!   every `age ≥ 3`, `0 < φ(age) < 1 − 2⁻⁵³`, so of the two outcomes
+//!   the graph branches on ([`Coins`](crate::stepper::Coins)), the `0`
+//!   draw forgets and the `u64::MAX` draw (the float `1 − 2⁻⁵³`) keeps:
+//!   both outcome classes exist at every such age, and the successors do
+//!   not depend on which age it was. Ages `0`, `1` and `2` must stay
+//!   distinct (they count down to the threshold: a successor of
+//!   `age = 2` is forgettable, a successor of `age = 1` is not), but all
+//!   ages `≥ 3` are bisimilar, so the key stores `min(age, 3)`. Within
+//!   the budgeted scope this is a plain reduction — states whose ages
+//!   differ only past the threshold collapse into one — and it is what
+//!   would keep `age` from blowing up the key space in deeper scopes.
+//!   The `both_forget_outcomes_exist_from_age_three` test pins the
+//!   argument to the implemented `φ`.
 
 use crate::state::{Key, State};
 
-/// Ages at or above this value are bisimilar under both exploration
-/// policies (see the module docs); the canonical key stores
-/// `min(age, AGE_SATURATION)`.
+/// Ages at or above this value are bisimilar: each draws the forget coin,
+/// and both of its outcomes exist (see the module docs). The canonical
+/// key stores `min(age, AGE_SATURATION)`.
 pub const AGE_SATURATION: u64 = 3;
 
 /// Node indices in ascending id order: `order[rank] = index`.
@@ -126,17 +127,16 @@ mod tests {
     use swn_core::node::Node;
 
     #[test]
-    fn ones_policy_draw_exceeds_every_phi() {
-        // The age-saturation argument needs the Ones draw (largest f64
-        // below 1) to dominate φ(age) for every age ≥ 3.
-        let ones_draw = (u64::MAX >> 11) as f64 / (1u64 << 53) as f64;
-        assert!(ones_draw < 1.0);
+    fn both_forget_outcomes_exist_from_age_three() {
+        // The age-saturation argument needs, for every age ≥ 3, the `0`
+        // draw (0.0) to forget and the `u64::MAX` draw (the largest f64
+        // below 1) to keep: 0 < φ(age) < max draw.
+        let max_draw = (u64::MAX >> 11) as f64 / (1u64 << 53) as f64;
+        assert!(max_draw < 1.0);
         for age in 3..2000u64 {
-            assert!(
-                phi(age, 0.1) < ones_draw,
-                "φ({age}) = {} reaches the Ones draw",
-                phi(age, 0.1)
-            );
+            let p = phi(age, 0.1);
+            assert!(p > 0.0, "φ({age}) = 0: the 0 draw would keep");
+            assert!(p < max_draw, "φ({age}) = {p} reaches the max draw");
         }
         for age in 0..3u64 {
             assert_eq!(phi(age, 0.1), 0.0, "φ must vanish below age 3");

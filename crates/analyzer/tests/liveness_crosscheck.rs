@@ -15,7 +15,9 @@
 //!
 //! * **Random storage permutations** — `canonical_key` claims two
 //!   configurations differing only in node-vector storage order get the
-//!   same key. The property test drives a seeded random walk to an
+//!   same key. The property test drives a seeded random walk (random
+//!   action, random coin outcome, both drawn from what
+//!   `State::outcomes` — the graph's own expansion — offers) to an
 //!   arbitrary reachable state, scrambles the storage order with a
 //!   random permutation (nodes, channels and budgets move together),
 //!   and asserts key equality with and without budgets.
@@ -23,10 +25,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use swn_analyzer::explore::action_of;
 use swn_analyzer::families::livelock_demo_state;
 use swn_analyzer::{
-    canonical_key, check_convergence, BounceLinStepper, FairGraph, Family, Policy, RealStepper,
-    State, Stepper,
+    canonical_key, check_convergence, BounceLinStepper, FairGraph, Family, RealStepper, State,
+    Stepper,
 };
 
 /// Three-color depth-first search for cycle existence — linear, and a
@@ -98,11 +101,15 @@ fn simple_cycles(g: &FairGraph, max_len: usize) -> Vec<Vec<u32>> {
 }
 
 /// The weak-fairness definition applied literally to one cycle: the
-/// labels enabled in *every* cycle state (its obligations) must all be
-/// taken by the cycle, and some cycle state must miss the goal.
+/// scheduler actions enabled in *every* cycle state (its obligations)
+/// must all be taken by the cycle, under any coin outcome, and some
+/// cycle state must miss the goal.
 fn cycle_is_fair_nongoal(g: &FairGraph, cycle: &[u32]) -> bool {
     let label_set = |v: u32| -> Vec<u64> {
-        let mut l: Vec<u64> = g.edges[v as usize].iter().map(|&(lab, _)| lab).collect();
+        let mut l: Vec<u64> = g.edges[v as usize]
+            .iter()
+            .map(|&(lab, _)| action_of(lab))
+            .collect();
         l.sort_unstable();
         l
     };
@@ -116,7 +123,7 @@ fn cycle_is_fair_nongoal(g: &FairGraph, cycle: &[u32]) -> bool {
         let w = cycle[(k + 1) % cycle.len()];
         for &(lab, t) in &g.edges[v as usize] {
             if t == w {
-                taken.push(lab);
+                taken.push(action_of(lab));
             }
         }
     }
@@ -126,8 +133,8 @@ fn cycle_is_fair_nongoal(g: &FairGraph, cycle: &[u32]) -> bool {
 
 /// Runs both the production detector and the brute force on one scope
 /// and asserts they agree.
-fn cross_check(initial: &State, stepper: &dyn Stepper, policy: Policy) -> bool {
-    let g = FairGraph::build(initial, stepper, policy, 200_000);
+fn cross_check(initial: &State, stepper: &dyn Stepper) -> bool {
+    let g = FairGraph::build(initial, stepper, 200_000);
     assert!(!g.truncated, "cross-check scopes must be exhaustive");
     let report = check_convergence(&g, stepper);
     let brute = has_cycle(&g)
@@ -148,7 +155,7 @@ fn cross_check(initial: &State, stepper: &dyn Stepper, policy: Policy) -> bool {
 #[test]
 fn brute_force_confirms_the_bounce_livelock() {
     assert!(
-        cross_check(&livelock_demo_state(), &BounceLinStepper, Policy::Zeros),
+        cross_check(&livelock_demo_state(), &BounceLinStepper),
         "the bounce-lin fixture must livelock under both oracles"
     );
 }
@@ -157,11 +164,7 @@ fn brute_force_confirms_the_bounce_livelock() {
 fn brute_force_confirms_the_real_protocol_on_the_fixture() {
     // Same fixture, correct stepper: the preloaded Lin is absorbed and
     // both oracles must report no fair non-goal cycle.
-    assert!(!cross_check(
-        &livelock_demo_state(),
-        &RealStepper,
-        Policy::Zeros
-    ));
+    assert!(!cross_check(&livelock_demo_state(), &RealStepper));
 }
 
 #[test]
@@ -171,39 +174,34 @@ fn brute_force_finds_no_cycle_in_budgeted_pair_graphs() {
     // be delivery-only, and deliveries strictly drain the channels once
     // budgets stop refilling them).
     for family in [Family::Line, Family::Clique] {
-        for policy in [Policy::Zeros, Policy::Ones] {
-            let initial = family.initial_state(2, 1, 1);
-            assert!(
-                !cross_check(&initial, &RealStepper, policy),
-                "{:?}/{:?} pair must be livelock-free",
-                family.label(),
-                policy.label()
-            );
-        }
+        let initial = family.initial_state(2, 1, 1);
+        assert!(
+            !cross_check(&initial, &RealStepper),
+            "{:?} pair must be livelock-free",
+            family.label()
+        );
     }
 }
 
 #[test]
-#[ignore = "heavy in debug (n = 3 graphs up to 1.2M states); CI's analyzer-liveness job covers the same scope in release"]
+#[ignore = "heavy in debug (n = 3 graphs up to 1.8M states); CI's analyzer-liveness job covers the same scope in release"]
 fn brute_force_finds_no_cycle_in_n3_families() {
     for family in [Family::Line, Family::Star, Family::Clique] {
-        for policy in [Policy::Zeros, Policy::Ones] {
-            let initial = family.initial_state(3, 1, 1);
-            let g = FairGraph::build(&initial, &RealStepper, policy, 2_000_000);
-            assert!(!g.truncated);
-            let report = check_convergence(&g, &RealStepper);
-            assert!(
-                !has_cycle(&g) && report.livelock_free(),
-                "{}/{} n=3 must be acyclic and livelock-free",
-                family.label(),
-                policy.label()
-            );
-        }
+        let initial = family.initial_state(3, 1, 1);
+        let g = FairGraph::build(&initial, &RealStepper, 2_000_000);
+        assert!(!g.truncated);
+        let report = check_convergence(&g, &RealStepper);
+        assert!(
+            !has_cycle(&g) && report.livelock_free(),
+            "{} n=3 must be acyclic and livelock-free",
+            family.label()
+        );
     }
 }
 
 /// A random reachable state of the line-3 scope: `steps` seeded-random
-/// transitions from the initial state.
+/// transitions from the initial state, each a random enabled action
+/// under a random one of its coin outcomes.
 fn random_walk(seed: u64, steps: usize) -> State {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = Family::Line.initial_state(3, 2, 1);
@@ -213,10 +211,9 @@ fn random_walk(seed: u64, steps: usize) -> State {
             break;
         }
         let t = &enabled[rng.random_range(0..enabled.len())];
-        match s.apply(&RealStepper, Policy::Zeros, t) {
-            Some(applied) => s = applied.next,
-            None => break,
-        }
+        let mut outcomes = s.outcomes(&RealStepper, t);
+        let k = rng.random_range(0..outcomes.len());
+        s = outcomes.swap_remove(k).1.next;
     }
     s
 }
