@@ -1017,7 +1017,7 @@ impl Network {
                 continue;
             };
             if let Some(slot) = self.index.get(b.node).filter(|_| !inj.is_down(b.node)) {
-                self.unsettle(slot, true, [None; 3]);
+                self.unsettle(b.node, slot, true, [None; 3]);
             }
             scramble |= b.kind == scrambling;
         }
@@ -1061,7 +1061,7 @@ impl Network {
                         targets = [saved.left().fin(), saved.right().fin(), saved.ring()];
                         self.nodes[slot] = Some(saved);
                     }
-                    self.unsettle(slot, true, targets);
+                    self.unsettle(id, slot, true, targets);
                 }
                 self.fault_event(now, "restart", format!("{id:?} back up {how}"));
             }
@@ -1136,7 +1136,7 @@ impl Network {
                 stats.dropped_fault += lost;
                 stats.links_changed = true;
                 // Down nodes sit the round out, so the victim is not woken.
-                self.unsettle(slot, false, old_targets);
+                self.unsettle(c.node, slot, false, old_targets);
                 let (node, down_for) = (c.node, c.down_for);
                 self.fault_event(
                     now,
@@ -1201,7 +1201,7 @@ impl Network {
                     let ring = Some(inj.pick_one(&live));
                     self.nodes[slot] = Some(Node::with_state(v, l, r, lrl, ring, cfg));
                     stats.links_changed = true;
-                    self.unsettle(slot, true, old_targets);
+                    self.unsettle(v, slot, true, old_targets);
                 }
                 self.fault_event(
                     now,
@@ -1212,15 +1212,16 @@ impl Network {
         }
     }
 
-    /// Voids `slot`'s settlement certificate after a fault rewrote its
-    /// state — waking it with `wake` — re-evaluates its placement in the
-    /// sorted list, and re-verifies the certificates that referenced the
-    /// overwritten pointers `old_targets`. No-op under full scan.
-    fn unsettle(&mut self, slot: usize, wake: bool, old_targets: [Option<NodeId>; 3]) {
+    /// Voids the settlement certificate of the node `id` in `slot` after
+    /// a fault rewrote its state — waking it with `wake` — re-evaluates
+    /// its placement in the sorted list, and re-verifies the certificates
+    /// that referenced the overwritten pointers `old_targets`. No-op
+    /// under full scan.
+    fn unsettle(&mut self, id: NodeId, slot: usize, wake: bool, old_targets: [Option<NodeId>; 3]) {
         let Some(sched) = self.sched.as_mut() else {
             return;
         };
-        sched.unsettle(slot, wake);
+        sched.unsettle(slot, id, wake);
         sched.refresh_placement(&self.nodes, &self.index, slot);
         for t in old_targets.into_iter().flatten() {
             sched.recheck(&self.nodes, &self.index, t);

@@ -90,7 +90,10 @@ pub struct Network {
     trace: Trace,
     outbox: Outbox,
     tracked: Option<NodeId>,
-    tracked_forwarders: std::collections::BTreeSet<NodeId>,
+    // `forwarders[slot]`: the node in `slot` forwarded the tracked id in
+    // a `lin`; `forwarder_count` counts the set flags.
+    forwarders: Vec<bool>,
+    forwarder_count: usize,
     // Per-round scratch buffers, reused across `step` calls so the round
     // loop allocates nothing in steady state. Taken with `mem::take`
     // while in use and put back afterwards.
@@ -160,7 +163,8 @@ impl Network {
             trace: Trace::new(),
             outbox: Outbox::new(),
             tracked: None,
-            tracked_forwarders: Default::default(),
+            forwarders: Vec::new(),
+            forwarder_count: 0,
             order_buf: Vec::new(),
             inbox_buf: Vec::new(),
             obs: None,
@@ -306,8 +310,9 @@ impl Network {
             }
             ScheduleMode::ActiveSet => {
                 let mut st = Box::new(SchedState::new(&self.nodes, &self.index));
-                for &slot in self.index.sorted_slots() {
-                    st.schedule(slot);
+                let index = &self.index;
+                for (&slot, &id) in index.sorted_slots().iter().zip(index.sorted_ids()) {
+                    st.schedule(slot, id);
                 }
                 self.sched = Some(st);
             }
@@ -323,10 +328,9 @@ impl Network {
         }
     }
 
-    /// Nodes scheduled to act in the next round: an upper bound under
-    /// [`ScheduleMode::ActiveSet`] (agenda entries whose slot has died
-    /// are filtered at round start), every live node under
-    /// [`ScheduleMode::FullScan`].
+    /// Nodes scheduled to act in the next round: the agenda's size under
+    /// [`ScheduleMode::ActiveSet`] (a departed node leaves it with its
+    /// slot), every live node under [`ScheduleMode::FullScan`].
     pub fn active_count(&self) -> usize {
         match self.sched.as_ref() {
             Some(s) => s.active_len(),
@@ -358,14 +362,17 @@ impl Network {
     /// forwarder set is reset on every call).
     pub fn track_id(&mut self, id: Option<NodeId>) {
         self.tracked = id;
-        self.tracked_forwarders.clear();
+        if self.forwarder_count > 0 {
+            self.forwarders.fill(false);
+            self.forwarder_count = 0;
+        }
     }
 
     /// Distinct nodes (other than the tracked node itself) that forwarded
     /// the tracked identifier in a `lin` message since tracking started —
     /// the length of the integration path.
     pub fn tracked_forwarder_count(&self) -> usize {
-        self.tracked_forwarders.len()
+        self.forwarder_count
     }
 
     /// Number of live nodes.
@@ -428,7 +435,7 @@ impl Network {
             if let Some(i) = self.index.get(dest) {
                 self.mail.push(i, msg, enqueued, CauseTag::ROOT);
                 if let Some(sched) = self.sched.as_mut() {
-                    sched.schedule(i);
+                    sched.schedule(i, dest);
                 }
             }
         }
@@ -484,17 +491,12 @@ impl Network {
         timed(sample, &mut ph[0], || {
             order.clear();
             match self.sched.as_mut() {
-                // Drain the agenda, drop slots that died since they were
-                // scheduled, and canonicalize to ascending id order so
-                // the shuffle below is a pure function of the RNG stream
-                // and the *set* of active nodes — never of the order in
-                // which scheduling happened to discover them. An empty
-                // agenda (quiescence) draws nothing from the RNG.
-                Some(sched) if HOOKED => {
-                    sched.begin_round(&mut order);
-                    order.retain(|&s| self.nodes[s].is_some());
-                    order.sort_unstable_by_key(|&s| self.nodes[s].as_ref().map(Node::id));
-                }
+                // Drain the agenda in ascending id order, so the shuffle
+                // below is a pure function of the RNG stream and the
+                // *set* of active nodes — never of the order in which
+                // scheduling happened to discover them. An empty agenda
+                // (quiescence) draws nothing from the RNG.
+                Some(sched) if HOOKED => sched.begin_round(&mut order),
                 // Full scan: every live slot, memcpy'd off the index's
                 // incrementally maintained sorted lane.
                 _ => order.extend_from_slice(self.index.sorted_slots()),
@@ -524,6 +526,7 @@ impl Network {
             // mutual, so the far end of every certificate this turn can
             // break is a target in the before- or after-tuple.
             let turn_before = (node.left(), node.right(), node.ring());
+            let lrl_before = node.lrl();
             // Receive actions: all eligible messages, shuffled. The
             // outbox is flushed once per action *batch*, not per message.
             // Flushing consumes no RNG and mailbox pushes keep their
@@ -588,7 +591,8 @@ impl Network {
             if HOOKED {
                 if let Some(sched) = self.sched.as_mut() {
                     let mail = !self.mail.is_empty(i);
-                    sched.finish_turn(&self.nodes, &self.index, i, turn_before, mail);
+                    let (nodes, index) = (&self.nodes, &self.index);
+                    sched.finish_turn(nodes, index, i, turn_before, lrl_before, mail);
                 }
             }
         }
@@ -898,7 +902,10 @@ impl Network {
         if self.tracked == Some(id) {
             self.track_id(None);
         }
-        self.tracked_forwarders.remove(&id);
+        if let Some(f) = self.forwarders.get_mut(slot).filter(|f| **f) {
+            *f = false;
+            self.forwarder_count -= 1;
+        }
         self.free.push(slot);
         self.mail.clear(slot);
         let node = self.nodes[slot].take();
@@ -916,7 +923,7 @@ impl Network {
             self.mail.push(i, msg, self.round, CauseTag::ROOT);
             self.mail.commit();
             if let Some(sched) = self.sched.as_mut() {
-                sched.schedule(i);
+                sched.schedule(i, dest);
             }
             true
         } else {
@@ -939,7 +946,8 @@ impl Network {
             index,
             outbox,
             tracked,
-            tracked_forwarders,
+            forwarders,
+            forwarder_count,
             obs,
             faults,
             sched,
@@ -973,9 +981,10 @@ impl Network {
                 if msg.carried_ids().any(|x| x == t) {
                     stats.tracked_sent += 1;
                 }
-                if msg == Message::Lin(t) {
-                    if let Some(id) = sender_id.filter(|&id| id != t) {
-                        tracked_forwarders.insert(id);
+                if msg == Message::Lin(t) && sender_id.is_some_and(|id| id != t) {
+                    forwarders.resize(nodes.len(), false);
+                    if !std::mem::replace(&mut forwarders[sender], true) {
+                        *forwarder_count += 1;
                     }
                 }
             }
@@ -1017,7 +1026,7 @@ impl Network {
                     // Mail wakes its recipient: settled or not, the
                     // destination must run its receive action next round.
                     if let Some(s) = sched.as_mut() {
-                        s.schedule(j);
+                        s.schedule(j, dest);
                     }
                 }
                 None => {
@@ -1041,7 +1050,7 @@ impl Network {
                         // caught by the caller's turn diff) keeps the
                         // sender active until reprocessed.
                         if let Some(s) = sched.as_mut() {
-                            s.schedule(sender);
+                            s.schedule(sender, node.id());
                         }
                     }
                     if bounced {
@@ -1277,6 +1286,33 @@ mod tests {
             0,
             "departed forwarders must not linger in the step count"
         );
+    }
+
+    #[test]
+    fn a_newcomer_in_a_forwarders_slot_starts_unmarked() {
+        let cfg = ProtocolConfig::default();
+        let mut net = stable_net(8, 5);
+        let ids = net.ids();
+        let joiner = id(0.0001);
+        assert!(net.insert_node(Node::new(joiner, cfg)));
+        net.track_id(Some(joiner));
+        // The announcement lands at the maximum, which routes it left.
+        net.send_external(ids[7], Message::Lin(joiner));
+        net.run(2);
+        let before = net.tracked_forwarder_count();
+        assert!(before > 0, "the joiner's id should have been forwarded");
+        let slot = net.index.get(ids[7]).expect("live");
+        net.remove_node(ids[7]);
+        assert_eq!(net.tracked_forwarder_count(), before - 1);
+        assert!(net.insert_node(Node::new(id(0.99), cfg)));
+        assert_eq!(net.index.get(id(0.99)), Some(slot), "the slot is reused");
+        assert_eq!(
+            net.tracked_forwarder_count(),
+            before - 1,
+            "the newcomer must not inherit the departed forwarder's mark"
+        );
+        net.track_id(None);
+        assert_eq!(net.tracked_forwarder_count(), 0);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub enum ScheduleMode {
 }
 
 /// The scheduler's working state: one flag pair per slot plus the
-/// agenda of slots that act next round. Slot-indexed (not id-indexed)
+/// agenda of nodes that act next round. Slot-indexed (not id-indexed)
 /// so the hot-path lookups are plain vector loads.
 #[derive(Debug, Default)]
 pub(crate) struct SchedState {
@@ -97,9 +97,10 @@ pub(crate) struct SchedState {
     /// `settled[slot]`: the settlement certificate was verified and no
     /// mutation path has invalidated it since.
     settled: Vec<bool>,
-    /// The slots that act next round, in scheduling order (canonicalized
-    /// by the round loop before use).
-    agenda: Vec<usize>,
+    /// The `(id, slot)` pairs that act next round, in scheduling order;
+    /// [`begin_round`](Self::begin_round) sorts them by id. Every entry
+    /// names a live node: a removal drops its slot's entry.
+    agenda: Vec<(NodeId, usize)>,
     /// `misplaced[slot]`: the live node in `slot` fails its term of the
     /// sorted list ([`misplaced`]); false for free slots.
     misplaced: Vec<bool>,
@@ -135,22 +136,29 @@ impl SchedState {
         }
     }
 
-    /// Puts `slot` on the next round's agenda (idempotent).
-    pub(crate) fn schedule(&mut self, slot: usize) {
+    /// Puts the node `id` in `slot` on the next round's agenda
+    /// (idempotent).
+    pub(crate) fn schedule(&mut self, slot: usize, id: NodeId) {
         self.ensure_slot(slot);
         if !self.scheduled[slot] {
             self.scheduled[slot] = true;
-            self.agenda.push(slot);
+            self.agenda.push((id, slot));
         }
     }
 
-    /// Moves the agenda into `out` (appending) and clears the flags, so
-    /// scheduling during the round targets the *next* round.
+    /// Appends the agenda's slots to `out` in ascending id order and
+    /// clears the flags, so scheduling during the round targets the
+    /// *next* round. The order is canonical — a function of the *set* of
+    /// scheduled nodes, never of the order scheduling discovered them
+    /// in — so the round's shuffle depends on the RNG stream alone. The
+    /// sort key is the entry's own id: no node record is read.
     pub(crate) fn begin_round(&mut self, out: &mut Vec<usize>) {
-        for &slot in &self.agenda {
-            self.scheduled[slot] = false;
-        }
-        out.append(&mut self.agenda);
+        self.agenda.sort_unstable_by_key(|&(id, _)| id);
+        let scheduled = &mut self.scheduled;
+        out.extend(self.agenda.drain(..).map(|(_, slot)| {
+            scheduled[slot] = false;
+            slot
+        }));
     }
 
     /// True when `slot`'s settlement certificate is current.
@@ -164,9 +172,7 @@ impl SchedState {
         self.settled[slot] = settled;
     }
 
-    /// Number of slots on the agenda — an upper bound on next round's
-    /// active nodes (entries whose slot died since scheduling are
-    /// filtered at round start).
+    /// Number of nodes on the agenda: exactly next round's active nodes.
     pub(crate) fn active_len(&self) -> usize {
         self.agenda.len()
     }
@@ -204,12 +210,12 @@ impl SchedState {
         self.misplaced_count = self.misplaced_count + usize::from(now) - usize::from(was);
     }
 
-    /// Voids `slot`'s certificate and, with `wake`, puts it on the
-    /// agenda.
-    pub(crate) fn unsettle(&mut self, slot: usize, wake: bool) {
+    /// Voids the certificate of the node `id` in `slot` and, with
+    /// `wake`, puts it on the agenda.
+    pub(crate) fn unsettle(&mut self, slot: usize, id: NodeId, wake: bool) {
         self.set_settled(slot, false);
         if wake {
-            self.schedule(slot);
+            self.schedule(slot, id);
         }
     }
 
@@ -222,7 +228,7 @@ impl SchedState {
             return;
         };
         if self.is_settled(slot) && !node_settled(nodes, index, slot) {
-            self.unsettle(slot, true);
+            self.unsettle(slot, id, true);
         }
     }
 
@@ -237,18 +243,35 @@ impl SchedState {
     /// state only when `p` is a list/ring target of `q` and vice versa,
     /// so whichever edge this turn broke or created has its far end in
     /// the before- or after-tuple.
+    ///
+    /// A settled node whose turn left its `(l, r, ring)` and its `lrl`
+    /// (`lrl_before`) unchanged is only rescheduled if mail is left: its
+    /// certificate reads nothing else of its own, and every path that
+    /// changes what it reads of other nodes re-verifies it (the
+    /// quiescence invariant), so it still holds.
     pub(crate) fn finish_turn(
         &mut self,
         nodes: &[Option<Node>],
         index: &SlotIndex,
         slot: usize,
         before: TurnLinks,
+        lrl_before: NodeId,
         mail: bool,
     ) {
         let Some(n) = nodes[slot].as_ref() else {
             return;
         };
         let after = (n.left(), n.right(), n.ring());
+        if after == before && n.lrl() == lrl_before && self.is_settled(slot) {
+            debug_assert!(
+                node_settled(nodes, index, slot),
+                "a settled certificate went stale without a recheck"
+            );
+            if mail {
+                self.schedule(slot, n.id());
+            }
+            return;
+        }
         if after != before {
             self.refresh_placement(nodes, index, slot);
             let (b, a) = (before, after);
@@ -260,7 +283,7 @@ impl SchedState {
         let ok = node_settled(nodes, index, slot);
         self.set_settled(slot, ok);
         if !ok || mail {
-            self.schedule(slot);
+            self.schedule(slot, n.id());
         }
     }
 
@@ -280,7 +303,7 @@ impl SchedState {
         id: NodeId,
         slot: usize,
     ) {
-        self.unsettle(slot, true);
+        self.unsettle(slot, id, true);
         let rank = index.rank_of(id).expect("just inserted");
         for k in rank.saturating_sub(1)..=rank + 1 {
             self.refresh_rank(nodes, index, k);
@@ -308,8 +331,9 @@ impl SchedState {
     /// the simulated execution: the woken nodes act, draw from the RNG and
     /// send, so waking any other set changes every later round.
     ///
-    /// The freed slot stops counting as misplaced, and the two nodes the
-    /// departure made adjacent have their placement re-evaluated.
+    /// The freed slot leaves the agenda and stops counting as misplaced,
+    /// and the two nodes the departure made adjacent have their
+    /// placement re-evaluated.
     pub(crate) fn on_remove(
         &mut self,
         nodes: &[Option<Node>],
@@ -317,10 +341,10 @@ impl SchedState {
         id: NodeId,
         slot: usize,
     ) {
-        // The freed slot's flag is reset; a stale agenda entry for it is
-        // filtered at round start (or covers the slot's next occupant,
-        // which must run anyway).
-        self.unsettle(slot, false);
+        if std::mem::take(&mut self.scheduled[slot]) {
+            self.agenda.retain(|&(_, s)| s != slot);
+        }
+        self.set_settled(slot, false);
         self.set_misplaced(slot, false);
         // `id` is gone from the lanes: its old rank is where it would go.
         let rank = index.sorted_ids().partition_point(|&x| x < id);
@@ -328,11 +352,11 @@ impl SchedState {
             self.refresh_rank(nodes, index, k);
         }
         for &s in index.sorted_slots() {
-            if nodes[s]
+            if let Some(n) = nodes[s]
                 .as_ref()
-                .is_some_and(|n| n.stored_ids().any(|x| x == id))
+                .filter(|n| n.stored_ids().any(|x| x == id))
             {
-                self.unsettle(s, true);
+                self.unsettle(s, n.id(), true);
             }
         }
     }
@@ -428,21 +452,29 @@ pub(crate) fn node_settled(nodes: &[Option<Node>], index: &SlotIndex, slot: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swn_core::config::ProtocolConfig;
+    use swn_core::invariants::make_sorted_ring;
+
+    fn id(f: f64) -> NodeId {
+        NodeId::from_fraction(f)
+    }
 
     #[test]
     fn schedule_is_idempotent_per_round() {
         let mut s = SchedState::default();
-        s.schedule(2);
-        s.schedule(2);
-        s.schedule(0);
-        assert_eq!(s.active_len(), 2);
+        // Ids deliberately out of slot order, scheduled out of id order.
+        s.schedule(2, id(0.5));
+        s.schedule(2, id(0.5));
+        s.schedule(0, id(0.9));
+        s.schedule(1, id(0.1));
+        assert_eq!(s.active_len(), 3);
         let mut out = Vec::new();
         s.begin_round(&mut out);
-        assert_eq!(out, vec![2, 0]);
+        assert_eq!(out, vec![1, 2, 0], "ascending id order");
         assert_eq!(s.active_len(), 0);
         // Flags cleared: the same slot can be scheduled for the next
         // round while the current one runs.
-        s.schedule(2);
+        s.schedule(2, id(0.5));
         assert_eq!(s.active_len(), 1);
     }
 
@@ -452,7 +484,7 @@ mod tests {
         assert!(!s.is_settled(9));
         s.set_settled(9, true);
         assert!(s.is_settled(9));
-        s.schedule(12);
+        s.schedule(12, id(0.5));
         assert_eq!(s.active_len(), 1);
         assert!(!s.is_settled(12));
     }
@@ -460,10 +492,38 @@ mod tests {
     #[test]
     fn begin_round_appends_without_clobbering() {
         let mut s = SchedState::default();
-        s.schedule(3);
+        s.schedule(3, id(0.5));
         let mut out = vec![7usize];
         s.begin_round(&mut out);
         assert_eq!(out, vec![7, 3]);
+    }
+
+    #[test]
+    fn a_reused_slot_runs_once_under_its_new_id() {
+        let ring = make_sorted_ring(&[id(0.2), id(0.5), id(0.8)], ProtocolConfig::default());
+        let mut nodes: Vec<Option<Node>> = ring.into_iter().map(Some).collect();
+        let pairs = nodes.iter().flatten().enumerate().map(|(s, n)| (n.id(), s));
+        let mut index = SlotIndex::from_pairs(pairs.collect()).expect("distinct ids");
+        let mut s = SchedState::new(&nodes, &index);
+        for (slot, n) in nodes.iter().flatten().enumerate() {
+            s.schedule(slot, n.id());
+        }
+        // Slot 0 empties while scheduled, then takes a newcomer whose id
+        // sorts last, all before the round starts.
+        index.remove(id(0.2));
+        nodes[0] = None;
+        s.on_remove(&nodes, &index, id(0.2), 0);
+        assert_eq!(s.active_len(), 2, "the departed node left the agenda");
+        nodes[0] = Some(Node::new(id(0.9), ProtocolConfig::default()));
+        index.insert(id(0.9), 0);
+        s.on_insert(&nodes, &index, id(0.9), 0);
+        let mut out = Vec::new();
+        s.begin_round(&mut out);
+        assert_eq!(
+            out,
+            vec![1, 2, 0],
+            "the newcomer once, sorted under its own id"
+        );
     }
 
     #[test]
