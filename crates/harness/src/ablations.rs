@@ -252,7 +252,7 @@ pub fn measure_a3(p: &Params, periods: &[u64]) -> Vec<A3Point> {
             let mut net = stable_network(p.n, cfg, 70, p.warmup.min(2000));
             let start = net.trace().len();
             net.run(100);
-            let sent = net.trace().sent_since(start);
+            let sent = net.trace().since(start).total_sent();
             let rate = sent as f64 / (100.0 * p.n as f64);
             // Repair behaviour: probing is the only mechanism that can
             // merge the halves, and it races the forget process for the

@@ -133,12 +133,9 @@ pub fn measure_leaves(p: &Params) -> Vec<ChurnPoint> {
                 let mut net = harmonic_network(n, cfg, seed);
                 // Steady-state message rate from a pre-leave window.
                 let window = 20u64;
+                let start = net.trace().len();
                 net.run(window);
-                let rate = net
-                    .trace()
-                    .sent_in_last(usize::try_from(window).expect("window fits usize"))
-                    as f64
-                    / window as f64;
+                let rate = net.trace().since(start).total_sent() as f64 / window as f64;
                 let (_, rep) = leave_random(&mut net, seed ^ 0xdead, p.max_rounds);
                 let rounds = rep.rounds.unwrap_or(p.max_rounds) as f64;
                 let excess = (rep.messages as f64 - rate * rounds).max(0.0);

@@ -74,7 +74,7 @@ pub fn census(n: usize, p: &Params, seed: u64) -> Census {
     let mut net = stable_network(n, cfg, seed, p.warmup);
     let start = net.trace().len();
     net.run(p.window);
-    let sent = net.trace().sent_by_kind_in(start..net.trace().len());
+    let sent = net.trace().since(start).sent;
     let denom = (n as u64 * p.window) as f64;
     let mut per_kind = [0f64; MessageKind::COUNT];
     for (v, &s) in per_kind.iter_mut().zip(&sent) {

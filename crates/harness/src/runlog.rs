@@ -21,7 +21,8 @@ use swn_sim::{churn, convergence::run_to_ring};
 pub struct TraceCfg {
     /// Network size.
     pub n: usize,
-    /// Sampling interval for `Round`/`PhaseTimes` records.
+    /// Sampling interval for `Round` records (one per sampled round:
+    /// its `RoundStats` and phase times).
     pub sample_every: u64,
     /// Warmup rounds before stable-state / churn scenarios (unobserved).
     pub warmup: u64,

@@ -1676,7 +1676,7 @@ mod tests {
         net.attach_faults(FaultPlan::new(3).with_partition(now + 1, now + 11, cut));
         net.run(10);
         assert!(
-            net.trace().total_dropped_fault() > 0,
+            net.trace().since(0).dropped_fault > 0,
             "cross-cut traffic must be destroyed while partitioned"
         );
         let report = watch_recovery(&mut net, 5000);
@@ -1961,7 +1961,7 @@ mod tests {
         ));
         net.run(8); // ride out the lying window
         assert!(
-            net.trace().total_forged_fault() > 0,
+            net.trace().since(0).forged_fault > 0,
             "scramble must forge in-window"
         );
         let report = watch_recovery(&mut net, 5000);
@@ -2164,7 +2164,7 @@ mod tests {
         net.run(6);
         let records = records.lock().expect("records");
         assert_eq!(fault_kinds(&records, 3), ["drop_window"]);
-        assert_eq!(net.trace().total_dropped_fault(), 0);
+        assert_eq!(net.trace().since(0).dropped_fault, 0);
         let state = net.fault_injector().expect("attached").state();
         assert_eq!((state.rng_draws, state.drop_log.len()), (0, 0));
     }

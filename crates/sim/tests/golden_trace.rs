@@ -29,6 +29,7 @@ use swn_sim::convergence::run_to_ring;
 use swn_sim::init::{generate, InitialTopology};
 use swn_sim::obs::flight::FlightRecorder;
 use swn_sim::obs::{Event, Record};
+use swn_sim::trace::RoundStats;
 use swn_sim::Network;
 
 /// How many leading rounds get their (sent, delivered) pair recorded.
@@ -105,11 +106,8 @@ fn trace_totals(net: &Network) -> (u64, u64, Vec<(u64, u64)>) {
         .take(ROUND_PREFIX)
         .map(|r| (r.total_sent(), r.total_delivered()))
         .collect();
-    (
-        net.trace().total_sent(),
-        net.trace().total_delivered(),
-        prefix,
-    )
+    let all = net.trace().since(0);
+    (all.total_sent(), all.total_delivered(), prefix)
 }
 
 fn convergence_scenario(family: InitialTopology, n: usize, seed: u64) -> ScenarioSig {
@@ -180,10 +178,9 @@ fn fixture_path() -> std::path::PathBuf {
 
 /// Signature of the observation event stream for one scenario: record
 /// count, the convergence timeline, and a structural digest over every
-/// event. Wall-clock payloads (`PhaseTimes` durations) are *excluded*
-/// from the digest — only their round numbers are hashed — so the
-/// signature is deterministic while still pinning that sampling fires on
-/// exactly the same rounds.
+/// event. Wall-clock payloads (a `Round` record's `phases`) are
+/// *excluded* from the digest, so the signature is deterministic while
+/// still pinning that sampling fires on exactly the same rounds.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct ObsSig {
     label: String,
@@ -208,6 +205,54 @@ fn push_hist(d: &mut Digest, h: &swn_sim::obs::Histogram) {
     }
 }
 
+/// Every counter of a `RoundStats`, by exhaustive destructure: a field
+/// added later must be hashed here before this compiles.
+fn push_stats(d: &mut Digest, s: &RoundStats) {
+    let RoundStats {
+        sent,
+        delivered,
+        dropped_churn,
+        dropped_fault,
+        duplicated_fault,
+        forged_fault,
+        erased_fault,
+        bounced,
+        links_changed,
+        probe_repairs,
+        lrl_moves,
+        lrl_forgets,
+        forget_age_sum,
+        forget_age_max,
+        ring_resets,
+        pointers_salvaged,
+        neighbor_adoptions,
+        tracked_sent,
+    } = *s;
+    for v in sent.into_iter().chain(delivered) {
+        d.push(v);
+    }
+    for v in [
+        dropped_churn,
+        dropped_fault,
+        duplicated_fault,
+        forged_fault,
+        erased_fault,
+        bounced,
+        u64::from(links_changed),
+        probe_repairs,
+        lrl_moves,
+        lrl_forgets,
+        forget_age_sum,
+        forget_age_max,
+        ring_resets,
+        pointers_salvaged,
+        neighbor_adoptions,
+        tracked_sent,
+    ] {
+        d.push(v);
+    }
+}
+
 fn event_digest(records: &[Record]) -> u64 {
     let mut d = Digest::new();
     for rec in records {
@@ -227,29 +272,18 @@ fn event_digest(records: &[Record]) -> u64 {
                 d.push(*sample_every);
                 d.push(*round);
             }
+            // `phases` are wall clock — nondeterministic by nature — and
+            // stay out of the digest.
             Event::Round {
                 round,
-                sent,
-                delivered,
-                dropped,
-                bounced,
                 depth_max,
+                stats,
+                phases: _,
             } => {
                 d.push(2);
                 d.push(*round);
-                for &s in sent {
-                    d.push(s);
-                }
-                d.push(*delivered);
-                d.push(*dropped);
-                d.push(*bounced);
                 d.push(*depth_max);
-            }
-            // Durations are wall clock — nondeterministic by nature.
-            // Only the fact that this round was sampled is pinned.
-            Event::PhaseTimes { round, .. } => {
-                d.push(3);
-                d.push(*round);
+                push_stats(&mut d, stats);
             }
             Event::Transition { round, phase } => {
                 d.push(4);
@@ -286,8 +320,7 @@ fn event_digest(records: &[Record]) -> u64 {
             }
             Event::Summary {
                 rounds,
-                total_sent,
-                latency,
+                totals,
                 depth,
                 forget_age,
                 lrl_len,
@@ -296,8 +329,7 @@ fn event_digest(records: &[Record]) -> u64 {
             } => {
                 d.push(6);
                 d.push(*rounds);
-                d.push(*total_sent);
-                push_hist(&mut d, latency);
+                push_stats(&mut d, totals);
                 push_hist(&mut d, depth);
                 push_hist(&mut d, forget_age);
                 push_hist(&mut d, lrl_len);
