@@ -1,7 +1,7 @@
 //! Shared experiment fixtures.
 
 use swn_core::config::ProtocolConfig;
-use swn_core::id::evenly_spaced_ids;
+use swn_core::id::{evenly_spaced_ids, NodeId};
 use swn_core::invariants::make_sorted_ring;
 use swn_sim::churn::stable_network;
 use swn_sim::Network;
@@ -66,6 +66,14 @@ pub fn harmonic_network(n: usize, cfg: ProtocolConfig, seed: u64) -> Network {
     let mut net = Network::new(nodes, seed);
     net.run(3);
     net
+}
+
+/// `count` ids spread evenly around the ring, skipping the minimum —
+/// the victims of a crash storm, or an adversary's host.
+pub fn spread_victims(net: &Network, count: usize) -> Vec<NodeId> {
+    let ids = net.ids();
+    let stride = (ids.len() / (count + 1)).max(1);
+    (1..=count).map(|k| ids[(k * stride) % ids.len()]).collect()
 }
 
 #[cfg(test)]
