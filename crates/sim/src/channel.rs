@@ -113,13 +113,15 @@ mod tests {
     }
 
     /// One channel holding `mail` (`(message, enqueue round, tag)`),
-    /// committed.
+    /// committed one entry at a time, each at its own round. A commit
+    /// appends behind what the slot holds, so the content and its order
+    /// are `mail`'s.
     fn channel(mail: &[(Message, u64, CauseTag)]) -> Mailbox {
         let mut ch = Mailbox::with_slots(1);
         for &(m, round, tag) in mail {
-            ch.push(0, m, round, tag);
+            ch.push(0, m, tag);
+            ch.commit(round);
         }
-        ch.commit();
         ch
     }
 
@@ -150,7 +152,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         // A send of this round sits in the log, where no take looks —
         // whatever round the take claims to run in.
-        ch.push(0, lin(0.2), 5, CauseTag::ROOT);
+        ch.push(0, lin(0.2), CauseTag::ROOT);
         assert!(take(&mut ch, 5, DeliveryPolicy::Immediate, &mut rng).is_empty());
         assert_eq!(
             take(&mut ch, 6, DeliveryPolicy::Immediate, &mut rng),
@@ -158,7 +160,7 @@ mod tests {
         );
         assert_eq!(ch.len(0), 1, "the logged send is queued");
         assert!(ch.as_slice(0).is_empty(), "but not yet in the channel");
-        ch.commit();
+        ch.commit(5);
         assert_eq!(
             take(&mut ch, 6, DeliveryPolicy::Immediate, &mut rng),
             [lin(0.2)]
@@ -303,11 +305,11 @@ mod tests {
     fn clear_empties_but_keeps_capacity() {
         let mail: Vec<_> = (1..=8).map(|i| (i as f64 / 100.0, 0)).collect();
         let mut ch = roots(&mail);
-        ch.push(0, lin(0.09), 1, CauseTag::ROOT); // logged mail goes too
+        ch.push(0, lin(0.09), CauseTag::ROOT); // logged mail goes too
         ch.clear(0);
         assert!(ch.is_empty(0));
-        ch.push(0, lin(0.42), 3, CauseTag::ROOT);
-        ch.commit();
+        ch.push(0, lin(0.42), CauseTag::ROOT);
+        ch.commit(3);
         assert_eq!(ch.as_slice(0), &[lin(0.42)]);
     }
 

@@ -429,18 +429,17 @@ impl Network {
 
     /// [`preload`](Self::preload) for many messages with one commit.
     pub(crate) fn preload_all(&mut self, mail: impl IntoIterator<Item = (NodeId, Message)>) {
-        // Enqueued as "already in flight", so deliverable in the very
-        // next round.
-        let enqueued = self.round.saturating_sub(1);
         for (dest, msg) in mail {
             if let Some(i) = self.index.get(dest) {
-                self.mail.push(i, msg, enqueued, CauseTag::ROOT);
+                self.mail.push(i, msg, CauseTag::ROOT);
                 if let Some(sched) = self.sched.as_mut() {
                     sched.schedule(i, dest);
                 }
             }
         }
-        self.mail.commit();
+        // Enqueued as "already in flight", so deliverable in the very
+        // next round.
+        self.mail.commit(self.round.saturating_sub(1));
     }
 
     /// Executes one round; returns its stats (also appended to the trace).
@@ -602,7 +601,7 @@ impl Network {
         self.order_buf = order;
         // The round boundary: this round's sends become next round's
         // mail, behind whatever each node kept back.
-        timed(sample, &mut ph[3], || self.mail.commit());
+        timed(sample, &mut ph[3], || self.mail.commit(now));
 
         #[expect(
             clippy::disallowed_methods,
@@ -925,8 +924,8 @@ impl Network {
     /// commits the mailbox: O(messages in flight) whenever some are.
     pub fn send_external(&mut self, dest: NodeId, msg: Message) -> bool {
         if let Some(i) = self.index.get(dest) {
-            self.mail.push(i, msg, self.round, CauseTag::ROOT);
-            self.mail.commit();
+            self.mail.push(i, msg, CauseTag::ROOT);
+            self.mail.commit(self.round);
             if let Some(sched) = self.sched.as_mut() {
                 sched.schedule(i, dest);
             }
@@ -1026,7 +1025,7 @@ impl Network {
             match index.get(dest) {
                 Some(j) => {
                     for _ in 0..copies {
-                        mail.push(j, msg, now, tag);
+                        mail.push(j, msg, tag);
                     }
                     // Mail wakes its recipient: settled or not, the
                     // destination must run its receive action next round.
@@ -1048,7 +1047,7 @@ impl Network {
                             // The bounce keeps its provenance: the
                             // reprocessed copy is the same causal
                             // node, not a fresh root.
-                            mail.push(sender, back, now, tag);
+                            mail.push(sender, back, tag);
                             bounced = true;
                         }
                         // The bounce (and the dangling-pointer clear,
