@@ -1,14 +1,17 @@
-//! Seeded initial-topology families for the small-scope search.
+//! Seeded initial-state families for the small-scope search.
 //!
-//! The families reuse `swn_sim::init::generate`, so the checker explores
-//! exactly the adversarial initial states the simulator's stabilization
-//! experiments start from — line (a shuffled directed chain), star
-//! (everyone points at a hub) and clique (well-typed neighbours plus
-//! overflow links preloaded as stale `lin` messages).
+//! Three families reuse `swn_sim::init::generate`, so the checker
+//! explores exactly the adversarial initial states the simulator's
+//! stabilization experiments start from — line (a shuffled directed
+//! chain), star (everyone points at a hub) and clique (well-typed
+//! neighbours plus overflow links preloaded as stale `lin` messages).
+//! The fourth, ring, is the canonical sorted ring ([`ring_state`]): the
+//! scope on which closure says every reachable state stays ring-stable.
 
 use crate::state::State;
 use swn_core::config::ProtocolConfig;
 use swn_core::id::evenly_spaced_ids;
+use swn_core::invariants::make_sorted_ring;
 use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_sim::init::{generate, InitialTopology};
@@ -23,11 +26,14 @@ pub enum Family {
     /// Complete digraph; overflow edges ride as stale `lin` preloads
     /// ([`InitialTopology::Clique`]).
     Clique,
+    /// The sorted ring with empty channels ([`ring_state`]); the seed
+    /// plays no part.
+    Ring,
 }
 
 impl Family {
     /// Every family, in CLI order.
-    pub const ALL: [Family; 3] = [Family::Line, Family::Star, Family::Clique];
+    pub const ALL: [Family; 4] = [Family::Line, Family::Star, Family::Clique, Family::Ring];
 
     /// CLI spelling / report label.
     pub fn label(self) -> &'static str {
@@ -35,20 +41,13 @@ impl Family {
             Family::Line => "line",
             Family::Star => "star",
             Family::Clique => "clique",
+            Family::Ring => "ring",
         }
     }
 
     /// Parses a CLI spelling.
     pub fn parse(s: &str) -> Option<Family> {
         Family::ALL.into_iter().find(|f| f.label() == s)
-    }
-
-    fn topology(self) -> InitialTopology {
-        match self {
-            Family::Line => InitialTopology::RandomChain,
-            Family::Star => InitialTopology::Star,
-            Family::Clique => InitialTopology::Clique,
-        }
     }
 
     /// Builds the seeded initial [`State`] for this family on `n` evenly
@@ -62,7 +61,16 @@ impl Family {
     /// bound (see [`State::initial_bounded`]).
     pub fn initial_state_bounded(self, n: usize, budget: u32, seed: u64, bound: u32) -> State {
         let ids = evenly_spaced_ids(n);
-        let init = generate(self.topology(), &ids, ProtocolConfig::default(), seed);
+        let cfg = ProtocolConfig::default();
+        let topology = match self {
+            Family::Line => InitialTopology::RandomChain,
+            Family::Star => InitialTopology::Star,
+            Family::Clique => InitialTopology::Clique,
+            Family::Ring => {
+                return State::initial_bounded(make_sorted_ring(&ids, cfg), &[], budget, bound)
+            }
+        };
+        let init = generate(topology, &ids, cfg, seed);
         State::initial_bounded(init.nodes, &init.preloads, budget, bound)
     }
 }
@@ -117,14 +125,11 @@ pub fn livelock_demo_state() -> State {
 }
 
 /// The canonical sorted-ring configuration on `n` evenly spaced ids with
-/// empty channels and `budget` regular actions per node — the seed of
-/// the closure check (`--mode closure`): every state reachable from
-/// here, through any interleaving of the ring's own chatter, must still
-/// be the ring.
+/// empty channels and `budget` regular actions per node — the
+/// [`Family::Ring`] scope: every state reachable from here, through any
+/// interleaving of the ring's own chatter, must stay ring-stable.
 pub fn ring_state(n: usize, budget: u32) -> State {
-    let ids = evenly_spaced_ids(n);
-    let nodes = swn_core::invariants::make_sorted_ring(&ids, ProtocolConfig::default());
-    State::initial(nodes, &[], budget)
+    Family::Ring.initial_state(n, budget, 0)
 }
 
 #[cfg(test)]
@@ -136,7 +141,7 @@ mod tests {
         for f in Family::ALL {
             assert_eq!(Family::parse(f.label()), Some(f));
         }
-        assert_eq!(Family::parse("ring"), None);
+        assert_eq!(Family::parse("torus"), None);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! The simulator and the threaded runtime each exercise *one* delivery
 //! order per seed. This crate explores **all** of them, for networks small
-//! enough to enumerate (n ≤ 5): starting from a seeded initial topology
-//! it builds **one** explicit graph ([`explore::FairGraph`]) of every
+//! enough to enumerate (n ≤ 5). A *scope* is one seeded initial state
+//! ([`families::Family`]) at a given n and budget; for each, the crate
+//! builds **one** explicit graph ([`explore::FairGraph`]) of every
 //! configuration that any message-delivery order and regular-action
-//! schedule can reach, and every check runs on that graph. While it is
-//! built, every transition is monitored:
+//! schedule can reach, and judges the scope once, on every property,
+//! from that graph. While it is built, every transition is monitored:
 //!
 //! * the phase predicates of `swn_core::invariants` are **monotone** —
 //!   weak connectivity of the CC view, `is_sorted_list` and
@@ -53,9 +54,10 @@
 //! shortest schedule from the initial state;
 //! [`minimize`](minimize::minimize) shrinks it greedily (delta debugging
 //! with chunk size 1) and [`format_trace`] prints the replay step by
-//! step. On a clean graph [`liveness`] then asks what monotonicity
-//! cannot: livelock-freedom under weak fairness, closure of the ring
-//! region, and the ranking certificate of [`ranking`].
+//! step. [`liveness::analyze`] then asks what monotonicity cannot, from
+//! one scan of the edges and one SCC sweep: livelock-freedom under weak
+//! fairness, closure of the ring-stable region, and the ranking
+//! certificate of [`ranking`].
 
 #![forbid(unsafe_code)]
 // Libraries return strings or take writers; only binaries print.
@@ -72,10 +74,7 @@ pub mod symmetry;
 
 pub use explore::{FairGraph, FoundViolation};
 pub use families::Family;
-pub use liveness::{
-    check_closure, check_convergence, check_ranking, replay_states, validate_lasso, ClosureReport,
-    ConvergenceReport, Lasso, RankingReport,
-};
+pub use liveness::{analyze, replay_states, validate_lasso, Lasso, Report};
 pub use minimize::{format_trace, minimize, minimize_lasso, minimize_with, replay};
 pub use ranking::{rank_of, Rank, GOAL_RANK};
 pub use state::{PredVector, State, Transition, Violation};

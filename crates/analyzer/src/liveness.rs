@@ -1,6 +1,6 @@
-//! Liveness model checking: fair-cycle (livelock) detection, closure and
-//! the ranking certificate, over the [`FairGraph`] of
-//! [`crate::explore`].
+//! Every verdict on one [`FairGraph`] of [`crate::explore`] —
+//! livelock-freedom, closure and the ranking certificate — reached by
+//! [`analyze`] from one scan of the edges and one SCC sweep.
 //!
 //! The monitors that run while the graph is built prove *monotonicity*:
 //! once a phase predicate holds it never un-holds. That says nothing
@@ -37,44 +37,41 @@
 //! obligation edge is a concrete fair lasso cycle, which
 //! [`validate_lasso`] re-checks by replay, independently of the graph.
 //!
-//! **Convergence** (`--mode liveness`) reports two facts per scope:
-//! no fair SCC contains a non-goal state (goal = `is_sorted_ring`) —
-//! livelock-freedom, the genuinely new liveness content — and how many
-//! terminal (quiescent) states are goal vs. budget-starved. A terminal
-//! non-goal state means the scope's budget ran out mid-stabilization,
-//! which is a scope artifact, reported separately and *not* conflated
-//! with a livelock. A livelock violation is reported as a minimized
-//! lasso — stem from the BFS tree, cycle from an obligation-covering
-//! tour — and replayed before it is believed.
+//! **Livelock-freedom**: no fair SCC contains a non-goal state (goal =
+//! `is_sorted_ring`). Terminal (quiescent) states are tallied as goal
+//! vs. budget-starved; a terminal non-goal state means the scope's
+//! budget ran out mid-stabilization, a scope artifact reported apart
+//! from livelocks. A livelock comes back as a minimized lasso — stem
+//! from the BFS tree, cycle from an obligation-covering tour — replayed
+//! before it is believed.
 //!
-//! **Closure** (`--mode closure`) is the dual: from the canonical
-//! sorted-ring state with a fresh budget, every reachable state must
-//! still be sorted-ring — the ring's self-inflicted chatter (token
-//! walk, adverts, probes and their responses) never degrades the
-//! pointer structure. The stricter `is_ring_stable_config` (ring *plus*
-//! only declared benign traffic) is tallied alongside.
+//! **Closure**: no edge leads from an `is_ring_stable_config` state
+//! (sorted ring plus only declared benign chatter) to one that is not.
+//! From the `ring` seed every reachable state is therefore ring-stable;
+//! from an adversarial seed the check covers every ring-stable state
+//! the scope reaches.
 //!
-//! **Ranking** (`--mode ranking`) checks the certificate of
-//! [`crate::ranking`]: the potential is non-increasing on every edge,
-//! goal states sit at [`GOAL_RANK`], and the
-//! equal-rank (stutter) subgraph supports no fair cycle through a
-//! non-goal state. Since a cycle of a non-increasing potential is
-//! rank-constant, those three local checks are exactly what a ranking
-//! argument for convergence owes within the scope — and the per-edge
-//! part is a transition-local property whose validity is independent of
-//! the budget that bounded the search.
+//! **Ranking**: the certificate of [`crate::ranking`] — the potential
+//! never increases along an edge and goal states sit at [`GOAL_RANK`].
+//! Its third obligation, no fair equal-rank (stutter) cycle through a
+//! non-goal state, is the livelock sweep itself: when the rank is
+//! monotone, each edge inside an SCC is rank-constant (its target
+//! reaches its source back), so the equal-rank subgraph has exactly the
+//! full graph's SCCs, internal edges and witnesses. The per-edge part is
+//! transition-local, so its validity does not depend on the budget that
+//! bounded the search.
 
 use crate::explore::{action_of, graph_fp, pack_label, unpack_label, FairGraph};
 use crate::minimize::{minimize_lasso, minimize_with};
 use crate::ranking::{Rank, GOAL_RANK};
-use crate::state::{PredVector, State, Transition};
+use crate::state::{State, Transition};
 use crate::stepper::Stepper;
 #[expect(
     clippy::disallowed_types,
     reason = "BFS parent lookup; iteration order is never observed"
 )]
 use std::collections::{HashMap, VecDeque};
-use swn_core::invariants::is_sorted_ring_view;
+use swn_core::invariants::{is_ring_stable_config_view, is_sorted_ring_view};
 
 /// Iterative Tarjan: strongly connected components of `edges`.
 /// Returns the component id per vertex (ids in reverse topological
@@ -158,7 +155,7 @@ struct FairBadScc {
     bad: u32,
 }
 
-/// Outcome of the SCC sweep over one candidate cycle-edge relation.
+/// Outcome of the SCC sweep.
 struct SccSweep {
     comp_count: usize,
     max_size: usize,
@@ -170,17 +167,9 @@ struct SccSweep {
     violation: Option<FairBadScc>,
 }
 
-/// SCC + fairness sweep. `cycle_edges` is the relation cycles may use
-/// (the full graph for convergence, the equal-rank subgraph for the
-/// stutter check); `full_edges` always supplies the enabled sets for the
-/// obligations — fairness is about what *could* fire, not what the
-/// restricted relation kept.
-fn sweep_fair_sccs(
-    cycle_edges: &[Vec<(u64, u32)>],
-    full_edges: &[Vec<(u64, u32)>],
-    pred: &[PredVector],
-) -> SccSweep {
-    let (comp, comp_count) = tarjan(cycle_edges);
+/// SCC + fairness sweep over the whole graph.
+fn sweep_fair_sccs(g: &FairGraph) -> SccSweep {
+    let (comp, comp_count) = tarjan(&g.edges);
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); comp_count as usize];
     // Vertex ids are u32 by construction (max_states bounds the graph).
     #[allow(clippy::cast_possible_truncation)]
@@ -194,14 +183,13 @@ fn sweep_fair_sccs(
         violation: None,
     };
     for (cid, ms) in members.iter().enumerate() {
-        let nontrivial =
-            ms.len() > 1 || cycle_edges[ms[0] as usize].iter().any(|&(_, w)| w == ms[0]);
+        let nontrivial = ms.len() > 1 || g.edges[ms[0] as usize].iter().any(|&(_, w)| w == ms[0]);
         if !nontrivial {
             continue;
         }
-        let mut obligations = out_labels(full_edges, ms[0]);
+        let mut obligations = out_labels(&g.edges, ms[0]);
         for &v in &ms[1..] {
-            let here = out_labels(full_edges, v);
+            let here = out_labels(&g.edges, v);
             obligations.retain(|l| here.binary_search(l).is_ok());
             if obligations.is_empty() {
                 break;
@@ -210,7 +198,7 @@ fn sweep_fair_sccs(
         let internal: Vec<u64> = {
             let mut ls: Vec<u64> = ms
                 .iter()
-                .flat_map(|&v| cycle_edges[v as usize].iter())
+                .flat_map(|&v| g.edges[v as usize].iter())
                 .filter(|&&(_, w)| comp[w as usize] as usize == cid)
                 .map(|&(l, _)| action_of(l))
                 .collect();
@@ -225,7 +213,11 @@ fn sweep_fair_sccs(
             continue;
         }
         sweep.fair_nontrivial += 1;
-        if let Some(&bad) = ms.iter().filter(|&&v| !pred[v as usize].sorted_ring).min() {
+        if let Some(&bad) = ms
+            .iter()
+            .filter(|&&v| !g.pred[v as usize].sorted_ring)
+            .min()
+        {
             let better = sweep.violation.as_ref().is_none_or(|prev| bad < prev.bad);
             if better {
                 sweep.violation = Some(FairBadScc {
@@ -239,14 +231,9 @@ fn sweep_fair_sccs(
     sweep
 }
 
-/// Shortest path inside one component of `cycle_edges` from `from` to
-/// `to` (`from == to` gives the empty path), as `(label, target)` hops.
-fn path_within(
-    cycle_edges: &[Vec<(u64, u32)>],
-    members: &[u32],
-    from: u32,
-    to: u32,
-) -> Vec<(u64, u32)> {
+/// Shortest path inside one component of `edges` from `from` to `to`
+/// (`from == to` gives the empty path), as `(label, target)` hops.
+fn path_within(edges: &[Vec<(u64, u32)>], members: &[u32], from: u32, to: u32) -> Vec<(u64, u32)> {
     if from == to {
         return Vec::new();
     }
@@ -259,7 +246,7 @@ fn path_within(
     let mut queue = VecDeque::new();
     queue.push_back(from);
     'bfs: while let Some(v) = queue.pop_front() {
-        for &(l, w) in &cycle_edges[v as usize] {
+        for &(l, w) in &edges[v as usize] {
             if !member(w) || w == from || parent.contains_key(&w) {
                 continue;
             }
@@ -298,7 +285,7 @@ pub struct Lasso {
 /// member (so any action enabled on the whole tour is enabled on the
 /// whole component, i.e. an obligation) and taking every obligation
 /// edge, closed back to the anchor.
-fn build_cycle(cycle_edges: &[Vec<(u64, u32)>], scc: &FairBadScc) -> Vec<(u64, u32)> {
+fn build_cycle(edges: &[Vec<(u64, u32)>], scc: &FairBadScc) -> Vec<(u64, u32)> {
     fn append_hops(seq: &mut Vec<(u64, u32)>, cur: &mut u32, hops: Vec<(u64, u32)>) {
         for (l, w) in hops {
             *cur = w;
@@ -311,7 +298,7 @@ fn build_cycle(cycle_edges: &[Vec<(u64, u32)>], scc: &FairBadScc) -> Vec<(u64, u
     let mut seq: Vec<(u64, u32)> = Vec::new();
     let mut cur = anchor;
     for &m in &members {
-        let hops = path_within(cycle_edges, &members, cur, m);
+        let hops = path_within(edges, &members, cur, m);
         append_hops(&mut seq, &mut cur, hops);
     }
     for &obl in &scc.obligations {
@@ -321,21 +308,21 @@ fn build_cycle(cycle_edges: &[Vec<(u64, u32)>], scc: &FairBadScc) -> Vec<(u64, u
         let (src, edge) = members
             .iter()
             .find_map(|&v| {
-                cycle_edges[v as usize]
+                edges[v as usize]
                     .iter()
                     .find(|&&(l, w)| action_of(l) == obl && members.binary_search(&w).is_ok())
                     .map(|&edge| (v, edge))
             })
             .expect("fair SCC has an internal edge per obligation");
-        let hops = path_within(cycle_edges, &members, cur, src);
+        let hops = path_within(edges, &members, cur, src);
         append_hops(&mut seq, &mut cur, hops);
         append_hops(&mut seq, &mut cur, vec![edge]);
     }
-    let hops = path_within(cycle_edges, &members, cur, anchor);
+    let hops = path_within(edges, &members, cur, anchor);
     append_hops(&mut seq, &mut cur, hops);
     if seq.is_empty() {
         // Single state with a self-loop: the loop is the cycle.
-        let &(l, w) = cycle_edges[anchor as usize]
+        let &(l, w) = edges[anchor as usize]
             .iter()
             .find(|&&(_, w)| w == anchor)
             .expect("nontrivial singleton has a self-loop");
@@ -412,18 +399,15 @@ fn out_label_set_of(ctx: &State, s: &State) -> Vec<u64> {
     ls
 }
 
-/// Verdict of the convergence (fair-cycle) analysis.
+/// Every verdict [`analyze`] reaches on one graph. Whether the graph is
+/// exhaustive is the graph's own fact ([`FairGraph::truncated`]); a
+/// counterexample found in a truncated graph is still real.
 #[derive(Clone, Debug)]
-pub struct ConvergenceReport {
-    /// Reachable states of the budgeted model.
-    pub states: usize,
-    /// Edges of the graph.
-    pub edges: usize,
-    /// True when the graph is truncated — the state cap or a monitor
-    /// violation stopped its construction (no verdict).
-    pub truncated: bool,
-    /// States satisfying the goal predicate.
+pub struct Report {
+    /// States satisfying the goal predicate, `is_sorted_ring`.
     pub goal_states: usize,
+    /// States also satisfying the stricter `is_ring_stable_config`.
+    pub stable_states: usize,
     /// Terminal (quiescent) states: budgets spent, channels drained.
     pub terminals: usize,
     /// Terminal states that are *not* the sorted ring — executions the
@@ -437,37 +421,84 @@ pub struct ConvergenceReport {
     pub max_scc: usize,
     /// Nontrivial components supporting a fair cycle.
     pub fair_sccs: usize,
-    /// A minimized, replay-validated non-converging lasso, if any.
-    pub counterexample: Option<Lasso>,
+    /// A minimized, replay-validated fair lasso that avoids the goal.
+    pub lasso: Option<Lasso>,
+    /// A minimized schedule whose last step leaves the ring-stable
+    /// region.
+    pub escape: Option<Vec<Transition>>,
+    /// A schedule ending in a rank-increasing transition, with the ranks
+    /// around it.
+    pub increase: Option<(Vec<Transition>, Rank, Rank)>,
+    /// True when every goal state sits at [`GOAL_RANK`].
+    pub goal_at_minimum: bool,
 }
 
-impl ConvergenceReport {
-    /// True when the analysis was exhaustive and found no fair cycle
-    /// through a non-goal state: no execution in scope can loop forever
-    /// outside the sorted ring.
+impl Report {
+    /// No fair cycle passes through a non-goal state: no execution in
+    /// scope loops forever outside the sorted ring.
     pub fn livelock_free(&self) -> bool {
-        !self.truncated && self.counterexample.is_none()
+        self.lasso.is_none()
     }
 
-    /// [`Self::livelock_free`] *and* every quiescent execution actually
-    /// reached the ring — the strongest convergence statement the scope
-    /// supports (it fails when the budget is too small to finish
-    /// stabilizing, not only when the protocol is wrong).
-    pub fn converges(&self) -> bool {
-        self.livelock_free() && self.terminal_nongoal == 0
+    /// No edge leaves the ring-stable region.
+    pub fn closed(&self) -> bool {
+        self.escape.is_none()
+    }
+
+    /// The potential never increased along an edge.
+    pub fn monotone(&self) -> bool {
+        self.increase.is_none()
+    }
+
+    /// The ranking certificate: monotone, goal at the minimum, and — the
+    /// stutter obligation, which monotonicity reduces to the livelock
+    /// sweep — no fair rank-constant cycle through a non-goal state.
+    pub fn certified(&self) -> bool {
+        self.monotone() && self.goal_at_minimum && self.livelock_free()
     }
 }
 
-/// Runs the fair-cycle detector over a built graph.
+/// Judges a built graph on every property: one scan of the edges for
+/// closure and rank monotonicity, one SCC sweep for fair cycles.
 ///
 /// # Panics
-/// Panics if an extracted counterexample fails replay validation — that
-/// would mean the detector and the protocol semantics disagree, which is
-/// a checker bug, never a protocol bug.
-pub fn check_convergence(g: &FairGraph, stepper: &dyn Stepper) -> ConvergenceReport {
-    let sweep = sweep_fair_sccs(&g.edges, &g.edges, &g.pred);
-    let counterexample = sweep.violation.as_ref().map(|scc| {
-        let lasso = extract_lasso(g, stepper, &g.edges, scc);
+/// Panics if an extracted lasso fails replay validation — that would
+/// mean the detector and the protocol semantics disagree, which is a
+/// checker bug, never a protocol bug.
+pub fn analyze(g: &FairGraph, stepper: &dyn Stepper) -> Report {
+    let trace_to = |v: u32, label: u64| {
+        let mut trace = g.stem_to(v);
+        trace.push(unpack_label(&g.initial, label));
+        trace
+    };
+    let mut increase = None;
+    let mut escape = None;
+    for (v, out) in (0u32..).zip(&g.edges) {
+        let (from, stable) = (g.rank[v as usize], g.stable[v as usize]);
+        for &(l, w) in out {
+            let to = g.rank[w as usize];
+            if increase.is_none() && to > from {
+                increase = Some((trace_to(v, l), from, to));
+            }
+            if escape.is_none() && stable && !g.stable[w as usize] {
+                escape = Some(trace_to(v, l));
+            }
+        }
+    }
+    let escape = escape.map(|trace| {
+        let escapes = |trace: &[Transition]| {
+            replay_states(&g.initial, stepper, trace).is_some_and(|states| {
+                states.windows(2).any(|p| {
+                    is_ring_stable_config_view(&p[0].view())
+                        && !is_ring_stable_config_view(&p[1].view())
+                })
+            })
+        };
+        minimize_with(&trace, &escapes)
+    });
+    let sweep = sweep_fair_sccs(g);
+    let lasso = sweep.violation.as_ref().map(|scc| {
+        let lasso = extract_lasso(g, stepper, scc);
         assert!(
             validate_lasso(&g.initial, stepper, &lasso.stem, &lasso.cycle),
             "minimized lasso must replay as a fair non-goal cycle"
@@ -475,11 +506,9 @@ pub fn check_convergence(g: &FairGraph, stepper: &dyn Stepper) -> ConvergenceRep
         lasso
     });
     let terminal: Vec<u32> = g.terminals().collect();
-    ConvergenceReport {
-        states: g.len(),
-        edges: g.edge_count(),
-        truncated: g.truncated,
+    Report {
         goal_states: g.pred.iter().filter(|p| p.sorted_ring).count(),
+        stable_states: g.stable.iter().filter(|&&b| b).count(),
         terminals: terminal.len(),
         terminal_nongoal: terminal
             .iter()
@@ -488,20 +517,22 @@ pub fn check_convergence(g: &FairGraph, stepper: &dyn Stepper) -> ConvergenceRep
         scc_count: sweep.comp_count,
         max_scc: sweep.max_size,
         fair_sccs: sweep.fair_nontrivial,
-        counterexample,
+        lasso,
+        escape,
+        increase,
+        goal_at_minimum: g
+            .pred
+            .iter()
+            .zip(&g.rank)
+            .all(|(p, &r)| !p.sorted_ring || r == GOAL_RANK),
     }
 }
 
 /// Stem from the BFS tree + obligation-covering tour, then independent
 /// stem/cycle shrinking under replay validation.
-fn extract_lasso(
-    g: &FairGraph,
-    stepper: &dyn Stepper,
-    cycle_edges: &[Vec<(u64, u32)>],
-    scc: &FairBadScc,
-) -> Lasso {
+fn extract_lasso(g: &FairGraph, stepper: &dyn Stepper, scc: &FairBadScc) -> Lasso {
     let stem = g.stem_to(scc.bad);
-    let cycle: Vec<Transition> = build_cycle(cycle_edges, scc)
+    let cycle: Vec<Transition> = build_cycle(&g.edges, scc)
         .into_iter()
         .map(|(l, _)| unpack_label(&g.initial, l))
         .collect();
@@ -514,141 +545,6 @@ fn extract_lasso(
     };
     let (stem, cycle) = minimize_lasso(&stem, &cycle, &valid);
     Lasso { stem, cycle }
-}
-
-/// Verdict of the closure analysis: the ring region is invariant under
-/// the fair dynamics.
-#[derive(Clone, Debug)]
-pub struct ClosureReport {
-    /// Reachable states (from the sorted-ring seed).
-    pub states: usize,
-    /// Edges of the graph.
-    pub edges: usize,
-    /// True when the graph is truncated — the state cap or a monitor
-    /// violation stopped its construction (no verdict).
-    pub truncated: bool,
-    /// States still satisfying `is_sorted_ring` (closure demands all).
-    pub ring_states: usize,
-    /// States also satisfying the stricter `is_ring_stable_config`.
-    pub stable_states: usize,
-    /// Minimized schedule from the ring seed to a non-ring state.
-    pub escape: Option<Vec<Transition>>,
-}
-
-impl ClosureReport {
-    /// True when the analysis was exhaustive and the ring never broke.
-    pub fn closed(&self) -> bool {
-        !self.truncated && self.escape.is_none()
-    }
-}
-
-/// Checks closure on a graph built from a sorted-ring seed.
-pub fn check_closure(g: &FairGraph, stepper: &dyn Stepper) -> ClosureReport {
-    let escape = g.pred.iter().position(|p| !p.sorted_ring).map(|bad| {
-        // Vertex ids are u32 by construction (max_states bounds the graph).
-        #[allow(clippy::cast_possible_truncation)]
-        let stem = g.stem_to(bad as u32);
-        let escapes = |trace: &[Transition]| {
-            replay_states(&g.initial, stepper, trace).is_some_and(|states| {
-                !is_sorted_ring_view(&states.last().expect("nonempty").view())
-            })
-        };
-        minimize_with(&stem, &escapes)
-    });
-    ClosureReport {
-        states: g.len(),
-        edges: g.edge_count(),
-        truncated: g.truncated,
-        ring_states: g.pred.iter().filter(|p| p.sorted_ring).count(),
-        stable_states: g.stable.iter().filter(|&&b| b).count(),
-        escape,
-    }
-}
-
-/// Verdict of the ranking-certificate analysis.
-#[derive(Clone, Debug)]
-pub struct RankingReport {
-    /// Reachable states of the budgeted model.
-    pub states: usize,
-    /// Edges of the graph.
-    pub edges: usize,
-    /// True when the graph is truncated — the state cap or a monitor
-    /// violation stopped its construction (no verdict).
-    pub truncated: bool,
-    /// True when the potential never increased on any edge.
-    pub monotone: bool,
-    /// A schedule ending in a rank-increasing transition, with the ranks
-    /// around it.
-    pub increase: Option<(Vec<Transition>, Rank, Rank)>,
-    /// True when every goal state sits at `GOAL_RANK`.
-    pub goal_at_minimum: bool,
-    /// Fair SCCs of the equal-rank (stutter) subgraph — each is a fair
-    /// cycle on which the potential is constant; all must be goal-only.
-    pub stutter_fair_sccs: usize,
-    /// A fair equal-rank cycle through a non-goal state (certificate
-    /// failure), minimized and replay-validated.
-    pub stutter_counterexample: Option<Lasso>,
-}
-
-impl RankingReport {
-    /// True when the certificate holds exhaustively.
-    pub fn certified(&self) -> bool {
-        !self.truncated
-            && self.monotone
-            && self.goal_at_minimum
-            && self.stutter_counterexample.is_none()
-    }
-}
-
-/// Checks the ranking certificate over a built graph.
-pub fn check_ranking(g: &FairGraph, stepper: &dyn Stepper) -> RankingReport {
-    let mut increase = None;
-    'scan: for v in 0..g.len() {
-        for &(l, w) in &g.edges[v] {
-            if g.rank[w as usize] > g.rank[v] {
-                // Vertex ids are u32 by construction.
-                #[allow(clippy::cast_possible_truncation)]
-                let mut trace = g.stem_to(v as u32);
-                trace.push(unpack_label(&g.initial, l));
-                increase = Some((trace, g.rank[v], g.rank[w as usize]));
-                break 'scan;
-            }
-        }
-    }
-    let goal_at_minimum = g
-        .pred
-        .iter()
-        .zip(&g.rank)
-        .all(|(p, &r)| !p.sorted_ring || r == GOAL_RANK);
-    // Equal-rank subgraph: the only edges a rank-constant cycle can use.
-    let stutter: Vec<Vec<(u64, u32)>> = (0..g.len())
-        .map(|v| {
-            g.edges[v]
-                .iter()
-                .copied()
-                .filter(|&(_, w)| g.rank[w as usize] == g.rank[v])
-                .collect()
-        })
-        .collect();
-    let sweep = sweep_fair_sccs(&stutter, &g.edges, &g.pred);
-    let stutter_counterexample = sweep.violation.as_ref().map(|scc| {
-        let lasso = extract_lasso(g, stepper, &stutter, scc);
-        assert!(
-            validate_lasso(&g.initial, stepper, &lasso.stem, &lasso.cycle),
-            "minimized stutter lasso must replay"
-        );
-        lasso
-    });
-    RankingReport {
-        states: g.len(),
-        edges: g.edge_count(),
-        truncated: g.truncated,
-        monotone: increase.is_none(),
-        increase,
-        goal_at_minimum,
-        stutter_fair_sccs: sweep.fair_nontrivial,
-        stutter_counterexample,
-    }
 }
 
 #[cfg(test)]
@@ -674,7 +570,7 @@ mod tests {
     fn real_protocol_pair_is_livelock_free() {
         let s = crate::families::Family::Line.initial_state(2, 2, 1);
         let g = FairGraph::build(&s, &RealStepper, 500_000);
-        let report = check_convergence(&g, &RealStepper);
+        let report = analyze(&g, &RealStepper);
         assert!(report.livelock_free(), "fair sccs: {}", report.fair_sccs);
         assert!(report.goal_states > 0, "the pair must reach its ring");
         assert!(report.terminals > 0, "budgets exhaust, schedules quiesce");
@@ -684,12 +580,31 @@ mod tests {
     fn bounce_mutant_produces_validated_lasso() {
         let s = livelock_demo_state();
         let g = FairGraph::build(&s, &BounceLinStepper, 500_000);
-        let report = check_convergence(&g, &BounceLinStepper);
+        let report = analyze(&g, &BounceLinStepper);
         assert!(!g.truncated);
-        let lasso = report.counterexample.expect("livelock must be detected");
+        let lasso = report.lasso.expect("livelock must be detected");
         assert!(!lasso.cycle.is_empty());
-        // Validation already ran inside check_convergence; re-assert the
-        // replay here as the outermost end-to-end check.
+        // Validation already ran inside analyze; re-assert the replay
+        // here as the outermost end-to-end check.
+        assert!(validate_lasso(
+            &s,
+            &BounceLinStepper,
+            &lasso.stem,
+            &lasso.cycle
+        ));
+    }
+
+    #[test]
+    fn bounce_verdict_is_monotone_but_not_certified() {
+        // The rank never rises and the goal sits at the minimum, yet the
+        // livelock — a rank-constant fair cycle — denies the certificate.
+        let s = livelock_demo_state();
+        let g = FairGraph::build(&s, &BounceLinStepper, 500_000);
+        let report = analyze(&g, &BounceLinStepper);
+        assert!(report.monotone() && report.goal_at_minimum);
+        assert!(!report.livelock_free() && !report.certified());
+        assert_eq!(report.fair_sccs, 1);
+        let lasso = report.lasso.expect("the stutter cycle is the lasso");
         assert!(validate_lasso(
             &s,
             &BounceLinStepper,
@@ -702,18 +617,20 @@ mod tests {
     fn ring_pair_is_closed() {
         let s = ring_state(2, 2);
         let g = FairGraph::build(&s, &RealStepper, 500_000);
-        let report = check_closure(&g, &RealStepper);
+        let report = analyze(&g, &RealStepper);
+        assert!(!g.truncated);
         assert!(report.closed(), "escape: {:?}", report.escape);
-        assert_eq!(report.ring_states, report.states);
+        assert!(report.certified());
+        assert_eq!(report.stable_states, g.len());
     }
 
     #[test]
     fn monitors_run_under_closure_too() {
         // The ring's own chatter delivers messages, so the echo mutant
-        // self-sends on a clean-looking ring; closure must not pass it.
+        // self-sends on a clean-looking ring; the graph stops there.
         let g = FairGraph::build(&ring_state(3, 1), &SelfEchoStepper, 500_000);
-        let report = check_closure(&g, &SelfEchoStepper);
-        assert!(!report.closed());
+        analyze(&g, &SelfEchoStepper);
+        assert!(g.truncated);
         let found = g.violation.expect("the self-send monitor fires");
         assert!(matches!(found.violation, Violation::SelfSend { .. }));
         let r = crate::minimize::replay(&g.initial, &SelfEchoStepper, &found.trace);

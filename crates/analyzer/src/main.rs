@@ -1,68 +1,45 @@
-//! `analyzer` — run the small-scope checkers from the shell.
+//! `analyzer` — run the small-scope checker from the shell.
 //!
 //! ```text
-//! analyzer [--mode safety|liveness|closure|ranking]
-//!          [--n N] [--family line|star|clique|all] [--budget K]
+//! analyzer [--n N] [--family line|star|clique|ring|all] [--budget K]
 //!          [--seed S] [--max-states M] [--channel-bound B]
 //!          [--mutant drop-lin|self-echo|bounce-lin] [--json]
 //! ```
 //!
-//! Every mode builds one graph per scope (`swn_analyzer::explore`), over
-//! every schedule and every coin outcome, with the safety monitors
-//! running on every edge, and fails on a monitor violation or a
-//! truncated graph. The default mode, `safety`, asks nothing more: it
-//! exhaustively checks every family at n = 3 with one regular action per
-//! node (2.05 M distinct states) and prints the minimized schedule of
-//! any violation.
-//! The three liveness modes add the fair-cycle machinery of
-//! `swn_analyzer::liveness`:
+//! A scope is one seeded initial state at a given (family, n, budget).
+//! Each is judged once, from its one graph (`swn_analyzer::explore`)
+//! over every schedule and every coin outcome, on every property:
 //!
-//! * `liveness` — livelock-freedom: no weakly-fair cycle avoids the
-//!   sorted ring; also accounts terminal states (goal vs. budget-starved);
-//! * `closure` — from the canonical sorted ring with a fresh budget,
-//!   every reachable state is still the sorted ring;
-//! * `ranking` — the potential-function certificate: non-increasing on
-//!   every edge, goal at the minimum, no fair equal-rank cycle through a
-//!   non-goal state.
+//! * safety — the monitors fired on no edge and the graph is exhaustive;
+//! * livelock-freedom — no weakly fair cycle avoids the sorted ring
+//!   (terminal states are tallied as goal vs. budget-starved);
+//! * closure — no edge leaves the `is_ring_stable_config` region;
+//! * ranking — the potential never rises along an edge and goal states
+//!   sit at its minimum; its fair stutter-cycle obligation is the
+//!   livelock sweep.
 //!
-//! `--mutant` runs a deliberately broken stepper on its demo fixture and
-//! expects the checker to catch it (exit 0 when caught): `drop-lin` and
-//! `self-echo` are safety mutants, `bounce-lin` livelocks and is caught
-//! by the fair-cycle detector with a minimized, replayable lasso.
-//! `--json` emits one machine-readable JSON document on stdout instead
-//! of the human tables (the verdicts, sizes, SCC stats and any
-//! counterexample schedules).
+//! The default run judges all four families (line, star, clique and the
+//! sorted ring) at n = 3 with one regular action per node, prints the
+//! minimized counterexample of any failure, and exits 1 if a scope
+//! fails.
+//!
+//! `--mutant` judges a deliberately broken stepper on its demo fixture
+//! and expects the checker to reject it (exit 0 when caught): `drop-lin`
+//! and `self-echo` trip the safety monitors, `bounce-lin` livelocks and
+//! is caught by the fair-cycle detector with a minimized, replayable
+//! lasso. `--json` emits one machine-readable JSON document on stdout
+//! instead of the human tables: one record per scope with every verdict,
+//! size and SCC count and any counterexample schedules.
 
 #![forbid(unsafe_code)]
 
-use swn_analyzer::families::{livelock_demo_state, ring_state};
+use swn_analyzer::families::{demo_fault_state, livelock_demo_state};
 use swn_analyzer::{
-    check_closure, check_convergence, check_ranking, format_trace, minimize, BounceLinStepper,
-    DropLinStepper, FairGraph, Family, Lasso, RealStepper, SelfEchoStepper, State, Stepper,
-    Transition,
+    analyze, format_trace, minimize, BounceLinStepper, DropLinStepper, FairGraph, Family,
+    RealStepper, Report, SelfEchoStepper, State, Stepper, Transition,
 };
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Safety,
-    Liveness,
-    Closure,
-    Ranking,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Safety => "safety",
-            Mode::Liveness => "liveness",
-            Mode::Closure => "closure",
-            Mode::Ranking => "ranking",
-        }
-    }
-}
-
 struct Args {
-    mode: Mode,
     n: usize,
     families: Vec<Family>,
     budget: u32,
@@ -73,30 +50,34 @@ struct Args {
     json: bool,
 }
 
-/// One checker run in the `--json` document. Fields that a mode does
-/// not produce are `None` and serialize as `null`.
+/// One scope's record in the `--json` document.
 #[derive(serde::Serialize)]
 struct JsonRun {
-    mode: &'static str,
     stepper: &'static str,
+    /// `null` for a mutant's demo fixture.
     family: Option<&'static str>,
     states: usize,
     edges: usize,
     truncated: bool,
-    goal_states: Option<usize>,
-    terminals: Option<usize>,
-    terminal_nongoal: Option<usize>,
-    scc_count: Option<usize>,
-    max_scc: Option<usize>,
-    fair_sccs: Option<usize>,
-    ring_states: Option<usize>,
-    stable_states: Option<usize>,
-    monotone: Option<bool>,
-    goal_at_minimum: Option<bool>,
-    stutter_fair_sccs: Option<usize>,
+    goal_states: usize,
+    terminals: usize,
+    terminal_nongoal: usize,
+    scc_count: usize,
+    max_scc: usize,
+    fair_sccs: usize,
+    /// States satisfying `is_sorted_ring` (the same count as
+    /// `goal_states`).
+    ring_states: usize,
+    stable_states: usize,
+    monotone: bool,
+    goal_at_minimum: bool,
+    /// For a mutant, true when the checker caught it.
     ok: bool,
     verdict: String,
     lasso: Option<JsonLasso>,
+    /// The schedule behind the first failure the verdict names, other
+    /// than a livelock: a monitor violation (minimized), an escape from
+    /// the ring-stable region (minimized) or a rank increase.
     escape: Option<Vec<String>>,
 }
 
@@ -108,7 +89,6 @@ struct JsonLasso {
 
 #[derive(serde::Serialize)]
 struct JsonDoc {
-    mode: &'static str,
     n: usize,
     budget: u32,
     seed: u64,
@@ -120,8 +100,7 @@ struct JsonDoc {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: analyzer [--mode safety|liveness|closure|ranking] [--n N] \
-         [--family line|star|clique|all] [--budget K] \
+        "usage: analyzer [--n N] [--family line|star|clique|ring|all] [--budget K] \
          [--seed S] [--max-states M] [--channel-bound B] \
          [--mutant drop-lin|self-echo|bounce-lin] [--json]"
     );
@@ -130,7 +109,6 @@ fn usage(err: &str) -> ! {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        mode: Mode::Safety,
         n: 3,
         families: Family::ALL.to_vec(),
         budget: 1,
@@ -150,15 +128,6 @@ fn parse_args() -> Args {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--mode" => {
-                args.mode = match value(&mut i).as_str() {
-                    "safety" => Mode::Safety,
-                    "liveness" => Mode::Liveness,
-                    "closure" => Mode::Closure,
-                    "ranking" => Mode::Ranking,
-                    _ => usage("--mode expects safety|liveness|closure|ranking"),
-                };
-            }
             "--n" => {
                 args.n = value(&mut i)
                     .parse()
@@ -173,7 +142,7 @@ fn parse_args() -> Args {
                     Family::ALL.to_vec()
                 } else {
                     vec![Family::parse(&v)
-                        .unwrap_or_else(|| usage("--family expects line|star|clique|all"))]
+                        .unwrap_or_else(|| usage("--family expects line|star|clique|ring|all"))]
                 };
             }
             "--budget" => {
@@ -214,306 +183,136 @@ fn parse_args() -> Args {
     args
 }
 
-const TRUNCATED: &str = "TRUNCATED (raise --max-states for an exhaustive run)";
-
-impl JsonRun {
-    /// The fields every run reports, read off its graph; the
-    /// mode-specific ones start out `null`.
-    fn new(
-        mode: Mode,
-        stepper: &dyn Stepper,
-        family: Option<Family>,
-        g: &FairGraph,
-        ok: bool,
-        verdict: String,
-    ) -> JsonRun {
-        JsonRun {
-            mode: mode.label(),
-            stepper: stepper.label(),
-            family: family.map(Family::label),
-            states: g.len(),
-            edges: g.edge_count(),
-            truncated: g.truncated,
-            goal_states: None,
-            terminals: None,
-            terminal_nongoal: None,
-            scc_count: None,
-            max_scc: None,
-            fair_sccs: None,
-            ring_states: None,
-            stable_states: None,
-            monotone: None,
-            goal_at_minimum: None,
-            stutter_fair_sccs: None,
-            ok,
-            verdict,
-            lasso: None,
-            escape: None,
-        }
-    }
+/// One seeded initial state to judge, and the stepper to judge it under.
+struct Scope {
+    /// `None` for a mutant's demo fixture.
+    family: Option<Family>,
+    initial: State,
+    stepper: &'static dyn Stepper,
 }
 
 fn fmt_schedule(ts: &[Transition]) -> Vec<String> {
     ts.iter().map(std::string::ToString::to_string).collect()
 }
 
-fn json_lasso(l: &Lasso) -> JsonLasso {
-    JsonLasso {
-        stem: fmt_schedule(&l.stem),
-        cycle: fmt_schedule(&l.cycle),
+/// The verdict line: `ok (exhaustive)`, or every failure, `; `-joined.
+fn verdict(g: &FairGraph, r: &Report) -> String {
+    let mut failures = Vec::new();
+    if let Some(found) = &g.violation {
+        failures.push(format!("VIOLATION: {}", found.violation));
+    } else if g.truncated {
+        failures.push("TRUNCATED (raise --max-states for an exhaustive run)".to_owned());
     }
-}
-
-fn print_lasso(lasso: &JsonLasso) {
-    println!(
-        "  minimized lasso (stem {} + cycle {}):",
-        lasso.stem.len(),
-        lasso.cycle.len()
-    );
-    for t in &lasso.stem {
-        println!("    stem:  {t}");
-    }
-    for t in &lasso.cycle {
-        println!("    cycle: {t}");
-    }
-}
-
-/// Prints the `--json` document; it has `failed` set when a run is not ok.
-fn print_doc(mode: &'static str, n: usize, budget: u32, args: &Args, runs: Vec<JsonRun>) {
-    let doc = JsonDoc {
-        mode,
-        n,
-        budget,
-        seed: args.seed,
-        channel_bound: args.channel_bound,
-        failed: runs.iter().any(|r| !r.ok),
-        runs,
-    };
-    println!("{}", serde_json::to_string(&doc).expect("serialize"));
-}
-
-/// Runs a safety mutant (drop-lin / self-echo) on the two-node demo
-/// fixture and prints the minimized counterexample; exits non-zero when
-/// the monitors fail to catch it.
-fn run_safety_mutant(args: &Args, stepper: &dyn Stepper) {
-    let budget = args.budget.min(1);
-    let initial = swn_analyzer::families::demo_fault_state(budget);
-    let g = FairGraph::build(&initial, stepper, args.max_states);
-    let Some(found) = &g.violation else {
-        eprintln!("mutant fixture unexpectedly clean — the monitors are broken");
-        std::process::exit(1);
-    };
-    let min = minimize(&initial, stepper, &found.trace);
-    if args.json {
-        let verdict = format!("caught: {}", found.violation);
-        let mut run = JsonRun::new(Mode::Safety, stepper, None, &g, true, verdict);
-        run.escape = Some(fmt_schedule(&min));
-        print_doc("safety", 2, budget, args, vec![run]);
-        return;
-    }
-    println!(
-        "mutant: injected fault '{}' caught after exploring {} states",
-        stepper.label(),
-        g.len()
-    );
-    println!("raw trace: {} steps; minimizing...", found.trace.len());
-    print!("{}", format_trace(&initial, stepper, &min));
-}
-
-/// Runs the bounce-lin mutant through the fair-cycle detector on its
-/// three-node livelock fixture; exits non-zero unless a validated lasso
-/// counterexample is produced.
-fn run_bounce_mutant(args: &Args) {
-    let stepper = BounceLinStepper;
-    let initial = livelock_demo_state();
-    let g = FairGraph::build(&initial, &stepper, args.max_states);
-    let (mut run, row) = convergence_run(&g, &stepper, None);
-    let Some(lasso) = &run.lasso else {
-        eprintln!("bounce-lin fixture has no fair non-goal cycle — the detector is broken");
-        std::process::exit(1);
-    };
-    if args.json {
-        // For this mutant a run is "ok" when the livelock IS caught.
-        run.ok = true;
-        print_doc("liveness", initial.nodes.len(), 0, args, vec![run]);
-        return;
-    }
-    println!(
-        "mutant: '{}' livelock detected — states={} edges={} {row}",
-        stepper.label(),
-        run.states,
-        run.edges
-    );
-    print_lasso(lasso);
-    println!("  replays: the cycle is weakly fair and never reaches the sorted ring");
-}
-
-/// `--mode safety`: the graph's own verdict, nothing on top.
-fn safety_run(g: &FairGraph, family: Option<Family>) -> (JsonRun, String) {
-    let (ok, verdict) = if g.truncated {
-        (false, TRUNCATED)
-    } else {
-        (true, "ok (exhaustive)")
-    };
-    let terminals = g.terminals().count();
-    let mut run = JsonRun::new(
-        Mode::Safety,
-        &RealStepper,
-        family,
-        g,
-        ok,
-        verdict.to_owned(),
-    );
-    run.terminals = Some(terminals);
-    (run, format!("quiescent={terminals:>6}"))
-}
-
-/// `--mode liveness`, and the bounce-lin mutant.
-fn convergence_run(
-    g: &FairGraph,
-    stepper: &dyn Stepper,
-    family: Option<Family>,
-) -> (JsonRun, String) {
-    let r = check_convergence(g, stepper);
-    let verdict = if let Some(l) = &r.counterexample {
-        format!(
+    if let Some(l) = &r.lasso {
+        failures.push(format!(
             "LIVELOCK: fair cycle of {} steps avoids the sorted ring",
             l.cycle.len()
-        )
-    } else if r.truncated {
-        TRUNCATED.to_owned()
-    } else {
-        format!(
-            "livelock-free ({} terminal states, {} budget-starved)",
-            r.terminals, r.terminal_nongoal
-        )
-    };
-    let row = format!(
-        "goal={:>7} terminal={:>6} (starved {}) sccs={} fair={}",
-        r.goal_states, r.terminals, r.terminal_nongoal, r.scc_count, r.fair_sccs
-    );
-    let run = JsonRun {
-        goal_states: Some(r.goal_states),
-        terminals: Some(r.terminals),
-        terminal_nongoal: Some(r.terminal_nongoal),
-        scc_count: Some(r.scc_count),
-        max_scc: Some(r.max_scc),
-        fair_sccs: Some(r.fair_sccs),
-        lasso: r.counterexample.as_ref().map(json_lasso),
-        ..JsonRun::new(
-            Mode::Liveness,
-            stepper,
-            family,
-            g,
-            r.livelock_free(),
-            verdict,
-        )
-    };
-    (run, row)
-}
-
-/// `--mode closure`.
-fn closure_run(g: &FairGraph) -> (JsonRun, String) {
-    let r = check_closure(g, &RealStepper);
-    let verdict = if let Some(escape) = &r.escape {
-        format!("ESCAPE: ring broken after {} steps", escape.len())
-    } else if r.truncated {
-        TRUNCATED.to_owned()
-    } else {
-        "closed (every reachable state is the sorted ring)".to_owned()
-    };
-    let row = format!("ring={:>8} stable={:>8}", r.ring_states, r.stable_states);
-    let run = JsonRun {
-        ring_states: Some(r.ring_states),
-        stable_states: Some(r.stable_states),
-        escape: r.escape.as_deref().map(fmt_schedule),
-        ..JsonRun::new(Mode::Closure, &RealStepper, None, g, r.closed(), verdict)
-    };
-    (run, row)
-}
-
-/// `--mode ranking`.
-fn ranking_run(g: &FairGraph, family: Option<Family>) -> (JsonRun, String) {
-    let r = check_ranking(g, &RealStepper);
-    let verdict = if let Some((trace, from, to)) = &r.increase {
-        format!(
+        ));
+    }
+    if let Some(e) = &r.escape {
+        failures.push(format!(
+            "ESCAPE: ring-stable region left after {} steps",
+            e.len()
+        ));
+    }
+    if let Some((t, from, to)) = &r.increase {
+        failures.push(format!(
             "RANK INCREASE {from:?} -> {to:?} after {} steps",
-            trace.len()
-        )
-    } else if !r.goal_at_minimum {
-        "GOAL STATE ABOVE MINIMUM RANK".to_owned()
-    } else if r.stutter_counterexample.is_some() {
-        "FAIR RANK-CONSTANT CYCLE OUTSIDE GOAL".to_owned()
-    } else if r.truncated {
-        TRUNCATED.to_owned()
+            t.len()
+        ));
+    }
+    if !r.goal_at_minimum {
+        failures.push("GOAL STATE ABOVE MINIMUM RANK".to_owned());
+    }
+    if failures.is_empty() {
+        "ok (exhaustive)".to_owned()
     } else {
-        "certified (monotone, goal at minimum, stutter cycles goal-only)".to_owned()
-    };
-    let row = format!(
-        "monotone={} goal_at_min={} stutter_fair={}",
-        r.monotone, r.goal_at_minimum, r.stutter_fair_sccs
-    );
-    let run = JsonRun {
-        monotone: Some(r.monotone),
-        goal_at_minimum: Some(r.goal_at_minimum),
-        stutter_fair_sccs: Some(r.stutter_fair_sccs),
-        lasso: r.stutter_counterexample.as_ref().map(json_lasso),
-        escape: r.increase.as_ref().map(|(t, _, _)| fmt_schedule(t)),
-        ..JsonRun::new(
-            Mode::Ranking,
-            &RealStepper,
-            family,
-            g,
-            r.certified(),
-            verdict,
-        )
-    };
-    (run, row)
+        failures.join("; ")
+    }
 }
 
-/// Builds the one graph of a scope and lets `args.mode` judge it. A
-/// monitor violation overrides whatever the mode concluded from the part
-/// of the graph built before it.
-fn check_scope(initial: &State, family: Option<Family>, args: &Args) -> JsonRun {
-    let g = FairGraph::build(initial, &RealStepper, args.max_states);
-    let (mut run, row) = match args.mode {
-        Mode::Safety => safety_run(&g, family),
-        Mode::Liveness => convergence_run(&g, &RealStepper, family),
-        Mode::Closure => closure_run(&g),
-        Mode::Ranking => ranking_run(&g, family),
-    };
+/// Builds the one graph of a scope, judges it on every property and, in
+/// the human output, prints its rows and any counterexample.
+fn judge(scope: &Scope, args: &Args) -> JsonRun {
+    let (initial, stepper) = (&scope.initial, scope.stepper);
+    let g = FairGraph::build(initial, stepper, args.max_states);
+    let r = analyze(&g, stepper);
     let minimized = g
         .violation
         .as_ref()
-        .map(|found| minimize(initial, &RealStepper, &found.trace));
-    if let Some(found) = &g.violation {
-        run.ok = false;
-        run.verdict = format!("VIOLATION: {}", found.violation);
-        run.lasso = None;
-        run.escape = minimized.as_deref().map(fmt_schedule);
-    }
+        .map(|found| minimize(initial, stepper, &found.trace));
+    let escape = minimized
+        .as_deref()
+        .or(r.escape.as_deref())
+        .or(r.increase.as_ref().map(|(t, _, _)| t.as_slice()));
+    let run = JsonRun {
+        stepper: stepper.label(),
+        family: scope.family.map(Family::label),
+        states: g.len(),
+        edges: g.edge_count(),
+        truncated: g.truncated,
+        goal_states: r.goal_states,
+        terminals: r.terminals,
+        terminal_nongoal: r.terminal_nongoal,
+        scc_count: r.scc_count,
+        max_scc: r.max_scc,
+        fair_sccs: r.fair_sccs,
+        ring_states: r.goal_states,
+        stable_states: r.stable_states,
+        monotone: r.monotone(),
+        goal_at_minimum: r.goal_at_minimum,
+        ok: !g.truncated && r.closed() && r.certified(),
+        lasso: r.lasso.as_ref().map(|l| JsonLasso {
+            stem: fmt_schedule(&l.stem),
+            cycle: fmt_schedule(&l.cycle),
+        }),
+        escape: escape.map(fmt_schedule),
+        verdict: verdict(&g, &r),
+    };
     if args.json {
         return run;
     }
     println!(
-        "  {:<6} states={:>8} edges={:>9} {row}  {}",
-        family.map_or("ring", Family::label),
+        "  {:<7} states={:>8} edges={:>9}  {}",
+        scope.family.map_or("fixture", Family::label),
         run.states,
         run.edges,
         run.verdict
     );
+    println!(
+        "          terminal={} (starved {}) sccs={} fair={} ring={} stable={} \
+         monotone={} goal_at_min={}",
+        run.terminals,
+        run.terminal_nongoal,
+        run.scc_count,
+        run.fair_sccs,
+        run.ring_states,
+        run.stable_states,
+        run.monotone,
+        run.goal_at_minimum
+    );
     if g.coalesced_sends > 0 {
         println!(
-            "         ({} sends coalesced by channel bound {}; exhaustive relative to it)",
+            "          ({} sends coalesced by channel bound {}; exhaustive relative to it)",
             g.coalesced_sends, args.channel_bound
         );
     }
-    if let Some(min) = &minimized {
-        print!("{}", format_trace(initial, &RealStepper, min));
-    } else {
-        if let Some(l) = &run.lasso {
-            print_lasso(l);
+    if let Some(l) = &run.lasso {
+        println!(
+            "  minimized lasso (stem {} + cycle {}):",
+            l.stem.len(),
+            l.cycle.len()
+        );
+        for t in &l.stem {
+            println!("    stem:  {t}");
         }
+        for t in &l.cycle {
+            println!("    cycle: {t}");
+        }
+    }
+    if let Some(min) = &minimized {
+        print!("{}", format_trace(initial, stepper, min));
+    } else {
         for t in run.escape.iter().flatten() {
             println!("    escape: {t}");
         }
@@ -523,43 +322,66 @@ fn check_scope(initial: &State, family: Option<Family>, args: &Args) -> JsonRun 
 
 fn main() {
     let args = parse_args();
-    match args.mutant.as_deref() {
-        Some("drop-lin") => return run_safety_mutant(&args, &DropLinStepper),
-        Some("self-echo") => return run_safety_mutant(&args, &SelfEchoStepper),
-        Some("bounce-lin") => return run_bounce_mutant(&args),
-        _ => {}
-    }
-
-    if !args.json {
-        println!(
-            "small-scope {} check: n = {}, budget = {}, seed = {}, channel bound = {}",
-            args.mode.label(),
-            args.n,
-            args.budget,
-            args.seed,
-            args.channel_bound
-        );
-    }
-    let scopes: Vec<(Option<Family>, State)> = if args.mode == Mode::Closure {
-        // Closure has one canonical seed per (n, budget), not one per
-        // family: the sorted ring itself.
-        vec![(None, ring_state(args.n, args.budget))]
-    } else {
-        let seeded = |f: &Family| {
-            f.initial_state_bounded(args.n, args.budget, args.seed, args.channel_bound)
-        };
-        args.families
-            .iter()
-            .map(|f| (Some(*f), seeded(f)))
-            .collect()
+    let mutant = |stepper: &'static dyn Stepper, initial: State| {
+        vec![Scope {
+            family: None,
+            initial,
+            stepper,
+        }]
     };
-    let runs: Vec<JsonRun> = scopes
-        .iter()
-        .map(|(family, initial)| check_scope(initial, *family, &args))
-        .collect();
+    let scopes = match args.mutant.as_deref() {
+        Some("drop-lin") => mutant(&DropLinStepper, demo_fault_state(args.budget.min(1))),
+        Some("self-echo") => mutant(&SelfEchoStepper, demo_fault_state(args.budget.min(1))),
+        Some("bounce-lin") => mutant(&BounceLinStepper, livelock_demo_state()),
+        _ => args
+            .families
+            .iter()
+            .map(|&f| Scope {
+                family: Some(f),
+                initial: f.initial_state_bounded(
+                    args.n,
+                    args.budget,
+                    args.seed,
+                    args.channel_bound,
+                ),
+                stepper: &RealStepper,
+            })
+            .collect(),
+    };
+    let first = &scopes[0].initial;
+    let (n, budget) = (first.nodes.len(), first.budgets[0]);
+    if !args.json {
+        match &args.mutant {
+            Some(m) => println!("mutant '{m}' on its demo fixture: n = {n}, budget = {budget}"),
+            None => println!(
+                "small-scope check: n = {n}, budget = {budget}, seed = {}, channel bound = {}",
+                args.seed, args.channel_bound
+            ),
+        }
+    }
+    let mut runs: Vec<JsonRun> = scopes.iter().map(|s| judge(s, &args)).collect();
+    if args.mutant.is_some() {
+        // A mutant's run is ok when the checker rejects it.
+        for run in &mut runs {
+            run.ok = !run.ok;
+        }
+        if !runs[0].ok {
+            eprintln!("mutant fixture judged clean — the checker is broken");
+        } else if !args.json {
+            println!("  caught: the checker rejects the mutant");
+        }
+    }
     let failed = runs.iter().any(|r| !r.ok);
     if args.json {
-        print_doc(args.mode.label(), args.n, args.budget, &args, runs);
+        let doc = JsonDoc {
+            n,
+            budget,
+            seed: args.seed,
+            channel_bound: args.channel_bound,
+            failed,
+            runs,
+        };
+        println!("{}", serde_json::to_string(&doc).expect("serialize"));
     }
     if failed {
         std::process::exit(1);

@@ -173,7 +173,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Canonical state encoding (see [`State::key`]).
+/// State encoding (see [`crate::symmetry::canonical_key`]).
 pub type Key = Vec<u64>;
 
 /// Code for a finite identifier: its index in the node list, offset past
@@ -331,36 +331,6 @@ impl State {
             ch.sort_unstable_by_key(|m| msg_code(&nodes, m));
         }
         self.nodes = nodes;
-    }
-
-    /// Semantic encoding of the configuration in node-vector order — the
-    /// raw form that [`crate::symmetry::canonical_key`], the graph's
-    /// state key, renames by id rank. It covers every variable future behaviour depends
-    /// on: per node `(l, r, lrl, ring, age, tick mod probe_period)` — the
-    /// raw probing tick only acts through its residue — plus the budgets
-    /// and the canonically ordered channel multisets. Node ids and the
-    /// protocol config are immutable and omitted. Equal keys are
-    /// therefore bisimilar states.
-    pub fn key(&self) -> Key {
-        let mut k = Vec::with_capacity(6 * self.nodes.len() + 4 * self.channels.len());
-        for node in &self.nodes {
-            k.push(ext_code(&self.nodes, node.left()));
-            k.push(ext_code(&self.nodes, node.right()));
-            k.push(id_code(&self.nodes, node.lrl()));
-            k.push(node.ring().map_or(0, |x| id_code(&self.nodes, x)));
-            k.push(node.age());
-            k.push(node.probe_tick() % node.config().probe_period);
-        }
-        for &b in &self.budgets {
-            k.push(u64::from(b));
-        }
-        for ch in &self.channels {
-            k.push(ch.len() as u64);
-            for m in ch {
-                k.extend(msg_code(&self.nodes, m));
-            }
-        }
-        k
     }
 
     /// The borrowed view of this configuration — what every predicate
@@ -695,9 +665,10 @@ mod tests {
         let (nodes, ids) = two_fresh_nodes();
         let a = State::initial(nodes.clone(), &[], 1);
         let b = State::initial(nodes.clone(), &[], 2);
-        assert_ne!(a.key(), b.key());
+        let key = crate::symmetry::canonical_key;
+        assert_ne!(key(&a), key(&b));
         let c = State::initial(nodes, &[(ids[0], Message::Lin(ids[1]))], 1);
-        assert_ne!(a.key(), c.key());
-        assert_eq!(a.key(), a.clone().key());
+        assert_ne!(key(&a), key(&c));
+        assert_eq!(key(&a), key(&a.clone()));
     }
 }

@@ -10,9 +10,7 @@
 //!   vector, or in the concrete id values assigned to the same order
 //!   type, get the same key — this is the symmetry reduction, and it is
 //!   what lets one search certify every network that is order-isomorphic
-//!   to the seeded one. The raw [`State::key`] already encodes ids as
-//!   node-vector indices; rank renaming additionally makes the key
-//!   independent of how the initializer happened to arrange that vector.
+//!   to the seeded one, however the initializer arranged the node vector.
 //!
 //! * **Age saturation.** `age` enters behaviour only through the forget
 //!   coin inside `move-forget`, drawn only when `φ(age) > 0`. For
@@ -50,15 +48,16 @@ fn rank_order(s: &State) -> Vec<usize> {
     order
 }
 
-/// Canonical key of `s`: nodes and channels walked in id-rank order,
-/// identifiers encoded as ranks, ages saturated at [`AGE_SATURATION`],
-/// probing ticks reduced to their `probe_period` residue. Budgets are
-/// included (in rank order) when `include_budgets` is set; a caller that
-/// abstracts budgets away may drop them from the key.
+/// Canonical key of `s`, the only state key: per node in id-rank order
+/// `(l, r, lrl, ring, age, tick)` with identifiers encoded as ranks, ages
+/// saturated at [`AGE_SATURATION`] and probing ticks reduced to their
+/// `probe_period` residue; then the budgets and the sorted channel
+/// multisets, in rank order. Node ids and the protocol config are
+/// immutable and omitted.
 ///
 /// Equal canonical keys are bisimilar modulo an order-isomorphism of the
 /// identifier space, which every handler decision factors through.
-pub fn canonical_key(s: &State, include_budgets: bool) -> Key {
+pub fn canonical_key(s: &State) -> Key {
     use swn_core::id::Extended;
     use swn_core::message::Message;
 
@@ -100,10 +99,8 @@ pub fn canonical_key(s: &State, include_budgets: bool) -> Key {
         k.push(node.age().min(AGE_SATURATION));
         k.push(node.probe_tick() % node.config().probe_period);
     }
-    if include_budgets {
-        for &idx in &order {
-            k.push(u64::from(s.budgets[idx]));
-        }
+    for &idx in &order {
+        k.push(u64::from(s.budgets[idx]));
     }
     for &idx in &order {
         let mut codes: Vec<[u64; 3]> = s.channels[idx].iter().map(code_msg).collect();
@@ -152,8 +149,7 @@ mod tests {
         shuffled.rotate_left(1);
         let a = State::initial(nodes, &[(ids[0], Message::Lin(ids[1]))], 1);
         let b = State::initial(shuffled, &[(ids[0], Message::Lin(ids[1]))], 1);
-        assert_ne!(a.key(), b.key(), "raw keys see the storage order");
-        assert_eq!(canonical_key(&a, true), canonical_key(&b, true));
+        assert_eq!(canonical_key(&a), canonical_key(&b));
     }
 
     #[test]
@@ -175,13 +171,13 @@ mod tests {
             State::initial(nodes, &[], 0)
         };
         assert_ne!(
-            canonical_key(&at_age(1), false),
-            canonical_key(&at_age(2), false),
+            canonical_key(&at_age(1)),
+            canonical_key(&at_age(2)),
             "ages below the threshold stay distinct"
         );
         assert_eq!(
-            canonical_key(&at_age(3), false),
-            canonical_key(&at_age(4), false),
+            canonical_key(&at_age(3)),
+            canonical_key(&at_age(4)),
             "ages at and past the threshold merge"
         );
     }

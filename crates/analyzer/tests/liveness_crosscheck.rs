@@ -20,7 +20,7 @@
 //!   `State::outcomes` — the graph's own expansion — offers) to an
 //!   arbitrary reachable state, scrambles the storage order with a
 //!   random permutation (nodes, channels and budgets move together),
-//!   and asserts key equality with and without budgets.
+//!   and asserts key equality.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,8 +28,7 @@ use rand::{RngExt, SeedableRng};
 use swn_analyzer::explore::action_of;
 use swn_analyzer::families::livelock_demo_state;
 use swn_analyzer::{
-    canonical_key, check_convergence, BounceLinStepper, FairGraph, Family, RealStepper, State,
-    Stepper,
+    analyze, canonical_key, BounceLinStepper, FairGraph, Family, RealStepper, State, Stepper,
 };
 
 /// Three-color depth-first search for cycle existence — linear, and a
@@ -136,17 +135,17 @@ fn cycle_is_fair_nongoal(g: &FairGraph, cycle: &[u32]) -> bool {
 fn cross_check(initial: &State, stepper: &dyn Stepper) -> bool {
     let g = FairGraph::build(initial, stepper, 200_000);
     assert!(!g.truncated, "cross-check scopes must be exhaustive");
-    let report = check_convergence(&g, stepper);
+    let report = analyze(&g, stepper);
     let brute = has_cycle(&g)
         && simple_cycles(&g, g.len().min(32))
             .iter()
             .any(|c| cycle_is_fair_nongoal(&g, c));
     assert_eq!(
-        report.counterexample.is_some(),
+        report.lasso.is_some(),
         brute,
         "SCC detector and brute-force lasso enumeration disagree \
          ({} states, {} fair SCCs)",
-        report.states,
+        g.len(),
         report.fair_sccs
     );
     brute
@@ -184,13 +183,13 @@ fn brute_force_finds_no_cycle_in_budgeted_pair_graphs() {
 }
 
 #[test]
-#[ignore = "heavy in debug (n = 3 graphs up to 1.8M states); CI's analyzer-liveness job covers the same scope in release"]
+#[ignore = "heavy in debug (n = 3 graphs up to 1.8M states); CI's analyzer job runs it in release"]
 fn brute_force_finds_no_cycle_in_n3_families() {
     for family in [Family::Line, Family::Star, Family::Clique] {
         let initial = family.initial_state(3, 1, 1);
         let g = FairGraph::build(&initial, &RealStepper, 2_000_000);
         assert!(!g.truncated);
-        let report = check_convergence(&g, &RealStepper);
+        let report = analyze(&g, &RealStepper);
         assert!(
             !has_cycle(&g) && report.livelock_free(),
             "{} n=3 must be acyclic and livelock-free",
@@ -249,14 +248,9 @@ proptest! {
         let s = random_walk(walk_seed, steps);
         let p = permuted(&s, perm_seed);
         prop_assert_eq!(
-            canonical_key(&s, true),
-            canonical_key(&p, true),
-            "budgeted canonical keys must not see storage order"
-        );
-        prop_assert_eq!(
-            canonical_key(&s, false),
-            canonical_key(&p, false),
-            "budget-free canonical keys must not see storage order"
+            canonical_key(&s),
+            canonical_key(&p),
+            "canonical keys must not see storage order"
         );
     }
 }
