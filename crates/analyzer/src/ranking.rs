@@ -4,9 +4,9 @@
 //! never lost (phase 1), the `l`/`r` pointers only refine toward the
 //! sorted list (phase 2), the ring edges only walk toward the true
 //! extrema (phase 3). [`rank_of`] packs those three stages into one
-//! lexicographic vector that the `ranking` mode checks **non-increasing
-//! on every reachable fair-model transition** and **at its minimum on
-//! every goal state**:
+//! lexicographic vector that the ranking certificate checks
+//! **non-increasing on every reachable fair-model transition** and **at
+//! its minimum on every goal state**:
 //!
 //! 1. `components` — number of weak components of the CC view (stored
 //!    links plus in-flight payloads). The connectivity lemma (Theorem
