@@ -28,6 +28,9 @@
 //!   emits is **accounted for** by `swn_sim::trace::RoundStats` — folding
 //!   it into a default `RoundStats` must change some counter.
 //!
+//! A [`Stepper`] runs each receive action, so a mutant can replace
+//! the protocol's; regular actions run `Node::on_regular` itself.
+//!
 //! Randomness is branched on, not sampled: `move-forget` is the only
 //! handler that draws, one coin for the candidate and one for the
 //! forget, and handlers draw from [`Coins`] that land on a given

@@ -443,7 +443,7 @@ impl State {
                     return None;
                 }
                 next.budgets[node] -= 1;
-                stepper.regular(&mut next.nodes[node], &mut out);
+                next.nodes[node].on_regular(&mut out);
                 (node, None)
             }
         };

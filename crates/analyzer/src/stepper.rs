@@ -1,10 +1,11 @@
-//! The coins handlers draw, and the handler-dispatch seam.
+//! The coins handlers draw, and the receive-action seam.
 //!
 //! [`Stepper`] is the one indirection between the graph builder and
-//! `swn_core::node::Node`: the real implementation forwards to the
-//! protocol handlers, and the faulty ones exist solely to prove the
-//! monitors can catch a broken protocol (and to exercise the
-//! counterexample printer end to end).
+//! `Node::on_message`: the real implementation forwards to the protocol's
+//! receive action, and the faulty ones exist solely to prove the monitors
+//! can catch a broken protocol (and to exercise the counterexample
+//! printer end to end). Every mutant breaks a receive action, so regular
+//! actions call `Node::on_regular` directly.
 
 use swn_core::message::Message;
 use swn_core::node::Node;
@@ -44,29 +45,22 @@ impl rand::Rng for Coins {
     }
 }
 
-/// Dispatch seam between the graph builder and the protocol handlers.
+/// Receive-action seam between the graph builder and the protocol handlers.
 pub trait Stepper {
     /// Delivers `msg` to `node` (the receive action).
     fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox);
-
-    /// Runs `node`'s regular action.
-    fn regular(&self, node: &mut Node, out: &mut Outbox);
 
     /// Name for reports and traces.
     fn label(&self) -> &'static str;
 }
 
-/// The actual protocol: forwards to `Node::on_message` / `Node::on_regular`.
+/// The actual protocol: forwards to `Node::on_message`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RealStepper;
 
 impl Stepper for RealStepper {
     fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox) {
         node.on_message(msg, rng, out);
-    }
-
-    fn regular(&self, node: &mut Node, out: &mut Outbox) {
-        node.on_regular(out);
     }
 
     fn label(&self) -> &'static str {
@@ -90,10 +84,6 @@ impl Stepper for DropLinStepper {
         node.on_message(msg, rng, out);
     }
 
-    fn regular(&self, node: &mut Node, out: &mut Outbox) {
-        node.on_regular(out);
-    }
-
     fn label(&self) -> &'static str {
         "drop-lin"
     }
@@ -109,10 +99,6 @@ impl Stepper for SelfEchoStepper {
     fn deliver(&self, node: &mut Node, msg: Message, rng: &mut Coins, out: &mut Outbox) {
         node.on_message(msg, rng, out);
         out.send(node.id(), msg); // the bug: undeclared self-send
-    }
-
-    fn regular(&self, node: &mut Node, out: &mut Outbox) {
-        node.on_regular(out);
     }
 
     fn label(&self) -> &'static str {
@@ -156,10 +142,6 @@ impl Stepper for BounceLinStepper {
             }
         }
         node.on_message(msg, rng, out);
-    }
-
-    fn regular(&self, node: &mut Node, out: &mut Outbox) {
-        node.on_regular(out);
     }
 
     fn label(&self) -> &'static str {

@@ -136,10 +136,6 @@ impl Stepper for MixedCoinStepper {
         }
     }
 
-    fn regular(&self, node: &mut Node, out: &mut Outbox) {
-        node.on_regular(out);
-    }
-
     fn label(&self) -> &'static str {
         "mixed-coin"
     }

@@ -1,15 +1,24 @@
 //! The long-range link: `respondlrl` (Algorithm 3) and `move-forget`
 //! (Algorithm 4).
 //!
-//! Every node owns one long-range *token* that performs a lazy random walk
-//! over the ring. Each round the node announces the token's position to
-//! its current endpoint (`inclrl`); the endpoint answers with its own two
-//! ring neighbours (`reslrl`); the owner then *moves* the token to one of
-//! them uniformly at random and *forgets* it (resets it to the origin)
-//! with the age-dependent probability φ(α). Chaintreau et al. [4] prove
-//! the stationary distribution of the token's displacement is the
-//! k-harmonic distribution — exactly the Kleinberg link distribution that
-//! makes greedy routing polylogarithmic.
+//! Every node owns one long-range link, its *token*. Each round the node
+//! announces the token's position to its current endpoint (`inclrl`)
+//! without waiting for the previous answer; the endpoint answers with its
+//! own two ring neighbours (`reslrl`); on *every* answer the owner
+//! *moves* the token to one of them uniformly at random and *forgets* it
+//! (resets it to the origin) with the age-dependent probability φ(α),
+//! the age counting rounds since the last forget.
+//!
+//! Chaintreau et al. [4] prove that a single such walker's displacement
+//! is stationary in the k-harmonic distribution — the Kleinberg link
+//! distribution that makes greedy routing polylogarithmic. This token is
+//! not that walker: requests overlap and `move-forget` accepts any
+//! `reslrl`, so under `Immediate` (an answer arrives two rounds after its
+//! request) each node drives two interleaved walkers, more under random
+//! delays, and a forget resets only the one it lands on. On a formed ring
+//! the endpoint jumps two or more ranks without a reset, and
+//! E[d² | age a] stays well below a (`crates/sim/tests/lrl_token_pin.rs`,
+//! DESIGN.md §2 note 9).
 
 // A malformed peer message must never be able to panic a node.
 #![deny(clippy::unwrap_used, clippy::expect_used)]

@@ -106,11 +106,6 @@ impl Outbox {
         &self.events
     }
 
-    /// Drains the queued sends (events stay until [`clear`](Self::clear)).
-    pub fn drain_sends(&mut self) -> std::vec::Drain<'_, (NodeId, Message)> {
-        self.sends.drain(..)
-    }
-
     /// Drains the recorded events.
     pub fn drain_events(&mut self) -> std::vec::Drain<'_, ProtocolEvent> {
         self.events.drain(..)
@@ -148,17 +143,6 @@ mod tests {
         assert_eq!(out.sends()[1].1, Message::Ring(id(0.4)));
         assert_eq!(out.events(), &[ProtocolEvent::LrlForgotten { age: 7 }]);
         assert!(!out.is_empty());
-    }
-
-    #[test]
-    fn drain_empties_sends_only() {
-        let mut out = Outbox::new();
-        out.send(id(0.1), Message::Lin(id(0.2)));
-        out.event(ProtocolEvent::RingReset { to: None });
-        let drained: Vec<_> = out.drain_sends().collect();
-        assert_eq!(drained.len(), 1);
-        assert!(out.sends().is_empty());
-        assert_eq!(out.events().len(), 1);
         out.clear();
         assert!(out.is_empty());
     }

@@ -108,7 +108,7 @@ const EXPERIMENTS: [(&str, &str, Runner); 15] = [
         |q| {
             let p = preset!(e12_chaos, q);
             let report = e12_chaos::run_campaign_report(&p);
-            vec![e12_chaos::run(&p), e12_chaos::campaign_table(&p, &report)]
+            vec![e12_chaos::run(&p), e12_chaos::campaign_table(&report)]
         },
     ),
     ("a1", "ablation: lrl shortcuts in linearization", |q| {
@@ -212,10 +212,11 @@ fn main() {
         let p = preset!(e12_chaos, quick);
         eprintln!(
             ">>> chaos campaign: {} scenarios (seed {:#x})",
-            p.scenarios, p.campaign_seed
+            p.scenarios,
+            e12_chaos::CAMPAIGN_SEED
         );
         let report = e12_chaos::run_campaign_report(&p);
-        e12_chaos::campaign_table(&p, &report).print();
+        e12_chaos::campaign_table(&report).print();
         if let Some(dir) = &reproducers {
             match e12_chaos::write_reproducers(&report, dir) {
                 Ok(paths) => {

@@ -36,6 +36,10 @@ use swn_sim::obs::{Histogram, NoopSink, Sink};
 use swn_sim::parallel::run_trials;
 use swn_sim::Network;
 
+/// Sustained per-message drop probabilities to sweep. The first and last
+/// entries anchor the monotonicity check.
+const DROP_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.1];
+
 /// Parameters for E10.
 #[derive(Clone, Debug)]
 pub struct Params {
@@ -43,9 +47,6 @@ pub struct Params {
     pub n: usize,
     /// Trials per scenario.
     pub trials: usize,
-    /// Sustained per-message drop probabilities to sweep. The first and
-    /// last entries anchor the monotonicity check.
-    pub drop_rates: Vec<f64>,
     /// Nodes whose neighbour state the perturbation scrambles.
     pub damage: usize,
     /// Nodes crashed by the crash-storm scenario.
@@ -56,8 +57,6 @@ pub struct Params {
     pub partition_len: u64,
     /// Round budget per recovery watch.
     pub budget: u64,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -66,13 +65,11 @@ impl Params {
         Params {
             n: 256,
             trials: 20,
-            drop_rates: vec![0.0, 0.01, 0.05, 0.1],
             damage: 8,
             crash_nodes: 6,
             down_for: 20,
             partition_len: 60,
             budget: 200_000,
-            epsilon: 0.1,
         }
     }
 
@@ -81,13 +78,11 @@ impl Params {
         Params {
             n: 64,
             trials: 8,
-            drop_rates: vec![0.0, 0.01, 0.05, 0.1],
             damage: 6,
             crash_nodes: 4,
             down_for: 10,
             partition_len: 25,
             budget: 50_000,
-            epsilon: 0.1,
         }
     }
 }
@@ -130,8 +125,7 @@ fn run_trial(
     seed: u64,
     mk_plan: impl Fn(&Network, u64) -> FaultPlan,
 ) -> (WatchReport, f64) {
-    let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = harmonic_network(p.n, cfg, seed);
+    let mut net = harmonic_network(p.n, ProtocolConfig::default(), seed);
     // A sink makes the causal tracer live, so `watch_recovery` can
     // bracket a cascade window and fill `WatchReport::cascade`.
     // Observers consume no RNG, so trial outcomes are unchanged.
@@ -214,7 +208,7 @@ fn aggregate(label: String, trials: Vec<(WatchReport, f64)>) -> FaultPoint {
 /// randomness for it), so that arm is the fault-free computation plus
 /// the seeded crashes.
 pub fn measure_drop_matrix(p: &Params) -> Vec<FaultPoint> {
-    p.drop_rates
+    DROP_RATES
         .iter()
         .map(|&rate| {
             let trials = run_trials(p.trials, |t| {
@@ -458,9 +452,9 @@ mod tests {
         assert!(
             first.mttr.mean() < last.mttr.mean(),
             "MTTR must grow from p={} ({:.2}) to p={} ({:.2})",
-            p.drop_rates[0],
+            DROP_RATES[0],
             first.mttr.mean(),
-            p.drop_rates[p.drop_rates.len() - 1],
+            DROP_RATES[DROP_RATES.len() - 1],
             last.mttr.mean()
         );
     }
@@ -523,7 +517,6 @@ mod tests {
     fn tables_render() {
         let mut p = tiny();
         p.trials = 2;
-        p.drop_rates = vec![0.0, 0.1];
         let table = run(&p).render();
         assert!(table.contains("E10"));
         assert!(table.contains("casc p50"), "{table}");

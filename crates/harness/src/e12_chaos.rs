@@ -35,6 +35,9 @@ use swn_sim::Network;
 use swn_topology::routing::{evaluate_routing, RoutingStats};
 use swn_topology::Graph;
 
+/// Master seed of the chaos campaign.
+pub const CAMPAIGN_SEED: u64 = 0xe12a;
+
 /// Parameters for E12.
 #[derive(Clone, Debug)]
 pub struct Params {
@@ -50,12 +53,8 @@ pub struct Params {
     pub routing_pairs: usize,
     /// Round budget per recovery watch.
     pub budget: u64,
-    /// Master seed of the chaos campaign.
-    pub campaign_seed: u64,
     /// Scenarios the campaign samples.
     pub scenarios: usize,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -68,9 +67,7 @@ impl Params {
             crash_nodes: 6,
             routing_pairs: 400,
             budget: 100_000,
-            campaign_seed: 0xe12a,
             scenarios: 200,
-            epsilon: 0.1,
         }
     }
 
@@ -83,9 +80,7 @@ impl Params {
             crash_nodes: 4,
             routing_pairs: 200,
             budget: 30_000,
-            campaign_seed: 0xe12a,
             scenarios: 50,
-            epsilon: 0.1,
         }
     }
 }
@@ -136,8 +131,7 @@ fn run_class_trial(
     seed: u64,
     mk_plan: impl Fn(&Network, u64) -> FaultPlan,
 ) -> ClassTrial {
-    let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = harmonic_network(p.n, cfg, seed);
+    let mut net = harmonic_network(p.n, ProtocolConfig::default(), seed);
     // The sink arms the causal tracer so the watch can bracket a
     // cascade window; observers consume no RNG, outcomes are unchanged.
     net.attach_sink(Box::new(NoopSink), u64::MAX);
@@ -384,16 +378,16 @@ pub fn run(p: &Params) -> Table {
 /// Runs the seeded chaos campaign with the default failure predicate
 /// (anything unclassified fails and is shrunk).
 pub fn run_campaign_report(p: &Params) -> CampaignReport {
-    let cfg = CampaignConfig::new(p.campaign_seed, p.scenarios);
+    let cfg = CampaignConfig::new(CAMPAIGN_SEED, p.scenarios);
     run_campaign(&cfg, &default_failure)
 }
 
 /// Renders a campaign report as the E12b table.
-pub fn campaign_table(p: &Params, report: &CampaignReport) -> Table {
+pub fn campaign_table(report: &CampaignReport) -> Table {
     let mut t = Table::new(
         format!(
             "E12b  Chaos campaign: {} random fault compositions (seed {:#x})",
-            report.total, p.campaign_seed
+            report.total, CAMPAIGN_SEED
         ),
         "every sampled scenario must be *classified*: it recovers, or it disconnects \
          with a culprit sole-carrier drop named. Panics, budget exhaustion and \
@@ -552,7 +546,7 @@ mod tests {
                 .map(|f| (&f.result.outcome, f.scenario.to_json()))
                 .collect::<Vec<_>>()
         );
-        let rendered = campaign_table(&p, &report).render();
+        let rendered = campaign_table(&report).render();
         assert!(rendered.contains("E12b"), "{rendered}");
         assert!(rendered.contains("recovered"), "{rendered}");
         assert!(!rendered.contains("FAIL"), "{rendered}");

@@ -6,8 +6,9 @@
 //! * the **self-stabilized protocol**: full message-passing simulation on
 //!   the formed ring, link lengths sampled from snapshots;
 //! * the **pure move-and-forget process** of Chaintreau et al. — the
-//!   ground truth the stable protocol must match, since on the formed
-//!   ring the protocol's token dynamics reduce to exactly that process.
+//!   single-walker reference the stable protocol is compared with (the
+//!   protocol's token is several interleaved walkers, not exactly that
+//!   process; DESIGN.md §2 note 9).
 //!
 //! Reported per system: KS distance to the plain harmonic CDF, KS to the
 //! log-corrected law `1/(d·(1+ln d)^(1+ε))` (the finite-scale stationary
@@ -34,8 +35,6 @@ pub struct Params {
     pub epochs: usize,
     /// Rounds between sampling epochs.
     pub epoch_gap: u64,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -46,7 +45,6 @@ impl Params {
             warmup: 20_000,
             epochs: 200,
             epoch_gap: 20,
-            epsilon: 0.1,
         }
     }
 
@@ -57,7 +55,6 @@ impl Params {
             warmup: 4_000,
             epochs: 60,
             epoch_gap: 10,
-            epsilon: 0.1,
         }
     }
 }
@@ -75,7 +72,8 @@ pub struct FitStats {
     pub slope: f64,
 }
 
-fn fit(lengths: &[usize], max_d: usize, epsilon: f64) -> FitStats {
+fn fit(lengths: &[usize], max_d: usize) -> FitStats {
+    let epsilon = ProtocolConfig::default().epsilon;
     FitStats {
         samples: lengths.len(),
         ks_harmonic: ks_to_harmonic(lengths, max_d),
@@ -86,26 +84,25 @@ fn fit(lengths: &[usize], max_d: usize, epsilon: f64) -> FitStats {
 
 /// Measures the protocol's stable-state link lengths at size `n`.
 pub fn protocol_fit(n: usize, p: &Params, seed: u64) -> FitStats {
-    let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = stable_network(n, cfg, seed, p.warmup);
+    let mut net = stable_network(n, ProtocolConfig::default(), seed, p.warmup);
     let mut lengths = Vec::new();
     for _ in 0..p.epochs {
         net.run(p.epoch_gap);
         lengths.extend(lrl_lengths_view(&net.view()));
     }
-    fit(&lengths, n / 2, p.epsilon)
+    fit(&lengths, n / 2)
 }
 
 /// Measures the pure move-and-forget baseline at size `n`.
 pub fn baseline_fit(n: usize, p: &Params, seed: u64) -> FitStats {
-    let mut mf = MoveForgetRing::new(n, p.epsilon, seed);
+    let mut mf = MoveForgetRing::new(n, ProtocolConfig::default().epsilon, seed);
     mf.run(p.warmup);
     let mut lengths = Vec::new();
     for _ in 0..p.epochs {
         mf.run(p.epoch_gap);
         lengths.extend(mf.lengths());
     }
-    fit(&lengths, n / 2, p.epsilon)
+    fit(&lengths, n / 2)
 }
 
 /// Runs E2 and renders the table.

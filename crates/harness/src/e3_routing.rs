@@ -5,8 +5,8 @@
 //!
 //! * `protocol` — the self-stabilized network (full simulation; the
 //!   expensive one, so capped at `protocol_max_n`);
-//! * `move-forget` — the pure process on the formed ring (provably the
-//!   protocol's stable-state dynamics; scales further);
+//! * `move-forget` — the pure single-walker process on the formed ring
+//!   (the reference for the protocol's token; scales further);
 //! * `kleinberg` — the static harmonic construction (the ideal the
 //!   process converges to);
 //! * `uniform` — uniformly random shortcuts (Kleinberg's lower bound:
@@ -39,8 +39,6 @@ pub struct Params {
     pub protocol_max_n: usize,
     /// Random (s,t) pairs per measurement.
     pub pairs: usize,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -50,7 +48,6 @@ impl Params {
             sizes: vec![128, 256, 512, 1024, 2048, 4096, 8192],
             protocol_max_n: 1024,
             pairs: 1000,
-            epsilon: 0.1,
         }
     }
 
@@ -60,7 +57,6 @@ impl Params {
             sizes: vec![128, 256, 512],
             protocol_max_n: 256,
             pairs: 200,
-            epsilon: 0.1,
         }
     }
 }
@@ -120,16 +116,19 @@ pub fn build_graph(sys: System, n: usize, p: &Params, seed: u64) -> Option<Graph
             if n > p.protocol_max_n {
                 return None;
             }
-            let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-            Some(stabilized_graph(n, cfg, seed, default_warmup(n)))
+            Some(stabilized_graph(
+                n,
+                ProtocolConfig::default(),
+                seed,
+                default_warmup(n),
+            ))
         }
         System::ProtocolStationary => {
-            let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-            let net = crate::testbed::harmonic_network(n, cfg, seed);
+            let net = crate::testbed::harmonic_network(n, ProtocolConfig::default(), seed);
             Some(Graph::from_view(&net.view(), swn_core::views::View::Cp))
         }
         System::MoveForget => {
-            let mut mf = MoveForgetRing::new(n, p.epsilon, seed);
+            let mut mf = MoveForgetRing::new(n, ProtocolConfig::default().epsilon, seed);
             mf.run(default_warmup(n) * 2);
             Some(mf.graph())
         }

@@ -36,8 +36,6 @@ pub struct Params {
     pub epochs: usize,
     /// Rounds between sampling epochs.
     pub epoch_gap: u64,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -48,7 +46,6 @@ impl Params {
             warmup: 200,
             epochs: 120,
             epoch_gap: 25,
-            epsilon: 0.1,
         }
     }
 
@@ -59,7 +56,6 @@ impl Params {
             warmup: 100,
             epochs: 40,
             epoch_gap: 15,
-            epsilon: 0.1,
         }
     }
 }
@@ -78,8 +74,7 @@ pub struct ProbeMeasurement {
 
 /// Runs the probe replay sweep.
 pub fn measure(p: &Params, seed: u64) -> ProbeMeasurement {
-    let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = harmonic_network(p.n, cfg, seed);
+    let mut net = harmonic_network(p.n, ProtocolConfig::default(), seed);
     net.run(p.warmup); // links are pre-seeded, so this is a shakedown only
                        // hops-by-distance samples.
     let mut samples: Vec<(usize, u32)> = Vec::new();

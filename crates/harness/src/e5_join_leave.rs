@@ -35,8 +35,6 @@ pub struct Params {
     pub trials: usize,
     /// Round budget per recovery.
     pub max_rounds: u64,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -46,7 +44,6 @@ impl Params {
             sizes: vec![128, 256, 512, 1024, 2048],
             trials: 20,
             max_rounds: 500_000,
-            epsilon: 0.1,
         }
     }
 
@@ -56,7 +53,6 @@ impl Params {
             sizes: vec![64, 128, 256],
             trials: 6,
             max_rounds: 100_000,
-            epsilon: 0.1,
         }
     }
 }
@@ -84,8 +80,7 @@ pub fn measure_joins(p: &Params) -> Vec<ChurnPoint> {
         .map(|&n| {
             let reports = run_trials(p.trials, |t| {
                 let seed = t as u64 * 31 + n as u64;
-                let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-                let mut net = harmonic_network(n, cfg, seed);
+                let mut net = harmonic_network(n, ProtocolConfig::default(), seed);
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
                 let ids = net.ids();
                 let contact = ids[rng.random_range(0..ids.len())];
@@ -129,8 +124,7 @@ pub fn measure_leaves(p: &Params) -> Vec<ChurnPoint> {
         .map(|&n| {
             let reports = run_trials(p.trials, |t| {
                 let seed = t as u64 * 37 + n as u64;
-                let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-                let mut net = harmonic_network(n, cfg, seed);
+                let mut net = harmonic_network(n, ProtocolConfig::default(), seed);
                 // Steady-state message rate from a pre-leave window.
                 let window = 20u64;
                 let start = net.trace().len();

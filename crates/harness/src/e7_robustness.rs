@@ -34,8 +34,6 @@ pub struct Params {
     pub fractions: Vec<f64>,
     /// Routing pairs per point.
     pub pairs: usize,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -45,7 +43,6 @@ impl Params {
             n: 1024,
             fractions: vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
             pairs: 400,
-            epsilon: 0.1,
         }
     }
 
@@ -55,7 +52,6 @@ impl Params {
             n: 256,
             fractions: vec![0.0, 0.2, 0.4],
             pairs: 150,
-            epsilon: 0.1,
         }
     }
 }
@@ -97,7 +93,7 @@ impl System {
 pub fn build_graph(sys: System, p: &Params, seed: u64) -> Graph {
     match sys {
         System::Protocol => {
-            let net = harmonic_network(p.n, ProtocolConfig::with_epsilon(p.epsilon), seed);
+            let net = harmonic_network(p.n, ProtocolConfig::default(), seed);
             Graph::from_view(&net.view(), swn_core::views::View::Cp)
         }
         System::Kleinberg => kleinberg_ring(p.n, seed),

@@ -13,13 +13,14 @@ use swn_sim::parallel::run_trials;
 use swn_topology::clustering::average_clustering;
 use swn_topology::paths::path_stats_sampled;
 
+/// Lattice degree (the original paper's k = 10).
+const K: usize = 10;
+
 /// Parameters for E8.
 #[derive(Clone, Debug)]
 pub struct Params {
     /// Nodes.
     pub n: usize,
-    /// Lattice degree.
-    pub k: usize,
     /// Rewiring probabilities (0 is prepended automatically as the
     /// baseline).
     pub ps: Vec<f64>,
@@ -30,11 +31,10 @@ pub struct Params {
 }
 
 impl Params {
-    /// Full-scale run (the original paper's n = 1000, k = 10).
+    /// Full-scale run (the original paper's n = 1000).
     pub fn full() -> Self {
         Params {
             n: 1000,
-            k: 10,
             ps: vec![0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0],
             seeds: 20,
             path_samples: 80,
@@ -45,7 +45,6 @@ impl Params {
     pub fn quick() -> Self {
         Params {
             n: 300,
-            k: 10,
             ps: vec![0.01, 0.1, 1.0],
             seeds: 5,
             path_samples: 40,
@@ -66,7 +65,7 @@ pub struct WsPoint {
 
 /// Measures the normalized series.
 pub fn measure(params: &Params) -> Vec<WsPoint> {
-    let base = watts_strogatz(params.n, params.k, 0.0, 0);
+    let base = watts_strogatz(params.n, K, 0.0, 0);
     let c0 = average_clustering(&base);
     let l0 = path_stats_sampled(&base, params.path_samples, 0).avg;
     params
@@ -74,7 +73,7 @@ pub fn measure(params: &Params) -> Vec<WsPoint> {
         .iter()
         .map(|&p| {
             let results = run_trials(params.seeds, |s| {
-                let g = watts_strogatz(params.n, params.k, p, s as u64 * 131 + 7);
+                let g = watts_strogatz(params.n, K, p, s as u64 * 131 + 7);
                 (
                     average_clustering(&g),
                     path_stats_sampled(&g, params.path_samples, s as u64).avg,
@@ -97,7 +96,7 @@ pub fn run(params: &Params) -> Table {
     let mut t = Table::new(
         format!(
             "E8  Watts-Strogatz interpolation (n = {}, k = {})",
-            params.n, params.k
+            params.n, K
         ),
         "L(p) collapses an order of magnitude before C(p) drops — the small-world window ([24], Fig. 2)",
         &["p", "C(p)/C(0)", "L(p)/L(0)"],

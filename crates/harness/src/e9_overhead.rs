@@ -29,8 +29,6 @@ pub struct Params {
     pub window: u64,
     /// Horizon (in multiples of n) for the max-age measurement.
     pub age_horizon_factor: u64,
-    /// Protocol ε.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -41,7 +39,6 @@ impl Params {
             warmup: 3_000,
             window: 300,
             age_horizon_factor: 50,
-            epsilon: 0.1,
         }
     }
 
@@ -52,7 +49,6 @@ impl Params {
             warmup: 800,
             window: 100,
             age_horizon_factor: 20,
-            epsilon: 0.1,
         }
     }
 }
@@ -70,8 +66,7 @@ pub struct Census {
 
 /// Runs the stable-state message census.
 pub fn census(n: usize, p: &Params, seed: u64) -> Census {
-    let cfg = ProtocolConfig::with_epsilon(p.epsilon);
-    let mut net = stable_network(n, cfg, seed, p.warmup);
+    let mut net = stable_network(n, ProtocolConfig::default(), seed, p.warmup);
     let start = net.trace().len();
     net.run(p.window);
     let sent = net.trace().since(start).sent;
@@ -91,7 +86,7 @@ pub fn census(n: usize, p: &Params, seed: u64) -> Census {
 /// quantity the Theorem 4.22 proof bounds by O(n) w.h.p. Measured on the
 /// fast baseline with a `factor·n` round budget.
 pub fn rounds_all_forgotten(n: usize, p: &Params, seed: u64) -> u64 {
-    let mut mf = MoveForgetRing::new(n, p.epsilon, seed);
+    let mut mf = MoveForgetRing::new(n, ProtocolConfig::default().epsilon, seed);
     mf.rounds_until_all_forgotten(p.age_horizon_factor * n as u64)
         .unwrap_or(p.age_horizon_factor * n as u64)
 }

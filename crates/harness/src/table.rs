@@ -1,6 +1,7 @@
 //! Plain-text result tables — the "rows the paper would report".
 
 use serde::Serialize;
+use swn_topology::distribution::ols_slope;
 
 /// A printable experiment result table.
 #[derive(Clone, Debug, Serialize)]
@@ -101,36 +102,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Maximum of a slice (0 for empty).
 pub fn fmax(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0, f64::max)
-}
-
-/// Ordinary-least-squares slope of y against x.
-pub fn ols_slope(points: &[(f64, f64)]) -> Option<f64> {
-    if points.len() < 2 {
-        return None;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        None
-    } else {
-        Some((n * sxy - sx * sy) / denom)
-    }
 }
 
 /// Fits `y ≈ c · ln^e(n)` over `(n, y)` pairs and returns the exponent
@@ -172,14 +146,7 @@ mod tests {
     fn stats_helpers() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((stddev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
         assert_eq!(fmax(&[1.0, 5.0, 3.0]), 5.0);
-    }
-
-    #[test]
-    fn ols_recovers_line() {
-        let pts: Vec<(f64, f64)> = (1..10).map(|i| (i as f64, 3.0 * i as f64 + 1.0)).collect();
-        assert!((ols_slope(&pts).unwrap() - 3.0).abs() < 1e-9);
     }
 
     #[test]

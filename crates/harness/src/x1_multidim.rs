@@ -12,6 +12,7 @@
 
 use crate::table::{f2, f3, Table};
 use swn_baselines::torus::{Torus, TorusMoveForget};
+use swn_core::config::ProtocolConfig;
 
 /// Parameters for X1.
 #[derive(Clone, Debug)]
@@ -22,8 +23,6 @@ pub struct Params {
     pub warmup: u64,
     /// Routing pairs per measurement.
     pub pairs: usize,
-    /// Forget exponent.
-    pub epsilon: f64,
 }
 
 impl Params {
@@ -33,7 +32,6 @@ impl Params {
             tori: vec![(1024, 1), (32, 2), (10, 3)],
             warmup: 20_000,
             pairs: 500,
-            epsilon: 0.1,
         }
     }
 
@@ -43,7 +41,6 @@ impl Params {
             tori: vec![(256, 1), (16, 2), (6, 3)],
             warmup: 4_000,
             pairs: 150,
-            epsilon: 0.1,
         }
     }
 }
@@ -71,7 +68,8 @@ pub fn measure(p: &Params) -> Vec<DimPoint> {
             let torus = Torus::new(m, k);
             let n = torus.len();
             let lattice_hops = torus.mean_greedy_hops(&torus.lattice_graph(), p.pairs, 1);
-            let mut mf = TorusMoveForget::new(torus, p.epsilon, 9 + k as u64);
+            let mut mf =
+                TorusMoveForget::new(torus, ProtocolConfig::default().epsilon, 9 + k as u64);
             mf.run(p.warmup);
             let forget_rate = mf.forgets() as f64 / (p.warmup as f64 * n as f64);
             let torus = mf.torus().clone();

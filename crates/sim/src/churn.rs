@@ -48,13 +48,6 @@ impl RecoveryReport {
     pub fn recovered(&self) -> bool {
         self.rounds.is_some()
     }
-
-    /// True when the watch ended without recovering: the budget ran out
-    /// (or, with a fault plan attached, the knowledge graph was severed
-    /// and the watch stopped early).
-    pub fn budget_exhausted(&self) -> bool {
-        self.rounds.is_none()
-    }
 }
 
 /// The join bootstrap: inserts a newcomer whose only link is `contact`,
@@ -311,14 +304,13 @@ mod tests {
         let rep = leave(&mut net, ids[3], 4000);
         assert_eq!(rep.budget, 4000);
         assert!(rep.recovered(), "{rep:?}");
-        assert!(!rep.budget_exhausted());
         // An impossible budget exhausts honestly: rounds = None, budget
         // still reported.
         let mut net2 = stable_network(8, ProtocolConfig::default(), 12, 0);
         net2.run(500);
         let ids2 = net2.ids();
         let rep2 = leave(&mut net2, ids2[3], 1);
-        assert!(rep2.budget_exhausted(), "{rep2:?}");
+        assert!(!rep2.recovered(), "{rep2:?}");
         assert_eq!(rep2.budget, 1);
     }
 

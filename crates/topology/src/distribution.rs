@@ -113,6 +113,24 @@ pub fn ks_to_harmonic(lengths: &[usize], max_d: usize) -> f64 {
     ks_to_cdf(lengths, &harmonic_cdf(max_d))
 }
 
+/// Ordinary-least-squares slope of y against x; `None` for fewer than
+/// two points or when every x is equal.
+pub fn ols_slope(points: &[(f64, f64)]) -> Option<f64> {
+    if points.len() < 2 {
+        return None;
+    }
+    let n = points.len() as f64;
+    let sx: f64 = points.iter().map(|p| p.0).sum();
+    let sy: f64 = points.iter().map(|p| p.1).sum();
+    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
+    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
+    let denom = n * sxx - sx * sx;
+    if denom.abs() < 1e-12 {
+        return None;
+    }
+    Some((n * sxy - sx * sy) / denom)
+}
+
 /// Least-squares slope of `log(density)` vs `log(length)` over
 /// logarithmically spaced bins. The harmonic law has slope −1; the
 /// uniform law slope 0; an exponentially local distribution dives far
@@ -141,19 +159,7 @@ pub fn log_log_slope(lengths: &[usize], max_d: usize) -> Option<f64> {
         let mid = (lo as f64 * (hi as f64 - 1.0).max(lo as f64)).sqrt();
         pts.push((mid.ln(), density.ln()));
     }
-    if pts.len() < 2 {
-        return None;
-    }
-    let n = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    Some((n * sxy - sx * sy) / denom)
+    ols_slope(&pts)
 }
 
 /// Draws one sample in `1..=cdf.len()` by inverting `cdf` (build it once
@@ -326,6 +332,12 @@ mod tests {
             }
             assert_eq!(sample_harmonic(&cdf, &mut sampled), expected, "draw {draw}");
         }
+    }
+
+    #[test]
+    fn ols_recovers_line() {
+        let pts: Vec<(f64, f64)> = (1..10).map(|i| (i as f64, 3.0 * i as f64 + 1.0)).collect();
+        assert!((ols_slope(&pts).unwrap() - 3.0).abs() < 1e-9);
     }
 
     #[test]

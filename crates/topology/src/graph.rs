@@ -97,11 +97,6 @@ impl Graph {
             .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v as usize)))
     }
 
-    /// Degree sequence (out-degrees).
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        self.adj.iter().map(Vec::len).collect()
-    }
-
     /// Removes a set of nodes (marked true in `removed`), returning the
     /// induced subgraph over the *same* index space with all incident
     /// edges dropped. Removed nodes stay as isolated indices so ranks

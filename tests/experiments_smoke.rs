@@ -39,7 +39,6 @@ fn e2_smoke() {
         warmup: 300,
         epochs: 10,
         epoch_gap: 5,
-        epsilon: 0.1,
     };
     check(&e2_distribution::run(&p), 2);
 }
@@ -50,7 +49,6 @@ fn e3_smoke() {
         sizes: vec![128],
         protocol_max_n: 128,
         pairs: 40,
-        epsilon: 0.1,
     };
     // 7 systems + fit rows.
     check(&e3_routing::run(&p), 7);
@@ -63,7 +61,6 @@ fn e4_smoke() {
         warmup: 100,
         epochs: 5,
         epoch_gap: 5,
-        epsilon: 0.1,
     };
     check(&e4_probing::run(&p), 2);
 }
@@ -84,7 +81,6 @@ fn e5_e6_smoke() {
         sizes: vec![32],
         trials: 2,
         max_rounds: 100_000,
-        epsilon: 0.1,
     };
     check(&e5_join_leave::run_join(&p), 1);
     check(&e5_join_leave::run_leave(&p), 1);
@@ -96,7 +92,6 @@ fn e7_smoke() {
         n: 64,
         fractions: vec![0.0, 0.3],
         pairs: 30,
-        epsilon: 0.1,
     };
     check(&e7_robustness::run(&p), 8);
 }
@@ -105,7 +100,6 @@ fn e7_smoke() {
 fn e8_smoke() {
     let p = e8_watts_strogatz::Params {
         n: 100,
-        k: 6,
         ps: vec![0.1],
         seeds: 2,
         path_samples: 20,
@@ -120,7 +114,6 @@ fn e9_smoke() {
         warmup: 100,
         window: 30,
         age_horizon_factor: 30,
-        epsilon: 0.1,
     };
     check(&e9_overhead::run(&p), 1);
 }
@@ -159,7 +152,7 @@ fn fault_experiment_quick_tables_match_the_pinned_goldens() {
 
     let e12 = e12_chaos::Params::quick();
     let report = e12_chaos::run_campaign_report(&e12);
-    let campaign = e12_chaos::campaign_table(&e12, &report);
+    let campaign = e12_chaos::campaign_table(&report);
     assert_eq!(
         stdout_of(std::slice::from_ref(&campaign)),
         include_str!("golden/chaos_quick.txt")
