@@ -104,7 +104,7 @@ const EXPERIMENTS: [(&str, &str, Runner); 15] = [
     ),
     (
         "e12",
-        "adversarial behaviors, restart disciplines and the chaos campaign",
+        "crash-restart disciplines and the chaos campaign",
         |q| {
             let p = preset!(e12_chaos, q);
             let report = e12_chaos::run_campaign_report(&p);

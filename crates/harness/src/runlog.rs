@@ -132,25 +132,17 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
             net.detach_faults();
             net.detach_sink();
         }
-        // Chaos: an adversarial behavior window (selective-forward
-        // refusal) plus a durable crash on the warmed network, watched
-        // to re-stabilization — the trace carries the behavior's drops,
-        // the snapshot restore and the watchdog's `Verdict`.
+        // Chaos: a loss window plus a durable crash on the warmed
+        // network, watched to re-stabilization — the trace carries the
+        // window's drops, the snapshot restore and the watchdog's
+        // `Verdict`.
         "e12" => {
             let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
             let fault_round = net.round() + 1;
             let ids = net.ids();
             let plan = swn_sim::faults::FaultPlan::new(cfg.seed ^ 0xe12a)
-                .with_behavior(
-                    fault_round,
-                    fault_round + 12,
-                    ids[ids.len() / 3],
-                    swn_sim::faults::Misbehavior::SelectiveForward {
-                        kinds: vec![swn_core::message::MessageKind::Lin],
-                        p: 1.0,
-                    },
-                )
+                .with_drop(fault_round, fault_round + 12, 0.05)
                 .with_durable_crash(fault_round, ids[ids.len() / 2], 8, fault_round);
             net.attach_faults(plan);
             net.step();

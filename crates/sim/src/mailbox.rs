@@ -528,7 +528,7 @@ mod tests {
         let delay = 1 << 8;
         let traced_full = 0b110 << 8;
         run_script(&[
-            // A send of this round committed at round start (a sybil's
+            // A send of this round committed at round start (a joiner's
             // announcement) is kept back by the round's own take.
             (PUSH, 0),
             (COMMIT, 0),

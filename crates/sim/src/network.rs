@@ -978,8 +978,7 @@ impl Network {
         // leaving the mailbox's tag lanes untouched.
         let mut causal = obs.map(|o| &mut o.causal).filter(|c| c.active);
         let mut cause_cursor = 0usize;
-        for (k, &(dest, sent_msg)) in outbox.sends().iter().enumerate() {
-            let mut msg = sent_msg;
+        for (k, &(dest, msg)) in outbox.sends().iter().enumerate() {
             stats.count_sent(msg.kind());
             if let Some(t) = *tracked {
                 if msg.carried_ids().any(|x| x == t) {
@@ -995,17 +994,8 @@ impl Network {
             let mut copies = 1;
             // The injector decides each send's fate with its own RNG
             // stream (consumed only inside active windows), so the
-            // protocol RNG draws are untouched by any plan. A lying
-            // sender forges the payload *before* the fate decision, so
-            // the drop log and delivery path both see what was actually
-            // put on the wire (the destroyed original is logged inside
-            // `rewrite`).
+            // protocol RNG draws are untouched by any plan.
             if let (Some(inj), Some(src)) = (faults.as_mut(), sender_id) {
-                let forged = inj.rewrite(now, src, dest, msg);
-                if forged != msg {
-                    stats.forged_fault += 1;
-                    msg = forged;
-                }
                 match inj.fate(now, src, dest, msg) {
                     Fate::Deliver => {}
                     Fate::Drop => {
@@ -1720,7 +1710,6 @@ mod tests {
             dropped_churn: sum(|r| r.dropped_churn),
             dropped_fault: sum(|r| r.dropped_fault),
             duplicated_fault: sum(|r| r.duplicated_fault),
-            forged_fault: sum(|r| r.forged_fault),
             erased_fault: sum(|r| r.erased_fault),
             bounced: sum(|r| r.bounced),
             links_changed: rows.iter().any(|r| r.links_changed),
@@ -1750,16 +1739,12 @@ mod tests {
         let ids = net.ids();
         net.track_id(Some(ids[7]));
         let start = net.round() + 1;
-        let liar = crate::faults::Misbehavior::LyingState {
-            mode: crate::faults::LieMode::Scramble,
-        };
         net.attach_faults(
             crate::faults::FaultPlan::new(5)
                 .with_drop(start, start + 20, 0.2)
                 .with_duplicate(start, start + 20, 0.2)
                 .with_perturbation(start + 1, 2)
-                .with_crash(start + 2, ids[4], 6)
-                .with_behavior(start, start + 10, ids[12], liar),
+                .with_crash(start + 2, ids[4], 6),
         );
         net.run(15);
         net.remove_node(ids[9]);
@@ -1775,7 +1760,7 @@ mod tests {
         }
         let all = t.since(0);
         assert!(all.dropped_fault > 0 && all.duplicated_fault > 0 && all.erased_fault > 0);
-        assert!(all.forged_fault > 0 && all.tracked_sent > 0);
+        assert!(all.tracked_sent > 0);
         assert!(all.bounced + all.dropped_churn > 0, "the departure shows");
 
         let recs = records.lock().unwrap();

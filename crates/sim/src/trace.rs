@@ -37,11 +37,6 @@ pub struct RoundStats {
     /// Extra copies created by the fault injector's duplication rate.
     /// Counted on top of `sent` (the original is counted there).
     pub duplicated_fault: u64,
-    /// Messages whose payload a lying-state behavior forged in flight.
-    /// The true payload is destroyed (and logged as a drop) even though
-    /// *a* message is still delivered, so a forgery can sever a sole
-    /// carrier exactly like a fault drop can.
-    pub forged_fault: u64,
     /// Stored pointer values a fault overwrote: a perturbation's
     /// randomized `r`/`lrl`/`ring`, a crash's blanked `l`/`r`/`lrl`/`ring`
     /// (either restart discipline). The old target may have been the
@@ -138,7 +133,6 @@ impl std::ops::AddAssign<&RoundStats> for RoundStats {
             dropped_churn,
             dropped_fault,
             duplicated_fault,
-            forged_fault,
             erased_fault,
             bounced,
             links_changed,
@@ -161,7 +155,6 @@ impl std::ops::AddAssign<&RoundStats> for RoundStats {
         self.dropped_churn += dropped_churn;
         self.dropped_fault += dropped_fault;
         self.duplicated_fault += duplicated_fault;
-        self.forged_fault += forged_fault;
         self.erased_fault += erased_fault;
         self.bounced += bounced;
         self.links_changed |= links_changed;
@@ -294,7 +287,6 @@ mod tests {
             dropped_churn: 15,
             dropped_fault: 16,
             duplicated_fault: 17,
-            forged_fault: 18,
             erased_fault: 19,
             bounced: 20,
             links_changed: true,
@@ -316,7 +308,6 @@ mod tests {
             dropped_churn: 30,
             dropped_fault: 32,
             duplicated_fault: 34,
-            forged_fault: 36,
             erased_fault: 38,
             bounced: 40,
             links_changed: true,

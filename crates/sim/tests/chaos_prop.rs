@@ -8,7 +8,7 @@
 //! Panics, watch-budget exhaustion and unattributed disconnections are
 //! all bugs — in the protocol, the injector or the watchdog itself.
 //! This property drives randomly sampled scenarios (every fault
-//! category, adversarial behaviors included) at n ≤ 64 and accepts
+//! category) at n ≤ 64 and accepts
 //! nothing but the two classified verdicts.
 
 use proptest::prelude::*;

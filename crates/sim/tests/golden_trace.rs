@@ -214,7 +214,6 @@ fn push_stats(d: &mut Digest, s: &RoundStats) {
         dropped_churn,
         dropped_fault,
         duplicated_fault,
-        forged_fault,
         erased_fault,
         bounced,
         links_changed,
@@ -235,7 +234,6 @@ fn push_stats(d: &mut Digest, s: &RoundStats) {
         dropped_churn,
         dropped_fault,
         duplicated_fault,
-        forged_fault,
         erased_fault,
         bounced,
         u64::from(links_changed),

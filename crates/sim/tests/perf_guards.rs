@@ -25,10 +25,9 @@ use swn_core::config::ProtocolConfig;
 use swn_core::id::{evenly_spaced_ids, Extended, NodeId};
 use swn_core::invariants::make_sorted_ring;
 use swn_core::message::Message;
-use swn_core::message::MessageKind;
 use swn_core::node::Node;
 use swn_sim::convergence::drain_to_quiescence;
-use swn_sim::faults::{FaultPlan, LieMode, Misbehavior};
+use swn_sim::faults::FaultPlan;
 use swn_sim::obs::JsonlSink;
 use swn_sim::{Network, ScheduleMode};
 
@@ -136,30 +135,21 @@ fn step_ns(n: usize, instrumented: bool) -> f64 {
     ns_per(200, || net.step())
 }
 
-/// 512 plan entries, 64 of every kind, all a million rounds ahead.
+/// 512 plan entries spread over the five kinds, all a million rounds
+/// ahead.
 fn far_plan(n: usize) -> FaultPlan {
     let ids = evenly_spaced_ids(n);
     let mut plan = FaultPlan::new(9);
-    for i in 0..64 {
-        let (start, node) = (1_000_000 + 10 * i as u64, ids[i * (n / 64)]);
+    for i in 0..512 {
+        let (start, node) = (1_000_000 + 10 * i as u64, ids[i * n / 512]);
         let end = start + 5;
-        let refuse = Misbehavior::SelectiveForward {
-            kinds: vec![MessageKind::Lin],
-            p: 0.5,
+        plan = match i % 5 {
+            0 => plan.with_drop(start, end, 0.5),
+            1 => plan.with_duplicate(start, end, 0.5),
+            2 => plan.with_partition(start, end, node),
+            3 => plan.with_crash(start, node, 3),
+            _ => plan.with_perturbation(start, 4),
         };
-        let lie = Misbehavior::LyingState {
-            mode: LieMode::Scramble,
-        };
-        let cluster = Misbehavior::SybilCluster { k: 2, center: node };
-        plan = plan
-            .with_drop(start, end, 0.5)
-            .with_duplicate(start, end, 0.5)
-            .with_partition(start, end, node)
-            .with_crash(start, node, 3)
-            .with_perturbation(start, 4)
-            .with_behavior(start, end, node, refuse)
-            .with_behavior(start, end, node, lie)
-            .with_behavior(start, end, node, cluster);
     }
     plan
 }

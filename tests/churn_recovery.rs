@@ -252,8 +252,8 @@ fn bare_departures_faster_than_the_cycle_heals_split_it_for_good() {
         net.run(16);
     }
     // The watchdog says what happened instead of spending its budget and
-    // calling the run slow: nothing was dropped, forged or erased in any
-    // watched round, so only the budget-exhausted exit looks.
+    // calling the run slow: nothing was dropped or erased in any watched
+    // round, so only the budget-exhausted exit looks.
     let report = swn_sim::faults::watch_recovery(&mut net, 5_000);
     assert!(
         matches!(
