@@ -6,7 +6,7 @@
 //! exact scenario stream (`CampaignConfig::new(0xe12a, 200)`, the
 //! harness's full-scale E12b preset) and fingerprints every serialized
 //! [`RunResult`]: verdict with its culprit record, horizon, messages
-//! sent, messages destroyed and messages forged. Any change to when a
+//! sent and messages destroyed. Any change to when a
 //! fault lands, which coin the injector draws or what the watchdog
 //! concludes moves the fingerprint.
 
@@ -36,7 +36,7 @@ fn campaign_run_results_match_the_pinned_fingerprint() {
         h = fnv1a(b"\n", h);
     }
     assert_eq!(
-        h, 0x63c7_e6e5_c326_e188,
+        h, 0xd54c_5860_1d67_be26,
         "campaign fingerprint moved: {h:#018x} (the simulated faulted executions changed)"
     );
 }
