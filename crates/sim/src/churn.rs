@@ -50,28 +50,6 @@ impl RecoveryReport {
     }
 }
 
-/// The join bootstrap: inserts a newcomer whose only link is `contact`,
-/// stored in the neighbour slot on the contact's side, and announces it
-/// to the contact with a `lin`. Returns `false`, having done nothing,
-/// when `new_id` is already present.
-pub(crate) fn bootstrap_join(
-    net: &mut Network,
-    new_id: NodeId,
-    contact: NodeId,
-    cfg: ProtocolConfig,
-) -> bool {
-    let (l, r) = if contact < new_id {
-        (Extended::Fin(contact), Extended::PosInf)
-    } else {
-        (Extended::NegInf, Extended::Fin(contact))
-    };
-    let inserted = net.insert_node(Node::with_state(new_id, l, r, new_id, None, cfg));
-    if inserted {
-        net.send_external(contact, Message::Lin(new_id));
-    }
-    inserted
-}
-
 /// Injects a new node that knows only `contact`, then runs until the
 /// sorted ring holds again (counting the new node). The newcomer stores
 /// the contact in the appropriate neighbour slot and announces itself,
@@ -81,10 +59,16 @@ pub fn join(net: &mut Network, new_id: NodeId, contact: NodeId, max_rounds: u64)
         .node(contact)
         .expect("join contact must be a live node")
         .config();
+    let (l, r) = if contact < new_id {
+        (Extended::Fin(contact), Extended::PosInf)
+    } else {
+        (Extended::NegInf, Extended::Fin(contact))
+    };
     assert!(
-        bootstrap_join(net, new_id, contact, cfg),
+        net.insert_node(Node::with_state(new_id, l, r, new_id, None, cfg)),
         "id {new_id:?} already present"
     );
+    net.send_external(contact, Message::Lin(new_id));
     net.track_id(Some(new_id));
     let start = net.round();
     let mut report = measure_recovery(net, max_rounds);

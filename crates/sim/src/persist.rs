@@ -323,6 +323,19 @@ mod tests {
         assert_eq!(back.snapshot.nodes(), cp.snapshot.nodes());
         assert_eq!(back.snapshot.channels(), cp.snapshot.channels());
         assert_eq!(back.injector, cp.injector);
+        // A plan that still schedules a behaviour is refused, by name.
+        let behavior = r#"{"start":1,"end":3,"node":5,"kind":{"LyingState":{"mode":"Scramble"}}}"#;
+        let named = json.replacen(
+            r#""perturbations":[]"#,
+            &format!(r#""perturbations":[],"behaviors":[{behavior}]"#),
+            1,
+        );
+        assert_ne!(named, json);
+        let err = checkpoint_from_json(&named).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Json(e) if e.contains("behaviors")),
+            "{err:?}"
+        );
     }
 
     #[test]
