@@ -18,7 +18,6 @@
 
 pub mod ablations;
 pub mod e10_faults;
-pub mod e12_chaos;
 pub mod e1_convergence;
 pub mod e2_distribution;
 pub mod e3_routing;

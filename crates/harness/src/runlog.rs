@@ -109,10 +109,12 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
             }
             net.detach_sink();
         }
-        // Fault injection: a crash shock plus a sustained loss window on
-        // the warmed network, watched to re-stabilization — the trace
-        // carries the `Fault` events (crashes, restarts, the loss window
-        // opening), the `recovery` span and the watchdog's `Verdict`.
+        // Fault injection, the one fault experiment's scenario: a crash
+        // shock, a perturbation and a sustained loss window on the warmed
+        // network, watched to re-stabilization — the trace carries the
+        // `Fault` events (crashes, restarts, the perturbation, the loss
+        // window opening), the `recovery` span and the watchdog's
+        // `Verdict`.
         "e10" => {
             let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
             net.attach_sink(sink, cfg.sample_every);
@@ -127,24 +129,6 @@ pub fn write_trace_cfg(id: &str, cfg: &TraceCfg, path: &std::path::Path) -> std:
             net.attach_faults(plan);
             // Land the fault before watching: the watchdog short-circuits
             // on an already-sorted ring.
-            net.step();
-            let _ = swn_sim::faults::watch_recovery(&mut net, cfg.budget);
-            net.detach_faults();
-            net.detach_sink();
-        }
-        // Chaos: a loss window plus a durable crash on the warmed
-        // network, watched to re-stabilization — the trace carries the
-        // window's drops, the snapshot restore and the watchdog's
-        // `Verdict`.
-        "e12" => {
-            let mut net = churn::stable_network(cfg.n, pcfg, cfg.seed, cfg.warmup);
-            net.attach_sink(sink, cfg.sample_every);
-            let fault_round = net.round() + 1;
-            let ids = net.ids();
-            let plan = swn_sim::faults::FaultPlan::new(cfg.seed ^ 0xe12a)
-                .with_drop(fault_round, fault_round + 12, 0.05)
-                .with_durable_crash(fault_round, ids[ids.len() / 2], 8, fault_round);
-            net.attach_faults(plan);
             net.step();
             let _ = swn_sim::faults::watch_recovery(&mut net, cfg.budget);
             net.detach_faults();
