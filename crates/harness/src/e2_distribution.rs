@@ -110,7 +110,8 @@ pub fn run(p: &Params) -> Table {
     let mut t = Table::new(
         "E2  Long-range link length distribution",
         "stable-state lrl lengths follow the harmonic law up to the finite-scale ln^(1+eps) correction; \
-         protocol matches the pure move-and-forget process (Thm 4.22 / [4])",
+         protocol and move-and-forget share the length band, not the dynamics (several \
+         walkers per node; Thm 4.22 / [4])",
         &[
             "system", "n", "samples", "KS harm", "KS corr", "slope",
         ],
