@@ -397,7 +397,7 @@ impl Network {
     }
 
     /// Takes the metrics trace accumulated so far, leaving an empty one
-    /// behind. Every round appends a [`RoundStats`] row (240 bytes), so
+    /// behind. Every round appends a [`RoundStats`] row (232 bytes), so
     /// long-lived large-n runs — a million-node soak, a quiescent
     /// network idling for millions of rounds — drain the trace
     /// periodically instead of letting it grow without bound. Taking the

@@ -77,6 +77,10 @@ pub struct RoundStats {
     pub tracked_sent: u64,
 }
 
+// The trace keeps one row per round and every observed round carries
+// one, so a change in size should be on purpose.
+const _: () = assert!(std::mem::size_of::<RoundStats>() == 232);
+
 impl RoundStats {
     /// Total messages sent this round.
     pub fn total_sent(&self) -> u64 {
