@@ -81,6 +81,6 @@ pub mod prelude {
     };
     pub use crate::message::{Message, MessageKind};
     pub use crate::node::Node;
-    pub use crate::outbox::{Outbox, ProtocolEvent, Side};
+    pub use crate::outbox::{Outbox, ProtocolEvent};
     pub use crate::views::{NetView, Snapshot, View};
 }

@@ -17,7 +17,7 @@
 use crate::id::{Extended, NodeId};
 use crate::message::Message;
 use crate::node::Node;
-use crate::outbox::{Outbox, ProtocolEvent, Side};
+use crate::outbox::Outbox;
 
 impl Node {
     /// Processes an identifier received in a `lin` message (or re-injected
@@ -34,11 +34,6 @@ impl Node {
                 if let Extended::Fin(old_r) = self.r {
                     out.send(id, Message::Lin(old_r));
                 }
-                out.event(ProtocolEvent::NeighborAdopted {
-                    side: Side::Right,
-                    old: self.r,
-                    new: id,
-                });
                 self.r = Extended::Fin(id);
             } else if self.config().lrl_shortcut
                 && id > self.lrl
@@ -57,11 +52,6 @@ impl Node {
                 if let Extended::Fin(old_l) = self.l {
                     out.send(id, Message::Lin(old_l));
                 }
-                out.event(ProtocolEvent::NeighborAdopted {
-                    side: Side::Left,
-                    old: self.l,
-                    new: id,
-                });
                 self.l = Extended::Fin(id);
             } else if self.config().lrl_shortcut
                 && id < self.lrl

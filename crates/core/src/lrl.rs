@@ -79,12 +79,6 @@ impl Node {
             (None, None) => None,
         };
         if let Some(n) = next {
-            if n != self.lrl {
-                out.event(ProtocolEvent::LrlMoved {
-                    from: self.lrl,
-                    to: n,
-                });
-            }
             self.lrl = n;
         }
         let p_forget = phi(self.age, self.config().epsilon);

@@ -19,7 +19,7 @@
 use crate::config::ProtocolConfig;
 use crate::id::{Extended, NodeId};
 use crate::message::Message;
-use crate::outbox::{Outbox, ProtocolEvent};
+use crate::outbox::Outbox;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -197,7 +197,6 @@ impl Node {
             if lv >= self.id {
                 self.l = Extended::NegInf;
                 if lv != self.id {
-                    out.event(ProtocolEvent::PointerSalvaged { value: lv });
                     self.linearize(lv, out);
                 }
             }
@@ -206,7 +205,6 @@ impl Node {
             if rv <= self.id {
                 self.r = Extended::PosInf;
                 if rv != self.id {
-                    out.event(ProtocolEvent::PointerSalvaged { value: rv });
                     self.linearize(rv, out);
                 }
             }
@@ -214,7 +212,6 @@ impl Node {
         if self.l.is_fin() && self.r.is_fin() {
             if let Some(x) = self.ring.take() {
                 if x != self.id {
-                    out.event(ProtocolEvent::PointerSalvaged { value: x });
                     self.linearize(x, out);
                 }
             }
@@ -228,7 +225,7 @@ impl Node {
         match self.l {
             Extended::Fin(lv) => out.send(lv, Message::Lin(self.id)),
             Extended::NegInf | Extended::PosInf => {
-                if let Some(target) = self.ring_target(out) {
+                if let Some(target) = self.ring_target() {
                     out.send(target, Message::Ring(self.id));
                 }
             }
@@ -236,7 +233,7 @@ impl Node {
         match self.r {
             Extended::Fin(rv) => out.send(rv, Message::Lin(self.id)),
             Extended::NegInf | Extended::PosInf => {
-                if let Some(target) = self.ring_target(out) {
+                if let Some(target) = self.ring_target() {
                     out.send(target, Message::Ring(self.id));
                 }
             }
@@ -252,7 +249,7 @@ impl Node {
     /// node's only known neighbour, which restarts the ring-edge
     /// improvement of Algorithms 7/8 (DESIGN.md deviation #3). Returns
     /// `None` for an isolated node.
-    fn ring_target(&mut self, out: &mut Outbox) -> Option<NodeId> {
+    fn ring_target(&mut self) -> Option<NodeId> {
         let (min_side, fallback) = match (self.l, self.r) {
             (Extended::NegInf, Extended::PosInf) => return None, // isolated
             (Extended::NegInf, Extended::Fin(rv)) => (true, rv),
@@ -267,7 +264,6 @@ impl Node {
         };
         if !valid {
             self.ring = Some(fallback);
-            out.event(ProtocolEvent::RingReset { to: Some(fallback) });
         }
         self.ring
     }
@@ -414,10 +410,6 @@ mod tests {
         let mut out = Outbox::new();
         n.on_regular(&mut out);
         assert_eq!(n.ring(), Some(id(0.6)));
-        assert!(out
-            .events()
-            .iter()
-            .any(|e| matches!(e, ProtocolEvent::RingReset { .. })));
     }
 
     #[test]
@@ -436,10 +428,6 @@ mod tests {
         n.on_regular(&mut out);
         assert_eq!(n.left(), Extended::NegInf);
         assert_eq!(n.right(), Extended::Fin(id(0.9)));
-        assert!(out
-            .events()
-            .iter()
-            .any(|e| matches!(e, ProtocolEvent::PointerSalvaged { .. })));
     }
 
     #[test]

@@ -4,21 +4,12 @@
 //! *emits* sends into an [`Outbox`] instead of performing I/O. The
 //! simulator, the threaded runtime and the unit tests all drive the same
 //! handlers and differ only in how they drain the outbox. Handlers also
-//! emit [`ProtocolEvent`]s — structured observations (probe repairs, token
-//! moves, forgets, resets) that the analysis layer counts without having
-//! to reverse-engineer them from message traffic.
+//! emit [`ProtocolEvent`]s — the two observations (probe repairs and
+//! long-range forgets) that the analysis layer reads without having to
+//! reverse-engineer them from message traffic.
 
-use crate::id::{Extended, NodeId};
+use crate::id::NodeId;
 use crate::message::Message;
-
-/// Which neighbour variable an event refers to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Side {
-    /// The `p.l` variable.
-    Left,
-    /// The `p.r` variable.
-    Right,
-}
 
 /// Structured observations emitted by the protocol handlers.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -27,47 +18,14 @@ pub enum ProtocolEvent {
     /// make progress and fell through to `linearize`, creating an edge.
     /// Phase 1 is complete exactly when these stop occurring (Theorem 4.3).
     ProbeRepair {
-        /// Node at which the probe got stuck.
-        at: NodeId,
         /// The probe's destination (the missing link's endpoint).
         dest: NodeId,
-    },
-    /// The long-range token moved to a neighbour of its previous endpoint
-    /// (Algorithm 4, move step).
-    LrlMoved {
-        /// Previous endpoint.
-        from: NodeId,
-        /// New endpoint.
-        to: NodeId,
     },
     /// The long-range link was forgotten: the token returned to its origin
     /// (Algorithm 4, forget step). Carries the age at which it happened.
     LrlForgotten {
         /// The link's age when it was forgotten.
         age: u64,
-    },
-    /// A node adopted a new left/right neighbour (`p.l`/`p.r` assignment
-    /// in Algorithm 2).
-    NeighborAdopted {
-        /// Which neighbour variable changed.
-        side: Side,
-        /// The displaced value (forwarded onward, never dropped).
-        old: Extended,
-        /// The adopted neighbour.
-        new: NodeId,
-    },
-    /// The bootstrap/recovery rule reset an invalid `p.ring` (DESIGN.md
-    /// deviation #3).
-    RingReset {
-        /// The new ring target (`None` when no neighbour was available).
-        to: Option<NodeId>,
-    },
-    /// The sanitation rule salvaged an ill-typed stored pointer (e.g. a
-    /// left neighbour larger than the node) by re-injecting it into the
-    /// linearization process instead of dropping it.
-    PointerSalvaged {
-        /// The identifier rescued from the ill-typed slot.
-        value: NodeId,
     },
 }
 

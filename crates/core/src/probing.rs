@@ -35,13 +35,13 @@ impl Node {
             }
             if dest > me {
                 // me < dest < r: the short-link path to dest is broken.
-                out.event(ProtocolEvent::ProbeRepair { at: me, dest });
+                out.event(ProtocolEvent::ProbeRepair { dest });
                 self.linearize(dest, out);
             }
             // dest ≤ me: stale probe, drop.
         } else if dest > me {
             // r = +∞ and the destination is still to our right: repair.
-            out.event(ProtocolEvent::ProbeRepair { at: me, dest });
+            out.event(ProtocolEvent::ProbeRepair { dest });
             self.linearize(dest, out);
         }
     }
@@ -57,11 +57,11 @@ impl Node {
                 return;
             }
             if dest < me {
-                out.event(ProtocolEvent::ProbeRepair { at: me, dest });
+                out.event(ProtocolEvent::ProbeRepair { dest });
                 self.linearize(dest, out);
             }
         } else if dest < me {
-            out.event(ProtocolEvent::ProbeRepair { at: me, dest });
+            out.event(ProtocolEvent::ProbeRepair { dest });
             self.linearize(dest, out);
         }
     }
@@ -93,7 +93,7 @@ impl Node {
                 }
             }
             // l = −∞, or l < dest < me: our own left link is the gap.
-            out.event(ProtocolEvent::ProbeRepair { at: me, dest });
+            out.event(ProtocolEvent::ProbeRepair { dest });
             self.linearize(dest, out);
         } else if dest > me {
             if let Extended::Fin(rv) = self.r {
@@ -102,7 +102,7 @@ impl Node {
                     return;
                 }
             }
-            out.event(ProtocolEvent::ProbeRepair { at: me, dest });
+            out.event(ProtocolEvent::ProbeRepair { dest });
             self.linearize(dest, out);
         }
     }

@@ -60,7 +60,7 @@ pub fn replay_lrl_probe(v: &NetView<'_>, origin: usize) -> Option<ProbeOutcome> 
             let repaired = out
                 .events()
                 .iter()
-                .any(|e| matches!(*e, ProtocolEvent::ProbeRepair { dest: d, .. } if d == dest));
+                .any(|e| matches!(*e, ProtocolEvent::ProbeRepair { dest: d } if d == dest));
             return Some(if repaired {
                 ProbeOutcome::Repaired { hops }
             } else {

@@ -397,7 +397,7 @@ impl Network {
     }
 
     /// Takes the metrics trace accumulated so far, leaving an empty one
-    /// behind. Every round appends a [`RoundStats`] row (232 bytes), so
+    /// behind. Every round appends a [`RoundStats`] row (200 bytes), so
     /// long-lived large-n runs — a million-node soak, a quiescent
     /// network idling for millions of rounds — drain the trace
     /// periodically instead of letting it grow without bound. Taking the
@@ -574,9 +574,9 @@ impl Network {
             // Regular action — skipped for settled nodes under ActiveSet:
             // the verified certificate says it could only re-send
             // fixpoint no-ops, and the lrl walk pauses by design (see
-            // `crate::sched`). The handler can silently rewrite link
-            // state (sanitation normalizes without emitting events), so
-            // compare the link tuple around the call for the dirty flag.
+            // `crate::sched`). The handler rewrites link state without
+            // emitting an event, so compare the link tuple around the
+            // call for the dirty flag.
             if !(HOOKED && self.sched.as_ref().is_some_and(|s| s.is_settled(i))) {
                 let node = self.nodes[i].as_mut().expect("checked above");
                 let links_before = (node.left(), node.right(), node.lrl(), node.ring());
@@ -1714,13 +1714,9 @@ mod tests {
             bounced: sum(|r| r.bounced),
             links_changed: rows.iter().any(|r| r.links_changed),
             probe_repairs: sum(|r| r.probe_repairs),
-            lrl_moves: sum(|r| r.lrl_moves),
             lrl_forgets: sum(|r| r.lrl_forgets),
             forget_age_sum: sum(|r| r.forget_age_sum),
             forget_age_max: rows.iter().map(|r| r.forget_age_max).max().unwrap_or(0),
-            ring_resets: sum(|r| r.ring_resets),
-            pointers_salvaged: sum(|r| r.pointers_salvaged),
-            neighbor_adoptions: sum(|r| r.neighbor_adoptions),
             tracked_sent: sum(|r| r.tracked_sent),
         }
     }

@@ -64,7 +64,9 @@ use swn_core::message::MessageKind;
 /// merge of `latency_by_kind`).
 /// v4: `RoundStats` (in `Round` and `Summary`) drops its count of
 /// forged messages, with the lying-state fault that was its only source.
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: `RoundStats` drops its token-move, neighbour-adoption, ring-reset
+/// and salvaged-pointer counts, with the handler events that fed them.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `2^32 - 1` (everything larger lands in the last bucket).

@@ -2,8 +2,8 @@
 //!
 //! The experiments measure the protocol in *rounds* and *messages* — the
 //! units every theorem is stated in. The trace records, per round, the
-//! message counts by kind plus the structured protocol events (probe
-//! repairs, token moves/forgets, sanitation) emitted by the handlers.
+//! message counts by kind plus the two structured protocol events the
+//! handlers emit (probe repairs and long-range forgets).
 //!
 //! [`RoundStats`] is the one per-round record: the trace keeps one per
 //! round, an observed network's sampled `Round` events carry it
@@ -59,27 +59,19 @@ pub struct RoundStats {
     pub links_changed: bool,
     /// Probe-repair events: a probe got stuck and created an edge.
     pub probe_repairs: u64,
-    /// Long-range token moves.
-    pub lrl_moves: u64,
     /// Long-range link forget events.
     pub lrl_forgets: u64,
     /// Sum of ages at forget (ratio with `lrl_forgets` gives the mean).
     pub forget_age_sum: u64,
     /// Maximal age observed at a forget event this round.
     pub forget_age_max: u64,
-    /// Ring-edge bootstrap/resets.
-    pub ring_resets: u64,
-    /// Ill-typed pointers salvaged by sanitation.
-    pub pointers_salvaged: u64,
-    /// Left/right neighbour adoptions during linearization.
-    pub neighbor_adoptions: u64,
     /// Messages carrying the id registered with `Network::track_id`.
     pub tracked_sent: u64,
 }
 
 // The trace keeps one row per round and every observed round carries
 // one, so a change in size should be on purpose.
-const _: () = assert!(std::mem::size_of::<RoundStats>() == 232);
+const _: () = assert!(std::mem::size_of::<RoundStats>() == 200);
 
 impl RoundStats {
     /// Total messages sent this round.
@@ -112,15 +104,11 @@ impl RoundStats {
     pub fn count_event(&mut self, ev: &ProtocolEvent) {
         match ev {
             ProtocolEvent::ProbeRepair { .. } => self.probe_repairs += 1,
-            ProtocolEvent::LrlMoved { .. } => self.lrl_moves += 1,
             ProtocolEvent::LrlForgotten { age } => {
                 self.lrl_forgets += 1;
                 self.forget_age_sum += age;
                 self.forget_age_max = self.forget_age_max.max(*age);
             }
-            ProtocolEvent::RingReset { .. } => self.ring_resets += 1,
-            ProtocolEvent::PointerSalvaged { .. } => self.pointers_salvaged += 1,
-            ProtocolEvent::NeighborAdopted { .. } => self.neighbor_adoptions += 1,
         }
     }
 }
@@ -141,13 +129,9 @@ impl std::ops::AddAssign<&RoundStats> for RoundStats {
             bounced,
             links_changed,
             probe_repairs,
-            lrl_moves,
             lrl_forgets,
             forget_age_sum,
             forget_age_max,
-            ring_resets,
-            pointers_salvaged,
-            neighbor_adoptions,
             tracked_sent,
         } = *r;
         for (acc, v) in self.sent.iter_mut().zip(sent) {
@@ -163,13 +147,9 @@ impl std::ops::AddAssign<&RoundStats> for RoundStats {
         self.bounced += bounced;
         self.links_changed |= links_changed;
         self.probe_repairs += probe_repairs;
-        self.lrl_moves += lrl_moves;
         self.lrl_forgets += lrl_forgets;
         self.forget_age_sum += forget_age_sum;
         self.forget_age_max = self.forget_age_max.max(forget_age_max);
-        self.ring_resets += ring_resets;
-        self.pointers_salvaged += pointers_salvaged;
-        self.neighbor_adoptions += neighbor_adoptions;
         self.tracked_sent += tracked_sent;
     }
 }
@@ -240,27 +220,14 @@ mod tests {
     #[test]
     fn events_fold_into_counters() {
         let mut r = RoundStats::default();
-        let a = NodeId::from_fraction(0.1);
-        let b = NodeId::from_fraction(0.9);
-        r.count_event(&ProtocolEvent::ProbeRepair { at: a, dest: b });
-        r.count_event(&ProtocolEvent::LrlMoved { from: a, to: b });
+        let dest = NodeId::from_fraction(0.9);
+        r.count_event(&ProtocolEvent::ProbeRepair { dest });
         r.count_event(&ProtocolEvent::LrlForgotten { age: 10 });
         r.count_event(&ProtocolEvent::LrlForgotten { age: 4 });
-        r.count_event(&ProtocolEvent::RingReset { to: None });
-        r.count_event(&ProtocolEvent::PointerSalvaged { value: b });
-        r.count_event(&ProtocolEvent::NeighborAdopted {
-            side: swn_core::outbox::Side::Left,
-            old: swn_core::id::Extended::NegInf,
-            new: b,
-        });
-        assert_eq!(r.neighbor_adoptions, 1);
         assert_eq!(r.probe_repairs, 1);
-        assert_eq!(r.lrl_moves, 1);
         assert_eq!(r.lrl_forgets, 2);
         assert_eq!(r.forget_age_sum, 14);
         assert_eq!(r.forget_age_max, 10);
-        assert_eq!(r.ring_resets, 1);
-        assert_eq!(r.pointers_salvaged, 1);
     }
 
     #[test]
@@ -295,13 +262,9 @@ mod tests {
             bounced: 20,
             links_changed: true,
             probe_repairs: 21,
-            lrl_moves: 22,
             lrl_forgets: 23,
             forget_age_sum: 24,
             forget_age_max: 25,
-            ring_resets: 26,
-            pointers_salvaged: 27,
-            neighbor_adoptions: 28,
             tracked_sent: 29,
         };
         t.push(r);
@@ -316,13 +279,9 @@ mod tests {
             bounced: 40,
             links_changed: true,
             probe_repairs: 42,
-            lrl_moves: 44,
             lrl_forgets: 46,
             forget_age_sum: 48,
             forget_age_max: 25,
-            ring_resets: 52,
-            pointers_salvaged: 54,
-            neighbor_adoptions: 56,
             tracked_sent: 58,
         };
         assert_eq!(t.since(0), twice);

@@ -218,13 +218,9 @@ fn push_stats(d: &mut Digest, s: &RoundStats) {
         bounced,
         links_changed,
         probe_repairs,
-        lrl_moves,
         lrl_forgets,
         forget_age_sum,
         forget_age_max,
-        ring_resets,
-        pointers_salvaged,
-        neighbor_adoptions,
         tracked_sent,
     } = *s;
     for v in sent.into_iter().chain(delivered) {
@@ -238,13 +234,9 @@ fn push_stats(d: &mut Digest, s: &RoundStats) {
         bounced,
         u64::from(links_changed),
         probe_repairs,
-        lrl_moves,
         lrl_forgets,
         forget_age_sum,
         forget_age_max,
-        ring_resets,
-        pointers_salvaged,
-        neighbor_adoptions,
         tracked_sent,
     ] {
         d.push(v);
