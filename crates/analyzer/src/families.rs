@@ -54,24 +54,16 @@ impl Family {
     /// spaced identifiers, with `budget` regular actions per node and
     /// set-semantics channels (channel bound 1).
     pub fn initial_state(self, n: usize, budget: u32, seed: u64) -> State {
-        self.initial_state_bounded(n, budget, seed, 1)
-    }
-
-    /// [`Family::initial_state`] with an explicit channel-multiplicity
-    /// bound (see [`State::initial_bounded`]).
-    pub fn initial_state_bounded(self, n: usize, budget: u32, seed: u64, bound: u32) -> State {
         let ids = evenly_spaced_ids(n);
         let cfg = ProtocolConfig::default();
         let topology = match self {
             Family::Line => InitialTopology::RandomChain,
             Family::Star => InitialTopology::Star,
             Family::Clique => InitialTopology::Clique,
-            Family::Ring => {
-                return State::initial_bounded(make_sorted_ring(&ids, cfg), &[], budget, bound)
-            }
+            Family::Ring => return State::initial(make_sorted_ring(&ids, cfg), &[], budget),
         };
         let init = generate(topology, &ids, cfg, seed);
-        State::initial_bounded(init.nodes, &init.preloads, budget, bound)
+        State::initial(init.nodes, &init.preloads, budget)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! analyzer [--n N] [--family line|star|clique|ring|all] [--budget K]
-//!          [--seed S] [--max-states M] [--channel-bound B]
+//!          [--seed S] [--max-states M]
 //!          [--mutant drop-lin|self-echo|bounce-lin] [--json]
 //! ```
 //!
@@ -45,7 +45,6 @@ struct Args {
     budget: u32,
     seed: u64,
     max_states: usize,
-    channel_bound: u32,
     mutant: Option<String>,
     json: bool,
 }
@@ -101,7 +100,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: analyzer [--n N] [--family line|star|clique|ring|all] [--budget K] \
-         [--seed S] [--max-states M] [--channel-bound B] \
+         [--seed S] [--max-states M] \
          [--mutant drop-lin|self-echo|bounce-lin] [--json]"
     );
     std::process::exit(2);
@@ -114,7 +113,6 @@ fn parse_args() -> Args {
         budget: 1,
         seed: 1,
         max_states: 2_000_000,
-        channel_bound: 1,
         mutant: None,
         json: false,
     };
@@ -159,14 +157,6 @@ fn parse_args() -> Args {
                 args.max_states = value(&mut i)
                     .parse()
                     .unwrap_or_else(|_| usage("--max-states expects an integer"));
-            }
-            "--channel-bound" => {
-                args.channel_bound = value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--channel-bound expects an integer"));
-                if args.channel_bound == 0 {
-                    usage("--channel-bound must be at least 1");
-                }
             }
             "--mutant" => {
                 let v = value(&mut i);
@@ -293,8 +283,8 @@ fn judge(scope: &Scope, args: &Args) -> JsonRun {
     );
     if g.coalesced_sends > 0 {
         println!(
-            "          ({} sends coalesced by channel bound {}; exhaustive relative to it)",
-            g.coalesced_sends, args.channel_bound
+            "          ({} sends coalesced by channel bound 1; exhaustive relative to it)",
+            g.coalesced_sends
         );
     }
     if let Some(l) = &run.lasso {
@@ -338,12 +328,7 @@ fn main() {
             .iter()
             .map(|&f| Scope {
                 family: Some(f),
-                initial: f.initial_state_bounded(
-                    args.n,
-                    args.budget,
-                    args.seed,
-                    args.channel_bound,
-                ),
+                initial: f.initial_state(args.n, args.budget, args.seed),
                 stepper: &RealStepper,
             })
             .collect(),
@@ -354,8 +339,8 @@ fn main() {
         match &args.mutant {
             Some(m) => println!("mutant '{m}' on its demo fixture: n = {n}, budget = {budget}"),
             None => println!(
-                "small-scope check: n = {n}, budget = {budget}, seed = {}, channel bound = {}",
-                args.seed, args.channel_bound
+                "small-scope check: n = {n}, budget = {budget}, seed = {}, channel bound = 1",
+                args.seed
             ),
         }
     }
@@ -377,7 +362,7 @@ fn main() {
             n,
             budget,
             seed: args.seed,
-            channel_bound: args.channel_bound,
+            channel_bound: 1,
             failed,
             runs,
         };
