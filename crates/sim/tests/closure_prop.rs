@@ -19,6 +19,9 @@
 //!    the trace happened at age ≥ 3 (`forget_age_sum ≥ 3·lrl_forgets`
 //!    per round). A forget outside that rule (e.g. a handler resetting
 //!    `lrl` on a spurious code path) shows up as an under-aged event.
+//! 3. No round drops or bounces a message: with neither faults nor churn
+//!    every id a closed ring stores is live, so nothing is ever sent to a
+//!    departed destination.
 
 use proptest::prelude::*;
 use swn_core::config::ProtocolConfig;
@@ -67,9 +70,12 @@ proptest! {
                     "round {}: forget ages recorded without forget events", k
                 );
             }
-            // Fault-free runs must never count fault drops.
+            // Fault-free runs must never count fault drops, and without
+            // churn a closed ring never sends to a departed id.
             prop_assert_eq!(r.dropped_fault, 0);
             prop_assert_eq!(r.duplicated_fault, 0);
+            prop_assert_eq!(r.dropped_churn, 0);
+            prop_assert_eq!(r.bounced, 0);
         }
     }
 }
