@@ -12,7 +12,7 @@
 //! ([`State::outcomes`]); each distinct successor becomes one labelled
 //! edge, and on every applied outcome the monitors run: the
 //! per-activation checks of [`State::apply`] (self-send, duplicate
-//! send, unaccounted event) and monotonicity of the [`PredVector`] —
+//! send) and monotonicity of the [`PredVector`] —
 //! the predicates are pure functions of the configuration, so "true
 //! before, false after" is a property of the edge alone. The first
 //! violation stops the construction and comes back as the BFS-tree stem
@@ -149,9 +149,9 @@ pub struct FairGraph {
     /// unexpanded state (where the construction stopped) has no
     /// out-edges *in the graph* but is not terminal in the model.
     pub expanded: Vec<bool>,
-    /// Sends coalesced by the channel-multiplicity bound, summed over
-    /// the applied transitions (see [`State::initial_bounded`]). Non-zero
-    /// means exhaustiveness is relative to that bound.
+    /// Sends coalesced because the message was already in flight, summed
+    /// over the applied transitions (see [`State::initial`]). Non-zero
+    /// means exhaustiveness is relative to set channels.
     pub coalesced_sends: usize,
     /// True when the construction stopped before exhausting the
     /// reachable set — at `max_states`, or at the first monitor

@@ -23,10 +23,7 @@
 //! * no single activation emits the same `(destination, message)` pair
 //!   twice — probes excepted: Algorithm 10 launches a ring-target probe
 //!   and an lrl probe in one activation, and when ring = lrl the two
-//!   legitimately coincide (probes are idempotent);
-//! * every [`ProtocolEvent`](swn_core::outbox::ProtocolEvent) a handler
-//!   emits is **accounted for** by `swn_sim::trace::RoundStats` — folding
-//!   it into a default `RoundStats` must change some counter.
+//!   legitimately coincide (probes are idempotent).
 //!
 //! A [`Stepper`] runs each receive action, so a mutant can replace
 //! the protocol's; regular actions run `Node::on_regular` itself.
@@ -40,10 +37,9 @@
 //!
 //! The model is *small-scope* in three bounded dimensions: network size
 //! (n ≤ 5), a per-node budget of regular actions (regular actions are
-//! always enabled, so an unbounded schedule never quiesces), and a
-//! channel-multiplicity bound — at the default bound of 1 channels are
-//! *sets* and the transport coalesces identical in-flight messages to
-//! one destination (see [`state::State::initial_bounded`]). Violations
+//! always enabled, so an unbounded schedule never quiesces), and
+//! channels that are *sets* — the transport coalesces identical in-flight
+//! messages to one destination (see [`state::State::initial`]). Violations
 //! found inside the scope are real executions; exhaustiveness is
 //! relative to the scope, per the small-scope hypothesis.
 //!

@@ -2,7 +2,7 @@
 //! per-activation monitors.
 //!
 //! A [`State`] is a closed-world configuration: every node's variables,
-//! every channel's contents (as a canonically ordered multiset — channels
+//! every channel's contents (as a canonically ordered set — channels
 //! are unordered in the asynchronous model, so delivery *order within one
 //! channel* is scheduler choice, not state), and the per-node budget of
 //! remaining regular actions. The budget is what makes the reachable
@@ -19,14 +19,13 @@ use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_core::outbox::Outbox;
 use swn_core::views::{NetView, View};
-use swn_sim::trace::RoundStats;
 
 /// One scheduler choice: deliver a specific in-flight message, or run a
 /// node's regular action. A delivery also names the outcome of the coins
 /// its activation draws.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Transition {
-    /// Deliver one instance of `msg` from node `dest`'s channel.
+    /// Deliver `msg` from node `dest`'s channel.
     Deliver {
         /// Receiver's node index.
         dest: usize,
@@ -127,12 +126,6 @@ pub enum Violation {
         /// The duplicated message.
         msg: Message,
     },
-    /// A `ProtocolEvent` that `RoundStats::count_event` does not fold into
-    /// any counter — the accounting in `swn_sim::trace` is incomplete.
-    UnaccountedEvent {
-        /// Debug rendering of the orphaned event.
-        event: String,
-    },
 }
 
 impl Violation {
@@ -165,9 +158,6 @@ impl fmt::Display for Violation {
             }
             Violation::DuplicateSend { node, dest, msg } => {
                 write!(f, "node {node:?} emitted duplicate ({dest:?}, {msg:?})")
-            }
-            Violation::UnaccountedEvent { event } => {
-                write!(f, "event {event} not counted by RoundStats")
             }
         }
     }
@@ -245,7 +235,7 @@ pub struct Applied {
     pub next: State,
     /// Per-activation monitor violations.
     pub violations: Vec<Violation>,
-    /// Sends coalesced by the channel-multiplicity bound.
+    /// Sends coalesced because the message was already in flight.
     pub coalesced_sends: u32,
     /// The coins the activation drew (none for a regular action).
     pub coins: Coins,
@@ -256,66 +246,48 @@ pub struct Applied {
 pub struct State {
     /// Node states, in fixed index order (the order never changes).
     pub nodes: Vec<Node>,
-    /// `channels[i]` = multiset of messages in flight to `nodes[i]`,
-    /// kept in canonical encoded order.
+    /// `channels[i]` = set of messages in flight to `nodes[i]`, kept in
+    /// canonical encoded order.
     pub channels: Vec<Vec<Message>>,
     /// Remaining regular actions per node.
     pub budgets: Vec<u32>,
-    /// Maximum copies of one identical message a channel holds; further
-    /// copies are coalesced (see [`State::initial_bounded`]).
-    pub channel_bound: u32,
 }
 
 impl State {
     /// Builds the initial state from adversarially initialized nodes,
     /// preloaded stale messages, and a uniform regular-action budget.
+    ///
+    /// Channels are *sets*: the transport coalesces identical in-flight
+    /// messages to one destination, so a preload or send of a message
+    /// already in flight is dropped. Like the regular-action budget, this
+    /// is part of the small-scope model: a violation found under it is
+    /// real, and exhaustiveness is relative to it.
     pub fn initial(nodes: Vec<Node>, preloads: &[(NodeId, Message)], budget: u32) -> State {
-        Self::initial_bounded(nodes, preloads, budget, 1)
-    }
-
-    /// [`State::initial`] with an explicit channel-multiplicity bound:
-    /// how many *identical* copies of one message a channel may hold
-    /// (further copies, preloaded or sent, are coalesced). The default
-    /// bound of 1 is the set-channel abstraction: the transport merges
-    /// identical in-flight messages to one destination. Like the
-    /// regular-action budget, the bound is part of the small-scope model:
-    /// a violation found under it is real, and exhaustiveness is relative
-    /// to it. Raise it to also explore schedules that deliver the same
-    /// content several times.
-    pub fn initial_bounded(
-        nodes: Vec<Node>,
-        preloads: &[(NodeId, Message)],
-        budget: u32,
-        channel_bound: u32,
-    ) -> State {
-        assert!(channel_bound >= 1, "channel bound must be at least 1");
         let n = nodes.len();
         let mut s = State {
             nodes,
             channels: vec![Vec::new(); n],
             budgets: vec![budget; n],
-            channel_bound,
         };
         for (dest, msg) in preloads {
             let i = s
                 .index_of(*dest)
                 .expect("preload addressed to a node in the network");
-            s.push_bounded(i, *msg);
+            s.insert(i, *msg);
         }
         s.canonicalize();
         s
     }
 
-    /// Appends `msg` to channel `i` unless the bound's worth of identical
-    /// copies is already in flight. Returns true when the copy was
-    /// coalesced (dropped).
-    fn push_bounded(&mut self, i: usize, msg: Message) -> bool {
-        let copies = self.channels[i].iter().filter(|m| **m == msg).count();
-        if copies >= self.channel_bound as usize {
-            return true;
+    /// Puts `msg` in channel `i` unless it is already in flight there.
+    /// Returns false when it was (the send is coalesced), like a set's
+    /// `insert`.
+    fn insert(&mut self, i: usize, msg: Message) -> bool {
+        if self.channels[i].contains(&msg) {
+            return false;
         }
         self.channels[i].push(msg);
-        false
+        true
     }
 
     /// Index of the node with identifier `id`.
@@ -323,8 +295,8 @@ impl State {
         self.nodes.iter().position(|n| n.id() == id)
     }
 
-    /// Restores the canonical channel order (channels are multisets, so
-    /// any stable total order works; the encoded triple is cheap).
+    /// Restores the canonical channel order (channels are sets, so any
+    /// total order works; the encoded triple is cheap).
     fn canonicalize(&mut self) {
         let nodes = std::mem::take(&mut self.nodes);
         for ch in &mut self.channels {
@@ -357,9 +329,7 @@ impl State {
 
     /// All enabled scheduler actions, in a fixed deterministic order:
     /// regular actions by node index, then deliveries by node index and
-    /// canonical message order. Identical in-flight messages to the same
-    /// destination are collapsed to one transition — delivering either
-    /// instance produces the same successor. Deliveries name no coins;
+    /// canonical message order. Deliveries name no coins;
     /// [`State::outcomes`] expands each into its coin outcomes.
     pub fn enabled(&self) -> Vec<Transition> {
         let mut ts = Vec::new();
@@ -368,16 +338,8 @@ impl State {
                 ts.push(Transition::Regular { node: i });
             }
         }
-        self.push_deliveries(&mut ts);
-        ts
-    }
-
-    fn push_deliveries(&self, ts: &mut Vec<Transition>) {
         for (i, ch) in self.channels.iter().enumerate() {
-            for (k, m) in ch.iter().enumerate() {
-                if ch[..k].contains(m) {
-                    continue; // duplicate instance: same successor state
-                }
+            for m in ch {
                 ts.push(Transition::Deliver {
                     dest: i,
                     msg: *m,
@@ -385,6 +347,7 @@ impl State {
                 });
             }
         }
+        ts
     }
 
     /// Executes `t` through `stepper`, replaying exactly the coin outcome
@@ -458,9 +421,8 @@ impl State {
     }
 
     /// Routes the activation's sends into the channels and runs the
-    /// per-activation monitors (self-send, duplicate send, event
-    /// accounting). `trigger` is the message the activation delivered
-    /// (`None` for a regular action).
+    /// per-activation monitors (self-send, duplicate send). `trigger` is
+    /// the message the activation delivered (`None` for a regular action).
     fn absorb_outbox(
         &mut self,
         actor: usize,
@@ -513,17 +475,8 @@ impl State {
             let i = self
                 .index_of(*dest)
                 .expect("message addressed to a node in the closed world");
-            if self.push_bounded(i, *msg) {
+            if !self.insert(i, *msg) {
                 coalesced += 1;
-            }
-        }
-        for ev in out.events() {
-            let mut stats = RoundStats::default();
-            stats.count_event(ev);
-            if stats == RoundStats::default() {
-                violations.push(Violation::UnaccountedEvent {
-                    event: format!("{ev:?}"),
-                });
             }
         }
         (violations, coalesced)
@@ -563,20 +516,15 @@ mod tests {
             (ids[0], Message::Lin(ids[1])),
             (ids[0], Message::Lin(ids[1])),
         ];
-        let s = State::initial_bounded(nodes, &pre, 0, 2);
-        assert_eq!(s.channels[0].len(), 2, "bound 2 keeps both copies");
+        let s = State::initial(nodes, &pre, 0);
         let ts = s.enabled();
-        assert_eq!(ts.len(), 1, "identical instances collapse: {ts:?}");
+        assert_eq!(ts.len(), 1, "identical preloads are one delivery: {ts:?}");
     }
 
     #[test]
     fn delivery_consumes_one_instance() {
         let (nodes, ids) = two_fresh_nodes();
-        let pre = [
-            (ids[0], Message::Lin(ids[1])),
-            (ids[0], Message::Lin(ids[1])),
-        ];
-        let s = State::initial_bounded(nodes, &pre, 0, 2);
+        let s = State::initial(nodes, &[(ids[0], Message::Lin(ids[1]))], 0);
         let t = Transition::Deliver {
             dest: 0,
             msg: Message::Lin(ids[1]),
@@ -588,7 +536,10 @@ mod tests {
             "real protocol is clean: {:?}",
             a.violations
         );
-        assert_eq!(a.next.channels[0].len(), 1, "one instance left");
+        assert!(
+            !a.next.channels[0].contains(&Message::Lin(ids[1])),
+            "the delivered message left the channel"
+        );
     }
 
     #[test]
@@ -602,7 +553,7 @@ mod tests {
         assert_eq!(
             s.channels[0],
             vec![Message::Lin(ids[1])],
-            "default bound 1 keeps a single copy"
+            "a channel keeps a single copy"
         );
     }
 

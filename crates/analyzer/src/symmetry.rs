@@ -52,7 +52,7 @@ fn rank_order(s: &State) -> Vec<usize> {
 /// `(l, r, lrl, ring, age, tick)` with identifiers encoded as ranks, ages
 /// saturated at [`AGE_SATURATION`] and probing ticks reduced to their
 /// `probe_period` residue; then the budgets and the sorted channel
-/// multisets, in rank order. Node ids and the protocol config are
+/// sets, in rank order. Node ids and the protocol config are
 /// immutable and omitted.
 ///
 /// Equal canonical keys are bisimilar modulo an order-isomorphism of the

@@ -1,81 +1,75 @@
 //! The pure move-and-forget process of Chaintreau, Fraigniaud and Lebhar
-//! (ICALP 2008) on an already-formed ring — the paper's reference \[4\] and
-//! the non-self-stabilizing baseline for experiment E2.
+//! (ICALP 2008) on an already-formed k-dimensional torus — the paper's
+//! reference \[4\], the non-self-stabilizing baseline for experiment E2
+//! at k = 1 (the ring) and the extension experiment X1 at k ≥ 1.
 //!
-//! On the 1-D ring the process is a lazy walk: each node owns a token
-//! starting at itself; each round the token steps to a uniformly chosen
-//! ring neighbour of its current position and is forgotten (reset to its
-//! origin) with probability φ(age). The stationary token displacement is
-//! the 1-harmonic distribution, which is what makes the graph navigable.
+//! Each node owns a token starting at itself; each round the token alters
+//! every coordinate of its position by ±1 (on the ring: steps to a
+//! uniformly chosen ring neighbour) and is forgotten (reset to its
+//! origin) with probability φ(age), the same φ for every k (Section
+//! III.D). On the ring the stationary token displacement is the
+//! 1-harmonic distribution, which is what makes the graph navigable.
 //!
-//! Because the ring is fixed, the whole process reduces to integer
-//! arithmetic on ranks — no messages — so it runs orders of magnitude
+//! Because the lattice is fixed, the whole process reduces to integer
+//! arithmetic on indices — no messages — so it runs orders of magnitude
 //! faster than the full protocol and serves as the ground truth the
 //! self-stabilized network must match.
 
+use crate::torus::Torus;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use swn_core::forget::phi;
-use swn_topology::paths::ring_distance;
 use swn_topology::Graph;
 
 /// State of the direct move-and-forget simulation.
 #[derive(Debug)]
-pub struct MoveForgetRing {
-    n: usize,
+pub struct MoveForget {
+    torus: Torus,
     epsilon: f64,
-    /// Token position (ring rank) per node.
+    /// Token position (torus index) per node.
     pos: Vec<usize>,
     /// Token age per node.
     age: Vec<u64>,
     rng: StdRng,
     forgets: u64,
-    max_age_seen: u64,
     rounds: u64,
     first_forget: Vec<Option<u64>>,
 }
 
-impl MoveForgetRing {
+impl MoveForget {
+    /// The process on the ring of `n` nodes (the 1-D torus).
+    pub fn ring(n: usize, epsilon: f64, seed: u64) -> Self {
+        Self::new(Torus::new(n, 1), epsilon, seed)
+    }
+
     /// All tokens at their origins, age 0.
-    pub fn new(n: usize, epsilon: f64, seed: u64) -> Self {
-        assert!(n >= 4, "need at least 4 nodes, got {n}");
-        MoveForgetRing {
-            n,
+    pub fn new(torus: Torus, epsilon: f64, seed: u64) -> Self {
+        let n = torus.len();
+        MoveForget {
+            torus,
             epsilon,
             pos: (0..n).collect(),
             age: vec![0; n],
             rng: StdRng::seed_from_u64(seed),
             forgets: 0,
-            max_age_seen: 0,
             rounds: 0,
             first_forget: vec![None; n],
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the ring is empty (never: `new` requires n ≥ 4).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// One synchronous round: every token moves ±1 and then faces the
-    /// forget check.
+    /// One synchronous round: every token moves ±1 in every coordinate
+    /// and then faces the forget check.
     pub fn step(&mut self) {
         self.rounds += 1;
-        for i in 0..self.n {
+        for i in 0..self.pos.len() {
             self.age[i] += 1;
-            self.pos[i] = if self.rng.random_bool(0.5) {
-                (self.pos[i] + 1) % self.n
-            } else {
-                (self.pos[i] + self.n - 1) % self.n
-            };
-            let p = phi(self.age[i], self.epsilon);
-            if p > 0.0 && self.rng.random::<f64>() < p {
-                self.max_age_seen = self.max_age_seen.max(self.age[i]);
+            let mut p = self.pos[i];
+            for stride in self.torus.strides() {
+                p = self.torus.shift(p, stride, self.rng.random_bool(0.5));
+            }
+            self.pos[i] = p;
+            let f = phi(self.age[i], self.epsilon);
+            if f > 0.0 && self.rng.random::<f64>() < f {
                 self.pos[i] = i;
                 self.age[i] = 0;
                 self.forgets += 1;
@@ -93,12 +87,14 @@ impl MoveForgetRing {
         }
     }
 
-    /// Current link lengths (ring distance origin→token), zero-length
-    /// (at-origin) tokens excluded.
+    /// Current link lengths (L1 torus distance origin→token, ring
+    /// distance at k = 1), zero-length (at-origin) tokens excluded.
     pub fn lengths(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter_map(|i| {
-                let d = ring_distance(i, self.pos[i], self.n);
+        self.pos
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &p)| {
+                let d = self.torus.distance(i, p);
                 (d > 0).then_some(d)
             })
             .collect()
@@ -107,16 +103,6 @@ impl MoveForgetRing {
     /// Total forget events so far.
     pub fn forgets(&self) -> u64 {
         self.forgets
-    }
-
-    /// Largest age observed at a forget event.
-    pub fn max_age_seen(&self) -> u64 {
-        self.max_age_seen
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// Runs until every token has been forgotten at least once and
@@ -142,10 +128,10 @@ impl MoveForgetRing {
             .map(|v| v.into_iter().max().unwrap_or(0))
     }
 
-    /// The resulting graph: the cycle plus one directed long-range link
-    /// per node at the token's current position.
+    /// The resulting graph: the lattice (the cycle at k = 1) plus one
+    /// directed long-range link per node at the token's current position.
     pub fn graph(&self) -> Graph {
-        let mut g = crate::ring_lattice::cycle(self.n);
+        let mut g = self.torus.lattice_graph();
         for (i, &t) in self.pos.iter().enumerate() {
             g.add_edge(i, t);
         }
@@ -161,7 +147,7 @@ mod tests {
 
     #[test]
     fn tokens_stay_on_the_ring() {
-        let mut mf = MoveForgetRing::new(32, 0.1, 1);
+        let mut mf = MoveForget::ring(32, 0.1, 1);
         mf.run(500);
         for i in 0..32 {
             assert!(mf.pos[i] < 32);
@@ -170,16 +156,20 @@ mod tests {
 
     #[test]
     fn forgets_happen_and_reset_age() {
-        let mut mf = MoveForgetRing::new(16, 0.1, 2);
-        mf.run(200);
+        // φ is 0 below age 3, so two rounds cannot forget anything.
+        let mut mf = MoveForget::ring(16, 0.1, 2);
+        mf.run(2);
+        assert_eq!(mf.forgets(), 0, "forgets only at age ≥ 3");
+        assert!(mf.age.iter().all(|&a| a == 2));
+        mf.run(198);
         assert!(mf.forgets() > 0, "200 rounds must produce forgets");
-        assert!(mf.max_age_seen() >= 3, "forgets only at age ≥ 3");
+        assert!(mf.age.iter().any(|&a| a < 200), "a forget resets the age");
     }
 
     #[test]
     fn stationary_lengths_follow_the_log_corrected_harmonic_law() {
         let n = 512;
-        let mut mf = MoveForgetRing::new(n, 0.1, 3);
+        let mut mf = MoveForget::ring(n, 0.1, 3);
         mf.run(20_000);
         let mut lengths = Vec::new();
         for _ in 0..300 {
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn converged_graph_routes_much_better_than_the_ring() {
         let n = 2048;
-        let mut mf = MoveForgetRing::new(n, 0.1, 4);
+        let mut mf = MoveForget::ring(n, 0.1, 4);
         mf.run(20_000);
         let mf_stats = evaluate_routing(&mf.graph(), 300, 100_000, 5, None);
         let ring_stats = evaluate_routing(&crate::ring_lattice::cycle(n), 300, 100_000, 5, None);
@@ -231,8 +221,8 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let mut a = MoveForgetRing::new(64, 0.1, 9);
-        let mut b = MoveForgetRing::new(64, 0.1, 9);
+        let mut a = MoveForget::ring(64, 0.1, 9);
+        let mut b = MoveForget::ring(64, 0.1, 9);
         a.run(100);
         b.run(100);
         assert_eq!(a.pos, b.pos);

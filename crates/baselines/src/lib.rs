@@ -13,7 +13,8 @@
 //! * [`random_graph`] — Erdős–Rényi G(n,m)/G(n,p);
 //! * [`chaintreau`] — the pure (non-self-stabilizing) move-and-forget
 //!   process of the paper's reference \[4\], the ground truth for the
-//!   long-range-link length distribution.
+//!   long-range-link length distribution, on the ring and on the k-D
+//!   tori of [`torus`].
 
 #![forbid(unsafe_code)]
 // Libraries return strings or take writers; only binaries print.

@@ -1,25 +1,18 @@
 //! k-dimensional tori: the paper's "future work" direction.
 //!
 //! The IPPS 2012 paper self-stabilizes the 1-D case and names
-//! multidimensional small worlds as the direct extension. The two
-//! ingredients it would build on are already dimension-generic in
-//! Chaintreau et al. \[4\], and both are implemented here:
+//! multidimensional small worlds as the direct extension. The
+//! move-and-forget process it builds on is already dimension-generic in
+//! Chaintreau et al. \[4\]: [`MoveForget`](crate::chaintreau::MoveForget)
+//! runs on a [`Torus`], the ring being k = 1.
 //!
-//! * the **static k-harmonic construction** on the torus `Z_m^k`
-//!   (`P(link u→v) ∝ 1/dist(u,v)^k`, Kleinberg's exponent), and
-//! * the **k-dimensional move-and-forget process** (each token alters
-//!   every coordinate by ±1 per step; the forget probability φ(α) is the
-//!   same for every k — the property the paper highlights in
-//!   Section III.D).
-//!
-//! Together with [`greedy_route`](Torus::greedy_route) they let the
+//! Together with [`greedy_route`](Torus::greedy_route) the torus lets the
 //! extension experiment (X1) check that the process's navigability is
 //! dimension-independent, exactly what a future k-D self-stabilization
 //! would converge to.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt as _, SeedableRng};
-use swn_core::forget::phi;
+use rand::{RngExt as _, SeedableRng};
 use swn_topology::Graph;
 
 /// A k-dimensional torus `Z_m^k` with L1 (wrap-around) metric.
@@ -54,16 +47,6 @@ impl Torus {
         self.n == 0
     }
 
-    /// Side length.
-    pub fn side(&self) -> usize {
-        self.m
-    }
-
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.k
-    }
-
     /// Linear index → coordinates.
     pub fn coords(&self, idx: usize) -> Vec<usize> {
         assert!(idx < self.n);
@@ -85,72 +68,50 @@ impl Torus {
             .fold(0, |acc, &c| acc * self.m + (c % self.m))
     }
 
-    /// L1 torus distance between two linear indices.
-    pub fn distance(&self, a: usize, b: usize) -> usize {
-        let (ca, cb) = (self.coords(a), self.coords(b));
-        ca.iter()
-            .zip(&cb)
-            .map(|(&x, &y)| {
-                let d = x.abs_diff(y);
-                d.min(self.m - d)
-            })
-            .sum()
+    /// Strides of the `k` coordinates in a linear index: `1, m, …, m^(k−1)`.
+    pub(crate) fn strides(&self) -> impl Iterator<Item = usize> {
+        let m = self.m;
+        std::iter::successors(Some(1), move |&s| Some(s * m)).take(self.k)
     }
 
-    /// The 2k lattice neighbours of a node.
-    pub fn lattice_neighbors(&self, idx: usize) -> Vec<usize> {
-        let c = self.coords(idx);
-        let mut out = Vec::with_capacity(2 * self.k);
-        for d in 0..self.k {
-            for delta in [1, self.m - 1] {
-                let mut cc = c.clone();
-                cc[d] = (cc[d] + delta) % self.m;
-                out.push(self.index(&cc));
+    /// The node one step up (`up`) or down from `idx` along the
+    /// coordinate of the given [stride](Torus::strides), wrapping around.
+    pub(crate) fn shift(&self, idx: usize, stride: usize, up: bool) -> usize {
+        let c = idx / stride % self.m;
+        let wrap = (self.m - 1) * stride;
+        if up {
+            if c + 1 == self.m {
+                idx - wrap
+            } else {
+                idx + stride
             }
+        } else if c == 0 {
+            idx + wrap
+        } else {
+            idx - stride
         }
-        out
+    }
+
+    /// L1 torus distance between two linear indices.
+    pub fn distance(&self, a: usize, b: usize) -> usize {
+        let (mut a, mut b, mut sum) = (a, b, 0);
+        for _ in 0..self.k {
+            let d = (a % self.m).abs_diff(b % self.m);
+            sum += d.min(self.m - d);
+            a /= self.m;
+            b /= self.m;
+        }
+        sum
     }
 
     /// The bare lattice graph (each node ↔ its 2k neighbours).
     pub fn lattice_graph(&self) -> Graph {
         let mut g = Graph::new(self.n);
         for u in 0..self.n {
-            for v in self.lattice_neighbors(u) {
-                g.add_edge(u, v);
+            for s in self.strides() {
+                g.add_edge(u, self.shift(u, s, true));
+                g.add_edge(u, self.shift(u, s, false));
             }
-        }
-        g
-    }
-
-    /// Draws one endpoint at L1 distance following the k-harmonic law
-    /// `P(dist = d) ∝ (#nodes at distance d) / d^k ≈ 1/d` and a uniform
-    /// node at that distance (rejection-sampled).
-    fn sample_harmonic_target<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
-        // P(v) ∝ 1/dist(u,v)^k. Sample by rejection against the maximal
-        // weight 1: draw a uniform node ≠ from, accept with probability
-        // 1/dist^k scaled by the minimal distance 1.
-        loop {
-            let cand = rng.random_range(0..self.n);
-            if cand == from {
-                continue;
-            }
-            let d = self.distance(from, cand) as f64;
-            if rng.random::<f64>()
-                < 1.0 / d.powi(i32::try_from(self.k).expect("torus dimension fits i32"))
-            {
-                return cand;
-            }
-        }
-    }
-
-    /// Static Kleinberg construction: the lattice plus one k-harmonic
-    /// long-range link per node.
-    pub fn kleinberg_graph(&self, seed: u64) -> Graph {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = self.lattice_graph();
-        for u in 0..self.n {
-            let t = self.sample_harmonic_target(u, &mut rng);
-            g.add_edge(u, t);
         }
         g
     }
@@ -207,100 +168,10 @@ impl Torus {
     }
 }
 
-/// The k-dimensional move-and-forget process on a torus (Chaintreau et
-/// al. \[4\], Section III.D of the paper): every node owns a token walking
-/// the torus; each step alters **every** coordinate by ±1; forgetting
-/// follows the dimension-independent φ(α).
-#[derive(Debug)]
-pub struct TorusMoveForget {
-    torus: Torus,
-    epsilon: f64,
-    pos: Vec<usize>,
-    age: Vec<u64>,
-    rng: StdRng,
-    forgets: u64,
-}
-
-impl TorusMoveForget {
-    /// All tokens at their origins.
-    pub fn new(torus: Torus, epsilon: f64, seed: u64) -> Self {
-        let n = torus.len();
-        TorusMoveForget {
-            torus,
-            epsilon,
-            pos: (0..n).collect(),
-            age: vec![0; n],
-            rng: StdRng::seed_from_u64(seed),
-            forgets: 0,
-        }
-    }
-
-    /// The underlying torus.
-    pub fn torus(&self) -> &Torus {
-        &self.torus
-    }
-
-    /// One synchronous round.
-    pub fn step(&mut self) {
-        let (m, k) = (self.torus.side(), self.torus.dim());
-        for i in 0..self.pos.len() {
-            self.age[i] += 1;
-            let mut c = self.torus.coords(self.pos[i]);
-            for coord in c.iter_mut().take(k) {
-                *coord = if self.rng.random_bool(0.5) {
-                    (*coord + 1) % m
-                } else {
-                    (*coord + m - 1) % m
-                };
-            }
-            self.pos[i] = self.torus.index(&c);
-            let p = phi(self.age[i], self.epsilon);
-            if p > 0.0 && self.rng.random::<f64>() < p {
-                self.pos[i] = i;
-                self.age[i] = 0;
-                self.forgets += 1;
-            }
-        }
-    }
-
-    /// Runs `rounds` rounds.
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
-    /// Forget events so far.
-    pub fn forgets(&self) -> u64 {
-        self.forgets
-    }
-
-    /// Token displacement (L1) per node; at-origin tokens excluded.
-    pub fn displacements(&self) -> Vec<usize> {
-        self.pos
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &p)| {
-                let d = self.torus.distance(i, p);
-                (d > 0).then_some(d)
-            })
-            .collect()
-    }
-
-    /// The lattice plus one long-range link per node at the token's
-    /// current position.
-    pub fn graph(&self) -> Graph {
-        let mut g = self.torus.lattice_graph();
-        for (i, &t) in self.pos.iter().enumerate() {
-            g.add_edge(i, t);
-        }
-        g
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaintreau::MoveForget;
     use swn_topology::connectivity::is_weakly_connected;
 
     #[test]
@@ -347,56 +218,19 @@ mod tests {
     }
 
     #[test]
-    fn kleinberg_2d_routes_much_better_than_lattice() {
-        // One shortcut per node needs some scale before the polylog
-        // separation dominates the constants: at 40×40 the lattice mean is
-        // 20 hops and the harmonic shortcuts cut it well below that.
-        let t = Torus::new(40, 2); // 1600 nodes
-        let lattice_hops = t.mean_greedy_hops(&t.lattice_graph(), 150, 1);
-        let kle_hops = t.mean_greedy_hops(&t.kleinberg_graph(7), 150, 1);
-        assert!(
-            kle_hops * 1.5 < lattice_hops,
-            "kleinberg {kle_hops} vs lattice {lattice_hops}"
-        );
-    }
-
-    #[test]
     fn torus_move_forget_spreads_and_navigates() {
         let t = Torus::new(20, 2); // 400 nodes
-        let mut mf = TorusMoveForget::new(t, 0.1, 3);
+        let mut mf = MoveForget::new(t.clone(), 0.1, 3);
         mf.run(3000);
         assert!(mf.forgets() > 0);
-        let disp = mf.displacements();
+        let disp = mf.lengths();
         assert!(disp.len() > 150, "tokens failed to spread: {}", disp.len());
-        let torus = mf.torus().clone();
-        let lattice_hops = torus.mean_greedy_hops(&torus.lattice_graph(), 120, 2);
-        let mf_hops = torus.mean_greedy_hops(&mf.graph(), 120, 2);
+        let lattice_hops = t.mean_greedy_hops(&t.lattice_graph(), 120, 2);
+        let mf_hops = t.mean_greedy_hops(&mf.graph(), 120, 2);
         assert!(
             mf_hops < lattice_hops,
             "move-forget {mf_hops} vs lattice {lattice_hops}"
         );
-    }
-
-    /// E2's reference (`MoveForgetRing`) and x1's engine are the same
-    /// process at k = 1 and draw the same random sequence, so they must
-    /// agree token for token, not only in distribution.
-    #[test]
-    fn one_dimensional_torus_is_the_ring_reference_draw_for_draw() {
-        for (n, epsilon, seed) in [(16, 0.1, 1), (64, 0.5, 7), (257, 0.1, 42)] {
-            let mut torus = TorusMoveForget::new(Torus::new(n, 1), epsilon, seed);
-            let mut ring = crate::chaintreau::MoveForgetRing::new(n, epsilon, seed);
-            for block in 0..20 {
-                torus.run(37);
-                ring.run(37);
-                assert_eq!(
-                    torus.displacements(),
-                    ring.lengths(),
-                    "n={n} eps={epsilon} seed={seed} block {block}"
-                );
-                assert_eq!(torus.forgets(), ring.forgets());
-            }
-            assert!(ring.forgets() > 0, "the forget branch must be exercised");
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   fault-repair latency.
 
 use crate::table::{f2, f3, mean, Table};
-use swn_baselines::chaintreau::MoveForgetRing;
+use swn_baselines::chaintreau::MoveForget;
 use swn_core::config::ProtocolConfig;
 use swn_core::id::evenly_spaced_ids;
 use swn_sim::churn::stable_network;
@@ -131,7 +131,7 @@ pub fn measure_a2(p: &Params, epsilons: &[f64]) -> Vec<A2Point> {
     epsilons
         .iter()
         .map(|&eps| {
-            let mut mf = MoveForgetRing::new(p.n, eps, 4040);
+            let mut mf = MoveForget::ring(p.n, eps, 4040);
             mf.run(p.warmup);
             let mut lengths = Vec::new();
             for _ in 0..100 {

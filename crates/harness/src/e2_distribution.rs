@@ -16,7 +16,7 @@
 //! harmonic-family power law).
 
 use crate::table::{f3, Table};
-use swn_baselines::chaintreau::MoveForgetRing;
+use swn_baselines::chaintreau::MoveForget;
 use swn_core::config::ProtocolConfig;
 use swn_sim::churn::stable_network;
 use swn_sim::parallel::run_trials;
@@ -95,7 +95,7 @@ pub fn protocol_fit(n: usize, p: &Params, seed: u64) -> FitStats {
 
 /// Measures the pure move-and-forget baseline at size `n`.
 pub fn baseline_fit(n: usize, p: &Params, seed: u64) -> FitStats {
-    let mut mf = MoveForgetRing::new(n, ProtocolConfig::default().epsilon, seed);
+    let mut mf = MoveForget::ring(n, ProtocolConfig::default().epsilon, seed);
     mf.run(p.warmup);
     let mut lengths = Vec::new();
     for _ in 0..p.epochs {

@@ -21,7 +21,7 @@
 
 use crate::table::{f2, polylog_exponent, Table};
 use crate::testbed::{default_warmup, stabilized_graph};
-use swn_baselines::chaintreau::MoveForgetRing;
+use swn_baselines::chaintreau::MoveForget;
 use swn_baselines::chord::chord;
 use swn_baselines::kleinberg::{kleinberg_ring, uniform_shortcut_ring};
 use swn_baselines::ring_lattice::cycle;
@@ -128,7 +128,7 @@ pub fn build_graph(sys: System, n: usize, p: &Params, seed: u64) -> Option<Graph
             Some(Graph::from_view(&net.view(), swn_core::views::View::Cp))
         }
         System::MoveForget => {
-            let mut mf = MoveForgetRing::new(n, ProtocolConfig::default().epsilon, seed);
+            let mut mf = MoveForget::ring(n, ProtocolConfig::default().epsilon, seed);
             mf.run(default_warmup(n) * 2);
             Some(mf.graph())
         }

@@ -12,7 +12,7 @@
 //!   since the w.h.p. bound has a polynomial tail).
 
 use crate::table::{f2, Table};
-use swn_baselines::chaintreau::MoveForgetRing;
+use swn_baselines::chaintreau::MoveForget;
 use swn_core::config::ProtocolConfig;
 use swn_core::message::MessageKind;
 use swn_sim::churn::stable_network;
@@ -86,7 +86,7 @@ pub fn census(n: usize, p: &Params, seed: u64) -> Census {
 /// quantity the Theorem 4.22 proof bounds by O(n) w.h.p. Measured on the
 /// fast baseline with a `factor·n` round budget.
 pub fn rounds_all_forgotten(n: usize, p: &Params, seed: u64) -> u64 {
-    let mut mf = MoveForgetRing::new(n, ProtocolConfig::default().epsilon, seed);
+    let mut mf = MoveForget::ring(n, ProtocolConfig::default().epsilon, seed);
     mf.rounds_until_all_forgotten(p.age_horizon_factor * n as u64)
         .unwrap_or(p.age_horizon_factor * n as u64)
 }

@@ -11,7 +11,8 @@
 //! Section III.D highlights.
 
 use crate::table::{f2, f3, Table};
-use swn_baselines::torus::{Torus, TorusMoveForget};
+use swn_baselines::chaintreau::MoveForget;
+use swn_baselines::torus::Torus;
 use swn_core::config::ProtocolConfig;
 
 /// Parameters for X1.
@@ -68,11 +69,13 @@ pub fn measure(p: &Params) -> Vec<DimPoint> {
             let torus = Torus::new(m, k);
             let n = torus.len();
             let lattice_hops = torus.mean_greedy_hops(&torus.lattice_graph(), p.pairs, 1);
-            let mut mf =
-                TorusMoveForget::new(torus, ProtocolConfig::default().epsilon, 9 + k as u64);
+            let mut mf = MoveForget::new(
+                torus.clone(),
+                ProtocolConfig::default().epsilon,
+                9 + k as u64,
+            );
             mf.run(p.warmup);
             let forget_rate = mf.forgets() as f64 / (p.warmup as f64 * n as f64);
-            let torus = mf.torus().clone();
             let mf_hops = torus.mean_greedy_hops(&mf.graph(), p.pairs, 2);
             DimPoint {
                 k,

@@ -15,7 +15,7 @@ use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 use swn_core::config::ProtocolConfig;
 use swn_core::id::{Extended, NodeId};
-use swn_core::invariants::make_sorted_ring;
+use swn_core::invariants::{make_sorted_ring, sorted_list_links};
 use swn_core::message::Message;
 use swn_core::node::Node;
 
@@ -285,16 +285,7 @@ pub fn generate(
                 .iter()
                 .enumerate()
                 .map(|(i, &id)| {
-                    let l = if i == 0 {
-                        Extended::NegInf
-                    } else {
-                        Extended::Fin(sorted[i - 1])
-                    };
-                    let r = if i + 1 == n {
-                        Extended::PosInf
-                    } else {
-                        Extended::Fin(sorted[i + 1])
-                    };
+                    let (l, r) = sorted_list_links(i, n, |j| sorted[j]);
                     Node::with_state(id, l, r, id, None, cfg)
                 })
                 .collect();
