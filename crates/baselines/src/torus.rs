@@ -47,27 +47,6 @@ impl Torus {
         self.n == 0
     }
 
-    /// Linear index → coordinates.
-    pub fn coords(&self, idx: usize) -> Vec<usize> {
-        assert!(idx < self.n);
-        let mut c = Vec::with_capacity(self.k);
-        let mut rest = idx;
-        for _ in 0..self.k {
-            c.push(rest % self.m);
-            rest /= self.m;
-        }
-        c
-    }
-
-    /// Coordinates → linear index.
-    pub fn index(&self, coords: &[usize]) -> usize {
-        assert_eq!(coords.len(), self.k);
-        coords
-            .iter()
-            .rev()
-            .fold(0, |acc, &c| acc * self.m + (c % self.m))
-    }
-
     /// Strides of the `k` coordinates in a linear index: `1, m, …, m^(k−1)`.
     pub(crate) fn strides(&self) -> impl Iterator<Item = usize> {
         let m = self.m;
@@ -175,25 +154,13 @@ mod tests {
     use swn_topology::connectivity::is_weakly_connected;
 
     #[test]
-    fn coords_round_trip() {
-        let t = Torus::new(5, 3);
-        assert_eq!(t.len(), 125);
-        for idx in [0usize, 1, 42, 124] {
-            assert_eq!(t.index(&t.coords(idx)), idx);
-        }
-        assert_eq!(t.coords(0), vec![0, 0, 0]);
-        assert_eq!(t.coords(124), vec![4, 4, 4]);
-    }
-
-    #[test]
     fn distance_wraps_in_every_dimension() {
+        // Linear index x + 10·y on the 10 × 10 torus: 99 is (9, 9) and
+        // 5 is (5, 0).
         let t = Torus::new(10, 2);
-        let a = t.index(&[0, 0]);
-        let b = t.index(&[9, 9]);
-        assert_eq!(t.distance(a, b), 2, "diagonal wrap");
-        let c = t.index(&[5, 0]);
-        assert_eq!(t.distance(a, c), 5);
-        assert_eq!(t.distance(a, a), 0);
+        assert_eq!(t.distance(0, 99), 2, "diagonal wrap");
+        assert_eq!(t.distance(0, 5), 5);
+        assert_eq!(t.distance(0, 0), 0);
     }
 
     #[test]

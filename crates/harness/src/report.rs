@@ -117,7 +117,7 @@ fn render_timeline(out: &mut String, events: &[Event]) {
 
 #[allow(clippy::cast_precision_loss)]
 fn render_phases(out: &mut String, events: &[Event]) {
-    const NAMES: [&str; 5] = ["shuffle", "channel", "deliver", "flush", "stats"];
+    const NAMES: [&str; 5] = ["order", "channel", "deliver", "flush", "stats"];
     let samples: Vec<[u64; 5]> = events
         .iter()
         .filter_map(|e| match e {

@@ -1,19 +1,21 @@
 //! The simulated network: node table, mailbox and the round loop.
 //!
 //! A **round** delivers every eligible message (per the delivery policy)
-//! and runs every node's regular action once, in a random node order.
-//! Messages sent during a round become eligible in the next one, so
-//! receipt strictly follows transmission and one round of the simulator
-//! corresponds to one unit of the paper's asynchronous time (every enabled
-//! action executes — weak fairness; every old message is offered for
-//! delivery — fair receipt).
+//! and runs every node's regular action once, one node's turn after
+//! another in ascending id order. Messages sent during a round become
+//! eligible in the next one, so receipt strictly follows transmission,
+//! no turn reads what another turn of its round wrote (which makes the
+//! round's law independent of the turn order — DESIGN.md §2 note 8), and
+//! one round of the simulator corresponds to one unit of the paper's
+//! asynchronous time (every enabled action executes — weak fairness;
+//! every old message is offered for delivery — fair receipt).
 //!
 //! Under [`ScheduleMode::ActiveSet`] the round activates only the nodes
 //! the scheduler put on the agenda (pending mail, an unverified local
 //! state, a churn/fault touch) instead of every live node — see
 //! [`crate::sched`] for the settlement certificate and the quiescence
 //! invariant. The default [`ScheduleMode::FullScan`] is the paper's
-//! schedule and stays byte-identical to the pre-scheduler engine.
+//! schedule: every live node takes a turn every round.
 //!
 //! The whole run is deterministic in the seed: the same seed, initial
 //! state and policy replay the exact same computation.
@@ -27,7 +29,6 @@ use crate::sched::{self, SchedState, ScheduleMode};
 use crate::slots::SlotIndex;
 use crate::trace::{RoundStats, Trace};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cell::Cell;
 use swn_core::id::NodeId;
@@ -63,17 +64,6 @@ impl SortedLevel {
         }
     }
 }
-
-/// Turns per chunk of the activation order; each chunk of a large round
-/// runs after one [`Network::gather`] over it.
-const GATHER_CHUNK: usize = 32;
-
-/// Rounds that activate fewer nodes run without the gather pass: their
-/// working set is mostly in cache, so the pass only adds its own reads.
-/// On a stable FullScan ring on a 2-core Xeon (2 MiB L2 per core) it
-/// cost 7 % at 2 048 turns, broke even at 8 192–16 384 and paid from
-/// 24 576 up (2–6 % at 32 768, 1.2× at 131 072).
-const GATHER_MIN_TURNS: usize = 32_768;
 
 /// A simulated asynchronous message-passing network.
 #[derive(Debug)]
@@ -122,10 +112,6 @@ pub struct Network {
     // message (`step_reference`, the flush-equivalence oracle).
     #[cfg(test)]
     flush_per_message: bool,
-    // Test-only: runs the gather pass whatever the round's size (the
-    // differential test against the ungathered loop).
-    #[cfg(test)]
-    gather_always: bool,
 }
 
 impl Network {
@@ -174,8 +160,6 @@ impl Network {
             sorted: Cell::new(SortedLevel::Stale),
             #[cfg(test)]
             flush_per_message: false,
-            #[cfg(test)]
-            gather_always: false,
         }
     }
 
@@ -483,36 +467,31 @@ impl Network {
                 .obs
                 .as_ref()
                 .is_some_and(|o| now.is_multiple_of(o.sample_every));
-        // Accumulators in phase order: shuffle, channel, deliver, flush,
-        // stats.
+        // Accumulators in phase order: order build (the `shuffle_ns`
+        // field of the schema), channel, deliver, flush, stats.
         let mut ph = [0u64; 5];
 
+        // The round's turns run in ascending id order. No turn reads what
+        // another turn of the same round wrote (DESIGN.md §2 note 8), so
+        // the order fixes only which RNG words each turn draws, not the
+        // law of the round; ascending id keeps the walk over the node
+        // table and mailbox sequential wherever slots follow ids.
         let mut order = std::mem::take(&mut self.order_buf);
         timed(sample, &mut ph[0], || {
             order.clear();
             match self.sched.as_mut() {
-                // Drain the agenda in ascending id order, so the shuffle
-                // below is a pure function of the RNG stream and the
-                // *set* of active nodes — never of the order in which
-                // scheduling happened to discover them. An empty agenda
-                // (quiescence) draws nothing from the RNG.
+                // The agenda, sorted by id: a function of the *set* of
+                // active nodes, never of the order in which scheduling
+                // happened to discover them.
                 Some(sched) if HOOKED => sched.begin_round(&mut order),
                 // Full scan: every live slot, memcpy'd off the index's
                 // incrementally maintained sorted lane.
                 _ => order.extend_from_slice(self.index.sorted_slots()),
             }
-            order.shuffle(&mut self.rng);
         });
 
         let mut inbox = std::mem::take(&mut self.inbox_buf);
-        let gather = order.len() >= GATHER_MIN_TURNS;
-        #[cfg(test)]
-        let gather = gather || self.gather_always;
-        for (k, &i) in order.iter().enumerate() {
-            if gather && k % GATHER_CHUNK == 0 {
-                let chunk = &order[k..order.len().min(k + GATHER_CHUNK)];
-                std::hint::black_box(self.gather(chunk));
-            }
+        for &i in &order {
             let Some(node) = self.nodes[i].as_ref() else {
                 continue; // removed earlier in this round by churn callers
             };
@@ -640,34 +619,6 @@ impl Network {
             });
         }
         stats
-    }
-
-    /// Reads what the turns of `chunk` are about to read, in three
-    /// loops whose iterations are independent, so their cache misses
-    /// overlap instead of being taken one at a time along each turn's
-    /// load chains: the node records, each slot's record and committed
-    /// range, and for every stored id its home bucket in the index and
-    /// that bucket's slot record. Returns a fold of what it read, for
-    /// `black_box`; it writes nothing and draws no RNG, so a gathered
-    /// round is bit-for-bit an ungathered one.
-    fn gather(&self, chunk: &[usize]) -> u64 {
-        let mut acc = 0;
-        let nodes = || chunk.iter().filter_map(|&i| self.nodes[i].as_ref());
-        for n in nodes() {
-            acc ^= n.id().bits() ^ n.age() ^ n.probe_tick() ^ n.config().probe_period;
-        }
-        for &i in chunk {
-            acc ^= self.mail.enqueued(i).iter().sum::<u64>();
-            for m in self.mail.as_slice(i) {
-                acc ^= m.kind().index() as u64;
-            }
-        }
-        for n in nodes() {
-            for id in n.stored_ids() {
-                acc ^= self.mail.len(self.index.home_slot(id)) as u64;
-            }
-        }
-        acc
     }
 
     /// The hooked round's channel take. Unobserved, it is the plain take.
@@ -1090,6 +1041,7 @@ mod tests {
     use crate::convergence::run_to_ring;
     use crate::init::{generate, InitialTopology};
     use proptest::prelude::*;
+    use rand::seq::SliceRandom as _;
     use swn_core::config::ProtocolConfig;
     use swn_core::id::evenly_spaced_ids;
     use swn_core::invariants::make_sorted_ring;
@@ -1484,30 +1436,21 @@ mod tests {
     }
 
     #[test]
-    fn gather_pass_never_perturbs_the_computation() {
-        // The gather pass reads ahead and writes nothing: forced into
-        // every round of a small network, it must leave the computation
-        // bit-for-bit the ungathered one under each policy, each schedule
-        // and in both copies of the round loop.
-        let delay = DeliveryPolicy::RandomDelay {
-            p_deliver: 0.5,
-            max_delay: 8,
-        };
-        for policy in [DeliveryPolicy::Immediate, delay] {
-            for mode in [ScheduleMode::FullScan, ScheduleMode::ActiveSet] {
-                for sink in [false, true] {
-                    let run = |gather: bool| {
-                        let mut net = sparse_net(policy);
-                        net.gather_always = gather;
-                        net.set_schedule_mode(mode);
-                        if sink {
-                            net.attach_sink(Box::new(crate::obs::NoopSink), 1);
-                        }
-                        churn_run(net)
-                    };
-                    assert_eq!(run(false), run(true), "{policy:?}, {mode:?}, sink {sink}");
-                }
-            }
+    fn turn_order_ignores_slot_layout() {
+        // Turns run in ascending id order whatever slot each node sits
+        // in: a ring built in id order and the same ring built in seeded
+        // random slots compute the same round for round.
+        let nodes = make_sorted_ring(&evenly_spaced_ids(24), ProtocolConfig::default());
+        let mut scattered = nodes.clone();
+        scattered.shuffle(&mut StdRng::seed_from_u64(7));
+        for mode in [ScheduleMode::FullScan, ScheduleMode::ActiveSet] {
+            let run = |nodes: Vec<Node>| {
+                let mut net = Network::new(nodes, 7);
+                net.set_schedule_mode(mode);
+                net.run(20);
+                fingerprint(&net)
+            };
+            assert_eq!(run(nodes.clone()), run(scattered.clone()), "{mode:?}");
         }
     }
 

@@ -14,7 +14,7 @@
 //! * one record per sampled round, [`Event::Round`]: the round's
 //!   [`RoundStats`] — the very row the trace keeps — plus the channel
 //!   depth high-water mark and the sampled [`PhaseTimes`] of
-//!   `Network::step` (activation shuffle, channel cycle, handler
+//!   `Network::step` (activation-order build, channel cycle, handler
 //!   execution, outbox flush, stats accounting);
 //! * online, mergeable fixed-bucket [`Histogram`]s (message latency in
 //!   rounds by kind, channel depth high-water marks, lrl age at forget,
@@ -212,7 +212,9 @@ impl Histogram {
 /// fingerprints hash the round, not the clock readings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimes {
-    /// Activation-order rebuild + shuffle.
+    /// Activation-order build: the copy of the index's sorted lane, or
+    /// the agenda's sort by id. The name is kept from schema v5, when
+    /// the order was also shuffled; it now times only the build.
     pub shuffle_ns: u64,
     /// Channel cycle: `take_deliverable` across all nodes.
     pub channel_ns: u64,

@@ -8,8 +8,8 @@
 //! whose local state is not yet a verified fixpoint, and nodes touched
 //! by churn or a fault. Once the network stabilizes the agenda drains to
 //! empty and a round costs O(1) — *quiescence* — instead of an O(n)
-//! scan that shuffles, probes and re-sends over a ring that can no
-//! longer change.
+//! scan that probes and re-sends over a ring that can no longer
+//! change.
 //!
 //! # The settlement certificate
 //!
@@ -148,10 +148,11 @@ impl SchedState {
 
     /// Appends the agenda's slots to `out` in ascending id order and
     /// clears the flags, so scheduling during the round targets the
-    /// *next* round. The order is canonical — a function of the *set* of
-    /// scheduled nodes, never of the order scheduling discovered them
-    /// in — so the round's shuffle depends on the RNG stream alone. The
-    /// sort key is the entry's own id: no node record is read.
+    /// *next* round. This is the round's turn order, and it is canonical
+    /// — a function of the *set* of scheduled nodes, never of the order
+    /// scheduling discovered them in — so the round's RNG draws depend
+    /// on the stream and that set alone. The sort key is the entry's
+    /// own id: no node record is read.
     pub(crate) fn begin_round(&mut self, out: &mut Vec<usize>) {
         self.agenda.sort_unstable_by_key(|&(id, _)| id);
         let scheduled = &mut self.scheduled;

@@ -131,16 +131,6 @@ impl SlotIndex {
         }
     }
 
-    /// The slot in `id`'s home bucket: `id`'s own slot unless a collision
-    /// displaced it, then another live slot, or 0 for an empty bucket.
-    /// One load and no probe loop, for reading ahead: a probe loop's
-    /// exit branch waits on the missed bucket, while a wrong guess here
-    /// only wastes a read.
-    #[inline]
-    pub(crate) fn home_slot(&self, id: NodeId) -> usize {
-        self.table[Self::home(id.bits(), self.table.len())].map_or(0, |(_, slot)| slot)
-    }
-
     /// True when `id` is present.
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {

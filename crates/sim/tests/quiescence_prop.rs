@@ -8,9 +8,9 @@
 //! identical networks converge and drain; one steps `extra` additional
 //! quiescent rounds; then both perform the same join and run the same
 //! number of rounds. If a quiescent round consumed even one RNG draw (or
-//! touched any state), the twins' post-join computations — whose shuffle
-//! orders, delivery orders and lrl walks all feed off the shared stream —
-//! would diverge; their state fingerprints must stay equal.
+//! touched any state), the twins' post-join computations — whose delivery
+//! orders and lrl walks feed off the shared stream — would diverge;
+//! their state fingerprints must stay equal.
 
 use proptest::prelude::*;
 use swn_core::config::ProtocolConfig;
