@@ -11,7 +11,7 @@
 //! round it drives, every recorded round's sent/delivered counts by kind
 //! and its `links_changed` flag, every recovery report, and the final
 //! `(id, l, r, lrl, ring, age)` of every node. The constant was recorded
-//! before the scheduler's bookkeeping was reworked; a moved fingerprint
+//! with each round's turns in ascending id order; a moved fingerprint
 //! means the simulated execution changed.
 
 use rand::rngs::StdRng;
@@ -160,7 +160,7 @@ fn fingerprint() -> u64 {
 fn active_set_churn_and_fault_run_matches_the_pinned_fingerprint() {
     let h = fingerprint();
     assert_eq!(
-        h, 0xa96b_1c97_90b3_3fb0,
+        h, 0x4ea3_5714_6e60_6f0d,
         "active-set fingerprint moved: {h:#018x} (the simulated execution changed)"
     );
 }

@@ -36,7 +36,7 @@ fn campaign_run_results_match_the_pinned_fingerprint() {
         h = fnv1a(b"\n", h);
     }
     assert_eq!(
-        h, 0xd54c_5860_1d67_be26,
+        h, 0xd94a_feeb_0b98_4446,
         "campaign fingerprint moved: {h:#018x} (the simulated faulted executions changed)"
     );
 }
