@@ -199,12 +199,12 @@ pub fn generate(
         InitialTopology::RandomSparse { extra } => {
             // Random spanning tree: attach node k to a random earlier node,
             // direction chosen at random; then `extra` random links.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng);
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut rng);
             let mut edges = Vec::new();
             for k in 1..n {
-                let parent = order[rng.random_range(0..k)];
-                let child = order[k];
+                let parent = perm[rng.random_range(0..k)];
+                let child = perm[k];
                 if rng.random_bool(0.5) {
                     edges.push((parent, child));
                 } else {
@@ -257,9 +257,9 @@ pub fn generate(
             st
         }
         InitialTopology::RandomChain => {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng);
-            let edges: Vec<_> = order.windows(2).map(|w| (w[0], w[1])).collect();
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut rng);
+            let edges: Vec<_> = perm.windows(2).map(|w| (w[0], w[1])).collect();
             build_from_edges(ids, &edges, cfg)
         }
         InitialTopology::TwoBlobs => {
