@@ -141,6 +141,7 @@ impl Node {
 
     /// The finite identifiers currently stored by this node — its outgoing
     /// edges in the node connectivity graph CP (Definition 4.2).
+    #[inline]
     pub fn stored_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.l
             .fin()

@@ -14,8 +14,9 @@
 //!   with its **own RNG stream** seeded from the plan, so the protocol
 //!   computation's RNG draws are untouched: a network with an *empty*
 //!   plan attached replays the fault-free run bit-for-bit, and the
-//!   detached path stays byte-identical — `Network::step` runs the
-//!   plain copy of the round loop, without a single injector branch.
+//!   detached path stays byte-identical — `Network::step` runs an arm
+//!   of the round loop compiled without the `HOOKS` group, in which no
+//!   injector branch is left.
 //!   The injector compiles the plan **once** into a round-ordered
 //!   agenda of typed steps; `Network::apply_round_faults` below pops
 //!   what is due each round (crashes, restarts, perturbations, window

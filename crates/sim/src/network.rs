@@ -89,11 +89,13 @@ pub struct Network {
     // while in use and put back afterwards.
     order_buf: Vec<usize>,
     inbox_buf: Vec<Message>,
-    // The three round hooks. `step` runs the *plain* copy of the round
-    // loop when none is present — every hook branch constant-folded
-    // away, so the bare network pays one pointer of space each and one
-    // well-predicted branch per round — and the *hooked* copy, which
-    // tests each `Option` at run time, otherwise.
+    // The three round hooks, in two groups: the observer and the fault
+    // injector (`HOOKS`), and the scheduler (`SCHED`). `step` runs the
+    // arm of the round loop compiled for the groups that are present;
+    // a group's branches are constant-folded away in the arms without
+    // it, so the bare network pays one pointer of space per hook and
+    // one well-predicted dispatch per round. The `HOOKS` arms test the
+    // observer's and the injector's `Option`s at run time.
     //
     // Observability: present iff a sink is attached (`attach_sink`).
     obs: Option<Box<ObsState>>,
@@ -206,8 +208,8 @@ impl Network {
         self.obs.is_some()
     }
 
-    /// Attaches a fault plan: subsequent rounds run the hooked round
-    /// loop, which applies the plan's crashes/restarts/perturbations at
+    /// Attaches a fault plan: subsequent rounds run a `HOOKS` arm of the
+    /// round loop, which applies the plan's crashes/restarts/perturbations at
     /// round start and consults the injector for every send's fate.
     /// Replaces any previous injector.
     ///
@@ -241,11 +243,6 @@ impl Network {
     /// nothing was attached.
     pub fn detach_faults(&mut self) -> Option<Box<FaultInjector>> {
         self.faults.take()
-    }
-
-    /// True when a fault injector is attached.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// The attached fault injector, if any — the watchdog reads its
@@ -301,15 +298,6 @@ impl Network {
                 }
                 self.sched = Some(st);
             }
-        }
-    }
-
-    /// The active schedule mode.
-    pub fn schedule_mode(&self) -> ScheduleMode {
-        if self.sched.is_some() {
-            ScheduleMode::ActiveSet
-        } else {
-            ScheduleMode::FullScan
         }
     }
 
@@ -428,14 +416,20 @@ impl Network {
 
     /// Executes one round; returns its stats (also appended to the trace).
     pub fn step(&mut self) -> RoundStats {
-        // With no sink, no fault plan and no scheduler attached the plain
-        // copy runs, in which every hook branch below is constant-folded
-        // away — it compiles to exactly the pre-observability round loop
-        // (`tests/perf_guards.rs` holds the hooked copy to 1.5x this one).
-        if self.obs.is_none() && self.faults.is_none() && self.sched.is_none() {
-            self.step_impl::<false>()
-        } else {
-            self.step_impl::<true>()
+        // One arm per combination of hook groups: `SCHED` when the
+        // active-set scheduler is selected, `HOOKS` when a sink or a
+        // fault plan is attached. In an arm without a group every branch
+        // of that group is constant-folded away, so the bare network
+        // runs exactly the pre-observability round loop, and a network
+        // with only the scheduler runs the active set without any
+        // observer or injector test (`tests/perf_guards.rs` holds the
+        // observed arm to 1.5x the bare one).
+        let hooks = self.obs.is_some() || self.faults.is_some();
+        match (self.sched.is_some(), hooks) {
+            (false, false) => self.step_impl::<false, false>(),
+            (true, false) => self.step_impl::<true, false>(),
+            (false, true) => self.step_impl::<false, true>(),
+            (true, true) => self.step_impl::<true, true>(),
         }
     }
 
@@ -445,24 +439,24 @@ impl Network {
     #[cfg(test)]
     fn step_reference(&mut self) -> RoundStats {
         self.flush_per_message = true;
-        let stats = self.step_impl::<false>();
+        let stats = self.step_impl::<false, false>();
         self.flush_per_message = false;
         stats
     }
 
-    fn step_impl<const HOOKED: bool>(&mut self) -> RoundStats {
+    fn step_impl<const SCHED: bool, const HOOKS: bool>(&mut self) -> RoundStats {
         self.round += 1;
         let now = self.round;
         let mut stats = RoundStats::default();
 
-        if HOOKED && self.faults.is_some() {
+        if HOOKS && self.faults.is_some() {
             self.apply_round_faults(now, &mut stats);
         }
 
         // Phase timers run only on sampled rounds of an observed network;
-        // on the plain copy `sample` is constant false and every `timed`
-        // call folds to a plain call.
-        let sample = HOOKED
+        // in the arms without `HOOKS` `sample` is constant false and every
+        // `timed` call folds to a plain call.
+        let sample = HOOKS
             && self
                 .obs
                 .as_ref()
@@ -483,7 +477,7 @@ impl Network {
                 // The agenda, sorted by id: a function of the *set* of
                 // active nodes, never of the order in which scheduling
                 // happened to discover them.
-                Some(sched) if HOOKED => sched.begin_round(&mut order),
+                Some(sched) if SCHED => sched.begin_round(&mut order),
                 // Full scan: every live slot, memcpy'd off the index's
                 // incrementally maintained sorted lane.
                 _ => order.extend_from_slice(self.index.sorted_slots()),
@@ -497,7 +491,7 @@ impl Network {
             };
             // Crashed nodes sit out entirely: no deliveries, no regular
             // action (sends *to* them die in `flush_outbox`).
-            if HOOKED && self.faults.as_ref().is_some_and(|f| f.is_down(node.id())) {
+            if HOOKS && self.faults.as_ref().is_some_and(|f| f.is_down(node.id())) {
                 continue;
             }
             // The settlement machinery diffs the whole turn (deliveries
@@ -517,7 +511,7 @@ impl Network {
             // in churn rounds and is itself a valid atomic-action
             // schedule; `flush_equivalence` in the tests below pins both
             // halves of this claim against the per-message reference.
-            if HOOKED {
+            if HOOKS {
                 self.take_hooked(i, now, sample, &mut ph[1], &mut inbox);
             } else {
                 let (mail, rng) = (&mut self.mail, &mut self.rng);
@@ -531,7 +525,7 @@ impl Network {
                     stats.count_delivered(m.kind());
                     let node = self.nodes[i].as_mut().expect("checked above");
                     node.on_message(m, &mut self.rng, &mut self.outbox);
-                    if HOOKED {
+                    if HOOKS {
                         // Cumulative send-count boundary: outbox sends
                         // up to here were emitted by the messages
                         // handled so far; `flush_outbox` resolves send
@@ -543,12 +537,12 @@ impl Network {
                     }
                     #[cfg(test)]
                     if self.flush_per_message {
-                        self.flush_outbox::<HOOKED>(i, now, &mut stats);
+                        self.flush_outbox::<SCHED, HOOKS>(i, now, &mut stats);
                     }
                 }
             });
             timed(sample, &mut ph[3], || {
-                self.flush_outbox::<HOOKED>(i, now, &mut stats);
+                self.flush_outbox::<SCHED, HOOKS>(i, now, &mut stats);
             });
             // Regular action — skipped for settled nodes under ActiveSet:
             // the verified certificate says it could only re-send
@@ -556,7 +550,7 @@ impl Network {
             // `crate::sched`). The handler rewrites link state without
             // emitting an event, so compare the link tuple around the
             // call for the dirty flag.
-            if !(HOOKED && self.sched.as_ref().is_some_and(|s| s.is_settled(i))) {
+            if !(SCHED && self.sched.as_ref().is_some_and(|s| s.is_settled(i))) {
                 let node = self.nodes[i].as_mut().expect("checked above");
                 let links_before = (node.left(), node.right(), node.lrl(), node.ring());
                 timed(sample, &mut ph[2], || node.on_regular(&mut self.outbox));
@@ -564,10 +558,10 @@ impl Network {
                     stats.links_changed = true;
                 }
                 timed(sample, &mut ph[3], || {
-                    self.flush_outbox::<HOOKED>(i, now, &mut stats);
+                    self.flush_outbox::<SCHED, HOOKS>(i, now, &mut stats);
                 });
             }
-            if HOOKED {
+            if SCHED {
                 if let Some(sched) = self.sched.as_mut() {
                     let mail = !self.mail.is_empty(i);
                     let (nodes, index) = (&self.nodes, &self.index);
@@ -597,7 +591,7 @@ impl Network {
         if stats.links_changed {
             self.sorted.set(SortedLevel::Stale);
         }
-        let depth_max = if HOOKED {
+        let depth_max = if HOOKS {
             self.observe_round_end(sample, &stats)
         } else {
             0
@@ -621,7 +615,8 @@ impl Network {
         stats
     }
 
-    /// The hooked round's channel take. Unobserved, it is the plain take.
+    /// The channel take of the `HOOKS` arms. Unobserved, it is the plain
+    /// take.
     /// Observed, it hands out the same messages in the same order off
     /// the same RNG draws (see [`Mailbox::take_deliverable_into`]), with
     /// each message's enqueue round feeding the latency histograms and —
@@ -886,7 +881,7 @@ impl Network {
         }
     }
 
-    fn flush_outbox<const HOOKED: bool>(
+    fn flush_outbox<const SCHED: bool, const HOOKS: bool>(
         &mut self,
         sender: usize,
         now: u64,
@@ -908,10 +903,10 @@ impl Network {
             sched,
             ..
         } = self;
-        // On the plain copy the three hooks are constant `None`.
-        let mut obs = obs.as_deref_mut().filter(|_| HOOKED);
-        let mut faults = faults.as_deref_mut().filter(|_| HOOKED);
-        let mut sched = sched.as_deref_mut().filter(|_| HOOKED);
+        // In the arms without a hook group its hooks are constant `None`.
+        let mut obs = obs.as_deref_mut().filter(|_| HOOKS);
+        let mut faults = faults.as_deref_mut().filter(|_| HOOKS);
+        let mut sched = sched.as_deref_mut().filter(|_| SCHED);
         let sender_id = nodes[sender].as_ref().map(Node::id);
         for ev in outbox.drain_events() {
             stats.count_event(&ev);
@@ -1017,8 +1012,8 @@ impl Network {
 
 /// Runs `f`, adding its wall-clock duration (nanoseconds, saturating) to
 /// `acc` when `on` — the sampled phase timer of `step_impl`. With `on`
-/// constant false (the plain copy of the round loop) this inlines to a
-/// plain call.
+/// constant false (every arm of the round loop without `HOOKS`) this
+/// inlines to a plain call.
 #[inline]
 fn timed<T>(on: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
     if on {
@@ -1476,8 +1471,8 @@ mod tests {
             hooked_run(None, false, ScheduleMode::FullScan),
             hooked_run(None, true, ScheduleMode::FullScan)
         );
-        // All three hooks share one copy of the round loop: a sink and an
-        // empty plan on top of the scheduler change nothing either.
+        // A sink and an empty plan on top of the scheduler change nothing
+        // either: the `SCHED, HOOKS` arm replays the scheduler-only one.
         assert_eq!(
             hooked_run(None, false, ScheduleMode::ActiveSet),
             hooked_run(
@@ -1488,18 +1483,62 @@ mod tests {
         );
     }
 
+    /// A seeded run of `churn::join`s and `churn::leave_random`s on a
+    /// stable ring under `mode`, fingerprinted after every event; with
+    /// `empty_plan` an empty fault plan is attached throughout.
+    fn churn_events_run(mode: ScheduleMode, empty_plan: bool) -> Vec<String> {
+        use rand::RngExt as _;
+        let mut net = crate::churn::stable_network(24, ProtocolConfig::default(), 17, 30);
+        net.set_schedule_mode(mode);
+        if empty_plan {
+            net.attach_faults(crate::faults::FaultPlan::new(5));
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut prints = Vec::new();
+        for event in 0..8u64 {
+            if event % 2 == 0 {
+                let new_id = NodeId::from_bits(rng.random());
+                let ids = net.ids();
+                let contact = ids[rng.random_range(0..ids.len())];
+                let report = crate::churn::join(&mut net, new_id, contact, 3000);
+                assert!(report.recovered(), "join {event} under {mode:?}");
+            } else {
+                let (_, report) = crate::churn::leave_random(&mut net, event, 3000);
+                assert!(report.recovered(), "leave {event} under {mode:?}");
+            }
+            net.run(5);
+            prints.push(fingerprint(&net));
+        }
+        prints
+    }
+
+    #[test]
+    fn hook_free_arms_match_the_hooked_arms_through_churn() {
+        // Bare, the active set runs in the scheduler-only arm of the round
+        // loop and full scan in the plain one; with an empty plan attached
+        // each runs in its `HOOKS` arm. Joins and leaves take the insert,
+        // remove, bounce and drop seams of both arms, and every event's
+        // state, channels and trace must come out the same.
+        for mode in [ScheduleMode::ActiveSet, ScheduleMode::FullScan] {
+            let (bare, hooked) = (churn_events_run(mode, false), churn_events_run(mode, true));
+            for (k, (b, h)) in bare.iter().zip(&hooked).enumerate() {
+                assert_eq!(b, h, "{mode:?}: diverged by churn event {k}");
+            }
+        }
+    }
+
     #[test]
     fn fault_injector_attach_detach_roundtrip() {
         let mut net = stable_net(6, 2);
-        assert!(!net.has_faults());
+        assert!(net.fault_injector().is_none());
         assert!(net.detach_faults().is_none());
         net.attach_faults(crate::faults::FaultPlan::new(1).with_drop(1, 3, 1.0));
-        assert!(net.has_faults());
+        assert!(net.fault_injector().is_some());
         net.run(4);
         assert!(net.trace().since(0).dropped_fault > 0);
         let inj = net.detach_faults().expect("was attached");
         assert!(!inj.drops().is_empty());
-        assert!(!net.has_faults());
+        assert!(net.fault_injector().is_none());
         // Detached again, rounds are fault-free.
         let before = net.trace().since(0).dropped_fault;
         net.run(4);
@@ -1773,8 +1812,8 @@ mod tests {
     #[test]
     fn active_set_stable_ring_reaches_quiescence() {
         let mut net = stable_net(16, 1);
+        assert!(!net.is_quiescent(), "full scan is never quiescent");
         net.set_schedule_mode(crate::sched::ScheduleMode::ActiveSet);
-        assert_eq!(net.schedule_mode(), crate::sched::ScheduleMode::ActiveSet);
         assert_eq!(net.active_count(), 16, "everything starts scheduled");
         let rounds = drain(&mut net, 50);
         assert!(rounds > 0, "certificates take at least one round to earn");

@@ -21,12 +21,14 @@
 //!   lrl ring length), closed by a `Summary` whose totals sum the
 //!   observed rounds' `RoundStats`.
 //!
-//! **The disabled path is free.** `Network::step` has two copies of the
-//! round loop: with no sink (and no fault plan or scheduler) attached
-//! the *plain* copy runs, in which every observer branch is
-//! constant-folded away — it compiles to exactly the pre-observability
-//! round loop. The *hooked* copy tests for the observer at run time
-//! (`tests/perf_guards.rs` holds it to 1.5× the plain copy).
+//! **The disabled path is free.** `Network::step` has one arm of the
+//! round loop per combination of hook groups — the observer and fault
+//! injector (`HOOKS`), the active-set scheduler (`SCHED`). With no sink
+//! and no fault plan attached an arm without `HOOKS` runs, in which
+//! every observer branch is constant-folded away; with no scheduler
+//! either it compiles to exactly the pre-observability round loop. The
+//! `HOOKS` arms test for the observer at run time (`tests/perf_guards.rs`
+//! holds the observed arm to 1.5× the bare one).
 //!
 //! **Observers read, never mutate, and consume no RNG.** Events are
 //! derived from state the loop already computes; the channel take
@@ -400,11 +402,11 @@ pub trait Sink: Send {
     fn flush(&mut self) {}
 }
 
-/// The do-nothing sink. Attaching it still routes `step` through the
-/// hooked copy of the round loop (events are built, then discarded
+/// The do-nothing sink. Attaching it still routes `step` through a
+/// `HOOKS` arm of the round loop (events are built, then discarded
 /// here); the *guaranteed-free* spelling is attaching no sink at all,
-/// which selects the plain copy that compiles to the pre-observability
-/// code. `NoopSink` exists for
+/// which selects an arm with every observer branch compiled out.
+/// `NoopSink` exists for
 /// generic call sites that must hand over *some* sink.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;

@@ -18,8 +18,8 @@
 //! monotone over deliveries, so `parent.seq < child.seq` too. The
 //! `causal_prop` suite pins both orderings over random fault scenarios.
 //!
-//! Tagging lives entirely inside the hooked copy of the round loop: the
-//! plain copy only ever pushes [`CauseTag::ROOT`], which never touches
+//! Tagging lives entirely inside the `HOOKS` arms of the round loop: the
+//! other arms only ever push [`CauseTag::ROOT`], which never touches
 //! the mailbox's lazy tag lanes, so it stays byte-identical, and tagging
 //! itself consumes no RNG.
 
@@ -174,7 +174,7 @@ impl CascadeReport {
 }
 
 /// Live causal-tracing state owned by an attached observer. Crate-
-/// private: `Network`'s hooked round loop is the only driver.
+/// private: the `HOOKS` arms of `Network`'s round loop are the only driver.
 ///
 /// Tracing is *window-gated*: the per-message work (id assignment,
 /// boundary bookkeeping, non-root pushes into the mailbox's tag

@@ -101,6 +101,9 @@ pub(crate) struct SchedState {
     /// [`begin_round`](Self::begin_round) sorts them by id. Every entry
     /// names a live node: a removal drops its slot's entry.
     agenda: Vec<(NodeId, usize)>,
+    /// The counting passes' destination in `begin_round`, kept so a
+    /// round allocates nothing once the agenda has peaked.
+    agenda_scratch: Vec<(NodeId, usize)>,
     /// `misplaced[slot]`: the live node in `slot` fails its term of the
     /// sorted list ([`misplaced`]); false for free slots.
     misplaced: Vec<bool>,
@@ -117,6 +120,7 @@ impl SchedState {
             scheduled: vec![false; nodes.len()],
             settled: vec![false; nodes.len()],
             agenda: Vec::new(),
+            agenda_scratch: Vec::new(),
             misplaced: vec![false; nodes.len()],
             misplaced_count: 0,
         };
@@ -152,9 +156,11 @@ impl SchedState {
     /// — a function of the *set* of scheduled nodes, never of the order
     /// scheduling discovered them in — so the round's RNG draws depend
     /// on the stream and that set alone. The sort key is the entry's
-    /// own id: no node record is read.
+    /// own id: no node record is read. The sort is [`sort_by_id`]: for
+    /// all but short agendas, two counting passes on the top 16 bits of
+    /// each id, then a comparison sort of each run sharing them.
     pub(crate) fn begin_round(&mut self, out: &mut Vec<usize>) {
-        self.agenda.sort_unstable_by_key(|&(id, _)| id);
+        sort_by_id(&mut self.agenda, &mut self.agenda_scratch);
         let scheduled = &mut self.scheduled;
         out.extend(self.agenda.drain(..).map(|(_, slot)| {
             scheduled[slot] = false;
@@ -363,6 +369,59 @@ impl SchedState {
     }
 }
 
+/// Agendas shorter than this are sorted by one comparison sort: the
+/// counting passes cost a fixed ~150–250 ns (zeroing and summing their
+/// 256-bucket tables), which only pays from about 64 entries on.
+const COUNTING_MIN_LEN: usize = 64;
+
+/// Sorts `agenda` by id, using `scratch` as the counting passes'
+/// destination. From [`COUNTING_MIN_LEN`] entries on, two stable 8-bit
+/// counting passes order the entries by the top 16 bits of their ids
+/// (bits 48–55, then 56–63); a pass whose byte is the same for every
+/// entry moves nothing and is skipped. Each run of entries that share
+/// those 16 bits is then sorted by its full id. Ids are distinct, so the
+/// result is exactly what one `sort_unstable_by_key` over the whole
+/// agenda gives; ids clustered in one run (small `from_bits` ids) cost
+/// one such sort and two counts.
+fn sort_by_id(agenda: &mut Vec<(NodeId, usize)>, scratch: &mut Vec<(NodeId, usize)>) {
+    if agenda.len() < COUNTING_MIN_LEN {
+        agenda.sort_unstable_by_key(|&(id, _)| id);
+        return;
+    }
+    let top = |e: &(NodeId, usize)| e.0.bits() >> 48;
+    let first = top(&agenda[0]);
+    let mut counts = [[0u32; 256]; 2];
+    for e in agenda.iter() {
+        let t = top(e);
+        counts[0][(t & 0xff) as usize] += 1;
+        counts[1][(t >> 8) as usize] += 1;
+    }
+    let len = u32::try_from(agenda.len()).expect("agenda fits u32");
+    for (pass, count) in counts.iter_mut().enumerate() {
+        let byte = |t: u64| ((t >> (8 * pass)) & 0xff) as usize;
+        if count[byte(first)] == len {
+            continue; // one bucket holds everything: already in order
+        }
+        let mut next = 0;
+        for c in count.iter_mut() {
+            next += std::mem::replace(c, next);
+        }
+        scratch.clear();
+        scratch.resize(agenda.len(), (NodeId::MIN, 0));
+        for &e in agenda.iter() {
+            let bucket = &mut count[byte(top(&e))];
+            scratch[*bucket as usize] = e;
+            *bucket += 1;
+        }
+        std::mem::swap(agenda, scratch);
+    }
+    for run in agenda.chunk_by_mut(|a, b| top(a) == top(b)) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|&(id, _)| id);
+        }
+    }
+}
+
 /// One node's term of the sorted list (Definition 4.8): true when the
 /// node at `rank` of the sorted lanes does *not* store exactly its sorted
 /// predecessor and successor (`-∞`/`+∞` at the ends) as `(l, r)`. The one
@@ -477,6 +536,56 @@ mod tests {
         // round while the current one runs.
         s.schedule(2, id(0.5));
         assert_eq!(s.active_len(), 1);
+    }
+
+    /// Schedules `ids` (slot `k` holds `ids[k]`) in the given order and
+    /// checks `begin_round` against one plain sort by id, and that every
+    /// scheduled flag is cleared.
+    fn assert_agenda_order(ids: &[NodeId]) {
+        let mut s = SchedState::default();
+        let mut expected: Vec<(NodeId, usize)> = ids.iter().copied().zip(0..).collect();
+        for &(id, slot) in &expected {
+            s.schedule(slot, id);
+        }
+        expected.sort_unstable_by_key(|&(id, _)| id);
+        let mut out = Vec::new();
+        s.begin_round(&mut out);
+        let want: Vec<usize> = expected.iter().map(|&(_, slot)| slot).collect();
+        assert_eq!(out, want, "{} ids", ids.len());
+        assert!(s.scheduled.iter().all(|&f| !f), "flags cleared");
+        assert_eq!(s.active_len(), 0);
+    }
+
+    #[test]
+    fn agenda_order_is_the_plain_sort_by_id() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom as _;
+        use rand::{RngExt as _, SeedableRng as _};
+        let mut rng = StdRng::seed_from_u64(3);
+        // Every size up to well past `COUNTING_MIN_LEN`, then a few large
+        // ones.
+        for len in (0u64..=300).chain([1000, 4096, 20_000]) {
+            // Random ids: runs sharing their top 16 bits are rare.
+            let random: Vec<NodeId> = (0..len).map(|_| NodeId::from_bits(rng.random())).collect();
+            assert_agenda_order(&random);
+            // Small `from_bits` ids: one run, in reverse order.
+            let clustered: Vec<NodeId> = (0..len).rev().map(NodeId::from_bits).collect();
+            assert_agenda_order(&clustered);
+            // Mixed clusters: a few top-16 prefixes, one of which differs
+            // from the others only in bits 48–55 and one only in 56–63,
+            // with random low bits, shuffled.
+            let prefixes = [0x0000u64, 0x0001, 0x0100, 0xff00, 0xffff, 0x1234];
+            let mut mixed: Vec<NodeId> = (0..len)
+                .map(|_| {
+                    let p = prefixes[rng.random_range(0..prefixes.len())];
+                    NodeId::from_bits(p << 48 | rng.random::<u64>() >> 16)
+                })
+                .collect();
+            mixed.sort_unstable();
+            mixed.dedup();
+            mixed.shuffle(&mut rng);
+            assert_agenda_order(&mixed);
+        }
     }
 
     #[test]

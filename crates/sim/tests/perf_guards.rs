@@ -70,19 +70,17 @@ const FAR_PLAN_LIMIT: f64 = 1.15;
 /// A delivery in an active-set recovery round may cost at most this
 /// factor over one in a full-scan round at the same n: a settled turn
 /// that changed nothing skips re-verifying its certificate, the agenda
-/// sorts by the ids it carries without reading node records, and a
-/// tracked forwarder is a flag, so a delivery costs what its handler and
-/// its send cost. On a 2-core Xeon the smallest pair ratio read
-/// 0.71–0.91 over seven runs; with the agenda sorted through the node
-/// records, every settled turn re-verified and the forwarders in a
-/// `BTreeSet` it read 1.06–1.20. On a shared 2-core host the same code
-/// read 0.89–1.13 over 24 runs, so a limit of 1× failed 14 of them on
-/// noise alone. The limit is the largest of those 24 rounded up to the
-/// next 0.05: the guard fails only when all seven pairs of a run are
-/// more than 15 % slower, which the shipped scheduler never showed
-/// there; a regression that costs less is left to the `churn-activeset`
-/// benchmark.
-const ACTIVE_DELIVERY_LIMIT: f64 = 1.15;
+/// sorts by the ids it carries without reading node records, a tracked
+/// forwarder is a flag, and a network with only the scheduler attached
+/// runs an arm of the round loop with no observer or injector branch,
+/// so a delivery costs what its handler and its send cost. On a shared
+/// 2-core host the smallest pair ratio read 0.811, 0.973, 0.951, 0.934,
+/// 0.954, 0.910, 0.916, 0.928, 0.922 and 0.929 over ten runs; the limit
+/// is the largest, rounded up to the next 0.05. When the scheduler ran
+/// in the same arm as the observer and the injector, testing their
+/// `Option`s on every turn and send, the same host read 1.128–1.184
+/// over five runs, two of them over the old limit of 1.15.
+const ACTIVE_DELIVERY_LIMIT: f64 = 1.0;
 
 /// Interleaved pairs per guard.
 const PAIRS: usize = 7;
