@@ -31,52 +31,15 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
     g
 }
 
-/// G(n, p): each undirected pair independently present with probability
-/// `p`.
-pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.random_bool(p) {
-                g.add_edge(u, v);
-                g.add_edge(v, u);
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use swn_topology::clustering::average_clustering;
-    use swn_topology::connectivity::is_weakly_connected;
 
     #[test]
     fn gnm_places_exact_edge_count() {
         let g = gnm(50, 100, 1);
         assert_eq!(g.m(), 200, "100 undirected edges stored both ways");
-    }
-
-    #[test]
-    fn gnp_density_close_to_p() {
-        let n = 200;
-        let g = gnp(n, 0.1, 2);
-        let pairs = (n * (n - 1) / 2) as f64;
-        let density = (g.m() / 2) as f64 / pairs;
-        assert!((0.08..0.12).contains(&density), "density {density}");
-    }
-
-    #[test]
-    fn supercritical_gnp_is_usually_connected() {
-        // p = 3 ln n / n is well above the connectivity threshold.
-        let n = 300;
-        let p = 3.0 * (n as f64).ln() / n as f64;
-        for seed in 0..3 {
-            assert!(is_weakly_connected(&gnp(n, p, seed)), "seed {seed}");
-        }
     }
 
     #[test]
@@ -90,7 +53,6 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         assert_eq!(gnm(40, 60, 9), gnm(40, 60, 9));
-        assert_eq!(gnp(40, 0.2, 9), gnp(40, 0.2, 9));
     }
 
     #[test]

@@ -55,23 +55,6 @@ pub fn survival(alpha: u64, epsilon: f64) -> f64 {
     s
 }
 
-/// Expected age of a link at the forget event, truncated at `max_age`
-/// (numerical helper for the harness; the true expectation is finite for
-/// every ε > 0).
-pub fn expected_age(epsilon: f64, max_age: u64) -> f64 {
-    // E[A] = Σ_{a≥0} P(A > a) = Σ survival(a); accumulate incrementally.
-    let mut total = 0.0f64;
-    let mut surv = 1.0f64;
-    for a in 1..=max_age {
-        surv *= 1.0 - phi(a, epsilon);
-        total += surv;
-        if surv < 1e-12 {
-            break;
-        }
-    }
-    1.0 + total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,12 +149,5 @@ mod tests {
             (s1 / s2 - 1.0).abs() < 0.25,
             "tail does not follow 1/(α ln^(1+ε) α): {s1} vs {s2}"
         );
-    }
-
-    #[test]
-    fn expected_age_is_finite_and_moderate() {
-        let e = expected_age(EPS, 10_000_000);
-        assert!(e > 3.0, "tokens must live at least past the protected ages");
-        assert!(e.is_finite());
     }
 }

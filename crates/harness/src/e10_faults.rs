@@ -156,7 +156,7 @@ pub struct FaultPoint {
     /// Mean messages destroyed by the injector per trial.
     pub mean_dropped: f64,
     /// Per-trial repair-cascade depth maxima (hops from a root delivery
-    /// in the causal DAG) — one sample per trial. Relates cascade shape
+    /// along a repair chain) — one sample per trial. Relates cascade shape
     /// to MTTR: deeper cascades mean longer serial repair chains.
     pub cascade_depth: Histogram,
     /// Mean peak cascade width (deliveries sharing one depth level) —
@@ -670,7 +670,7 @@ mod tests {
                 pt.label
             );
             // Re-integrating blank survivors is a multi-hop exchange:
-            // the repair DAG cannot be all roots.
+            // the repair cascade cannot be all roots.
             assert!(
                 pt.cascade_depth.max() >= 1,
                 "{}: repair involved caused messages",

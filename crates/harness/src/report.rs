@@ -191,7 +191,7 @@ fn render_mix(out: &mut String, events: &[Event]) {
     }
 }
 
-/// Repair-cascade sections: one per [`Event::Cascade`], with the DAG
+/// Repair-cascade sections: one per [`Event::Cascade`], with the cascade
 /// shape (roots/edges/depth/width) and the per-message-kind fan-out —
 /// how many follow-up sends each handled kind caused on average.
 #[allow(clippy::cast_precision_loss)]
@@ -498,5 +498,32 @@ mod tests {
         bad = bad.replace(&format!("\"v\":{SCHEMA_VERSION}"), "\"v\":999");
         let err = render_report(&bad).unwrap_err();
         assert!(err.contains("unsupported schema_version"), "{err}");
+    }
+
+    #[test]
+    fn report_rejects_a_histogram_off_the_bucket_layout() {
+        // The Summary's depth histogram with a 34th bucket, its count
+        // raised to match: refused where it is parsed, not a panic in
+        // the quantile reader.
+        let trace = sample_trace();
+        let summary = trace.lines().last().expect("summary line");
+        let mut h = Histogram::new();
+        for v in [1, 1, 3] {
+            h.record(v);
+        }
+        let good = serde_json::to_string(&h).expect("serialize");
+        let extra = good
+            .replacen(']', ",1]", 1)
+            .replace("\"count\":3", "\"count\":4");
+        let tampered = summary.replacen(
+            &format!("\"depth\":{good}"),
+            &format!("\"depth\":{extra}"),
+            1,
+        );
+        assert_ne!(tampered, summary, "the depth histogram was found");
+        let err = render_report(&trace.replace(summary, &tampered)).unwrap_err();
+        let lineno = trace.lines().count();
+        assert!(err.contains(&format!("line {lineno}:")), "{err}");
+        assert!(err.contains("Histogram"), "{err}");
     }
 }

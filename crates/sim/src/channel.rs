@@ -103,7 +103,6 @@ mod tests {
 
     use super::*;
     use crate::mailbox::Mailbox;
-    use crate::obs::causal::CauseId;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
     use swn_core::id::NodeId;
@@ -212,14 +211,8 @@ mod tests {
             for i in 1..=25u64 {
                 // Mixed provenance: odd pushes tagged, even ones roots.
                 let tag = if i % 2 == 1 {
-                    CauseTag {
-                        parent: CauseId {
-                            round: i % 4,
-                            slot: 0,
-                            seq: i,
-                        },
-                        depth: 1,
-                    }
+                    let depth = u32::try_from(i).expect("small");
+                    CauseTag { depth }
                 } else {
                     CauseTag::ROOT
                 };
@@ -245,7 +238,7 @@ mod tests {
             );
             // Enqueue rounds and tags followed their messages through
             // the shuffle: push i was enqueued at i % 4 and tagged with
-            // parent seq = i iff i is odd.
+            // depth i iff i is odd.
             let tagged_right = |out: &[(Message, u64, CauseTag)]| {
                 for &(m, enqueued, tag) in out {
                     let Some(i) = (1..=25u64).find(|&i| m == lin(i as f64 / 100.0)) else {
@@ -253,7 +246,7 @@ mod tests {
                     };
                     assert_eq!(enqueued, i % 4, "enqueue round stuck to its message");
                     if i % 2 == 1 {
-                        assert_eq!(tag.parent.seq, i, "tag stuck to its message");
+                        assert_eq!(u64::from(tag.depth), i, "tag stuck to its message");
                     } else {
                         assert!(tag.is_root(), "root push stays a root");
                     }
@@ -278,14 +271,7 @@ mod tests {
 
     #[test]
     fn untraced_take_invalidates_stale_causes() {
-        let tag = CauseTag {
-            parent: CauseId {
-                round: 0,
-                slot: 3,
-                seq: 9,
-            },
-            depth: 2,
-        };
+        let tag = CauseTag { depth: 2 };
         // The straggler keeps the channel non-empty.
         let mut ch = channel(&[(lin(0.1), 0, CauseTag::ROOT), (lin(0.2), 5, tag)]);
         let mut rng = StdRng::seed_from_u64(1);

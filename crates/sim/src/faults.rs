@@ -709,11 +709,6 @@ impl FaultInjector {
         self.down.contains_key(&id)
     }
 
-    /// Number of currently-down nodes.
-    pub fn down_count(&self) -> usize {
-        self.down.len()
-    }
-
     /// The retained log of injector-destroyed messages, oldest first
     /// (bounded — old entries are evicted, recent ones always kept).
     pub fn drops(&self) -> &[DropRecord] {
@@ -746,12 +741,6 @@ impl FaultInjector {
             logged += 1;
         }
         logged
-    }
-
-    /// The captured pre-crash state for `node`, if any (test/diagnostic
-    /// visibility into pending durable restores).
-    pub fn saved_state(&self, node: NodeId) -> Option<&Node> {
-        self.saved.get(&node)
     }
 
     /// The windows in force this round, in plan order.
@@ -1068,8 +1057,8 @@ pub struct WatchReport {
     /// The round budget the watch ran under.
     pub budget: u64,
     /// Shape of the repair cascade observed during the watch: depth
-    /// histogram, width profile and per-kind fan-out of the causal DAG.
-    /// Present only when a sink was attached — causal ids exist only on
+    /// histogram, width profile and per-kind fan-out of its repair chains.
+    /// Present only when a sink was attached — depth tags exist only on
     /// the instrumented path.
     pub cascade: Option<CascadeReport>,
 }
@@ -1142,8 +1131,8 @@ pub(crate) fn watch(
 /// the attached sink, if any.
 pub fn watch_recovery(net: &mut Network, budget: u64) -> WatchReport {
     let start = net.round();
-    // Bracket the watch in a cascade window so the repair's causal DAG
-    // is accounted separately from whatever ran before (no-op without a
+    // Bracket the watch in a cascade window so the repair's cascades
+    // are accounted separately from whatever ran before (no-op without a
     // sink).
     net.cascade_begin();
     let (mut messages, mut dropped_fault) = (0, 0);
@@ -1349,7 +1338,7 @@ mod tests {
         net.step(); // crash lands
         let inj = net.fault_injector().expect("attached");
         assert!(inj.is_down(ids[4]));
-        assert_eq!(inj.down_count(), 1);
+        assert_eq!(ids.iter().filter(|&&id| inj.is_down(id)).count(), 1);
         let report = watch_recovery(&mut net, 5000);
         assert!(
             matches!(report.verdict, Verdict::Recovered { .. }),
@@ -1546,7 +1535,6 @@ mod tests {
         net.step(); // capture happens at round start, then the crash lands
         let inj = net.fault_injector().expect("attached");
         assert!(inj.is_down(victim));
-        assert_eq!(inj.saved_state(victim).expect("captured"), &before);
         net.run(3); // downtime elapses; the restart restores the capture
         let after = net.node(victim).expect("restored");
         assert_eq!(after.left(), before.left(), "restored stale left pointer");
@@ -1555,11 +1543,10 @@ mod tests {
             before.right(),
             "restored stale right pointer"
         );
-        assert!(net
-            .fault_injector()
-            .expect("attached")
-            .saved_state(victim)
-            .is_none());
+        assert_eq!(after.ring(), before.ring(), "restored ring edge");
+        let inj = net.fault_injector().expect("attached");
+        assert!(!inj.is_down(victim));
+        assert!(inj.state().saved.is_empty(), "the capture is spent");
         let report = watch_recovery(&mut net, 5000);
         assert!(
             matches!(report.verdict, Verdict::Recovered { .. }),
@@ -1582,8 +1569,9 @@ mod tests {
         assert!(net
             .fault_injector()
             .expect("attached")
-            .saved_state(victim)
-            .is_none());
+            .state()
+            .saved
+            .is_empty());
         let report = watch_recovery(&mut net, 5000);
         assert!(
             matches!(report.verdict, Verdict::Recovered { .. }),
@@ -1662,7 +1650,7 @@ mod tests {
         assert_eq!(kinds, want);
         // The capture ran before the crash blanked the node.
         let inj = net.fault_injector().expect("attached");
-        assert_eq!(inj.saved_state(ids[7]), Some(&before));
+        assert_eq!(inj.state().saved, vec![(ids[7], before)]);
         assert!(inj.is_down(ids[7]) && !inj.is_down(ids[1]));
     }
 
@@ -1697,7 +1685,8 @@ mod tests {
             .filter(|r| matches!(r.event, Event::Fault { .. }));
         assert_eq!(faults.count(), 0, "nothing landed, nothing announced");
         let inj = net.fault_injector().expect("attached");
-        assert_eq!((inj.down_count(), inj.drops().len()), (0, 0));
+        assert!(ids.iter().all(|&id| !inj.is_down(id)));
+        assert!(inj.drops().is_empty());
     }
 
     #[test]

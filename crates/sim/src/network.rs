@@ -254,8 +254,8 @@ impl Network {
     /// Opens a causal cascade window at the current round: subsequent
     /// deliveries accumulate into a fresh window account (depth
     /// histogram, width profile, per-kind fan-out — see
-    /// [`CascadeReport`]). No-op without an attached sink: causal ids
-    /// only exist on the instrumented path.
+    /// [`CascadeReport`]). No-op without an attached sink: cascade
+    /// depths are only tagged on the instrumented path.
     pub fn cascade_begin(&mut self) {
         let round = self.round;
         if let Some(o) = self.obs.as_mut() {
@@ -423,7 +423,8 @@ impl Network {
         // runs exactly the pre-observability round loop, and a network
         // with only the scheduler runs the active set without any
         // observer or injector test (`tests/perf_guards.rs` holds the
-        // observed arm to 1.5x the bare one).
+        // observed arm to 1.5x the bare one, and to 1.55x with a cascade
+        // window open).
         let hooks = self.obs.is_some() || self.faults.is_some();
         match (self.sched.is_some(), hooks) {
             (false, false) => self.step_impl::<false, false>(),
@@ -620,9 +621,9 @@ impl Network {
     /// Observed, it hands out the same messages in the same order off
     /// the same RNG draws (see [`Mailbox::take_deliverable_into`]), with
     /// each message's enqueue round feeding the latency histograms and —
-    /// while a cascade window is open — its provenance tag feeding the
-    /// DAG accounting; the channel-depth high-water mark is read before
-    /// draining. Outside a window the take voids the channel's tags, so
+    /// while a cascade window is open — its cascade depth feeding the
+    /// window's accounting; the channel-depth high-water mark is read
+    /// before draining. Outside a window the take voids the channel's tags, so
     /// a later window sees whatever stayed queued as roots.
     fn take_hooked(
         &mut self,
@@ -642,13 +643,12 @@ impl Network {
         timed(sample, channel_ns, || {
             mail.take_deliverable_into(i, now, policy, rng, tracing, tagged);
         });
-        let slot = u32::try_from(i).unwrap_or(u32::MAX);
         inbox.clear();
         for &(m, enqueued, tag) in &obs.tagged {
             let lat = now.saturating_sub(enqueued);
             obs.latency_by_kind[m.kind().index()].record(lat);
             if tracing {
-                obs.causal.on_delivery(now, slot, tag, m.kind());
+                obs.causal.on_delivery(tag, m.kind());
             }
             inbox.push(m);
         }
@@ -980,18 +980,16 @@ impl Network {
                     let mut bounced = false;
                     if let Some(node) = nodes[sender].as_mut() {
                         if let Some(back) = node.undeliverable(dest, msg, |x| index.contains(x)) {
-                            // The bounce keeps its provenance: the
-                            // reprocessed copy is the same causal
-                            // node, not a fresh root.
+                            // The bounce keeps its depth: the
+                            // reprocessed copy continues the same
+                            // chain, not a fresh root.
                             mail.push(sender, back, tag);
                             bounced = true;
                         }
-                        // The bounce (and the dangling-pointer clear,
-                        // caught by the caller's turn diff) keeps the
-                        // sender active until reprocessed.
-                        if let Some(s) = sched.as_mut() {
-                            s.schedule(sender, node.id());
-                        }
+                        // No wake here: this flush runs inside the
+                        // sender's own turn, and `finish_turn` keeps the
+                        // sender on the agenda while the bounce is queued
+                        // or the dangling-pointer clear left it unsettled.
                     }
                     if bounced {
                         stats.bounced += 1;
@@ -1033,7 +1031,7 @@ fn timed<T>(on: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::run_to_ring;
+    use crate::convergence::{drain_to_quiescence, run_to_ring};
     use crate::init::{generate, InitialTopology};
     use proptest::prelude::*;
     use rand::seq::SliceRandom as _;
@@ -1863,6 +1861,93 @@ mod tests {
         assert!(done.stabilized(), "ring failed to close over the gap");
         drain(&mut net, 200);
         assert_eq!(net.len(), 9);
+    }
+
+    #[test]
+    fn bare_leave_bounces_are_rescheduled_by_the_senders_turn() {
+        // `remove_node` without `churn::leave`'s rewrite: the departed
+        // id's holders keep it and send to it, so `flush_outbox` bounces
+        // their `lin`s and clears their dangling pointers. Nothing there
+        // wakes the sender; its own `finish_turn` must keep it on the
+        // agenda, in the scheduler-only arm and in its `HOOKS` arm alike.
+        let ids = evenly_spaced_ids(16);
+        let victim = ids[7];
+        let settled = |empty_plan: bool| {
+            let mut net = stable_net(16, 6);
+            net.set_schedule_mode(crate::sched::ScheduleMode::ActiveSet);
+            if empty_plan {
+                net.attach_faults(FaultPlan::new(6));
+            }
+            drain(&mut net, 100);
+            assert!(net.remove_node(victim).is_some());
+            net
+        };
+        let (mut bare, mut hooked) = (settled(false), settled(true));
+        let mut bounced = 0;
+        for round in 0.. {
+            assert!(round < 3000, "ring failed to close over the gap");
+            if bare.is_sorted_ring() {
+                break;
+            }
+            bounced += bare.step().bounced;
+            hooked.step();
+            assert_eq!(fingerprint(&bare), fingerprint(&hooked), "round {round}");
+        }
+        assert!(bounced > 0, "holders of the departed id must bounce");
+        // The fingerprint carries the whole trace, so equal drains agree
+        // round for round.
+        let drained = drain_to_quiescence(&mut bare, 3000).expect("bare arm drains");
+        assert_eq!(drain_to_quiescence(&mut hooked, 3000), Some(drained));
+        assert_eq!(fingerprint(&bare), fingerprint(&hooked));
+        let mut full = stable_net(16, 6);
+        assert!(full.remove_node(victim).is_some());
+        assert!(run_to_ring(&mut full, 3000).stabilized());
+        let links = |net: &Network| -> Vec<sched::TurnLinks> {
+            let v = net.view();
+            v.nodes()
+                .iter()
+                .map(|n| (n.left(), n.right(), n.ring()))
+                .collect()
+        };
+        assert_eq!(links(&bare), links(&full));
+    }
+
+    #[test]
+    fn a_settled_senders_bounce_keeps_it_on_the_agenda() {
+        // A settled node that adopted a departed id as its lrl (as a
+        // `res_lrl` in flight can hand it one) forwards a `lin` over that
+        // lrl: the send bounces, the clear resets only the lrl, which no
+        // certificate reads, and the node stays settled with the regular
+        // action skipped. Only the queued bounce (`finish_turn`'s mail
+        // flag) can bring it back to the agenda.
+        let ids = evenly_spaced_ids(16);
+        let (p, victim, x) = (ids[2], ids[8], ids[12]);
+        let mut net = stable_net(16, 6);
+        net.set_schedule_mode(crate::sched::ScheduleMode::ActiveSet);
+        assert!(net.remove_node(victim).is_some());
+        drain(&mut net, 3000);
+        let slot = net.index.get(p).expect("live");
+        let n = net.nodes[slot].as_ref().expect("live");
+        let adopted = Node::with_state(p, n.left(), n.right(), victim, n.ring(), *n.config());
+        net.nodes[slot] = Some(adopted);
+        assert!(net.send_external(p, Message::Lin(x)));
+        let mut bounced = 0;
+        for _ in 0..3000 {
+            if net.is_quiescent() {
+                break;
+            }
+            bounced += net.step().bounced;
+        }
+        assert!(net.is_quiescent());
+        assert_eq!(bounced, 1, "the lin over the dead lrl bounces once");
+        let v = net.view();
+        let stranded = (0..v.nodes().len()).filter(|&rank| !v.channel(rank).is_empty());
+        assert_eq!(
+            stranded.count(),
+            0,
+            "a bounce was left on a node the agenda dropped"
+        );
+        assert!(net.is_sorted_ring());
     }
 
     #[test]

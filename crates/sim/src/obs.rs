@@ -28,7 +28,8 @@
 //! every observer branch is constant-folded away; with no scheduler
 //! either it compiles to exactly the pre-observability round loop. The
 //! `HOOKS` arms test for the observer at run time (`tests/perf_guards.rs`
-//! holds the observed arm to 1.5× the bare one).
+//! holds the observed arm to 1.5× the bare one, and to 1.55× with a
+//! cascade window open).
 //!
 //! **Observers read, never mutate, and consume no RNG.** Events are
 //! derived from state the loop already computes; the channel take
@@ -39,15 +40,16 @@
 //! digests are bit-for-bit identical with a sink attached, and the
 //! structural event stream itself is fingerprinted.
 //!
-//! Two submodules extend the layer (PR 9): [`causal`] gives every
-//! delivered message a `CauseId` and reconstructs repair-cascade DAGs,
-//! and [`flight`] bounds trace memory with a ring buffer that dumps a
-//! JSONL post-mortem on anomalous watchdog verdicts.
+//! Two submodules extend the layer (PR 9): [`causal`] tags every
+//! enqueued message with its repair-cascade depth and reports the
+//! cascades' depth, width and per-kind fan-out, and [`flight`] bounds
+//! trace memory with a ring buffer that dumps a JSONL post-mortem on
+//! anomalous watchdog verdicts.
 
 pub mod causal;
 pub mod flight;
 
-use serde::{Deserialize, Serialize};
+use serde::{helpers, DeError, Deserialize, Serialize, Value};
 use std::io::Write as _;
 
 use crate::trace::RoundStats;
@@ -82,12 +84,36 @@ pub const HIST_BUCKETS: usize = 33;
 /// parallel trials or trace shards) merge by element-wise addition —
 /// merging is associative and commutative, which the property tests
 /// pin.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u64,
     max: u64,
+}
+
+/// Read by hand to refuse a histogram that breaks the fixed layout
+/// ([`Histogram::is_well_formed`]): a trace file is outside input, and
+/// the bucket readers index by the layout.
+impl Deserialize for Histogram {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        const TY: &str = "Histogram";
+        let m = helpers::as_map(v, TY)?;
+        let h = Histogram {
+            buckets: helpers::field(m, "buckets", TY)?,
+            count: helpers::field(m, "count", TY)?,
+            sum: helpers::field(m, "sum", TY)?,
+            max: helpers::field(m, "max", TY)?,
+        };
+        if !h.is_well_formed() {
+            return Err(DeError::new(format!(
+                "{TY}: want {HIST_BUCKETS} buckets summing to count {}, got {} buckets",
+                h.count,
+                h.buckets.len()
+            )));
+        }
+        Ok(h)
+    }
 }
 
 impl Default for Histogram {
@@ -205,7 +231,8 @@ impl Histogram {
     /// True when the fixed-layout invariants hold (bucket vector length
     /// and count consistency) — used when accepting deserialized data.
     pub fn is_well_formed(&self) -> bool {
-        self.buckets.len() == HIST_BUCKETS && self.buckets.iter().sum::<u64>() == self.count
+        let sum = self.buckets.iter().try_fold(0u64, |a, &b| a.checked_add(b));
+        self.buckets.len() == HIST_BUCKETS && sum == Some(self.count)
     }
 }
 
@@ -467,12 +494,12 @@ pub(crate) struct ObsState {
     pub(crate) lrl_len: Histogram,
     /// Message latency split by kind (`MessageKind::index` order).
     pub(crate) latency_by_kind: Vec<Histogram>,
-    /// Causal tracing: delivery ids, batch attribution, cascade stats.
+    /// Causal tracing: batch attribution, cascade stats.
     pub(crate) causal: CausalState,
     /// High-water channel depth seen so far in the current round.
     pub(crate) depth_round_max: u64,
     /// Scratch for the observed channel take: (message, enqueue round,
-    /// provenance tag).
+    /// cascade depth tag).
     pub(crate) tagged: Vec<(swn_core::message::Message, u64, CauseTag)>,
     /// Scratch for the sampled lrl-length scan: (id, lrl) ascending.
     pub(crate) lrl_scratch: Vec<(swn_core::id::NodeId, swn_core::id::NodeId)>,

@@ -1,22 +1,20 @@
-//! Causal repair tracing: who triggered whom.
+//! Causal repair tracing: how deep each repair chain runs.
 //!
 //! The paper's convergence argument is about *chains* of linearization
 //! steps — a corrupted edge heals because a `Lin` triggered a `Lin`
 //! that triggered a repair. The flat per-round counters of the obs
-//! layer cannot see those chains, so this module gives every delivered
-//! message an identity ([`CauseId`]) and every enqueued message a
-//! provenance tag ([`CauseTag`]): receive-action emissions inherit the
-//! id of the message whose handler produced them, regular-action and
-//! external sends are cascade *roots*. The result is a repair-cascade
-//! DAG whose shape (depth, width, per-kind fan-out) the fault watchdog
-//! reports per recovery span as a [`CascadeReport`].
+//! layer cannot see those chains, so this module tags every enqueued
+//! message with its cascade depth ([`CauseTag`]): receive-action
+//! emissions sit one level below the message whose handler produced
+//! them, regular-action and external sends are cascade *roots* (depth
+//! 0). The fault watchdog reports the cascades' shape (depth, width,
+//! per-kind fan-out) per recovery span as a [`CascadeReport`].
 //!
-//! **Acyclicity is by construction.** A child is enqueued while its
-//! parent's delivery round is executing, and becomes eligible strictly
-//! later (receipt strictly follows transmission), so every edge
-//! satisfies `parent.round < child.round` — and `seq` is globally
-//! monotone over deliveries, so `parent.seq < child.seq` too. The
-//! `causal_prop` suite pins both orderings over random fault scenarios.
+//! A child is enqueued while its parent's delivery round is executing
+//! and becomes eligible strictly later (receipt strictly follows
+//! transmission), so a message at depth `d` is delivered at least `d`
+//! rounds after the root of its chain. The `causal_prop` suite pins
+//! that bound over random fault scenarios.
 //!
 //! Tagging lives entirely inside the `HOOKS` arms of the round loop: the
 //! other arms only ever push [`CauseTag::ROOT`], which never touches
@@ -28,51 +26,23 @@ use swn_core::message::MessageKind;
 
 use super::Histogram;
 
-/// Identity of one *delivered* message: the round and node slot it was
-/// handled at, plus a globally monotone sequence number (unique per
-/// attached observer, strictly increasing in delivery order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct CauseId {
-    /// Round the message was delivered (handled) in.
-    pub round: u64,
-    /// Slot index of the receiving node.
-    pub slot: u32,
-    /// Global delivery sequence number.
-    pub seq: u64,
-}
-
-impl CauseId {
-    /// Sentinel for "no cause": regular-action sends, preloads, and any
-    /// message enqueued while no observer was attached.
-    pub const EXTERNAL: CauseId = CauseId {
-        round: u64::MAX,
-        slot: u32::MAX,
-        seq: u64::MAX,
-    };
-}
-
-/// Provenance of one *enqueued* message: the delivered message whose
-/// handler emitted it (or [`CauseId::EXTERNAL`]) and the cascade depth
-/// it sits at — 0 for roots, parent depth + 1 otherwise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Provenance of one *enqueued* message: the cascade depth it sits at —
+/// 0 for roots, the depth of the delivered message whose handler
+/// emitted it plus 1 otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CauseTag {
-    /// The delivered message this one was emitted in response to.
-    pub parent: CauseId,
     /// Chain length from the nearest root (0 = root).
     pub depth: u32,
 }
 
 impl CauseTag {
-    /// The root tag: no parent, depth 0.
-    pub const ROOT: CauseTag = CauseTag {
-        parent: CauseId::EXTERNAL,
-        depth: 0,
-    };
+    /// The root tag: depth 0.
+    pub const ROOT: CauseTag = CauseTag { depth: 0 };
 
     /// True when this message started a cascade (regular action,
     /// preload, or untracked provenance).
     pub fn is_root(&self) -> bool {
-        self.parent == CauseId::EXTERNAL
+        self.depth == 0
     }
 }
 
@@ -81,11 +51,6 @@ impl CauseTag {
 /// far shallower (a chain crosses the whole ring in O(n) rounds), so
 /// the cap only bounds memory, not fidelity.
 pub const WIDTH_LEVELS: usize = 64;
-
-/// Parent→child edges are logged verbatim up to this many per cascade
-/// window; beyond it only the aggregate counters grow (and
-/// `edges_dropped` says how many edges the log is missing).
-pub const EDGE_LOG_CAP: usize = 16_384;
 
 /// Aggregate shape of the repair cascades observed in one window
 /// (between `cascade_begin` and `cascade_take`, or over the whole run).
@@ -105,10 +70,6 @@ pub struct CascadeStats {
     /// Children emitted, indexed by the *parent's* kind: the per-kind
     /// fan-out numerator (divide by `handled_by_kind`).
     pub children_by_kind: Vec<u64>,
-    /// Verbatim parent→child edges, capped at [`EDGE_LOG_CAP`].
-    pub edge_log: Vec<(CauseId, CauseId)>,
-    /// Edges beyond the log cap (aggregates above still count them).
-    pub edges_dropped: u64,
 }
 
 impl CascadeStats {
@@ -120,12 +81,10 @@ impl CascadeStats {
             width: vec![0; WIDTH_LEVELS],
             handled_by_kind: vec![0; MessageKind::COUNT],
             children_by_kind: vec![0; MessageKind::COUNT],
-            edge_log: Vec::new(),
-            edges_dropped: 0,
         }
     }
 
-    fn record_delivery(&mut self, id: CauseId, tag: CauseTag, kind: MessageKind) {
+    fn record_delivery(&mut self, tag: CauseTag, kind: MessageKind) {
         let d = u64::from(tag.depth);
         self.depth.record(d);
         self.width[(tag.depth as usize).min(WIDTH_LEVELS - 1)] += 1;
@@ -134,11 +93,6 @@ impl CascadeStats {
             self.roots += 1;
         } else {
             self.edges += 1;
-            if self.edge_log.len() < EDGE_LOG_CAP {
-                self.edge_log.push((tag.parent, id));
-            } else {
-                self.edges_dropped += 1;
-            }
         }
     }
 
@@ -176,7 +130,7 @@ impl CascadeReport {
 /// Live causal-tracing state owned by an attached observer. Crate-
 /// private: the `HOOKS` arms of `Network`'s round loop are the only driver.
 ///
-/// Tracing is *window-gated*: the per-message work (id assignment,
+/// Tracing is *window-gated*: the per-message work (depth accounting,
 /// boundary bookkeeping, non-root pushes into the mailbox's tag
 /// lanes) runs only while a cascade window is open (`begin_window` …
 /// `take_window`). Outside a window the observed take still hands out
@@ -189,11 +143,9 @@ pub(crate) struct CausalState {
     /// True while a cascade window is open — the round loop's gate for
     /// all per-message causal work.
     pub(crate) active: bool,
-    /// Next delivery sequence number.
-    seq: u64,
     /// Per handled message of the current action batch, in handling
-    /// order: its fresh id, inherited depth, and kind.
-    pub(crate) deliv: Vec<(CauseId, u32, MessageKind)>,
+    /// order: its depth and kind.
+    pub(crate) deliv: Vec<(u32, MessageKind)>,
     /// `outbox.sends().len()` after each handled message: send `k`
     /// belongs to the first entry `j` with `k < bounds[j]` (the outbox
     /// is flushed once per batch, so attribution needs the cumulative
@@ -211,7 +163,6 @@ impl CausalState {
     pub(crate) fn new() -> Self {
         CausalState {
             active: false,
-            seq: 0,
             deliv: Vec::new(),
             bounds: Vec::new(),
             window: CascadeStats::new(),
@@ -220,18 +171,12 @@ impl CausalState {
         }
     }
 
-    /// Registers one delivered message: assigns its [`CauseId`] and
-    /// feeds the window + run accounting. Call in handling order.
-    pub(crate) fn on_delivery(&mut self, round: u64, slot: u32, tag: CauseTag, kind: MessageKind) {
-        let id = CauseId {
-            round,
-            slot,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        self.window.record_delivery(id, tag, kind);
+    /// Registers one delivered message: feeds the window + run
+    /// accounting. Call in handling order.
+    pub(crate) fn on_delivery(&mut self, tag: CauseTag, kind: MessageKind) {
+        self.window.record_delivery(tag, kind);
         self.run_depth.record(u64::from(tag.depth));
-        self.deliv.push((id, tag.depth, kind));
+        self.deliv.push((tag.depth, kind));
     }
 
     /// The tag for send index `k` of the current batch flush, walking
@@ -242,12 +187,9 @@ impl CausalState {
             *cursor += 1;
         }
         match self.deliv.get(*cursor) {
-            Some(&(id, depth, kind)) if *cursor < self.bounds.len() => {
+            Some(&(depth, kind)) if *cursor < self.bounds.len() => {
                 self.window.children_by_kind[kind.index()] += 1;
-                CauseTag {
-                    parent: id,
-                    depth: depth + 1,
-                }
+                CauseTag { depth: depth + 1 }
             }
             _ => CauseTag::ROOT,
         }
@@ -298,30 +240,18 @@ mod tests {
     fn root_tag_is_external_depth_zero() {
         assert!(CauseTag::ROOT.is_root());
         assert_eq!(CauseTag::ROOT.depth, 0);
-        let child = CauseTag {
-            parent: CauseId {
-                round: 1,
-                slot: 0,
-                seq: 0,
-            },
-            depth: 1,
-        };
-        assert!(!child.is_root());
+        assert!(!CauseTag { depth: 1 }.is_root());
     }
 
     #[test]
-    fn deliveries_get_monotone_seq_and_feed_the_window() {
+    fn deliveries_feed_the_window_in_handling_order() {
         let mut st = CausalState::new();
-        st.on_delivery(5, 0, CauseTag::ROOT, kind0());
-        st.on_delivery(5, 1, CauseTag::ROOT, kind0());
-        let parent = st.deliv[0].0;
-        st.on_delivery(6, 2, CauseTag { parent, depth: 1 }, kind0());
-        assert_eq!(st.deliv.len(), 3);
-        assert!(st.deliv[0].0.seq < st.deliv[1].0.seq);
-        assert!(st.deliv[1].0.seq < st.deliv[2].0.seq);
+        st.on_delivery(CauseTag::ROOT, kind0());
+        st.on_delivery(CauseTag::ROOT, kind0());
+        st.on_delivery(CauseTag { depth: 1 }, kind0());
+        assert_eq!(st.deliv, vec![(0, kind0()), (0, kind0()), (1, kind0())]);
         assert_eq!(st.window.roots, 2);
         assert_eq!(st.window.edges, 1);
-        assert_eq!(st.window.edge_log, vec![(parent, st.deliv[2].0)]);
         assert_eq!(st.window.width[0], 2);
         assert_eq!(st.window.width[1], 1);
         assert_eq!(st.window.handled_by_kind[kind0().index()], 3);
@@ -331,19 +261,15 @@ mod tests {
     #[test]
     fn tag_for_send_walks_the_batch_boundaries() {
         let mut st = CausalState::new();
-        st.on_delivery(9, 4, CauseTag::ROOT, kind0());
-        st.on_delivery(9, 4, CauseTag::ROOT, kind0());
+        st.on_delivery(CauseTag::ROOT, kind0());
+        st.on_delivery(CauseTag { depth: 4 }, kind0());
         // First handled message emitted 2 sends, second emitted 1.
         st.bounds.push(2);
         st.bounds.push(3);
-        let (id_a, _, _) = st.deliv[0];
-        let (id_b, _, _) = st.deliv[1];
         let mut cursor = 0;
-        assert_eq!(st.tag_for_send(0, &mut cursor).parent, id_a);
-        assert_eq!(st.tag_for_send(1, &mut cursor).parent, id_a);
-        let t = st.tag_for_send(2, &mut cursor);
-        assert_eq!(t.parent, id_b);
-        assert_eq!(t.depth, 1);
+        assert_eq!(st.tag_for_send(0, &mut cursor).depth, 1);
+        assert_eq!(st.tag_for_send(1, &mut cursor).depth, 1);
+        assert_eq!(st.tag_for_send(2, &mut cursor).depth, 5);
         // Past the last boundary: a regular-action send, a root.
         assert!(st.tag_for_send(3, &mut cursor).is_root());
         assert_eq!(st.window.children_by_kind[kind0().index()], 3);
@@ -355,7 +281,7 @@ mod tests {
     fn windows_reset_but_run_accounting_persists() {
         let mut st = CausalState::new();
         st.begin_window(10);
-        st.on_delivery(11, 0, CauseTag::ROOT, kind0());
+        st.on_delivery(CauseTag::ROOT, kind0());
         let rep = st.take_window(12);
         assert_eq!((rep.start, rep.end), (10, 12));
         assert_eq!(rep.delivered(), 1);
@@ -363,30 +289,12 @@ mod tests {
         assert_eq!(rep.depth_max(), 0);
         assert_eq!(st.window.depth.count(), 0, "window reset");
         assert_eq!(st.run_depth.count(), 1, "run histogram kept");
-        st.on_delivery(13, 0, CauseTag::ROOT, kind0());
-        assert_eq!(st.deliv[1].0.seq, 1, "seq survives window turnover");
-    }
-
-    #[test]
-    fn edge_log_caps_and_counts_overflow() {
-        let mut st = CausalState::new();
-        let parent = CauseId {
-            round: 0,
-            slot: 0,
-            seq: 0,
-        };
-        for _ in 0..(EDGE_LOG_CAP + 10) {
-            st.on_delivery(1, 0, CauseTag { parent, depth: 1 }, kind0());
-        }
-        assert_eq!(st.window.edge_log.len(), EDGE_LOG_CAP);
-        assert_eq!(st.window.edges_dropped, 10);
-        assert_eq!(st.window.edges, (EDGE_LOG_CAP + 10) as u64);
     }
 
     #[test]
     fn cascade_report_serde_round_trips() {
         let mut st = CausalState::new();
-        st.on_delivery(2, 1, CauseTag::ROOT, kind0());
+        st.on_delivery(CauseTag { depth: 2 }, kind0());
         let rep = st.take_window(3);
         let json = serde_json::to_string(&rep).expect("serialize");
         let back: CascadeReport = serde_json::from_str(&json).expect("parse");

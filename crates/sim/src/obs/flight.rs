@@ -4,13 +4,12 @@
 //! Long fault soaks cannot afford an unbounded in-memory trace and
 //! rarely need one: when something goes wrong, the *recent* history is
 //! what explains it. A [`FlightBuffer`] keeps the last `capacity`
-//! records and counts what it evicted; a [`FlightRecorder`] sink feeds
-//! one — it is the in-memory sink, tests included — and, once armed
-//! with a dump path, writes the buffered records out as JSONL for a
-//! post-mortem (`experiments report <dump>` renders it) when the
-//! watchdog's verdict is `disconnected` or `budget_exhausted`, or when
-//! [`FlightRecorder::dump_now`] is called from a tripped debug
-//! invariant.
+//! records; a [`FlightRecorder`] sink feeds one — it is the in-memory
+//! sink, tests included — and, once armed with a dump path, writes the
+//! buffered records out as JSONL for a post-mortem (`experiments report
+//! <dump>` renders it) when the watchdog's verdict is `disconnected` or
+//! `budget_exhausted`, or when [`FlightRecorder::dump_now`] is called
+//! from a tripped debug invariant.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -19,12 +18,11 @@ use std::sync::{Arc, Mutex};
 use super::{Event, Record, Sink};
 
 /// A fixed-capacity ring buffer of [`Record`]s: pushing beyond capacity
-/// evicts the oldest record and bumps `dropped_records`.
+/// evicts the oldest record.
 #[derive(Debug)]
 pub struct FlightBuffer {
     buf: VecDeque<Record>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl FlightBuffer {
@@ -33,7 +31,6 @@ impl FlightBuffer {
         FlightBuffer {
             buf: VecDeque::new(),
             capacity: capacity.max(1),
-            dropped: 0,
         }
     }
 
@@ -41,7 +38,6 @@ impl FlightBuffer {
     pub fn push(&mut self, rec: Record) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(rec);
     }
@@ -59,11 +55,6 @@ impl FlightBuffer {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// How many records the ring has evicted so far.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped
     }
 
     /// Iterates the buffered records, oldest first.
@@ -216,14 +207,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_and_counts_evictions() {
+    fn ring_wraps_and_evicts_the_oldest() {
         let mut b = FlightBuffer::new(3);
         for r in 0..5 {
             b.push(rec(r));
         }
         assert_eq!(b.len(), 3);
         assert_eq!(b.capacity(), 3);
-        assert_eq!(b.dropped_records(), 2);
         let rounds: Vec<u64> = b
             .iter()
             .map(|r| match &r.event {
@@ -243,7 +233,7 @@ mod tests {
         b.push(rec(1));
         b.push(rec(2));
         assert_eq!(b.len(), 1);
-        assert_eq!(b.dropped_records(), 1);
+        assert_eq!(b.first(), Some(&rec(2)));
     }
 
     #[test]
@@ -306,7 +296,6 @@ mod tests {
         }
         let buf = records.lock().expect("records");
         assert_eq!(buf.len(), 2, "ring keeps only the newest records");
-        assert_eq!(buf.dropped_records(), 3);
         assert_eq!(buf.snapshot(), vec![rec(3), rec(4)]);
     }
 

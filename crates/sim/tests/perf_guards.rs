@@ -1,4 +1,4 @@
-//! Perf guards: the six same-process timing ratios the docs cite.
+//! Perf guards: the seven same-process timing ratios the docs cite.
 //!
 //! Absolute times belong to `benchmark/` (see `benchmark/README.md`);
 //! these tests pin only *ratios* between two arms measured in one
@@ -31,9 +31,21 @@ use swn_sim::faults::FaultPlan;
 use swn_sim::obs::JsonlSink;
 use swn_sim::{Network, ScheduleMode};
 
-/// Full observation — histograms, causal tagging, cascade bookkeeping,
-/// JSONL sampling — may cost at most this factor over the detached step.
+/// An attached sink outside a cascade window — histograms, latency
+/// accounting, JSONL sampling — may cost at most this factor over the
+/// detached step.
 const INSTRUMENTED_LIMIT: f64 = 1.5;
+
+/// Full causal instrumentation — a sink plus an open cascade window, so
+/// every delivery is depth-tagged and counted and every send carries
+/// its tag through the mailbox — may cost at most this factor over the
+/// detached step. On a shared 2-core host the smallest pair ratio read
+/// 1.521, 1.520, 1.410, 1.510, 1.528, 1.519, 1.521, 1.513, 1.511, 1.525
+/// and 1.524 over eleven runs; the limit is the largest, rounded up to
+/// the next 0.05. With 32-byte tags that also carried the parent's
+/// round, slot and delivery sequence number, the same host read
+/// 1.714–1.801 over five runs.
+const WINDOWED_LIMIT: f64 = 1.55;
 
 /// A quiescent round is O(1) — an empty agenda and a default stats row —
 /// so 32× more nodes may cost at most this factor (the full-scan round
@@ -133,13 +145,27 @@ fn scattered_ring(n: usize) -> Network {
     Network::new(nodes, 7)
 }
 
-/// One full-scan round on a warmed stable ring of `n` nodes, optionally
-/// with a `JsonlSink` over `io::sink()` attached at `sample_every = 16`.
-fn step_ns(n: usize, instrumented: bool) -> f64 {
+/// How much of the observability layer a timed step runs.
+#[derive(Clone, Copy)]
+enum Observed {
+    Detached,
+    /// A sink attached, no cascade window open.
+    Sink,
+    /// A sink attached and a cascade window open throughout.
+    Window,
+}
+
+/// One full-scan round on a warmed stable ring of `n` nodes, observed
+/// as `obs` says: the sink is a `JsonlSink` over `io::sink()` at
+/// `sample_every = 16`.
+fn step_ns(n: usize, obs: Observed) -> f64 {
     let mut net = stable_ring(n);
     net.run(20);
-    if instrumented {
+    if !matches!(obs, Observed::Detached) {
         net.attach_sink(Box::new(JsonlSink::new(Box::new(std::io::sink()))), 16);
+    }
+    if matches!(obs, Observed::Window) {
+        net.cascade_begin();
     }
     ns_per(200, || net.step())
 }
@@ -280,12 +306,20 @@ fn full_scan_delivery_ns(n: usize) -> f64 {
 fn instrumented_step_within_limit_of_detached() {
     const N: usize = 2048;
     let _turn = ONE_AT_A_TIME.lock();
-    println!("n={N}: instrumented step vs detached step");
-    let ratio = min_pair_ratio(|| step_ns(N, false), || step_ns(N, true));
-    println!("smallest pair ratio {ratio:.3}x, limit {INSTRUMENTED_LIMIT}x");
+    let detached = || step_ns(N, Observed::Detached);
+    println!("n={N}: step with a sink vs detached step");
+    let sink = min_pair_ratio(detached, || step_ns(N, Observed::Sink));
+    println!("smallest pair ratio {sink:.3}x, limit {INSTRUMENTED_LIMIT}x");
+    println!("n={N}: step with a sink and an open cascade window vs detached step");
+    let window = min_pair_ratio(detached, || step_ns(N, Observed::Window));
+    println!("smallest pair ratio {window:.3}x, limit {WINDOWED_LIMIT}x");
     assert!(
-        ratio <= INSTRUMENTED_LIMIT,
-        "instrumented step too expensive: {ratio:.3}x > {INSTRUMENTED_LIMIT}x the detached step"
+        sink <= INSTRUMENTED_LIMIT,
+        "observed step too expensive: {sink:.3}x > {INSTRUMENTED_LIMIT}x the detached step"
+    );
+    assert!(
+        window <= WINDOWED_LIMIT,
+        "windowed step too expensive: {window:.3}x > {WINDOWED_LIMIT}x the detached step"
     );
 }
 
