@@ -202,7 +202,7 @@ fn run_scenario_inner(s: &Scenario) -> RunResult {
     // severance can end it (windows are still open, crashes still
     // down); past it what remains is pure recovery, so `Recovered`
     // measures MTTR directly.
-    let verdict = watch(&mut net, horizon, s.budget, |stats| {
+    let verdict = watch(&mut net, horizon, s.budget, |_, stats| {
         messages += stats.total_sent();
         dropped_fault += stats.dropped_fault;
     });

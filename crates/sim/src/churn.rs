@@ -154,7 +154,7 @@ pub fn measure_recovery(net: &mut Network, max_rounds: u64) -> RecoveryReport {
         budget: max_rounds,
         ..RecoveryReport::default()
     };
-    let verdict = crate::faults::watch(net, 0, max_rounds, |stats| {
+    let verdict = crate::faults::watch(net, 0, max_rounds, |_, stats| {
         report.messages += stats.total_sent();
         report.tracked_messages += stats.tracked_sent;
     });

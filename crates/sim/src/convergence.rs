@@ -1,6 +1,7 @@
 //! Convergence measurement: drive a network until it stabilizes and record
 //! when each phase of the proof was reached.
 
+use crate::faults::watch;
 use crate::network::Network;
 use crate::obs::Event;
 use serde::{Deserialize, Serialize};
@@ -43,6 +44,12 @@ impl ConvergenceReport {
 /// Runs `net` until RCP solves the sorted-ring problem (or `max_rounds`
 /// pass), recording phase milestones after every round.
 ///
+/// The stepping is `faults::watch`'s, the loop `measure_recovery`,
+/// `watch_recovery` and the chaos scenario run share, with `horizon` 0:
+/// it stops as soon as [`Network::is_sorted_ring`] holds, and with a
+/// fault plan attached it also stops at a round whose drop severs the CC
+/// view (the report is then not stabilized, `rounds_run` below budget).
+///
 /// Snapshot-free, and a clean round (one whose
 /// [`links_changed`](crate::trace::RoundStats::links_changed) flag is
 /// clear) is not reclassified at all — it provably preserves the phase
@@ -63,29 +70,33 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
         monotone: true,
         ..Default::default()
     };
-    let mut best = Phase::Disconnected;
-    let note = |phase: Phase, round: u64, report: &mut ConvergenceReport| {
-        if phase >= Phase::LccConnected && report.rounds_to_lcc.is_none() {
-            report.rounds_to_lcc = Some(round);
-        }
-        if phase >= Phase::SortedList && report.rounds_to_list.is_none() {
-            report.rounds_to_list = Some(round);
-        }
-        if phase >= Phase::SortedRing && report.rounds_to_ring.is_none() {
-            report.rounds_to_ring = Some(round);
+    // Records every milestone `phase` reaches for the first time at
+    // `round` and, with a sink attached, announces it as a `Transition`
+    // event (labels `"lcc"`, `"list"`, `"ring"`).
+    let note = |net: &mut Network, report: &mut ConvergenceReport, phase: Phase, round: u64| {
+        let milestones = [
+            (Phase::LccConnected, &mut report.rounds_to_lcc, "lcc"),
+            (Phase::SortedList, &mut report.rounds_to_list, "list"),
+            (Phase::SortedRing, &mut report.rounds_to_ring, "ring"),
+        ];
+        for (level, reached, label) in milestones {
+            if phase >= level && reached.is_none() {
+                *reached = Some(round);
+                if net.has_sink() {
+                    let phase = label.to_string();
+                    net.emit(Event::Transition { round, phase });
+                }
+            }
         }
     };
 
     let mut phase = classify_view(&net.view());
-    best = best.max(phase);
-    note(phase, 0, &mut report);
-    let mut announced = [false; 3];
-    emit_new_milestones(net, &report, &mut announced);
+    let mut best = phase;
+    note(net, &mut report, phase, 0);
 
-    let mut round = 0;
-    while report.rounds_to_ring.is_none() && round < max_rounds {
-        let stats = net.step();
-        round += 1;
+    let start = net.round();
+    watch(net, 0, max_rounds, |net, stats| {
+        let round = net.round() - start;
         report.messages_to_ring += stats.total_sent();
         if stats.probe_repairs > 0 {
             report.last_probe_repair = Some(round);
@@ -110,10 +121,9 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
             report.monotone = false;
         }
         best = best.max(phase);
-        note(phase, round, &mut report);
-        emit_new_milestones(net, &report, &mut announced);
-    }
-    report.rounds_run = round;
+        note(net, &mut report, phase, round);
+    });
+    report.rounds_run = net.round() - start;
     report
 }
 
@@ -140,32 +150,6 @@ pub fn drain_to_quiescence(net: &mut Network, max_rounds: u64) -> Option<u64> {
         net.step();
     }
     None
-}
-
-/// Emits a `Transition` timeline event for every milestone the report
-/// reached that has not been announced yet (no-op without a sink). Event
-/// labels: `"lcc"`, `"list"`, `"ring"`; rounds count from the start of
-/// the measurement loop.
-fn emit_new_milestones(net: &mut Network, report: &ConvergenceReport, announced: &mut [bool; 3]) {
-    if !net.has_sink() {
-        return;
-    }
-    let milestones = [
-        (report.rounds_to_lcc, "lcc"),
-        (report.rounds_to_list, "list"),
-        (report.rounds_to_ring, "ring"),
-    ];
-    for (k, (reached, label)) in milestones.iter().enumerate() {
-        if let Some(round) = reached {
-            if !announced[k] {
-                announced[k] = true;
-                net.emit(Event::Transition {
-                    round: *round,
-                    phase: (*label).to_string(),
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -970,17 +970,19 @@ impl Network {
         }
     }
 
-    /// Voids the settlement certificate of the node `id` in `slot` after
-    /// a fault rewrote its state — waking it with `wake` — re-evaluates
-    /// its placement in the sorted list, and re-verifies the certificates
-    /// that referenced the overwritten pointers `old_targets`. No-op
-    /// under full scan.
+    /// Re-evaluates the placement in the sorted list of the node `id` in
+    /// `slot` after a fault rewrote its state. Under the active set it
+    /// also voids the node's settlement certificate — waking it with
+    /// `wake` — and re-verifies the certificates that referenced the
+    /// overwritten pointers `old_targets`.
     fn unsettle(&mut self, id: NodeId, slot: usize, wake: bool, old_targets: [Option<NodeId>; 3]) {
+        if let Some(p) = self.placement.get_mut() {
+            p.refresh_slot(&self.nodes, &self.index, slot);
+        }
         let Some(sched) = self.sched.as_mut() else {
             return;
         };
         sched.unsettle(slot, id, wake);
-        sched.refresh_placement(&self.nodes, &self.index, slot);
         for t in old_targets.into_iter().flatten() {
             sched.recheck(&self.nodes, &self.index, t);
         }
@@ -1064,8 +1066,10 @@ pub struct WatchReport {
 }
 
 /// The one "step until it is the sorted ring again" loop:
-/// `measure_recovery`, [`watch_recovery`] and the chaos scenario run are
-/// this function with their own `on_round` accumulators.
+/// [`run_to_ring`](crate::convergence::run_to_ring), `measure_recovery`,
+/// [`watch_recovery`] and the chaos scenario run are this function with
+/// their own `on_round` closures, which see the network after each round
+/// together with its stats.
 ///
 /// Rounds up to `horizon` (an absolute round; one already reached, such
 /// as 0, means none) are driven regardless — scheduled faults are still
@@ -1082,7 +1086,7 @@ pub(crate) fn watch(
     net: &mut Network,
     horizon: u64,
     budget: u64,
-    mut on_round: impl FnMut(&RoundStats),
+    mut on_round: impl FnMut(&mut Network, &RoundStats),
 ) -> Verdict {
     let severed = |net: &Network| {
         (!weakly_connected_view(&net.view(), View::Cc)).then(|| Verdict::PermanentlyDisconnected {
@@ -1105,7 +1109,7 @@ pub(crate) fn watch(
             }
         }
         let stats = net.step();
-        on_round(&stats);
+        on_round(net, &stats);
         if stats.dropped_fault > 0 || stats.erased_fault > 0 {
             if let Some(verdict) = severed(net) {
                 return verdict;
@@ -1136,7 +1140,7 @@ pub fn watch_recovery(net: &mut Network, budget: u64) -> WatchReport {
     // sink).
     net.cascade_begin();
     let (mut messages, mut dropped_fault) = (0, 0);
-    let verdict = watch(net, start, budget, |stats| {
+    let verdict = watch(net, start, budget, |_, stats| {
         messages += stats.total_sent();
         dropped_fault += stats.dropped_fault;
     });
@@ -1271,6 +1275,17 @@ mod tests {
         }
         assert!(report.dropped_fault > 0);
         assert_eq!(report.verdict.outcome(), "disconnected");
+    }
+
+    #[test]
+    fn run_to_ring_stops_at_the_drop_that_severs_the_network() {
+        // `run_to_ring` steps through `watch`, so the same sole-carrier
+        // drop ends its run at round 1 instead of spending the budget.
+        let (mut net, ..) = three_node_net(false);
+        net.attach_faults(FaultPlan::new(7).with_drop(1, 2, 1.0));
+        let report = crate::convergence::run_to_ring(&mut net, 100);
+        assert!(!report.stabilized());
+        assert_eq!(report.rounds_run, 1);
     }
 
     #[test]

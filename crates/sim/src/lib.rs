@@ -60,6 +60,7 @@ pub mod network;
 pub mod obs;
 pub mod parallel;
 pub mod persist;
+mod placement;
 pub mod sched;
 pub mod slots;
 pub mod trace;

@@ -25,45 +25,19 @@ use crate::faults::{Fate, FaultInjector, FaultPlan};
 use crate::mailbox::Mailbox;
 use crate::obs::causal::{CascadeReport, CauseTag};
 use crate::obs::{Event, ObsState, PhaseTimes, Sink};
-use crate::sched::{self, SchedState, ScheduleMode};
+use crate::placement::Placement;
+use crate::sched::{SchedState, ScheduleMode};
 use crate::slots::SlotIndex;
 use crate::trace::{RoundStats, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
+use std::cell::OnceCell;
 use swn_core::id::NodeId;
 use swn_core::invariants::{is_sorted_list_view, is_sorted_ring_view};
 use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_core::outbox::{Outbox, ProtocolEvent};
 use swn_core::views::{NetView, Snapshot};
-
-/// How far the stored links are along Definitions 4.8/4.17, as last
-/// evaluated — the cache behind [`Network::is_sorted_list`] and
-/// [`Network::is_sorted_ring`]. Ordered: each level implies the ones
-/// before it (`Stale` aside, which is "not evaluated since the links
-/// last changed").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum SortedLevel {
-    Stale,
-    Unsorted,
-    List,
-    Ring,
-}
-
-impl SortedLevel {
-    /// The level of a state given its sorted-list verdict and, asked only
-    /// when that holds, whether the ring edges close it.
-    fn of(sorted_list: bool, ring_closed: impl FnOnce() -> bool) -> Self {
-        if !sorted_list {
-            SortedLevel::Unsorted
-        } else if ring_closed() {
-            SortedLevel::Ring
-        } else {
-            SortedLevel::List
-        }
-    }
-}
 
 /// A simulated asynchronous message-passing network.
 #[derive(Debug)]
@@ -105,11 +79,12 @@ pub struct Network {
     // selected (`set_schedule_mode`).
     pub(crate) sched: Option<Box<SchedState>>,
     seed: u64,
-    // The dirty-tracking rule (DESIGN.md §8.2), owned here: the level is
-    // evaluated on demand and stays valid until a round reports
-    // `links_changed` or a node is inserted or removed. Read under full
-    // scan only; the active set asks the scheduler's counter instead.
-    sorted: Cell<SortedLevel>,
+    // The misplaced-node counter behind `is_sorted_list`/`is_sorted_ring`
+    // (DESIGN.md §8.2), built by the first question and from then on
+    // kept current by every arm's turns, by `insert_node`/`remove_node`
+    // and by the fault applier; a network nobody asks never pays for it.
+    // `pub(crate)` for the fault applier.
+    pub(crate) placement: OnceCell<Placement>,
     // Test-only: makes the round flush the outbox after every handled
     // message (`step_reference`, the flush-equivalence oracle).
     #[cfg(test)]
@@ -159,7 +134,7 @@ impl Network {
             faults: None,
             sched: None,
             seed,
-            sorted: Cell::new(SortedLevel::Stale),
+            placement: OnceCell::new(),
             #[cfg(test)]
             flush_per_message: false,
         }
@@ -276,9 +251,9 @@ impl Network {
     /// any scheduler state. [`ScheduleMode::ActiveSet`] starts the
     /// active-set engine with every live node on the agenda, unsettled —
     /// the scheduler earns its certificates from scratch, so switching
-    /// is always safe, at the cost of one full round of verification
-    /// (plus one pass over the nodes here, counting the misplaced ones
-    /// for [`is_sorted_ring`](Self::is_sorted_ring)).
+    /// is always safe, at the cost of one full round of verification.
+    /// [`is_sorted_ring`](Self::is_sorted_ring) keeps its counter across
+    /// the switch.
     ///
     /// The two modes are *semantically* equivalent (both converge to the
     /// same sorted ring — pinned by `tests/active_set_prop.rs`) but not
@@ -291,7 +266,7 @@ impl Network {
                 self.sched = None;
             }
             ScheduleMode::ActiveSet => {
-                let mut st = Box::new(SchedState::new(&self.nodes, &self.index));
+                let mut st = Box::<SchedState>::default();
                 let index = &self.index;
                 for (&slot, &id) in index.sorted_slots().iter().zip(index.sorted_ids()) {
                     st.schedule(slot, id);
@@ -445,6 +420,11 @@ impl Network {
         stats
     }
 
+    // Never inlined into `step`: each arm is a function of its own, so an
+    // edit to one arm cannot move the machine code of another (edits to
+    // the scheduler arm alone moved `steady-large`'s FullScan node-round
+    // rate by 3 %, on code the edit did not touch).
+    #[inline(never)]
     fn step_impl<const SCHED: bool, const HOOKS: bool>(&mut self) -> RoundStats {
         self.round += 1;
         let now = self.round;
@@ -495,10 +475,12 @@ impl Network {
             if HOOKS && self.faults.as_ref().is_some_and(|f| f.is_down(node.id())) {
                 continue;
             }
-            // The settlement machinery diffs the whole turn (deliveries
-            // *and* regular action) against this tuple — reciprocity is
-            // mutual, so the far end of every certificate this turn can
-            // break is a target in the before- or after-tuple.
+            // The settlement machinery and the misplaced-node counter
+            // diff the whole turn (deliveries, the regular action and
+            // the bounce path's pointer clear) against this tuple —
+            // reciprocity is mutual, so the far end of every certificate
+            // this turn can break is a target in the before- or
+            // after-tuple.
             let turn_before = (node.left(), node.right(), node.ring());
             let lrl_before = node.lrl();
             // Receive actions: all eligible messages, shuffled. The
@@ -562,12 +544,22 @@ impl Network {
                     self.flush_outbox::<SCHED, HOOKS>(i, now, &mut stats);
                 });
             }
+            // The misplaced-node counter's term moves only with the
+            // node's `(l, r)`: the scheduler's turn diff says whether they
+            // moved, and without the scheduler the counter diffs them.
             if SCHED {
                 if let Some(sched) = self.sched.as_mut() {
                     let mail = !self.mail.is_empty(i);
                     let (nodes, index) = (&self.nodes, &self.index);
-                    sched.finish_turn(nodes, index, i, turn_before, lrl_before, mail);
+                    if sched.finish_turn(nodes, index, i, turn_before, lrl_before, mail) {
+                        if let Some(p) = self.placement.get_mut() {
+                            p.refresh_slot(nodes, index, i);
+                        }
+                    }
                 }
+            } else if let Some(p) = self.placement.get_mut() {
+                let before = (turn_before.0, turn_before.1);
+                p.finish_turn(&self.nodes, &self.index, i, before);
             }
         }
         inbox.clear();
@@ -587,11 +579,6 @@ impl Network {
             None
         };
         self.trace.push(stats);
-        // Covers every write of the round, the round-start fault applier
-        // included: whatever rewrites `l`/`r`/`ring` sets the flag.
-        if stats.links_changed {
-            self.sorted.set(SortedLevel::Stale);
-        }
         let depth_max = if HOOKS {
             self.observe_round_end(sample, &stats)
         } else {
@@ -709,62 +696,47 @@ impl Network {
         }
     }
 
-    /// The sorted level of the current state. Under full scan the cached
-    /// level is re-evaluated only when a dirty round or a membership
-    /// change voided it: the per-rank term of Definition 4.8
-    /// ([`sched::misplaced`]) over the index's sorted lanes, stopping at
-    /// the first misplaced node. Under [`ScheduleMode::ActiveSet`] the
-    /// scheduler's running count of the same term answers in O(1).
-    fn sorted_level(&self) -> SortedLevel {
-        let Some(sched) = self.sched.as_ref() else {
-            if self.sorted.get() == SortedLevel::Stale {
-                let list = !(0..self.index.len())
-                    .any(|rank| sched::misplaced(&self.nodes, &self.index, rank));
-                self.sorted
-                    .set(SortedLevel::of(list, || self.ring_closed()));
-            }
-            return self.sorted.get();
-        };
-        let level = SortedLevel::of(sched.is_sorted_list(), || self.ring_closed());
-        // Tests build with debug assertions, so every sim test that asks
-        // is a differential test of the counter's seams against the
-        // definitions in `swn-core`.
-        debug_assert_eq!(
-            level,
-            {
-                let v = self.view();
-                SortedLevel::of(is_sorted_list_view(&v), || is_sorted_ring_view(&v))
-            },
-            "misplaced-node counter disagrees with the definitions"
-        );
-        level
+    /// The misplaced-node counter, built by a pass over the sorted lanes
+    /// the first time anyone asks.
+    fn placement(&self) -> &Placement {
+        self.placement
+            .get_or_init(|| Placement::new(&self.nodes, &self.index))
     }
 
     /// Definition 4.8 on the current state: LCP is the sorted list.
     /// Costs what [`is_sorted_ring`](Self::is_sorted_ring) costs.
     pub fn is_sorted_list(&self) -> bool {
-        self.sorted_level() >= SortedLevel::List
+        let list = self.placement().is_sorted_list();
+        debug_assert_eq!(
+            list,
+            is_sorted_list_view(&self.view()),
+            "misplaced-node counter disagrees with the definition"
+        );
+        list
     }
 
     /// Definition 4.17 on the current state: RCP is the sorted ring —
     /// the legitimacy predicate every driver steps towards.
     ///
-    /// Under [`ScheduleMode::FullScan`] the answer is cached: a round
-    /// whose [`links_changed`](RoundStats::links_changed) flag is clear
-    /// provably preserves it, so only dirty rounds, [`insert_node`] and
-    /// [`remove_node`] make the next call pay one O(n) walk of the sorted
-    /// lanes (no allocation; it stops at the first misplaced node).
-    ///
-    /// Under [`ScheduleMode::ActiveSet`] every call is O(1): the
-    /// scheduler counts the misplaced nodes at the seams that already
-    /// re-verify settlement certificates (see [`crate::sched`]), and the
-    /// ring closure is a read of the two extremes. Both modes are exact —
-    /// they agree with `is_sorted_ring_view(&net.view())` on every state.
+    /// O(1) under either schedule: a count of the misplaced nodes
+    /// (Definition 4.8's per-node terms), kept at the seams where a term
+    /// can move — each turn's `(l, r)` diff, [`insert_node`],
+    /// [`remove_node`] and the fault applier's rewrites — plus a read of
+    /// the two extremes' ring edges. The first call builds the count in
+    /// one O(n) pass. The answer is exact: it agrees with
+    /// `is_sorted_ring_view(&net.view())` on every state (debug builds
+    /// assert it on every call).
     ///
     /// [`insert_node`]: Self::insert_node
     /// [`remove_node`]: Self::remove_node
     pub fn is_sorted_ring(&self) -> bool {
-        self.sorted_level() == SortedLevel::Ring
+        let ring = self.placement().is_sorted_list() && self.ring_closed();
+        debug_assert_eq!(
+            ring,
+            is_sorted_ring_view(&self.view()),
+            "misplaced-node counter disagrees with the definition"
+        );
+        ring
     }
 
     /// Runs exactly `rounds` rounds.
@@ -831,7 +803,9 @@ impl Network {
             }
         };
         self.index.insert(id, slot);
-        self.sorted.set(SortedLevel::Stale);
+        if let Some(p) = self.placement.get_mut() {
+            p.on_splice(&self.nodes, &self.index, id, slot);
+        }
         if let Some(sched) = self.sched.as_mut() {
             sched.on_insert(&self.nodes, &self.index, id, slot);
         }
@@ -848,7 +822,6 @@ impl Network {
     /// step count only ever counts live nodes.
     pub fn remove_node(&mut self, id: NodeId) -> Option<Node> {
         let slot = self.index.remove(id)?;
-        self.sorted.set(SortedLevel::Stale);
         if self.tracked == Some(id) {
             self.track_id(None);
         }
@@ -859,6 +832,9 @@ impl Network {
         self.free.push(slot);
         self.mail.clear(slot);
         let node = self.nodes[slot].take();
+        if let Some(p) = self.placement.get_mut() {
+            p.on_splice(&self.nodes, &self.index, id, slot);
+        }
         if let Some(sched) = self.sched.as_mut() {
             sched.on_remove(&self.nodes, &self.index, id, slot);
         }
@@ -1902,7 +1878,7 @@ mod tests {
         let mut full = stable_net(16, 6);
         assert!(full.remove_node(victim).is_some());
         assert!(run_to_ring(&mut full, 3000).stabilized());
-        let links = |net: &Network| -> Vec<sched::TurnLinks> {
+        let links = |net: &Network| -> Vec<crate::sched::TurnLinks> {
             let v = net.view();
             v.nodes()
                 .iter()

@@ -54,18 +54,11 @@
 //! quiescence proptest (`tests/quiescence_prop.rs`) pins the no-op
 //! guarantee.
 //!
-//! The same seams feed the **misplaced-node counter** behind
-//! [`Network::is_sorted_ring`](crate::Network::is_sorted_ring). The
-//! sorted list (Definition 4.8) is a sum of per-node terms — node at
-//! rank `k` stores exactly the ids at ranks `k - 1` and `k + 1`
-//! (`misplaced`) — and a term can only move when the node's own
-//! `(l, r)` moved (its turn diff, or a fault rewrite) or the id next to
-//! it in the sorted order changed (a join or leave, which refreshes the
-//! ranks around the splice). One flag per slot and their running count
-//! therefore answer the predicate exactly in O(1). "Every node settled"
-//! would not: it is only *sufficient* — a sorted ring still digesting a
-//! dangling lrl token or a leftover ring edge has unsettled nodes — so
-//! watching it instead would report recovery rounds late.
+//! The scheduler does not answer "is it the sorted ring?": that is the
+//! misplaced-node counter behind
+//! [`Network::is_sorted_ring`](crate::Network::is_sorted_ring), which
+//! `Network` keeps at the same turn, churn and fault seams under either
+//! schedule.
 
 use crate::slots::SlotIndex;
 use swn_core::id::{Extended, NodeId};
@@ -104,39 +97,15 @@ pub(crate) struct SchedState {
     /// The counting passes' destination in `begin_round`, kept so a
     /// round allocates nothing once the agenda has peaked.
     agenda_scratch: Vec<(NodeId, usize)>,
-    /// `misplaced[slot]`: the live node in `slot` fails its term of the
-    /// sorted list ([`misplaced`]); false for free slots.
-    misplaced: Vec<bool>,
-    /// Number of set `misplaced` flags: zero exactly on the sorted list.
-    misplaced_count: usize,
 }
 
 impl SchedState {
-    /// A scheduler over the current node table: everything unscheduled
-    /// and unsettled, the misplaced flags evaluated in one pass over the
-    /// sorted lanes.
-    pub(crate) fn new(nodes: &[Option<Node>], index: &SlotIndex) -> Self {
-        let mut st = SchedState {
-            scheduled: vec![false; nodes.len()],
-            settled: vec![false; nodes.len()],
-            agenda: Vec::new(),
-            agenda_scratch: Vec::new(),
-            misplaced: vec![false; nodes.len()],
-            misplaced_count: 0,
-        };
-        for rank in 0..index.len() {
-            st.refresh_rank(nodes, index, rank);
-        }
-        st
-    }
-
     /// Grows the flag vectors to cover `slot` (new arena slots from
     /// churn joins).
     pub(crate) fn ensure_slot(&mut self, slot: usize) {
         if slot >= self.scheduled.len() {
             self.scheduled.resize(slot + 1, false);
             self.settled.resize(slot + 1, false);
-            self.misplaced.resize(slot + 1, false);
         }
     }
 
@@ -184,39 +153,6 @@ impl SchedState {
         self.agenda.len()
     }
 
-    /// True exactly when the stored `(l, r)` pairs are the sorted list
-    /// (Definition 4.8): no live node is misplaced.
-    pub(crate) fn is_sorted_list(&self) -> bool {
-        self.misplaced_count == 0
-    }
-
-    /// Re-evaluates the misplaced flag of the node at `rank` of the
-    /// sorted lanes (no-op past their end).
-    fn refresh_rank(&mut self, nodes: &[Option<Node>], index: &SlotIndex, rank: usize) {
-        if let Some(&slot) = index.sorted_slots().get(rank) {
-            self.set_misplaced(slot, misplaced(nodes, index, rank));
-        }
-    }
-
-    /// Re-evaluates the misplaced flag of the node in `slot` after its
-    /// `(l, r)` may have been rewritten (its own turn, or a fault).
-    pub(crate) fn refresh_placement(
-        &mut self,
-        nodes: &[Option<Node>],
-        index: &SlotIndex,
-        slot: usize,
-    ) {
-        if let Some(rank) = nodes[slot].as_ref().and_then(|n| index.rank_of(n.id())) {
-            self.refresh_rank(nodes, index, rank);
-        }
-    }
-
-    fn set_misplaced(&mut self, slot: usize, now: bool) {
-        self.ensure_slot(slot);
-        let was = std::mem::replace(&mut self.misplaced[slot], now);
-        self.misplaced_count = self.misplaced_count + usize::from(now) - usize::from(was);
-    }
-
     /// Voids the certificate of the node `id` in `slot` and, with
     /// `wake`, puts it on the agenda.
     pub(crate) fn unsettle(&mut self, slot: usize, id: NodeId, wake: bool) {
@@ -240,10 +176,11 @@ impl SchedState {
     }
 
     /// End-of-turn settlement bookkeeping: diff the turn's `(l, r, ring)`
-    /// tuple to re-evaluate the node's own placement and re-verify the
-    /// certificates this turn can have invalidated, verify the node's
-    /// own certificate, and reschedule it while it is unsettled or holds
-    /// queued mail (`mail`).
+    /// tuple to re-verify the certificates this turn can have
+    /// invalidated, verify the node's own certificate, and reschedule it
+    /// while it is unsettled or holds queued mail (`mail`). Returns
+    /// whether the turn moved the node's `(l, r)`, the one part of the
+    /// diff the misplaced-node counter reads.
     ///
     /// The diff is complete for *other* nodes' certificates because
     /// reciprocity is mutual: a certificate of `q` references `p`'s
@@ -264,9 +201,9 @@ impl SchedState {
         before: TurnLinks,
         lrl_before: NodeId,
         mail: bool,
-    ) {
+    ) -> bool {
         let Some(n) = nodes[slot].as_ref() else {
-            return;
+            return false;
         };
         let after = (n.left(), n.right(), n.ring());
         if after == before && n.lrl() == lrl_before && self.is_settled(slot) {
@@ -277,10 +214,9 @@ impl SchedState {
             if mail {
                 self.schedule(slot, n.id());
             }
-            return;
+            return false;
         }
         if after != before {
-            self.refresh_placement(nodes, index, slot);
             let (b, a) = (before, after);
             let targets = [b.0.fin(), b.1.fin(), b.2, a.0.fin(), a.1.fin(), a.2];
             for t in targets.into_iter().flatten() {
@@ -292,6 +228,7 @@ impl SchedState {
         if !ok || mail {
             self.schedule(slot, n.id());
         }
+        (after.0, after.1) != (before.0, before.1)
     }
 
     /// Scheduler bookkeeping for a join: the newcomer starts unsettled
@@ -300,9 +237,7 @@ impl SchedState {
     /// neighbours and both global extremes, because seam certificates
     /// reference the min/max identity and the cross-ring pairing (a new
     /// global extreme must dethrone the settled old one eagerly, or it
-    /// would freeze as falsely settled). The newcomer and its two sorted
-    /// neighbours, whose wanted `(l, r)` now name it, have their
-    /// placement re-evaluated.
+    /// would freeze as falsely settled).
     pub(crate) fn on_insert(
         &mut self,
         nodes: &[Option<Node>],
@@ -312,9 +247,6 @@ impl SchedState {
     ) {
         self.unsettle(slot, id, true);
         let rank = index.rank_of(id).expect("just inserted");
-        for k in rank.saturating_sub(1)..=rank + 1 {
-            self.refresh_rank(nodes, index, k);
-        }
         let lane = index.sorted_ids();
         let candidates = [
             (rank > 0).then(|| lane[rank - 1]),
@@ -338,9 +270,7 @@ impl SchedState {
     /// the simulated execution: the woken nodes act, draw from the RNG and
     /// send, so waking any other set changes every later round.
     ///
-    /// The freed slot leaves the agenda and stops counting as misplaced,
-    /// and the two nodes the departure made adjacent have their
-    /// placement re-evaluated.
+    /// The freed slot leaves the agenda.
     pub(crate) fn on_remove(
         &mut self,
         nodes: &[Option<Node>],
@@ -348,15 +278,9 @@ impl SchedState {
         id: NodeId,
         slot: usize,
     ) {
+        self.set_settled(slot, false);
         if std::mem::take(&mut self.scheduled[slot]) {
             self.agenda.retain(|&(_, s)| s != slot);
-        }
-        self.set_settled(slot, false);
-        self.set_misplaced(slot, false);
-        // `id` is gone from the lanes: its old rank is where it would go.
-        let rank = index.sorted_ids().partition_point(|&x| x < id);
-        for k in rank.saturating_sub(1)..=rank {
-            self.refresh_rank(nodes, index, k);
         }
         for &s in index.sorted_slots() {
             if let Some(n) = nodes[s]
@@ -420,26 +344,6 @@ fn sort_by_id(agenda: &mut Vec<(NodeId, usize)>, scratch: &mut Vec<(NodeId, usiz
             run.sort_unstable_by_key(|&(id, _)| id);
         }
     }
-}
-
-/// One node's term of the sorted list (Definition 4.8): true when the
-/// node at `rank` of the sorted lanes does *not* store exactly its sorted
-/// predecessor and successor (`-∞`/`+∞` at the ends) as `(l, r)`. The one
-/// definition both schedules evaluate — the active set keeps a flag per
-/// slot, the full scan walks the ranks when its cached answer is stale.
-pub(crate) fn misplaced(nodes: &[Option<Node>], index: &SlotIndex, rank: usize) -> bool {
-    let ids = index.sorted_ids();
-    let n = nodes[index.sorted_slots()[rank]]
-        .as_ref()
-        .expect("indexed slots hold live nodes");
-    let want_l = match rank.checked_sub(1) {
-        Some(k) => Extended::Fin(ids[k]),
-        None => Extended::NegInf,
-    };
-    let want_r = ids
-        .get(rank + 1)
-        .map_or(Extended::PosInf, |&x| Extended::Fin(x));
-    (n.left(), n.right()) != (want_l, want_r)
 }
 
 /// The settlement certificate (see the module docs): true exactly when
@@ -614,7 +518,7 @@ mod tests {
         let mut nodes: Vec<Option<Node>> = ring.into_iter().map(Some).collect();
         let pairs = nodes.iter().flatten().enumerate().map(|(s, n)| (n.id(), s));
         let mut index = SlotIndex::from_pairs(pairs.collect()).expect("distinct ids");
-        let mut s = SchedState::new(&nodes, &index);
+        let mut s = SchedState::default();
         for (slot, n) in nodes.iter().flatten().enumerate() {
             s.schedule(slot, n.id());
         }

@@ -8,9 +8,9 @@
 //! many points along a run. The dirty-tracking flag
 //! ([`RoundStats::links_changed`]) is additionally checked for
 //! soundness: a round reported clean must leave the classification
-//! unchanged, and [`Network`]'s cached sorted level — the one place that
-//! rule is applied — must agree with a recomputation after every kind of
-//! operation that can touch the state.
+//! unchanged. [`Network`]'s misplaced-node counter must agree with a
+//! recomputation after every kind of operation that can touch the
+//! state, under either schedule.
 //!
 //! [`Network::view`]: swn_sim::Network::view
 //! [`Network::snapshot`]: swn_sim::Network::snapshot
@@ -128,10 +128,10 @@ fn clean_rounds_never_change_the_classification() {
     );
 }
 
-/// Applies one coded operation, asking the cached and the recomputed
-/// sorted level after every state change inside it. Asking is what
-/// arms the cache, so an operation that forgot to invalidate it would
-/// answer from before the change.
+/// Applies one coded operation, asking the counted and the recomputed
+/// answers after every state change inside it. Asking is what builds
+/// the counter, so a seam that forgot to update it would answer from
+/// before the change.
 fn apply_and_check(net: &mut Network, active: &mut bool, (kind, x): (u8, u64), ctx: &str) {
     let check = |net: &Network| assert_view_matches_snapshot(net, ctx);
     let ids = net.ids();
@@ -234,7 +234,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn cached_sorted_level_matches_recomputation_after_every_operation(
+    fn sorted_ring_counter_matches_recomputation_after_every_operation(
         n in 5usize..10,
         seed in 0u64..1000,
         start_active in 0u8..2,
@@ -248,8 +248,8 @@ proptest! {
         assert_view_matches_snapshot(&net, "start");
         for (k, &op) in ops.iter().enumerate() {
             apply_and_check(&mut net, &mut active, op, &format!("op {k} = {op:?}"));
-            // A checkpoint restore builds a new network: its cache must
-            // start stale, not copy an answer.
+            // A checkpoint restore builds a new network: its counter
+            // must be built afresh, not copy an answer.
             if k % 4 == 3 {
                 let doc = checkpoint_to_json(&checkpoint(&net));
                 let cp = checkpoint_from_json(&doc).expect("own document parses");
