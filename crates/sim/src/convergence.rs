@@ -1,11 +1,12 @@
 //! Convergence measurement: drive a network until it stabilizes and record
 //! when each phase of the proof was reached.
 
-use crate::faults::watch;
+use crate::faults::{watch, Verdict};
 use crate::network::Network;
 use crate::obs::Event;
 use serde::{Deserialize, Serialize};
-use swn_core::invariants::{classify_view, Phase};
+use swn_core::invariants::{weakly_connected_view, Phase};
+use swn_core::views::View;
 
 /// When each phase milestone was first reached (in rounds from the start
 /// of measurement), plus run-wide accounting.
@@ -32,6 +33,11 @@ pub struct ConvergenceReport {
     pub monotone: bool,
     /// Rounds actually executed.
     pub rounds_run: u64,
+    /// How the run ended: [`Verdict::Recovered`] at `rounds_to_ring`,
+    /// [`Verdict::PermanentlyDisconnected`] when a fault severed the CC
+    /// view, or [`Verdict::BudgetExhausted`]. `None` only in a report
+    /// that no run filled in.
+    pub verdict: Option<Verdict>,
 }
 
 impl ConvergenceReport {
@@ -48,23 +54,24 @@ impl ConvergenceReport {
 /// `watch_recovery` and the chaos scenario run share, with `horizon` 0:
 /// it stops as soon as [`Network::is_sorted_ring`] holds, and with a
 /// fault plan attached it also stops at a round whose drop severs the CC
-/// view (the report is then not stabilized, `rounds_run` below budget).
+/// view (the report is then not stabilized, `rounds_run` below budget,
+/// and its `verdict` says why).
 ///
 /// Snapshot-free, and a clean round (one whose
 /// [`links_changed`](crate::trace::RoundStats::links_changed) flag is
 /// clear) is not reclassified at all — it provably preserves the phase
 /// (see DESIGN.md §8.2 on dirty-tracking soundness).
 ///
-/// Observation is additionally *leveled*: once the LCC milestone is
-/// recorded, the remaining questions (did the sorted list form? did the
-/// ring close? did a formed list regress?) are all decided by
-/// [`Network::is_sorted_list`]/[`Network::is_sorted_ring`] — a sorted
-/// list implies LCC weak connectivity, and every sub-list phase is
-/// interchangeable for the report once `rounds_to_lcc` is set — so the
-/// per-round union-find over all stored links and channel contents
-/// disappears from the hot loop. The produced report is field-for-field
-/// identical to classifying from scratch every round (the golden-trace
-/// test pins this).
+/// Observation is additionally *leveled*: the sorted list and ring are
+/// O(1) reads ([`Network::is_sorted_list`]/[`Network::is_sorted_ring`]),
+/// and a sorted list implies LCC weak connectivity. Below the list the
+/// report only asks whether LCC is weakly connected, so a dirty round
+/// before the LCC milestone runs one union-find (the LCC view's, whose
+/// edges are a subset of CC's) instead of `classify_view`'s two, and once
+/// `rounds_to_lcc` is set — every sub-list phase is interchangeable for
+/// the report from there on — no union-find runs at all. The produced
+/// report is field-for-field identical to classifying from scratch every
+/// round (the golden-trace test pins this).
 pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
     let mut report = ConvergenceReport {
         monotone: true,
@@ -90,32 +97,36 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
         }
     };
 
-    let mut phase = classify_view(&net.view());
+    // The phase as far as the report can tell: exact from `SortedList`
+    // up; below it `LccConnected` once that milestone is recorded (the
+    // monotonicity check only compares against `best >= SortedList`),
+    // and before it `Connected` stands in for both sub-LCC phases, which
+    // no field tells apart.
+    let level = |net: &Network, lcc_reached: bool| {
+        if net.is_sorted_ring() {
+            Phase::SortedRing
+        } else if net.is_sorted_list() {
+            Phase::SortedList
+        } else if lcc_reached || weakly_connected_view(&net.view(), View::Lcc) {
+            Phase::LccConnected
+        } else {
+            Phase::Connected
+        }
+    };
+    let mut phase = level(net, false);
     let mut best = phase;
     note(net, &mut report, phase, 0);
 
     let start = net.round();
-    watch(net, 0, max_rounds, |net, stats| {
+    let verdict = watch(net, 0, max_rounds, |net, stats| {
         let round = net.round() - start;
         report.messages_to_ring += stats.total_sent();
         if stats.probe_repairs > 0 {
             report.last_probe_repair = Some(round);
         }
-        if report.rounds_to_lcc.is_some() {
-            // Leveled observation: `LccConnected` stands in for all
-            // sub-list phases — the LCC milestone is already recorded,
-            // `best` is already at least `LccConnected`, and the
-            // monotonicity check only compares against
-            // `best >= SortedList`.
-            phase = if net.is_sorted_ring() {
-                Phase::SortedRing
-            } else if net.is_sorted_list() {
-                Phase::SortedList
-            } else {
-                Phase::LccConnected
-            };
-        } else if stats.links_changed {
-            phase = classify_view(&net.view());
+        let lcc_reached = report.rounds_to_lcc.is_some();
+        if lcc_reached || stats.links_changed {
+            phase = level(net, lcc_reached);
         }
         if best >= Phase::SortedList && phase < best {
             report.monotone = false;
@@ -124,6 +135,7 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
         note(net, &mut report, phase, round);
     });
     report.rounds_run = net.round() - start;
+    report.verdict = Some(verdict);
     report
 }
 
@@ -159,10 +171,17 @@ mod tests {
     use swn_core::config::ProtocolConfig;
     use swn_core::id::evenly_spaced_ids;
 
+    /// A fault-free run, whose verdict must agree with its milestones.
     fn stabilize(kind: InitialTopology, n: usize, seed: u64) -> ConvergenceReport {
         let ids = evenly_spaced_ids(n);
         let mut net = generate(kind, &ids, ProtocolConfig::default(), seed).into_network(seed);
-        run_to_ring(&mut net, 20_000)
+        let rep = run_to_ring(&mut net, 20_000);
+        let want = match rep.rounds_to_ring {
+            Some(rounds) => Verdict::Recovered { rounds },
+            None => Verdict::BudgetExhausted { budget: 20_000 },
+        };
+        assert_eq!(rep.verdict, Some(want), "{kind:?}");
+        rep
     }
 
     #[test]
@@ -236,5 +255,6 @@ mod tests {
         let rep = run_to_ring(&mut net, 1); // 1 round cannot possibly suffice
         assert!(!rep.stabilized());
         assert_eq!(rep.rounds_run, 1);
+        assert_eq!(rep.verdict, Some(Verdict::BudgetExhausted { budget: 1 }));
     }
 }

@@ -1286,6 +1286,14 @@ mod tests {
         let report = crate::convergence::run_to_ring(&mut net, 100);
         assert!(!report.stabilized());
         assert_eq!(report.rounds_run, 1);
+        assert!(
+            matches!(
+                report.verdict,
+                Some(Verdict::PermanentlyDisconnected { round: 1, .. })
+            ),
+            "expected permanent disconnection, got {:?}",
+            report.verdict
+        );
     }
 
     #[test]

@@ -21,9 +21,18 @@
 //! O(n) — groups sit in the buffer in first-touch order, so no prefix
 //! sum over the slots is needed and a round that sent nothing returns at
 //! once.
+//!
+//! A take has two kernels. Under `Immediate` the deliver-or-keep branch
+//! follows the enqueue round alone, which the predictor gets right, so
+//! it stays a compaction loop. Under `RandomDelay` it follows a coin, so
+//! the take is a branch-free partition instead: each message is written
+//! both to the next delivered place and to the next kept place, and the
+//! verdict only moves the two cursors. The coin is `random_bool`'s
+//! compare done on integers ([`Coin`]), off the same words, drawn for
+//! the same messages in the same order.
 
 use rand::seq::SliceRandom;
-use rand::{Rng, RngExt as _};
+use rand::Rng;
 use std::ops::Range;
 use swn_core::id::NodeId;
 use swn_core::message::Message;
@@ -38,6 +47,33 @@ const DEAD: u32 = u32::MAX;
 /// flight is far beyond what fits in memory.
 fn idx(i: usize) -> u32 {
     u32::try_from(i).expect("mailbox offsets fit in u32")
+}
+
+/// [`random_bool`](rand::RngExt::random_bool)`(p)` as an integer
+/// compare, for a take's per-message draw. `random_bool` reads one word
+/// and answers `(word >> 11) · 2⁻⁵³ < p`. Scaling both sides by 2⁵³ is
+/// exact, and an integer is below a real exactly when it is below the
+/// real's ceiling, so `(word >> 11) < ⌈p · 2⁵³⌉` answers the same off
+/// the same word — for every `p`, NaN and the ends of [0, 1] included
+/// (the float-to-int cast saturates).
+#[derive(Clone, Copy, Debug)]
+struct Coin {
+    below: u64,
+}
+
+impl Coin {
+    fn new(p: f64) -> Self {
+        // Saturating on purpose: NaN and p ≤ 0 give 0, "never".
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let below = (p * (1u64 << 53) as f64).ceil() as u64;
+        Coin { below }
+    }
+
+    /// Draws the word `random_bool` would and gives its answer.
+    #[inline]
+    fn flip<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
+        rng.next_u64() >> 11 < self.below
+    }
 }
 
 /// The committed buffer's parallel lanes. `tags` is *lazy*:
@@ -280,12 +316,15 @@ impl Mailbox {
     /// delivered *or kept* is a root from here on.
     ///
     /// **RNG-stream equality.** The draws depend on neither `D` nor
-    /// `traced`: the per-message `random_bool` draws depend only on the
-    /// enqueue rounds, `now` and `policy`, and `shuffle` consumes draws
-    /// as a function of slice *length* alone. So delivery order and
-    /// every downstream draw are bit-for-bit the same whatever rides
-    /// along — pinned by `every_delivery_form_takes_the_same_messages`
-    /// below and the golden event-stream fingerprint.
+    /// `traced`: under `RandomDelay` one word is drawn per message that
+    /// is eligible (`enq < now`) and not yet forced, in range order, and
+    /// read as `random_bool(p_deliver)` would read it ([`Coin`]) — so
+    /// the draws depend only on the enqueue rounds, `now` and `policy` —
+    /// and `shuffle` consumes draws as a function of slice *length*
+    /// alone. So delivery order and every downstream draw are
+    /// bit-for-bit the same whatever rides along — pinned by
+    /// `every_delivery_form_takes_the_same_messages` in `channel.rs`,
+    /// the reference take below and the golden event-stream fingerprint.
     pub(crate) fn take_deliverable_into<D: Delivery, R: Rng + ?Sized>(
         &mut self,
         slot: usize,
@@ -312,29 +351,62 @@ impl Mailbox {
         if !tagged && !tags.is_empty() {
             tags.fill(CauseTag::ROOT);
         }
-        let mut kept = 0;
-        for i in 0..len {
-            let enqueued_at = enq[i];
-            let tag = tags.get(i).copied().unwrap_or(CauseTag::ROOT);
-            let deliver = enqueued_at < now
-                && match policy {
-                    DeliveryPolicy::Immediate => true,
-                    DeliveryPolicy::RandomDelay {
-                        p_deliver,
-                        max_delay,
-                    } => now - enqueued_at >= max_delay || rng.random_bool(p_deliver),
-                };
-            if deliver {
-                out.push(D::of(msgs[i], enqueued_at, tag));
-            } else {
-                msgs[kept] = msgs[i];
-                enq[kept] = enqueued_at;
-                if let Some(t) = tags.get_mut(kept).filter(|_| tagged) {
-                    *t = tag;
+        let kept = match policy {
+            DeliveryPolicy::Immediate => {
+                let mut kept = 0;
+                for i in 0..len {
+                    let enqueued_at = enq[i];
+                    let tag = tags.get(i).copied().unwrap_or(CauseTag::ROOT);
+                    if enqueued_at < now {
+                        out.push(D::of(msgs[i], enqueued_at, tag));
+                    } else {
+                        msgs[kept] = msgs[i];
+                        enq[kept] = enqueued_at;
+                        if let Some(t) = tags.get_mut(kept).filter(|_| tagged) {
+                            *t = tag;
+                        }
+                        kept += 1;
+                    }
                 }
-                kept += 1;
+                kept
             }
-        }
+            DeliveryPolicy::RandomDelay {
+                p_deliver,
+                max_delay,
+            } => {
+                // A coin decides each message, so a branch on it would
+                // mispredict as often as the coin surprises (half the
+                // time at p = 0.5): every message is written both to
+                // `out`'s next free place and to the range's next kept
+                // place, and the verdict only moves one of the two
+                // cursors.
+                let coin = Coin::new(p_deliver);
+                let first = D::of(msgs[0], enq[0], CauseTag::ROOT);
+                out.resize(len, first);
+                let (mut sent, mut kept) = (0, 0);
+                for i in 0..len {
+                    let (msg, enqueued_at) = (msgs[i], enq[i]);
+                    let tag = tags.get(i).copied().unwrap_or(CauseTag::ROOT);
+                    out[sent] = D::of(msg, enqueued_at, tag);
+                    msgs[kept] = msg;
+                    enq[kept] = enqueued_at;
+                    if let Some(t) = tags.get_mut(kept).filter(|_| tagged) {
+                        *t = tag;
+                    }
+                    // A word is drawn only for an eligible message not
+                    // yet forced, as before; that test rarely flips.
+                    let deliver = if enqueued_at < now && now - enqueued_at < max_delay {
+                        coin.flip(rng)
+                    } else {
+                        enqueued_at < now
+                    };
+                    sent += usize::from(deliver);
+                    kept += usize::from(!deliver);
+                }
+                out.truncate(sent);
+                kept
+            }
+        };
         rec.len = idx(kept);
         self.live -= len - kept;
         out.shuffle(rng);
@@ -347,7 +419,7 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt as _, SeedableRng};
 
     type Entry = (Message, u64, CauseTag);
 
@@ -406,10 +478,27 @@ mod tests {
         }
     }
 
-    const DELAY: DeliveryPolicy = DeliveryPolicy::RandomDelay {
-        p_deliver: 0.5,
-        max_delay: 3,
-    };
+    /// The `RandomDelay` policies a take under bit 8 draws from, picked
+    /// by bits 12-13: a fair coin; every eligible message delivered;
+    /// nearly everything kept until forced; everything forced at once.
+    const DELAYS: [DeliveryPolicy; 4] = [
+        DeliveryPolicy::RandomDelay {
+            p_deliver: 0.5,
+            max_delay: 3,
+        },
+        DeliveryPolicy::RandomDelay {
+            p_deliver: 1.0,
+            max_delay: 3,
+        },
+        DeliveryPolicy::RandomDelay {
+            p_deliver: 1e-3,
+            max_delay: 8,
+        },
+        DeliveryPolicy::RandomDelay {
+            p_deliver: 0.5,
+            max_delay: 1,
+        },
+    ];
 
     // The coded operations of a script; the `u64` beside the code picks
     // the slot (low byte) and the variant (bits 8 and up). The round a
@@ -426,8 +515,11 @@ mod tests {
     /// Runs one script on a mailbox and on the reference in lockstep:
     /// the same deliveries in the same order off the same RNG draws from
     /// every take, the same queue lengths after every operation, the
-    /// same `as_slice` per slot after every commit, and — drained by a
-    /// forced traced take at the end — the same enqueue rounds and tags.
+    /// same `as_slice` per slot after every commit, the same committed
+    /// messages, enqueue rounds and tags per slot after every operation
+    /// (what a take keeps back included), and — drained by a forced
+    /// traced take at the end — the same enqueue rounds and tags handed
+    /// out.
     fn run_script(script: &[(u8, u64)]) {
         let mut mail = Mailbox::with_slots(2);
         let mut model = PerSlotVecs::default();
@@ -444,7 +536,7 @@ mod tests {
             let ctx = format!("step {step}: op {op} on slot {slot} of {slots} at round {now}");
             let mut take = |slot: usize, now: u64| {
                 let policy = if bit(8) {
-                    DELAY
+                    DELAYS[usize::from(x.to_le_bytes()[1] >> 4 & 3)]
                 } else {
                     DeliveryPolicy::Immediate
                 };
@@ -510,6 +602,17 @@ mod tests {
             assert_eq!(mail.live, live, "{ctx}: live count");
             for s in 0..model.queues.len() {
                 assert_eq!(mail.len(s), model.len(s), "{ctx}: slot {s} length");
+            }
+            for (s, queue) in model.queues.iter().enumerate() {
+                let lanes = &mail.buf;
+                let held: Vec<Entry> = mail
+                    .range(s)
+                    .map(|k| {
+                        let tag = lanes.tags.get(k).copied().unwrap_or(CauseTag::ROOT);
+                        (lanes.msgs[k], lanes.enq[k], tag)
+                    })
+                    .collect();
+                assert_eq!(&held, queue, "{ctx}: slot {s} lanes");
             }
         }
         assert_eq!(mail.live, 0, "the forced take drains everything");
@@ -600,6 +703,37 @@ mod tests {
         assert_eq!(mail.as_slice(1), [lin(2), lin(5)]);
         assert_eq!(take(&mut mail, 0, now + 1), [(lin(4), 4), (lin(6), 4)]);
         assert_eq!(take(&mut mail, 1, now + 1), [(lin(2), 3), (lin(5), 4)]);
+    }
+
+    #[test]
+    fn the_integer_coin_answers_as_random_bool_does() {
+        /// A stream of one repeated word.
+        struct Word(u64);
+        impl Rng for Word {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        let tiny = 0.5f64.powi(53);
+        for p in [1.0, 0.5, 1e-3, tiny, 1.0 - tiny, 1e-300] {
+            let coin = Coin::new(p);
+            let mut rng = StdRng::seed_from_u64(p.to_bits());
+            let mut reference = rng.clone();
+            for _ in 0..100_000 {
+                assert_eq!(coin.flip(&mut rng), reference.random_bool(p), "p = {p}");
+            }
+            // The answer turns from yes to no between the 53-bit draws
+            // `below - 1` and `below`, whatever the 11 discarded bits.
+            let draws = coin.below.saturating_sub(2)..(coin.below + 2).min(1 << 53);
+            for draw in draws {
+                for low in [0, 0x7ff] {
+                    let word = draw << 11 | low;
+                    let yes = coin.flip(&mut Word(word));
+                    assert_eq!(yes, Word(word).random_bool(p), "p = {p}, word {word:#x}");
+                    assert_eq!(yes, draw < coin.below, "p = {p}, word {word:#x}");
+                }
+            }
+        }
     }
 
     proptest! {
