@@ -1,24 +1,128 @@
-//! Pinned sizes of the small scopes the acceptance suite and CI explore,
-//! and the violation each seeded mutant is caught with.
+//! The small scopes the acceptance suite and CI explore, each built
+//! once: its pinned size, its clean exhaustive verdict, the edge-local
+//! facts the verdicts are built from, and the violation each seeded
+//! mutant is caught with.
 //!
-//! The numbers are properties of the budgeted model (reachable states,
+//! The real-protocol scopes are the runs the paper's safety lemmas
+//! predict to be clean: every message-delivery order and regular-action
+//! schedule (one regular action per node, set-semantics channels)
+//! preserves weak CC-connectivity and the monotone phase predicates, and
+//! every quiescent state is reached without a single monitor firing.
+//! Each graph branches on every coin outcome of `move-forget`, so it
+//! covers the all-`0` and all-`MAX` coin sequences and every mixed one.
+//! On each of them, read straight off [`FairGraph`]'s fields with no
+//! analysis in between:
+//!
+//! * the ranking potential never increases along an edge;
+//! * every sorted-ring (goal) state sits at [`GOAL_RANK`];
+//! * no edge leads from an `is_ring_stable_config` state to one that is
+//!   not (closure of the ring-stable region);
+//! * from the ring seed, every reachable state is ring-stable.
+//!
+//! Any analysis that reports these verdicts must agree with this file.
+//! The sizes are properties of the budgeted model (reachable states,
 //! quiescent states, and transitions counted once per action and
 //! distinct successor), not of the search that walks it: any exhaustive
 //! exploration of the same scope must reproduce them.
-//! Only `explore` below knows which search that is.
 
 use rand::Rng;
-use swn_analyzer::families::{demo_fault_state, livelock_demo_state};
+use swn_analyzer::families::{demo_fault_state, livelock_demo_state, ring_state};
 use swn_analyzer::{
     BounceLinStepper, Coins, DropLinStepper, FairGraph, Family, RealStepper, SelfEchoStepper,
-    State, Stepper, Violation,
+    State, Stepper, Violation, GOAL_RANK,
 };
 use swn_core::id::{evenly_spaced_ids, Extended};
 use swn_core::message::Message;
 use swn_core::node::Node;
 use swn_core::outbox::Outbox;
 
-/// What one exhaustive exploration of a scope reports.
+/// The state cap every scope here stays far below.
+const MAX_STATES: usize = 2_000_000;
+
+/// Builds a real-protocol scope's graph once and checks it: explored
+/// exhaustively with no violation, at least one quiescent state, and the
+/// edge-local rank, closure and goal facts. Returns the graph.
+fn clean_scope(initial: &State, scope: &str) -> FairGraph {
+    let g = FairGraph::build(initial, &RealStepper, MAX_STATES);
+    assert!(
+        !g.truncated && g.violation.is_none(),
+        "{scope}: violation={:?}",
+        g.violation
+    );
+    assert!(g.terminals().count() > 0, "{scope}: never quiesces");
+    for (v, out) in g.edges.iter().enumerate() {
+        for &(_, w) in out {
+            let w = w as usize;
+            assert!(g.rank[w] <= g.rank[v], "{scope}: rank rises {v} -> {w}");
+            assert!(
+                !g.stable[v] || g.stable[w],
+                "{scope}: edge {v} -> {w} leaves the ring-stable region"
+            );
+        }
+        assert!(
+            !g.pred[v].sorted_ring || g.rank[v] == GOAL_RANK,
+            "{scope}: goal state {v} above the minimum rank"
+        );
+    }
+    g
+}
+
+/// States, quiescent states and transitions.
+fn sizes(g: &FairGraph) -> (usize, usize, usize) {
+    (g.len(), g.terminals().count(), g.edge_count())
+}
+
+#[test]
+fn n3_budget1_line_sizes() {
+    let g = clean_scope(&Family::Line.initial_state(3, 1, 1), "line n=3");
+    assert_eq!(sizes(&g), (107_919, 25, 636_288));
+}
+
+#[test]
+fn n3_budget1_star_sizes() {
+    let g = clean_scope(&Family::Star.initial_state(3, 1, 1), "star n=3");
+    assert_eq!(sizes(&g), (157_257, 18, 948_423));
+}
+
+#[test]
+fn clique_is_clean_and_exhaustive() {
+    let g = clean_scope(&Family::Clique.initial_state(3, 1, 1), "clique n=3");
+    assert!(g.len() > 1_000, "search must be non-trivial");
+}
+
+#[test]
+fn n2_budget3_line_sizes() {
+    let g = clean_scope(&Family::Line.initial_state(2, 3, 1), "line n=2 budget=3");
+    assert_eq!(sizes(&g), (551_943, 28, 4_259_937));
+}
+
+#[test]
+fn n2_budget1_family_scopes() {
+    for (family, want) in [
+        (Family::Line, (1_005, 4_048)),
+        (Family::Star, (1_005, 4_048)),
+        (Family::Clique, (1_801, 8_450)),
+    ] {
+        let scope = family.label();
+        let g = clean_scope(&family.initial_state(2, 1, 1), scope);
+        assert_eq!((g.len(), g.edge_count()), want, "{scope}");
+    }
+}
+
+#[test]
+fn ring_seed_stays_ring_stable() {
+    for (n, want) in [(2, (1_369, 6_290)), (3, (154_541, 1_100_840))] {
+        let scope = format!("ring n={n}");
+        let g = clean_scope(&ring_state(n, 1), &scope);
+        assert_eq!((g.len(), g.edge_count()), want, "{scope}");
+        assert!(
+            g.stable.iter().all(|&b| b),
+            "{scope}: a state is not ring-stable"
+        );
+    }
+}
+
+/// What one exhaustive exploration of a mutant's scope reports.
 #[derive(Debug, PartialEq)]
 struct Explored {
     states: usize,
@@ -28,48 +132,15 @@ struct Explored {
 }
 
 fn explore(initial: &State, stepper: &dyn Stepper) -> Explored {
-    let g = FairGraph::build(initial, stepper, 2_000_000);
+    let g = FairGraph::build(initial, stepper, MAX_STATES);
     assert_eq!(g.truncated, g.violation.is_some(), "state cap hit");
+    let (states, terminals, transitions) = sizes(&g);
     Explored {
-        states: g.len(),
-        terminals: g.terminals().count(),
-        transitions: g.edge_count(),
+        states,
+        terminals,
+        transitions,
         violation: g.violation.map(|f| f.violation),
     }
-}
-
-fn assert_clean_sizes(
-    family: Family,
-    n: usize,
-    budget: u32,
-    (states, terminals, transitions): (usize, usize, usize),
-) {
-    assert_eq!(
-        explore(&family.initial_state(n, budget, 1), &RealStepper),
-        Explored {
-            states,
-            terminals,
-            transitions,
-            violation: None,
-        },
-        "{} n={n} budget={budget}",
-        family.label()
-    );
-}
-
-#[test]
-fn n3_budget1_line_sizes() {
-    assert_clean_sizes(Family::Line, 3, 1, (107_919, 25, 636_288));
-}
-
-#[test]
-fn n3_budget1_star_sizes() {
-    assert_clean_sizes(Family::Star, 3, 1, (157_257, 18, 948_423));
-}
-
-#[test]
-fn n2_budget3_line_sizes() {
-    assert_clean_sizes(Family::Line, 2, 3, (551_943, 28, 4_259_937));
 }
 
 #[test]

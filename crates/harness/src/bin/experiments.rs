@@ -34,6 +34,7 @@
 use std::time::Instant;
 use swn_harness::table::Table;
 use swn_harness::*;
+use swn_sim::faults::Verdict;
 
 /// `$m::Params` at the requested scale.
 macro_rules! preset {
@@ -189,7 +190,7 @@ fn main() {
             "verdict: {} — flight-recorder dump written to {file}",
             rep.verdict.outcome()
         );
-        if rep.verdict.outcome() != "disconnected" {
+        if !matches!(rep.verdict, Verdict::PermanentlyDisconnected { .. }) {
             eprintln!("expected a permanently-disconnected verdict, got {rep:?}");
             std::process::exit(1);
         }

@@ -518,7 +518,8 @@ fn disconnect_demo_with(sink: Option<Box<dyn Sink>>) -> WatchReport {
 /// `PermanentlyDisconnected` verdict trips the recorder's auto-dump, so
 /// after this returns `path` holds a JSONL post-mortem — the recent
 /// event ring ending in the fault, span, cascade and verdict records,
-/// with the culprit drop named in the verdict detail ("sole carrier").
+/// the last carrying the verdict with its culprit drop (`experiments
+/// report` renders it as "... was a sole carrier").
 /// This is the CI fault-matrix artifact.
 pub fn write_post_mortem(path: impl Into<std::path::PathBuf>) -> WatchReport {
     let (recorder, _buffer) = FlightRecorder::new(512);
@@ -629,6 +630,7 @@ pub fn replay_file(path: &str) -> Result<(Scenario, RunResult), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swn_sim::obs::{parse_record, Event};
 
     fn tiny() -> Params {
         let mut p = Params::quick();
@@ -769,16 +771,29 @@ mod tests {
         let path = dir.join("postmortem.jsonl");
         let _ = std::fs::remove_file(&path);
         let rep = write_post_mortem(&path);
-        assert_eq!(rep.verdict.outcome(), "disconnected");
         let dump = std::fs::read_to_string(&path).expect("anomaly auto-dumped the ring");
-        assert!(dump.contains("sole carrier"), "culprit named: {dump}");
+        let events: Vec<Event> = dump
+            .lines()
+            .map(|line| parse_record(line).expect("every dumped line parses").event)
+            .collect();
         // The dump is the full recent-event ring, ending in the verdict:
         // span and cascade records are already inside it.
-        assert!(dump.contains("\"Cascade\""), "cascade record present");
-        assert!(dump.contains("\"Verdict\""), "verdict record present");
-        for line in dump.lines() {
-            swn_sim::obs::parse_record(line).expect("every dumped line parses");
-        }
+        assert!(events.iter().any(|e| matches!(e, Event::Cascade { .. })));
+        let Some(Event::Verdict { verdict, .. }) = events.last() else {
+            panic!("the dump ends in the verdict: {dump}");
+        };
+        assert_eq!(verdict, &rep.verdict);
+        let Verdict::PermanentlyDisconnected {
+            culprit: Some(c), ..
+        } = verdict
+        else {
+            panic!("expected a named culprit, got {verdict:?}");
+        };
+        let (a, b) = (NodeId::from_fraction(0.2), NodeId::from_fraction(0.5));
+        assert_eq!((c.src, c.dest), (a, b));
+        assert_eq!(c.msg, Message::Lin(NodeId::from_fraction(0.8)));
+        let rendered = crate::report::render_report(&dump).expect("the dump renders");
+        assert!(rendered.contains("sole carrier"), "{rendered}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -5,6 +5,8 @@
 
 use std::fmt::Write as _;
 use swn_core::message::MessageKind;
+use swn_sim::faults::Verdict;
+use swn_sim::obs::causal::CascadeStats;
 use swn_sim::obs::{parse_record, Event, Histogram};
 use swn_sim::trace::RoundStats;
 
@@ -78,14 +80,10 @@ fn render_timeline(out: &mut String, events: &[Event]) {
             _ => None,
         })
         .collect();
-    let verdicts: Vec<(u64, &str, &str)> = events
+    let verdicts: Vec<(u64, &Verdict)> = events
         .iter()
         .filter_map(|e| match e {
-            Event::Verdict {
-                round,
-                outcome,
-                detail,
-            } => Some((*round, outcome.as_str(), detail.as_str())),
+            Event::Verdict { round, verdict } => Some((*round, verdict)),
             _ => None,
         })
         .collect();
@@ -110,8 +108,8 @@ fn render_timeline(out: &mut String, events: &[Event]) {
             end.saturating_sub(start)
         );
     }
-    for (round, outcome, detail) in verdicts {
-        let _ = writeln!(out, "  verdict {outcome}@{round}: {detail}");
+    for (round, verdict) in verdicts {
+        let _ = writeln!(out, "  verdict {}@{round}: {verdict}", verdict.outcome());
     }
 }
 
@@ -122,7 +120,7 @@ fn render_phases(out: &mut String, events: &[Event]) {
         .iter()
         .filter_map(|e| match e {
             Event::Round { phases: p, .. } => Some([
-                p.shuffle_ns,
+                p.order_ns,
                 p.channel_ns,
                 p.deliver_ns,
                 p.flush_ns,
@@ -197,28 +195,27 @@ fn render_mix(out: &mut String, events: &[Event]) {
 #[allow(clippy::cast_precision_loss)]
 fn render_cascades(out: &mut String, events: &[Event]) {
     for e in events {
-        if let Event::Cascade {
-            label,
-            start,
-            end,
-            delivered,
-            roots,
-            edges,
-            depth,
-            width_max,
-            handled_by_kind,
-            children_by_kind,
-        } = e
-        {
+        if let Event::Cascade { label, report } = e {
+            let CascadeStats {
+                depth,
+                roots,
+                edges,
+                handled_by_kind,
+                children_by_kind,
+                ..
+            } = &report.stats;
+            let (start, end) = (report.start, report.end);
             let _ = writeln!(
                 out,
                 "\nrepair cascade \"{label}\": rounds {start} -> {end} ({} rounds)",
-                end.saturating_sub(*start)
+                end.saturating_sub(start)
             );
             let _ = writeln!(
                 out,
-                "  {delivered} deliveries = {roots} roots + {edges} caused, depth max {}, width max {width_max}",
-                depth.max()
+                "  {} deliveries = {roots} roots + {edges} caused, depth max {}, width max {}",
+                report.delivered(),
+                depth.max(),
+                report.stats.width_max()
             );
             render_hist(out, "cascade depth (hops from root)", depth);
             let _ = writeln!(
@@ -353,6 +350,7 @@ fn render_hist(out: &mut String, name: &str, h: &Histogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swn_sim::obs::causal::CascadeReport;
     use swn_sim::obs::{PhaseTimes, Record, SCHEMA_VERSION};
 
     fn line(ev: Event) -> String {
@@ -364,6 +362,11 @@ mod tests {
         h.record(1);
         h.record(1);
         h.record(3);
+        // Nine deliveries: two roots and seven caused, four at depth 1.
+        let mut cascade_depth = Histogram::new();
+        for d in [0, 0, 1, 1, 1, 1, 2, 2, 3] {
+            cascade_depth.record(d);
+        }
         let events = vec![
             Event::RunMeta {
                 n: 16,
@@ -380,7 +383,7 @@ mod tests {
                     ..RoundStats::default()
                 },
                 phases: PhaseTimes {
-                    shuffle_ns: 100,
+                    order_ns: 100,
                     channel_ns: 300,
                     deliver_ns: 500,
                     flush_ns: 80,
@@ -411,20 +414,22 @@ mod tests {
             },
             Event::Verdict {
                 round: 14,
-                outcome: "recovered".to_string(),
-                detail: "rounds=4".to_string(),
+                verdict: Verdict::Recovered { rounds: 4 },
             },
             Event::Cascade {
                 label: "recovery".to_string(),
-                start: 10,
-                end: 14,
-                delivered: 9,
-                roots: 2,
-                edges: 7,
-                depth: h.clone(),
-                width_max: 4,
-                handled_by_kind: vec![5, 4, 0, 0, 0, 0, 0],
-                children_by_kind: vec![6, 1, 0, 0, 0, 0, 0],
+                report: CascadeReport {
+                    start: 10,
+                    end: 14,
+                    stats: CascadeStats {
+                        depth: cascade_depth,
+                        roots: 2,
+                        edges: 7,
+                        width: vec![2, 4, 2, 1],
+                        handled_by_kind: vec![5, 4, 0, 0, 0, 0, 0],
+                        children_by_kind: vec![6, 1, 0, 0, 0, 0, 0],
+                    },
+                },
             },
             Event::Summary {
                 rounds: 9,
@@ -475,7 +480,7 @@ mod tests {
             "{report}"
         );
         assert!(
-            report.contains("9 deliveries = 2 roots + 7 caused"),
+            report.contains("9 deliveries = 2 roots + 7 caused, depth max 3, width max 4"),
             "{report}"
         );
         assert!(report.contains("per-kind fan-out"), "{report}");

@@ -197,20 +197,16 @@ fn run_scenario_inner(s: &Scenario) -> RunResult {
     let mut net = s.build();
     net.attach_faults(s.plan.clone());
     let horizon = s.horizon();
-    let (mut messages, mut dropped_fault) = (0, 0);
     // One watch from the first round: through the horizon only a
     // severance can end it (windows are still open, crashes still
     // down); past it what remains is pure recovery, so `Recovered`
     // measures MTTR directly.
-    let verdict = watch(&mut net, horizon, s.budget, |_, stats| {
-        messages += stats.total_sent();
-        dropped_fault += stats.dropped_fault;
-    });
+    let watched = watch(&mut net, horizon, s.budget, |_, _| {});
     RunResult {
-        outcome: Outcome::Verdict(verdict),
+        outcome: Outcome::Verdict(watched.verdict),
         horizon,
-        messages,
-        dropped_fault,
+        messages: watched.totals.total_sent(),
+        dropped_fault: watched.totals.dropped_fault,
     }
 }
 

@@ -10,7 +10,13 @@
 //! them; the first probe whose long-range link crosses the gap fails and
 //! repairs it, after which linearization closes the ring again in
 //! O(ln^(2+ε) n) steps (Theorem 4.24, second part).
+//!
+//! Every recovery is watched by the fault watchdog's loop, and its
+//! [`RecoveryReport`] keeps that loop's [`Verdict`]: departures that cut
+//! the knowledge graph read [`Verdict::PermanentlyDisconnected`], not a
+//! slow run.
 
+use crate::faults::{watch, Verdict};
 use crate::network::Network;
 use crate::obs::Event;
 use rand::rngs::StdRng;
@@ -35,12 +41,13 @@ pub struct RecoveryReport {
     /// messages (joins only): the newcomer's integration path — the
     /// paper's "steps" of Theorem 4.24.
     pub path_nodes: usize,
-    /// The round budget this measurement ran under, counted from the
-    /// fault instant (the `measure_recovery` call), *not* from the start
-    /// of the run. Lets callers tell "did not recover in `budget`
-    /// rounds" apart from "the budget was spent before the fault even
-    /// landed" when composing measurements.
-    pub budget: u64,
+    /// How the watch ended: [`Verdict::Recovered`] at `rounds`,
+    /// [`Verdict::PermanentlyDisconnected`] when the departures severed
+    /// the CC view, or [`Verdict::BudgetExhausted`] with the budget,
+    /// which counts from the fault instant (the `measure_recovery`
+    /// call), *not* from the start of the run. `None` only in a report
+    /// that no run filled in.
+    pub verdict: Option<Verdict>,
 }
 
 impl RecoveryReport {
@@ -147,19 +154,17 @@ pub fn leave_random(net: &mut Network, seed: u64, max_rounds: u64) -> (NodeId, R
 /// Steps the network until the sorted ring holds again, for at most
 /// `max_rounds` rounds **counted from this call** (the fault instant) —
 /// a caller that warmed the network first does not eat into the budget.
-/// Returns the rounds-to-recovery (`None` on budget exhaustion) plus
-/// message accounting; the budget itself is echoed in the report.
+/// Returns the watch's verdict, the rounds-to-recovery (`None` unless
+/// recovered) and message accounting.
 pub fn measure_recovery(net: &mut Network, max_rounds: u64) -> RecoveryReport {
-    let mut report = RecoveryReport {
-        budget: max_rounds,
-        ..RecoveryReport::default()
-    };
-    let verdict = crate::faults::watch(net, 0, max_rounds, |_, stats| {
-        report.messages += stats.total_sent();
-        report.tracked_messages += stats.tracked_sent;
-    });
-    report.rounds = verdict.recovered_rounds();
-    report
+    let watched = watch(net, 0, max_rounds, |_, _| {});
+    RecoveryReport {
+        rounds: watched.verdict.recovered_rounds(),
+        messages: watched.totals.total_sent(),
+        tracked_messages: watched.totals.tracked_sent,
+        path_nodes: 0,
+        verdict: Some(watched.verdict),
+    }
 }
 
 /// A fresh stable network of `n` evenly spaced nodes that has additionally
@@ -280,22 +285,25 @@ mod tests {
     #[test]
     fn recovery_budget_counts_from_the_fault_instant() {
         // A long pre-run must not eat into the recovery budget, and the
-        // budget is echoed in the report so callers can tell "did not
-        // recover in k rounds" from "k was spent before the fault".
+        // verdict names the budget it exhausted, so callers can tell "did
+        // not recover in k rounds" from "k was spent before the fault".
         let mut net = stable_network(8, ProtocolConfig::default(), 11, 0);
         net.run(500);
         let ids = net.ids();
         let rep = leave(&mut net, ids[3], 4000);
-        assert_eq!(rep.budget, 4000);
         assert!(rep.recovered(), "{rep:?}");
-        // An impossible budget exhausts honestly: rounds = None, budget
-        // still reported.
+        assert_eq!(
+            rep.verdict,
+            rep.rounds.map(|rounds| Verdict::Recovered { rounds })
+        );
+        // An impossible budget exhausts honestly: rounds = None, and the
+        // verdict reports the budget.
         let mut net2 = stable_network(8, ProtocolConfig::default(), 12, 0);
         net2.run(500);
         let ids2 = net2.ids();
         let rep2 = leave(&mut net2, ids2[3], 1);
         assert!(!rep2.recovered(), "{rep2:?}");
-        assert_eq!(rep2.budget, 1);
+        assert_eq!(rep2.verdict, Some(Verdict::BudgetExhausted { budget: 1 }));
     }
 
     #[test]

@@ -118,9 +118,8 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
     note(net, &mut report, phase, 0);
 
     let start = net.round();
-    let verdict = watch(net, 0, max_rounds, |net, stats| {
+    let watched = watch(net, 0, max_rounds, |net, stats| {
         let round = net.round() - start;
-        report.messages_to_ring += stats.total_sent();
         if stats.probe_repairs > 0 {
             report.last_probe_repair = Some(round);
         }
@@ -135,7 +134,8 @@ pub fn run_to_ring(net: &mut Network, max_rounds: u64) -> ConvergenceReport {
         note(net, &mut report, phase, round);
     });
     report.rounds_run = net.round() - start;
-    report.verdict = Some(verdict);
+    report.messages_to_ring = watched.totals.total_sent();
+    report.verdict = Some(watched.verdict);
     report
 }
 

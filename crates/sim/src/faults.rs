@@ -33,7 +33,11 @@
 //!   reports the culprit drop as root cause instead of letting the run
 //!   time out silently. (An injected [`Perturbation`] *can* re-link
 //!   components by oracle, so E10 schedules perturbations before, not
-//!   after, its loss windows.)
+//!   after, its loss windows.) Its loop returns one [`WatchReport`] —
+//!   the [`Verdict`], the watched rounds' summed [`RoundStats`] and, from
+//!   [`watch_recovery`], the repair cascade — which every caller keeps,
+//!   and the `Verdict` and `Cascade` records a sink receives carry the
+//!   same values.
 
 // Runs while faults are live, where a panic is indistinguishable from
 // the protocol bug being hunted: errors are `Result`s or named outcomes.
@@ -1047,29 +1051,53 @@ impl Verdict {
     }
 }
 
-/// Outcome of a [`watch_recovery`] run.
+/// The verdict's parameters and root cause, as `experiments report`
+/// prints them after the [`outcome`](Verdict::outcome) label.
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Verdict::Recovered { rounds } => write!(f, "rounds={rounds}"),
+            Verdict::PermanentlyDisconnected {
+                round,
+                culprit: Some(c),
+            } => write!(
+                f,
+                "at round {round}: dropped {:?} from {:?} to {:?} in round {} was a sole carrier",
+                c.msg, c.src, c.dest, c.round
+            ),
+            Verdict::PermanentlyDisconnected {
+                round,
+                culprit: None,
+            } => write!(
+                f,
+                "at round {round}: culprit not identifiable from the drop log"
+            ),
+            Verdict::BudgetExhausted { budget } => write!(f, "budget={budget}"),
+        }
+    }
+}
+
+/// Outcome of one watch: what every caller of the watch loop keeps.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WatchReport {
     /// The watchdog's classification.
     pub verdict: Verdict,
-    /// Messages sent during the watch (overhead accounting).
-    pub messages: u64,
-    /// Messages the injector destroyed during the watch.
-    pub dropped_fault: u64,
-    /// The round budget the watch ran under.
-    pub budget: u64,
+    /// The watched rounds' [`RoundStats`], summed: messages sent, the
+    /// injector's drops, and every other counter of those rounds.
+    pub totals: RoundStats,
     /// Shape of the repair cascade observed during the watch: depth
     /// histogram, width profile and per-kind fan-out of its repair chains.
-    /// Present only when a sink was attached — depth tags exist only on
-    /// the instrumented path.
+    /// Filled in only by [`watch_recovery`], and only when a sink was
+    /// attached — depth tags exist only on the instrumented path.
     pub cascade: Option<CascadeReport>,
 }
 
 /// The one "step until it is the sorted ring again" loop:
 /// [`run_to_ring`](crate::convergence::run_to_ring), `measure_recovery`,
-/// [`watch_recovery`] and the chaos scenario run are this function with
-/// their own `on_round` closures, which see the network after each round
-/// together with its stats.
+/// [`watch_recovery`] and the chaos scenario run are this function, and
+/// each keeps the [`WatchReport`] it returns. `run_to_ring` also passes an
+/// `on_round` closure for its milestones, which sees the network after
+/// each round together with its stats; the others pass a no-op.
 ///
 /// Rounds up to `horizon` (an absolute round; one already reached, such
 /// as 0, means none) are driven regardless — scheduled faults are still
@@ -1081,13 +1109,14 @@ pub struct WatchReport {
 /// knowledge — a drop (crash channel loss counts) or a state erasure (a
 /// perturbed or crashed node's overwritten pointers) — may
 /// have removed the only edge into a component, and a disconnected CC
-/// view is final (see [`watch_recovery`]).
+/// view is final (see [`watch_recovery`]). The report's `totals` sum
+/// every round the loop stepped, and its `cascade` is `None`.
 pub(crate) fn watch(
     net: &mut Network,
     horizon: u64,
     budget: u64,
     mut on_round: impl FnMut(&mut Network, &RoundStats),
-) -> Verdict {
+) -> WatchReport {
     let severed = |net: &Network| {
         (!weakly_connected_view(&net.view(), View::Cc)).then(|| Verdict::PermanentlyDisconnected {
             round: net.round(),
@@ -1095,26 +1124,33 @@ pub(crate) fn watch(
         })
     };
     let start = horizon.max(net.round());
-    loop {
+    let mut totals = RoundStats::default();
+    let verdict = loop {
         if let Some(rounds) = net.round().checked_sub(start) {
             if net.is_sorted_ring() {
-                return Verdict::Recovered { rounds };
+                break Verdict::Recovered { rounds };
             }
             if rounds == budget {
                 // Knowledge can also be lost where no watched round shows
                 // it — bare departures, or damage done before the watch
                 // began — so a run that spent its budget is slow only if
                 // it is still connected.
-                return severed(net).unwrap_or(Verdict::BudgetExhausted { budget });
+                break severed(net).unwrap_or(Verdict::BudgetExhausted { budget });
             }
         }
         let stats = net.step();
+        totals += &stats;
         on_round(net, &stats);
         if stats.dropped_fault > 0 || stats.erased_fault > 0 {
             if let Some(verdict) = severed(net) {
-                return verdict;
+                break verdict;
             }
         }
+    };
+    WatchReport {
+        verdict,
+        totals,
+        cascade: None,
     }
 }
 
@@ -1131,54 +1167,35 @@ pub(crate) fn watch(
 /// * **budget exhausted** — `budget` rounds on, still connected and
 ///   still not the sorted ring.
 ///
-/// Emits a `"recovery"` [`Event::Span`] plus an [`Event::Verdict`] to
-/// the attached sink, if any.
+/// Emits a `"recovery"` [`Event::Span`], the [`Event::Cascade`] that
+/// carries the report's `cascade`, and an [`Event::Verdict`] that carries
+/// its `verdict`, to the attached sink, if any.
 pub fn watch_recovery(net: &mut Network, budget: u64) -> WatchReport {
     let start = net.round();
     // Bracket the watch in a cascade window so the repair's cascades
     // are accounted separately from whatever ran before (no-op without a
     // sink).
     net.cascade_begin();
-    let (mut messages, mut dropped_fault) = (0, 0);
-    let verdict = watch(net, start, budget, |_, stats| {
-        messages += stats.total_sent();
-        dropped_fault += stats.dropped_fault;
-    });
+    let mut report = watch(net, start, budget, |_, _| {});
+    report.cascade = net.cascade_take();
     let end = net.round();
-    let report = WatchReport {
-        verdict,
-        messages,
-        dropped_fault,
-        budget,
-        cascade: net.cascade_take(),
-    };
     net.emit(Event::Span {
         label: "recovery".to_string(),
         start,
         end,
     });
-    if let Some(c) = report.cascade.as_ref() {
-        let ev = Event::Cascade {
+    if let Some(c) = &report.cascade {
+        net.emit(Event::Cascade {
             label: "recovery".to_string(),
-            start: c.start,
-            end: c.end,
-            delivered: c.delivered(),
-            roots: c.stats.roots,
-            edges: c.stats.edges,
-            depth: c.stats.depth.clone(),
-            width_max: c.stats.width_max(),
-            handled_by_kind: c.stats.handled_by_kind.clone(),
-            children_by_kind: c.stats.children_by_kind.clone(),
-        };
-        net.emit(ev);
+            report: c.clone(),
+        });
     }
     // The verdict goes last: an anomalous one trips the flight
     // recorder's auto-dump, and the dump should already contain the
     // span and cascade records above.
     net.emit(Event::Verdict {
         round: end,
-        outcome: report.verdict.outcome().to_string(),
-        detail: verdict_detail(&report.verdict),
+        verdict: report.verdict.clone(),
     });
     report
 }
@@ -1203,26 +1220,6 @@ fn find_culprit(net: &Network) -> Option<DropRecord> {
         }
     }
     None
-}
-
-fn verdict_detail(v: &Verdict) -> String {
-    match v {
-        Verdict::Recovered { rounds } => format!("rounds={rounds}"),
-        Verdict::PermanentlyDisconnected {
-            round,
-            culprit: Some(c),
-        } => format!(
-            "at round {round}: dropped {:?} from {:?} to {:?} in round {} was a sole carrier",
-            c.msg, c.src, c.dest, c.round
-        ),
-        Verdict::PermanentlyDisconnected {
-            round,
-            culprit: None,
-        } => {
-            format!("at round {round}: culprit not identifiable from the drop log")
-        }
-        Verdict::BudgetExhausted { budget } => format!("budget={budget}"),
-    }
 }
 
 #[cfg(test)]
@@ -1273,8 +1270,35 @@ mod tests {
             }
             other => panic!("expected permanent disconnection, got {other:?}"),
         }
-        assert!(report.dropped_fault > 0);
-        assert_eq!(report.verdict.outcome(), "disconnected");
+        assert!(report.totals.dropped_fault > 0);
+    }
+
+    #[test]
+    fn verdict_and_cascade_records_parse_back_to_the_report() {
+        let (mut net, ..) = three_node_net(false);
+        let (sink, buf) = crate::obs::flight::FlightRecorder::new(64);
+        net.attach_sink(Box::new(sink), 1);
+        net.attach_faults(FaultPlan::new(7).with_drop(1, 2, 1.0));
+        let report = watch_recovery(&mut net, 100);
+        let end = net.round();
+        net.detach_sink();
+        let jsonl = buf.lock().expect("flight buffer").to_jsonl();
+        let events: Vec<Event> = jsonl
+            .lines()
+            .map(|line| crate::obs::parse_record(line).expect("parses").event)
+            .collect();
+        let cascade = report
+            .cascade
+            .clone()
+            .expect("a sink makes the cascade live");
+        assert!(events.contains(&Event::Cascade {
+            label: "recovery".to_string(),
+            report: cascade,
+        }));
+        assert!(events.contains(&Event::Verdict {
+            round: end,
+            verdict: report.verdict,
+        }));
     }
 
     #[test]
@@ -1311,6 +1335,59 @@ mod tests {
             report.verdict
         );
         assert!(net.node(c).is_some());
+    }
+
+    #[test]
+    fn watch_totals_sum_exactly_the_watched_rounds() {
+        // Lossy rounds before the watch and inside it, and a crash in the
+        // last round before it: the totals are the trace's sum over the
+        // watched rounds only, drops included.
+        let ids = evenly_spaced_ids(12);
+        let mut net = Network::new(make_sorted_ring(&ids, ProtocolConfig::default()), 5);
+        net.attach_faults(
+            FaultPlan::new(11)
+                .with_drop(3, 40, 0.3)
+                .with_crash(12, ids[4], 4),
+        );
+        net.run(12);
+        assert!(!net.is_sorted_ring(), "the crash broke the ring");
+        let start = net.trace().len();
+        let report = watch_recovery(&mut net, 500);
+        assert_eq!(report.totals, net.trace().since(start));
+        assert!(
+            report.totals.dropped_fault > 0,
+            "the window reaches the watch"
+        );
+    }
+
+    #[test]
+    fn verdicts_display_their_parameters_and_culprit() {
+        let culprit = DropRecord {
+            round: 1,
+            src: fid(0.2),
+            dest: fid(0.5),
+            msg: Message::Lin(fid(0.8)),
+        };
+        let text = |v: Verdict| v.to_string();
+        assert_eq!(text(Verdict::Recovered { rounds: 4 }), "rounds=4");
+        assert_eq!(text(Verdict::BudgetExhausted { budget: 10 }), "budget=10");
+        assert_eq!(
+            text(Verdict::PermanentlyDisconnected {
+                round: 9,
+                culprit: None
+            }),
+            "at round 9: culprit not identifiable from the drop log"
+        );
+        assert_eq!(
+            text(Verdict::PermanentlyDisconnected {
+                round: 2,
+                culprit: Some(culprit),
+            }),
+            format!(
+                "at round 2: dropped {:?} from {:?} to {:?} in round 1 was a sole carrier",
+                culprit.msg, culprit.src, culprit.dest
+            )
+        );
     }
 
     #[test]

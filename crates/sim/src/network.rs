@@ -255,11 +255,12 @@ impl Network {
     /// [`is_sorted_ring`](Self::is_sorted_ring) keeps its counter across
     /// the switch.
     ///
-    /// The two modes are *semantically* equivalent (both converge to the
-    /// same sorted ring — pinned by `tests/active_set_prop.rs`) but not
-    /// bit-for-bit: the active set changes which nodes act, hence the
-    /// RNG schedule, and settled nodes pause their lrl walk, ages and
-    /// probe ticks (see [`crate::sched`]).
+    /// The two modes reach the same end state, the sorted ring (pinned by
+    /// `tests/active_set_prop.rs`), but they are not the same process:
+    /// settled nodes skip their always-enabled regular action, pausing
+    /// their lrl walk, ages and probe ticks, so an `ActiveSet` run is a
+    /// variant that is not weakly fair in the paper's model, and its
+    /// rounds and messages to the ring differ (see [`crate::sched`]).
     pub fn set_schedule_mode(&mut self, mode: ScheduleMode) {
         match mode {
             ScheduleMode::FullScan => {
@@ -442,8 +443,8 @@ impl Network {
                 .obs
                 .as_ref()
                 .is_some_and(|o| now.is_multiple_of(o.sample_every));
-        // Accumulators in phase order: order build (the `shuffle_ns`
-        // field of the schema), channel, deliver, flush, stats.
+        // Accumulators in phase order: order build, channel, deliver,
+        // flush, stats.
         let mut ph = [0u64; 5];
 
         // The round's turns run in ascending id order. No turn reads what
@@ -586,13 +587,13 @@ impl Network {
         };
         if let Some(t0) = t_stats {
             ph[4] = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let [shuffle_ns, channel_ns, deliver_ns, flush_ns, stats_ns] = ph;
+            let [order_ns, channel_ns, deliver_ns, flush_ns, stats_ns] = ph;
             self.emit(Event::Round {
                 round: now,
                 depth_max,
                 stats,
                 phases: PhaseTimes {
-                    shuffle_ns,
+                    order_ns,
                     channel_ns,
                     deliver_ns,
                     flush_ns,

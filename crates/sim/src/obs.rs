@@ -19,7 +19,12 @@
 //! * online, mergeable fixed-bucket [`Histogram`]s (message latency in
 //!   rounds by kind, channel depth high-water marks, lrl age at forget,
 //!   lrl ring length), closed by a `Summary` whose totals sum the
-//!   observed rounds' `RoundStats`.
+//!   observed rounds' `RoundStats`;
+//! * the fault watchdog's outcome as the library's own types: an
+//!   [`Event::Verdict`] carries the [`Verdict`] and an [`Event::Cascade`]
+//!   the [`CascadeReport`] that
+//!   [`watch_recovery`](crate::faults::watch_recovery) returns, so no
+//!   reader matches on a label string.
 //!
 //! **The disabled path is free.** `Network::step` has one arm of the
 //! round loop per combination of hook groups — the observer and fault
@@ -52,8 +57,9 @@ pub mod flight;
 use serde::{helpers, DeError, Deserialize, Serialize, Value};
 use std::io::Write as _;
 
+use crate::faults::Verdict;
 use crate::trace::RoundStats;
-use causal::{CausalState, CauseTag};
+use causal::{CascadeReport, CausalState, CauseTag};
 use swn_core::message::MessageKind;
 
 /// Version tag stamped on every emitted [`Record`]. Bumped on any
@@ -70,7 +76,11 @@ use swn_core::message::MessageKind;
 /// forged messages, with the lying-state fault that was its only source.
 /// v5: `RoundStats` drops its token-move, neighbour-adoption, ring-reset
 /// and salvaged-pointer counts, with the handler events that fed them.
-pub const SCHEMA_VERSION: u32 = 5;
+/// v6: `Verdict` carries the watchdog's [`Verdict`] instead of an
+/// `outcome` and a `detail` string, `Cascade` carries the
+/// [`CascadeReport`] instead of a flattened copy, and
+/// `PhaseTimes::shuffle_ns` is `order_ns`.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `2^32 - 1` (everything larger lands in the last bucket).
@@ -242,9 +252,8 @@ impl Histogram {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimes {
     /// Activation-order build: the copy of the index's sorted lane, or
-    /// the agenda's sort by id. The name is kept from schema v5, when
-    /// the order was also shuffled; it now times only the build.
-    pub shuffle_ns: u64,
+    /// the agenda's sort by id.
+    pub order_ns: u64,
     /// Channel cycle: `take_deliverable` across all nodes.
     pub channel_ns: u64,
     /// Protocol handler execution (receive + regular actions).
@@ -320,15 +329,13 @@ pub enum Event {
         detail: String,
     },
     /// The watchdog's final classification of a recovery watch
-    /// (`faults::watch_recovery`).
+    /// (`faults::watch_recovery`): the verdict its report returns.
     Verdict {
         /// The round the verdict was reached at.
         round: u64,
-        /// `"recovered"`, `"disconnected"` or `"budget_exhausted"`.
-        outcome: String,
-        /// Root cause / parameters (e.g. the culprit drop for a
-        /// permanent disconnection).
-        detail: String,
+        /// The classification, with its culprit drop when one severed
+        /// the network.
+        verdict: Verdict,
     },
     /// Shape of the repair cascade observed over one causal window
     /// (`Network::cascade_begin` .. `cascade_take`; the fault watchdog
@@ -336,24 +343,8 @@ pub enum Event {
     Cascade {
         /// Window label, e.g. `"recovery"`.
         label: String,
-        /// Round the window opened at.
-        start: u64,
-        /// Round the window closed at.
-        end: u64,
-        /// Total messages delivered inside the window.
-        delivered: u64,
-        /// Deliveries at depth 0: cascade chains started.
-        roots: u64,
-        /// Deliveries at depth > 0: realized parent→child edges.
-        edges: u64,
-        /// Cascade depth of every delivery (0 = root).
-        depth: Histogram,
-        /// Deliveries at the most populated depth level.
-        width_max: u64,
-        /// Deliveries by message kind (`MessageKind::index` order).
-        handled_by_kind: Vec<u64>,
-        /// Children emitted, indexed by the parent's kind.
-        children_by_kind: Vec<u64>,
+        /// The window's report, as `cascade_take` returned it.
+        report: CascadeReport,
     },
     /// Emitted when the sink is detached: run totals and the online
     /// histograms.
@@ -656,7 +647,7 @@ mod tests {
             depth_max: 12,
             stats,
             phases: PhaseTimes {
-                shuffle_ns: 1,
+                order_ns: 1,
                 channel_ns: 2,
                 deliver_ns: 3,
                 flush_ns: 4,

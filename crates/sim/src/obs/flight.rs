@@ -7,15 +7,17 @@
 //! records; a [`FlightRecorder`] sink feeds one — it is the in-memory
 //! sink, tests included — and, once armed with a dump path, writes the
 //! buffered records out as JSONL for a post-mortem (`experiments report
-//! <dump>` renders it) when the watchdog's verdict is `disconnected` or
-//! `budget_exhausted`, or when [`FlightRecorder::dump_now`] is called
-//! from a tripped debug invariant.
+//! <dump>` renders it) when the watchdog's verdict is
+//! [`Verdict::PermanentlyDisconnected`] or [`Verdict::BudgetExhausted`],
+//! or when [`FlightRecorder::dump_now`] is called from a tripped debug
+//! invariant.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use super::{Event, Record, Sink};
+use crate::faults::Verdict;
 
 /// A fixed-capacity ring buffer of [`Record`]s: pushing beyond capacity
 /// evicts the oldest record.
@@ -98,12 +100,15 @@ impl<'a> IntoIterator for &'a FlightBuffer {
 }
 
 /// True for the watchdog outcomes that warrant a post-mortem: permanent
-/// disconnection and budget exhaustion. A clean `recovered` is not an
+/// disconnection and budget exhaustion. A clean recovery is not an
 /// anomaly.
 fn is_anomaly(ev: &Event) -> bool {
     matches!(
         ev,
-        Event::Verdict { outcome, .. } if outcome == "disconnected" || outcome == "budget_exhausted"
+        Event::Verdict {
+            verdict: Verdict::PermanentlyDisconnected { .. } | Verdict::BudgetExhausted { .. },
+            ..
+        }
     )
 }
 
@@ -260,20 +265,23 @@ mod tests {
         sink.record(&rec(1));
         sink.record(&Record::new(Event::Verdict {
             round: 5,
-            outcome: "recovered".to_string(),
-            detail: "rounds=4".to_string(),
+            verdict: Verdict::Recovered { rounds: 4 },
         }));
         assert_eq!(sink.dumps(), 0, "clean recovery is not an anomaly");
         assert!(!path.exists());
-        sink.record(&Record::new(Event::Verdict {
+        let disconnected = Record::new(Event::Verdict {
             round: 9,
-            outcome: "disconnected".to_string(),
-            detail: "sole carrier".to_string(),
-        }));
+            verdict: Verdict::PermanentlyDisconnected {
+                round: 9,
+                culprit: None,
+            },
+        });
+        sink.record(&disconnected);
         assert_eq!(sink.dumps(), 1);
         let dumped = std::fs::read_to_string(&path).expect("dump written");
         assert_eq!(dumped.lines().count(), 3, "whole buffer dumped");
-        assert!(dumped.contains("sole carrier"));
+        let last = dumped.lines().last().expect("three lines");
+        assert_eq!(parse_record(last), Ok(disconnected));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -304,8 +312,10 @@ mod tests {
         let (mut sink, buf) = FlightRecorder::new(4);
         let verdict = Record::new(Event::Verdict {
             round: 9,
-            outcome: "disconnected".to_string(),
-            detail: "sole carrier".to_string(),
+            verdict: Verdict::PermanentlyDisconnected {
+                round: 9,
+                culprit: None,
+            },
         });
         sink.record(&verdict);
         assert_eq!(sink.dumps(), 0, "nothing to write to");
@@ -317,8 +327,7 @@ mod tests {
         let (mut sink, buf) = FlightRecorder::new(4);
         sink.record(&Record::new(Event::Verdict {
             round: 2,
-            outcome: "budget_exhausted".to_string(),
-            detail: "budget=10".to_string(),
+            verdict: Verdict::BudgetExhausted { budget: 10 },
         }));
         assert_eq!(sink.dumps(), 0, "no dump path armed: buffer only");
         assert!(!sink.dump_now(), "manual trigger without a path is a no-op");
@@ -329,8 +338,7 @@ mod tests {
         let mut armed = FlightRecorder::new(4).0.with_dump_path(&path);
         armed.record(&Record::new(Event::Verdict {
             round: 2,
-            outcome: "budget_exhausted".to_string(),
-            detail: "budget=10".to_string(),
+            verdict: Verdict::BudgetExhausted { budget: 10 },
         }));
         assert_eq!(armed.dumps(), 1);
         let _ = std::fs::remove_file(&path);

@@ -26,7 +26,9 @@ use serde::{Deserialize, Serialize};
 use swn_core::config::ProtocolConfig;
 use swn_core::id::{evenly_spaced_ids, Extended};
 use swn_sim::convergence::run_to_ring;
+use swn_sim::faults::{DropRecord, Verdict};
 use swn_sim::init::{generate, InitialTopology};
+use swn_sim::obs::causal::{CascadeReport, CascadeStats};
 use swn_sim::obs::flight::FlightRecorder;
 use swn_sim::obs::{Event, Record};
 use swn_sim::trace::RoundStats;
@@ -196,6 +198,36 @@ fn push_str(d: &mut Digest, s: &str) {
     }
 }
 
+/// A verdict by variant, its culprit drop field by field.
+fn push_verdict(d: &mut Digest, v: &Verdict) {
+    match v {
+        Verdict::Recovered { rounds } => {
+            d.push(0);
+            d.push(*rounds);
+        }
+        Verdict::PermanentlyDisconnected { round, culprit } => {
+            d.push(1);
+            d.push(*round);
+            if let Some(DropRecord {
+                round,
+                src,
+                dest,
+                msg,
+            }) = culprit
+            {
+                d.push(*round);
+                d.push(src.bits());
+                d.push(dest.bits());
+                push_str(d, &format!("{msg:?}"));
+            }
+        }
+        Verdict::BudgetExhausted { budget } => {
+            d.push(2);
+            d.push(*budget);
+        }
+    }
+}
+
 fn push_hist(d: &mut Digest, h: &swn_sim::obs::Histogram) {
     d.push(h.count());
     d.push(h.sum());
@@ -298,15 +330,10 @@ fn event_digest(records: &[Record]) -> u64 {
                 push_str(&mut d, kind);
                 push_str(&mut d, detail);
             }
-            Event::Verdict {
-                round,
-                outcome,
-                detail,
-            } => {
+            Event::Verdict { round, verdict } => {
                 d.push(8);
                 d.push(*round);
-                push_str(&mut d, outcome);
-                push_str(&mut d, detail);
+                push_verdict(&mut d, verdict);
             }
             Event::Summary {
                 rounds,
@@ -330,31 +357,28 @@ fn event_digest(records: &[Record]) -> u64 {
             }
             // Emitted by the fault watchdog's cascade bracket; hashed
             // so fault scenarios can pin their causal streams.
-            Event::Cascade {
-                label,
-                start,
-                end,
-                delivered,
-                roots,
-                edges,
-                depth,
-                width_max,
-                handled_by_kind,
-                children_by_kind,
-            } => {
+            Event::Cascade { label, report } => {
+                let CascadeReport {
+                    start,
+                    end,
+                    stats:
+                        CascadeStats {
+                            depth,
+                            roots,
+                            edges,
+                            width,
+                            handled_by_kind,
+                            children_by_kind,
+                        },
+                } = report;
                 d.push(9);
                 push_str(&mut d, label);
                 d.push(*start);
                 d.push(*end);
-                d.push(*delivered);
                 d.push(*roots);
                 d.push(*edges);
                 push_hist(&mut d, depth);
-                d.push(*width_max);
-                for &c in handled_by_kind {
-                    d.push(c);
-                }
-                for &c in children_by_kind {
+                for &c in width.iter().chain(handled_by_kind).chain(children_by_kind) {
                     d.push(c);
                 }
             }

@@ -251,18 +251,19 @@ fn bare_departures_faster_than_the_cycle_heals_split_it_for_good() {
         net.remove_node(ids[rank]).unwrap();
         net.run(16);
     }
-    // The watchdog says what happened instead of spending its budget and
-    // calling the run slow: nothing was dropped or erased in any watched
-    // round, so only the budget-exhausted exit looks.
-    let report = swn_sim::faults::watch_recovery(&mut net, 5_000);
+    // The churn module's own report says what happened instead of
+    // spending its budget and calling the run slow: nothing was dropped
+    // or erased in any watched round, so only the budget-exhausted exit
+    // looks, and it finds the CC view split.
+    let report = swn_sim::churn::measure_recovery(&mut net, 5_000);
     assert!(
         matches!(
             report.verdict,
-            swn_sim::faults::Verdict::PermanentlyDisconnected { culprit: None, .. }
+            Some(swn_sim::faults::Verdict::PermanentlyDisconnected { culprit: None, .. })
         ),
-        "{:?}",
-        report.verdict
+        "{report:?}"
     );
+    assert_eq!(report.rounds, None);
     assert!(!net.is_sorted_ring());
     assert!(!weakly_connected_view(&net.view(), View::Cc));
     // Two closed rings: the list broke where rank 35 used to be, each
