@@ -226,17 +226,22 @@ mod tests {
     #[test]
     fn young_token_never_forgotten() {
         // age ≤ 2 ⇒ φ = 0 ⇒ the token survives regardless of randomness.
+        // `move_forget` is the only emitter of `LrlForgotten`, so this is
+        // the forget rule for every run.
         let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            let mut n = node(Some(0.3), 0.5, Some(0.7), None);
-            // age stays 0 (we never run the regular action here)
-            let mut out = Outbox::new();
-            n.move_forget(Extended::Fin(id(0.8)), Extended::PosInf, &mut rng, &mut out);
-            assert_eq!(n.lrl(), id(0.8));
-            assert!(!out
-                .events()
-                .iter()
-                .any(|e| matches!(e, ProtocolEvent::LrlForgotten { .. })));
+        for age in 0..=2 {
+            for _ in 0..1000 {
+                let mut n = node(Some(0.3), 0.5, Some(0.7), None);
+                n.age = age;
+                let mut out = Outbox::new();
+                n.move_forget(Extended::Fin(id(0.8)), Extended::PosInf, &mut rng, &mut out);
+                assert_eq!(n.lrl(), id(0.8), "age {age}");
+                assert_eq!(n.age(), age, "age {age}");
+                assert!(!out
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e, ProtocolEvent::LrlForgotten { .. })));
+            }
         }
     }
 

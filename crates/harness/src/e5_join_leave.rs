@@ -66,7 +66,8 @@ pub struct ChurnPoint {
     pub mean_rounds: f64,
     /// Worst recovery rounds over trials.
     pub max_rounds: f64,
-    /// Join: mean tracked (integration-path) messages. Leave: mean excess
+    /// Join: mean integration-path nodes, the distinct nodes that
+    /// forwarded the newcomer's id in a `lin`. Leave: mean excess
     /// messages over the steady-state rate.
     pub mean_steps: f64,
     /// Every trial re-established the sorted ring.

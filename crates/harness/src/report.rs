@@ -198,13 +198,14 @@ fn render_cascades(out: &mut String, events: &[Event]) {
         if let Event::Cascade { label, report } = e {
             let CascadeStats {
                 depth,
-                roots,
-                edges,
+                width,
                 handled_by_kind,
                 children_by_kind,
-                ..
             } = &report.stats;
             let (start, end) = (report.start, report.end);
+            // Depth 0 is a root; every deeper delivery was caused.
+            let roots = width.first().copied().unwrap_or(0);
+            let edges = report.delivered().saturating_sub(roots);
             let _ = writeln!(
                 out,
                 "\nrepair cascade \"{label}\": rounds {start} -> {end} ({} rounds)",
@@ -423,8 +424,6 @@ mod tests {
                     end: 14,
                     stats: CascadeStats {
                         depth: cascade_depth,
-                        roots: 2,
-                        edges: 7,
                         width: vec![2, 4, 2, 1],
                         handled_by_kind: vec![5, 4, 0, 0, 0, 0, 0],
                         children_by_kind: vec![6, 1, 0, 0, 0, 0, 0],

@@ -26,15 +26,15 @@
 //!   [`watch_recovery`](crate::faults::watch_recovery) returns, so no
 //!   reader matches on a label string.
 //!
-//! **The disabled path is free.** `Network::step` has one arm of the
-//! round loop per combination of hook groups — the observer and fault
-//! injector (`HOOKS`), the active-set scheduler (`SCHED`). With no sink
-//! and no fault plan attached an arm without `HOOKS` runs, in which
-//! every observer branch is constant-folded away; with no scheduler
-//! either it compiles to exactly the pre-observability round loop. The
-//! `HOOKS` arms test for the observer at run time (`tests/perf_guards.rs`
-//! holds the observed arm to 1.5× the bare one, and to 1.55× with a
-//! cascade window open).
+//! **The disabled path is free.** `Network::step` runs one of three
+//! arms of the round loop: the bare one, the active-set scheduler's
+//! (`SCHED`), and one `HOOKS` arm for any network with a sink or a fault
+//! plan attached. The two arms without `HOOKS` have every observer
+//! branch constant-folded away; with no scheduler either the bare arm
+//! compiles to exactly the pre-observability round loop. The `HOOKS`
+//! arm tests for the observer, the injector and the scheduler at run
+//! time (`tests/perf_guards.rs` holds the observed arm to 1.5× the bare
+//! one, and to 1.55× with a cascade window open).
 //!
 //! **Observers read, never mutate, and consume no RNG.** Events are
 //! derived from state the loop already computes; the channel take
@@ -80,7 +80,11 @@ use swn_core::message::MessageKind;
 /// `outcome` and a `detail` string, `Cascade` carries the
 /// [`CascadeReport`] instead of a flattened copy, and
 /// `PhaseTimes::shuffle_ns` is `order_ns`.
-pub const SCHEMA_VERSION: u32 = 6;
+/// v7: `RoundStats` drops `lrl_forgets`, `forget_age_sum` and
+/// `forget_age_max` (the `Summary`'s `forget_age` histogram holds them),
+/// and the `Cascade` record's `CascadeStats` drops `roots` and `edges`
+/// (`width[0]` and the deliveries past it).
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `2^32 - 1` (everything larger lands in the last bucket).
@@ -420,7 +424,7 @@ pub trait Sink: Send {
     fn flush(&mut self) {}
 }
 
-/// The do-nothing sink. Attaching it still routes `step` through a
+/// The do-nothing sink. Attaching it still routes `step` through the
 /// `HOOKS` arm of the round loop (events are built, then discarded
 /// here); the *guaranteed-free* spelling is attaching no sink at all,
 /// which selects an arm with every observer branch compiled out.
@@ -638,7 +642,7 @@ mod tests {
             sent: [4, 0, 1, 0, 0, 2, 2],
             dropped_churn: 1,
             links_changed: true,
-            forget_age_max: 7,
+            probe_repairs: 7,
             ..RoundStats::default()
         };
         stats.count_delivered(MessageKind::Lin);

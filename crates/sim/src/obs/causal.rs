@@ -16,7 +16,7 @@
 //! rounds after the root of its chain. The `causal_prop` suite pins
 //! that bound over random fault scenarios.
 //!
-//! Tagging lives entirely inside the `HOOKS` arms of the round loop: the
+//! Tagging lives entirely inside the `HOOKS` arm of the round loop: the
 //! other arms only ever push [`CauseTag::ROOT`], which never touches
 //! the mailbox's lazy tag lanes, so it stays byte-identical, and tagging
 //! itself consumes no RNG.
@@ -58,12 +58,10 @@ pub const WIDTH_LEVELS: usize = 64;
 pub struct CascadeStats {
     /// Depth of every delivered message (0 = cascade root).
     pub depth: Histogram,
-    /// Deliveries at depth 0: chains started.
-    pub roots: u64,
-    /// Deliveries at depth > 0: parent→child edges realized.
-    pub edges: u64,
     /// Deliveries per depth level (`width[d]`), capped at
-    /// [`WIDTH_LEVELS`] — the cascade's width profile.
+    /// [`WIDTH_LEVELS`] — the cascade's width profile. `width[0]` counts
+    /// the chains started (roots); every other delivery realizes one
+    /// parent→child edge.
     pub width: Vec<u64>,
     /// Deliveries by message kind (`MessageKind::index` order).
     pub handled_by_kind: Vec<u64>,
@@ -76,8 +74,6 @@ impl CascadeStats {
     fn new() -> Self {
         CascadeStats {
             depth: Histogram::new(),
-            roots: 0,
-            edges: 0,
             width: vec![0; WIDTH_LEVELS],
             handled_by_kind: vec![0; MessageKind::COUNT],
             children_by_kind: vec![0; MessageKind::COUNT],
@@ -89,11 +85,6 @@ impl CascadeStats {
         self.depth.record(d);
         self.width[(tag.depth as usize).min(WIDTH_LEVELS - 1)] += 1;
         self.handled_by_kind[kind.index()] += 1;
-        if tag.is_root() {
-            self.roots += 1;
-        } else {
-            self.edges += 1;
-        }
     }
 
     /// Widest depth level (deliveries at the most populated depth).
@@ -128,7 +119,7 @@ impl CascadeReport {
 }
 
 /// Live causal-tracing state owned by an attached observer. Crate-
-/// private: the `HOOKS` arms of `Network`'s round loop are the only driver.
+/// private: the `HOOKS` arm of `Network`'s round loop is the only driver.
 ///
 /// Tracing is *window-gated*: the per-message work (depth accounting,
 /// boundary bookkeeping, non-root pushes into the mailbox's tag
@@ -250,8 +241,6 @@ mod tests {
         st.on_delivery(CauseTag::ROOT, kind0());
         st.on_delivery(CauseTag { depth: 1 }, kind0());
         assert_eq!(st.deliv, vec![(0, kind0()), (0, kind0()), (1, kind0())]);
-        assert_eq!(st.window.roots, 2);
-        assert_eq!(st.window.edges, 1);
         assert_eq!(st.window.width[0], 2);
         assert_eq!(st.window.width[1], 1);
         assert_eq!(st.window.handled_by_kind[kind0().index()], 3);
@@ -285,7 +274,7 @@ mod tests {
         let rep = st.take_window(12);
         assert_eq!((rep.start, rep.end), (10, 12));
         assert_eq!(rep.delivered(), 1);
-        assert_eq!(rep.stats.roots, 1);
+        assert_eq!(rep.stats.width[0], 1);
         assert_eq!(rep.depth_max(), 0);
         assert_eq!(st.window.depth.count(), 0, "window reset");
         assert_eq!(st.run_depth.count(), 1, "run histogram kept");

@@ -2,8 +2,10 @@
 //!
 //! The experiments measure the protocol in *rounds* and *messages* — the
 //! units every theorem is stated in. The trace records, per round, the
-//! message counts by kind plus the two structured protocol events the
-//! handlers emit (probe repairs and long-range forgets).
+//! message counts by kind plus the probe repairs the handlers report.
+//! The other handler event, a long-range forget, is the observer's
+//! `forget_age` histogram (`crate::obs`), which holds its count, sum and
+//! max.
 //!
 //! [`RoundStats`] is the one per-round record: the trace keeps one per
 //! round, an observed network's sampled `Round` events carry it
@@ -59,19 +61,13 @@ pub struct RoundStats {
     pub links_changed: bool,
     /// Probe-repair events: a probe got stuck and created an edge.
     pub probe_repairs: u64,
-    /// Long-range link forget events.
-    pub lrl_forgets: u64,
-    /// Sum of ages at forget (ratio with `lrl_forgets` gives the mean).
-    pub forget_age_sum: u64,
-    /// Maximal age observed at a forget event this round.
-    pub forget_age_max: u64,
     /// Messages carrying the id registered with `Network::track_id`.
     pub tracked_sent: u64,
 }
 
 // The trace keeps one row per round and every observed round carries
 // one, so a change in size should be on purpose.
-const _: () = assert!(std::mem::size_of::<RoundStats>() == 200);
+const _: () = assert!(std::mem::size_of::<RoundStats>() == 176);
 
 impl RoundStats {
     /// Total messages sent this round.
@@ -100,15 +96,13 @@ impl RoundStats {
         self.dropped_churn + self.dropped_fault
     }
 
-    /// Folds a protocol event into the counters.
+    /// Folds a protocol event into the counters. A forget counts
+    /// nothing here: an observed network records its age into the
+    /// `forget_age` histogram.
     pub fn count_event(&mut self, ev: &ProtocolEvent) {
         match ev {
             ProtocolEvent::ProbeRepair { .. } => self.probe_repairs += 1,
-            ProtocolEvent::LrlForgotten { age } => {
-                self.lrl_forgets += 1;
-                self.forget_age_sum += age;
-                self.forget_age_max = self.forget_age_max.max(*age);
-            }
+            ProtocolEvent::LrlForgotten { .. } => {}
         }
     }
 }
@@ -129,9 +123,6 @@ impl std::ops::AddAssign<&RoundStats> for RoundStats {
             bounced,
             links_changed,
             probe_repairs,
-            lrl_forgets,
-            forget_age_sum,
-            forget_age_max,
             tracked_sent,
         } = *r;
         for (acc, v) in self.sent.iter_mut().zip(sent) {
@@ -147,9 +138,6 @@ impl std::ops::AddAssign<&RoundStats> for RoundStats {
         self.bounced += bounced;
         self.links_changed |= links_changed;
         self.probe_repairs += probe_repairs;
-        self.lrl_forgets += lrl_forgets;
-        self.forget_age_sum += forget_age_sum;
-        self.forget_age_max = self.forget_age_max.max(forget_age_max);
         self.tracked_sent += tracked_sent;
     }
 }
@@ -188,8 +176,8 @@ impl Trace {
     }
 
     /// The rounds from index `start` (0-based into [`Trace::rounds`])
-    /// to the end, summed into one record: counters add, `forget_age_max`
-    /// takes the max and `links_changed` the or. A `start` at or past the
+    /// to the end, summed into one record: counters add and
+    /// `links_changed` takes the or. A `start` at or past the
     /// end yields the empty sum; `since(0)` is the whole run.
     pub fn since(&self, start: usize) -> RoundStats {
         let mut sum = RoundStats::default();
@@ -224,10 +212,11 @@ mod tests {
         r.count_event(&ProtocolEvent::ProbeRepair { dest });
         r.count_event(&ProtocolEvent::LrlForgotten { age: 10 });
         r.count_event(&ProtocolEvent::LrlForgotten { age: 4 });
-        assert_eq!(r.probe_repairs, 1);
-        assert_eq!(r.lrl_forgets, 2);
-        assert_eq!(r.forget_age_sum, 14);
-        assert_eq!(r.forget_age_max, 10);
+        let expect = RoundStats {
+            probe_repairs: 1,
+            ..RoundStats::default()
+        };
+        assert_eq!(r, expect, "a forget counts nothing in the row");
     }
 
     #[test]
@@ -262,9 +251,6 @@ mod tests {
             bounced: 20,
             links_changed: true,
             probe_repairs: 21,
-            lrl_forgets: 23,
-            forget_age_sum: 24,
-            forget_age_max: 25,
             tracked_sent: 29,
         };
         t.push(r);
@@ -279,9 +265,6 @@ mod tests {
             bounced: 40,
             links_changed: true,
             probe_repairs: 42,
-            lrl_forgets: 46,
-            forget_age_sum: 48,
-            forget_age_max: 25,
             tracked_sent: 58,
         };
         assert_eq!(t.since(0), twice);
@@ -294,9 +277,6 @@ mod tests {
             let mut r = RoundStats::default();
             r.sent[MessageKind::Lin.index()] = k + 1; // 1, 2, 3, 4
             r.sent[MessageKind::Ring.index()] = 1;
-            r.lrl_forgets = u64::from(k >= 2);
-            r.forget_age_sum = if k >= 2 { 6 * (k - 1) } else { 0 }; // 6, 12
-            r.forget_age_max = if k >= 2 { 6 * (k - 1) } else { 0 };
             r.links_changed = k == 1;
             t.push(r);
         }
@@ -309,12 +289,6 @@ mod tests {
         assert_eq!(w.sent[MessageKind::Lin.index()], 2 + 3 + 4);
         assert_eq!(w.sent[MessageKind::Ring.index()], 3);
         assert_eq!(t.since(3).sent[MessageKind::Lin.index()], 4);
-        // Forget ages: sums add, the max is a max; no forgets before
-        // round 2.
-        assert_eq!(t.since(0).lrl_forgets, 2);
-        assert_eq!(t.since(0).forget_age_sum, 18);
-        assert_eq!(t.since(0).forget_age_max, 12);
-        assert_eq!(t.since(3).forget_age_max, 12);
         // The dirty flag is an or: set iff some round in the window set it.
         assert!(t.since(0).links_changed);
         assert!(!t.since(2).links_changed);

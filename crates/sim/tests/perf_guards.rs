@@ -119,16 +119,19 @@ fn ns_per<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Times `base` then `arm`, `PAIRS` times over, printing both timings and
-/// the ratio `arm / base` of every pair; returns the smallest ratio.
+/// the ratio `arm / base` of every pair, then the median ratio; returns
+/// the smallest ratio.
 fn min_pair_ratio(mut base: impl FnMut() -> f64, mut arm: impl FnMut() -> f64) -> f64 {
-    let mut min = f64::MAX;
+    let mut ratios = Vec::with_capacity(PAIRS);
     for pair in 1..=PAIRS {
         let (b, a) = (base(), arm());
         let ratio = a / b;
         println!("pair {pair}/{PAIRS}: {a:.0} ns vs {b:.0} ns ({ratio:.3}x)");
-        min = min.min(ratio);
+        ratios.push(ratio);
     }
-    min
+    ratios.sort_by(f64::total_cmp);
+    println!("median pair ratio: {:.3}x", ratios[PAIRS / 2]);
+    ratios[0]
 }
 
 fn stable_ring(n: usize) -> Network {
